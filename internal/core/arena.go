@@ -71,29 +71,33 @@ func (s *Scratch) Frame() *Frame { return &s.frame }
 // reachability contract).
 func (s *Scratch) Ptr() unsafe.Pointer { return unsafe.Pointer(&s.buf[0]) }
 
-// frameArena is one slot's Scratch free lists: the owner-private local
-// list plus the any-worker remote-free hand-back list.
+// frameArena is the local half of one slot's Scratch free lists: plain
+// memory touched only by the goroutine occupying the slot.
 type frameArena struct {
-	free *Scratch // local list; owner-only plain memory
+	free *Scratch
 	n    int
-	// remote is the MPSC hand-back list: pushed with a CAS by any worker
-	// releasing one of this slot's blocks, emptied with one Swap by the
-	// slot owner on a local miss. remoteN is the racy length gate for
-	// remoteHoardCap; it is advisory only — exact accounting comes from
-	// the RemoteFrees/RemoteDrains counters.
-	remote  atomic.Pointer[Scratch]
-	remoteN atomic.Int32
 }
 
-// pushRemote hands s back to this arena's home slot. Any worker may call
-// it; the Treiber push is ABA-safe because the only removal is the drain's
+// remoteFrees is the other half: the MPSC hand-back list, pushed with a
+// CAS by any worker releasing one of this slot's blocks, emptied with one
+// Swap by the slot owner on a local miss. It sits on lines of its own in
+// the worker slot (see worker), away from the local half its pushers never
+// touch. n is the racy length gate for remoteHoardCap; it is advisory only
+// — exact accounting comes from the RemoteFrees/RemoteDrains counters.
+type remoteFrees struct {
+	head atomic.Pointer[Scratch]
+	n    atomic.Int32
+}
+
+// push hands s back to this list's home slot. Any worker may call it; the
+// Treiber push is ABA-safe because the only removal is the drain's
 // whole-list Swap.
-func (a *frameArena) pushRemote(s *Scratch) {
+func (r *remoteFrees) push(s *Scratch) {
 	for {
-		old := a.remote.Load()
+		old := r.head.Load()
 		s.next = old
-		if a.remote.CompareAndSwap(old, s) {
-			a.remoteN.Add(1)
+		if r.head.CompareAndSwap(old, s) {
+			r.n.Add(1)
 			return
 		}
 	}
@@ -114,8 +118,8 @@ func (w *W) AcquireScratch() *Scratch {
 			s.next = nil
 			return s
 		}
-		if a.remoteN.Load() > 0 {
-			if s := w.drainRemote(a); s != nil {
+		if w.slot.remote.n.Load() > 0 {
+			if s := w.drainRemote(); s != nil {
 				return s
 			}
 		}
@@ -133,11 +137,12 @@ func (w *W) AcquireScratch() *Scratch {
 // again) and returning one of them; nil if the list was empty. The local
 // list may transiently exceed arenaHoardCap after a large drain; later
 // releases shed the excess through the remote path or the GC.
-func (w *W) drainRemote(a *frameArena) *Scratch {
-	s := a.remote.Swap(nil)
+func (w *W) drainRemote() *Scratch {
+	s := w.slot.remote.head.Swap(nil)
 	if s == nil {
 		return nil
 	}
+	a := &w.slot.arena
 	home := int32(w.slot.id)
 	n := 1
 	tail := s
@@ -147,7 +152,7 @@ func (w *W) drainRemote(a *frameArena) *Scratch {
 		tail.home = home
 		n++
 	}
-	a.remoteN.Add(int32(-n))
+	w.slot.remote.n.Add(int32(-n))
 	w.stats.remoteDrains.Add(int64(n))
 	rest := s.next
 	s.next = nil
@@ -194,9 +199,9 @@ func (w *W) ReleaseScratch(s *Scratch) {
 		}
 	}
 	if h := s.home; h >= 0 && int(h) < len(w.rt.workers) {
-		ra := &w.rt.workers[h].arena
-		if ra.remoteN.Load() < remoteHoardCap {
-			ra.pushRemote(s)
+		r := &w.rt.workers[h].remote
+		if r.n.Load() < remoteHoardCap {
+			r.push(s)
 			w.stats.remoteFrees.Add(1)
 			return
 		}

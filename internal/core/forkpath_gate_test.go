@@ -2,7 +2,11 @@ package core
 
 import (
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -116,6 +120,89 @@ func TestForkPathGate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// spinSink keeps the yardstick loop of TestForkScalesWithSecondWorker
+// from being optimized away.
+var spinSink atomic.Uint64
+
+// TestForkScalesWithSecondWorker is the behavioural fence for the memory
+// layout (DESIGN.md §15): a second worker must make one-shot fork/join
+// faster, not slower. It compares medians of fresh-runtime gate-fib runs at
+// Workers=2 and Workers=1 and asks for a ratio — the same on any host with
+// two CPUs to run on — well short of the ideal 0.5 but far from the
+// 1.1–1.3 that two slots' deques and worker structs sharing cache lines
+// cost. Each runtime lands its objects somewhere new, so the median over
+// fresh runtimes sees the whole distribution, not one lucky placement.
+//
+// Every round also times a yardstick — a fixed amount of plain serial work
+// — alone and as two goroutines side by side. When the pair takes much longer than the single — another
+// package's tests have a CPU, say — the host is not offering two CPUs and
+// the test declines to judge rather than blame the layout.
+func TestForkScalesWithSecondWorker(t *testing.T) {
+	switch {
+	case runtime.NumCPU() < 2:
+		t.Skip("needs two CPUs")
+	case testing.Short():
+		t.Skip("timing gate; skipped with -short")
+	case raceEnabled:
+		t.Skip("timing gate; the race detector's instrumentation dominates the fork path")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n, rounds, spinSteps = 23, 21, 1 << 20
+	want := fibSerial(n)
+	oneShot := func(workers int) time.Duration {
+		t0 := time.Now()
+		var out int64
+		NewRuntime(Config{Workers: workers}).Run(func(w *W) { out = gateFib(w, n) })
+		d := time.Since(t0)
+		if out != want {
+			t.Fatalf("gateFib(%d) = %d at Workers=%d, want %d", n, out, workers, want)
+		}
+		return d
+	}
+	yardstick := func(goroutines int) time.Duration {
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var s, x uint64
+				for i := 0; i < spinSteps; i++ {
+					x ^= next(&s)
+				}
+				spinSink.Add(x)
+			}()
+		}
+		wg.Wait()
+		return time.Since(t0)
+	}
+	oneShot(1) // warm the code, the heap and the vm package's pages
+	oneShot(2)
+	var t1, t2, y1, y2 []time.Duration
+	for i := 0; i < rounds; i++ { // interleaved, so drift hits all four alike
+		y1 = append(y1, yardstick(1))
+		t1 = append(t1, oneShot(1))
+		y2 = append(y2, yardstick(2))
+		t2 = append(t2, oneShot(2))
+	}
+	median := func(d []time.Duration) float64 {
+		slices.Sort(d)
+		return float64(d[len(d)/2])
+	}
+	host := median(y2) / median(y1)
+	ratio := median(t2) / median(t1)
+	t.Logf("medians of %d: one-shot fib(%d) Workers=1 %v, Workers=2 %v, ratio %.2f; "+
+		"two plain goroutines take %.2fx one", rounds, n, t1[rounds/2], t2[rounds/2], ratio, host)
+	if host > 1.2 {
+		t.Skipf("two plain goroutines take %.2fx the time of one: the host is not giving this process two CPUs", host)
+	}
+	if ratio > 0.8 {
+		t.Errorf("Workers=2 median is %.2fx the Workers=1 median, want <= 0.8: a second worker is not paying for itself", ratio)
 	}
 }
 

@@ -231,7 +231,11 @@ func (w *W) suspend(f *Frame) bool {
 		// the pool, blocking there if a bounded (Cilk Plus) pool is empty.
 		rt.goroutineWG.Add(1)
 		go rt.thiefLoop(w.slot)
+		// The finisher's slot is generally not the one given up above, and
+		// that slot's new occupant is adding to its shard: follow the slot,
+		// so a shard keeps one writer.
 		w.slot = <-f.resume
+		w.stats = rt.shard(w.slot.id)
 	} else {
 		<-f.resume // goroutine baseline: plain blocking join
 	}

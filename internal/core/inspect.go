@@ -36,7 +36,7 @@ func (rt *Runtime) QueuedTasks() int {
 func (rt *Runtime) RemoteFreeBacklog() int {
 	n := 0
 	for _, w := range rt.workers {
-		for s := w.arena.remote.Load(); s != nil; s = s.next {
+		for s := w.remote.head.Load(); s != nil; s = s.next {
 			n++
 		}
 	}

@@ -3,6 +3,9 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"fibril/internal/cacheline"
 )
 
 // This file is the root-intake layer of the serving lifecycle: the queue
@@ -46,7 +49,7 @@ const jobFreeCap = 256
 // intakeShard is one lane of the sharded intake. Producers (submitters)
 // are lock-free: push links the Job into a Treiber-style LIFO inbox with
 // one CAS, using the Job's intrusive qnext field — no allocation, no
-// lock, no shared line beyond the shard's own. Consumers (thieves) are
+// lock, no line beyond the shard's own. Consumers (thieves) are
 // serialized per shard by cmu: a pop adopts the whole inbox with one
 // atomic Swap, reverses it into the FIFO out list, and serves from that —
 // the classic MPSC inbox-reversal queue, multi-consumer-safe because the
@@ -61,7 +64,17 @@ const jobFreeCap = 256
 // in the list, and only one popper at a time traverses the head. A
 // contended popper simply misses — the caller heap-allocates, which is
 // the safety valve, not a correctness event.
+//
+// A shard is rounded up to whole cacheline units (DESIGN.md §15) so that
+// two shards — elements of one slice — never share one. Within a shard no
+// split is attempted: a submission takes its Job from, and pushes it to,
+// the same shard, and n is written from both sides.
 type intakeShard struct {
+	intakeLists
+	_ [cacheline.Size - unsafe.Sizeof(intakeLists{})%cacheline.Size]byte
+}
+
+type intakeLists struct {
 	inbox atomic.Pointer[Job] // lock-free producer side (LIFO)
 	n     atomic.Int64        // visible roots in this shard (inbox + out)
 
@@ -72,8 +85,6 @@ type intakeShard struct {
 	free    atomic.Pointer[Job] // recycled Jobs (Treiber LIFO)
 	freeN   atomic.Int32
 	popBusy atomic.Bool
-
-	_ [4]int64 // pad the hot producer lines away from the next shard
 }
 
 // push publishes j to this shard. Callers wake the park lot afterwards,
@@ -251,5 +262,5 @@ func (q *mutexIntake) pop(self int) (*Job, bool) {
 
 func (q *mutexIntake) len() int { return int(q.n.Load()) }
 
-func (q *mutexIntake) getJob(id uint64) *Job  { return nil }
+func (q *mutexIntake) getJob(id uint64) *Job    { return nil }
 func (q *mutexIntake) putJob(id uint64, j *Job) {}

@@ -269,9 +269,10 @@ func (j *Job) Release() {
 type lifeState int32
 
 const (
-	lifeIdle    lifeState = iota // no workers up; Submit panics
+	lifeIdle    lifeState = iota // never started; Submit panics
 	lifeServing                  // Start ran; Submit accepted
 	lifeClosing                  // Close running; Submit rejected
+	lifeClosed                   // Close returned; Submit rejected, Start accepted
 )
 
 // admitState is the admission-control half of the serving lifecycle: the
@@ -287,7 +288,7 @@ type admitState struct {
 	inflight atomic.Int64 // admitted, not yet completed
 	qlen     atomic.Int64 // len(queue) mirror; stores under mu only
 
-	max       int   // Config.MaxInflight (0 = unlimited)
+	max       int // Config.MaxInflight (0 = unlimited)
 	policy    AdmissionPolicy
 	quota     int64 // Config.TenantQuotaPages (0 = unlimited)
 	reserve   int64 // pages one inflight job reserves (Config.StackPages)
@@ -366,20 +367,20 @@ func (a *admitState) checkDrainedLocked() {
 	}
 }
 
-// Start transitions the runtime from idle to serving: the park lot opens
-// and every worker slot spins up a persistent thief goroutine that parks
-// when idle. Workers stay up — across any number of Submits — until Close.
-// Start panics if the runtime is already serving or closing; use Run for
-// self-managing one-shot execution.
+// Start transitions the runtime from idle (or closed) to serving: the park
+// lot opens and every worker slot spins up a persistent thief goroutine
+// that parks when idle. Workers stay up — across any number of Submits —
+// until Close. Start panics if the runtime is already serving or closing;
+// use Run for self-managing one-shot execution.
 func (rt *Runtime) Start() {
 	if !rt.ensureStarted() {
 		panic("core: Start on an already-started Runtime")
 	}
 }
 
-// ensureStarted starts the runtime if it is idle, reporting whether this
-// call performed the start (false when already serving). It panics during
-// Close: the caller raced a shutdown.
+// ensureStarted starts the runtime if no workers are up (never started, or
+// closed), reporting whether this call performed the start (false when
+// already serving). It panics during Close: the caller raced a shutdown.
 func (rt *Runtime) ensureStarted() bool {
 	a := &rt.admit
 	a.mu.Lock()
@@ -446,8 +447,10 @@ func (rt *Runtime) Submit(root func(*W)) *Job {
 // comes up empty, so running computations are not preempted. If admission
 // control rejects the job (AdmitShed, or a Close in progress) the returned
 // Job is already complete with Err set; under AdmitQueue it waits in the
-// admission queue. Submit panics on an idle runtime — call Start first (or
-// use Run, which manages the lifecycle itself).
+// admission queue. Submit panics on a runtime that was never started — call
+// Start first (or use Run, which manages the lifecycle itself); on one that
+// is closing or closed the Job completes with ErrClosed, counted in
+// Stats.JobsShed, so a submitter racing Close is refused, never panicked.
 //
 // With IntakeSharded (default), no tenant quotas, and an empty admission
 // queue, the whole admission decision is lock-free: one CAS reserves an
@@ -470,9 +473,12 @@ func (rt *Runtime) SubmitTenant(tenant string, root func(*W)) *Job {
 //     the lifecycle re-check below; Close stores lifeClosing before
 //     reading inflight (both under SC atomics). If the re-check still
 //     reads lifeServing, Close's read is ordered after the reservation
-//     and waits for this job; if it reads lifeClosing, the reservation is
+//     and waits for this job; if it reads anything else — lifeClosing, or
+//     lifeClosed when Close has already finished — the reservation is
 //     rolled back under the mutex, where checkDrainedLocked releases a
-//     Close that observed the transient slot.
+//     Close that observed the transient slot, and submitSlow refuses the
+//     job with ErrClosed. life never reads lifeIdle again once Start has
+//     run, so the refusal cannot turn into submitSlow's panic.
 //   - Against queued jobs: the qlen check keeps FIFO fairness — the fast
 //     path stands down whenever the admission queue is visibly non-empty,
 //     and the enqueue path publishes qlen before re-running promotion, so
@@ -528,7 +534,7 @@ func (rt *Runtime) submitSlow(j *Job) *Job {
 	case lifeIdle:
 		a.mu.Unlock()
 		panic("core: Submit on an idle Runtime (call Start first)")
-	case lifeClosing:
+	case lifeClosing, lifeClosed:
 		a.mu.Unlock()
 		rt.jobsShed.Add(1)
 		rt.finishRejected(j, ErrClosed)
@@ -674,7 +680,7 @@ func (rt *Runtime) finishRejected(j *Job, err error) {
 	j.finish()
 }
 
-// Close drains the runtime and returns it to idle: no new submissions are
+// Close drains the runtime and stops its workers: no new submissions are
 // accepted, every admitted job (running or queued for a worker) runs to
 // completion, and — while ctx lasts — jobs still waiting in the admission
 // queue are admitted as capacity frees up. If ctx expires first, the
@@ -684,13 +690,13 @@ func (rt *Runtime) finishRejected(j *Job, err error) {
 // unwind, stacks return to the pool, reclaim tickets flush, the trace
 // flushes, and the runtime may be started (or Run) again. A nil ctx means
 // wait indefinitely. Close returns ctx's error if the drain was forced,
-// nil otherwise; calling Close on an idle runtime is a no-op. Close must
-// not be called concurrently with itself.
+// nil otherwise; calling Close on an idle or already closed runtime is a
+// no-op. Close must not be called concurrently with itself.
 func (rt *Runtime) Close(ctx context.Context) error {
 	a := &rt.admit
 	a.mu.Lock()
 	switch lifeState(a.life.Load()) {
-	case lifeIdle:
+	case lifeIdle, lifeClosed:
 		a.mu.Unlock()
 		return nil
 	case lifeClosing:
@@ -739,8 +745,10 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	rt.trc.Flush()
 	rt.pool.Reopen()
 
+	// Closed, not idle: a submitter that lost the race past this point is
+	// refused with ErrClosed like one that lost it a moment earlier.
 	a.mu.Lock()
-	a.life.Store(int32(lifeIdle))
+	a.life.Store(int32(lifeClosed))
 	a.drained = nil
 	a.mu.Unlock()
 	return err

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"fibril/internal/cacheline"
 )
 
 // parkLot is the quiet end of the thief backoff ladder: a thief that has
@@ -37,7 +39,13 @@ import (
 // therefore sees the task (or sees it already taken). Work is never
 // stranded behind a dropped wake; at worst a token is spent on a sweep
 // that finds the task already claimed.
+//
+// Every Fork loads nparked, and the whole lot is written only when a thief
+// parks or is woken, so it is one group, padded (DESIGN.md §15) away from
+// whatever shares its size class.
 type parkLot struct {
+	_ cacheline.Pad
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	tokens int  // pending wakes, <= nparked; guarded by mu
@@ -46,6 +54,8 @@ type parkLot struct {
 	// nparked mirrors the number of sleepers for wake's lock-free fast
 	// check; it is only written with mu held.
 	nparked atomic.Int32
+
+	_ cacheline.Pad
 }
 
 func newParkLot() *parkLot {

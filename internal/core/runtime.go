@@ -50,6 +50,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"fibril/internal/cacheline"
 	"fibril/internal/deque"
 	"fibril/internal/stack"
 	"fibril/internal/trace"
@@ -380,21 +381,41 @@ func (c Config) withDefaults() Config {
 
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
-// package comment); the slot itself carries the deque, the steal RNG, and
-// the slot's victim-locality hints. Only the occupying goroutine touches
-// rng, lastVictim and victimMisses.
+// package comment); the slot itself carries the deque, the steal RNG, the
+// slot's victim-locality hints and its Scratch arena.
+//
+// Slots are allocated one by one, back to back, and the fields are laid
+// out by writer (DESIGN.md §15), three groups a pad apart: what nobody
+// writes after NewRuntime but the occupant reads on every Fork and every
+// thief reads on every probe; what only the occupant writes (the arena
+// list twice per fork/join region); and the hand-back list other workers
+// push to. The outer pads matter as much: the fields alone are 80 bytes,
+// and one slot's arena stores must not land on the line holding its
+// neighbour's deque word.
 type worker struct {
-	id           int
-	deque        taskDeque
+	_ cacheline.Pad
+
+	// Fixed at NewRuntime.
+	id    int
+	deque taskDeque
+
+	_ cacheline.Pad
+
+	// Written only by the goroutine occupying the slot.
 	rng          rng
 	lastVictim   int // most recent successful victim slot; -1 when none
 	victimMisses int // consecutive failed sweeps since the last success
-
 	// arena is the slot's Blelloch–Wei-style free list of fixed-size
-	// Scratch blocks (frame + fork payload); the local half is touched
-	// only by the goroutine currently occupying the slot (no atomics), the
-	// remote half is an MPSC hand-back list any worker may push to.
+	// Scratch blocks (frame + fork payload), no atomics.
 	arena frameArena
+
+	_ cacheline.Pad
+
+	// Written by any worker: blocks of this slot's arena released
+	// elsewhere come home through here.
+	remote remoteFrees
+
+	_ cacheline.Pad
 }
 
 // task is a forked child waiting in a deque. A child is either a closure
@@ -437,12 +458,22 @@ type tbbTask struct {
 	_        [4]int64 // payload padding to a realistic object size
 }
 
-// Runtime is one parallel execution context.
+// Runtime is one parallel execution context. The fields are laid out by
+// who writes them and how often (DESIGN.md §15): every Fork, steal sweep
+// and Submit dereferences the first group, so nothing in it is written
+// after NewRuntime except done, which Start and Close flip; the groups
+// below it are written per suspension or admission, per submission and per
+// completion, a pad apart from it and from each other.
 type Runtime struct {
+	_ cacheline.Pad
+
 	cfg     Config
 	as      *vm.AddressSpace
 	pool    stack.Pooler
 	reclaim *reclaimer
+	workers []*worker
+	park    *parkLot
+	done    atomic.Bool // set by Close, cleared by Start; thieves poll it
 
 	// trc fans scheduler events into the configured sink through
 	// per-worker rings; nil when observability is disabled. metrics is
@@ -451,38 +482,45 @@ type Runtime struct {
 	trc     *trace.Tracer
 	metrics *trace.MetricsSink
 
-	workers []*worker
-	done    atomic.Bool
-	park    *parkLot
-
-	// loose is the overflow queue for StealHalf loot — batch-stolen tasks
-	// awaiting a worker; see looseQueue.
-	loose looseQueue
-
-	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
-
-	// Serving lifecycle (job.go, intake.go): admission control + the
-	// intake of admitted roots awaiting a worker, plus runtime-wide job
-	// counters. The counters are plain atomics rather than shard members
-	// because submission is per-request, never per-fork, work — and the
-	// request path's serialization points are the counters' single cache
-	// lines, not locks. fastIntake caches Intake == IntakeSharded for the
-	// submit/complete hot paths; stampJobs caches whether any sink
-	// consumes KindJobDone, gating the per-job clock reads.
-	admit         admitState
-	subq          rootIntake
-	fastIntake    bool
-	stampJobs     bool
-	jobsSubmitted atomic.Int64
-	jobsAdmitted  atomic.Int64
-	jobsShed      atomic.Int64
-	jobsDrained   atomic.Int64
-	jobsCompleted atomic.Int64
-	jobSeq        atomic.Int64
+	// subq is the intake of admitted roots awaiting a worker (intake.go).
+	// fastIntake caches Intake == IntakeSharded for the submit/complete
+	// hot paths; stampJobs caches whether any sink consumes KindJobDone,
+	// gating the per-job clock reads.
+	subq       rootIntake
+	fastIntake bool
+	stampJobs  bool
 
 	// stats holds one counter shard per worker slot plus a spare shard for
 	// slotless workers; see counterShard for the de-contention rationale.
 	stats []counterShard
+
+	_ cacheline.Pad
+
+	// Written by a suspend spawning its replacement thief (goroutineWG),
+	// by StealHalf loot (loose), by lifecycle transitions and — its
+	// inflight count — once per admission and once per completion (admit;
+	// see job.go).
+	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
+	loose       looseQueue     // overflow queue for StealHalf loot; see looseQueue
+	admit       admitState
+
+	_ cacheline.Pad
+
+	// Runtime-wide job counters. They are plain atomics rather than shard
+	// members because submission is per-request, never per-fork, work —
+	// the request path's serialization points are these lines, not locks —
+	// and they are split by who adds to them: submitters, then completers.
+	jobsSubmitted atomic.Int64
+	jobsAdmitted  atomic.Int64
+	jobsShed      atomic.Int64
+	jobsDrained   atomic.Int64
+
+	_ cacheline.Pad
+
+	jobsCompleted atomic.Int64
+	jobSeq        atomic.Int64
+
+	_ cacheline.Pad
 }
 
 // NewRuntime creates a runtime with the given configuration. The runtime

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -75,6 +76,57 @@ func TestSuspensionsBalanceResumes(t *testing.T) {
 		if stats.Suspends != stats.Resumes {
 			t.Errorf("%s: suspends=%d resumes=%d, want equal", s, stats.Suspends, stats.Resumes)
 		}
+	}
+}
+
+// TestResumeRebindsCounterShard forces a join to suspend on one slot and
+// resume on the other, and checks that the W's counter shard followed the
+// slot: a shard has one writer — the goroutine occupying its slot — and a
+// W left on its old slot's shard shares it with that slot's next occupant.
+// With two slots the migration is certain: the suspending root gives its
+// slot to a fresh thief, and the only worker that can finish the stolen
+// child, and so hand its slot over, is the other one.
+func TestResumeRebindsCounterShard(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the root spins while the thief steals
+	}
+	rt := NewRuntime(Config{Workers: 2})
+	const calls = 100
+	var started atomic.Bool
+	var before, after int
+	var bound bool
+	st := rt.Run(func(w *W) {
+		before = w.slot.id
+		var fr Frame
+		w.Init(&fr)
+		w.Fork(&fr, func(*W) {
+			started.Store(true)
+			for fr.count.Load()&frameSuspended == 0 {
+				runtime.Gosched() // finish only once the parent is parked
+			}
+		})
+		for !started.Load() {
+			runtime.Gosched() // Join must find the child gone, not pop it
+		}
+		w.Join(&fr)
+		after = w.slot.id
+		bound = w.stats == rt.shard(w.slot.id)
+		for i := 0; i < calls; i++ {
+			w.Call(func(*W) {})
+		}
+	})
+	if after == before {
+		t.Fatalf("resumed on slot %d, the slot it suspended on: no migration to test", after)
+	}
+	if !bound {
+		t.Errorf("after resuming on slot %d the W still adds to slot %d's shard", after, before)
+	}
+	if st.Forks != 1 || st.Steals != 1 || st.Suspends != 1 || st.Resumes != 1 || st.Calls != calls {
+		t.Errorf("forks=%d steals=%d suspends=%d resumes=%d calls=%d, want 1/1/1/1/%d",
+			st.Forks, st.Steals, st.Suspends, st.Resumes, st.Calls, calls)
+	}
+	if got := rt.shard(after).calls.Load(); got != calls {
+		t.Errorf("slot %d's shard counted %d of the %d calls made on it", after, got, calls)
 	}
 }
 

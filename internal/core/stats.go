@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
+	"fibril/internal/cacheline"
 	"fibril/internal/vm"
 )
 
@@ -11,10 +13,17 @@ import (
 // keeps one shard per slot (plus a spare for slotless goroutine-baseline
 // workers), so the fork/steal hot paths increment an uncontended counter
 // instead of ping-ponging a shared cache line across P cores; Stats
-// aggregates the shards. Each shard is padded to 256 bytes — cache-line
-// multiples covering the adjacent-line prefetcher — so neighbouring slots
-// never false-share.
+// aggregates the shards. Uncontended means one writer per shard: a W adds
+// to the shard of the slot it occupies and re-binds when a resume hands it
+// a different slot (see suspend). Each shard is rounded up to whole
+// cacheline units (DESIGN.md §15), so neighbouring slots' shards — elements
+// of one slice — never false-share.
 type counterShard struct {
+	counters
+	_ [cacheline.Size - unsafe.Sizeof(counters{})%cacheline.Size]byte
+}
+
+type counters struct {
 	forks            atomic.Int64
 	calls            atomic.Int64
 	steals           atomic.Int64
@@ -37,7 +46,6 @@ type counterShard struct {
 	remoteFrees      atomic.Int64
 	remoteDrains     atomic.Int64
 	arenaDrops       atomic.Int64
-	_                [10]int64 // pad 22 words up to 256 bytes
 }
 
 // shard returns the counter shard for worker slot id; id -1 (slotless

@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"fibril/internal/cacheline"
 	"fibril/internal/stack"
 	"fibril/internal/trace"
 )
@@ -14,11 +15,17 @@ import (
 // calls, and joins. One W belongs to one goroutine for that goroutine's
 // lifetime; the worker *slot* behind it migrates across suspensions, which
 // is why tasks receive a *W rather than a worker id.
+//
+// Only its own goroutine reads or writes a W, and it writes depth and
+// frame around every task. Ws are allocated one per stack, so without the
+// outer pads two goroutines' Ws sit side by side in one size class.
 type W struct {
+	_ cacheline.Pad
+
 	rt    *Runtime
 	slot  *worker       // current worker slot; nil in the goroutine baseline
 	stack *stack.Stack  // this goroutine's simulated stack
-	stats *counterShard // this goroutine's counter shard (uncontended)
+	stats *counterShard // the current slot's counter shard; re-bound with slot
 
 	depth    int32  // current invocation depth
 	frame    *Frame // frame of the task currently executing (nil at root)
@@ -36,6 +43,8 @@ type W struct {
 	wantsFork  bool
 
 	scratch [8]uint64 // Cilk Plus spawn-prologue simulation target
+
+	_ cacheline.Pad
 }
 
 // Runtime returns the runtime this context executes on.

@@ -2,6 +2,8 @@ package deque
 
 import (
 	"sync/atomic"
+
+	"fibril/internal/cacheline"
 )
 
 // ChaseLev is a lock-free Chase–Lev work-stealing deque ("Dynamic Circular
@@ -29,17 +31,28 @@ import (
 //
 // Push and Pop are owner-only; Steal and StealIf may be called from any
 // goroutine.
+//
+// Laid out by writer like Deque (DESIGN.md §15): bottom, the ring pointer
+// and the recycling list are the owner's; top is CASed by thieves (and by
+// the owner only when racing one for the last entry).
 type ChaseLev[T any] struct {
-	top    atomic.Int64 // next index to steal; only increases
-	bottom atomic.Int64 // next index to push; owner-managed
+	_ cacheline.Pad
 
-	buf atomic.Pointer[clRing[T]]
-
+	// Owner-written; thieves only read bottom and buf.
+	bottom atomic.Int64 // next index to push
+	buf    atomic.Pointer[clRing[T]]
 	// Owner-side node recycling (EnableRecycling). free holds nodes whose
 	// entries the owner popped; Push reuses them instead of allocating.
 	// Plain owner-only memory.
 	recycle bool
 	free    []*T
+
+	_ cacheline.Pad
+
+	// Thief-written.
+	top atomic.Int64 // next index to steal; only increases
+
+	_ cacheline.Pad
 }
 
 // clFreeCap bounds the owner's recycled-node hoard.

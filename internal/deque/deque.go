@@ -13,6 +13,8 @@ package deque
 import (
 	"sync"
 	"sync/atomic"
+
+	"fibril/internal/cacheline"
 )
 
 // initialCapacity is the starting ring size; the deque grows geometrically.
@@ -21,11 +23,28 @@ const initialCapacity = 64
 // Deque is a THE-protocol work-stealing deque. The zero value is ready to
 // use. Push and Pop may be called only by the owning worker; Steal may be
 // called by any worker.
+//
+// The fields are laid out by writer (DESIGN.md §15): the owner stores tail
+// on every Push and Pop, thieves store head and the lock word. A runtime
+// allocates one Deque per worker slot, back to back, and the fields alone
+// are 48 bytes: without the outer pads two slots' deques are neighbours in
+// one size class and each owner's tail stores invalidate the other's whole
+// deque.
 type Deque[T any] struct {
-	head atomic.Int64 // next index to steal (top); only increases
-	tail atomic.Int64 // next index to push (bottom); owner-managed
-	lock sync.Mutex   // serializes thieves, and conflict resolution
+	_ cacheline.Pad
+
+	// Owner-written; thieves only read.
+	tail atomic.Int64 // next index to push (bottom)
 	buf  []T          // ring buffer, len is a power of two; owner swaps under lock
+
+	_ cacheline.Pad
+
+	// Thief-written; the owner reads head, and takes the lock only to
+	// grow or to settle a race for the last entry.
+	head atomic.Int64 // next index to steal (top); only increases
+	lock sync.Mutex   // serializes thieves, and conflict resolution
+
+	_ cacheline.Pad
 }
 
 // Push adds t at the bottom of the deque. Owner-only; never blocks on

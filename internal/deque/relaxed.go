@@ -2,6 +2,8 @@ package deque
 
 import (
 	"sync/atomic"
+
+	"fibril/internal/cacheline"
 )
 
 // Relaxed is a fence-free work-stealing deque with multiplicity, after
@@ -48,7 +50,15 @@ import (
 //
 // Push, Pop, LazyHint and Unpublished are owner-only; Steal, StealIf and
 // Len may be called from any goroutine.
+//
+// Laid out by writer like Deque (DESIGN.md §15): the private ring and the
+// publication backoff are plain owner memory written on every Push and
+// Pop; the anchor is what thieves CAS, and the window's ring sits with it
+// because the owner touches the two together (at a publication or a
+// reclaim) and thieves read the ring only on their way to the anchor.
 type Relaxed[T Stampable[T]] struct {
+	_ cacheline.Pad
+
 	// Owner-private ring: plain memory, owner-only. head is the oldest
 	// entry (next to publish), tail the insertion point (newest popped
 	// first). Never touched by thieves, so no atomics and no clearing
@@ -56,14 +66,6 @@ type Relaxed[T Stampable[T]] struct {
 	priv     []T
 	privHead int64
 	privTail int64
-
-	// Published window: anchor packs (head, size, tag) in one word; ring
-	// holds the window's boxed nodes. The window [head, head+size) always
-	// contains every published-unclaimed task (the no-loss invariant); the
-	// tag increments on every publication so a stale thief CAS — taken
-	// against a window the owner has since rebuilt — cannot succeed.
-	anchor atomic.Uint64
-	ring   [relRingCap]atomic.Pointer[relNode[T]]
 
 	// Publication backoff (owner-only plain memory). A publication is
 	// "wasted" when the owner itself reclaims the node via Pop: the box was
@@ -79,6 +81,18 @@ type Relaxed[T Stampable[T]] struct {
 	wasted     int64 // consecutive owner-reclaimed publications
 	stolenSeen int64 // thief-consumption watermark: pubs - reclaims - size
 	sincePub   int64 // pushes since the last backoff decay
+
+	_ cacheline.Pad
+
+	// Published window: anchor packs (head, size, tag) in one word; ring
+	// holds the window's boxed nodes. The window [head, head+size) always
+	// contains every published-unclaimed task (the no-loss invariant); the
+	// tag increments on every publication so a stale thief CAS — taken
+	// against a window the owner has since rebuilt — cannot succeed.
+	anchor atomic.Uint64
+	ring   [relRingCap]atomic.Pointer[relNode[T]]
+
+	_ cacheline.Pad
 }
 
 // relNode boxes one published task with its execution claim. Published

@@ -3,22 +3,28 @@ package stack
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"fibril/internal/cacheline"
 	"fibril/internal/vm"
 )
 
 // shardCache is one worker slot's private free cache: two lock-free slots
 // (Take swaps out, Put CASes in). Two slots absorb the common
 // suspend/resume churn — a thief retiring its stack while the slot's next
-// thief takes one — without spilling to the global list. Padded to 128
-// bytes (two x86-64 cache lines, covering the adjacent-line prefetcher) so
-// neighbouring shards never false-share.
+// thief takes one — without spilling to the global list. Rounded up to a
+// whole cacheline unit (128 bytes: two x86-64 cache lines, covering the
+// adjacent-line prefetcher) so neighbouring shards never false-share.
 type shardCache struct {
+	shardSlots
+	_ [cacheline.Size - unsafe.Sizeof(shardSlots{})%cacheline.Size]byte
+}
+
+type shardSlots struct {
 	slots  [2]atomic.Pointer[Stack]
 	hits   atomic.Int64 // fast-path Takes served locally
 	misses atomic.Int64 // Takes that fell through to the global list
 	spills atomic.Int64 // Puts that found both local slots full
-	_      [88]byte
 }
 
 // ShardedPool is the lock-free-fast-path stack pool: Take and Put hit the

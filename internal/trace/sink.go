@@ -3,6 +3,9 @@ package trace
 import (
 	"sync"
 	"time"
+	"unsafe"
+
+	"fibril/internal/cacheline"
 )
 
 // Sink consumes the runtime's event stream. The tracer delivers events in
@@ -52,13 +55,19 @@ const ringCap = 256
 // ring is one worker slot's event buffer. The mutex is effectively
 // uncontended — a slot's events are emitted by the goroutine occupying
 // the slot — except on the spare ring shared by the slotless goroutine
-// baseline; it exists so slot handoffs and that sharing stay safe.
+// baseline; it exists so slot handoffs and that sharing stay safe. Rings
+// are elements of one slice, rounded up to whole cacheline units so one
+// slot's last events and the next slot's header never share one.
 type ring struct {
+	ringBuf
+	_ [cacheline.Size - unsafe.Sizeof(ringBuf{})%cacheline.Size]byte
+}
+
+type ringBuf struct {
 	mu  sync.Mutex
 	seq uint64
 	n   int
 	buf [ringCap]Event
-	_   [64]byte // keep neighbouring rings' headers off one cache line
 }
 
 // Tracer fans the runtime's event sites into a Sink through per-worker
