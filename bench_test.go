@@ -230,101 +230,83 @@ func BenchmarkForkJoin(b *testing.B) {
 }
 
 // BenchmarkForkJoinOverhead measures the per-strategy cost of one
-// fork+join pair (Figure 3 spirit) for both deque implementations, so the
-// fork fast path's cost — and the Chase–Lev boxing cost — stay visible.
-// The forkarg lanes run the same loop through the zero-allocation
-// (code pointer, argument pointer) fork: on the THE deque they must report
-// 0 allocs/op (TestForkPathGate enforces it); on Chase–Lev the one boxing
-// allocation per push remains, by design.
+// fork+join pair (Figure 3 spirit), so the fork fast path's cost stays
+// visible. The forkarg lane runs the same loop through the zero-allocation
+// (code pointer, argument pointer) fork and must report 0 allocs/op
+// (TestForkPathGate enforces it).
 func BenchmarkForkJoinOverhead(b *testing.B) {
 	for _, strat := range []core.Strategy{
 		core.StrategyFibril, core.StrategyCilkPlus, core.StrategyTBB,
 		core.StrategyLeapfrog,
 	} {
-		for _, kind := range core.DequeKinds() {
-			b.Run(strat.String()+"/"+kind.String(), func(b *testing.B) {
-				rt := core.NewRuntime(core.Config{
-					Workers: 1, Strategy: strat, Deque: kind,
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				rt.Run(func(w *core.W) {
-					var fr core.Frame
-					w.Init(&fr)
-					for i := 0; i < b.N; i++ {
-						w.Fork(&fr, func(*core.W) {})
-						w.Join(&fr)
-					}
-				})
-			})
-		}
-	}
-	for _, kind := range core.DequeKinds() {
-		b.Run("forkarg/"+kind.String(), func(b *testing.B) {
-			rt := core.NewRuntime(core.Config{Workers: 1, Deque: kind})
+		b.Run(strat.String(), func(b *testing.B) {
+			rt := core.NewRuntime(core.Config{Workers: 1, Strategy: strat})
 			b.ReportAllocs()
 			b.ResetTimer()
 			rt.Run(func(w *core.W) {
 				var fr core.Frame
 				w.Init(&fr)
 				for i := 0; i < b.N; i++ {
-					w.ForkArg(&fr, nopArgTask, nil)
+					w.Fork(&fr, func(*core.W) {})
 					w.Join(&fr)
 				}
 			})
 		})
 	}
+	b.Run("forkarg", func(b *testing.B) {
+		rt := core.NewRuntime(core.Config{Workers: 1})
+		b.ReportAllocs()
+		b.ResetTimer()
+		rt.Run(func(w *core.W) {
+			var fr core.Frame
+			w.Init(&fr)
+			for i := 0; i < b.N; i++ {
+				w.ForkArg(&fr, nopArgTask, nil)
+				w.Join(&fr)
+			}
+		})
+	})
 }
 
 // BenchmarkStealThroughput measures pure steal throughput under thief
 // contention: one producer fills the deque (untimed — Push cost is
 // BenchmarkForkJoinOverhead's job), then P thieves race to drain it and
-// only the drain is timed. The THE deque serializes every thief on a
-// mutex; Chase–Lev resolves each steal with one CAS, which is the
-// tentpole win this benchmark pins. Runs at GOMAXPROCS>=4 so thief
-// contention is real even on small hosts.
+// only the drain is timed — every thief serializes on the THE deque's
+// mutex. Runs at GOMAXPROCS>=4 so thief contention is real even on small
+// hosts.
 func BenchmarkStealThroughput(b *testing.B) {
 	const thieves = 4
-	run := func(b *testing.B, push func(int), steal func() (int, bool)) {
-		if prev := runtime.GOMAXPROCS(0); prev < 4 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		}
-		for i := 0; i < b.N; i++ {
-			push(i)
-		}
-		var consumed atomic.Int64
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < thieves; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for {
-					if _, ok := steal(); ok {
-						consumed.Add(1)
-						continue
-					}
-					if consumed.Load() >= int64(b.N) {
-						return
-					}
-					runtime.Gosched()
-				}
-			}()
-		}
-		b.ResetTimer()
-		close(start)
-		wg.Wait()
-		b.StopTimer()
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
-	b.Run("the", func(b *testing.B) {
-		d := &deque.Deque[int]{}
-		run(b, d.Push, d.Steal)
-	})
-	b.Run("chaselev", func(b *testing.B) {
-		d := &deque.ChaseLev[int]{}
-		run(b, d.Push, d.Steal)
-	})
+	d := &deque.Deque[int]{}
+	for i := 0; i < b.N; i++ {
+		d.Push(i)
+	}
+	var consumed atomic.Int64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < thieves; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for {
+				if _, ok := d.Steal(); ok {
+					consumed.Add(1)
+					continue
+				}
+				if consumed.Load() >= int64(b.N) {
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	b.ResetTimer()
+	close(start)
+	wg.Wait()
+	b.StopTimer()
 }
 
 // BenchmarkPublicAPI exercises the exported package the way the quickstart

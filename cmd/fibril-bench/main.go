@@ -9,17 +9,15 @@
 //	fibril-bench -experiment fig3 -reps 10  # the paper's ten repetitions
 //
 // Experiments: fig3, fig4, table2, table3, table4, mmap-vs-madvise,
-// depth-restricted, stack-pool, stealpath, forkpath, stealpolicy, memory,
-// serve, submitpath, counters, all. See EXPERIMENTS.md for the mapping to
-// the paper and the expected shapes.
+// depth-restricted, stack-pool, forkpath, stealpolicy, memory, serve,
+// counters, all. See EXPERIMENTS.md for the mapping to the paper and the
+// expected shapes.
 //
-// The stealpath, forkpath, stealpolicy, memory, serve, and submitpath
-// experiments support -json <path>, writing their rows as a JSON array —
-// the machine-readable seeds of the repo's perf trajectory
-// (results/BENCH_stealpath.json, results/BENCH_forkpath.json,
-// results/BENCH_stealpolicy.json, results/BENCH_memory.json,
-// results/BENCH_serve.json, and results/BENCH_submitpath.json). A committed BENCH_memory.json can be
-// re-validated without re-running via -validate-memory <path>, which fails
+// The forkpath, stealpolicy, memory and serve experiments support
+// -json <path>, writing their rows as a JSON array
+// (results/BENCH_forkpath.json, results/BENCH_stealpolicy.json,
+// results/BENCH_memory.json and results/BENCH_serve.json). A committed
+// BENCH_memory.json can be re-validated without re-running via -validate-memory <path>, which fails
 // if the file is malformed, empty, or any row left its space envelope;
 // -validate-stealpolicy <path> does the same for BENCH_stealpolicy.json,
 // asserting the locality gate on the sim rows: every affinity policy must
@@ -28,11 +26,6 @@
 // least two offered rates with one saturating, request conservation per
 // row, a light-load p99 bound, overload-shed keeping p50 near the light
 // leg's, and every drain leaving no queued tasks or pending reclaims.
-// -validate-submitpath <path> checks BENCH_submitpath.json: per-row job
-// conservation, the sharded shed lane allocating at most 2 per Submit
-// (in practice zero), and the ≥3× intake-throughput gate — the sharded
-// pipeline's shed-lane rate at 8 submitters must be at least three times
-// the mutex baseline's, a per-op-work comparison that holds on any host.
 package main
 
 import (
@@ -55,13 +48,13 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"fig3 | fig4 | table2 | table3 | table4 | mmap-vs-madvise | depth-restricted | stack-pool | discipline | predict | stealpath | forkpath | stealpolicy | memory | serve | submitpath | counters | all")
+			"fig3 | fig4 | table2 | table3 | table4 | mmap-vs-madvise | depth-restricted | stack-pool | discipline | predict | forkpath | stealpolicy | memory | serve | counters | all")
 		full = flag.Bool("full", false,
 			"use simulation-scale inputs and the paper's worker grid (slow)")
 		reps      = flag.Int("reps", 3, "timing repetitions for real-runtime measurements")
 		list      = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonPath  = flag.String("json", "", "write the stealpath experiment's rows as JSON to this path")
+		jsonPath  = flag.String("json", "", "write the rows of a forkpath, stealpolicy, memory or serve run as JSON to this path")
 		helpFirst = flag.Bool("helpfirst", false,
 			"simulate with the help-first child-stealing engine instead of the paper's work-first discipline")
 		validateMemory = flag.String("validate-memory", "",
@@ -70,8 +63,6 @@ func main() {
 			"validate an existing BENCH_stealpolicy.json at this path and exit (CI smoke)")
 		validateServe = flag.String("validate-serve", "",
 			"validate an existing BENCH_serve.json at this path and exit (CI smoke)")
-		validateSubmitPath = flag.String("validate-submitpath", "",
-			"validate an existing BENCH_submitpath.json at this path and exit (CI smoke)")
 		serve = flag.String("serve", "",
 			"serve live runtime metrics on this address (e.g. :8080) while experiments run; JSON at /debug/vars under the \"fibril\" key")
 	)
@@ -91,14 +82,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("fibril-bench: %s ok\n", *validateStealPolicy)
-		return
-	}
-	if *validateSubmitPath != "" {
-		if err := checkSubmitPathJSON(*validateSubmitPath); err != nil {
-			fmt.Fprintln(os.Stderr, "fibril-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("fibril-bench: %s ok\n", *validateSubmitPath)
 		return
 	}
 	if *validateServe != "" {
@@ -186,15 +169,6 @@ func main() {
 			}
 			emit(exper.Predict(opts, s))
 		}
-	case "stealpath":
-		rows, t := exper.StealPath(opts)
-		emit(t)
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "fibril-bench:", err)
-				os.Exit(1)
-			}
-		}
 	case "forkpath":
 		rows, t := exper.ForkPath(opts)
 		emit(t)
@@ -231,15 +205,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	case "submitpath":
-		rows, t := exper.SubmitPath(opts)
-		emit(t)
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "fibril-bench:", err)
-				os.Exit(1)
-			}
-		}
 	case "counters":
 		emit(exper.CountersSmoke(opts))
 	case "all":
@@ -252,16 +217,7 @@ func main() {
 		emit(exper.AblationDepthRestricted(opts))
 		emit(exper.AblationStackPool(opts))
 		emit(exper.AblationDiscipline(opts))
-		rows, t := exper.StealPath(opts)
-		emit(t)
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "fibril-bench:", err)
-				os.Exit(1)
-			}
-		}
-		// -json targets the stealpath rows in "all" mode; run forkpath,
-		// stealpolicy, and memory for their tables only.
+		// "all" prints tables only; -json goes with a single experiment.
 		_, ft := exper.ForkPath(opts)
 		emit(ft)
 		_, pt := exper.StealPolicy(opts)
@@ -270,8 +226,6 @@ func main() {
 		emit(mt)
 		_, st := exper.Serve(opts)
 		emit(st)
-		_, spt := exper.SubmitPath(opts)
-		emit(spt)
 		emit(exper.CountersSmoke(opts))
 	default:
 		fmt.Fprintf(os.Stderr, "fibril-bench: unknown experiment %q\n", *experiment)
@@ -495,73 +449,6 @@ func checkServeJSON(path string) error {
 			return fmt.Errorf("%s: overload-shed p50=%dµs not flat vs light p50=%dµs (bound %dµs)",
 				path, shed.P50us, light.P50us, bound)
 		}
-	}
-	return nil
-}
-
-// checkSubmitPathJSON validates a BENCH_submitpath.json: it must parse as
-// a non-empty []exper.SubmitPathRow covering both intake pipelines on the
-// shed lane. Per row the job conservation law Submitted == Shed + Drained
-// + Completed and Admitted == Completed must hold (the experiment reads
-// them off Stats after Close). The perf gates are deliberately on the
-// shed lane, which measures pure per-submit work and is therefore
-// host-independent: the sharded pipeline must reach at least 3× the mutex
-// baseline's rate at 8 submitters, and must allocate at most 2 per
-// Submit (in practice zero) at every submitter count.
-func checkSubmitPathJSON(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rows []exper.SubmitPathRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return fmt.Errorf("%s: malformed: %w", path, err)
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("%s: no rows", path)
-	}
-	var shardedAt8, mutexAt8 float64
-	for i := range rows {
-		r := &rows[i]
-		if r.Intake == "" || r.Lane == "" || r.Root == "" || r.Submitters <= 0 ||
-			r.Workers <= 0 || r.Requests <= 0 || r.JobsPerSec <= 0 {
-			return fmt.Errorf("%s: row %d incomplete: %+v", path, i, *r)
-		}
-		if r.Submitted != r.Shed+r.Drained+r.Completed {
-			return fmt.Errorf("%s: row %d (%s/%s k=%d): submitted=%d != shed=%d + drained=%d + completed=%d",
-				path, i, r.Lane, r.Intake, r.Submitters, r.Submitted, r.Shed, r.Drained, r.Completed)
-		}
-		if r.Admitted != r.Completed {
-			return fmt.Errorf("%s: row %d (%s/%s k=%d): admitted=%d != completed=%d after Close",
-				path, i, r.Lane, r.Intake, r.Submitters, r.Admitted, r.Completed)
-		}
-		if r.Lane != "shed" {
-			continue
-		}
-		if r.Shed < int64(r.Requests) {
-			return fmt.Errorf("%s: row %d (shed/%s k=%d): only %d of %d measured submissions shed — lane not deterministic",
-				path, i, r.Intake, r.Submitters, r.Shed, r.Requests)
-		}
-		if r.Intake == "sharded" && r.AllocsPerOp > 2 {
-			return fmt.Errorf("%s: row %d (shed/sharded k=%d): %.2f allocs/submit, want <= 2",
-				path, i, r.Submitters, r.AllocsPerOp)
-		}
-		if r.Submitters == 8 && r.Root == "noop" {
-			switch r.Intake {
-			case "sharded":
-				shardedAt8 = r.JobsPerSec
-			case "mutex":
-				mutexAt8 = r.JobsPerSec
-			}
-		}
-	}
-	if shardedAt8 == 0 || mutexAt8 == 0 {
-		return fmt.Errorf("%s: missing shed-lane noop rows at 8 submitters (sharded=%.0f mutex=%.0f)",
-			path, shardedAt8, mutexAt8)
-	}
-	if shardedAt8 < 3*mutexAt8 {
-		return fmt.Errorf("%s: sharded shed-lane rate %.0f/s at 8 submitters is below 3x the mutex baseline %.0f/s",
-			path, shardedAt8, mutexAt8)
 	}
 	return nil
 }

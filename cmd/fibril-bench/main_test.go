@@ -22,23 +22,6 @@ func runCmd(t *testing.T, dir string, args ...string) string {
 	return string(out)
 }
 
-func TestBenchStealpathSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs the bench binary; skipped in short mode")
-	}
-	out := runCmd(t, ".", "-experiment", "stealpath", "-reps", "1", "-bench", "fib")
-	if strings.TrimSpace(out) == "" {
-		t.Fatal("stealpath experiment produced no output")
-	}
-	// The stealpath table must name both deque kinds and carry steal
-	// counters — the parseable signal downstream perf tracking reads.
-	for _, want := range []string{"the", "chaselev", "steals"} {
-		if !strings.Contains(strings.ToLower(out), want) {
-			t.Errorf("stealpath output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestBenchStealPolicySmokeAndValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the bench binary; skipped in short mode")

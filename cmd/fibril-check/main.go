@@ -1,9 +1,7 @@
 // Command fibril-check soak-tests the scheduler with the conformance
 // harness (internal/check): it generates seeded random fork-join programs,
-// runs each across the full executor matrix — real runtime × {THE,
-// Chase–Lev, relaxed} × worker counts, plus both simulator engines — and
-// checks
-// every invariant oracle. On a violation it shrinks the generator
+// runs each across the full executor matrix — real runtime × worker
+// counts, plus both simulator engines — and checks every invariant oracle. On a violation it shrinks the generator
 // parameters to a minimal failing configuration and prints the replay
 // command, then exits 1.
 //
@@ -15,7 +13,6 @@
 //	fibril-check -seed 0x2a         # replay one seed
 //	fibril-check -panics            # inject panics (real runtime only)
 //	fibril-check -batch 8 -ceiling 512  # coalesced unmap + RSS ceiling
-//	fibril-check -pool global       # the mutex pool instead of the sharded one
 //	go test -race ... is unnecessary; build the soak itself with -race:
 //	go run -race ./cmd/fibril-check -n 500
 package main
@@ -38,19 +35,17 @@ func main() {
 		n        = flag.Int("n", 200, "number of seeds to soak (ignored with -one or -duration)")
 		duration = flag.Duration("duration", 0, "soak for this long instead of a fixed seed count")
 		workers  = flag.String("workers", "1,2,4", "comma-separated real-runtime worker counts")
-		deques   = flag.String("deque", "the,chaselev,relaxed", "deque kinds: the, chaselev, relaxed")
 		strat    = flag.String("strategy", "fibril", "strategy: fibril, nounmap, mmap, cilkplus, tbb, leapfrog")
 		panics   = flag.Bool("panics", false, "inject panics into 25% of leaves (disables the simulator legs)")
 		nodes    = flag.Int("nodes", 0, "override Params.MaxNodes (0 = default)")
 		nosim    = flag.Bool("nosim", false, "skip the simulator legs")
-		pool     = flag.String("pool", "sharded", "stack pool kind: sharded, global")
 		batch    = flag.Int("batch", 0, "Config.UnmapBatch for the real-runtime legs (0/1 = eager)")
 		ceiling  = flag.Int64("ceiling", 0, "Config.MaxResidentPages for the real-runtime legs (0 = off)")
 		quiet    = flag.Bool("q", false, "suppress the progress line")
 	)
 	flag.Parse()
 
-	opts, err := parseOptions(*workers, *deques, *strat, *nosim, *pool, *batch, *ceiling)
+	opts, err := parseOptions(*workers, *strat, *nosim || *panics, *batch, *ceiling)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fibril-check:", err)
 		os.Exit(2)
@@ -88,8 +83,9 @@ func main() {
 			fmt.Printf("... %d seeds conformant (%.1fs)\n", checked, time.Since(start).Seconds())
 		}
 	}
-	fmt.Printf("fibril-check: %d seeds conformant in %.1fs (matrix: workers=%s deques=%s strategy=%s)\n",
-		checked, time.Since(start).Seconds(), *workers, *deques, *strat)
+	secs := time.Since(start).Seconds()
+	fmt.Printf("fibril-check: %d seeds conformant in %.1fs — %d legs per seed, %.0f seeds/s (matrix: workers=%s strategy=%s)\n",
+		checked, secs, opts.Legs(), float64(checked)/secs, *workers, *strat)
 }
 
 func runSeed(seed uint64, params check.Params, opts check.Options) error {
@@ -152,37 +148,15 @@ func firstLine(err error) string {
 	return s
 }
 
-func parseOptions(workers, deques, strat string, nosim bool,
-	pool string, batch int, ceiling int64) (check.Options, error) {
+func parseOptions(workers, strat string, nosim bool, batch int, ceiling int64) (check.Options, error) {
 	var opts check.Options
-	mem := check.MemParams{UnmapBatch: batch, MaxResidentPages: ceiling}
-	switch strings.TrimSpace(pool) {
-	case "sharded", "":
-		mem.Pool = core.PoolSharded
-	case "global":
-		mem.Pool = core.PoolGlobal
-	default:
-		return opts, fmt.Errorf("bad -pool %q (want sharded, global)", pool)
-	}
-	opts.Mem = []check.MemParams{mem}
+	opts.Mem = []check.MemParams{{UnmapBatch: batch, MaxResidentPages: ceiling}}
 	for _, w := range strings.Split(workers, ",") {
 		var n int
 		if _, err := fmt.Sscanf(strings.TrimSpace(w), "%d", &n); err != nil || n < 1 {
 			return opts, fmt.Errorf("bad -workers entry %q", w)
 		}
 		opts.Workers = append(opts.Workers, n)
-	}
-	for _, d := range strings.Split(deques, ",") {
-		switch strings.TrimSpace(d) {
-		case "the":
-			opts.Deques = append(opts.Deques, core.DequeTHE)
-		case "chaselev":
-			opts.Deques = append(opts.Deques, core.DequeChaseLev)
-		case "relaxed":
-			opts.Deques = append(opts.Deques, core.DequeRelaxed)
-		default:
-			return opts, fmt.Errorf("bad -deque entry %q (want the, chaselev, relaxed)", d)
-		}
 	}
 	switch strings.TrimSpace(strat) {
 	case "fibril":

@@ -131,19 +131,6 @@ func TestConfigOversubscribed(t *testing.T) {
 	}
 }
 
-// TestConfigDequeKinds drives both deque implementations through the
-// public façade and requires identical results.
-func TestConfigDequeKinds(t *testing.T) {
-	for _, dk := range fibril.DequeKinds() {
-		rt := fibril.New(fibril.Config{Workers: 4, Deque: dk})
-		var result int64
-		rt.Run(func(w *fibril.W) { parfib(w, 22, &result) })
-		if result != 17711 {
-			t.Errorf("deque %v: parfib(22) = %d, want 17711", dk, result)
-		}
-	}
-}
-
 // TestPanicPropagatesFromRun pins the panic contract at the API boundary:
 // a panic in a forked task resurfaces from Run as a *fibril.TaskPanic
 // carrying the original value, errors.As can unwrap error values, and the

@@ -68,53 +68,35 @@ func TestForkPathGate(t *testing.T) {
 	t.Run("forkarg-zero-alloc-stealing", func(t *testing.T) {
 		// The steal-heavy variant of the gate above: P=4 with real thieves,
 		// forking four tasks per join so the deque always holds a stealable
-		// surplus. The zero-allocation property must survive stealing, with
-		// a per-kind budget for what each protocol intrinsically boxes:
-		//
-		//   - THE stores tasks inline in its ring: zero per-op allocations,
-		//     plus a per-steal allowance for suspend/resume bookkeeping;
-		//   - relaxed boxes a node per *publication*; the fork/join loop
-		//     drains its own window every join, so publications are bounded
-		//     by one per round (a quarter of the forks), not one per fork;
-		//   - Chase–Lev boxes every push (~1 alloc per fork) and is gated
-		//     to stay in that band rather than at zero.
-		for _, kind := range core.DequeKinds() {
-			kind := kind
-			t.Run(kind.String(), func(t *testing.T) {
-				const rounds, width = 25_000, 4
-				const ops = rounds * width
-				forkRounds := func(w *core.W, n int) {
-					var fr core.Frame
-					w.Init(&fr)
-					for i := 0; i < n; i++ {
-						for k := 0; k < width; k++ {
-							w.ForkArg(&fr, nopArgTask, nil)
-						}
-						w.Join(&fr)
+		// surplus. The zero-allocation property must survive stealing: the
+		// THE deque stores tasks inline in its ring, so the budget is zero
+		// per-op allocations plus a per-steal allowance for suspend/resume
+		// bookkeeping.
+		t.Run("the", func(t *testing.T) {
+			const rounds, width = 25_000, 4
+			const ops = rounds * width
+			forkRounds := func(w *core.W, n int) {
+				var fr core.Frame
+				w.Init(&fr)
+				for i := 0; i < n; i++ {
+					for k := 0; k < width; k++ {
+						w.ForkArg(&fr, nopArgTask, nil)
 					}
+					w.Join(&fr)
 				}
-				rt := core.NewRuntime(core.Config{Workers: 4, Deque: kind})
-				got := mallocsDuring(rt,
-					func(w *core.W) { forkRounds(w, 256) },
-					func(w *core.W) { forkRounds(w, rounds) })
-				steals := uint64(rt.Stats().Steals)
-				var budget uint64
-				switch kind {
-				case core.DequeChaseLev:
-					budget = 2*ops + 64 + 32*steals
-				case core.DequeRelaxed:
-					budget = ops/2 + 64 + 32*steals
-				default:
-					budget = 64 + 32*steals
-				}
-				t.Logf("%s: %d allocs over %d forks with %d steals (budget %d)",
-					kind, got, ops, steals, budget)
-				if got > budget {
-					t.Errorf("%s under stealing allocated %d times over %d forks (%d steals), budget %d",
-						kind, got, ops, steals, budget)
-				}
-			})
-		}
+			}
+			rt := core.NewRuntime(core.Config{Workers: 4})
+			got := mallocsDuring(rt,
+				func(w *core.W) { forkRounds(w, 256) },
+				func(w *core.W) { forkRounds(w, rounds) })
+			steals := uint64(rt.Stats().Steals)
+			budget := 64 + 32*steals
+			t.Logf("%d allocs over %d forks with %d steals (budget %d)", got, ops, steals, budget)
+			if got > budget {
+				t.Errorf("under stealing allocated %d times over %d forks (%d steals), budget %d",
+					got, ops, steals, budget)
+			}
+		})
 	})
 
 	t.Run("lazy-for-alloc-bound", func(t *testing.T) {

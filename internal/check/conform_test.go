@@ -8,9 +8,8 @@ import (
 )
 
 // TestDifferentialConformance is the acceptance suite of the harness:
-// ≥50 generated programs, each executed on the real runtime with both
-// deque kinds at 1, 2 and 4 workers and on both simulator engines, with
-// every oracle checked. Any failure prints a seed that replays with
+// ≥50 generated programs, each executed on the real runtime at 1, 2 and 4
+// workers and on both simulator engines, with every oracle checked. Any failure prints a seed that replays with
 // `go run ./cmd/fibril-check -seed N`.
 func TestDifferentialConformance(t *testing.T) {
 	n := 60
@@ -90,55 +89,15 @@ func TestDifferentialPanicPrograms(t *testing.T) {
 	}
 }
 
-// TestDifferentialRelaxedDeque is the explicit relaxed-oracle leg: seeded
-// programs over {THE, ChaseLev, Relaxed} × {1,2,4} workers, plus a
-// panic-injection pass over the same matrix. The oracles assert the
-// relaxed exactly-once law (executions == 1 under at-least-once
-// extraction), that the linearizable kinds and every P=1 run report zero
-// DuplicateExtractions, and that the trace's KindDupSteal count
-// reconciles with the counter.
-func TestDifferentialRelaxedDeque(t *testing.T) {
-	opts := Options{
-		Workers: []int{1, 2, 4},
-		Deques:  []core.DequeKind{core.DequeTHE, core.DequeChaseLev, core.DequeRelaxed},
-		NoSim:   true, // the simulator has no deque kinds; sim legs run elsewhere
-	}
-	n := 12
-	if testing.Short() {
-		n = 4
-	}
-	for seed := uint64(200); seed < uint64(200+n); seed++ {
-		p := Generate(seed, Params{})
-		if err := Differential(p, opts); err != nil {
-			t.Error(err)
-		}
-	}
-	ran := 0
-	for seed := uint64(200); ran < 5 && seed < 260; seed++ {
-		p := Generate(seed, Params{PanicPct: 35})
-		if p.Panics == 0 {
-			continue
-		}
-		ran++
-		if err := Differential(p, opts); err != nil {
-			t.Error(err)
-		}
-	}
-	if ran == 0 {
-		t.Fatal("no panic-injected programs generated; raise PanicPct or the seed range")
-	}
-}
-
 // TestDifferentialStealPolicies runs every steal policy through the
-// differential harness on every deque kind: the victim-selection order and
-// the StealHalf loot protocol must preserve exactly-once execution, the
+// differential harness: the victim-selection order and the StealHalf loot
+// protocol must preserve exactly-once execution, the
 // counter identities, quiescence (the loose queue drains), and the arena
 // conservation laws — including under injected panics, where a batch
 // thief's loot must still be executed or surface in Queued (never lost).
 func TestDifferentialStealPolicies(t *testing.T) {
 	opts := Options{
 		Workers:  []int{2, 4},
-		Deques:   []core.DequeKind{core.DequeTHE, core.DequeChaseLev, core.DequeRelaxed},
 		Policies: core.StealPolicies(),
 		NoSim:    true, // sim policy legs are covered by the sim's own tests
 	}
@@ -230,11 +189,11 @@ func TestDifferentialAdversarialParams(t *testing.T) {
 	}
 }
 
-// TestDifferentialMemoryEngine runs the seed range through the three
-// memory-pressure-engine configurations the runtime distinguishes: the
-// global mutex pool with eager unmap (the pre-engine behaviour), the
-// sharded pool with coalesced unmap, and coalescing plus a soft RSS
-// ceiling low enough that the pressure valve fires on real programs.
+// TestDifferentialMemoryEngine runs the seed range through the two
+// non-default memory-pressure-engine configurations (every other test
+// here runs the default, eager unmap with no ceiling): coalesced unmap,
+// and coalescing plus a soft RSS ceiling low enough that the pressure
+// valve fires on real programs.
 // Every oracle — including the Unmaps/ReclaimCancels/ReclaimSkips
 // conservation law and the ceiling accounting — is checked on each leg.
 func TestDifferentialMemoryEngine(t *testing.T) {
@@ -243,7 +202,6 @@ func TestDifferentialMemoryEngine(t *testing.T) {
 		n = 4
 	}
 	mems := []MemParams{
-		{Pool: core.PoolGlobal},
 		{UnmapBatch: 4},
 		{UnmapBatch: 4, MaxResidentPages: 64},
 	}
@@ -254,7 +212,6 @@ func TestDifferentialMemoryEngine(t *testing.T) {
 			p := Generate(seed, Params{})
 			opts := Options{
 				Workers: []int{1, 4},
-				Deques:  []core.DequeKind{core.DequeTHE},
 				Mem:     mems,
 				NoSim:   true, // sim legs ignore Mem; covered elsewhere
 			}

@@ -11,15 +11,13 @@ import (
 type Options struct {
 	// Workers are the real-runtime worker counts. Default {1, 2, 4}.
 	Workers []int
-	// Deques are the real-runtime deque kinds. Default both.
-	Deques []core.DequeKind
 	// Strategies are the scheduling strategies, applied to the real runtime
 	// and the simulators. Default {Fibril}.
 	Strategies []core.Strategy
 	// Mem are the memory-pressure-engine configurations each real-runtime
-	// leg is run with. Default {{}} — the default engine (sharded pool,
-	// eager unmap, no ceiling). The simulators do not model the engine, so
-	// the sim legs ignore this.
+	// leg is run with. Default {{}} — the default engine (eager unmap, no
+	// ceiling). The simulators do not model the engine, so the sim legs
+	// ignore this.
 	Mem []MemParams
 	// Policies are the steal policies each real-runtime leg is run with.
 	// Default {StealRandom}. The sim legs model policies separately (and
@@ -39,9 +37,6 @@ func (o Options) withDefaults() Options {
 	if len(o.Workers) == 0 {
 		o.Workers = []int{1, 2, 4}
 	}
-	if len(o.Deques) == 0 {
-		o.Deques = core.DequeKinds()
-	}
 	if len(o.Strategies) == 0 {
 		o.Strategies = []core.Strategy{core.StrategyFibril}
 	}
@@ -57,9 +52,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Legs returns how many executions Differential puts one program through:
+// the real-runtime matrix plus, unless NoSim, both simulator engines per
+// simulator worker count (a program with injected panics skips those).
+func (o Options) Legs() int {
+	o = o.withDefaults()
+	legs := len(o.Workers) * len(o.Mem) * len(o.Policies)
+	if !o.NoSim {
+		legs += 2 * len(o.SimWorkers)
+	}
+	return len(o.Strategies) * legs
+}
+
 // Differential executes the program across the full executor matrix —
-// real runtime × strategies × deque kinds × worker counts, plus both
-// simulator engines — and checks every oracle against every execution.
+// real runtime × strategies × worker counts, plus both simulator
+// engines — and checks every oracle against every execution.
 // Exactly-once execution on each leg implies all legs computed the same
 // multiset of leaf executions, which is the differential guarantee. The
 // returned error joins every violation, each tagged with the executor
@@ -70,16 +77,14 @@ func Differential(p *Program, opts Options) error {
 	var errs []error
 
 	for _, strat := range opts.Strategies {
-		for _, dk := range opts.Deques {
-			for _, workers := range opts.Workers {
-				for _, mem := range opts.Mem {
-					for _, pol := range opts.Policies {
-						e := RunReal(p, workers, dk, strat, pol, mem)
-						if p.Panics > 0 {
-							errs = append(errs, CheckRealPanic(p, e))
-						} else {
-							errs = append(errs, CheckReal(p, m, e))
-						}
+		for _, workers := range opts.Workers {
+			for _, mem := range opts.Mem {
+				for _, pol := range opts.Policies {
+					e := RunReal(p, workers, strat, pol, mem)
+					if p.Panics > 0 {
+						errs = append(errs, CheckRealPanic(p, e))
+					} else {
+						errs = append(errs, CheckReal(p, m, e))
 					}
 				}
 			}

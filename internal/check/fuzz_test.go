@@ -15,15 +15,15 @@ import (
 // A crasher's corpus file pins (seed, params); the failure message also
 // names the seed for replay via `go run ./cmd/fibril-check -seed N`.
 func FuzzScheduler(f *testing.F) {
-	f.Add(uint64(0), uint8(0), uint8(0), uint8(0), uint8(0), false, false, uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(7), uint8(3), uint8(2), uint8(50), uint8(10), false, false, uint8(0), uint8(0), uint8(0), uint8(1))
-	f.Add(uint64(42), uint8(9), uint8(7), uint8(100), uint8(0), false, false, uint8(4), uint8(0), uint8(30), uint8(2))
-	f.Add(uint64(0xdeadbeef), uint8(5), uint8(1), uint8(0), uint8(40), true, true, uint8(0), uint8(0), uint8(0), uint8(3))
-	f.Add(uint64(1<<63), uint8(11), uint8(4), uint8(20), uint8(1), false, false, uint8(8), uint8(2), uint8(0), uint8(0))
-	f.Add(uint64(99), uint8(7), uint8(3), uint8(30), uint8(8), false, true, uint8(3), uint8(1), uint8(60), uint8(3))
-	f.Add(uint64(31337), uint8(6), uint8(5), uint8(40), uint8(4), false, false, uint8(0), uint8(0), uint8(100), uint8(1))
+	f.Add(uint64(0), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(7), uint8(3), uint8(2), uint8(50), uint8(10), false, uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add(uint64(42), uint8(9), uint8(7), uint8(100), uint8(0), false, uint8(4), uint8(0), uint8(30), uint8(2))
+	f.Add(uint64(0xdeadbeef), uint8(5), uint8(1), uint8(0), uint8(40), true, uint8(0), uint8(0), uint8(0), uint8(3))
+	f.Add(uint64(1<<63), uint8(11), uint8(4), uint8(20), uint8(1), false, uint8(8), uint8(2), uint8(0), uint8(0))
+	f.Add(uint64(99), uint8(7), uint8(3), uint8(30), uint8(8), false, uint8(3), uint8(1), uint8(60), uint8(3))
+	f.Add(uint64(31337), uint8(6), uint8(5), uint8(40), uint8(4), false, uint8(0), uint8(0), uint8(100), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, depth, fanout, loopPct, maxWork uint8,
-		panics, globalPool bool, batch, ceiling, lazyPct, policy uint8) {
+		panics bool, batch, ceiling, lazyPct, policy uint8) {
 		params := Params{
 			// Small node budget keeps one iteration well under a
 			// millisecond so the fuzzer gets real throughput.
@@ -46,13 +46,9 @@ func FuzzScheduler(f *testing.F) {
 			// stacks) keeps the pressure valve firing constantly.
 			MaxResidentPages: int64(ceiling%8) * 256,
 		}
-		if globalPool {
-			mem.Pool = core.PoolGlobal
-		}
 		p := Generate(seed, params)
 		opts := Options{
 			Workers: []int{2},
-			Deques:  core.DequeKinds(),
 			Mem:     []MemParams{mem},
 			// One policy per iteration; the fuzzer explores the whole
 			// enum (0 is the random default).

@@ -42,9 +42,9 @@ type JobsExec struct {
 // everything CheckJobs needs. The stack size and root frame budget are
 // shared across programs (the admission reservation is per-runtime
 // config, not per-job), so the runtime is sized for the largest root.
-func RunRealJobs(ps []*Program, workers int, dk core.DequeKind, strat core.Strategy) JobsExec {
+func RunRealJobs(ps []*Program, workers int, strat core.Strategy) JobsExec {
 	e := JobsExec{
-		Label:  fmt.Sprintf("jobs/%v/%v/P=%d/K=%d", strat, dk, workers, len(ps)),
+		Label:  fmt.Sprintf("jobs/%v/P=%d/K=%d", strat, workers, len(ps)),
 		Counts: make([][]uint32, len(ps)),
 		Errs:   make([]error, len(ps)),
 		Seqs:   make([]uint64, len(ps)),
@@ -61,7 +61,6 @@ func RunRealJobs(ps []*Program, workers int, dk core.DequeKind, strat core.Strat
 	rt := core.NewRuntime(core.Config{
 		Workers:    workers,
 		Strategy:   strat,
-		Deque:      dk,
 		FrameBytes: frame,
 		StackPages: harnessStackPages,
 		Seed:       seed ^ 0xC0FFEE,
@@ -238,8 +237,8 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 // single-node roots back to back, so the runtime spends essentially all
 // of its time in the intake path — CAS admission, sharded root queues,
 // Job pooling (every job is Released), wake-one parking — rather than in
-// the computation. This is the adversarial load for PR 10's lock-
-// minimized Submit: the generated-program leg above stresses scheduling
+// the computation. This is the adversarial load for the lock-minimized
+// Submit: the generated-program leg above stresses scheduling
 // *within* jobs, this lane stresses the machinery *between* them.
 
 // StressExec is the observable outcome of one stress run.
@@ -260,13 +259,11 @@ type StressExec struct {
 
 // RunJobStress floods one serving runtime with k submitter goroutines ×
 // m single-node roots each, waiting for and Releasing every Job, then
-// Closes gracefully. The intake kind is a parameter so the sharded
-// pipeline and the mutex baseline run the identical program
-// differentially.
-func RunJobStress(k, m, workers int, intake core.IntakeKind) StressExec {
+// Closes gracefully.
+func RunJobStress(k, m, workers int) StressExec {
 	n := k * m
 	e := StressExec{
-		Label:  fmt.Sprintf("jobstress/%v/P=%d/K=%d/M=%d", intake, workers, k, m),
+		Label:  fmt.Sprintf("jobstress/P=%d/K=%d/M=%d", workers, k, m),
 		Counts: make([]uint32, n),
 		Errs:   make([]error, n),
 		Seqs:   make([]uint64, n),
@@ -275,7 +272,6 @@ func RunJobStress(k, m, workers int, intake core.IntakeKind) StressExec {
 	rt := core.NewRuntime(core.Config{
 		Workers:    workers,
 		StackPages: harnessStackPages,
-		Intake:     intake,
 		Sink:       rec,
 	})
 	rt.Start()

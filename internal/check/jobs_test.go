@@ -32,7 +32,7 @@ func jobMix(t *testing.T, k int) []*Program {
 // TestDifferentialConcurrentJobs is the concurrent-submission leg of the
 // harness: ≥8 generated programs — mixed panicking and clean — submitted
 // from one goroutine each as concurrent Jobs on ONE serving runtime,
-// across strategies, deque kinds and worker counts, with every CheckJobs
+// across strategies and worker counts, with every CheckJobs
 // oracle (per-program exactly-once, panic isolation, job conservation,
 // quiescence, trace reconciliation) asserted per leg.
 func TestDifferentialConcurrentJobs(t *testing.T) {
@@ -43,21 +43,19 @@ func TestDifferentialConcurrentJobs(t *testing.T) {
 	ps := jobMix(t, k)
 	legs := []struct {
 		workers int
-		dk      core.DequeKind
 		strat   core.Strategy
 	}{
-		{2, core.DequeTHE, core.StrategyFibril},
-		{4, core.DequeChaseLev, core.StrategyFibril},
-		{4, core.DequeRelaxed, core.StrategyFibril},
-		{1, core.DequeTHE, core.StrategyFibril},
-		{4, core.DequeTHE, core.StrategyTBB},
-		{2, core.DequeTHE, core.StrategyGoroutine},
+		{2, core.StrategyFibril},
+		{4, core.StrategyFibril},
+		{1, core.StrategyFibril},
+		{4, core.StrategyTBB},
+		{2, core.StrategyGoroutine},
 	}
 	if testing.Short() {
 		legs = legs[:2]
 	}
 	for _, leg := range legs {
-		e := RunRealJobs(ps, leg.workers, leg.dk, leg.strat)
+		e := RunRealJobs(ps, leg.workers, leg.strat)
 		if err := CheckJobs(ps, e); err != nil {
 			t.Error(err)
 		}
@@ -72,27 +70,24 @@ func TestConcurrentJobsCleanOnly(t *testing.T) {
 	for seed := uint64(800); len(ps) < k; seed++ {
 		ps = append(ps, Generate(seed, Params{}))
 	}
-	e := RunRealJobs(ps, 4, core.DequeTHE, core.StrategyFibril)
+	e := RunRealJobs(ps, 4, core.StrategyFibril)
 	if err := CheckJobs(ps, e); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestJobStressManySubmitters is the PR 10 intake stress lane: 16
-// submitter goroutines × tiny single-node roots, on both the sharded
-// intake and the mutex baseline, with every oracle from CheckJobStress
-// (exactly-once, Seq permutation, conservation, trace reconciliation).
+// TestJobStressManySubmitters is the intake stress lane: 16 submitter
+// goroutines × tiny single-node roots, with every oracle from
+// CheckJobStress (exactly-once, Seq permutation, conservation, trace
+// reconciliation).
 // The race job in CI runs this package, so the lane doubles as the
 // -race certificate for the CAS/sharded/pooled/wake-one path.
 func TestJobStressManySubmitters(t *testing.T) {
 	const k, m, workers = 16, 25, 4
-	for _, intake := range core.IntakeKinds() {
-		intake := intake
-		t.Run(intake.String(), func(t *testing.T) {
-			e := RunJobStress(k, m, workers, intake)
-			if err := CheckJobStress(k, m, e); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("sharded", func(t *testing.T) {
+		e := RunJobStress(k, m, workers)
+		if err := CheckJobStress(k, m, e); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -151,11 +151,10 @@ func (p *Program) compile(n *Node, counts []uint32) func(*core.W) {
 }
 
 // MemParams selects the memory-pressure-engine knobs of a real-runtime
-// leg. The zero value is the default engine configuration (sharded pool,
-// eager unmap, no ceiling); the oracles read the params to pick between
-// the eager equalities and the coalesced conservation laws.
+// leg. The zero value is the default engine configuration (eager unmap, no
+// ceiling); the oracles read the params to pick between the eager
+// equalities and the coalesced conservation laws.
 type MemParams struct {
-	Pool             core.PoolKind
 	UnmapBatch       int
 	MaxResidentPages int64
 }
@@ -165,14 +164,13 @@ func (mp MemParams) String() string {
 	if mp == (MemParams{}) {
 		return ""
 	}
-	return fmt.Sprintf("pool=%v,batch=%d,ceiling=%d", mp.Pool, mp.UnmapBatch, mp.MaxResidentPages)
+	return fmt.Sprintf("batch=%d,ceiling=%d", mp.UnmapBatch, mp.MaxResidentPages)
 }
 
 // RealExec is the observable outcome of one real-runtime execution.
 type RealExec struct {
 	Label     string
 	Mem       MemParams
-	Deque     core.DequeKind   // deque kind the run used (relaxed laws differ)
 	Policy    core.StealPolicy // steal policy the run used
 	Counts    []uint32         // executions per node ID
 	Stats     core.Stats
@@ -195,8 +193,8 @@ const traceRecorderCap = 1 << 21
 // everything the oracles need. The runtime's steal RNG is seeded from the
 // program seed (decorrelated by a constant) so executions are as
 // reproducible as goroutine scheduling allows.
-func RunReal(p *Program, workers int, dk core.DequeKind, strat core.Strategy, pol core.StealPolicy, mem MemParams) RealExec {
-	label := fmt.Sprintf("real/%v/%v/P=%d", strat, dk, workers)
+func RunReal(p *Program, workers int, strat core.Strategy, pol core.StealPolicy, mem MemParams) RealExec {
+	label := fmt.Sprintf("real/%v/P=%d", strat, workers)
 	if pol != core.StealRandom {
 		label += "/" + pol.String()
 	}
@@ -206,7 +204,6 @@ func RunReal(p *Program, workers int, dk core.DequeKind, strat core.Strategy, po
 	e := RealExec{
 		Label:  label,
 		Mem:    mem,
-		Deque:  dk,
 		Policy: pol,
 		Counts: make([]uint32, p.Nodes),
 	}
@@ -214,12 +211,10 @@ func RunReal(p *Program, workers int, dk core.DequeKind, strat core.Strategy, po
 	rt := core.NewRuntime(core.Config{
 		Workers:          workers,
 		Strategy:         strat,
-		Deque:            dk,
 		FrameBytes:       p.Root.Frame, // the root task charges its own frame
 		StackPages:       harnessStackPages,
 		StealPolicy:      pol,
 		Seed:             p.Seed ^ 0xC0FFEE,
-		Pool:             mem.Pool,
 		UnmapBatch:       mem.UnmapBatch,
 		MaxResidentPages: mem.MaxResidentPages,
 		Sink:             rec,

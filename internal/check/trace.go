@@ -55,7 +55,6 @@ func (v *violations) reconcileTrace(ts TraceSummary, st core.Stats) {
 	eq(trace.KindJoinWait, count(trace.KindJoinWait), st.Suspends, "Suspends")
 	eq(trace.KindUnmap, count(trace.KindUnmap), st.Unmaps, "Unmaps")
 	eq(trace.KindUnmapBatch, count(trace.KindUnmapBatch), st.UnmapBatches, "UnmapBatches")
-	eq(trace.KindDupSteal, count(trace.KindDupSteal), st.DuplicateExtractions, "DuplicateExtractions")
 	// Start/end pairs exist exactly for base-thief steals; inline steals
 	// (TBB/leapfrog joins) run on the joiner's own stack without them.
 	base := st.Steals - st.RestrictedSteals

@@ -185,7 +185,7 @@ func (w *W) ReleaseScratch(s *Scratch) {
 	f := &s.frame
 	f.count.Store(0)
 	f.stack = nil
-	f.parent.Store(nil)
+	f.parent = nil
 	f.pendingReclaim = nil
 	f.panicked = nil
 	if w.slot != nil {

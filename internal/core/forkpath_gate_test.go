@@ -58,19 +58,12 @@ func gateFib(w *W, n int) int64 {
 
 // TestForkPathGate asserts the steal-heavy zero-allocation contract: after
 // a warm-up run, a P=4 gate-fib run performs strictly fewer heap
-// allocations than forks (0 allocs/op amortized) on every deque kind, and
-// stays under a per-kind budget that charges a constant per steal (thief
-// goroutine + stack machinery) plus a small warm-path base:
+// allocations than forks (0 allocs/op amortized), and stays under a budget
+// that charges a constant per steal (thief goroutine + stack machinery)
+// plus a small warm-path base — nothing on the fork path itself allocates:
+// 64 base + 32/steal.
 //
-//   - THE: nothing on the fork path allocates — 64 base + 32/steal.
-//   - Chase-Lev: thieves permanently consume boxed nodes; the owner's
-//     recycling free list caps the steady-state cost at roughly one node
-//     per steal — 256 base + 48/steal.
-//   - Relaxed: published nodes are never recycled, but the publication
-//     backoff bounds steady-state stray boxing to ~1 per relWasteDecay
-//     pushes — 256 base + 48/steal + forks/128.
-//
-// StealHalf runs the same budgets: loot batching must not add per-fork
+// StealHalf runs the same budget: loot batching must not add per-fork
 // allocations (the loot buffer is stack-allocated; the loose queue's
 // backing array amortizes into the per-steal constant).
 func TestForkPathGate(t *testing.T) {
@@ -82,44 +75,34 @@ func TestForkPathGate(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
-	for _, dk := range DequeKinds() {
-		for _, pol := range []StealPolicy{StealRandom, StealHalf} {
-			t.Run(dk.String()+"/"+pol.String(), func(t *testing.T) {
-				rt := NewRuntime(Config{Workers: 4, Deque: dk, StealPolicy: pol})
-				var out int64
-				rt.Run(func(w *W) { out = gateFib(w, n) }) // warm arenas, stacks, thieves
-				st0 := rt.Stats()
-				runtime.GC()
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				rt.Run(func(w *W) { out = gateFib(w, n) })
-				runtime.ReadMemStats(&m1)
-				st1 := rt.Stats()
-				if out != want {
-					t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
-				}
-				ops := st1.Forks - st0.Forks
-				steals := st1.Steals - st0.Steals
-				got := int64(m1.Mallocs - m0.Mallocs)
-				var budget int64
-				switch dk {
-				case DequeTHE:
-					budget = 64 + 32*steals
-				case DequeChaseLev:
-					budget = 256 + 48*steals
-				default: // DequeRelaxed
-					budget = 256 + 48*steals + ops/128
-				}
-				t.Logf("%s/%s: %d allocs over %d forks (%d steals), budget %d",
-					dk, pol, got, ops, steals, budget)
-				if got >= ops {
-					t.Errorf("%d allocs >= %d forks: fork path is allocating per op", got, ops)
-				}
-				if got > budget {
-					t.Errorf("%d allocs > budget %d (%d steals)", got, budget, steals)
-				}
-			})
-		}
+	for _, pol := range []StealPolicy{StealRandom, StealHalf} {
+		t.Run("the/"+pol.String(), func(t *testing.T) {
+			rt := NewRuntime(Config{Workers: 4, StealPolicy: pol})
+			var out int64
+			rt.Run(func(w *W) { out = gateFib(w, n) }) // warm arenas, stacks, thieves
+			st0 := rt.Stats()
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			rt.Run(func(w *W) { out = gateFib(w, n) })
+			runtime.ReadMemStats(&m1)
+			st1 := rt.Stats()
+			if out != want {
+				t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
+			}
+			ops := st1.Forks - st0.Forks
+			steals := st1.Steals - st0.Steals
+			got := int64(m1.Mallocs - m0.Mallocs)
+			budget := 64 + 32*steals
+			t.Logf("%s: %d allocs over %d forks (%d steals), budget %d",
+				pol, got, ops, steals, budget)
+			if got >= ops {
+				t.Errorf("%d allocs >= %d forks: fork path is allocating per op", got, ops)
+			}
+			if got > budget {
+				t.Errorf("%d allocs > budget %d (%d steals)", got, budget, steals)
+			}
+		})
 	}
 }
 

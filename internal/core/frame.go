@@ -42,13 +42,13 @@ type Frame struct {
 	watermark int
 
 	depth int32 // invocation depth of the owning task
-	// parent is the frame of the task that declared this one (ancestry).
-	// Atomic because leapfrog StealIf predicates walk the ancestry of
-	// candidates read from lock-free deques *before* the claiming CAS: the
-	// candidate may be stale and its frame arena-recycled mid-walk, so the
-	// walk must be race-clean (stale answers are harmless — the deque CAS
-	// rejects stale candidates; see isDescendantWithin).
-	parent   atomic.Pointer[Frame]
+	// parent is the frame of the task that declared this one (ancestry),
+	// written at Init, before the frame's first Fork. Leapfrog StealIf
+	// predicates walk it from other workers; the deque hands a predicate
+	// only a candidate it has already claimed under the deque lock, so the
+	// candidate is an unexecuted task and every frame on its ancestry is
+	// still waiting on it — live, not arena-recycled.
+	parent   *Frame
 	initMark int // owning stack's watermark at Init (cactus branch point)
 
 	// pendingReclaim is the live deferred-unmap ticket of the current
@@ -69,17 +69,10 @@ func (f *Frame) Depth() int { return int(f.depth) }
 // Pending returns the number of outstanding children (racy snapshot).
 func (f *Frame) Pending() int { return int(f.count.Load() &^ frameSuspended) }
 
-// isDescendantWithin reports whether f is a descendant of ancestor within
-// limit ancestry links — the eligibility test of leapfrogging. The bound
-// makes the walk safe on a *stale* steal candidate (one whose frame was
-// arena-recycled after the candidate was read but before its claiming
-// CAS): a recycled frame's parent links may point anywhere, including into
-// a transient cycle, so an unbounded walk could spin forever. For a live
-// candidate the limit never truncates the walk — callers pass the task's
-// trusted depth, which bounds its true ancestry length — and for a stale
-// one any answer is acceptable because the deque CAS rejects it.
-func (f *Frame) isDescendantWithin(ancestor *Frame, limit int32) bool {
-	for cur := f; cur != nil && limit >= 0; cur, limit = cur.parent.Load(), limit-1 {
+// isDescendantOf reports whether f is ancestor or one of its descendants —
+// the eligibility test of leapfrogging.
+func (f *Frame) isDescendantOf(ancestor *Frame) bool {
+	for cur := f; cur != nil; cur = cur.parent {
 		if cur == ancestor {
 			return true
 		}
@@ -94,7 +87,7 @@ func (w *W) Init(f *Frame) {
 	f.stack = w.stack
 	f.watermark = 0
 	f.depth = w.depth
-	f.parent.Store(w.frame)
+	f.parent = w.frame
 	f.initMark = w.stack.Bytes()
 	f.pendingReclaim = nil
 }

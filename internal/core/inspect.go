@@ -18,12 +18,6 @@ func (rt *Runtime) QueuedTasks() int {
 	n := rt.loose.len()
 	for _, w := range rt.workers {
 		n += w.deque.Len()
-		// The relaxed deque's Len covers only its published window; tasks
-		// still private to the owner count too — at quiescence both must
-		// be empty.
-		if u, ok := w.deque.(interface{ Unpublished() int }); ok {
-			n += u.Unpublished()
-		}
 	}
 	return n
 }

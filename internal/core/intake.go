@@ -9,31 +9,13 @@ import (
 )
 
 // This file is the root-intake layer of the serving lifecycle: the queue
-// of admitted roots awaiting a worker, behind a small interface so the
-// lock-minimized sharded pipeline (IntakeSharded, the default) and the
-// single-mutex PR 8 baseline (IntakeMutex) stay differentially testable
-// against each other. Either way the intake is deliberately separate from
-// looseQueue: loose tasks are already-claimed, already-counted *steals*,
-// while roots are new computations that must not perturb the steal
-// counters or the trace-reconciliation laws — and thieves take roots only
-// after a full steal sweep fails, so in-flight computations keep their
-// workers until there is genuinely idle capacity.
-
-// rootIntake is the queue of admitted roots awaiting a worker, plus the
-// Job recycling pool (a no-op for the baseline). push may be called from
-// any goroutine; pop is called by thieves (self is the thief's slot, used
-// by the sharded intake to spread drains; -1 for slotless callers).
-type rootIntake interface {
-	push(j *Job)
-	pop(self int) (*Job, bool)
-	len() int
-
-	// getJob returns a recycled Job for the given submission id (nil when
-	// the pool is empty or pooling is off); putJob recycles a completed,
-	// already-reset Job. See Job.Release for the handoff rules.
-	getJob(id uint64) *Job
-	putJob(id uint64, j *Job)
-}
+// of admitted roots awaiting a worker, and the Job recycling pool. The
+// intake is deliberately separate from looseQueue: loose tasks are
+// already-extracted, already-counted *steals*, while roots are new
+// computations that must not perturb the steal counters or the
+// trace-reconciliation laws — and thieves take roots only after a full
+// steal sweep fails, so in-flight computations keep their workers until
+// there is genuinely idle capacity.
 
 // intakeHash spreads submission ids over n shards. Fibonacci hashing on
 // the id: consecutive ids land on well-spread shards, so concurrent
@@ -174,11 +156,14 @@ func (s *intakeShard) putFree(j *Job) {
 	}
 }
 
-// shardedIntake is the default root intake: one intakeShard per worker
-// slot. Submitters pick a shard by hashing the submission id; thieves
-// drain shards round-robin starting at their own slot, so concurrent
-// drains start on distinct shards and the "roots only after a failed
-// steal sweep" priority is preserved per thief.
+// shardedIntake is the root intake: one intakeShard per worker slot.
+// Submitters pick a shard by hashing the submission id; thieves drain
+// shards round-robin starting at their own slot (pop's self; -1 for
+// slotless callers), so concurrent drains start on distinct shards and the
+// "roots only after a failed steal sweep" priority is preserved per thief.
+// getJob returns a recycled Job for a submission id (nil when that shard's
+// free list is empty or contended); putJob recycles a completed, already
+// reset Job — see Job.Release for the handoff rules.
 type shardedIntake struct {
 	shards []intakeShard
 }
@@ -224,43 +209,3 @@ func (q *shardedIntake) getJob(id uint64) *Job {
 func (q *shardedIntake) putJob(id uint64, j *Job) {
 	q.shards[intakeHash(id, len(q.shards))].putFree(j)
 }
-
-// mutexIntake is the PR 8 baseline: one mutex-guarded FIFO slice, no Job
-// recycling. It is kept selectable (Config.Intake = IntakeMutex) as the
-// differential and benchmark baseline for the sharded pipeline — the
-// submitpath experiment's ≥3× gate is measured against exactly this.
-type mutexIntake struct {
-	mu sync.Mutex
-	n  atomic.Int64
-	js []*Job
-}
-
-func (q *mutexIntake) push(j *Job) {
-	q.mu.Lock()
-	q.js = append(q.js, j)
-	q.n.Store(int64(len(q.js)))
-	q.mu.Unlock()
-}
-
-// pop removes the oldest root. The n.Load fast path keeps the empty case
-// at one atomic read.
-func (q *mutexIntake) pop(self int) (*Job, bool) {
-	if q.n.Load() == 0 {
-		return nil, false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.js) == 0 {
-		return nil, false
-	}
-	j := q.js[0]
-	q.js[0] = nil
-	q.js = q.js[1:]
-	q.n.Store(int64(len(q.js)))
-	return j, true
-}
-
-func (q *mutexIntake) len() int { return int(q.n.Load()) }
-
-func (q *mutexIntake) getJob(id uint64) *Job    { return nil }
-func (q *mutexIntake) putJob(id uint64, j *Job) {}

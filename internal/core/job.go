@@ -27,13 +27,12 @@ import (
 // budget (Config.TenantQuotaPages), shedding or queueing per
 // Config.Admission.
 //
-// Under the default IntakeSharded pipeline the admission decision itself
-// is lock-free whenever no tenant quotas are configured and the admission
-// queue is empty: Submit reserves an inflight slot with one CAS against
-// MaxInflight (one uncontended Add when unlimited) and only falls back to
-// the admission mutex for queue promotion, tenant budgets, and lifecycle
-// transitions. See DESIGN.md §14 for the full pipeline and its Dekker
-// arguments.
+// The admission decision itself is lock-free whenever no tenant quotas are
+// configured and the admission queue is empty: Submit reserves an inflight
+// slot with one CAS against MaxInflight (one uncontended Add when
+// unlimited) and only falls back to the admission mutex for queue
+// promotion, tenant budgets, and lifecycle transitions. See DESIGN.md §14
+// for the full pipeline and its Dekker arguments.
 
 // Submission errors, surfaced through Job.Err.
 var (
@@ -79,14 +78,9 @@ func AdmissionPolicies() []AdmissionPolicy {
 	return []AdmissionPolicy{AdmitQueue, AdmitShed}
 }
 
-// Job completion states (Job.state).
-const (
-	jobPending uint32 = iota
-	jobDone
-)
-
 // closedChan is the shared, permanently closed channel Done hands out for
-// already-completed jobs, so polling a finished Job allocates nothing.
+// already-completed jobs, so polling a finished Job allocates nothing. Its
+// address is also the completed value of Job.done.
 var closedChan = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
@@ -98,32 +92,34 @@ var closedChan = func() chan struct{} {
 // (possibly with a captured panic), shed at admission, or drained by a
 // forced Close. All methods are safe from any goroutine.
 //
-// Jobs are pooled (IntakeSharded): a caller that is done with a handle
-// may call Release to recycle it. The wait channel is allocated lazily —
-// only when a caller actually blocks in Done/Wait/Err/Seq before the job
-// has completed — so the submit → complete fast path never allocates one.
+// Jobs are pooled: a caller that is done with a handle may call Release to
+// recycle it. The wait channel is allocated lazily — only when a caller
+// actually blocks in Done/Wait/Err/Seq before the job has completed — so
+// the submit → complete fast path never allocates one.
 type Job struct {
 	id        uint64
 	tenant    string
 	root      func(*W)
 	rt        *Runtime
-	submitted time.Time // zero unless a sink consumes KindJobDone (or IntakeMutex)
+	submitted time.Time // zero unless a sink consumes KindJobDone
 
 	// qnext is the intrusive link threading the Job through an intake
 	// shard's inbox, its FIFO out list, or its free list (a Job is in at
 	// most one of the three at a time).
 	qnext atomic.Pointer[Job]
 
-	// Completion handshake. state flips to jobDone exactly once per
-	// generation, after the result fields below are written; donep holds
-	// the lazily published wait channel; sealed makes the close
-	// exactly-once when completer and waiter race (see Done/finish).
-	state  atomic.Uint32
-	donep  atomic.Pointer[chan struct{}]
-	sealed atomic.Bool
+	// done is the whole completion handshake in one word: nil while the
+	// job is pending and nobody waits, a waiter-published channel while
+	// somebody does, &closedChan once complete. Waiters move it nil →
+	// channel by CAS; the completer Swaps in &closedChan exactly once per
+	// generation, after the result fields below are written, closes the
+	// channel the Swap returned (if any) and never looks at the Job again
+	// — so a waiter may Release, and a Submit reuse, the handle the
+	// moment the Swap lands.
+	done atomic.Pointer[chan struct{}]
 
-	// The fields below are written exactly once, before state flips, and
-	// read only after observing jobDone.
+	// The fields below are written exactly once, before done flips, and
+	// read only after observing completion.
 	tp  *TaskPanic
 	err error
 	seq uint64
@@ -150,51 +146,38 @@ func (j *Job) Tenant() string { return j.tenant }
 // allocated on first use; for an already-completed job Done returns a
 // shared closed channel without allocating.
 func (j *Job) Done() <-chan struct{} {
-	if j.state.Load() == jobDone {
-		return closedChan
-	}
-	if p := j.donep.Load(); p != nil {
-		return *p
-	}
-	ch := make(chan struct{})
-	if !j.donep.CompareAndSwap(nil, &ch) {
-		return *j.donep.Load()
-	}
-	// Dekker with finish: this waiter published the channel and re-checks
-	// the state; the completer stores the state and re-checks the channel.
-	// Under sequentially-consistent atomics one side must see the other,
-	// and the seal keeps the close exactly-once when both do.
-	if j.state.Load() == jobDone {
-		j.seal(&ch)
-	}
-	return ch
-}
-
-// seal closes the published wait channel exactly once.
-func (j *Job) seal(p *chan struct{}) {
-	if j.sealed.CompareAndSwap(false, true) {
-		close(*p)
+	for {
+		if p := j.done.Load(); p != nil {
+			return *p // a waiter's channel, or closedChan once complete
+		}
+		ch := make(chan struct{})
+		if j.done.CompareAndSwap(nil, &ch) {
+			return ch
+		}
 	}
 }
 
-// finish publishes the job's completion: flip the state (the result
-// fields are already written) and close the wait channel if any waiter
-// published one. The state store before the donep load is the completer's
-// half of the Dekker pair in Done.
+// completed reports whether the job has finished.
+func (j *Job) completed() bool { return j.done.Load() == &closedChan }
+
+// finish publishes the job's completion (the result fields are already
+// written) and releases any waiter. The Swap is the completer's only
+// access to done: whatever channel a waiter published before it is
+// returned here and closed here, and one published after it cannot exist
+// — Done's CAS expects nil — so the close is exactly-once with no second
+// look at a Job that may already belong to its next submission.
 func (j *Job) finish() {
-	j.state.Store(jobDone)
-	if p := j.donep.Load(); p != nil {
-		j.seal(p)
+	if p := j.done.Swap(&closedChan); p != nil {
+		close(*p)
 	}
 }
 
 // wait blocks until the job completes, allocating the wait channel only
 // if the job is still running.
 func (j *Job) wait() {
-	if j.state.Load() == jobDone {
-		return
+	if !j.completed() {
+		<-j.Done()
 	}
-	<-j.Done()
 }
 
 // Wait blocks until the job completes and returns a runtime Stats
@@ -239,10 +222,9 @@ func (j *Job) Seq() uint64 {
 // returned Done channel consulted, and Release must not race any other
 // method on the same handle (completion itself does not count: Release
 // after Wait/Err is always safe). Release is optional; an unreleased Job
-// is simply garbage-collected. Under IntakeMutex (no pooling) Release
-// validates and drops the handle.
+// is simply garbage-collected.
 func (j *Job) Release() {
-	if j.state.Load() != jobDone {
+	if !j.completed() {
 		panic("core: Release of an incomplete Job")
 	}
 	rt, id := j.rt, j.id
@@ -257,9 +239,7 @@ func (j *Job) Release() {
 	j.statsOK = false
 	j.stats = Stats{}
 	j.qnext.Store(nil)
-	j.donep.Store(nil)
-	j.sealed.Store(false)
-	j.state.Store(jobPending)
+	j.done.Store(nil)
 	rt.subq.putJob(id, j)
 }
 
@@ -407,12 +387,10 @@ func (rt *Runtime) ensureStarted() bool {
 	return true
 }
 
-// newJob builds (or recycles) the Job for one submission. Under
-// IntakeSharded the submit-time clock read exists only when a sink
-// consumes KindJobDone — untraced serving pays no time.Now per job — and
-// the wait channel stays unallocated until someone blocks on the handle.
-// The IntakeMutex baseline keeps the PR 8 costs exactly: unconditional
-// timestamp and an eager done channel per submission.
+// newJob builds (or recycles) the Job for one submission. The submit-time
+// clock read exists only when a sink consumes KindJobDone — untraced
+// serving pays no time.Now per job — and the wait channel stays
+// unallocated until someone blocks on the handle.
 func (rt *Runtime) newJob(tenant string, root func(*W)) *Job {
 	id := uint64(rt.jobsSubmitted.Add(1))
 	j := rt.subq.getJob(id)
@@ -423,14 +401,8 @@ func (rt *Runtime) newJob(tenant string, root func(*W)) *Job {
 	j.id = id
 	j.tenant = tenant
 	j.root = root
-	if rt.fastIntake {
-		if rt.stampJobs {
-			j.submitted = time.Now()
-		}
-	} else {
+	if rt.stampJobs {
 		j.submitted = time.Now()
-		ch := make(chan struct{})
-		j.donep.Store(&ch)
 	}
 	return j
 }
@@ -452,15 +424,14 @@ func (rt *Runtime) Submit(root func(*W)) *Job {
 // is closing or closed the Job completes with ErrClosed, counted in
 // Stats.JobsShed, so a submitter racing Close is refused, never panicked.
 //
-// With IntakeSharded (default), no tenant quotas, and an empty admission
-// queue, the whole admission decision is lock-free: one CAS reserves an
-// inflight slot (one plain Add when MaxInflight is 0), and a full
-// AdmitShed rejection touches no admission state at all. The admission
-// mutex is taken only for queueing, promotion, tenant budgets, and
-// submissions racing a lifecycle transition.
+// With no tenant quotas and an empty admission queue, the whole admission
+// decision is lock-free: one CAS reserves an inflight slot (one plain Add
+// when MaxInflight is 0), and a full AdmitShed rejection touches no
+// admission state at all. The admission mutex is taken only for queueing,
+// promotion, tenant budgets, and submissions racing a lifecycle transition.
 func (rt *Runtime) SubmitTenant(tenant string, root func(*W)) *Job {
 	j := rt.newJob(tenant, root)
-	if rt.fastIntake && rt.admit.quota == 0 && rt.submitFast(j) {
+	if rt.admit.quota == 0 && rt.submitFast(j) {
 		return j
 	}
 	return rt.submitSlow(j)
@@ -569,10 +540,9 @@ func (rt *Runtime) submitSlow(j *Job) *Job {
 
 // dispatch hands an admitted job to the scheduler: push on the root
 // intake and wake a single parked thief — publish-then-wake, the same
-// lost-wakeup-free Dekker pair Fork uses, and one root wakes one thief
-// (the IntakeMutex baseline keeps PR 8's broadcast). The goroutine
-// baseline is slotless, so each root gets a goroutine with its own pooled
-// stack instead.
+// lost-wakeup-free Dekker pair Fork uses, and one root wakes one thief.
+// The goroutine baseline is slotless, so each root gets a goroutine with
+// its own pooled stack instead.
 func (rt *Runtime) dispatch(j *Job) {
 	rt.jobsAdmitted.Add(1)
 	if rt.cfg.Strategy == StrategyGoroutine {
@@ -587,11 +557,7 @@ func (rt *Runtime) dispatch(j *Job) {
 		return
 	}
 	rt.subq.push(j)
-	if rt.fastIntake {
-		rt.park.wake(1)
-	} else {
-		rt.park.wakeAll()
-	}
+	rt.park.wake(1)
 }
 
 // nextRoot claims the oldest submitted root (oldest in the shard the
@@ -616,9 +582,8 @@ func (rt *Runtime) nextRoot(self int) (task, bool) {
 // queued jobs that now fit), and only then publish completion. On the
 // lock-free path the release is one atomic decrement; the mutex is taken
 // only when a queued job may be waiting on the freed slot or a Close may
-// be waiting on the drain gate. The Stats snapshot PR 8 took here is gone
-// — it is computed lazily on first Wait (the IntakeMutex baseline keeps
-// the eager snapshot).
+// be waiting on the drain gate. No Stats snapshot is taken here — it is
+// computed lazily on first Wait.
 func (rt *Runtime) completeJob(slot int, j *Job) {
 	if j.tp != nil {
 		j.err = j.tp
@@ -630,7 +595,7 @@ func (rt *Runtime) completeJob(slot int, j *Job) {
 	}
 
 	a := &rt.admit
-	if rt.fastIntake && a.quota == 0 {
+	if a.quota == 0 {
 		a.inflight.Add(-1)
 		// The decrement above is published before these loads; the
 		// enqueue path stores qlen (and Close stores lifeClosing) before
@@ -644,10 +609,6 @@ func (rt *Runtime) completeJob(slot int, j *Job) {
 		rt.releaseSlow(j)
 	}
 
-	if !rt.fastIntake {
-		j.stats = rt.Stats() // PR 8 parity: eager snapshot at completion
-		j.statsOK = true
-	}
 	j.finish()
 }
 
@@ -673,10 +634,6 @@ func (rt *Runtime) releaseSlow(j *Job) {
 func (rt *Runtime) finishRejected(j *Job, err error) {
 	j.err = err
 	j.seq = uint64(rt.jobSeq.Add(1))
-	if !rt.fastIntake {
-		j.stats = rt.Stats()
-		j.statsOK = true
-	}
 	j.finish()
 }
 

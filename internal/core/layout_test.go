@@ -18,7 +18,7 @@ var (
 	}
 	runtimeGroups = [][]string{
 		{"cfg", "as", "pool", "reclaim", "workers", "park", "done", "trc", "metrics",
-			"subq", "fastIntake", "stampJobs", "stats"}, // read-mostly
+			"subq", "stampJobs", "stats"}, // read-mostly
 		{"goroutineWG", "loose", "admit"},                            // per suspension / admission / lifecycle
 		{"jobsSubmitted", "jobsAdmitted", "jobsShed", "jobsDrained"}, // submitters'
 		{"jobsCompleted", "jobSeq"},                                  // completers'
@@ -40,35 +40,31 @@ func TestLayout(t *testing.T) {
 	layouttest.Element(t, intakeShard{})
 }
 
-// TestLayoutRealAddresses checks a live Workers=4 runtime of every deque
-// kind: Go aligns a heap object to its size class only, so the offsets
-// TestLayout checks say nothing about where two slots' objects end up
-// relative to each other. No hot range of one slot — its deque (whose two
+// TestLayoutRealAddresses checks a live Workers=4 runtime: Go aligns a heap
+// object to its size class only, so the offsets TestLayout checks say
+// nothing about where two slots' objects end up relative to each other. No hot range of one slot — its deque (whose two
 // halves package deque's own test tells apart), its worker's three groups,
 // its counter shard, its intake shard — may touch a cacheline unit that
 // another slot's, the park lot's or a Runtime group's touches.
 func TestLayoutRealAddresses(t *testing.T) {
-	for _, dk := range DequeKinds() {
-		t.Run(dk.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: 4, Deque: dk})
-			var xs []layouttest.Extent
-			for i, g := range runtimeGroups {
-				xs = append(xs, layouttest.Of(fmt.Sprintf("Runtime group %d", i), rt, g...))
+	t.Run("the", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 4})
+		var xs []layouttest.Extent
+		for i, g := range runtimeGroups {
+			xs = append(xs, layouttest.Of(fmt.Sprintf("Runtime group %d", i), rt, g...))
+		}
+		xs = append(xs, layouttest.Of("park lot", rt.park, parkGroup...))
+		for i, w := range rt.workers {
+			slot := fmt.Sprintf("slot %d", i)
+			xs = append(xs, layouttest.Of(slot+" deque", w.deque))
+			for g, fields := range workerGroups {
+				xs = append(xs, layouttest.Of(fmt.Sprintf("%s worker group %d", slot, g), w, fields...))
 			}
-			xs = append(xs, layouttest.Of("park lot", rt.park, parkGroup...))
-			shards := rt.subq.(*shardedIntake).shards
-			for i, w := range rt.workers {
-				slot := fmt.Sprintf("slot %d", i)
-				xs = append(xs, layouttest.Of(slot+" deque", w.deque))
-				for g, fields := range workerGroups {
-					xs = append(xs, layouttest.Of(fmt.Sprintf("%s worker group %d", slot, g), w, fields...))
-				}
-				xs = append(xs,
-					layouttest.Of(slot+" counters", &rt.stats[i]),
-					layouttest.Of(slot+" intake", &shards[i]))
-			}
-			layouttest.Disjoint(t, xs)
-			rt.Run(func(w *W) {}) // the runtime under inspection works (and stays live)
-		})
-	}
+			xs = append(xs,
+				layouttest.Of(slot+" counters", &rt.stats[i]),
+				layouttest.Of(slot+" intake", &rt.subq.shards[i]))
+		}
+		layouttest.Disjoint(t, xs)
+		rt.Run(func(w *W) {}) // the runtime under inspection works (and stays live)
+	})
 }

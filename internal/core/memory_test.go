@@ -3,7 +3,7 @@ package core
 import "testing"
 
 // Tests for the memory-pressure engine: coalesced unmap, the hysteresis
-// gate, the RSS ceiling, and the pool-kind selection.
+// gate, and the RSS ceiling.
 
 func TestEagerModeKeepsNewCountersZero(t *testing.T) {
 	for _, batch := range []int{0, 1, -3} {
@@ -24,42 +24,40 @@ func TestEagerModeKeepsNewCountersZero(t *testing.T) {
 
 func TestCoalescedUnmapConservation(t *testing.T) {
 	for _, batch := range []int{2, 4, 16} {
-		for _, pool := range PoolKinds() {
-			cfg := Config{Workers: 8, Strategy: StrategyFibril, UnmapBatch: batch, Pool: pool}
-			rt := NewRuntime(cfg)
-			var result int64
-			stats := rt.Run(func(w *W) { parfib(w, 21, &result) })
-			if result != fibSerial(21) {
-				t.Fatalf("batch=%d pool=%s: wrong result %d", batch, pool, result)
-			}
-			// Every suspend resolves exactly once: flushed, cancelled by
-			// its resume, or skipped by the hysteresis gate.
-			if got := stats.Unmaps + stats.ReclaimCancels + stats.ReclaimSkips; got != stats.Suspends {
-				t.Errorf("batch=%d pool=%s: unmaps %d + cancels %d + skips %d = %d != suspends %d",
-					batch, pool, stats.Unmaps, stats.ReclaimCancels, stats.ReclaimSkips,
-					got, stats.Suspends)
-			}
-			if stats.UnmapBatches > stats.Unmaps {
-				t.Errorf("batch=%d pool=%s: batches %d > unmaps %d",
-					batch, pool, stats.UnmapBatches, stats.Unmaps)
-			}
-			// Every madvise call is a deferred/eager unmap or a pool
-			// reclaim; every madvised page is accounted to one of them.
-			if got := stats.Unmaps + stats.PoolReclaims; got != stats.VM.MadviseCalls {
-				t.Errorf("batch=%d pool=%s: unmaps %d + pool reclaims %d != madvise calls %d",
-					batch, pool, stats.Unmaps, stats.PoolReclaims, stats.VM.MadviseCalls)
-			}
-			if got := stats.UnmappedPages + stats.ReclaimedPages; got != stats.VM.MadvisedPages {
-				t.Errorf("batch=%d pool=%s: unmapped %d + reclaimed %d != madvised %d",
-					batch, pool, stats.UnmappedPages, stats.ReclaimedPages, stats.VM.MadvisedPages)
-			}
-			if pending := rt.PendingReclaims(); pending != 0 {
-				t.Errorf("batch=%d pool=%s: %d tickets pending after Run", batch, pool, pending)
-			}
-			if stats.Suspends != stats.Resumes {
-				t.Errorf("batch=%d pool=%s: suspends %d != resumes %d",
-					batch, pool, stats.Suspends, stats.Resumes)
-			}
+		cfg := Config{Workers: 8, Strategy: StrategyFibril, UnmapBatch: batch}
+		rt := NewRuntime(cfg)
+		var result int64
+		stats := rt.Run(func(w *W) { parfib(w, 21, &result) })
+		if result != fibSerial(21) {
+			t.Fatalf("batch=%d: wrong result %d", batch, result)
+		}
+		// Every suspend resolves exactly once: flushed, cancelled by
+		// its resume, or skipped by the hysteresis gate.
+		if got := stats.Unmaps + stats.ReclaimCancels + stats.ReclaimSkips; got != stats.Suspends {
+			t.Errorf("batch=%d: unmaps %d + cancels %d + skips %d = %d != suspends %d",
+				batch, stats.Unmaps, stats.ReclaimCancels, stats.ReclaimSkips,
+				got, stats.Suspends)
+		}
+		if stats.UnmapBatches > stats.Unmaps {
+			t.Errorf("batch=%d: batches %d > unmaps %d",
+				batch, stats.UnmapBatches, stats.Unmaps)
+		}
+		// Every madvise call is a deferred/eager unmap or a pool
+		// reclaim; every madvised page is accounted to one of them.
+		if got := stats.Unmaps + stats.PoolReclaims; got != stats.VM.MadviseCalls {
+			t.Errorf("batch=%d: unmaps %d + pool reclaims %d != madvise calls %d",
+				batch, stats.Unmaps, stats.PoolReclaims, stats.VM.MadviseCalls)
+		}
+		if got := stats.UnmappedPages + stats.ReclaimedPages; got != stats.VM.MadvisedPages {
+			t.Errorf("batch=%d: unmapped %d + reclaimed %d != madvised %d",
+				batch, stats.UnmappedPages, stats.ReclaimedPages, stats.VM.MadvisedPages)
+		}
+		if pending := rt.PendingReclaims(); pending != 0 {
+			t.Errorf("batch=%d: %d tickets pending after Run", batch, pending)
+		}
+		if stats.Suspends != stats.Resumes {
+			t.Errorf("batch=%d: suspends %d != resumes %d",
+				batch, stats.Suspends, stats.Resumes)
 		}
 	}
 }
@@ -78,8 +76,12 @@ func TestCoalescedUnmapReducesMadvise(t *testing.T) {
 		t.Errorf("coalesced madvise calls = %d, eager = %d; batching did not help",
 			batched.VM.MadviseCalls, eager.VM.MadviseCalls)
 	}
-	if batched.ReclaimCancels+batched.ReclaimSkips == 0 {
-		t.Error("no tickets cancelled or gated — the savings mechanism never fired")
+	// A batched run that happened not to suspend (few steals on a small
+	// host) has nothing to save; otherwise some ticket must have been
+	// cancelled by its resume or gated by the watermark.
+	if batched.Suspends > 0 && batched.ReclaimCancels+batched.ReclaimSkips == 0 {
+		t.Errorf("%d suspends but no ticket cancelled or gated — the savings mechanism never fired",
+			batched.Suspends)
 	}
 }
 
@@ -95,10 +97,11 @@ func TestRSSCeilingTriggersReclaim(t *testing.T) {
 	}
 	// Reclaims need a stack freed with residue and then re-taken, which in
 	// turn needs a steal to have created a second stack — a scheduling
-	// event a small host can miss in any one run. Retry a few times and
-	// check the flow equalities on every attempt.
+	// event a small host can miss in any one run (two runs in three, with
+	// the other packages' tests taking the CPUs). Retry, a few milliseconds
+	// an attempt, and check the flow equalities on every attempt.
 	var stats Stats
-	for attempt := 0; attempt < 10; attempt++ {
+	for attempt := 0; attempt < 100; attempt++ {
 		rt := NewRuntime(cfg)
 		var result int64
 		stats = rt.Run(func(w *W) { parfib(w, 20, &result) })
@@ -130,23 +133,6 @@ func TestRSSCeilingTriggersReclaim(t *testing.T) {
 	if got := stats.UnmappedPages + stats.ReclaimedPages; got != stats.VM.MadvisedPages {
 		t.Errorf("unmapped %d + reclaimed %d != madvised pages %d",
 			stats.UnmappedPages, stats.ReclaimedPages, stats.VM.MadvisedPages)
-	}
-}
-
-func TestPoolKindsProduceSameResults(t *testing.T) {
-	want := fibSerial(20)
-	for _, pool := range PoolKinds() {
-		for _, strat := range []Strategy{StrategyFibril, StrategyCilkPlus, StrategyGoroutine} {
-			cfg := Config{Workers: 4, Strategy: strat, Pool: pool}
-			got, stats := runParfib(t, cfg, 20)
-			if got != want {
-				t.Errorf("%s/%s: parfib = %d, want %d", pool, strat, got, want)
-			}
-			if stats.MaxStacksUsed > stats.StacksCreated {
-				t.Errorf("%s/%s: MaxStacksUsed %d > StacksCreated %d",
-					pool, strat, stats.MaxStacksUsed, stats.StacksCreated)
-			}
-		}
 	}
 }
 

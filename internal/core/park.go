@@ -16,29 +16,39 @@ import (
 // or a Submit, and every publish calls wake), no thief stays parked.
 //
 // Wake-one. wake(n) deposits up to n wake tokens — never more than there
-// are sleepers without one — and Signals once per token, so publishing a
-// single task wakes a single thief instead of stampeding every idle
-// worker through one cond.Broadcast (the thundering herd a serving
-// runtime pays on every Submit). wakeAll keeps the broadcast for the
-// cases that really do make everyone runnable: close/teardown and
-// StealHalf loot bursts that publish several tasks at once.
+// are registered thieves without one — and Signals once per token, so
+// publishing a single task wakes a single thief instead of stampeding
+// every idle worker through one cond.Broadcast (the thundering herd a
+// serving runtime pays on every Submit). Only close broadcasts.
 //
-// The lost-wakeup argument is still a Dekker pair. A parking thief
-// registers itself (nparked++) and only then runs one final steal sweep;
-// a publisher makes the work visible (deque push, intake-shard link) and
-// only then reads nparked. Under Go's sequentially-consistent atomics it
-// is impossible for the final sweep to miss the publish AND the publisher
-// to miss the registration, so either the thief leaves with the task or
-// the publisher enters wake — and wake serializes with the thief's mutex
-// section, so a deposited token cannot fall between the final sweep and
-// the sleep. Wake-one adds one case to the argument: wake may find every
-// sleeper already holding a pending token (avail == 0) and deposit
-// nothing. That is safe because a token holder is committed to waking and
-// sweeping, and a thief can only re-park through another registered-then-
-// swept park call — whose final sweep runs after this publish and
-// therefore sees the task (or sees it already taken). Work is never
-// stranded behind a dropped wake; at worst a token is spent on a sweep
-// that finds the task already claimed.
+// The lost-wakeup argument is a Dekker pair. A parking thief registers
+// itself (nparked++) and only then runs one final steal sweep; a publisher
+// makes the work visible (deque push, intake-shard link, loose-queue put)
+// and only then reads nparked. Under Go's sequentially-consistent atomics
+// it is impossible for the final sweep to miss the publish AND the
+// publisher to miss the registration, so either the thief leaves with the
+// task or the publisher enters wake and deposits a token.
+//
+// The final sweep runs WITHOUT mu: it is a full steal sweep, and a steal
+// publishes too (StealHalf loot → wake), so under mu it would self-deadlock
+// on its own registration — and every Fork that saw nparked != 0 would
+// queue behind a whole sweep. That leaves a window between the sweep and
+// the sleep, which tokens close because they are counted state, not
+// events: a token deposited in the window is still there when the thief
+// takes mu, and it skips the sleep. Tokens are anonymous — a sleeper that
+// the Signal reached may spend the token meant for the thief in the window,
+// or the reverse — and that is enough, because all a publish needs is one
+// sweep that starts after it, by anyone.
+//
+// Two cases deposit less than one token per publish. wake may find every
+// registered thief already holding a pending token (avail <= 0): a token
+// holder is committed to waking and sweeping, and can only re-park through
+// another registered-then-swept park call, whose sweep runs after this
+// publish. And a thief whose final sweep found a task leaves without
+// spending a token deposited for it meanwhile: it is busy now, which is
+// what the token was for, and the stale token (at most one per registered
+// thief, by the cap) costs a later parker one extra sweep before it
+// sleeps. Work is never stranded behind a dropped wake.
 //
 // Every Fork loads nparked, and the whole lot is written only when a thief
 // parks or is woken, so it is one group, padded (DESIGN.md §15) away from
@@ -48,11 +58,11 @@ type parkLot struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	tokens int  // pending wakes, <= nparked; guarded by mu
+	tokens int  // pending wakes; guarded by mu
 	closed bool // guarded by mu
 
-	// nparked mirrors the number of sleepers for wake's lock-free fast
-	// check; it is only written with mu held.
+	// nparked counts registered thieves: in their final sweep, waiting for
+	// mu, or asleep. wake's lock-free fast check reads it.
 	nparked atomic.Int32
 
 	_ cacheline.Pad
@@ -73,28 +83,23 @@ func (p *parkLot) open() {
 }
 
 // park puts the calling thief to sleep until the next wake or close.
-// finalSweep runs after the caller is registered as parked; if it finds a
-// task the caller does not sleep and the task is returned. park returns
-// (zero, false) on any wake-up — the caller re-enters its steal loop.
+// finalSweep runs after the caller is registered as parked and before it
+// takes mu (see the type comment); if it finds a task the caller does not
+// sleep and the task is returned. park returns (zero, false) on any
+// wake-up — the caller re-enters its steal loop.
 func (p *parkLot) park(finalSweep func() (task, bool)) (task, bool) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return task{}, false
-	}
 	p.nparked.Add(1)
+	defer p.nparked.Add(-1)
 	if t, ok := finalSweep(); ok {
-		p.nparked.Add(-1)
-		p.mu.Unlock()
 		return t, true
 	}
+	p.mu.Lock()
 	for p.tokens == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.tokens > 0 {
 		p.tokens--
 	}
-	p.nparked.Add(-1)
 	p.mu.Unlock()
 	return task{}, false
 }
@@ -102,8 +107,9 @@ func (p *parkLot) park(finalSweep func() (task, bool)) (task, bool) {
 // wake unparks up to n thieves — one per newly published task. The fast
 // path — nobody parked — is a single atomic load, so Fork and Submit stay
 // cheap while the system is busy. Tokens are capped at the number of
-// sleepers without one: a Signal beyond that has nobody new to reach, and
-// the uncapped count would make later sleepers burn through stale tokens.
+// registered thieves without one: a Signal beyond that has nobody new to
+// reach, and the uncapped count would make later sleepers burn through
+// stale tokens.
 func (p *parkLot) wake(n int) {
 	if p.nparked.Load() == 0 {
 		return
@@ -118,19 +124,6 @@ func (p *parkLot) wake(n int) {
 			p.cond.Signal()
 		}
 	}
-	p.mu.Unlock()
-}
-
-// wakeAll unparks every parked thief — the broadcast retained for
-// multi-task publications (StealHalf loot bursts) where waking thieves
-// one Signal at a time would serialize the fan-out.
-func (p *parkLot) wakeAll() {
-	if p.nparked.Load() == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.tokens = int(p.nparked.Load())
-	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 

@@ -2,11 +2,31 @@ package core
 
 import (
 	"context"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// watchdog runs body on its own goroutine and fails the test, with a dump
+// of every goroutine, if body has not returned within limit — a hang then
+// costs seconds and names the lock, instead of a ten-minute binary timeout.
+func watchdog(t *testing.T, limit time.Duration, body func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body()
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
+		t.Fatalf("still running after %v (goroutine dump above)", limit)
+	}
+}
 
 // waitParked blocks until n thieves are parked or the deadline passes.
 func waitParked(t *testing.T, rt *Runtime, n int, deadline time.Duration) {
@@ -27,26 +47,23 @@ func waitParked(t *testing.T, rt *Runtime, n int, deadline time.Duration) {
 // released and the test would hang.
 func TestForkAfterAllThievesParked(t *testing.T) {
 	const workers = 4
-	for _, kind := range DequeKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: workers, Deque: kind, StackPages: 4096})
-			rt.Run(func(w *W) {
-				for round := 0; round < 25; round++ {
-					waitParked(t, rt, workers-1, 10*time.Second)
-					release := make(chan struct{})
-					var fr Frame
-					w.Init(&fr)
-					// Forked first, so it sits at the TOP of the deque:
-					// only a woken thief can take it while the owner is
-					// stuck inside the blocker below.
-					w.Fork(&fr, func(*W) { close(release) })
-					w.Fork(&fr, func(*W) { <-release })
-					w.Join(&fr)
-				}
-			})
+	t.Run("the", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: workers, StackPages: 4096})
+		rt.Run(func(w *W) {
+			for round := 0; round < 25; round++ {
+				waitParked(t, rt, workers-1, 10*time.Second)
+				release := make(chan struct{})
+				var fr Frame
+				w.Init(&fr)
+				// Forked first, so it sits at the TOP of the deque:
+				// only a woken thief can take it while the owner is
+				// stuck inside the blocker below.
+				w.Fork(&fr, func(*W) { close(release) })
+				w.Fork(&fr, func(*W) { <-release })
+				w.Join(&fr)
+			}
 		})
-	}
+	})
 }
 
 // TestParkWakeStressBursts alternates idle phases (letting thieves walk
@@ -132,39 +149,34 @@ func TestParkedThievesWakeForLateWork(t *testing.T) {
 // enough thieves to run the root AND the task it forks. The root blocks
 // inside the task it would run inline until a second thief runs the
 // other, so a dropped dispatch wake (or a fork wake swallowed by the
-// token cap) hangs the test. Both intake kinds run the same rounds — the
-// sharded push/wake(1) pair and the mutex baseline must be equally
-// lost-wakeup-free.
+// token cap) hangs the test.
 func TestSubmitAfterAllThievesParked(t *testing.T) {
 	const workers = 4
-	for _, intake := range IntakeKinds() {
-		intake := intake
-		t.Run(intake.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: workers, StackPages: 4096, Intake: intake})
-			rt.Start()
-			for round := 0; round < 25; round++ {
-				waitParked(t, rt, workers, 10*time.Second)
-				release := make(chan struct{})
-				j := rt.Submit(func(w *W) {
-					var fr Frame
-					w.Init(&fr)
-					// Forked first, so it sits at the TOP of the deque:
-					// only a woken thief can take it while the root's
-					// worker is stuck inside the blocker below.
-					w.Fork(&fr, func(*W) { close(release) })
-					w.Fork(&fr, func(*W) { <-release })
-					w.Join(&fr)
-				})
-				if err := j.Err(); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				j.Release()
+	t.Run("sharded", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: workers, StackPages: 4096})
+		rt.Start()
+		for round := 0; round < 25; round++ {
+			waitParked(t, rt, workers, 10*time.Second)
+			release := make(chan struct{})
+			j := rt.Submit(func(w *W) {
+				var fr Frame
+				w.Init(&fr)
+				// Forked first, so it sits at the TOP of the deque:
+				// only a woken thief can take it while the root's
+				// worker is stuck inside the blocker below.
+				w.Fork(&fr, func(*W) { close(release) })
+				w.Fork(&fr, func(*W) { <-release })
+				w.Join(&fr)
+			})
+			if err := j.Err(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
 			}
-			if err := rt.Close(context.Background()); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-		})
-	}
+			j.Release()
+		}
+		if err := rt.Close(context.Background()); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	})
 }
 
 // TestWakeTokenCapNoStaleTokens unit-tests the token accounting that
@@ -222,21 +234,87 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	awaits(second, "second sleeper after wake(1)")
 	waitSleepers(0)
 
-	// Phase 3: wakeAll releases every sleeper and, like the capped wake,
-	// leaves no residue behind.
+	// Phase 3: a burst sized to the sleepers (StealHalf loot) releases
+	// every one of them and, like the clamped burst, leaves no residue.
 	a, b := parkOne(), parkOne()
 	waitSleepers(2)
-	p.wakeAll()
-	awaits(a, "sleeper a after wakeAll")
-	awaits(b, "sleeper b after wakeAll")
+	p.wake(2)
+	awaits(a, "sleeper a after wake(2)")
+	awaits(b, "sleeper b after wake(2)")
 	waitSleepers(0)
 	late := parkOne()
 	waitSleepers(1)
 	select {
 	case <-late:
-		t.Fatal("late parker woke on a stale token from wakeAll")
+		t.Fatal("late parker woke on a stale token from wake(2)")
 	case <-time.After(50 * time.Millisecond):
 	}
 	p.close()
 	awaits(late, "late sleeper after close")
+}
+
+// TestFinalSweepMayPublishLoot is the StealHalf self-deadlock, made
+// deterministic: a parking thief whose final sweep finds a rich victim
+// takes a batch, and sharing the loot wakes the park lot — which the thief
+// is, at that moment, registered in. With the final sweep under the lot's
+// mutex that wake locked the mutex a second time and every Fork's wake(1)
+// queued up behind it.
+func TestFinalSweepMayPublishLoot(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 2, StealPolicy: StealHalf})
+	victim := rt.workers[1]
+	for i := 0; i < 8; i++ {
+		victim.deque.Push(task{fn: func(*W) {}})
+	}
+	st := rt.takeStack(0)
+	defer rt.pool.Put(0, st)
+	w := rt.newW(rt.workers[0], st, rt.shard(0))
+	watchdog(t, 10*time.Second, func() {
+		if _, ok := rt.park.park(func() (task, bool) { return rt.steal(w, nil) }); !ok {
+			t.Error("final sweep over a victim with 8 tasks came back empty")
+		}
+	})
+	if got := rt.loose.len(); got != 3 {
+		t.Errorf("loose queue holds %d tasks after a batch of 8/2, want 3", got)
+	}
+	if got := rt.park.parked(); got != 0 {
+		t.Errorf("parked() = %d after park returned with a task, want 0", got)
+	}
+}
+
+// TestStealHalfWideFanout is the same hang met the way the stealpolicy
+// experiment met it: rounds of staggered wide fan-outs on four StealHalf
+// workers, so that thieves run out of work and walk into the park lot
+// while other workers are just publishing sixteen tasks at once.
+func TestStealHalfWideFanout(t *testing.T) {
+	const rounds, mids, fan = 10000, 4, 16
+	spin := func(d time.Duration) {
+		for t0 := time.Now(); time.Since(t0) < d; {
+		}
+	}
+	var leaves atomic.Int64
+	watchdog(t, 60*time.Second, func() {
+		rt := NewRuntime(Config{Workers: 4, StealPolicy: StealHalf, StackPages: 4096})
+		rt.Run(func(w *W) {
+			for round := 0; round < rounds; round++ {
+				var fr Frame
+				w.Init(&fr)
+				for m := 0; m < mids; m++ {
+					delay := time.Duration((round*7+m*13)%40) * 2 * time.Microsecond
+					w.Fork(&fr, func(w *W) {
+						spin(delay)
+						var sub Frame
+						w.Init(&sub)
+						for i := 0; i < fan; i++ {
+							w.Fork(&sub, func(*W) { spin(time.Microsecond); leaves.Add(1) })
+						}
+						w.Join(&sub)
+					})
+				}
+				w.Join(&fr)
+			}
+		})
+	})
+	if got := leaves.Load(); got != rounds*mids*fan {
+		t.Errorf("leaves = %d, want %d", got, rounds*mids*fan)
+	}
 }

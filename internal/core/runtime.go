@@ -128,164 +128,12 @@ func Strategies() []Strategy {
 	}
 }
 
-// suspends reports whether the strategy parks blocked joiners (Fibril
-// family and Cilk Plus) rather than stealing inline (TBB, leapfrog).
-func (s Strategy) suspends() bool {
-	switch s {
-	case StrategyTBB, StrategyLeapfrog, StrategyGoroutine:
-		return false
-	}
-	return true
-}
-
-// DequeKind selects the work-stealing deque implementation behind each
-// worker slot.
-type DequeKind int
-
-const (
-	// DequeTHE is the Cilk-5 THE protocol deque (lock-free owner fast
-	// path, mutex-serialized thieves) — the deque the paper's runtime
-	// uses, and the default.
-	DequeTHE DequeKind = iota
-	// DequeChaseLev is the lock-free Chase–Lev deque: thieves synchronize
-	// with a single CAS instead of a mutex, so the steal path scales under
-	// thief contention, at the cost of one allocation per Fork (entries
-	// are boxed; see deque.ChaseLev).
-	DequeChaseLev
-	// DequeRelaxed is the Castañeda–Piña fence-free deque with
-	// multiplicity: the owner's Push/Pop path performs no atomic
-	// read-modify-write and no store-load fence, at the price of a task
-	// occasionally being *extracted* twice. The runtime's per-task
-	// execution claim (see claimTask) filters duplicates so execution
-	// stays exactly-once; discarded duplicates are counted in
-	// Stats.DuplicateExtractions and emitted as trace.KindDupSteal.
-	DequeRelaxed
-)
-
-// String returns the deque kind's display name as used in benchmarks.
-func (k DequeKind) String() string {
-	switch k {
-	case DequeTHE:
-		return "the"
-	case DequeChaseLev:
-		return "chaselev"
-	case DequeRelaxed:
-		return "relaxed"
-	default:
-		return fmt.Sprintf("DequeKind(%d)", int(k))
-	}
-}
-
-// DequeKinds lists every implemented deque kind, in presentation order.
-func DequeKinds() []DequeKind {
-	return []DequeKind{DequeTHE, DequeChaseLev, DequeRelaxed}
-}
-
-// PoolKind selects the stack-pool implementation behind take/put.
-type PoolKind int
-
-const (
-	// PoolSharded is the default: per-worker lock-free free caches with a
-	// global overflow list, so the stack Take/Put fast path costs one
-	// atomic swap/CAS instead of a mutex round trip.
-	PoolSharded PoolKind = iota
-	// PoolGlobal is the single-lock reference pool — the paper's Listing 3
-	// verbatim, kept for differential testing and for its strictly exact
-	// MaxStacksUsed counter.
-	PoolGlobal
-)
-
-// String returns the pool kind's display name as used in benchmarks.
-func (k PoolKind) String() string {
-	switch k {
-	case PoolSharded:
-		return "sharded"
-	case PoolGlobal:
-		return "global"
-	default:
-		return fmt.Sprintf("PoolKind(%d)", int(k))
-	}
-}
-
-// PoolKinds lists every implemented pool kind, in presentation order.
-func PoolKinds() []PoolKind { return []PoolKind{PoolSharded, PoolGlobal} }
-
-// IntakeKind selects the serving-intake implementation behind
-// Submit/dispatch — see intake.go and job.go.
-type IntakeKind int
-
-const (
-	// IntakeSharded is the default: lock-free CAS admission on the
-	// quota-free path, per-shard MPSC root lists drained round-robin by
-	// thieves, pooled Job objects with lazily allocated wait channels,
-	// and wake-one parking. Submit is ≤2 allocations (0 steady-state).
-	IntakeSharded IntakeKind = iota
-	// IntakeMutex is the single-mutex PR 8 reference intake — one
-	// admission mutex, one mutex FIFO, a fresh Job + done channel and an
-	// unconditional clock read per Submit, an eager Stats snapshot per
-	// completion, and broadcast wakeups — kept for differential testing
-	// and as the submitpath experiment's baseline lane.
-	IntakeMutex
-)
-
-// String returns the intake kind's display name as used in benchmarks.
-func (k IntakeKind) String() string {
-	switch k {
-	case IntakeSharded:
-		return "sharded"
-	case IntakeMutex:
-		return "mutex"
-	default:
-		return fmt.Sprintf("IntakeKind(%d)", int(k))
-	}
-}
-
-// IntakeKinds lists every implemented intake kind, in presentation order.
-func IntakeKinds() []IntakeKind { return []IntakeKind{IntakeSharded, IntakeMutex} }
-
-// taskDeque abstracts over the deque implementations so every strategy —
-// including the restricted-stealing ones, which need StealIf — runs
-// unchanged on either. Push, Pop and LazyHint are owner-only; Steal,
-// StealIf, StealBatch and Len may be called from any goroutine.
-type taskDeque interface {
-	Push(task)
-	Pop() (task, bool)
-	Steal() (task, bool)
-	StealIf(func(task) bool) (task, bool)
-	StealBatch([]task) int
-	Len() int
-	LazyHint() bool
-}
-
-// newTaskDeque builds one worker slot's deque. recycle enables the
-// Chase-Lev owner-side node free list, which is safe only for strategies
-// whose thieves never use StealIf (see deque.ChaseLev.EnableRecycling);
-// the other kinds ignore it.
-func newTaskDeque(k DequeKind, recycle bool) taskDeque {
-	switch k {
-	case DequeChaseLev:
-		d := &deque.ChaseLev[task]{}
-		if recycle {
-			d.EnableRecycling()
-		}
-		return d
-	case DequeRelaxed:
-		return &deque.Relaxed[task]{}
-	default:
-		return &deque.Deque[task]{}
-	}
-}
-
 // Config parameterizes a Runtime.
 type Config struct {
 	// Workers is the number of worker slots P. Defaults to GOMAXPROCS.
 	Workers int
 	// Strategy selects the scheduling policy. Default StrategyFibril.
 	Strategy Strategy
-	// Deque selects the work-stealing deque implementation. DequeTHE (the
-	// default) matches the paper's runtime; DequeChaseLev makes the steal
-	// path lock-free.
-	Deque DequeKind
 	// StealPolicy selects the thief victim-selection policy. StealRandom
 	// (the default) is the paper's uniformly random sweep; the locality
 	// policies (StealLastVictim, StealNearVictim, StealHalf) trade its
@@ -304,10 +152,6 @@ type Config struct {
 	// Seed seeds the per-worker steal RNGs. 0 means a fixed default, so
 	// runs are reproducible by default.
 	Seed uint64
-	// Pool selects the stack-pool implementation. PoolSharded (the
-	// default) gives Take/Put a lock-free fast path; PoolGlobal is the
-	// single-lock reference.
-	Pool PoolKind
 	// UnmapBatch > 1 turns on coalesced unmap for StrategyFibril: a
 	// suspend posts a reclaim ticket instead of madvising eagerly, and
 	// tickets are flushed UnmapBatch at a time — unless the frame resumes
@@ -327,11 +171,6 @@ type Config struct {
 	// MaxInflight or a tenant quota: AdmitQueue (default) parks it in an
 	// admission queue, AdmitShed rejects it with ErrShed.
 	Admission AdmissionPolicy
-	// Intake selects the serving-intake implementation. IntakeSharded
-	// (the default) gives Submit a lock-free, allocation-light fast path;
-	// IntakeMutex is the single-mutex reference kept for differential
-	// testing and benchmarking.
-	Intake IntakeKind
 	// TenantQuotaPages > 0 gives every tenant a budget of simulated stack
 	// pages, layered under MaxResidentPages: each inflight Job reserves
 	// StackPages (one worker stack's worth) against its tenant's budget at
@@ -345,12 +184,6 @@ type Config struct {
 	// trace.MetricsSink for live histograms, or any custom Sink. A nil
 	// sink costs one pointer test per event site.
 	Sink trace.Sink
-	// Tracer is the legacy buffered-recorder knob from the pre-Sink API,
-	// kept so existing callers work unchanged: when Sink is nil and Tracer
-	// is not, the recorder is attached as the sink.
-	//
-	// Deprecated: set Sink (a *trace.Recorder is a Sink).
-	Tracer *trace.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -381,15 +214,17 @@ func (c Config) withDefaults() Config {
 
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
-// package comment); the slot itself carries the deque, the steal RNG, the
-// slot's victim-locality hints and its Scratch arena.
+// package comment); the slot itself carries the deque (Push, Pop and
+// LazyHint are the occupant's; Steal, StealIf, StealBatch and Len any
+// worker's), the steal RNG, the slot's victim-locality hints and its
+// Scratch arena.
 //
 // Slots are allocated one by one, back to back, and the fields are laid
 // out by writer (DESIGN.md §15), three groups a pad apart: what nobody
 // writes after NewRuntime but the occupant reads on every Fork and every
 // thief reads on every probe; what only the occupant writes (the arena
 // list twice per fork/join region); and the hand-back list other workers
-// push to. The outer pads matter as much: the fields alone are 80 bytes,
+// push to. The outer pads matter as much: the fields alone are 72 bytes,
 // and one slot's arena stores must not land on the line holding its
 // neighbour's deque word.
 type worker struct {
@@ -397,7 +232,7 @@ type worker struct {
 
 	// Fixed at NewRuntime.
 	id    int
-	deque taskDeque
+	deque *deque.Deque[task]
 
 	_ cacheline.Pad
 
@@ -431,21 +266,6 @@ type task struct {
 	bytes int32  // simulated activation-frame size
 	depth int32  // invocation-tree depth of the child
 	heavy *tbbTask
-	// claim is the execution claim stamped by the relaxed deque at
-	// publication: the relaxed protocol may hand the same task out more
-	// than once, and the first claimTask winner executes it. It lives in
-	// the deque's per-publication node — never in a recycled Scratch
-	// block — so a recycled payload can never masquerade as a fresh
-	// claim. nil (THE, Chase-Lev, unpublished relaxed tasks) means the
-	// extraction is already unique.
-	claim *deque.Claim
-}
-
-// WithClaim satisfies deque.Stampable: the relaxed deque stamps its
-// per-publication claim into the copy of the task it publishes.
-func (t task) WithClaim(c *deque.Claim) task {
-	t.claim = c
-	return t
 }
 
 // tbbTask models TBB's heap-allocated task object with its reference count;
@@ -469,7 +289,7 @@ type Runtime struct {
 
 	cfg     Config
 	as      *vm.AddressSpace
-	pool    stack.Pooler
+	pool    *stack.ShardedPool
 	reclaim *reclaimer
 	workers []*worker
 	park    *parkLot
@@ -483,12 +303,10 @@ type Runtime struct {
 	metrics *trace.MetricsSink
 
 	// subq is the intake of admitted roots awaiting a worker (intake.go).
-	// fastIntake caches Intake == IntakeSharded for the submit/complete
-	// hot paths; stampJobs caches whether any sink consumes KindJobDone,
-	// gating the per-job clock reads.
-	subq       rootIntake
-	fastIntake bool
-	stampJobs  bool
+	// stampJobs caches whether any sink consumes KindJobDone, gating the
+	// per-job clock reads.
+	subq      *shardedIntake
+	stampJobs bool
 
 	// stats holds one counter shard per worker slot plus a spare shard for
 	// slotless workers; see counterShard for the de-contention rationale.
@@ -528,24 +346,15 @@ type Runtime struct {
 func NewRuntime(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	as := vm.NewAddressSpace()
-	var pool stack.Pooler
-	if cfg.Pool == PoolGlobal {
-		pool = stack.NewPool(as, cfg.StackPages, cfg.StackLimit)
-	} else {
-		pool = stack.NewShardedPool(as, cfg.StackPages, cfg.StackLimit, cfg.Workers)
-	}
-	sink := cfg.Sink
-	if sink == nil && cfg.Tracer != nil {
-		sink = cfg.Tracer
-	}
 	rt := &Runtime{
 		cfg:  cfg,
 		as:   as,
-		pool: pool,
+		pool: stack.NewShardedPool(as, cfg.StackPages, cfg.StackLimit, cfg.Workers),
 		park: newParkLot(),
-		trc:  trace.NewTracer(sink, cfg.Workers),
+		trc:  trace.NewTracer(cfg.Sink, cfg.Workers),
+		subq: newShardedIntake(cfg.Workers),
 	}
-	if ms, ok := sink.(*trace.MetricsSink); ok {
+	if ms, ok := cfg.Sink.(*trace.MetricsSink); ok {
 		rt.metrics = ms
 	}
 	rt.reclaim = newReclaimer(rt)
@@ -553,18 +362,12 @@ func NewRuntime(cfg Config) *Runtime {
 	rt.admit.policy = cfg.Admission
 	rt.admit.quota = cfg.TenantQuotaPages
 	rt.admit.reserve = int64(cfg.StackPages)
-	rt.fastIntake = cfg.Intake == IntakeSharded
 	rt.stampJobs = rt.trc.Wants(trace.KindJobDone)
-	if rt.fastIntake {
-		rt.subq = newShardedIntake(cfg.Workers)
-	} else {
-		rt.subq = &mutexIntake{}
-	}
 	rt.workers = make([]*worker, cfg.Workers)
 	for i := range rt.workers {
 		rt.workers[i] = &worker{
 			id:         i,
-			deque:      newTaskDeque(cfg.Deque, cfg.Strategy.suspends()),
+			deque:      &deque.Deque[task]{},
 			rng:        newRNG(cfg.Seed + uint64(i)*0x1234567),
 			lastVictim: -1,
 		}

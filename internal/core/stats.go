@@ -40,7 +40,6 @@ type counters struct {
 	ceilingHits      atomic.Int64
 	reclaimedPages   atomic.Int64
 	poolReclaims     atomic.Int64
-	dupExtractions   atomic.Int64
 	arenaAcquires    atomic.Int64
 	arenaReleases    atomic.Int64
 	remoteFrees      atomic.Int64
@@ -63,22 +62,16 @@ type Stats struct {
 	Strategy Strategy
 	Workers  int
 
-	Forks  int64 // fibril_fork executions
-	Calls  int64 // synchronous Call executions
-	Steals int64 // successful steals (Table 2 "steals")
-	// DuplicateExtractions counts tasks extracted a second (or later) time
-	// from a relaxed deque and discarded by the execution claim. Always
-	// zero for the linearizable deque kinds (THE, Chase-Lev) and at P=1;
-	// under DequeRelaxed it is the price of the fence-free owner path, and
-	// each one is also emitted as a trace.KindDupSteal event.
-	DuplicateExtractions int64
-	StealAttempts        int64 // steal probes of a visibly non-empty deque
-	RestrictedSteals     int64 // inline steals by TBB/leapfrog joins
-	Suspends             int64 // frame suspensions
-	Resumes              int64 // frame resumptions
-	Unmaps               int64 // unmap operations (Table 2 "unmaps")
-	UnmappedPages        int64 // physical pages returned by those unmaps
-	SpawnOverhead        int64 // modelled spawn-prologue events (Cilk Plus, TBB)
+	Forks            int64 // fibril_fork executions
+	Calls            int64 // synchronous Call executions
+	Steals           int64 // successful steals (Table 2 "steals")
+	StealAttempts    int64 // steal probes of a visibly non-empty deque
+	RestrictedSteals int64 // inline steals by TBB/leapfrog joins
+	Suspends         int64 // frame suspensions
+	Resumes          int64 // frame resumptions
+	Unmaps           int64 // unmap operations (Table 2 "unmaps")
+	UnmappedPages    int64 // physical pages returned by those unmaps
+	SpawnOverhead    int64 // modelled spawn-prologue events (Cilk Plus, TBB)
 
 	// Memory-pressure engine counters (coalesced unmap + RSS ceiling).
 	// Every suspend resolves exactly one way, so in coalesced mode
@@ -154,7 +147,6 @@ func (rt *Runtime) Stats() Stats {
 		s.CeilingHits += sh.ceilingHits.Load()
 		s.ReclaimedPages += sh.reclaimedPages.Load()
 		s.PoolReclaims += sh.poolReclaims.Load()
-		s.DuplicateExtractions += sh.dupExtractions.Load()
 		s.ArenaAcquires += sh.arenaAcquires.Load()
 		s.ArenaReleases += sh.arenaReleases.Load()
 		s.RemoteFrees += sh.remoteFrees.Load()

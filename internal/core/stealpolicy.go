@@ -87,7 +87,7 @@ const (
 // looseQueue is the runtime's overflow queue for batch-stolen tasks: a
 // StealHalf thief deposits all but one task of its loot here, and every
 // unrestricted steal drains it before probing deques. Tasks in it are
-// already claimed and already counted as steals; they must never be pushed
+// already extracted and already counted as steals; they must never be pushed
 // into a worker's own deque (a locally-popped foreign task could trigger a
 // slot handoff inside runInline, which is a protocol violation).
 type looseQueue struct {
@@ -131,12 +131,12 @@ func (q *looseQueue) len() int { return int(q.n.Load()) }
 // single-task. It returns false after a full unsuccessful sweep so callers
 // can decide to back off or re-check their join condition.
 func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
-	// Batch-stolen overflow first: these tasks are already claimed, so any
+	// Batch-stolen overflow first: these tasks are already extracted, so any
 	// further delay only serializes them. Restricted stealers must not
 	// take them — loot is unrestricted base-level work.
 	if restrict == nil && rt.loose.n.Load() > 0 {
 		if t, ok := rt.loose.take(); ok {
-			return t, true // claimed and counted at batch extraction
+			return t, true // counted at batch extraction
 		}
 	}
 	self := w.slot.id
@@ -167,20 +167,10 @@ func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
 		if pol == StealHalf && restrict == nil {
 			return rt.takeBatch(w, victim)
 		}
-		var t task
-		var ok bool
 		if restrict == nil {
-			t, ok = victim.deque.Steal()
-		} else {
-			t, ok = victim.deque.StealIf(restrict)
+			return victim.deque.Steal()
 		}
-		if ok && !w.claimTask(t) {
-			// A duplicate extraction from a relaxed deque: someone else
-			// already owns the execution. Treat it as a failed probe so
-			// Steals counts claim winners only.
-			return task{}, false
-		}
-		return t, ok
+		return victim.deque.StealIf(restrict)
 	}
 
 	// The affinity policies probe the last successful victim first, then
@@ -239,11 +229,11 @@ func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
 }
 
 // takeBatch is the StealHalf extraction: take up to half the victim's
-// visible queue (at most lootCap) in one StealBatch, claim each task, run
-// the first winner and deposit the rest in the overflow queue for other
-// idle workers. Every claim winner counts as one steal, so the trace and
-// counter identities (TaskStart == Steals - RestrictedSteals, Suspends <=
-// Steals) are unchanged by batching.
+// visible queue (at most lootCap) in one StealBatch, run the first task and
+// deposit the rest in the overflow queue for other idle workers. Every
+// extracted task counts as one steal, so the trace and counter identities
+// (TaskStart == Steals - RestrictedSteals, Suspends <= Steals) are
+// unchanged by batching.
 func (rt *Runtime) takeBatch(w *W, victim *worker) (task, bool) {
 	want := victim.deque.Len() / 2
 	if want < 1 {
@@ -254,28 +244,19 @@ func (rt *Runtime) takeBatch(w *W, victim *worker) (task, bool) {
 	}
 	var buf [lootCap]task
 	m := victim.deque.StealBatch(buf[:want])
-	kept := 0
-	for i := 0; i < m; i++ {
-		if w.claimTask(buf[i]) {
-			buf[kept] = buf[i]
-			kept++
-		}
-	}
-	if kept == 0 {
+	if m == 0 {
 		return task{}, false
 	}
 	// The caller's won() accounts for the first task; account for the
 	// extras here, then share them before running anything so parked
-	// workers can start on them immediately.
-	for i := 1; i < kept; i++ {
-		w.stats.steals.Add(1)
-		rt.trc.Emit(w.slot.id, trace.KindSteal, int64(victim.id), 0)
-	}
-	if kept > 1 {
-		// A loot burst publishes several tasks at once — the one case
-		// (besides close) that keeps the broadcast wake.
-		rt.loose.put(buf[1:kept])
-		rt.park.wakeAll()
+	// workers can start on them immediately — one wake per shared task.
+	if extras := buf[1:m]; len(extras) > 0 {
+		w.stats.steals.Add(int64(len(extras)))
+		for range extras {
+			rt.trc.Emit(w.slot.id, trace.KindSteal, int64(victim.id), 0)
+		}
+		rt.loose.put(extras)
+		rt.park.wake(len(extras))
 	}
 	return buf[0], true
 }

@@ -6,22 +6,20 @@ import (
 )
 
 // TestStealPoliciesParfib is the core-level correctness smoke for every
-// policy × deque pair: the victim-selection order and the StealHalf loot
-// protocol must not change the computed value, and the loot accounting
-// must keep the Steals/TaskStart identity the trace oracle relies on
-// (each loose task counts exactly one steal when claimed).
+// policy: the victim-selection order and the StealHalf loot protocol must
+// not change the computed value, and the loot accounting must keep the
+// Steals/TaskStart identity the trace oracle relies on (each loose task
+// counts exactly one steal, at extraction).
 func TestStealPoliciesParfib(t *testing.T) {
 	const n = 18
 	want := fibSerial(n)
 	for _, pol := range StealPolicies() {
-		for _, dk := range DequeKinds() {
-			got, stats := runParfib(t, Config{Workers: 4, Deque: dk, StealPolicy: pol}, n)
-			if got != want {
-				t.Errorf("%s/%s: parfib(%d) = %d, want %d", pol, dk, n, got, want)
-			}
-			if stats.Forks == 0 {
-				t.Errorf("%s/%s: no forks recorded", pol, dk)
-			}
+		got, stats := runParfib(t, Config{Workers: 4, StealPolicy: pol}, n)
+		if got != want {
+			t.Errorf("%s: parfib(%d) = %d, want %d", pol, n, got, want)
+		}
+		if stats.Forks == 0 {
+			t.Errorf("%s: no forks recorded", pol)
 		}
 	}
 }
@@ -60,46 +58,35 @@ func TestLastVictimDecay(t *testing.T) {
 // arena exclusion StrategyLeapfrog used to carry: Scratch blocks must
 // recycle under the leapfrog join discipline exactly as they do under
 // Fibril — acquires balance releases, and a warmed runtime's second run
-// stays below one allocation per fork on every deque kind (leapfrog never
-// suspends, so Chase-Lev owner recycling stays off and StealIf remains
-// safe; the arena must carry the zero-alloc load alone).
+// stays below one allocation per fork.
 func TestLeapfrogArenaRecycling(t *testing.T) {
 	const n = 22
 	want := fibSerial(n)
-	for _, dk := range DequeKinds() {
-		t.Run(dk.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: 4, Strategy: StrategyLeapfrog, Deque: dk})
-			var out int64
-			rt.Run(func(w *W) { out = gateFib(w, n) }) // warm
-			st0 := rt.Stats()
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			rt.Run(func(w *W) { out = gateFib(w, n) })
-			runtime.ReadMemStats(&m1)
-			st := rt.Stats()
-			if out != want {
-				t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
-			}
-			ops := st.Forks - st0.Forks
-			got := int64(m1.Mallocs - m0.Mallocs)
-			// Chase-Lev owner recycling is deliberately off under leapfrog
-			// (StealIf dereferences nodes before the CAS), so it pays one
-			// boxed node per push; the other kinds must stay sub-1/fork.
-			budget := ops
-			if dk == DequeChaseLev {
-				budget = 2 * ops
-			}
-			t.Logf("%s: %d allocs over %d forks", dk, got, ops)
-			if got >= budget {
-				t.Errorf("%d allocs >= budget %d over %d forks: leapfrog is not recycling Scratch blocks", got, budget, ops)
-			}
-			if st.ArenaAcquires == 0 {
-				t.Fatal("no arena acquires recorded")
-			}
-			if st.ArenaAcquires != st.ArenaReleases {
-				t.Errorf("ArenaAcquires=%d != ArenaReleases=%d", st.ArenaAcquires, st.ArenaReleases)
-			}
-		})
-	}
+	t.Run("the", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 4, Strategy: StrategyLeapfrog})
+		var out int64
+		rt.Run(func(w *W) { out = gateFib(w, n) }) // warm
+		st0 := rt.Stats()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rt.Run(func(w *W) { out = gateFib(w, n) })
+		runtime.ReadMemStats(&m1)
+		st := rt.Stats()
+		if out != want {
+			t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
+		}
+		ops := st.Forks - st0.Forks
+		got := int64(m1.Mallocs - m0.Mallocs)
+		t.Logf("%d allocs over %d forks", got, ops)
+		if got >= ops {
+			t.Errorf("%d allocs over %d forks: leapfrog is not recycling Scratch blocks", got, ops)
+		}
+		if st.ArenaAcquires == 0 {
+			t.Fatal("no arena acquires recorded")
+		}
+		if st.ArenaAcquires != st.ArenaReleases {
+			t.Errorf("ArenaAcquires=%d != ArenaReleases=%d", st.ArenaAcquires, st.ArenaReleases)
+		}
+	})
 }

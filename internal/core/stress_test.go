@@ -174,3 +174,40 @@ func TestStressDeepAndWide(t *testing.T) {
 		t.Errorf("suspends %d != resumes %d", s.Suspends, s.Resumes)
 	}
 }
+
+// TestQuiescentAfterRun is the busy-leaves quiescence oracle the serve
+// drain gate relies on, on the default configuration: after Run returns
+// from a 12-ary depth-3 tree on four workers, no deque or loose-queue
+// entry, no reclaim ticket and no inflight job may be left behind — round
+// after round, each on a fresh runtime.
+func TestQuiescentAfterRun(t *testing.T) {
+	rounds := 3000
+	if testing.Short() || raceEnabled {
+		rounds = 300
+	}
+	var leaves atomic.Int64
+	var tree func(w *W, depth int)
+	tree = func(w *W, depth int) {
+		if depth == 0 {
+			leaves.Add(1)
+			return
+		}
+		var fr Frame
+		w.Init(&fr)
+		for k := 0; k < 12; k++ {
+			w.Fork(&fr, func(w *W) { tree(w, depth-1) })
+		}
+		w.Join(&fr)
+	}
+	for round := 0; round < rounds; round++ {
+		rt := NewRuntime(Config{Workers: 4, StackPages: 4096})
+		rt.Run(func(w *W) { tree(w, 3) })
+		if q, p, j := rt.QueuedTasks(), rt.PendingReclaims(), rt.InflightJobs(); q != 0 || p != 0 || j != 0 {
+			t.Fatalf("round %d: QueuedTasks=%d PendingReclaims=%d InflightJobs=%d after Run, want 0/0/0 (steals=%d)",
+				round, q, p, j, rt.Stats().Steals)
+		}
+	}
+	if got, want := leaves.Load(), int64(rounds)*12*12*12; got != want {
+		t.Errorf("leaves = %d, want %d", got, want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -443,72 +444,68 @@ func TestJobLatencyHistogram(t *testing.T) {
 }
 
 // TestConcurrentSubmitIntakeDifferential runs the concurrent-submission
-// acceptance shape on BOTH intake pipelines: real fork-join roots with a
-// panicking minority, eight submitters, full conservation at Close. The
-// sharded lane and the PR 8 mutex baseline must be observationally
-// identical here — only throughput may differ.
+// acceptance shape with every handle Released afterwards: real fork-join
+// roots with a panicking minority, eight submitters, full conservation at
+// Close.
 func TestConcurrentSubmitIntakeDifferential(t *testing.T) {
-	for _, intake := range IntakeKinds() {
-		intake := intake
-		t.Run(intake.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: 4, Intake: intake})
-			rt.Start()
-			const submitters, perSubmitter = 8, 3
-			jobs := make([]*Job, submitters*perSubmitter)
-			var wg sync.WaitGroup
-			for s := 0; s < submitters; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					for k := 0; k < perSubmitter; k++ {
-						i := s*perSubmitter + k
-						if i%5 == 0 {
-							jobs[i] = rt.Submit(func(*W) { panic(fmt.Sprintf("boom-%d", i)) })
-						} else {
-							jobs[i] = rt.Submit(submitFib(10))
-						}
+	t.Run("sharded", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 4})
+		rt.Start()
+		const submitters, perSubmitter = 8, 3
+		jobs := make([]*Job, submitters*perSubmitter)
+		var wg sync.WaitGroup
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for k := 0; k < perSubmitter; k++ {
+					i := s*perSubmitter + k
+					if i%5 == 0 {
+						jobs[i] = rt.Submit(func(*W) { panic(fmt.Sprintf("boom-%d", i)) })
+					} else {
+						jobs[i] = rt.Submit(submitFib(10))
 					}
-				}(s)
-			}
-			wg.Wait()
-			seen := map[uint64]bool{}
-			for i, j := range jobs {
-				err := j.Err()
-				if i%5 == 0 {
-					var tp *TaskPanic
-					if !errors.As(err, &tp) || tp.Value != fmt.Sprintf("boom-%d", i) {
-						t.Fatalf("job %d: err=%v, want own panic", i, err)
-					}
-				} else if err != nil {
-					t.Fatalf("clean job %d: %v", i, err)
 				}
-				if seq := j.Seq(); seq == 0 || seen[seq] {
-					t.Errorf("job %d: seq %d not unique and 1-based", i, seq)
-				} else {
-					seen[seq] = true
+			}(s)
+		}
+		wg.Wait()
+		seen := map[uint64]bool{}
+		for i, j := range jobs {
+			err := j.Err()
+			if i%5 == 0 {
+				var tp *TaskPanic
+				if !errors.As(err, &tp) || tp.Value != fmt.Sprintf("boom-%d", i) {
+					t.Fatalf("job %d: err=%v, want own panic", i, err)
 				}
-				j.Release()
+			} else if err != nil {
+				t.Fatalf("clean job %d: %v", i, err)
 			}
-			if err := rt.Close(context.Background()); err != nil {
-				t.Fatalf("Close: %v", err)
+			if seq := j.Seq(); seq == 0 || seen[seq] {
+				t.Errorf("job %d: seq %d not unique and 1-based", i, seq)
+			} else {
+				seen[seq] = true
 			}
-			st := rt.Stats()
-			n := int64(submitters * perSubmitter)
-			if st.JobsSubmitted != n || st.JobsAdmitted != n || st.JobsCompleted != n {
-				t.Errorf("conservation: submitted=%d admitted=%d completed=%d, want %d each",
-					st.JobsSubmitted, st.JobsAdmitted, st.JobsCompleted, n)
-			}
-			if st.JobsShed != 0 || st.JobsDrained != 0 {
-				t.Errorf("shed=%d drained=%d, want 0/0", st.JobsShed, st.JobsDrained)
-			}
-		})
-	}
+			j.Release()
+		}
+		if err := rt.Close(context.Background()); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		st := rt.Stats()
+		n := int64(submitters * perSubmitter)
+		if st.JobsSubmitted != n || st.JobsAdmitted != n || st.JobsCompleted != n {
+			t.Errorf("conservation: submitted=%d admitted=%d completed=%d, want %d each",
+				st.JobsSubmitted, st.JobsAdmitted, st.JobsCompleted, n)
+		}
+		if st.JobsShed != 0 || st.JobsDrained != 0 {
+			t.Errorf("shed=%d drained=%d, want 0/0", st.JobsShed, st.JobsDrained)
+		}
+	})
 }
 
-// TestJobPoolRecycles pins the Release → Submit recycling loop: on the
-// sharded intake, sequentially submitting and releasing must start
-// handing back previously released handles (pointer reuse), and a reused
-// handle must behave like a fresh one — new ID, clean Err, fresh Seq.
+// TestJobPoolRecycles pins the Release → Submit recycling loop:
+// sequentially submitting and releasing must start handing back previously
+// released handles (pointer reuse), and a reused handle must behave like a
+// fresh one — new ID, clean Err, fresh Seq.
 func TestJobPoolRecycles(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 4})
 	rt.Start()
@@ -540,37 +537,33 @@ func TestJobPoolRecycles(t *testing.T) {
 	}
 }
 
-// TestLazyStatsOnWait pins satellite (a): on the fast intake the
-// completion path must NOT aggregate a Stats snapshot — it is computed on
-// the first Wait and cached — while the mutex baseline keeps PR 8's eager
-// capture. White-box: statsOK is only ever set by the completer (legacy)
-// or under statsMu (lazy), so reading it after Err is race-free.
+// TestLazyStatsOnWait pins that the completion path does NOT aggregate a
+// Stats snapshot — it is computed on the first Wait and cached. White-box:
+// statsOK is only ever set under statsMu, by a Wait, so reading it after
+// Err is race-free.
 func TestLazyStatsOnWait(t *testing.T) {
-	for _, intake := range IntakeKinds() {
-		intake := intake
-		t.Run(intake.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: 2, Intake: intake})
-			rt.Start()
-			defer rt.Close(context.Background())
-			j := rt.Submit(func(*W) {})
-			if err := j.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if eager := intake == IntakeMutex; j.statsOK != eager {
-				t.Fatalf("statsOK=%v after completion, want %v for %v intake", j.statsOK, eager, intake)
-			}
-			s1 := j.Wait()
-			if !j.statsOK {
-				t.Fatal("statsOK still false after Wait")
-			}
-			if s1.JobsCompleted < 1 {
-				t.Fatalf("Wait snapshot JobsCompleted=%d, want >=1", s1.JobsCompleted)
-			}
-			if s2 := j.Wait(); s2 != s1 {
-				t.Fatalf("second Wait returned a different snapshot: %+v vs %+v", s2, s1)
-			}
-		})
-	}
+	t.Run("sharded", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 2})
+		rt.Start()
+		defer rt.Close(context.Background())
+		j := rt.Submit(func(*W) {})
+		if err := j.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if j.statsOK {
+			t.Fatal("statsOK set at completion: the completer took a Stats snapshot")
+		}
+		s1 := j.Wait()
+		if !j.statsOK {
+			t.Fatal("statsOK still false after Wait")
+		}
+		if s1.JobsCompleted < 1 {
+			t.Fatalf("Wait snapshot JobsCompleted=%d, want >=1", s1.JobsCompleted)
+		}
+		if s2 := j.Wait(); s2 != s1 {
+			t.Fatalf("second Wait returned a different snapshot: %+v vs %+v", s2, s1)
+		}
+	})
 }
 
 // TestCloseRacesFastSubmit hammers the submitFast ↔ Close Dekker pair:
@@ -579,55 +572,52 @@ func TestLazyStatsOnWait(t *testing.T) {
 // law Submitted == Shed + Drained + Completed must hold exactly — a
 // submission slipping past the closing life state would break it.
 func TestCloseRacesFastSubmit(t *testing.T) {
-	for _, intake := range IntakeKinds() {
-		intake := intake
-		t.Run(intake.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: 4, Intake: intake})
-			rt.Start()
-			const submitters, per = 8, 100
-			jobs := make([]*Job, submitters*per)
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			for s := 0; s < submitters; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					<-start
-					for k := 0; k < per; k++ {
-						jobs[s*per+k] = rt.Submit(func(*W) {})
-					}
-				}(s)
-			}
-			close(start)
-			time.Sleep(200 * time.Microsecond)
-			if err := rt.Close(context.Background()); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			wg.Wait()
-			for i, j := range jobs {
-				switch err := j.Err(); err {
-				case nil, ErrClosed, ErrDrained:
-				default:
-					t.Fatalf("job %d: unexpected err %v", i, err)
+	t.Run("sharded", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 4})
+		rt.Start()
+		const submitters, per = 8, 100
+		jobs := make([]*Job, submitters*per)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < per; k++ {
+					jobs[s*per+k] = rt.Submit(func(*W) {})
 				}
+			}(s)
+		}
+		close(start)
+		time.Sleep(200 * time.Microsecond)
+		if err := rt.Close(context.Background()); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wg.Wait()
+		for i, j := range jobs {
+			switch err := j.Err(); err {
+			case nil, ErrClosed, ErrDrained:
+			default:
+				t.Fatalf("job %d: unexpected err %v", i, err)
 			}
-			st := rt.Stats()
-			total := int64(submitters * per)
-			if st.JobsSubmitted != total {
-				t.Fatalf("JobsSubmitted=%d, want %d", st.JobsSubmitted, total)
-			}
-			if st.JobsSubmitted != st.JobsShed+st.JobsDrained+st.JobsCompleted {
-				t.Fatalf("conservation broken: submitted=%d != shed=%d + drained=%d + completed=%d",
-					st.JobsSubmitted, st.JobsShed, st.JobsDrained, st.JobsCompleted)
-			}
-			if st.JobsAdmitted != st.JobsCompleted {
-				t.Fatalf("JobsAdmitted=%d != JobsCompleted=%d after Close", st.JobsAdmitted, st.JobsCompleted)
-			}
-			if inf := rt.InflightJobs(); inf != 0 {
-				t.Fatalf("InflightJobs=%d after Close", inf)
-			}
-		})
-	}
+		}
+		st := rt.Stats()
+		total := int64(submitters * per)
+		if st.JobsSubmitted != total {
+			t.Fatalf("JobsSubmitted=%d, want %d", st.JobsSubmitted, total)
+		}
+		if st.JobsSubmitted != st.JobsShed+st.JobsDrained+st.JobsCompleted {
+			t.Fatalf("conservation broken: submitted=%d != shed=%d + drained=%d + completed=%d",
+				st.JobsSubmitted, st.JobsShed, st.JobsDrained, st.JobsCompleted)
+		}
+		if st.JobsAdmitted != st.JobsCompleted {
+			t.Fatalf("JobsAdmitted=%d != JobsCompleted=%d after Close", st.JobsAdmitted, st.JobsCompleted)
+		}
+		if inf := rt.InflightJobs(); inf != 0 {
+			t.Fatalf("InflightJobs=%d after Close", inf)
+		}
+	})
 }
 
 // TestDoneLazyChannel pins the lazy wait-channel protocol: a completed
@@ -686,5 +676,46 @@ func TestReleaseIncompletePanics(t *testing.T) {
 	j.Release()
 	if err := rt.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestReleaseHandsHandleOn is the closed serving loop that recycles every
+// handle — Submit, <-Done(), Release — and the regression test for the
+// completer looking at a Job twice. Completion used to store the done
+// state and then load the wait-channel pointer; a waiter that saw the
+// state could Release, and the next Submit reuse the handle and publish
+// ITS wait channel, before that load — which then closed the wrong
+// generation's channel, and its own completer closed it again ("close of
+// closed channel" from a worker goroutine, which takes the process down).
+// The window is two instructions wide, so what opens it is the completer
+// losing its CPU inside it: eight clients and eight workers on sixteen Ps
+// give the kernel a reason on any host with fewer CPUs than that.
+func TestReleaseHandsHandleOn(t *testing.T) {
+	const clients, workers = 8, 8
+	perClient := 750_000
+	if testing.Short() || raceEnabled {
+		perClient = 20_000
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(clients + workers))
+	rt := NewRuntime(Config{Workers: workers})
+	rt.Start()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				j := rt.Submit(func(*W) {})
+				<-j.Done()
+				j.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := rt.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st, want := rt.Stats(), int64(clients*perClient); st.JobsSubmitted != want || st.JobsCompleted != want {
+		t.Errorf("JobsSubmitted=%d JobsCompleted=%d, want %d each", st.JobsSubmitted, st.JobsCompleted, want)
 	}
 }

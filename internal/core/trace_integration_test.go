@@ -10,7 +10,7 @@ import (
 
 func TestTracerRecordsSchedulerEvents(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	rt := NewRuntime(Config{Workers: 8, Strategy: StrategyFibril, Tracer: rec})
+	rt := NewRuntime(Config{Workers: 8, Strategy: StrategyFibril, Sink: rec})
 	var out int64
 	rt.Run(func(w *W) { parfib(w, 20, &out) })
 	stats := rt.Stats()

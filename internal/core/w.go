@@ -242,14 +242,8 @@ func (w *W) Join(f *Frame) {
 				w.joinInlineStealing(f, func(t task) bool { return t.depth > f.depth })
 			}
 		case StrategyLeapfrog:
-			// The walk bound is the candidate's own trusted depth: a live
-			// candidate's ancestry is at most t.depth links, and a stale
-			// one (whose frame may be arena-recycled mid-walk) is rejected
-			// by the deque CAS whatever the walk answers.
 			if !w.joinDrainLocal(f) {
-				w.joinInlineStealing(f, func(t task) bool {
-					return t.frame.isDescendantWithin(f, t.depth)
-				})
+				w.joinInlineStealing(f, func(t task) bool { return t.frame.isDescendantOf(f) })
 			}
 		case StrategyGoroutine:
 			w.joinBlocking(f)
@@ -270,9 +264,7 @@ func (w *W) joinSuspending(f *Frame) {
 			return
 		}
 		if t, ok := w.slot.deque.Pop(); ok {
-			if w.claimTask(t) {
-				w.runInline(t)
-			}
+			w.runInline(t)
 			continue
 		}
 		// All remaining children were stolen; park until the last thief
@@ -311,9 +303,7 @@ func (w *W) joinDrainLocal(f *Frame) bool {
 		if !ok {
 			return false
 		}
-		if w.claimTask(t) {
-			w.runInline(t)
-		}
+		w.runInline(t)
 	}
 }
 

@@ -23,9 +23,8 @@ var (
 
 func implementations() map[string]func() dequeAPI[int] {
 	return map[string]func() dequeAPI[int]{
-		"THE":      func() dequeAPI[int] { return &Deque[int]{} },
-		"Locked":   func() dequeAPI[int] { return &Locked[int]{} },
-		"ChaseLev": func() dequeAPI[int] { return &ChaseLev[int]{} },
+		"THE":    func() dequeAPI[int] { return &Deque[int]{} },
+		"Locked": func() dequeAPI[int] { return &Locked[int]{} },
 	}
 }
 

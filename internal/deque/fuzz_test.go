@@ -39,9 +39,8 @@ func (m *dequeModel) StealIf(pred func(int) bool) (int, bool) {
 }
 
 // FuzzDequeOps decodes fuzz bytes into a Push/Pop/Steal/StealIf sequence
-// and checks both deque implementations against the slice model — every
-// result value and ok flag must match exactly, and so must the drained
-// remainder. Run with
+// and checks the deque against the slice model — every result value and ok
+// flag must match exactly, and so must the drained remainder. Run with
 //
 //	go test -fuzz=FuzzDequeOps -fuzztime=30s ./internal/deque/
 func FuzzDequeOps(f *testing.F) {
@@ -56,64 +55,60 @@ func FuzzDequeOps(f *testing.F) {
 			func(v int) bool { return v%2 == 0 },
 			func(v int) bool { return v%5 != 0 },
 		}
-		impls := []struct {
-			name string
-			d    stealIfAPI[int]
-		}{
-			{"THE", &Deque[int]{}},
-			{"ChaseLev", &ChaseLev[int]{}},
+		d := &Deque[int]{}
+		model := &dequeModel{}
+		next := 0
+		for i, op := range ops {
+			switch op % 4 {
+			case 0:
+				d.Push(next)
+				model.Push(next)
+				next++
+			case 1:
+				gv, gok := d.Pop()
+				wv, wok := model.Pop()
+				if gok != wok || (gok && gv != wv) {
+					t.Fatalf("op %d: Pop = (%d,%v), model (%d,%v)", i, gv, gok, wv, wok)
+				}
+			case 2:
+				gv, gok := d.Steal()
+				wv, wok := model.Steal()
+				if gok != wok || (gok && gv != wv) {
+					t.Fatalf("op %d: Steal = (%d,%v), model (%d,%v)", i, gv, gok, wv, wok)
+				}
+			case 3:
+				pred := preds[int(op/4)%len(preds)]
+				gv, gok := d.StealIf(pred)
+				wv, wok := model.StealIf(pred)
+				if gok != wok || (gok && gv != wv) {
+					t.Fatalf("op %d: StealIf = (%d,%v), model (%d,%v)", i, gv, gok, wv, wok)
+				}
+			}
 		}
-		for _, impl := range impls {
-			model := &dequeModel{}
-			next := 0
-			for i, op := range ops {
-				switch op % 4 {
-				case 0:
-					impl.d.Push(next)
-					model.Push(next)
-					next++
-				case 1:
-					gv, gok := impl.d.Pop()
-					wv, wok := model.Pop()
-					if gok != wok || (gok && gv != wv) {
-						t.Fatalf("%s op %d: Pop = (%d,%v), model (%d,%v)", impl.name, i, gv, gok, wv, wok)
-					}
-				case 2:
-					gv, gok := impl.d.Steal()
-					wv, wok := model.Steal()
-					if gok != wok || (gok && gv != wv) {
-						t.Fatalf("%s op %d: Steal = (%d,%v), model (%d,%v)", impl.name, i, gv, gok, wv, wok)
-					}
-				case 3:
-					pred := preds[int(op/4)%len(preds)]
-					gv, gok := impl.d.StealIf(pred)
-					wv, wok := model.StealIf(pred)
-					if gok != wok || (gok && gv != wv) {
-						t.Fatalf("%s op %d: StealIf = (%d,%v), model (%d,%v)", impl.name, i, gv, gok, wv, wok)
-					}
-				}
+		if d.Len() != len(model.s) {
+			t.Fatalf("Len=%d, model has %d", d.Len(), len(model.s))
+		}
+		// Drain from the top: must replay the model front-to-back.
+		for j := 0; len(model.s) > 0; j++ {
+			gv, gok := d.Steal()
+			wv, _ := model.Steal()
+			if !gok || gv != wv {
+				t.Fatalf("drain %d: Steal = (%d,%v), want (%d,true)", j, gv, gok, wv)
 			}
-			if impl.d.Len() != len(model.s) {
-				t.Fatalf("%s: Len=%d, model has %d", impl.name, impl.d.Len(), len(model.s))
-			}
-			// Drain from the top: must replay the model front-to-back.
-			for j := 0; len(model.s) > 0; j++ {
-				gv, gok := impl.d.Steal()
-				wv, _ := model.Steal()
-				if !gok || gv != wv {
-					t.Fatalf("%s drain %d: Steal = (%d,%v), want (%d,true)", impl.name, j, gv, gok, wv)
-				}
-			}
-			if _, ok := impl.d.Steal(); ok {
-				t.Fatalf("%s: deque non-empty after drain", impl.name)
-			}
+		}
+		if _, ok := d.Steal(); ok {
+			t.Fatal("deque non-empty after drain")
 		}
 	})
 }
 
-// FuzzDequeConcurrent replays the fuzz-chosen owner schedule against two
+// FuzzDequeConcurrent replays the fuzz-chosen owner schedule against
 // concurrent thieves and checks conservation: every pushed value is
 // consumed exactly once, across owner pops, steals, and the final drain.
+// Two lanes: two single-steal thieves, and the extraction mix the StealHalf
+// policy produces — a StealBatch thief racing a single-steal thief, which
+// puts the ring's one-slot-slack claim-then-read under test across batch
+// boundaries.
 func FuzzDequeConcurrent(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -121,184 +116,31 @@ func FuzzDequeConcurrent(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
-		for _, impl := range []struct {
-			name string
-			d    stealIfAPI[int]
-		}{
-			{"THE", &Deque[int]{}},
-			{"ChaseLev", &ChaseLev[int]{}},
-		} {
-			pushed := 0
-			for _, op := range ops {
-				if op%2 == 0 {
-					pushed++
-				}
-			}
-			seen := make([]int32, pushed)
-			record := func(v int) { // called from owner and thieves: atomic
-				if v < 0 || v >= pushed {
-					t.Errorf("%s: consumed out-of-range value %d", impl.name, v)
-					return
-				}
-				atomic.AddInt32(&seen[v], 1)
-			}
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for th := 0; th < 2; th++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if v, ok := impl.d.Steal(); ok {
-							record(v)
-							continue
-						}
-						select {
-						case <-stop:
-							return
-						default:
-						}
-					}
-				}()
-			}
-			next := 0
-			for _, op := range ops {
-				if op%2 == 0 {
-					impl.d.Push(next)
-					next++
-				} else if v, ok := impl.d.Pop(); ok {
-					record(v)
-				}
-			}
-			for {
-				v, ok := impl.d.Pop()
-				if !ok {
-					break
-				}
+		single := func(d *Deque[int], record func(int)) bool {
+			v, ok := d.Steal()
+			if ok {
 				record(v)
 			}
-			close(stop)
-			wg.Wait()
-			for v, n := range seen {
-				if n != 1 {
-					t.Fatalf("%s: value %d consumed %d times, want 1", impl.name, v, n)
-				}
-			}
+			return ok
 		}
-
-		// Relaxed lane: the fence-free deque promises at-least-once
-		// extraction, so it is checked against a multiset model instead —
-		// after filtering through the claim, consumption is exactly-once
-		// (no loss), and the duplicate-extraction overhead stays bounded
-		// by the owner-side traffic rather than growing without limit.
-		relaxedConcurrentLane(t, ops)
-
-		// Batch lanes: the extraction mix the StealHalf policy produces —
-		// a StealBatch thief racing single-steal/StealIf thieves.
-		batchConcurrentLane(t, ops)
+		batch := func(d *Deque[int], record func(int)) bool {
+			var buf [4]int
+			n := d.StealBatch(buf[:])
+			for i := 0; i < n; i++ {
+				record(buf[i])
+			}
+			return n > 0
+		}
+		concurrentLane(t, "single", ops, single, single)
+		concurrentLane(t, "batch", ops, batch, single)
 	})
 }
 
-// batchConcurrentLane replays the owner schedule with a StealBatch thief
-// racing a single-steal thief. The linearizable kinds must stay
-// exactly-once across batch boundaries (the THE ring's one-slot-slack
-// claim-then-read and the Chase-Lev per-entry CAS loop are both under
-// test); the relaxed deque gets its own lane below.
-func batchConcurrentLane(t *testing.T, ops []byte) {
-	for _, impl := range []struct {
-		name string
-		d    interface {
-			Push(int)
-			Pop() (int, bool)
-			Steal() (int, bool)
-			StealBatch([]int) int
-		}
-	}{
-		{"THE", &Deque[int]{}},
-		{"ChaseLev", &ChaseLev[int]{}},
-	} {
-		pushed := 0
-		for _, op := range ops {
-			if op%2 == 0 {
-				pushed++
-			}
-		}
-		seen := make([]int32, pushed)
-		record := func(v int) {
-			if v < 0 || v >= pushed {
-				t.Errorf("%s: batch lane consumed out-of-range value %d", impl.name, v)
-				return
-			}
-			atomic.AddInt32(&seen[v], 1)
-		}
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		wg.Add(2)
-		go func() { // batch thief
-			defer wg.Done()
-			var buf [4]int
-			for {
-				if n := impl.d.StealBatch(buf[:]); n > 0 {
-					for i := 0; i < n; i++ {
-						record(buf[i])
-					}
-					continue
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
-		go func() { // single-steal thief
-			defer wg.Done()
-			for {
-				if v, ok := impl.d.Steal(); ok {
-					record(v)
-					continue
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
-		next := 0
-		for _, op := range ops {
-			if op%2 == 0 {
-				impl.d.Push(next)
-				next++
-			} else if v, ok := impl.d.Pop(); ok {
-				record(v)
-			}
-		}
-		for {
-			v, ok := impl.d.Pop()
-			if !ok {
-				break
-			}
-			record(v)
-		}
-		close(stop)
-		wg.Wait()
-		for v, n := range seen {
-			if n != 1 {
-				t.Fatalf("%s: batch lane value %d consumed %d times, want 1", impl.name, v, n)
-			}
-		}
-	}
-	relaxedBatchLane(t, ops)
-}
-
-// relaxedBatchLane races a StealBatch thief against a StealIf thief over
-// the relaxed deque's published window: the batch claims a window prefix
-// with one anchor CAS while StealIf inspects nodes pre-CAS (safe — relaxed
-// nodes are immutable and never recycled), and the claim layer must still
-// filter consumption down to exactly-once with bounded duplicates.
-func relaxedBatchLane(t *testing.T, ops []byte) {
-	d := &Relaxed[relItem]{}
+// concurrentLane runs the owner schedule in ops (even byte: Push, odd:
+// Pop) against one goroutine per thief function; a thief reports whether
+// it extracted anything.
+func concurrentLane(t *testing.T, lane string, ops []byte, thieves ...func(*Deque[int], func(int)) bool) {
+	d := &Deque[int]{}
 	pushed := 0
 	for _, op := range ops {
 		if op%2 == 0 {
@@ -306,127 +148,21 @@ func relaxedBatchLane(t *testing.T, ops []byte) {
 		}
 	}
 	seen := make([]int32, pushed)
-	var dups int32
-	record := func(it relItem) {
-		if !it.take() {
-			atomic.AddInt32(&dups, 1)
+	record := func(v int) { // called from owner and thieves: atomic
+		if v < 0 || v >= pushed {
+			t.Errorf("%s lane: consumed out-of-range value %d", lane, v)
 			return
 		}
-		if it.v < 0 || it.v >= pushed {
-			t.Errorf("Relaxed: batch lane claimed out-of-range value %d", it.v)
-			return
-		}
-		atomic.AddInt32(&seen[it.v], 1)
+		atomic.AddInt32(&seen[v], 1)
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(2)
-	go func() { // StealHalf-style batch thief
-		defer wg.Done()
-		var buf [4]relItem
-		for {
-			if n := d.StealBatch(buf[:]); n > 0 {
-				for i := 0; i < n; i++ {
-					record(buf[i])
-				}
-				continue
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	go func() { // StealIf thief with a value predicate, plain Steal fallback
-		defer wg.Done()
-		for {
-			if v, ok := d.StealIf(func(it relItem) bool { return it.v%2 == 0 }); ok {
-				record(v)
-				continue
-			}
-			if v, ok := d.Steal(); ok {
-				record(v)
-				continue
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	next := 0
-	for _, op := range ops {
-		if op%2 == 0 {
-			d.Push(relItem{v: next})
-			next++
-		} else if v, ok := d.Pop(); ok {
-			record(v)
-		}
-	}
-	for {
-		v, ok := d.Pop()
-		if !ok {
-			break
-		}
-		record(v)
-	}
-	close(stop)
-	wg.Wait()
-	for {
-		v, ok := d.Steal()
-		if !ok {
-			break
-		}
-		record(v)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("Relaxed: batch lane value %d claimed %d times, want 1", v, n)
-		}
-	}
-	if bound := int32(relPublishGoal * (pushed + 1)); dups > bound {
-		t.Fatalf("Relaxed: batch lane %d duplicate extractions over %d pushes, bound %d", dups, pushed, bound)
-	}
-}
-
-// relaxedConcurrentLane replays the fuzz-chosen owner schedule on the
-// Relaxed deque with two racing thieves, enforcing claim-filtered
-// exactly-once consumption and a multiplicity bound: each owner-side
-// published reclaim can resurrect at most a window's worth of already
-// claimed entries, so duplicates are bounded by a window factor of the
-// push count.
-func relaxedConcurrentLane(t *testing.T, ops []byte) {
-	d := &Relaxed[relItem]{}
-	pushed := 0
-	for _, op := range ops {
-		if op%2 == 0 {
-			pushed++
-		}
-	}
-	seen := make([]int32, pushed)
-	var dups int32
-	record := func(it relItem) {
-		if !it.take() {
-			atomic.AddInt32(&dups, 1)
-			return
-		}
-		if it.v < 0 || it.v >= pushed {
-			t.Errorf("Relaxed: claimed out-of-range value %d", it.v)
-			return
-		}
-		atomic.AddInt32(&seen[it.v], 1)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for th := 0; th < 2; th++ {
+	for _, thief := range thieves {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if v, ok := d.Steal(); ok {
-					record(v)
+				if thief(d, record) {
 					continue
 				}
 				select {
@@ -440,7 +176,7 @@ func relaxedConcurrentLane(t *testing.T, ops []byte) {
 	next := 0
 	for _, op := range ops {
 		if op%2 == 0 {
-			d.Push(relItem{v: next})
+			d.Push(next)
 			next++
 		} else if v, ok := d.Pop(); ok {
 			record(v)
@@ -455,19 +191,9 @@ func relaxedConcurrentLane(t *testing.T, ops []byte) {
 	}
 	close(stop)
 	wg.Wait()
-	for {
-		v, ok := d.Steal()
-		if !ok {
-			break
-		}
-		record(v)
-	}
 	for v, n := range seen {
 		if n != 1 {
-			t.Fatalf("Relaxed: value %d claimed %d times, want 1", v, n)
+			t.Fatalf("%s lane: value %d consumed %d times, want 1", lane, v, n)
 		}
-	}
-	if bound := int32(relPublishGoal * (pushed + 1)); dups > bound {
-		t.Fatalf("Relaxed: %d duplicate extractions over %d pushes, bound %d", dups, pushed, bound)
 	}
 }

@@ -3,6 +3,7 @@ package exper
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"fibril/internal/bench"
 	"fibril/internal/core"
@@ -54,7 +55,7 @@ func ForkPath(o Options) ([]ForkPathRow, *table.Table) {
 			fmt.Sprintf("%.2f", r.AllocsPerOp), r.Forks, vs)
 	}
 	for _, name := range forkPathBenches {
-		if len(o.Benches) > 0 && !benchListed(o.Benches, name) {
+		if len(o.Benches) > 0 && !slices.Contains(o.Benches, name) {
 			continue
 		}
 		s := bench.Get(name)
@@ -70,7 +71,7 @@ func ForkPath(o Options) ([]ForkPathRow, *table.Table) {
 		add(closure)
 		add(forkarg)
 	}
-	if len(o.Benches) == 0 || benchListed(o.Benches, "for-loop") {
+	if len(o.Benches) == 0 || slices.Contains(o.Benches, "for-loop") {
 		eager := o.measureLoop("eager", eagerLoop)
 		lazy := o.measureLoop("lazy", lazyLoop)
 		if eager.NsPerOp > 0 && lazy.NsPerOp > 0 {

@@ -6,6 +6,7 @@ import (
 	"fibril/internal/invoke"
 	"fibril/internal/table"
 	"fibril/internal/vm"
+	"slices"
 )
 
 // MemoryRow is one measurement of the memory-pressure-engine experiment,
@@ -80,7 +81,7 @@ func Memory(o Options) ([]MemoryRow, *table.Table) {
 	}
 	var rows []MemoryRow
 	for _, name := range memoryBenches {
-		if len(o.Benches) > 0 && !benchListed(o.Benches, name) {
+		if len(o.Benches) > 0 && !slices.Contains(o.Benches, name) {
 			continue
 		}
 		s := bench.Get(name)

@@ -3,6 +3,7 @@ package exper
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"fibril/internal/bench"
 	"fibril/internal/core"
@@ -11,9 +12,9 @@ import (
 )
 
 // StealPolicyRow is one measurement of the steal-policy experiment, shaped
-// for machine consumption (-json). Real rows (Kind "real", P=4 on the
-// relaxed deque) carry the per-fork wall cost and the arena's remote-free
-// counters — the policies must not regress the zero-allocation fork path.
+// for machine consumption (-json). Real rows (Kind "real", P=4) carry the
+// per-fork wall cost and the arena's remote-free counters — the policies
+// must not regress the zero-allocation fork path.
 // Sim rows (Kind "sim", P=72 under the cache-complexity cost model) carry
 // the makespan and the warm/cold steal split that the locality policies
 // exist to improve: an affinity policy earns its keep by re-hitting warm
@@ -41,9 +42,9 @@ type StealPolicyRow struct {
 var stealPolicyBenches = []string{"fib", "nqueens"}
 
 // StealPolicy measures every steal policy on both vehicles: the real
-// runtime at P=4 on the relaxed deque (per-fork cost plus arena traffic),
-// and the deterministic simulator at P=72 under the cache-complexity cost
-// model (StealCold/StealWarm/NearHop), where the policy differences are
+// runtime at P=4 (per-fork cost plus arena traffic), and the deterministic
+// simulator at P=72 under the cache-complexity cost model
+// (StealCold/StealWarm/NearHop), where the policy differences are
 // demonstrable regardless of the host's core count. Policies are modelled
 // in the help-first engine, so the sim legs always run help-first.
 func StealPolicy(o Options) ([]StealPolicyRow, *table.Table) {
@@ -54,21 +55,20 @@ func StealPolicy(o Options) ([]StealPolicyRow, *table.Table) {
 	}
 	const simP = 72
 	t := &table.Table{
-		Title: "Steal policies: real fork path (P=4, relaxed deque) and simulated cache behaviour (P=72)",
+		Title: "Steal policies: real fork path (P=4) and simulated cache behaviour (P=72)",
 		Header: []string{"kind", "benchmark", "policy", "P", "ns/fork", "makespan",
 			"vs-random", "steals", "warm", "cold", "remoteFrees", "drops"},
 	}
 	var rows []StealPolicyRow
 	for _, name := range stealPolicyBenches {
-		if len(o.Benches) > 0 && !benchListed(o.Benches, name) {
+		if len(o.Benches) > 0 && !slices.Contains(o.Benches, name) {
 			continue
 		}
 		s := bench.Get(name)
 		a := s.Default
 		for _, pol := range core.StealPolicies() {
 			rt := o.newRuntime(core.Config{
-				Workers: workers, Deque: core.DequeRelaxed, StealPolicy: pol,
-				StackPages: 4096,
+				Workers: workers, StealPolicy: pol, StackPages: 4096,
 			})
 			rt.Run(func(w *core.W) { s.Parallel(w, a) }) // warm
 			st0 := rt.Stats()

@@ -8,12 +8,13 @@ import (
 	"fibril/internal/vm"
 )
 
-// Pooler is the stack-pool contract the runtime schedules against
-// (Listing 3's take_stack_from_pool / put_stack_into_pool). Two
-// implementations exist: the single-lock Pool below (the paper's baseline,
-// kept both as the reference for differential testing and for the strict
-// counter equalities only a serialized pool can promise) and the
-// ShardedPool (per-worker lock-free caches, the default).
+// Pooler is the stack-pool contract (Listing 3's take_stack_from_pool /
+// put_stack_into_pool). Two implementations exist: the ShardedPool
+// (per-worker lock-free caches), which is the one the runtime schedules
+// against, and the single-lock Pool below — the paper's Listing 3 verbatim,
+// the reference this package's differential tests hold the sharded pool to,
+// and the one that can promise the strict counter equalities only a
+// serialized pool can. The interface is what lets one test body drive both.
 //
 // The shard argument of Take/TryTake/Put is the caller's worker-slot id —
 // a locality hint, not a partition: any shard value (including -1 for

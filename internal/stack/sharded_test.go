@@ -342,11 +342,30 @@ func TestPoolCloseUnblocksTakers(t *testing.T) {
 // TestShardedConcurrentStress hammers the lock-free fast path from many
 // goroutines and checks the quiescence invariants the conformance oracles
 // rely on: InUse drains to zero, MaxInUse never exceeds Created, and every
-// stack ever created is findable in the free set.
+// stack ever created is findable in the free set. The single-lock reference
+// runs the same rounds and is held to the stricter law only a serialized
+// pool can promise: a stack is created only when none is free, so the
+// creations ARE the peak checkout. (The sharded pool can miss a stack a
+// concurrent Put is still publishing and create a fresh one.)
 func TestShardedConcurrentStress(t *testing.T) {
 	const workers = 8
+	t.Run("sharded", func(t *testing.T) {
+		p := NewShardedPool(vm.NewAddressSpace(), 2, 0, workers)
+		concurrentStress(t, p, workers)
+		p.Drain()
+	})
+	t.Run("global", func(t *testing.T) {
+		p := NewPool(vm.NewAddressSpace(), 2, 0)
+		concurrentStress(t, p, workers)
+		if p.MaxInUse() != p.Created() {
+			t.Errorf("serialized pool: MaxInUse %d != Created %d", p.MaxInUse(), p.Created())
+		}
+		p.Drain()
+	})
+}
+
+func concurrentStress(t *testing.T, p Pooler, workers int) {
 	const rounds = 300
-	p := NewShardedPool(vm.NewAddressSpace(), 2, 0, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -398,7 +417,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 			t.Errorf("stack %d: %d resident pages after ReclaimFree", s.ID(), r)
 		}
 	})
-	p.Drain()
 }
 
 // TestShardedBoundedBlocksThenUnblocks mirrors the single-lock pool's

@@ -53,11 +53,6 @@ const (
 	KindJoinWait
 	// KindUnmapBatch: a coalesced-unmap batch flushed (arg: unmaps issued).
 	KindUnmapBatch
-	// KindDupSteal: a task extracted more than once from a relaxed deque
-	// lost its execution claim (arg: task depth). Only the fence-free
-	// DequeRelaxed emits these; the claim layer turns the duplicate into a
-	// no-op, so the event is observability, not an error.
-	KindDupSteal
 	// KindJobStart: a worker began executing a submitted root Job
 	// (arg: job id). Submitted roots deliberately do not emit
 	// KindTaskStart/KindTaskEnd — those remain reserved for stolen tasks,
@@ -70,7 +65,7 @@ const (
 	KindJobDone
 
 	// numKinds bounds the Kind space for mask and counter arrays.
-	numKinds = 13
+	numKinds = 12
 )
 
 // NumKinds returns the number of defined event kinds.
@@ -99,8 +94,6 @@ func (k Kind) String() string {
 		return "joinwait"
 	case KindUnmapBatch:
 		return "unmapbatch"
-	case KindDupSteal:
-		return "dupsteal"
 	case KindJobStart:
 		return "jobstart"
 	case KindJobDone:
@@ -257,14 +250,13 @@ func (r *Recorder) Timeline(w io.Writer, bucket time.Duration) error {
 		KindFork: 'f', KindSteal: 'S', KindSuspend: 'z',
 		KindResume: 'R', KindUnmap: 'u', KindTaskStart: '>', KindTaskEnd: '<',
 		KindReclaim: 'r', KindJoinWait: 'j', KindUnmapBatch: 'b',
-		KindDupSteal: 'D', KindJobStart: 'J', KindJobDone: 'E',
+		KindJobStart: 'J', KindJobDone: 'E',
 	}
 	// Rank kinds so rarer, more interesting events win a contested cell.
 	rank := map[Kind]int{
 		KindFork: 0, KindTaskEnd: 1, KindTaskStart: 2, KindJoinWait: 3,
 		KindUnmap: 4, KindUnmapBatch: 5, KindSteal: 6, KindResume: 7,
-		KindSuspend: 8, KindReclaim: 9, KindDupSteal: 10, KindJobStart: 11,
-		KindJobDone: 12,
+		KindSuspend: 8, KindReclaim: 9, KindJobStart: 10, KindJobDone: 11,
 	}
 	lanes := make([][]byte, maxWorker+1)
 	laneRank := make([][]int, maxWorker+1)
@@ -289,7 +281,7 @@ func (r *Recorder) Timeline(w io.Writer, bucket time.Duration) error {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "timeline: %v total, %v/column; f=fork S=steal z=suspend R=resume u=unmap r=reclaim j=joinwait b=batch D=dupsteal J=jobstart E=jobdone >=start <=end\n",
+	fmt.Fprintf(&b, "timeline: %v total, %v/column; f=fork S=steal z=suspend R=resume u=unmap r=reclaim j=joinwait b=batch J=jobstart E=jobdone >=start <=end\n",
 		span.Round(time.Microsecond), bucket)
 	for i, lane := range lanes {
 		fmt.Fprintf(&b, "w%-3d %s\n", i, lane)

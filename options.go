@@ -41,22 +41,10 @@ func WithStrategy(s Strategy) Option {
 	return func(c *Config) { c.Strategy = s }
 }
 
-// WithDeque selects the work-stealing deque implementation. Default:
-// DequeTHE, the Cilk-5 protocol the paper's runtime uses.
-func WithDeque(k DequeKind) Option {
-	return func(c *Config) { c.Deque = k }
-}
-
 // WithStealPolicy selects the thief victim-selection discipline. Default:
 // StealRandom, the paper's uniformly random sweep.
 func WithStealPolicy(p StealPolicy) Option {
 	return func(c *Config) { c.StealPolicy = p }
-}
-
-// WithPool selects the stack-pool implementation. Default: PoolSharded,
-// the lock-free fast path.
-func WithPool(k PoolKind) Option {
-	return func(c *Config) { c.Pool = k }
 }
 
 // WithStackPages sets the simulated stack size in 4 KB pages. Default:
@@ -116,13 +104,6 @@ func WithMaxInflight(n int) Option {
 // rejects it immediately with ErrShed. Default: AdmitQueue.
 func WithAdmission(p AdmissionPolicy) Option {
 	return func(c *Config) { c.Admission = p }
-}
-
-// WithIntake selects the serving-intake pipeline: IntakeSharded is the
-// lock-minimized CAS-admission path with sharded root queues and Job
-// pooling, IntakeMutex the single-mutex baseline. Default: IntakeSharded.
-func WithIntake(k IntakeKind) Option {
-	return func(c *Config) { c.Intake = k }
 }
 
 // WithTenantQuotaPages bounds the simulated stack pages one tenant's

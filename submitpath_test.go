@@ -1,10 +1,7 @@
 // Serving-intake benchmarks and the CI allocation gate for the
 // lock-minimized Submit path (CAS admission, sharded root queues, pooled
-// Jobs, wake-one parking). Timing comparisons between the sharded
-// pipeline and the mutex baseline live in the submitpath experiment
-// (cmd/fibril-bench -experiment submitpath); here live the testing.B
-// counters and the hard allocs/op assertions CI enforces next to
-// TestForkPathGate.
+// Jobs, wake-one parking): the testing.B counters and the hard allocs/op
+// assertions CI enforces next to TestForkPathGate.
 package fibril_test
 
 import (
@@ -45,12 +42,11 @@ func benchFib(w *fibril.W, n int, out *int64) {
 // submitter's own goroutine (AdmitShed → ErrShed) — the pure submit-side
 // cost with no scheduling in the measurement. The returned release
 // function unblocks the blockers and closes the runtime.
-func shedRuntime(tb testing.TB, intake fibril.IntakeKind) (*fibril.Runtime, func()) {
+func shedRuntime(tb testing.TB) (*fibril.Runtime, func()) {
 	tb.Helper()
 	const workers = 2
 	rt := fibril.NewWith(
 		fibril.WithWorkers(workers),
-		fibril.WithIntake(intake),
 		fibril.WithMaxInflight(workers),
 		fibril.WithAdmission(fibril.AdmitShed),
 	)
@@ -79,47 +75,23 @@ func shedRuntime(tb testing.TB, intake fibril.IntakeKind) (*fibril.Runtime, func
 }
 
 // BenchmarkSubmitThroughput is the closed-loop serving cost per request —
-// Submit, wait, Release — across both intake pipelines and both root
-// shapes. The open-loop multi-submitter sweep is the submitpath
-// experiment; this is the steady per-op figure `go test -bench` tracks.
+// Submit, wait, Release — for both root shapes: the steady per-op figure
+// `go test -bench` tracks.
 func BenchmarkSubmitThroughput(b *testing.B) {
-	for _, intake := range fibril.IntakeKinds() {
-		for _, root := range []struct {
-			name string
-			fn   func(*fibril.W)
-		}{{"noop", noopRoot}, {"fib10", fib10Root}} {
-			b.Run(intake.String()+"/"+root.name, func(b *testing.B) {
-				rt := fibril.NewWith(fibril.WithWorkers(4), fibril.WithIntake(intake))
-				rt.Start()
-				defer rt.Close(context.Background())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					j := rt.Submit(root.fn)
-					if err := j.Err(); err != nil {
-						b.Fatal(err)
-					}
-					j.Release()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSubmitAllocs isolates the submit-side allocation count on the
-// deterministic shed lane: every Submit resolves on the caller's
-// goroutine, so allocs/op is exactly what the intake path itself pays.
-func BenchmarkSubmitAllocs(b *testing.B) {
-	for _, intake := range fibril.IntakeKinds() {
-		b.Run(intake.String(), func(b *testing.B) {
-			rt, done := shedRuntime(b, intake)
-			defer done()
+	for _, root := range []struct {
+		name string
+		fn   func(*fibril.W)
+	}{{"noop", noopRoot}, {"fib10", fib10Root}} {
+		b.Run(root.name, func(b *testing.B) {
+			rt := fibril.NewWith(fibril.WithWorkers(4))
+			rt.Start()
+			defer rt.Close(context.Background())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j := rt.Submit(noopRoot)
-				if !errors.Is(j.Err(), fibril.ErrShed) {
-					b.Fatal("expected shed")
+				j := rt.Submit(root.fn)
+				if err := j.Err(); err != nil {
+					b.Fatal(err)
 				}
 				j.Release()
 			}
@@ -127,10 +99,27 @@ func BenchmarkSubmitAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitAllocs isolates the submit-side allocation count on the
+// deterministic shed lane: every Submit resolves on the caller's
+// goroutine, so allocs/op is exactly what the intake path itself pays.
+func BenchmarkSubmitAllocs(b *testing.B) {
+	rt, done := shedRuntime(b)
+	defer done()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := rt.Submit(noopRoot)
+		if !errors.Is(j.Err(), fibril.ErrShed) {
+			b.Fatal("expected shed")
+		}
+		j.Release()
+	}
+}
+
 // TestSubmitAllocGate is the CI allocation gate for the serving intake,
-// hard assertions only (timing lives in the submitpath experiment):
+// hard assertions only:
 //
-//  1. on the deterministic shed lane the sharded pipeline submits with
+//  1. on the deterministic shed lane Submit performs
 //     ZERO heap allocations per request — pooled Job, lock-free shed,
 //     no clock read, no eager done channel, no eager stats snapshot;
 //  2. the admitted closed-loop path stays within the ≤2 allocs/Submit
@@ -138,7 +127,7 @@ func BenchmarkSubmitAllocs(b *testing.B) {
 //     paid only because the caller actually waits).
 func TestSubmitAllocGate(t *testing.T) {
 	t.Run("shed-zero-alloc", func(t *testing.T) {
-		rt, done := shedRuntime(t, fibril.IntakeSharded)
+		rt, done := shedRuntime(t)
 		defer done()
 		// Warm the per-shard Job pools past the measurement size.
 		for i := 0; i < 512; i++ {
