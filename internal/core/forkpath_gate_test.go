@@ -106,9 +106,31 @@ func TestForkPathGate(t *testing.T) {
 	}
 }
 
-// spinSink keeps the yardstick loop of TestForkScalesWithSecondWorker
-// from being optimized away.
+// spinSink keeps the yardstick loop from being optimized away.
 var spinSink atomic.Uint64
+
+// yardstick times a fixed amount of plain serial work done by each of
+// `goroutines` goroutines side by side. Two taking much longer than one
+// means the host is not giving this process two CPUs — another package's
+// tests have one, say — and a timing gate should decline to judge.
+func yardstick(goroutines int) time.Duration {
+	const spinSteps = 1 << 20
+	t0 := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s, x uint64
+			for i := 0; i < spinSteps; i++ {
+				x ^= next(&s)
+			}
+			spinSink.Add(x)
+		}()
+	}
+	wg.Wait()
+	return time.Since(t0)
+}
 
 // TestForkScalesWithSecondWorker is the behavioural fence for the memory
 // layout (DESIGN.md §15): a second worker must make one-shot fork/join
@@ -135,7 +157,7 @@ func TestForkScalesWithSecondWorker(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	const n, rounds, spinSteps = 23, 21, 1 << 20
+	const n, rounds = 23, 21
 	want := fibSerial(n)
 	oneShot := func(workers int) time.Duration {
 		t0 := time.Now()
@@ -146,23 +168,6 @@ func TestForkScalesWithSecondWorker(t *testing.T) {
 			t.Fatalf("gateFib(%d) = %d at Workers=%d, want %d", n, out, workers, want)
 		}
 		return d
-	}
-	yardstick := func(goroutines int) time.Duration {
-		t0 := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var s, x uint64
-				for i := 0; i < spinSteps; i++ {
-					x ^= next(&s)
-				}
-				spinSink.Add(x)
-			}()
-		}
-		wg.Wait()
-		return time.Since(t0)
 	}
 	oneShot(1) // warm the code, the heap and the vm package's pages
 	oneShot(2)

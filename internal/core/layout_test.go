@@ -12,9 +12,9 @@ import (
 // pass.
 var (
 	workerGroups = [][]string{
-		{"id", "deque"}, // fixed at NewRuntime; read by the occupant and by thieves
-		{"rng", "lastVictim", "victimMisses", "arena"}, // the occupant's
-		{"remote"}, // any worker's
+		{"id", "deque"},                // fixed at NewRuntime; read by the occupant and by thieves
+		{"rng", "lastVictim", "arena"}, // the occupant's
+		{"remote"},                     // any worker's
 	}
 	runtimeGroups = [][]string{
 		{"cfg", "as", "pool", "reclaim", "workers", "park", "done", "trc", "metrics",

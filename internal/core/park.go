@@ -7,13 +7,20 @@ import (
 	"fibril/internal/cacheline"
 )
 
-// parkLot is the quiet end of the thief backoff ladder: a thief that has
-// spun and yielded through repeated empty sweeps parks here, and every
-// publication of new work (a Fork, a dispatched root, shared StealHalf
-// loot) wakes parked thieves. This replaces the unbounded Gosched spin
-// that burned a full core per idle thief, while preserving busy-leaves:
-// whenever work exists (every unit of queued work was published by a Fork
-// or a Submit, and every publish calls wake), no thief stays parked.
+// parkLot is the quiet half of the idle protocol: a thief that has searched
+// — swept and yielded — for about as long as a wake-up costs (searchBudget)
+// parks here, and every publication of new work (a Fork, a dispatched root,
+// shared StealHalf loot) wakes parked thieves. Parking is what keeps an
+// idle thief from burning a core, while preserving busy-leaves: whenever
+// work exists (every unit of queued work was published by a Fork or a
+// Submit, and every publish calls wake), no thief stays parked.
+//
+// The search phase sits entirely before registration. A searching thief is
+// not registered, holds no token and is owed no wake: it is a runnable
+// goroutine that will sweep again by itself, so a publish that finds
+// nparked == 0 has nothing to do for it. Everything below — register, final
+// sweep, sleep, tokens — therefore reads exactly as it would if thieves
+// parked on their first failed sweep.
 //
 // Wake-one. wake(n) deposits up to n wake tokens — never more than there
 // are registered thieves without one — and Signals once per token, so
@@ -86,14 +93,18 @@ func (p *parkLot) open() {
 // finalSweep runs after the caller is registered as parked and before it
 // takes mu (see the type comment); if it finds a task the caller does not
 // sleep and the task is returned. park returns (zero, false) on any
-// wake-up — the caller re-enters its steal loop.
-func (p *parkLot) park(finalSweep func() (task, bool)) (task, bool) {
+// wake-up — the caller re-enters its steal loop. sleeps, the caller's
+// ThiefParks counter, is incremented if the caller actually goes to sleep.
+func (p *parkLot) park(sleeps *atomic.Int64, finalSweep func() (task, bool)) (task, bool) {
 	p.nparked.Add(1)
 	defer p.nparked.Add(-1)
 	if t, ok := finalSweep(); ok {
 		return t, true
 	}
 	p.mu.Lock()
+	if p.tokens == 0 && !p.closed {
+		sleeps.Add(1)
+	}
 	for p.tokens == 0 && !p.closed {
 		p.cond.Wait()
 	}

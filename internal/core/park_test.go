@@ -189,7 +189,7 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	parkOne := func() chan struct{} {
 		ch := make(chan struct{})
 		go func() {
-			p.park(noSweep)
+			p.park(new(atomic.Int64), noSweep)
 			close(ch)
 		}()
 		return ch
@@ -269,7 +269,7 @@ func TestFinalSweepMayPublishLoot(t *testing.T) {
 	defer rt.pool.Put(0, st)
 	w := rt.newW(rt.workers[0], st, rt.shard(0))
 	watchdog(t, 10*time.Second, func() {
-		if _, ok := rt.park.park(func() (task, bool) { return rt.steal(w, nil) }); !ok {
+		if _, ok := rt.park.park(&w.stats.thiefParks, func() (task, bool) { return rt.steal(w, nil) }); !ok {
 			t.Error("final sweep over a victim with 8 tasks came back empty")
 		}
 	})

@@ -48,6 +48,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"fibril/internal/cacheline"
@@ -237,9 +238,8 @@ type worker struct {
 	_ cacheline.Pad
 
 	// Written only by the goroutine occupying the slot.
-	rng          rng
-	lastVictim   int // most recent successful victim slot; -1 when none
-	victimMisses int // consecutive failed sweeps since the last success
+	rng        rng
+	lastVictim int // most recent successful victim slot; -1 when none (a parking thief drops it)
 	// arena is the slot's Blelloch–Wei-style free list of fixed-size
 	// Scratch blocks (frame + fork payload), no atomics.
 	arena frameArena
@@ -445,13 +445,28 @@ func (rt *Runtime) RunErr(root func(*W)) (Stats, error) {
 	return rt.Stats(), j.Err()
 }
 
-// Thief backoff ladder: a thief that fails a full sweep retries
-// immediately for spinSweeps sweeps (a miss is often a transient race),
-// yields the processor for the next yieldSweeps sweeps, and then parks on
-// the runtime's park lot until the next Fork publishes work.
+// Idle protocol, a ski-rental rule: a thief whose sweep fails keeps
+// searching — sweep, Gosched, sweep — until it has been idle for about as
+// long as waking it from the park lot would cost, and only then parks.
+// Parking sooner makes every fan-out pay a wake-up it could have skipped;
+// searching longer than a wake-up costs burns more than the sleep saves.
+//
+// searchBudget is that cost as the benchmark's traced run measured it on the
+// runtime that parked after ten sweeps (2 vCPUs): a Fork whose owner keeps
+// running needs a second OS thread woken behind the condvar Signal, and
+// core.steal.fork_to_remote_start_ns was 79–90 µs; a Submit whose caller
+// then blocks lends its own processor to the woken thief, and
+// core.dispatch.idle_wake_ns was 7–13 µs. The budget covers the dearer of
+// the two. Fan-out throughput is flat from a quarter to four times this
+// value (EXPERIMENTS.md "Idle protocol").
+//
+// The clock is read only every searchClockStride-th failed sweep, so an
+// idle gap that ends within the first few yields — the closed-loop serving
+// path, where the next job arrives on the first — never pays a time.Now,
+// and a whole search phase reads it a few dozen times.
 const (
-	spinSweeps  = 2
-	yieldSweeps = 8
+	searchBudget      = 100 * time.Microsecond
+	searchClockStride = 16
 )
 
 // thiefLoop is the body of a worker-slot goroutine that starts with no
@@ -460,9 +475,12 @@ const (
 // or the slot is handed to a resumed parent. A sweep looks for stolen
 // work first and for a submitted root only when the whole steal sweep
 // fails, so new roots open only on genuinely idle capacity. Failed sweeps
-// escalate through the backoff ladder instead of spinning in Gosched, so
-// idle thieves stop burning CPU while work is scarce — a serving runtime
-// between requests is P parked goroutines.
+// search for searchBudget and then park, so idle thieves stop burning CPU
+// while work is scarce — a serving runtime between requests is P parked
+// goroutines. An empty sweep costs the rest of the system nothing but
+// shared reads (Deque.Len per victim, one counter per intake shard), and
+// the Gosched between sweeps runs every client, waiter and timer goroutine
+// sharing this P first.
 func (rt *Runtime) thiefLoop(slot *worker) {
 	defer rt.goroutineWG.Done()
 	st := rt.takeStack(slot.id)
@@ -477,28 +495,34 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 		return rt.nextRoot(slot.id)
 	}
 	fails := 0
+	var idleSince time.Time // zero until the search phase first reads the clock
 	for !rt.done.Load() {
 		t, ok := sweep()
 		if !ok {
 			fails++
-			switch {
-			case fails <= spinSweeps:
-				// Re-sweep immediately.
-			case fails <= spinSweeps+yieldSweeps:
+			if fails%searchClockStride != 0 {
 				runtime.Gosched()
-			default:
-				// park re-sweeps after registering as parked, so a Fork
-				// or Submit racing this sleep either is seen by that
-				// sweep or sees the registration and broadcasts (no
-				// lost wakeup — see parkLot).
-				t, ok = rt.park.park(sweep)
-				fails = 0
-			}
-			if !ok {
 				continue
 			}
+			if idleSince.IsZero() {
+				idleSince = time.Now()
+			}
+			if time.Since(idleSince) < searchBudget {
+				runtime.Gosched()
+				continue
+			}
+			// Searched for as long as a wake-up costs: park. The victim
+			// anchor lasts one idle episode (see steal). park re-sweeps
+			// after registering, so a Fork or Submit racing this sleep
+			// either is seen by that sweep or sees the registration and
+			// deposits a wake token (no lost wakeup — see parkLot).
+			w.slot.lastVictim = -1
+			t, ok = rt.park.park(&w.stats.thiefParks, sweep)
 		}
-		fails = 0
+		fails, idleSince = 0, time.Time{}
+		if !ok {
+			continue // woken: a new idle episode starts with a sweep
+		}
 		w.runStolen(t)
 		if w.released {
 			// The slot was transferred to a resumed parent; this

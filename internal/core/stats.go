@@ -28,6 +28,7 @@ type counters struct {
 	calls            atomic.Int64
 	steals           atomic.Int64
 	stealAttempts    atomic.Int64
+	thiefParks       atomic.Int64
 	restrictedSteals atomic.Int64
 	suspends         atomic.Int64
 	resumes          atomic.Int64
@@ -66,6 +67,7 @@ type Stats struct {
 	Calls            int64 // synchronous Call executions
 	Steals           int64 // successful steals (Table 2 "steals")
 	StealAttempts    int64 // steal probes of a visibly non-empty deque
+	ThiefParks       int64 // times a thief searched out its budget and went to sleep
 	RestrictedSteals int64 // inline steals by TBB/leapfrog joins
 	Suspends         int64 // frame suspensions
 	Resumes          int64 // frame resumptions
@@ -135,6 +137,7 @@ func (rt *Runtime) Stats() Stats {
 		s.Calls += sh.calls.Load()
 		s.Steals += sh.steals.Load()
 		s.StealAttempts += sh.stealAttempts.Load()
+		s.ThiefParks += sh.thiefParks.Load()
 		s.RestrictedSteals += sh.restrictedSteals.Load()
 		s.Suspends += sh.suspends.Load()
 		s.Resumes += sh.resumes.Load()

@@ -74,15 +74,8 @@ func StealPolicies() []StealPolicy {
 	return []StealPolicy{StealRandom, StealLastVictim, StealNearVictim, StealHalf}
 }
 
-const (
-	// lootCap bounds one StealHalf batch extraction.
-	lootCap = 8
-	// victimPatience is how many consecutive failed sweeps a slot tolerates
-	// before dropping its last-victim affinity. One empty sweep is usually
-	// a transient race (the victim is between pushes), so affinity decays
-	// rather than resetting on first miss.
-	victimPatience = 2
-)
+// lootCap bounds one StealHalf batch extraction.
+const lootCap = 8
 
 // looseQueue is the runtime's overflow queue for batch-stolen tasks: a
 // StealHalf thief deposits all but one task of its loot here, and every
@@ -152,7 +145,6 @@ func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
 	}
 	won := func(victim *worker, t task) (task, bool) {
 		w.slot.lastVictim = victim.id
-		w.slot.victimMisses = 0
 		w.stats.stealAttempts.Add(probes)
 		w.stats.steals.Add(1)
 		var lat time.Duration
@@ -216,15 +208,14 @@ func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
 			}
 		}
 	}
-	// Full sweep failed: decay the affinity rather than resetting it — one
-	// empty sweep is usually a transient race, and discarding the hint
-	// permanently forfeits the locality the policies above exist for.
-	w.slot.victimMisses++
-	if w.slot.victimMisses >= victimPatience {
-		w.slot.lastVictim = -1
-		w.slot.victimMisses = 0
+	// Full sweep failed. The affinity anchor survives it: a searching thief
+	// sweeps thousands of times per idle millisecond, so the anchor lasts
+	// one idle episode — thiefLoop drops it when the thief parks — not a
+	// number of sweeps. A sweep that probed nothing (every victim visibly
+	// empty, the common case while searching) writes no shared counter.
+	if probes != 0 {
+		w.stats.stealAttempts.Add(probes)
 	}
-	w.stats.stealAttempts.Add(probes)
 	return task{}, false
 }
 

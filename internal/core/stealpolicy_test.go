@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestStealPoliciesParfib is the core-level correctness smoke for every
@@ -24,34 +25,36 @@ func TestStealPoliciesParfib(t *testing.T) {
 	}
 }
 
-// TestLastVictimDecay pins the affinity-decay contract: a stale anchor
-// survives exactly victimPatience-1 consecutive empty sweeps and is cleared
-// on the next, rather than being dropped on the first failed probe. The
-// test drives rt.steal directly from the root worker against an otherwise
-// idle runtime, so every sweep fails by construction.
+// TestLastVictimDecay pins the affinity-decay contract: the anchor lasts
+// one idle episode. Failed sweeps — a searching thief makes thousands per
+// idle millisecond — leave it alone, and a thief that gives up searching
+// and parks drops it. The root drives rt.steal directly against an
+// otherwise idle runtime, so every sweep fails by construction, while the
+// other slot's thief, given an anchor before the workers start, finds
+// nothing and parks.
 func TestLastVictimDecay(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 2, StealPolicy: StealLastVictim})
+	rt.workers[0].lastVictim, rt.workers[1].lastVictim = 1, 0
+	thief := -1 // the slot the root did not land on
 	rt.Run(func(w *W) {
-		w.slot.lastVictim = 1 // pretend slot 1 just fed us
-		w.slot.victimMisses = 0
-		for i := 1; i < victimPatience; i++ {
+		thief = 1 - w.slot.id
+		w.slot.lastVictim = thief // pretend the other slot just fed us
+		for i := 0; i < 1000; i++ {
 			if _, ok := rt.steal(w, nil); ok {
 				t.Fatal("stole from an idle runtime")
 			}
-			if w.slot.lastVictim != 1 {
-				t.Fatalf("affinity dropped after %d empty sweep(s); patience is %d", i, victimPatience)
-			}
 		}
-		if _, ok := rt.steal(w, nil); ok {
-			t.Fatal("stole from an idle runtime")
+		if w.slot.lastVictim != thief {
+			t.Errorf("lastVictim = %d after 1000 empty sweeps, want %d: the anchor must outlast the search phase",
+				w.slot.lastVictim, thief)
 		}
-		if w.slot.lastVictim != -1 {
-			t.Errorf("affinity retained after %d empty sweeps; want cleared", victimPatience)
-		}
-		if w.slot.victimMisses != 0 {
-			t.Errorf("victimMisses = %d after decay, want 0", w.slot.victimMisses)
-		}
+		waitParked(t, rt, 1, 10*time.Second)
 	})
+	// Run has returned, so the thief goroutine has exited and its slot can
+	// be read.
+	if got := rt.workers[thief].lastVictim; got != -1 {
+		t.Errorf("parked thief kept lastVictim = %d, want -1", got)
+	}
 }
 
 // TestLeapfrogArenaRecycling is the regression fence for the blanket

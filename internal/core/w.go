@@ -158,7 +158,10 @@ func (w *W) forkSlow(f *Frame, t task) {
 
 // ShouldSplit reports whether publishing more parallelism right now could
 // feed an otherwise-idle worker: the slot's deque looks empty (any probing
-// thief leaves hungry) or at least one thief is parked for lack of work.
+// thief leaves hungry) or at least one thief is parked — registered on the
+// lot or asleep — for lack of work. A thief still in its search phase is
+// not counted as parked; it is visible through LazyHint only, which is
+// enough, since an empty deque is what it keeps finding.
 // It is the steal-driven probe behind lazy loop splitting — a loop body
 // checks it between serial chunks and forks only on true, so a saturated
 // system runs tight serial loops while an idle one splits eagerly. The

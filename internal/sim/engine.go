@@ -66,9 +66,8 @@ type worker struct {
 	// lastVictim is the slot of the last successful steal (-1 none); the
 	// affinity policies anchor their probe orders on it and repeat steals
 	// from it are charged the warm rather than the cold cache surcharge.
-	// misses counts consecutive failed full sweeps; after victimPatience
-	// of them the anchor is dropped — the same decay rule as the real
-	// runtime's worker.victimMisses.
+	// misses counts consecutive failed full sweeps; after
+	// simVictimPatience of them the anchor is dropped.
 	lastVictim int
 	misses     int
 }
@@ -341,7 +340,10 @@ func (s *sim) inlineSteal(w *worker, now int64, f *fiber, eligible func(pendingT
 const simLootCap = 8
 
 // simVictimPatience is how many consecutive failed sweeps clear the
-// affinity anchor, mirroring core's victimPatience.
+// affinity anchor. The real runtime keeps the anchor for one idle episode
+// and drops it when the thief parks; simulated thieves never park and a
+// failed sweep here is a whole charged event, so a count of them stands in
+// for the episode.
 const simVictimPatience = 2
 
 // ringDist is the distance between worker slots i and j on the ring of n
