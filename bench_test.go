@@ -55,7 +55,6 @@ func benchArg(s *bench.Spec) bench.Arg {
 func BenchmarkFig3(b *testing.B) {
 	strategies := []core.Strategy{
 		core.StrategyFibril, core.StrategyCilkPlus, core.StrategyTBB,
-		core.StrategyGoroutine,
 	}
 	for _, s := range bench.All() {
 		if s.Name == "adversarial" {

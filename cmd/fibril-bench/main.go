@@ -9,23 +9,19 @@
 //	fibril-bench -experiment fig3 -reps 10  # the paper's ten repetitions
 //
 // Experiments: fig3, fig4, table2, table3, table4, mmap-vs-madvise,
-// depth-restricted, stack-pool, forkpath, stealpolicy, memory, serve,
-// counters, all. See EXPERIMENTS.md for the mapping to the paper and the
-// expected shapes.
+// depth-restricted, stack-pool, forkpath, memory, serve, counters, all.
+// See EXPERIMENTS.md for the mapping to the paper and the expected shapes.
 //
-// The forkpath, stealpolicy, memory and serve experiments support
-// -json <path>, writing their rows as a JSON array
-// (results/BENCH_forkpath.json, results/BENCH_stealpolicy.json,
+// The forkpath, memory and serve experiments support -json <path>, writing
+// their rows as a JSON array (results/BENCH_forkpath.json,
 // results/BENCH_memory.json and results/BENCH_serve.json). A committed
-// BENCH_memory.json can be re-validated without re-running via -validate-memory <path>, which fails
-// if the file is malformed, empty, or any row left its space envelope;
-// -validate-stealpolicy <path> does the same for BENCH_stealpolicy.json,
-// asserting the locality gate on the sim rows: every affinity policy must
-// beat random on cold steals and warm fraction while staying within 10% of
-// random's makespan. -validate-serve <path> checks BENCH_serve.json: at
-// least two offered rates with one saturating, request conservation per
-// row, a light-load p99 bound, overload-shed keeping p50 near the light
-// leg's, and every drain leaving no queued tasks or pending reclaims.
+// BENCH_memory.json can be re-validated without re-running via
+// -validate-memory <path>, which fails if the file is malformed, empty, or
+// any row left its space envelope. -validate-serve <path> checks
+// BENCH_serve.json: at least two offered rates with one saturating, request
+// conservation per row, a light-load p99 bound, overload-shed keeping p50
+// near the light leg's, and every drain leaving no queued tasks or pending
+// reclaims.
 package main
 
 import (
@@ -48,19 +44,17 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"fig3 | fig4 | table2 | table3 | table4 | mmap-vs-madvise | depth-restricted | stack-pool | discipline | predict | forkpath | stealpolicy | memory | serve | counters | all")
+			"fig3 | fig4 | table2 | table3 | table4 | mmap-vs-madvise | depth-restricted | stack-pool | discipline | predict | forkpath | memory | serve | counters | all")
 		full = flag.Bool("full", false,
 			"use simulation-scale inputs and the paper's worker grid (slow)")
 		reps      = flag.Int("reps", 3, "timing repetitions for real-runtime measurements")
 		list      = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonPath  = flag.String("json", "", "write the rows of a forkpath, stealpolicy, memory or serve run as JSON to this path")
+		jsonPath  = flag.String("json", "", "write the rows of a forkpath, memory or serve run as JSON to this path")
 		helpFirst = flag.Bool("helpfirst", false,
 			"simulate with the help-first child-stealing engine instead of the paper's work-first discipline")
 		validateMemory = flag.String("validate-memory", "",
 			"validate an existing BENCH_memory.json at this path and exit (CI smoke)")
-		validateStealPolicy = flag.String("validate-stealpolicy", "",
-			"validate an existing BENCH_stealpolicy.json at this path and exit (CI smoke)")
 		validateServe = flag.String("validate-serve", "",
 			"validate an existing BENCH_serve.json at this path and exit (CI smoke)")
 		serve = flag.String("serve", "",
@@ -74,14 +68,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("fibril-bench: %s ok\n", *validateMemory)
-		return
-	}
-	if *validateStealPolicy != "" {
-		if err := checkStealPolicyJSON(*validateStealPolicy); err != nil {
-			fmt.Fprintln(os.Stderr, "fibril-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("fibril-bench: %s ok\n", *validateStealPolicy)
 		return
 	}
 	if *validateServe != "" {
@@ -178,15 +164,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	case "stealpolicy":
-		rows, t := exper.StealPolicy(opts)
-		emit(t)
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "fibril-bench:", err)
-				os.Exit(1)
-			}
-		}
 	case "memory":
 		rows, t := exper.Memory(opts)
 		emit(t)
@@ -220,8 +197,6 @@ func main() {
 		// "all" prints tables only; -json goes with a single experiment.
 		_, ft := exper.ForkPath(opts)
 		emit(ft)
-		_, pt := exper.StealPolicy(opts)
-		emit(pt)
 		_, mt := exper.Memory(opts)
 		emit(mt)
 		_, st := exper.Serve(opts)
@@ -282,86 +257,6 @@ func checkMemoryJSON(path string) error {
 		if !r.WithinEnvelope {
 			return fmt.Errorf("%s: row %d (%s/%s) left its space envelope: maxRSS=%d > %d pages",
 				path, i, r.Benchmark, r.Mode, r.MaxRSSPages, r.EnvelopePages)
-		}
-	}
-	return nil
-}
-
-// checkStealPolicyJSON validates a BENCH_stealpolicy.json: it must parse
-// as a non-empty []exper.StealPolicyRow containing both real and sim rows,
-// and the sim rows for lastvictim and stealhalf must satisfy the locality
-// gate per benchmark — the policy re-hits warm victims strictly more often
-// than random, pays no more cold raids, and stays within 10% of random's
-// makespan. The gate is deliberately on the cache split, not raw makespan:
-// on fib-like trees steals are off the critical path, so random is already
-// makespan-near-optimal and the locality win shows up as warm-raid
-// fraction and cold-raid count. nearvictim is exempt: neighbour-first
-// probing diffuses work slowly around the ring, and that load-balancing
-// loss swamps the cheap hops — the experiment reports it as the measured
-// cost of abandoning random victim selection, not as a win.
-func checkStealPolicyJSON(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rows []exper.StealPolicyRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return fmt.Errorf("%s: malformed: %w", path, err)
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("%s: no rows", path)
-	}
-	random := map[string]exper.StealPolicyRow{} // sim random row per benchmark
-	reals := 0
-	for i, r := range rows {
-		if r.Benchmark == "" || r.Policy == "" || r.Workers <= 0 {
-			return fmt.Errorf("%s: row %d incomplete: %+v", path, i, r)
-		}
-		switch r.Kind {
-		case "real":
-			reals++
-		case "sim":
-			if r.Policy == "random" {
-				random[r.Benchmark] = r
-			}
-		default:
-			return fmt.Errorf("%s: row %d has unknown kind %q", path, i, r.Kind)
-		}
-	}
-	if reals == 0 {
-		return fmt.Errorf("%s: no real-runtime rows", path)
-	}
-	if len(random) == 0 {
-		return fmt.Errorf("%s: no sim random baseline rows", path)
-	}
-	warmFrac := func(r exper.StealPolicyRow) float64 {
-		// Raids only: StealHalf loot extras count as steals but ride a
-		// single raid's cache cost, so they belong in neither bucket.
-		raids := r.WarmSteals + r.ColdSteals
-		if raids == 0 {
-			return 0
-		}
-		return float64(r.WarmSteals) / float64(raids)
-	}
-	for i, r := range rows {
-		if r.Kind != "sim" || r.Policy != "lastvictim" && r.Policy != "stealhalf" {
-			continue
-		}
-		base, ok := random[r.Benchmark]
-		if !ok {
-			return fmt.Errorf("%s: row %d (%s/%s) has no random baseline", path, i, r.Benchmark, r.Policy)
-		}
-		if r.ColdSteals > base.ColdSteals {
-			return fmt.Errorf("%s: %s/%s pays %d cold steals, random pays %d",
-				path, r.Benchmark, r.Policy, r.ColdSteals, base.ColdSteals)
-		}
-		if warmFrac(r) <= warmFrac(base) {
-			return fmt.Errorf("%s: %s/%s warm fraction %.3f not above random's %.3f",
-				path, r.Benchmark, r.Policy, warmFrac(r), warmFrac(base))
-		}
-		if float64(r.Makespan) > 1.10*float64(base.Makespan) {
-			return fmt.Errorf("%s: %s/%s makespan %d exceeds 110%% of random's %d",
-				path, r.Benchmark, r.Policy, r.Makespan, base.Makespan)
 		}
 	}
 	return nil

@@ -22,25 +22,6 @@ func runCmd(t *testing.T, dir string, args ...string) string {
 	return string(out)
 }
 
-func TestBenchStealPolicySmokeAndValidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs the bench binary; skipped in short mode")
-	}
-	path := filepath.Join(t.TempDir(), "stealpolicy.json")
-	out := runCmd(t, ".", "-experiment", "stealpolicy", "-reps", "1", "-bench", "fib", "-json", path)
-	// Both vehicles and every policy must appear in the table.
-	for _, want := range []string{"real", "sim", "random", "lastvictim", "nearvictim", "stealhalf"} {
-		if !strings.Contains(strings.ToLower(out), want) {
-			t.Errorf("stealpolicy output lacks %q:\n%s", want, out)
-		}
-	}
-	// Round-trip: the emitted JSON must pass the locality gate.
-	out = runCmd(t, ".", "-validate-stealpolicy", path)
-	if !strings.Contains(out, "ok") {
-		t.Errorf("validate-stealpolicy did not report ok:\n%s", out)
-	}
-}
-
 func TestBenchServeSmokeAndValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the bench binary; skipped in short mode")

@@ -25,9 +25,8 @@ import (
 
 func main() {
 	var (
-		name     = flag.String("bench", "fib", "benchmark: "+strings.Join(bench.Names(), ", "))
-		strategy = flag.String("strategy", "fibril",
-			"fibril | fibril-nounmap | fibril-mmap | cilkplus | cilkm | tbb | leapfrog")
+		name       = flag.String("bench", "fib", "benchmark: "+strings.Join(bench.Names(), ", "))
+		strategy   = flag.String("strategy", "fibril", strategyNames())
 		workers    = flag.Int("p", 8, "simulated worker count")
 		n          = flag.Int("n", 0, "override the benchmark's N input (0 = Sim default)")
 		m          = flag.Int("m", 0, "override the benchmark's M input")
@@ -39,15 +38,20 @@ func main() {
 	)
 	flag.Parse()
 
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "fibril-sim: "+format+"\n", args...)
+		os.Exit(2)
+	}
 	s := bench.Get(*name)
 	if s == nil {
-		fmt.Fprintf(os.Stderr, "fibril-sim: unknown benchmark %q\n", *name)
-		os.Exit(2)
+		usage("unknown benchmark %q", *name)
 	}
 	strat, ok := parseStrategy(*strategy)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "fibril-sim: unknown strategy %q\n", *strategy)
-		os.Exit(2)
+		usage("unknown strategy %q (have: %s)", *strategy, strategyNames())
+	}
+	if strat == core.StrategyCilkM && *helpFirst {
+		usage("-strategy cilkm is modelled in the work-first engine only; drop -helpfirst")
 	}
 	arg := s.Sim
 	if *n != 0 {
@@ -85,11 +89,18 @@ func main() {
 func parseStrategy(s string) (core.Strategy, bool) {
 	for _, st := range core.Strategies() {
 		if st.String() == s {
-			if st == core.StrategyGoroutine {
-				return 0, false // real-runtime only
-			}
 			return st, true
 		}
 	}
 	return 0, false
+}
+
+// strategyNames lists every strategy the simulator accepts, for the flag's
+// help text and error messages.
+func strategyNames() string {
+	var names []string
+	for _, st := range core.Strategies() {
+		names = append(names, st.String())
+	}
+	return strings.Join(names, " | ")
 }

@@ -30,12 +30,6 @@ var Integrate = register(&Spec{
 		x2 := float64(a.N)
 		return f64bits(integrateArg(w, 0, x2, integrandAt(0), integrandAt(x2), epsFor(a)))
 	},
-	ParallelClosure: func(w *core.W, a Arg) uint64 {
-		x2 := float64(a.N)
-		var v float64
-		integrateParallel(w, 0, x2, integrandAt(0), integrandAt(x2), epsFor(a), &v)
-		return f64bits(v)
-	},
 	Tree: func(a Arg) invoke.Task {
 		return integrateTree(0, float64(a.N), integrandAt(0), integrandAt(float64(a.N)), epsFor(a))
 	},
@@ -83,8 +77,8 @@ func intgArgTask(w *core.W, p unsafe.Pointer) {
 }
 
 // integrateArg is the bisection recursion on the zero-allocation ForkArg
-// path. Combining pay[0].res + pay[1].res preserves the closure
-// version's left + right operation order, so the checksum is identical.
+// path. Combining pay[0].res + pay[1].res preserves the serial version's
+// left + right operation order, so the checksum is identical.
 func integrateArg(w *core.W, x1, x2, y1, y2, eps float64) float64 {
 	xm := (x1 + x2) / 2
 	ym := integrandAt(xm)
@@ -105,30 +99,6 @@ func integrateArg(w *core.W, x1, x2, y1, y2, eps float64) float64 {
 	v := pay[0].res + pay[1].res
 	w.ReleaseScratch(s)
 	return v
-}
-
-// integrateParallel is the closure-fork implementation, retained as the
-// forkpath experiment's baseline.
-func integrateParallel(w *core.W, x1, x2, y1, y2, eps float64, out *float64) {
-	xm := (x1 + x2) / 2
-	ym := integrandAt(xm)
-	whole := (y1 + y2) * (x2 - x1) / 2
-	halves := (y1+ym)*(xm-x1)/2 + (ym+y2)*(x2-xm)/2
-	if math.Abs(halves-whole) < eps {
-		*out = halves
-		return
-	}
-	var fr core.Frame
-	w.Init(&fr)
-	var left, right float64
-	w.ForkSized(&fr, frameMedium, func(w *core.W) {
-		integrateParallel(w, x1, xm, y1, ym, eps/2, &left)
-	})
-	w.CallSized(frameMedium, func(w *core.W) {
-		integrateParallel(w, xm, x2, ym, y2, eps/2, &right)
-	})
-	w.Join(&fr)
-	*out = left + right
 }
 
 // integrateTree mirrors the parallel recursion. The adaptive split

@@ -37,12 +37,6 @@ var Knapsack = register(&Spec{
 		ksArg(w, items, 0, cap, 0, &best)
 		return uint64(best.Load())
 	},
-	ParallelClosure: func(w *core.W, a Arg) uint64 {
-		items, cap := ksInput(a.N)
-		var best atomic.Int64
-		ksParallel(w, items, 0, cap, 0, &best)
-		return uint64(best.Load())
-	},
 	Tree: func(a Arg) invoke.Task {
 		items, cap := ksInput(a.N)
 		best := new(int64)
@@ -163,29 +157,6 @@ func ksArg(w *core.W, items []ksItem, i int, cap, value int64, best *atomic.Int6
 	w.CallArgSized(frameMedium, ksArgTask, unsafe.Pointer(&pay[1]))
 	w.Join(fr)
 	w.ReleaseScratch(s)
-}
-
-// ksParallel is the closure-fork implementation, retained as the
-// forkpath experiment's baseline.
-func ksParallel(w *core.W, items []ksItem, i int, cap, value int64, best *atomic.Int64) {
-	atomicMax(best, value)
-	if i == len(items) || cap == 0 {
-		return
-	}
-	if ksBound(items, i, cap, value) <= best.Load() {
-		return
-	}
-	var fr core.Frame
-	w.Init(&fr)
-	if items[i].weight <= cap {
-		w.ForkSized(&fr, frameMedium, func(w *core.W) {
-			ksParallel(w, items, i+1, cap-items[i].weight, value+items[i].value, best)
-		})
-	}
-	w.CallSized(frameMedium, func(w *core.W) {
-		ksParallel(w, items, i+1, cap, value, best)
-	})
-	w.Join(&fr)
 }
 
 // ksTree prunes against a shared incumbent, like any real B&B. The

@@ -23,11 +23,6 @@ var NQueens = register(&Spec{
 	Parallel: func(w *core.W, a Arg) uint64 {
 		return uint64(nqArg(w, a.N, 0, 0, 0))
 	},
-	ParallelClosure: func(w *core.W, a Arg) uint64 {
-		var out int64
-		nqParallel(w, a.N, 0, 0, 0, &out)
-		return uint64(out)
-	},
 	Tree: func(a Arg) invoke.Task { return nqTree(a.N, 0, 0, 0) },
 })
 
@@ -85,8 +80,7 @@ func nqArgTask(w *core.W, p unsafe.Pointer) {
 // ForkArg path. A row's fan-out exceeds one block's payload, so argument
 // records chain across up to nqBlockMax arena blocks — the first also
 // carries the join frame — all released once the join quiesces them.
-// Results are summed in fork order, matching the closure version's
-// checksum exactly.
+// Results are summed in fork order.
 func nqArg(w *core.W, n int, cols, diag1, diag2 uint32) int64 {
 	row := popcount(cols)
 	if int(row) == n {
@@ -132,50 +126,7 @@ func nqArg(w *core.W, n int, cols, diag1, diag2 uint32) int64 {
 	return total
 }
 
-// nqParallel is the closure-fork implementation, retained as the
-// forkpath experiment's baseline: one child per candidate column;
-// results land in per-child slots, summed after the join — no shared
-// counters on the hot path.
-func nqParallel(w *core.W, n int, cols, diag1, diag2 uint32, out *int64) {
-	row := popcount(cols)
-	if int(row) == n {
-		*out = 1
-		return
-	}
-	full := uint32(1<<n) - 1
-	avail := full &^ (cols | diag1 | diag2)
-	if avail == 0 {
-		*out = 0
-		return
-	}
-	// The last few rows run serially: forking single-row subtrees would be
-	// all overhead, and the Cilk version bottoms out the same way.
-	if int(row) >= n-3 {
-		*out = nqSerial(n, cols, diag1, diag2)
-		return
-	}
-	var fr core.Frame
-	w.Init(&fr)
-	counts := make([]int64, 0, n)
-	for avail != 0 {
-		bit := avail & (-avail)
-		avail &^= bit
-		counts = append(counts, 0)
-		slot := &counts[len(counts)-1]
-		c, d1, d2 := cols|bit, (diag1|bit)<<1&full, (diag2|bit)>>1
-		w.ForkSized(&fr, frameLarge, func(w *core.W) {
-			nqParallel(w, n, c, d1, d2, slot)
-		})
-	}
-	w.Join(&fr)
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	*out = total
-}
-
-// nqTree mirrors nqParallel: all children forked, one join.
+// nqTree mirrors nqArg: all children forked, one join.
 func nqTree(n int, cols, diag1, diag2 uint32) invoke.Task {
 	row := popcount(cols)
 	full := uint32(1<<n) - 1

@@ -89,44 +89,6 @@ func TestDifferentialPanicPrograms(t *testing.T) {
 	}
 }
 
-// TestDifferentialStealPolicies runs every steal policy through the
-// differential harness: the victim-selection order and the StealHalf loot
-// protocol must preserve exactly-once execution, the
-// counter identities, quiescence (the loose queue drains), and the arena
-// conservation laws — including under injected panics, where a batch
-// thief's loot must still be executed or surface in Queued (never lost).
-func TestDifferentialStealPolicies(t *testing.T) {
-	opts := Options{
-		Workers:  []int{2, 4},
-		Policies: core.StealPolicies(),
-		NoSim:    true, // sim policy legs are covered by the sim's own tests
-	}
-	n := 10
-	if testing.Short() {
-		n = 3
-	}
-	for seed := uint64(400); seed < uint64(400+n); seed++ {
-		p := Generate(seed, Params{})
-		if err := Differential(p, opts); err != nil {
-			t.Error(err)
-		}
-	}
-	ran := 0
-	for seed := uint64(400); ran < 3 && seed < 460; seed++ {
-		p := Generate(seed, Params{PanicPct: 35})
-		if p.Panics == 0 {
-			continue
-		}
-		ran++
-		if err := Differential(p, opts); err != nil {
-			t.Error(err)
-		}
-	}
-	if ran == 0 {
-		t.Fatal("no panic-injected programs generated; raise PanicPct or the seed range")
-	}
-}
-
 // TestDifferentialLazyPrograms mixes lazy fork edges into the generated
 // programs: the real runtime resolves each one at run time via
 // W.ShouldSplit (fork on an idle system, plain call on a busy one), the

@@ -19,10 +19,6 @@ type Options struct {
 	// ceiling). The simulators do not model the engine, so the sim legs
 	// ignore this.
 	Mem []MemParams
-	// Policies are the steal policies each real-runtime leg is run with.
-	// Default {StealRandom}. The sim legs model policies separately (and
-	// with their own cost model), so they always run the default.
-	Policies []core.StealPolicy
 	// SimWorkers are the simulator worker counts, run with both the
 	// help-first and the work-first engine. Default {1, 3}; nil-able via
 	// NoSim.
@@ -43,9 +39,6 @@ func (o Options) withDefaults() Options {
 	if len(o.Mem) == 0 {
 		o.Mem = []MemParams{{}}
 	}
-	if len(o.Policies) == 0 {
-		o.Policies = []core.StealPolicy{core.StealRandom}
-	}
 	if len(o.SimWorkers) == 0 {
 		o.SimWorkers = []int{1, 3}
 	}
@@ -57,7 +50,7 @@ func (o Options) withDefaults() Options {
 // simulator worker count (a program with injected panics skips those).
 func (o Options) Legs() int {
 	o = o.withDefaults()
-	legs := len(o.Workers) * len(o.Mem) * len(o.Policies)
+	legs := len(o.Workers) * len(o.Mem)
 	if !o.NoSim {
 		legs += 2 * len(o.SimWorkers)
 	}
@@ -79,13 +72,11 @@ func Differential(p *Program, opts Options) error {
 	for _, strat := range opts.Strategies {
 		for _, workers := range opts.Workers {
 			for _, mem := range opts.Mem {
-				for _, pol := range opts.Policies {
-					e := RunReal(p, workers, strat, pol, mem)
-					if p.Panics > 0 {
-						errs = append(errs, CheckRealPanic(p, e))
-					} else {
-						errs = append(errs, CheckReal(p, m, e))
-					}
+				e := RunReal(p, workers, strat, mem)
+				if p.Panics > 0 {
+					errs = append(errs, CheckRealPanic(p, e))
+				} else {
+					errs = append(errs, CheckReal(p, m, e))
 				}
 			}
 		}

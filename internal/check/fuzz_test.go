@@ -1,10 +1,6 @@
 package check
 
-import (
-	"testing"
-
-	"fibril/internal/core"
-)
+import "testing"
 
 // FuzzScheduler feeds fuzz-chosen (seed, shape-parameter) pairs through
 // the full differential harness: the fuzzer explores the generator's
@@ -15,15 +11,15 @@ import (
 // A crasher's corpus file pins (seed, params); the failure message also
 // names the seed for replay via `go run ./cmd/fibril-check -seed N`.
 func FuzzScheduler(f *testing.F) {
-	f.Add(uint64(0), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(7), uint8(3), uint8(2), uint8(50), uint8(10), false, uint8(0), uint8(0), uint8(0), uint8(1))
-	f.Add(uint64(42), uint8(9), uint8(7), uint8(100), uint8(0), false, uint8(4), uint8(0), uint8(30), uint8(2))
-	f.Add(uint64(0xdeadbeef), uint8(5), uint8(1), uint8(0), uint8(40), true, uint8(0), uint8(0), uint8(0), uint8(3))
-	f.Add(uint64(1<<63), uint8(11), uint8(4), uint8(20), uint8(1), false, uint8(8), uint8(2), uint8(0), uint8(0))
-	f.Add(uint64(99), uint8(7), uint8(3), uint8(30), uint8(8), false, uint8(3), uint8(1), uint8(60), uint8(3))
-	f.Add(uint64(31337), uint8(6), uint8(5), uint8(40), uint8(4), false, uint8(0), uint8(0), uint8(100), uint8(1))
+	f.Add(uint64(0), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(7), uint8(3), uint8(2), uint8(50), uint8(10), false, uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(42), uint8(9), uint8(7), uint8(100), uint8(0), false, uint8(4), uint8(0), uint8(30))
+	f.Add(uint64(0xdeadbeef), uint8(5), uint8(1), uint8(0), uint8(40), true, uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(1<<63), uint8(11), uint8(4), uint8(20), uint8(1), false, uint8(8), uint8(2), uint8(0))
+	f.Add(uint64(99), uint8(7), uint8(3), uint8(30), uint8(8), false, uint8(3), uint8(1), uint8(60))
+	f.Add(uint64(31337), uint8(6), uint8(5), uint8(40), uint8(4), false, uint8(0), uint8(0), uint8(100))
 	f.Fuzz(func(t *testing.T, seed uint64, depth, fanout, loopPct, maxWork uint8,
-		panics bool, batch, ceiling, lazyPct, policy uint8) {
+		panics bool, batch, ceiling, lazyPct uint8) {
 		params := Params{
 			// Small node budget keeps one iteration well under a
 			// millisecond so the fuzzer gets real throughput.
@@ -48,11 +44,8 @@ func FuzzScheduler(f *testing.F) {
 		}
 		p := Generate(seed, params)
 		opts := Options{
-			Workers: []int{2},
-			Mem:     []MemParams{mem},
-			// One policy per iteration; the fuzzer explores the whole
-			// enum (0 is the random default).
-			Policies:   []core.StealPolicy{core.StealPolicies()[int(policy)%len(core.StealPolicies())]},
+			Workers:    []int{2},
+			Mem:        []MemParams{mem},
 			SimWorkers: []int{2},
 		}
 		if err := Differential(p, opts); err != nil {

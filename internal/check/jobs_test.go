@@ -49,7 +49,6 @@ func TestDifferentialConcurrentJobs(t *testing.T) {
 		{4, core.StrategyFibril},
 		{1, core.StrategyFibril},
 		{4, core.StrategyTBB},
-		{2, core.StrategyGoroutine},
 	}
 	if testing.Short() {
 		legs = legs[:2]

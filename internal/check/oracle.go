@@ -157,7 +157,7 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 	if st.Steals > st.Forks {
 		v.failf("Steals=%d > Forks=%d (stole something never forked)", st.Steals, st.Forks)
 	}
-	if st.Workers == 1 && st.Strategy != core.StrategyGoroutine {
+	if st.Workers == 1 {
 		// With one worker there is nobody to steal, hence nothing to
 		// suspend for: the run must degenerate to the serial elision.
 		if st.Steals != 0 || st.Suspends != 0 {
@@ -266,7 +266,7 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 		v.failf("RemoteFrees-RemoteDrains=%d != RemoteFreeBacklog=%d (a hand-back was lost)",
 			got, e.Backlog)
 	}
-	if st.Workers == 1 && st.Strategy != core.StrategyGoroutine && st.RemoteFrees != 0 {
+	if st.Workers == 1 && st.RemoteFrees != 0 {
 		// One slot releases only onto itself; remote traffic needs a
 		// foreign releaser.
 		v.failf("P=1 run handed %d blocks to a remote-free list", st.RemoteFrees)

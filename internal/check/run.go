@@ -171,8 +171,7 @@ func (mp MemParams) String() string {
 type RealExec struct {
 	Label     string
 	Mem       MemParams
-	Policy    core.StealPolicy // steal policy the run used
-	Counts    []uint32         // executions per node ID
+	Counts    []uint32 // executions per node ID
 	Stats     core.Stats
 	Queued    int          // tasks left in deques at quiescence (must be 0)
 	Parked    int          // thieves still parked at quiescence (must be 0)
@@ -193,18 +192,14 @@ const traceRecorderCap = 1 << 21
 // everything the oracles need. The runtime's steal RNG is seeded from the
 // program seed (decorrelated by a constant) so executions are as
 // reproducible as goroutine scheduling allows.
-func RunReal(p *Program, workers int, strat core.Strategy, pol core.StealPolicy, mem MemParams) RealExec {
+func RunReal(p *Program, workers int, strat core.Strategy, mem MemParams) RealExec {
 	label := fmt.Sprintf("real/%v/P=%d", strat, workers)
-	if pol != core.StealRandom {
-		label += "/" + pol.String()
-	}
 	if s := mem.String(); s != "" {
 		label += "[" + s + "]"
 	}
 	e := RealExec{
 		Label:  label,
 		Mem:    mem,
-		Policy: pol,
 		Counts: make([]uint32, p.Nodes),
 	}
 	rec := trace.NewRecorder(traceRecorderCap)
@@ -213,7 +208,6 @@ func RunReal(p *Program, workers int, strat core.Strategy, pol core.StealPolicy,
 		Strategy:         strat,
 		FrameBytes:       p.Root.Frame, // the root task charges its own frame
 		StackPages:       harnessStackPages,
-		StealPolicy:      pol,
 		Seed:             p.Seed ^ 0xC0FFEE,
 		UnmapBatch:       mem.UnmapBatch,
 		MaxResidentPages: mem.MaxResidentPages,

@@ -55,9 +55,8 @@ const remoteHoardCap = 64
 type Scratch struct {
 	next *Scratch // free-list link; nil while the block is in flight
 	// home is the slot whose arena the block belongs to: the slot it was
-	// last acquired from or hoarded on. -1 for heap-born blocks of
-	// slotless (goroutine-baseline) workers, which have no home to return
-	// to. Only the block's exclusive owner writes it.
+	// last acquired from or hoarded on. Only the block's exclusive owner
+	// writes it.
 	home  int32
 	frame Frame
 	buf   [ScratchBytes / 8]uint64
@@ -107,28 +106,23 @@ func (r *remoteFrees) push(s *Scratch) {
 // free list when one is hoarded (the steady-state, allocation-free path),
 // from the slot's remote-free list on a local miss (adopting every block
 // foreign releasers handed back), and from the heap only when both are
-// empty. Slotless workers (goroutine baseline) always take the heap path.
+// empty.
 func (w *W) AcquireScratch() *Scratch {
 	w.stats.arenaAcquires.Add(1)
-	if w.slot != nil {
-		a := &w.slot.arena
-		if s := a.free; s != nil {
-			a.free = s.next
-			a.n--
-			s.next = nil
-			return s
-		}
-		if w.slot.remote.n.Load() > 0 {
-			if s := w.drainRemote(); s != nil {
-				return s
-			}
-		}
-		s := new(Scratch)
-		s.home = int32(w.slot.id)
+	a := &w.slot.arena
+	if s := a.free; s != nil {
+		a.free = s.next
+		a.n--
+		s.next = nil
 		return s
 	}
+	if w.slot.remote.n.Load() > 0 {
+		if s := w.drainRemote(); s != nil {
+			return s
+		}
+	}
 	s := new(Scratch)
-	s.home = -1
+	s.home = int32(w.slot.id)
 	return s
 }
 
@@ -165,8 +159,7 @@ func (w *W) drainRemote() *Scratch {
 }
 
 // ReleaseScratch returns s to the current slot's free list — or, when the
-// local hoard is full or the releaser is slotless, hands it back to its
-// home slot's remote-free list so steal-heavy acquire-here/release-there
+// local hoard is full, hands it back to its home slot's remote-free list so steal-heavy acquire-here/release-there
 // traffic recirculates instead of churning the GC. A block that fits
 // nowhere is dropped (Stats.ArenaDrops).
 //
@@ -188,23 +181,18 @@ func (w *W) ReleaseScratch(s *Scratch) {
 	f.parent = nil
 	f.pendingReclaim = nil
 	f.panicked = nil
-	if w.slot != nil {
-		a := &w.slot.arena
-		if a.n < arenaHoardCap {
-			s.home = int32(w.slot.id) // adopted: the block lives here now
-			s.next = a.free
-			a.free = s
-			a.n++
-			return
-		}
+	a := &w.slot.arena
+	if a.n < arenaHoardCap {
+		s.home = int32(w.slot.id) // adopted: the block lives here now
+		s.next = a.free
+		a.free = s
+		a.n++
+		return
 	}
-	if h := s.home; h >= 0 && int(h) < len(w.rt.workers) {
-		r := &w.rt.workers[h].remote
-		if r.n.Load() < remoteHoardCap {
-			r.push(s)
-			w.stats.remoteFrees.Add(1)
-			return
-		}
+	if r := &w.rt.workers[s.home].remote; r.n.Load() < remoteHoardCap {
+		r.push(s)
+		w.stats.remoteFrees.Add(1)
+		return
 	}
 	w.stats.arenaDrops.Add(1) // heap fallback: the GC takes it
 }

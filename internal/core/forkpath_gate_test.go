@@ -61,11 +61,8 @@ func gateFib(w *W, n int) int64 {
 // allocations than forks (0 allocs/op amortized), and stays under a budget
 // that charges a constant per steal (thief goroutine + stack machinery)
 // plus a small warm-path base — nothing on the fork path itself allocates:
-// 64 base + 32/steal.
-//
-// StealHalf runs the same budget: loot batching must not add per-fork
-// allocations (the loot buffer is stack-allocated; the loose queue's
-// backing array amortizes into the per-steal constant).
+// 64 base + 32/steal. The subtest is named for the one deque and the one
+// victim rule.
 func TestForkPathGate(t *testing.T) {
 	const n = 24
 	want := fibSerial(n)
@@ -75,35 +72,69 @@ func TestForkPathGate(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
-	for _, pol := range []StealPolicy{StealRandom, StealHalf} {
-		t.Run("the/"+pol.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: 4, StealPolicy: pol})
-			var out int64
-			rt.Run(func(w *W) { out = gateFib(w, n) }) // warm arenas, stacks, thieves
-			st0 := rt.Stats()
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			rt.Run(func(w *W) { out = gateFib(w, n) })
-			runtime.ReadMemStats(&m1)
-			st1 := rt.Stats()
-			if out != want {
-				t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
-			}
-			ops := st1.Forks - st0.Forks
-			steals := st1.Steals - st0.Steals
-			got := int64(m1.Mallocs - m0.Mallocs)
-			budget := 64 + 32*steals
-			t.Logf("%s: %d allocs over %d forks (%d steals), budget %d",
-				pol, got, ops, steals, budget)
-			if got >= ops {
-				t.Errorf("%d allocs >= %d forks: fork path is allocating per op", got, ops)
-			}
-			if got > budget {
-				t.Errorf("%d allocs > budget %d (%d steals)", got, budget, steals)
-			}
-		})
-	}
+	t.Run("the/random", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 4})
+		var out int64
+		rt.Run(func(w *W) { out = gateFib(w, n) }) // warm arenas, stacks, thieves
+		st0 := rt.Stats()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rt.Run(func(w *W) { out = gateFib(w, n) })
+		runtime.ReadMemStats(&m1)
+		st1 := rt.Stats()
+		if out != want {
+			t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
+		}
+		ops := st1.Forks - st0.Forks
+		steals := st1.Steals - st0.Steals
+		got := int64(m1.Mallocs - m0.Mallocs)
+		budget := 64 + 32*steals
+		t.Logf("%d allocs over %d forks (%d steals), budget %d", got, ops, steals, budget)
+		if got >= ops {
+			t.Errorf("%d allocs >= %d forks: fork path is allocating per op", got, ops)
+		}
+		if got > budget {
+			t.Errorf("%d allocs > budget %d (%d steals)", got, budget, steals)
+		}
+	})
+}
+
+// TestLeapfrogArenaRecycling is the regression fence for the blanket
+// arena exclusion StrategyLeapfrog used to carry: Scratch blocks must
+// recycle under the leapfrog join discipline exactly as they do under
+// Fibril — acquires balance releases, and a warmed runtime's second run
+// stays below one allocation per fork.
+func TestLeapfrogArenaRecycling(t *testing.T) {
+	const n = 22
+	want := fibSerial(n)
+	t.Run("the", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 4, Strategy: StrategyLeapfrog})
+		var out int64
+		rt.Run(func(w *W) { out = gateFib(w, n) }) // warm
+		st0 := rt.Stats()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rt.Run(func(w *W) { out = gateFib(w, n) })
+		runtime.ReadMemStats(&m1)
+		st := rt.Stats()
+		if out != want {
+			t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
+		}
+		ops := st.Forks - st0.Forks
+		got := int64(m1.Mallocs - m0.Mallocs)
+		t.Logf("%d allocs over %d forks", got, ops)
+		if got >= ops {
+			t.Errorf("%d allocs over %d forks: leapfrog is not recycling Scratch blocks", got, ops)
+		}
+		if st.ArenaAcquires == 0 {
+			t.Fatal("no arena acquires recorded")
+		}
+		if st.ArenaAcquires != st.ArenaReleases {
+			t.Errorf("ArenaAcquires=%d != ArenaReleases=%d", st.ArenaAcquires, st.ArenaReleases)
+		}
+	})
 }
 
 // spinSink keeps the yardstick loop from being optimized away.

@@ -124,12 +124,7 @@ func (w *W) childDone(f *Frame) (handoff bool) {
 	}
 
 	w.stats.resumes.Add(1)
-	w.rt.trc.Emit(w.slotID(), trace.KindResume, int64(f.stack.ID()), 0)
-	if w.slot == nil {
-		// Goroutine baseline: just wake the waiter, no slot to transfer.
-		ch <- nil
-		return false
-	}
+	w.rt.trc.Emit(w.slot.id, trace.KindResume, int64(f.stack.ID()), 0)
 	ch <- w.slot
 	return true
 }
@@ -177,14 +172,14 @@ func (w *W) suspend(f *Frame) bool {
 	}
 
 	w.stats.suspends.Add(1)
-	rt.trc.Emit(w.slotID(), trace.KindSuspend, int64(w.stack.ID()), 0)
+	rt.trc.Emit(w.slot.id, trace.KindSuspend, int64(w.stack.ID()), 0)
 
 	switch {
 	case ticket != nil:
 		// Defer the unmap: post the ticket for a batched flush. The
 		// ticket may already be cancelled (the children finished during
 		// the lines above); enqueue regardless — flush skips dead tickets.
-		rt.reclaim.enqueue(w.slotID(), w.stats, ticket)
+		rt.reclaim.enqueue(w.slot.id, w.stats, ticket)
 	case gated:
 		// Hysteresis gate: the stack never grew past its last unmap
 		// point, so every page above the watermark is already gone and
@@ -201,15 +196,15 @@ func (w *W) suspend(f *Frame) bool {
 			freed := w.stack.UnmapAbove()
 			w.stats.unmaps.Add(1)
 			w.stats.unmappedPages.Add(int64(freed))
-			rt.trc.Emit(w.slotID(), trace.KindUnmap, int64(freed), 0)
+			rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
 		case StrategyFibrilMMap:
 			freed := w.stack.MapDummyAbove()
 			w.stats.unmaps.Add(1)
 			w.stats.unmappedPages.Add(int64(freed))
-			rt.trc.Emit(w.slotID(), trace.KindUnmap, int64(freed), 0)
+			rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
 		}
 	}
-	rt.reclaim.pressure(w.slotID(), w.stats)
+	rt.reclaim.pressure(w.slot.id, w.stats)
 
 	// Join-wait time: how long this goroutine stays parked before the
 	// last child's completion hands it a slot back. Timed only when a
@@ -218,22 +213,18 @@ func (w *W) suspend(f *Frame) bool {
 	if rt.trc.Wants(trace.KindJoinWait) {
 		parkedAt = time.Now()
 	}
-	if w.slot != nil {
-		// Hand the worker slot to a replacement thief so exactly P slots
-		// stay busy (busy leaves). The replacement takes its stack from
-		// the pool, blocking there if a bounded (Cilk Plus) pool is empty.
-		rt.goroutineWG.Add(1)
-		go rt.thiefLoop(w.slot)
-		// The finisher's slot is generally not the one given up above, and
-		// that slot's new occupant is adding to its shard: follow the slot,
-		// so a shard keeps one writer.
-		w.slot = <-f.resume
-		w.stats = rt.shard(w.slot.id)
-	} else {
-		<-f.resume // goroutine baseline: plain blocking join
-	}
+	// Hand the worker slot to a replacement thief so exactly P slots stay
+	// busy (busy leaves). The replacement takes its stack from the pool,
+	// blocking there if a bounded (Cilk Plus) pool is empty.
+	rt.goroutineWG.Add(1)
+	go rt.thiefLoop(w.slot)
+	// The finisher's slot is generally not the one given up above, and that
+	// slot's new occupant is adding to its shard: follow the slot, so a
+	// shard keeps one writer.
+	w.slot = <-f.resume
+	w.stats = rt.shard(w.slot.id)
 	if !parkedAt.IsZero() {
-		rt.trc.Emit(w.slotID(), trace.KindJoinWait, int64(w.stack.ID()), time.Since(parkedAt))
+		rt.trc.Emit(w.slot.id, trace.KindJoinWait, int64(w.stack.ID()), time.Since(parkedAt))
 	}
 	// Remap before execution returns to the stack. The woken owner does it
 	// (not the finisher) because only the owner may touch the stack; with

@@ -10,12 +10,11 @@ import "fibril/internal/stack"
 // left behind.
 
 // QueuedTasks returns the total number of tasks sitting in the worker
-// deques plus the StealHalf overflow queue. After a completed Run this
-// must be zero: a leftover task is a fork that was never executed, a
+// deques. After a completed Run this must be zero: a leftover task is a fork that was never executed, a
 // direct violation of the exactly-once guarantee (and of busy-leaves —
 // the run ended while work existed).
 func (rt *Runtime) QueuedTasks() int {
-	n := rt.loose.len()
+	n := 0
 	for _, w := range rt.workers {
 		n += w.deque.Len()
 	}

@@ -9,13 +9,11 @@ import (
 )
 
 // This file is the root-intake layer of the serving lifecycle: the queue
-// of admitted roots awaiting a worker, and the Job recycling pool. The
-// intake is deliberately separate from looseQueue: loose tasks are
-// already-extracted, already-counted *steals*, while roots are new
-// computations that must not perturb the steal counters or the
-// trace-reconciliation laws — and thieves take roots only after a full
-// steal sweep fails, so in-flight computations keep their workers until
-// there is genuinely idle capacity.
+// of admitted roots awaiting a worker, and the Job recycling pool. Roots
+// are kept out of the deques: they are new computations that must not
+// perturb the steal counters or the trace-reconciliation laws — and
+// thieves take roots only after a full steal sweep fails, so in-flight
+// computations keep their workers until there is genuinely idle capacity.
 
 // intakeHash spreads submission ids over n shards. Fibonacci hashing on
 // the id: consecutive ids land on well-spread shards, so concurrent
@@ -158,9 +156,9 @@ func (s *intakeShard) putFree(j *Job) {
 
 // shardedIntake is the root intake: one intakeShard per worker slot.
 // Submitters pick a shard by hashing the submission id; thieves drain
-// shards round-robin starting at their own slot (pop's self; -1 for
-// slotless callers), so concurrent drains start on distinct shards and the
-// "roots only after a failed steal sweep" priority is preserved per thief.
+// shards round-robin starting at their own slot (pop's self), so
+// concurrent drains start on distinct shards and the "roots only after a
+// failed steal sweep" priority is preserved per thief.
 // getJob returns a recycled Job for a submission id (nil when that shard's
 // free list is empty or contended); putJob recycles a completed, already
 // reset Job — see Job.Release for the handoff rules.

@@ -377,9 +377,6 @@ func (rt *Runtime) ensureStarted() bool {
 
 	rt.done.Store(false)
 	rt.park.open()
-	if rt.cfg.Strategy == StrategyGoroutine {
-		return true // slotless: every root gets its own goroutine at dispatch
-	}
 	for _, slot := range rt.workers {
 		rt.goroutineWG.Add(1)
 		go rt.thiefLoop(slot)
@@ -541,21 +538,8 @@ func (rt *Runtime) submitSlow(j *Job) *Job {
 // dispatch hands an admitted job to the scheduler: push on the root
 // intake and wake a single parked thief — publish-then-wake, the same
 // lost-wakeup-free Dekker pair Fork uses, and one root wakes one thief.
-// The goroutine baseline is slotless, so each root gets a goroutine with
-// its own pooled stack instead.
 func (rt *Runtime) dispatch(j *Job) {
 	rt.jobsAdmitted.Add(1)
-	if rt.cfg.Strategy == StrategyGoroutine {
-		rt.goroutineWG.Add(1)
-		go func() {
-			defer rt.goroutineWG.Done()
-			st := rt.takeStack(-1)
-			w := rt.newW(nil, st, rt.shard(-1))
-			w.runRoot(task{fn: j.root, bytes: int32(rt.cfg.FrameBytes), job: j})
-			rt.pool.Put(-1, st)
-		}()
-		return
-	}
 	rt.subq.push(j)
 	rt.park.wake(1)
 }

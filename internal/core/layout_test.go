@@ -12,14 +12,14 @@ import (
 // pass.
 var (
 	workerGroups = [][]string{
-		{"id", "deque"},                // fixed at NewRuntime; read by the occupant and by thieves
-		{"rng", "lastVictim", "arena"}, // the occupant's
-		{"remote"},                     // any worker's
+		{"id", "deque"},  // fixed at NewRuntime; read by the occupant and by thieves
+		{"rng", "arena"}, // the occupant's
+		{"remote"},       // any worker's
 	}
 	runtimeGroups = [][]string{
 		{"cfg", "as", "pool", "reclaim", "workers", "park", "done", "trc", "metrics",
 			"subq", "stampJobs", "stats"}, // read-mostly
-		{"goroutineWG", "loose", "admit"},                            // per suspension / admission / lifecycle
+		{"goroutineWG", "admit"},                                     // per suspension / admission / lifecycle
 		{"jobsSubmitted", "jobsAdmitted", "jobsShed", "jobsDrained"}, // submitters'
 		{"jobsCompleted", "jobSeq"},                                  // completers'
 	}

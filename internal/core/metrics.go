@@ -4,8 +4,8 @@ import "fibril/internal/trace"
 
 // Gauges are instantaneous runtime readings — unlike the monotonic Stats
 // counters, each is a racy-but-coherent point sample of live scheduler
-// and memory state, meaningful mid-execution (and all zero, except
-// StacksInUse on the goroutine baseline, at quiescence).
+// and memory state, meaningful mid-execution (and all zero at
+// quiescence).
 type Gauges struct {
 	// ResidentPages is the simulated resident set right now, in pages.
 	ResidentPages int64

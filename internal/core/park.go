@@ -9,11 +9,11 @@ import (
 
 // parkLot is the quiet half of the idle protocol: a thief that has searched
 // — swept and yielded — for about as long as a wake-up costs (searchBudget)
-// parks here, and every publication of new work (a Fork, a dispatched root,
-// shared StealHalf loot) wakes parked thieves. Parking is what keeps an
-// idle thief from burning a core, while preserving busy-leaves: whenever
-// work exists (every unit of queued work was published by a Fork or a
-// Submit, and every publish calls wake), no thief stays parked.
+// parks here, and every publication of new work (a Fork, a dispatched root)
+// wakes parked thieves. Parking is what keeps an idle thief from burning a
+// core, while preserving busy-leaves: whenever work exists (every unit of
+// queued work was published by a Fork or a Submit, and every publish calls
+// wake), no thief stays parked.
 //
 // The search phase sits entirely before registration. A searching thief is
 // not registered, holds no token and is owed no wake: it is a runnable
@@ -30,22 +30,21 @@ import (
 //
 // The lost-wakeup argument is a Dekker pair. A parking thief registers
 // itself (nparked++) and only then runs one final steal sweep; a publisher
-// makes the work visible (deque push, intake-shard link, loose-queue put)
-// and only then reads nparked. Under Go's sequentially-consistent atomics
-// it is impossible for the final sweep to miss the publish AND the
-// publisher to miss the registration, so either the thief leaves with the
-// task or the publisher enters wake and deposits a token.
+// makes the work visible (deque push, intake-shard link) and only then
+// reads nparked. Under Go's sequentially-consistent atomics it is
+// impossible for the final sweep to miss the publish AND the publisher to
+// miss the registration, so either the thief leaves with the task or the
+// publisher enters wake and deposits a token.
 //
-// The final sweep runs WITHOUT mu: it is a full steal sweep, and a steal
-// publishes too (StealHalf loot → wake), so under mu it would self-deadlock
-// on its own registration — and every Fork that saw nparked != 0 would
-// queue behind a whole sweep. That leaves a window between the sweep and
-// the sleep, which tokens close because they are counted state, not
-// events: a token deposited in the window is still there when the thief
-// takes mu, and it skips the sleep. Tokens are anonymous — a sleeper that
-// the Signal reached may spend the token meant for the thief in the window,
-// or the reverse — and that is enough, because all a publish needs is one
-// sweep that starts after it, by anyone.
+// The final sweep runs WITHOUT mu: it is a full steal sweep, and under mu
+// every Fork that saw nparked != 0 would queue behind the whole of it. That
+// leaves a window between the sweep and the sleep, which tokens close
+// because they are counted state, not events: a token deposited in the
+// window is still there when the thief takes mu, and it skips the sleep.
+// Tokens are anonymous — a sleeper that the Signal reached may spend the
+// token meant for the thief in the window, or the reverse — and that is
+// enough, because all a publish needs is one sweep that starts after it, by
+// anyone.
 //
 // Two cases deposit less than one token per publish. wake may find every
 // registered thief already holding a pending token (avail <= 0): a token

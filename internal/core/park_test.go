@@ -234,8 +234,8 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	awaits(second, "second sleeper after wake(1)")
 	waitSleepers(0)
 
-	// Phase 3: a burst sized to the sleepers (StealHalf loot) releases
-	// every one of them and, like the clamped burst, leaves no residue.
+	// Phase 3: a burst sized to the sleepers releases every one of them
+	// and, like the clamped burst, leaves no residue.
 	a, b := parkOne(), parkOne()
 	waitSleepers(2)
 	p.wake(2)
@@ -253,14 +253,12 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	awaits(late, "late sleeper after close")
 }
 
-// TestFinalSweepMayPublishLoot is the StealHalf self-deadlock, made
-// deterministic: a parking thief whose final sweep finds a rich victim
-// takes a batch, and sharing the loot wakes the park lot — which the thief
-// is, at that moment, registered in. With the final sweep under the lot's
-// mutex that wake locked the mutex a second time and every Fork's wake(1)
-// queued up behind it.
-func TestFinalSweepMayPublishLoot(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, StealPolicy: StealHalf})
+// TestFinalSweepReturnsTask is the park lot's half of the lost-wakeup
+// argument, made deterministic: a thief that has registered and whose
+// final sweep meets a victim holding work leaves with one task instead of
+// sleeping, and is no longer counted as parked.
+func TestFinalSweepReturnsTask(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 2})
 	victim := rt.workers[1]
 	for i := 0; i < 8; i++ {
 		victim.deque.Push(task{fn: func(*W) {}})
@@ -273,19 +271,22 @@ func TestFinalSweepMayPublishLoot(t *testing.T) {
 			t.Error("final sweep over a victim with 8 tasks came back empty")
 		}
 	})
-	if got := rt.loose.len(); got != 3 {
-		t.Errorf("loose queue holds %d tasks after a batch of 8/2, want 3", got)
+	if got := w.stats.thiefParks.Load(); got != 0 {
+		t.Errorf("thiefParks = %d: the thief slept although its final sweep found a task", got)
+	}
+	if got := victim.deque.Len(); got != 7 {
+		t.Errorf("victim holds %d tasks after one steal from 8, want 7", got)
 	}
 	if got := rt.park.parked(); got != 0 {
 		t.Errorf("parked() = %d after park returned with a task, want 0", got)
 	}
 }
 
-// TestStealHalfWideFanout is the same hang met the way the stealpolicy
-// experiment met it: rounds of staggered wide fan-outs on four StealHalf
-// workers, so that thieves run out of work and walk into the park lot
-// while other workers are just publishing sixteen tasks at once.
-func TestStealHalfWideFanout(t *testing.T) {
+// TestWideFanoutStaggered is the park lot's stress: rounds of staggered
+// wide fan-outs on four workers, so that thieves run out of work and walk
+// into the park lot while other workers are just publishing sixteen tasks
+// at once. It dumps goroutines and fails instead of hanging.
+func TestWideFanoutStaggered(t *testing.T) {
 	const rounds, mids, fan = 10000, 4, 16
 	spin := func(d time.Duration) {
 		for t0 := time.Now(); time.Since(t0) < d; {
@@ -293,7 +294,7 @@ func TestStealHalfWideFanout(t *testing.T) {
 	}
 	var leaves atomic.Int64
 	watchdog(t, 60*time.Second, func() {
-		rt := NewRuntime(Config{Workers: 4, StealPolicy: StealHalf, StackPages: 4096})
+		rt := NewRuntime(Config{Workers: 4, StackPages: 4096})
 		rt.Run(func(w *W) {
 			for round := 0; round < rounds; round++ {
 				var fr Frame

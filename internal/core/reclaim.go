@@ -75,7 +75,7 @@ func newReclaimer(rt *Runtime) *reclaimer {
 		rt:      rt,
 		batch:   rt.cfg.UnmapBatch,
 		ceiling: rt.cfg.MaxResidentPages,
-		lists:   make([]reclaimList, rt.cfg.Workers+1),
+		lists:   make([]reclaimList, rt.cfg.Workers),
 	}
 }
 
@@ -83,21 +83,12 @@ func newReclaimer(rt *Runtime) *reclaimer {
 // otherwise the eager per-suspend behaviour is kept bit-for-bit.
 func (r *reclaimer) batched() bool { return r.batch > 1 }
 
-// list maps a worker slot to its reclaim list; slotless workers (-1) share
-// the spare, like counter shards.
-func (r *reclaimer) list(slot int) *reclaimList {
-	if slot < 0 || slot >= len(r.lists)-1 {
-		return &r.lists[len(r.lists)-1]
-	}
-	return &r.lists[slot]
-}
-
 // enqueue posts a ticket on the slot's list, flushing the list if it
 // reached the batch size. The ticket may already be cancelled (its frame
 // resumed while the suspend path was still publishing it); it is appended
 // anyway and skipped at flush time, having been counted by the cancel.
 func (r *reclaimer) enqueue(slot int, sh *counterShard, t *reclaimTicket) {
-	l := r.list(slot)
+	l := &r.lists[slot]
 	l.mu.Lock()
 	l.pending = append(l.pending, t)
 	var batch []*reclaimTicket

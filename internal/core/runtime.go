@@ -37,8 +37,8 @@
 // madvise-based unmap, Fibril without unmap, Cilk Plus (bounded stack pool,
 // no unmap), TBB (depth-restricted stealing executed inline on the
 // joiner's own stack, which is why TBB needs no suspension and no extra
-// stacks but forfeits the time bound), leapfrogging (descendant-restricted
-// inline stealing), and a Go-native goroutine-per-task baseline.
+// stacks but forfeits the time bound) and leapfrogging
+// (descendant-restricted inline stealing).
 package core
 
 import (
@@ -84,9 +84,6 @@ const (
 	// StrategyLeapfrog restricts inline stealing further, to descendants
 	// of the joining frame (Wagner & Calder's leapfrogging).
 	StrategyLeapfrog
-	// StrategyGoroutine is the Go-native baseline: every fork is a `go`
-	// statement with its own pooled stack, joined by counter.
-	StrategyGoroutine
 	// StrategyCilkM models Lee et al.'s Cilk-M (§3): thread-local memory
 	// mapping moves the stolen stack prefix into the thief's TLMM region,
 	// so no suspension-time unmap is needed — but every steal pays a cost
@@ -111,8 +108,6 @@ func (s Strategy) String() string {
 		return "tbb"
 	case StrategyLeapfrog:
 		return "leapfrog"
-	case StrategyGoroutine:
-		return "goroutine"
 	case StrategyCilkM:
 		return "cilkm"
 	default:
@@ -125,7 +120,6 @@ func Strategies() []Strategy {
 	return []Strategy{
 		StrategyFibril, StrategyFibrilNoUnmap, StrategyFibrilMMap,
 		StrategyCilkPlus, StrategyCilkM, StrategyTBB, StrategyLeapfrog,
-		StrategyGoroutine,
 	}
 }
 
@@ -135,11 +129,6 @@ type Config struct {
 	Workers int
 	// Strategy selects the scheduling policy. Default StrategyFibril.
 	Strategy Strategy
-	// StealPolicy selects the thief victim-selection policy. StealRandom
-	// (the default) is the paper's uniformly random sweep; the locality
-	// policies (StealLastVictim, StealNearVictim, StealHalf) trade its
-	// load-balancing guarantees for cache affinity — see StealPolicy.
-	StealPolicy StealPolicy
 	// StackPages is the size of each simulated stack. Default
 	// stack.DefaultStackPages (1 MB of 4 KB pages, as in the paper).
 	StackPages int
@@ -216,9 +205,8 @@ func (c Config) withDefaults() Config {
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
 // package comment); the slot itself carries the deque (Push, Pop and
-// LazyHint are the occupant's; Steal, StealIf, StealBatch and Len any
-// worker's), the steal RNG, the slot's victim-locality hints and its
-// Scratch arena.
+// LazyHint are the occupant's; Steal, StealIf and Len any worker's), the
+// steal RNG and its Scratch arena.
 //
 // Slots are allocated one by one, back to back, and the fields are laid
 // out by writer (DESIGN.md §15), three groups a pad apart: what nobody
@@ -238,8 +226,7 @@ type worker struct {
 	_ cacheline.Pad
 
 	// Written only by the goroutine occupying the slot.
-	rng        rng
-	lastVictim int // most recent successful victim slot; -1 when none (a parking thief drops it)
+	rng rng
 	// arena is the slot's Blelloch–Wei-style free list of fixed-size
 	// Scratch blocks (frame + fork payload), no atomics.
 	arena frameArena
@@ -308,18 +295,16 @@ type Runtime struct {
 	subq      *shardedIntake
 	stampJobs bool
 
-	// stats holds one counter shard per worker slot plus a spare shard for
-	// slotless workers; see counterShard for the de-contention rationale.
+	// stats holds one counter shard per worker slot; see counterShard for
+	// the de-contention rationale.
 	stats []counterShard
 
 	_ cacheline.Pad
 
 	// Written by a suspend spawning its replacement thief (goroutineWG),
-	// by StealHalf loot (loose), by lifecycle transitions and — its
-	// inflight count — once per admission and once per completion (admit;
-	// see job.go).
+	// by lifecycle transitions and — its inflight count — once per
+	// admission and once per completion (admit; see job.go).
 	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
-	loose       looseQueue     // overflow queue for StealHalf loot; see looseQueue
 	admit       admitState
 
 	_ cacheline.Pad
@@ -366,13 +351,12 @@ func NewRuntime(cfg Config) *Runtime {
 	rt.workers = make([]*worker, cfg.Workers)
 	for i := range rt.workers {
 		rt.workers[i] = &worker{
-			id:         i,
-			deque:      &deque.Deque[task]{},
-			rng:        newRNG(cfg.Seed + uint64(i)*0x1234567),
-			lastVictim: -1,
+			id:    i,
+			deque: &deque.Deque[task]{},
+			rng:   newRNG(cfg.Seed + uint64(i)*0x1234567),
 		}
 	}
-	rt.stats = make([]counterShard, cfg.Workers+1)
+	rt.stats = make([]counterShard, cfg.Workers)
 	return rt
 }
 
@@ -384,8 +368,7 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // default frame size, the strategy (plus whether its fork path needs the
 // slow prologue), and whether any sink consumes fork events. The tracer's
 // want-mask and the configuration are both fixed for the runtime's
-// lifetime, so caching at W creation is sound. slot is nil for slotless
-// (goroutine-baseline) workers.
+// lifetime, so caching at W creation is sound.
 func (rt *Runtime) newW(slot *worker, st *stack.Stack, sh *counterShard) *W {
 	return &W{
 		rt:         rt,
@@ -394,10 +377,8 @@ func (rt *Runtime) newW(slot *worker, st *stack.Stack, sh *counterShard) *W {
 		stats:      sh,
 		frameBytes: rt.cfg.FrameBytes,
 		strategy:   rt.cfg.Strategy,
-		slowFork: rt.cfg.Strategy == StrategyCilkPlus ||
-			rt.cfg.Strategy == StrategyTBB ||
-			rt.cfg.Strategy == StrategyGoroutine,
-		wantsFork: rt.trc.Wants(trace.KindFork),
+		slowFork:   rt.cfg.Strategy == StrategyCilkPlus || rt.cfg.Strategy == StrategyTBB,
+		wantsFork:  rt.trc.Wants(trace.KindFork),
 	}
 }
 
@@ -511,12 +492,10 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 				runtime.Gosched()
 				continue
 			}
-			// Searched for as long as a wake-up costs: park. The victim
-			// anchor lasts one idle episode (see steal). park re-sweeps
+			// Searched for as long as a wake-up costs: park. park re-sweeps
 			// after registering, so a Fork or Submit racing this sleep
 			// either is seen by that sweep or sees the registration and
 			// deposits a wake token (no lost wakeup — see parkLot).
-			w.slot.lastVictim = -1
 			t, ok = rt.park.park(&w.stats.thiefParks, sweep)
 		}
 		fails, idleSince = 0, time.Time{}
@@ -533,6 +512,62 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 		}
 	}
 	rt.pool.Put(slot.id, w.stack)
+}
+
+// steal attempts one round of stealing over the other worker slots: the
+// paper's random_steal (Listing 3), a round-robin sweep from a uniformly
+// random start — the rule the Tp ≤ T1/P + c∞·T∞ bound is proved for. A
+// thief never probes its own deque, skips deques whose Len snapshot is
+// visibly empty, and charges the probe count to the stealAttempts shard once
+// per sweep instead of once per victim. If restrict is non-nil only tasks it
+// accepts are taken (depth-restricted and leapfrog disciplines). It returns
+// false after a full unsuccessful sweep so callers can decide to back off or
+// re-check their join condition.
+func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
+	self := w.slot.id
+	n := len(rt.workers)
+	probes := int64(0)
+	// Steal latency: how long the winning sweep took from entry to
+	// acquisition. The clock reads exist only when a sink consumes steal
+	// events, so the disabled path stays untimed.
+	var sweepStart time.Time
+	if rt.trc.Wants(trace.KindSteal) {
+		sweepStart = time.Now()
+	}
+	start := int(w.slot.rng.next() % uint64(n))
+	for i := 0; i < n; i++ {
+		victim := rt.workers[(start+i)%n]
+		if victim.id == self || victim.deque.Len() == 0 {
+			continue
+		}
+		probes++
+		var (
+			t  task
+			ok bool
+		)
+		if restrict == nil {
+			t, ok = victim.deque.Steal()
+		} else {
+			t, ok = victim.deque.StealIf(restrict)
+		}
+		if !ok {
+			continue
+		}
+		w.stats.stealAttempts.Add(probes)
+		w.stats.steals.Add(1)
+		var lat time.Duration
+		if !sweepStart.IsZero() {
+			lat = time.Since(sweepStart)
+		}
+		rt.trc.Emit(self, trace.KindSteal, int64(victim.id), lat)
+		return t, true
+	}
+	// Full sweep failed. A sweep that probed nothing (every victim visibly
+	// empty, the common case while searching) writes no shared counter.
+	if probes != 0 {
+		w.stats.stealAttempts.Add(probes)
+	}
+	return task{}, false
 }
 
 // takeStack takes a stack from the pool for the given worker slot,

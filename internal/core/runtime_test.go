@@ -42,9 +42,6 @@ func TestParfibAllStrategies(t *testing.T) {
 	want := fibSerial(n)
 	for _, s := range Strategies() {
 		for _, workers := range []int{1, 2, 4, 8} {
-			if s == StrategyGoroutine && workers > 1 {
-				continue // the baseline ignores worker count
-			}
 			cfg := Config{Workers: workers, Strategy: s}
 			got, stats := runParfib(t, cfg, n)
 			if got != want {

@@ -10,14 +10,13 @@ import (
 )
 
 // counterShard holds one worker slot's scheduler counters. The runtime
-// keeps one shard per slot (plus a spare for slotless goroutine-baseline
-// workers), so the fork/steal hot paths increment an uncontended counter
-// instead of ping-ponging a shared cache line across P cores; Stats
-// aggregates the shards. Uncontended means one writer per shard: a W adds
-// to the shard of the slot it occupies and re-binds when a resume hands it
-// a different slot (see suspend). Each shard is rounded up to whole
-// cacheline units (DESIGN.md §15), so neighbouring slots' shards — elements
-// of one slice — never false-share.
+// keeps one shard per slot, so the fork/steal hot paths increment an
+// uncontended counter instead of ping-ponging a shared cache line across P
+// cores; Stats aggregates the shards. Uncontended means one writer per
+// shard: a W adds to the shard of the slot it occupies and re-binds when a
+// resume hands it a different slot (see suspend). Each shard is rounded up
+// to whole cacheline units (DESIGN.md §15), so neighbouring slots' shards —
+// elements of one slice — never false-share.
 type counterShard struct {
 	counters
 	_ [cacheline.Size - unsafe.Sizeof(counters{})%cacheline.Size]byte
@@ -48,14 +47,8 @@ type counters struct {
 	arenaDrops       atomic.Int64
 }
 
-// shard returns the counter shard for worker slot id; id -1 (slotless
-// goroutine-baseline workers) maps to the shared spare shard.
-func (rt *Runtime) shard(id int) *counterShard {
-	if id < 0 {
-		id = len(rt.stats) - 1
-	}
-	return &rt.stats[id]
-}
+// shard returns the counter shard for worker slot id.
+func (rt *Runtime) shard(id int) *counterShard { return &rt.stats[id] }
 
 // Stats is a snapshot of a Runtime's scheduler and memory counters — the
 // raw material of the paper's Tables 2–4.

@@ -177,9 +177,9 @@ func TestStressDeepAndWide(t *testing.T) {
 
 // TestQuiescentAfterRun is the busy-leaves quiescence oracle the serve
 // drain gate relies on, on the default configuration: after Run returns
-// from a 12-ary depth-3 tree on four workers, no deque or loose-queue
-// entry, no reclaim ticket and no inflight job may be left behind — round
-// after round, each on a fresh runtime.
+// from a 12-ary depth-3 tree on four workers, no deque entry, no reclaim
+// ticket and no inflight job may be left behind — round after round, each
+// on a fresh runtime.
 func TestQuiescentAfterRun(t *testing.T) {
 	rounds := 3000
 	if testing.Short() || raceEnabled {

@@ -41,7 +41,7 @@ func fibSubmit(w *W, n int, out *int64) {
 // clean and panicking roots, with per-Job panic isolation — a panicking
 // root must fail its own Job and no sibling.
 func TestConcurrentSubmit(t *testing.T) {
-	for _, strat := range []Strategy{StrategyFibril, StrategyTBB, StrategyGoroutine} {
+	for _, strat := range []Strategy{StrategyFibril, StrategyTBB} {
 		t.Run(strat.String(), func(t *testing.T) {
 			rt := NewRuntime(Config{Workers: 4, Strategy: strat})
 			rt.Start()

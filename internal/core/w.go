@@ -23,7 +23,7 @@ type W struct {
 	_ cacheline.Pad
 
 	rt    *Runtime
-	slot  *worker       // current worker slot; nil in the goroutine baseline
+	slot  *worker       // current worker slot
 	stack *stack.Stack  // this goroutine's simulated stack
 	stats *counterShard // the current slot's counter shard; re-bound with slot
 
@@ -34,9 +34,8 @@ type W struct {
 	// Hot Config fields cached at W creation (see Runtime.newW), so the
 	// fork fast path touches only this cache line: the default frame size,
 	// the strategy, whether its fork path needs the slow prologue
-	// (Cilk Plus / TBB / goroutine baselines), and whether any sink
-	// consumes KindFork (so the untraced path skips the Emit call
-	// entirely).
+	// (Cilk Plus / TBB baselines), and whether any sink consumes KindFork
+	// (so the untraced path skips the Emit call entirely).
 	frameBytes int
 	strategy   Strategy
 	slowFork   bool
@@ -72,7 +71,7 @@ func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
 	f.count.Add(1)
 	w.stats.forks.Add(1)
 	if w.wantsFork {
-		w.rt.trc.Emit(w.slotID(), trace.KindFork, int64(w.depth), 0)
+		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
 	}
 	t := task{fn: fn, frame: f, bytes: int32(bytes), depth: w.depth + 1}
 	if w.slowFork {
@@ -103,7 +102,7 @@ func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg u
 	f.count.Add(1)
 	w.stats.forks.Add(1)
 	if w.wantsFork {
-		w.rt.trc.Emit(w.slotID(), trace.KindFork, int64(w.depth), 0)
+		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
 	}
 	t := task{argfn: fn, arg: arg, frame: f, bytes: int32(bytes), depth: w.depth + 1}
 	if w.slowFork {
@@ -116,10 +115,9 @@ func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg u
 
 // forkSlow is the out-of-line tail of the fork path for the strategies
 // whose spawn prologue is deliberately expensive (that expense being what
-// Figure 3 measures) or structurally different: Cilk Plus's full stack
-// frame, TBB's heap-allocated task object, and the goroutine-per-task
-// baseline. Keeping it out of ForkSized/ForkArgSized keeps the Fibril-family
-// fast path small enough to stay inlinable.
+// Figure 3 measures): Cilk Plus's full stack frame and TBB's
+// heap-allocated task object. Keeping it out of ForkSized/ForkArgSized
+// keeps the Fibril-family fast path small enough to stay inlinable.
 func (w *W) forkSlow(f *Frame, t task) {
 	switch w.strategy {
 	case StrategyCilkPlus:
@@ -140,17 +138,6 @@ func (w *W) forkSlow(f *Frame, t task) {
 		h.refcount.Add(1)
 		t.heavy = h
 		w.stats.spawnOverhead.Add(1)
-	case StrategyGoroutine:
-		// Go-native baseline: a goroutine per task with its own pooled
-		// stack; no deques, nothing to steal.
-		go func() {
-			st := w.rt.takeStack(-1)
-			child := w.rt.newW(nil, st, w.rt.shard(-1))
-			child.exec(t)
-			w.rt.pool.Put(-1, st)
-			child.childDone(f)
-		}()
-		return
 	}
 	w.slot.deque.Push(t)
 	w.rt.park.wake(1)
@@ -167,9 +154,6 @@ func (w *W) forkSlow(f *Frame, t task) {
 // system runs tight serial loops while an idle one splits eagerly. The
 // answer is a racy hint, never a correctness condition.
 func (w *W) ShouldSplit() bool {
-	if w.slot == nil {
-		return true // goroutine baseline: forking is the only way to share
-	}
 	return w.slot.deque.LazyHint() || w.rt.park.parked() > 0
 }
 
@@ -248,8 +232,6 @@ func (w *W) Join(f *Frame) {
 			if !w.joinDrainLocal(f) {
 				w.joinInlineStealing(f, func(t task) bool { return t.frame.isDescendantOf(f) })
 			}
-		case StrategyGoroutine:
-			w.joinBlocking(f)
 		default:
 			w.joinSuspending(f)
 		}
@@ -310,15 +292,6 @@ func (w *W) joinDrainLocal(f *Frame) bool {
 	}
 }
 
-// joinBlocking is the goroutine baseline's join: park until count drains.
-func (w *W) joinBlocking(f *Frame) {
-	for f.count.Load() != 0 {
-		if w.suspend(f) {
-			return
-		}
-	}
-}
-
 // exec pushes the task's simulated frame, runs its body with depth/frame
 // context switched, and pops the frame. A panic escaping the task body is
 // captured on the parent frame (re-raised at its Join); for a root task
@@ -371,9 +344,9 @@ func (w *W) runInline(t task) {
 // migrates exactly as for any other task — and when exec returns, this
 // goroutine (on whatever slot it now holds) completes the Job.
 func (w *W) runRoot(t task) {
-	w.rt.trc.Emit(w.slotID(), trace.KindJobStart, int64(t.job.id), 0)
+	w.rt.trc.Emit(w.slot.id, trace.KindJobStart, int64(t.job.id), 0)
 	w.exec(t)
-	w.rt.completeJob(w.slotID(), t.job)
+	w.rt.completeJob(w.slot.id, t.job)
 }
 
 // runStolen executes a task taken by a base-level thief: a submitted root
@@ -392,7 +365,7 @@ func (w *W) runStolen(t task) {
 		// pushing and popping on its stack right now.
 		ps.BranchAt(w.stack, t.frame.initMark)
 	}
-	w.rt.trc.Emit(w.slotID(), trace.KindTaskStart, int64(t.depth), 0)
+	w.rt.trc.Emit(w.slot.id, trace.KindTaskStart, int64(t.depth), 0)
 	// Stolen-task run time: measured only when a sink consumes task-end
 	// events, so untraced runs skip both clock reads.
 	var t0 time.Time
@@ -404,17 +377,8 @@ func (w *W) runStolen(t task) {
 	if !t0.IsZero() {
 		ran = time.Since(t0)
 	}
-	w.rt.trc.Emit(w.slotID(), trace.KindTaskEnd, int64(t.depth), ran)
+	w.rt.trc.Emit(w.slot.id, trace.KindTaskEnd, int64(t.depth), ran)
 	if w.childDone(t.frame) {
 		w.released = true
 	}
-}
-
-// slotID returns the current worker slot id, -1 when slotless (the
-// goroutine baseline).
-func (w *W) slotID() int {
-	if w.slot == nil {
-		return -1
-	}
-	return w.slot.id
 }

@@ -159,33 +159,6 @@ func (d *Deque[T]) StealIf(pred func(T) bool) (T, bool) {
 	return v, true
 }
 
-// StealBatch steals up to len(dst) entries from the top into dst and
-// reports how many were taken. It amortizes the thief-side lock over the
-// whole batch but claims and reads entries one at a time, exactly as Steal
-// does: the ring reserves a single slot of slack for a claimed-but-unread
-// entry (see Push), so claiming the batch up front would let a concurrent
-// Push wrap onto entries still being read. Any worker may call it.
-func (d *Deque[T]) StealBatch(dst []T) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	d.lock.Lock()
-	m := 0
-	for m < len(dst) {
-		head := d.head.Load()
-		d.head.Store(head + 1)
-		tail := d.tail.Load()
-		if head+1 > tail {
-			d.head.Store(head) // lost the last entry to the owner's pop
-			break
-		}
-		dst[m] = d.buf[head&int64(len(d.buf)-1)]
-		m++
-	}
-	d.lock.Unlock()
-	return m
-}
-
 // Len reports the current number of entries. It is a racy snapshot intended
 // for stats and victim selection heuristics only.
 func (d *Deque[T]) Len() int {
@@ -244,23 +217,6 @@ func (d *Locked[T]) Steal() (T, bool) {
 	v := d.items[0]
 	d.items = d.items[1:]
 	return v, true
-}
-
-// StealBatch steals up to len(dst) entries from the top into dst.
-func (d *Locked[T]) StealBatch(dst []T) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m := copy(dst, d.items)
-	if m > 0 {
-		rest := len(d.items) - m
-		copy(d.items, d.items[m:])
-		var zero T
-		for i := rest; i < len(d.items); i++ {
-			d.items[i] = zero
-		}
-		d.items = d.items[:rest]
-	}
-	return m
 }
 
 // Len reports the number of entries.

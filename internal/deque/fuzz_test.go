@@ -102,13 +102,10 @@ func FuzzDequeOps(f *testing.F) {
 	})
 }
 
-// FuzzDequeConcurrent replays the fuzz-chosen owner schedule against
-// concurrent thieves and checks conservation: every pushed value is
-// consumed exactly once, across owner pops, steals, and the final drain.
-// Two lanes: two single-steal thieves, and the extraction mix the StealHalf
-// policy produces — a StealBatch thief racing a single-steal thief, which
-// puts the ring's one-slot-slack claim-then-read under test across batch
-// boundaries.
+// FuzzDequeConcurrent replays the fuzz-chosen owner schedule (even byte:
+// Push, odd: Pop) against two concurrent thieves and checks conservation:
+// every pushed value is consumed exactly once, across owner pops, steals,
+// and the final drain.
 func FuzzDequeConcurrent(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -116,84 +113,62 @@ func FuzzDequeConcurrent(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
-		single := func(d *Deque[int], record func(int)) bool {
-			v, ok := d.Steal()
-			if ok {
+		d := &Deque[int]{}
+		pushed := 0
+		for _, op := range ops {
+			if op%2 == 0 {
+				pushed++
+			}
+		}
+		seen := make([]int32, pushed)
+		record := func(v int) { // called from owner and thieves: atomic
+			if v < 0 || v >= pushed {
+				t.Errorf("consumed out-of-range value %d", v)
+				return
+			}
+			atomic.AddInt32(&seen[v], 1)
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for thief := 0; thief < 2; thief++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if v, ok := d.Steal(); ok {
+						record(v)
+						continue
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		next := 0
+		for _, op := range ops {
+			if op%2 == 0 {
+				d.Push(next)
+				next++
+			} else if v, ok := d.Pop(); ok {
 				record(v)
 			}
-			return ok
 		}
-		batch := func(d *Deque[int], record func(int)) bool {
-			var buf [4]int
-			n := d.StealBatch(buf[:])
-			for i := 0; i < n; i++ {
-				record(buf[i])
+		for {
+			v, ok := d.Pop()
+			if !ok {
+				break
 			}
-			return n > 0
-		}
-		concurrentLane(t, "single", ops, single, single)
-		concurrentLane(t, "batch", ops, batch, single)
-	})
-}
-
-// concurrentLane runs the owner schedule in ops (even byte: Push, odd:
-// Pop) against one goroutine per thief function; a thief reports whether
-// it extracted anything.
-func concurrentLane(t *testing.T, lane string, ops []byte, thieves ...func(*Deque[int], func(int)) bool) {
-	d := &Deque[int]{}
-	pushed := 0
-	for _, op := range ops {
-		if op%2 == 0 {
-			pushed++
-		}
-	}
-	seen := make([]int32, pushed)
-	record := func(v int) { // called from owner and thieves: atomic
-		if v < 0 || v >= pushed {
-			t.Errorf("%s lane: consumed out-of-range value %d", lane, v)
-			return
-		}
-		atomic.AddInt32(&seen[v], 1)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for _, thief := range thieves {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if thief(d, record) {
-					continue
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	next := 0
-	for _, op := range ops {
-		if op%2 == 0 {
-			d.Push(next)
-			next++
-		} else if v, ok := d.Pop(); ok {
 			record(v)
 		}
-	}
-	for {
-		v, ok := d.Pop()
-		if !ok {
-			break
+		close(stop)
+		wg.Wait()
+		for v, n := range seen {
+			if n != 1 {
+				t.Fatalf("value %d consumed %d times, want 1", v, n)
+			}
 		}
-		record(v)
-	}
-	close(stop)
-	wg.Wait()
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("%s lane: value %d consumed %d times, want 1", lane, v, n)
-		}
-	}
+	})
 }

@@ -124,12 +124,11 @@ func Fig3(o Options) *table.Table {
 	o = o.withDefaults()
 	strategies := []core.Strategy{
 		core.StrategyFibril, core.StrategyCilkPlus, core.StrategyTBB,
-		core.StrategyGoroutine,
 	}
 	t := &table.Table{
 		Title: "Figure 3: relative performance on one worker (Tserial/T1)",
 		Header: []string{"benchmark", "input", "Tserial(ms)",
-			"fibril", "cilkplus", "tbb", "goroutine"},
+			"fibril", "cilkplus", "tbb"},
 	}
 	for _, s := range o.specs() {
 		a := o.arg(s)

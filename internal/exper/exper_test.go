@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fibril/internal/bench"
-	"fibril/internal/core"
 	"fibril/internal/table"
 )
 
@@ -23,8 +22,8 @@ func TestFig3ProducesRatios(t *testing.T) {
 	if rowCount(tb) != 1 {
 		t.Fatalf("rows = %d, want 1", rowCount(tb))
 	}
-	if len(tb.Rows[0]) != 7 {
-		t.Fatalf("columns = %d, want 7", len(tb.Rows[0]))
+	if len(tb.Rows[0]) != 6 {
+		t.Fatalf("columns = %d, want 6", len(tb.Rows[0]))
 	}
 	if tb.Rows[0][0] != "cholesky" {
 		t.Errorf("row names %v", tb.Rows[0])
@@ -100,48 +99,6 @@ func specOf(t *testing.T, name string) *bench.Spec {
 	}
 	t.Fatal("missing spec")
 	return nil
-}
-
-func TestStealPolicyRowsAndLocalityGate(t *testing.T) {
-	rows, tb := StealPolicy(Options{Reps: 1, Benches: []string{"fib"}})
-	wantRows := 2 * len(core.StealPolicies()) // real + sim per policy
-	if len(rows) != wantRows || rowCount(tb) != wantRows {
-		t.Fatalf("rows = %d (table %d), want %d", len(rows), rowCount(tb), wantRows)
-	}
-	var random, lastVictim StealPolicyRow
-	for _, r := range rows {
-		switch r.Kind {
-		case "real":
-			if r.NsPerFork <= 0 {
-				t.Errorf("real/%s: ns_op = %v", r.Policy, r.NsPerFork)
-			}
-		case "sim":
-			if r.Workers != 72 || r.Makespan <= 0 {
-				t.Errorf("sim/%s: P=%d makespan=%d", r.Policy, r.Workers, r.Makespan)
-			}
-			switch r.Policy {
-			case core.StealRandom.String():
-				random = r
-			case core.StealLastVictim.String():
-				lastVictim = r
-			}
-		default:
-			t.Errorf("row has unknown kind %q", r.Kind)
-		}
-	}
-	// The deterministic locality gate on the canonical affinity policy:
-	// fewer cold raids, a higher warm fraction, makespan within 10% of
-	// random. The simulator is seeded, so these are exact reruns of the
-	// committed BENCH_stealpolicy.json legs.
-	if lastVictim.ColdSteals > random.ColdSteals {
-		t.Errorf("lastvictim cold raids %d > random's %d", lastVictim.ColdSteals, random.ColdSteals)
-	}
-	if lastVictim.WarmSteals <= random.WarmSteals {
-		t.Errorf("lastvictim warm raids %d not above random's %d", lastVictim.WarmSteals, random.WarmSteals)
-	}
-	if float64(lastVictim.Makespan) > 1.10*float64(random.Makespan) {
-		t.Errorf("lastvictim makespan %d exceeds 110%% of random's %d", lastVictim.Makespan, random.Makespan)
-	}
 }
 
 func TestPredictAgreesWithSimulatorWithinFactor(t *testing.T) {

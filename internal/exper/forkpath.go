@@ -25,17 +25,14 @@ type ForkPathRow struct {
 	SpeedupVsClosure float64 `json:"speedup_vs_closure,omitempty"`
 }
 
-// forkPathBenches are the fine-grained benchmarks that keep both fork
-// implementations: almost no work per task, so the fork path dominates.
-var forkPathBenches = []string{"fib", "integrate", "knapsack", "nqueens"}
-
 // ForkPath measures the fork fast path on one worker (the Figure 3
-// setting, where overhead is undiluted by stealing): for each
-// fine-grained benchmark, the closure-fork baseline (ParallelClosure)
-// against the zero-allocation ForkArg implementation (Parallel); then the
-// loop engine, eager recursive splitting against steal-driven lazy
-// splitting. ns/op is per fork for the benchmarks and per iteration for
-// the loop legs; allocs/op comes from the Mallocs delta across the
+// setting, where overhead is undiluted by stealing): on fib — almost no
+// work per task, so the fork path dominates, and the one benchmark that
+// keeps both fork implementations — the closure-fork baseline
+// (ParallelClosure) against the zero-allocation ForkArg implementation
+// (Parallel); then the loop engine, eager recursive splitting against
+// steal-driven lazy splitting. ns/op is per fork for fib and per iteration
+// for the loop legs; allocs/op comes from the Mallocs delta across the
 // timed repetitions, first run excluded so arenas and stacks are warm.
 func ForkPath(o Options) ([]ForkPathRow, *table.Table) {
 	o = o.withDefaults()
@@ -54,17 +51,9 @@ func ForkPath(o Options) ([]ForkPathRow, *table.Table) {
 		t.Add(r.Benchmark, r.Mode, r.Workers, int64(r.NsPerOp),
 			fmt.Sprintf("%.2f", r.AllocsPerOp), r.Forks, vs)
 	}
-	for _, name := range forkPathBenches {
-		if len(o.Benches) > 0 && !slices.Contains(o.Benches, name) {
-			continue
-		}
-		s := bench.Get(name)
-		if s.ParallelClosure == nil {
-			continue
-		}
-		a := s.Default
-		closure := o.measureForkPath(name, "closure", a, s.ParallelClosure)
-		forkarg := o.measureForkPath(name, "forkarg", a, s.Parallel)
+	if s := bench.Fib; len(o.Benches) == 0 || slices.Contains(o.Benches, s.Name) {
+		closure := o.measureForkPath(s.Name, "closure", s.Default, s.ParallelClosure)
+		forkarg := o.measureForkPath(s.Name, "forkarg", s.Default, s.Parallel)
 		if closure.NsPerOp > 0 && forkarg.NsPerOp > 0 {
 			forkarg.SpeedupVsClosure = closure.NsPerOp / forkarg.NsPerOp
 		}

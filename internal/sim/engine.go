@@ -63,22 +63,12 @@ type worker struct {
 	rng    uint64
 	parked bool  // waiting for a bounded pool's stack
 	over   int64 // accrued overhead charged with the next work event
-	// lastVictim is the slot of the last successful steal (-1 none); the
-	// affinity policies anchor their probe orders on it and repeat steals
-	// from it are charged the warm rather than the cold cache surcharge.
-	// misses counts consecutive failed full sweeps; after
-	// simVictimPatience of them the anchor is dropped.
+	// lastVictim is the slot of the last successful steal (-1 none): a
+	// repeat steal from it is charged the warm rather than the cold cache
+	// surcharge. misses counts consecutive failed full sweeps; after
+	// simVictimPatience of them the victim's lines count as cold again.
 	lastVictim int
 	misses     int
-}
-
-func (w *worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	w.rng = x
-	return x * 0x2545F4914F6CDD1D
 }
 
 // deque operations: owner end is the back, thief end is the front.
@@ -125,12 +115,6 @@ type sim struct {
 
 	mmapLockFree int64 // time the serialized address-space lock frees up
 
-	// loose is the StealHalf overflow list: a batch steal deposits its
-	// extra loot here (never into the thief's own deque — exactly the real
-	// runtime's loot protocol), and any idle worker drains it before
-	// sweeping. LIFO, like core's looseQueue.
-	loose []pendingTask
-
 	done     bool
 	makespan int64
 	res      Result
@@ -155,24 +139,7 @@ func (s *sim) run(tree invoke.Task) Result {
 	f := &fiber{stack: s.takeStack()}
 	w0.fiber = f
 	s.pushRecord(w0, f, tree, nil, nil, 0)
-	for i := range s.workers {
-		s.schedule(0, i)
-	}
-	for !s.done && len(s.eq) > 0 {
-		e := popEvent(&s.eq)
-		s.step(e.w, e.t)
-	}
-	if !s.done {
-		panic(fmt.Sprintf("sim: deadlock with %d workers (%d parked)",
-			s.cfg.Workers, len(s.waiters)))
-	}
-	s.res.Strategy = s.cfg.Strategy
-	s.res.Workers = s.cfg.Workers
-	s.res.Makespan = s.makespan
-	s.res.StacksCreated = s.created
-	s.res.MaxStacksUsed = s.maxInUse
-	s.res.VM = s.as.Snapshot()
-	return s.res
+	return s.drive(s.step, "sim")
 }
 
 func (s *sim) step(wid int, now int64) {
@@ -336,14 +303,10 @@ func (s *sim) inlineSteal(w *worker, now int64, f *fiber, eligible func(pendingT
 	return false
 }
 
-// simLootCap bounds one batch steal's haul, mirroring core's lootCap.
-const simLootCap = 8
-
-// simVictimPatience is how many consecutive failed sweeps clear the
-// affinity anchor. The real runtime keeps the anchor for one idle episode
-// and drops it when the thief parks; simulated thieves never park and a
-// failed sweep here is a whole charged event, so a count of them stands in
-// for the episode.
+// simVictimPatience is how many consecutive failed sweeps make the last
+// victim cold again: simulated thieves never park and a failed sweep here
+// is a whole charged event, so a count of them stands in for an idle
+// episode long enough to lose the victim's lines.
 const simVictimPatience = 2
 
 // ringDist is the distance between worker slots i and j on the ring of n
@@ -374,108 +337,29 @@ func (s *sim) stealCost(w, victim *worker) int64 {
 	return c + int64(ringDist(w.id, victim.id, len(s.workers)))*s.cfg.Cost.NearHop
 }
 
-// batchSteal is the StealHalf extraction: take up to half the victim's
-// deque (front first, bounded by simLootCap). The first task goes to the
-// thief; the extras go to the global loose list for any idle worker to
-// drain — never into the thief's own deque, exactly the real runtime's
-// loot protocol (a blocked join popping foreign loot whose parent later
-// suspends would violate the slot-handoff discipline). Each extra counts
-// as a steal of its own, matching core's per-claim accounting.
-func (s *sim) batchSteal(w, victim *worker) (pendingTask, bool) {
-	if len(victim.deque) == 0 {
-		return pendingTask{}, false
-	}
-	k := len(victim.deque) / 2
-	if k < 1 {
-		k = 1
-	}
-	if k > simLootCap {
-		k = simLootCap
-	}
-	first := victim.deque[0]
-	s.loose = append(s.loose, victim.deque[1:k]...)
-	s.res.Steals += int64(k - 1)
-	for i := 0; i < k; i++ {
-		victim.deque[i] = pendingTask{}
-	}
-	victim.deque = victim.deque[k:]
-	return first, true
-}
-
-// stealSweep probes every worker once, in the probe order of the
-// configured StealPolicy (mirroring internal/core): every affinity policy
-// pre-probes the last successful victim while it looks rich; random (and
-// the affinity fallbacks) then run the plain random-start sweep, while
-// near-victim expands outward from the thief's own slot by ring distance —
-// near (cheap) victims first, and a probe order unique to each thief, so
-// thieves sharing a hot victim do not herd. It returns the accumulated
-// probe cost, and the stolen task if any probe succeeded. StealHalf
-// batch-extracts only on unrestricted sweeps — restricted inline steals
-// always take a single task, like the real runtime.
+// stealSweep probes every worker once, round-robin from a random start
+// (the paper's random_steal, mirroring internal/core). It returns the
+// accumulated probe cost, and the stolen task if any probe succeeded.
 func (s *sim) stealSweep(w *worker, eligible func(pendingTask) bool) (int64, pendingTask, bool) {
 	n := len(s.workers)
-	pol := s.cfg.StealPolicy
 	var cost int64
-	probe := func(victim *worker) (pendingTask, bool) {
+	start := int(xorshift(&w.rng) % uint64(n))
+	for i := 0; i < n; i++ {
+		victim := s.workers[(start+i)%n]
 		s.res.StealAttempts++
-		if pol == core.StealHalf && eligible == nil {
-			return s.batchSteal(w, victim)
-		}
-		return victim.stealTop(eligible)
-	}
-	hit := func(victim *worker, pt pendingTask) (int64, pendingTask, bool) {
-		s.res.Steals++
-		if victim.id == w.lastVictim {
-			s.res.WarmSteals++
-		} else {
-			s.res.ColdSteals++
-		}
-		cost += s.stealCost(w, victim)
-		w.lastVictim = victim.id
-		w.misses = 0
-		return cost, pt, true
-	}
-	// The affinity policies probe the anchor first — but only while it is
-	// rich (>= 2 tasks; draining a victim's last task forces its next
-	// blocked join to suspend) — then fall back to their sweep, all
-	// mirroring core's probe order.
-	if pol != core.StealRandom && w.lastVictim >= 0 {
-		victim := s.workers[w.lastVictim]
-		if len(victim.deque) >= 2 {
-			if pt, ok := probe(victim); ok {
-				return hit(victim, pt)
+		if pt, ok := victim.stealTop(eligible); ok {
+			s.res.Steals++
+			if victim.id == w.lastVictim {
+				s.res.WarmSteals++
+			} else {
+				s.res.ColdSteals++
 			}
-			cost += s.cfg.Cost.StealProbe
+			cost += s.stealCost(w, victim)
+			w.lastVictim = victim.id
+			w.misses = 0
+			return cost, pt, true
 		}
-	}
-	switch pol {
-	case core.StealNearVictim:
-		for i := 1; i < n; i++ {
-			step := (i + 1) / 2
-			if i%2 == 0 {
-				step = -step
-			}
-			victim := s.workers[((w.id+step)%n+n)%n]
-			if victim.id == w.id {
-				continue
-			}
-			if pt, ok := probe(victim); ok {
-				return hit(victim, pt)
-			}
-			cost += s.cfg.Cost.StealProbe
-		}
-	default:
-		start := int(w.nextRand() % uint64(n))
-		for i := 0; i < n; i++ {
-			victim := s.workers[(start+i)%n]
-			if pt, ok := probe(victim); ok {
-				return hit(victim, pt)
-			}
-			cost += s.cfg.Cost.StealProbe
-		}
-	}
-	if cost == 0 {
-		cost = s.cfg.Cost.StealProbe
+		cost += s.cfg.Cost.StealProbe
 	}
 	w.misses++
 	if w.misses >= simVictimPatience {
@@ -561,20 +445,6 @@ func (s *sim) thieve(w *worker, now int64) {
 		w.parked = true
 		s.waiters = append(s.waiters, w.id)
 		s.res.PoolStalls++
-		return
-	}
-	// Drain the StealHalf loose list before sweeping: the extraction
-	// handshake was already paid by the batch thief, so loot costs only
-	// the task start.
-	if n := len(s.loose); n > 0 {
-		pt := s.loose[n-1]
-		s.loose[n-1] = pendingTask{}
-		s.loose = s.loose[:n-1]
-		f := &fiber{stack: s.takeStack()}
-		w.fiber = f
-		w.over += s.cfg.Cost.TaskStart
-		s.pushRecord(w, f, pt.task, pt.notify, pt.notify, pt.depth)
-		s.schedule(now, w.id)
 		return
 	}
 	cost, pt, ok := s.stealSweep(w, nil)

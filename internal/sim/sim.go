@@ -47,9 +47,9 @@ type CostModel struct {
 	// thief keeps returning to the same victim, whose lines it has been
 	// pulling all along. The ring-distance term models topology (adjacent
 	// slots share L2/L3; far slots cross the interconnect).
-	StealCold int64 // steal from a new victim: cold-cache refill (default 400)
-	StealWarm int64 // repeat steal from the last victim (default 80)
-	NearHop   int64 // per ring-distance hop between thief and victim (default 6)
+	StealCold    int64 // steal from a new victim: cold-cache refill (default 400)
+	StealWarm    int64 // repeat steal from the last victim (default 80)
+	NearHop      int64 // per ring-distance hop between thief and victim (default 6)
 	Suspend      int64 // suspension bookkeeping (default 150)
 	Resume       int64 // resumption bookkeeping (default 150)
 	MadviseBase  int64 // madvise(DONTNEED) syscall (default 800)
@@ -101,16 +101,11 @@ func (c CostModel) forkCost(s core.Strategy) int64 {
 // Config parameterizes a simulation.
 type Config struct {
 	Workers    int           // P (default 1)
-	Strategy   core.Strategy // scheduling policy (Goroutine is not simulable)
+	Strategy   core.Strategy // scheduling policy
 	StackPages int           // stack size (default stack.DefaultStackPages)
 	StackLimit int           // bounded pool; 0 = strategy default
 	Cost       CostModel
 	Seed       uint64
-	// StealPolicy selects the victim-choice discipline of internal/core's
-	// pluggable steal policies: random (default, the pre-policy baseline
-	// sweep), last-victim affinity, near-victim ring expansion, or
-	// steal-half batching. Modelled in the help-first engine only.
-	StealPolicy core.StealPolicy
 	// WorkFirst selects the continuation-stealing engine — the paper's
 	// actual Fibril discipline, where thieves steal the parent's
 	// continuation and victims perform the unmaps. The default help-first
@@ -153,7 +148,7 @@ type Result struct {
 	Forks         int64
 	Steals        int64
 	WarmSteals    int64 // raids whose victim repeated (charged StealWarm, not StealCold)
-	ColdSteals    int64 // raids on a new victim (charged StealCold); StealHalf loot extras ride a raid and count as neither
+	ColdSteals    int64 // raids on a new victim (charged StealCold)
 	StealAttempts int64
 	Suspends      int64
 	Resumes       int64
@@ -190,14 +185,8 @@ func (r Result) String() string {
 // Run simulates the tree under the config and returns the result.
 func Run(cfg Config, tree invoke.Task) Result {
 	cfg = cfg.withDefaults()
-	if cfg.Strategy == core.StrategyGoroutine {
-		panic("sim: the goroutine baseline is a real-runtime-only strategy")
-	}
 	if cfg.Strategy == core.StrategyCilkM && !cfg.WorkFirst {
 		panic("sim: the cilkm strategy is modelled in the work-first engine only")
-	}
-	if cfg.WorkFirst && cfg.StealPolicy != core.StealRandom {
-		panic("sim: steal policies are modelled in the help-first engine only")
 	}
 	s := newSim(cfg)
 	if cfg.WorkFirst {
@@ -206,8 +195,41 @@ func Run(cfg Config, tree invoke.Task) Result {
 	return s.run(tree)
 }
 
-// popEvent removes the earliest event.
-func popEvent(q *eventQueue) event { return heap.Pop(q).(event) }
+// drive is the event loop both engines share: every worker becomes
+// actionable at time zero, step handles one event at a time until the root
+// completes, and the pool and address-space counters are folded into the
+// Result. An empty queue before completion is a scheduling bug.
+func (s *sim) drive(step func(wid int, now int64), label string) Result {
+	for i := 0; i < s.cfg.Workers; i++ {
+		s.schedule(0, i)
+	}
+	for !s.done && len(s.eq) > 0 {
+		e := heap.Pop(&s.eq).(event)
+		step(e.w, e.t)
+	}
+	if !s.done {
+		panic(fmt.Sprintf("%s: deadlock with %d workers (%d parked)",
+			label, s.cfg.Workers, len(s.waiters)))
+	}
+	s.res.Strategy = s.cfg.Strategy
+	s.res.Workers = s.cfg.Workers
+	s.res.Makespan = s.makespan
+	s.res.StacksCreated = s.created
+	s.res.MaxStacksUsed = s.maxInUse
+	s.res.VM = s.as.Snapshot()
+	return s.res
+}
+
+// xorshift advances a worker's steal RNG (xorshift64*) and returns the
+// next value.
+func xorshift(state *uint64) uint64 {
+	x := *state
+	x ^= x >> 12
+	x ^= x << 25
+	x ^= x >> 27
+	*state = x
+	return x * 0x2545F4914F6CDD1D
+}
 
 // event is one scheduler event: worker w becomes actionable at time t.
 type event struct {
@@ -228,6 +250,5 @@ func (q eventQueue) Less(i, j int) bool {
 func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
 func (q *eventQueue) Pop() any     { old := *q; n := len(old); v := old[n-1]; *q = old[:n-1]; return v }
-func (q eventQueue) top() event    { return q[0] }
 
 var _ heap.Interface = (*eventQueue)(nil)

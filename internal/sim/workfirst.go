@@ -122,15 +122,6 @@ type wfWorker struct {
 	over   int64
 }
 
-func (w *wfWorker) nextRand() uint64 {
-	x := w.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	w.rng = x
-	return x * 0x2545F4914F6CDD1D
-}
-
 func (w *wfWorker) pushCont(c *wfCont) { w.deque = append(w.deque, c) }
 
 func (w *wfWorker) popCont() (*wfCont, bool) {
@@ -211,24 +202,7 @@ func (s *sim) runWorkFirst(tree invoke.Task) Result {
 	w0.ctx = ctx
 	root := ws.pushWF(ctx, tree, nil, nil, 0, false)
 	root.boundary = true // the root strand; boundTarget nil = computation end
-	for i := range ws.wfWorkers {
-		s.schedule(0, i)
-	}
-	for !s.done && len(s.eq) > 0 {
-		e := popEvent(&s.eq)
-		ws.step(e.w, e.t)
-	}
-	if !s.done {
-		panic(fmt.Sprintf("sim(work-first): deadlock with %d workers (%d parked)",
-			s.cfg.Workers, len(s.waiters)))
-	}
-	s.res.Strategy = s.cfg.Strategy
-	s.res.Workers = s.cfg.Workers
-	s.res.Makespan = s.makespan
-	s.res.StacksCreated = s.created
-	s.res.MaxStacksUsed = s.maxInUse
-	s.res.VM = s.as.Snapshot()
-	return s.res
+	return s.drive(ws.step, "sim(work-first)")
 }
 
 func (ws *wfSim) step(wid int, now int64) {
@@ -533,7 +507,7 @@ func (ws *wfSim) inlineSteal(w *wfWorker, now int64, ctx *wfContext, eligible fu
 // and adopting one would alias the context with itself.
 func (ws *wfSim) stealSweep(w *wfWorker, eligible func(*wfCont) bool) (int64, *wfCont, bool) {
 	n := len(ws.wfWorkers)
-	start := int(w.nextRand() % uint64(n))
+	start := int(xorshift(&w.rng) % uint64(n))
 	var cost int64
 	for i := 0; i < n; i++ {
 		victim := ws.wfWorkers[(start+i)%n]

@@ -16,10 +16,9 @@ import (
 // and the one that can promise the strict counter equalities only a
 // serialized pool can. The interface is what lets one test body drive both.
 //
-// The shard argument of Take/TryTake/Put is the caller's worker-slot id —
-// a locality hint, not a partition: any shard value (including -1 for
-// slotless workers) is valid on either implementation, and stacks may
-// migrate freely between shards.
+// The shard argument of Take/TryTake/Put is the caller's worker-slot id,
+// 0 ≤ shard < the pool's shard count — a locality hint, not a partition:
+// stacks may migrate freely between shards.
 type Pooler interface {
 	// Take returns a stack, creating one if none is free. With a bounded
 	// pool it blocks until a stack is available. It returns (nil, nil)

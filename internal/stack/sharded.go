@@ -60,7 +60,7 @@ type ShardedPool struct {
 
 	newStack func(as *vm.AddressSpace, pages, id int) (*Stack, error)
 
-	caches []shardCache // one per worker slot, plus a spare for shard -1
+	caches []shardCache // one per worker slot
 
 	closed  atomic.Bool
 	waiters atomic.Int32
@@ -79,8 +79,7 @@ type ShardedPool struct {
 var _ Pooler = (*ShardedPool)(nil)
 
 // NewShardedPool creates a sharded pool with one cache per worker slot
-// (ids 0..shards-1) plus a spare shared by slotless callers (shard -1 or
-// out of range). limit == 0 means unbounded.
+// (ids 0..shards-1). limit == 0 means unbounded.
 func NewShardedPool(as *vm.AddressSpace, pages, limit, shards int) *ShardedPool {
 	if pages <= 0 {
 		pages = DefaultStackPages
@@ -93,19 +92,10 @@ func NewShardedPool(as *vm.AddressSpace, pages, limit, shards int) *ShardedPool 
 		pages:    pages,
 		limit:    limit,
 		newStack: New,
-		caches:   make([]shardCache, shards+1),
+		caches:   make([]shardCache, shards),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
-}
-
-// cache maps a shard id to its cache; out-of-range ids (notably -1, the
-// slotless goroutine-baseline workers) share the spare cache.
-func (p *ShardedPool) cache(shard int) *shardCache {
-	if shard < 0 || shard >= len(p.caches)-1 {
-		return &p.caches[len(p.caches)-1]
-	}
-	return &p.caches[shard]
 }
 
 // checkout records a successful stack acquisition. Called only after the
@@ -124,7 +114,7 @@ func (p *ShardedPool) checkout() {
 // the global slow path when it must. Returns (nil, nil) when closed.
 func (p *ShardedPool) Take(shard int) (*Stack, error) {
 	if !p.closed.Load() {
-		c := p.cache(shard)
+		c := &p.caches[shard]
 		for i := range c.slots {
 			if s := c.slots[i].Swap(nil); s != nil {
 				c.hits.Add(1)
@@ -140,7 +130,7 @@ func (p *ShardedPool) Take(shard int) (*Stack, error) {
 // TryTake is Take without blocking; ok is false when a bounded pool is
 // exhausted. Like Pool.TryTake it does not check closed.
 func (p *ShardedPool) TryTake(shard int) (*Stack, bool, error) {
-	c := p.cache(shard)
+	c := &p.caches[shard]
 	for i := range c.slots {
 		if s := c.slots[i].Swap(nil); s != nil {
 			c.hits.Add(1)
@@ -270,7 +260,7 @@ func (p *ShardedPool) Put(shard int, s *Stack) {
 	s.ClearBranch()
 	p.inUse.Add(-1) // before release: inUse never exceeds stacks held
 	if p.waiters.Load() == 0 {
-		c := p.cache(shard)
+		c := &p.caches[shard]
 		for i := range c.slots {
 			if c.slots[i].CompareAndSwap(nil, s) {
 				if p.waiters.Load() > 0 {

@@ -76,7 +76,7 @@ func driveSequential(t *testing.T, name string, p Pooler, limit int, seed uint64
 	state := seed
 	for i := 0; i < ops; i++ {
 		r := splitmix64(&state)
-		shard := int(r>>8%6) - 1 // -1 (slotless) through 4 (one past the shards)
+		shard := int(r >> 8 % 4) // the sharded variant has four
 		switch r % 5 {
 		case 0, 1: // Take, skipped when it would block
 			if m.closed {

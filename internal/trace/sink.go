@@ -54,8 +54,8 @@ const ringCap = 256
 
 // ring is one worker slot's event buffer. The mutex is effectively
 // uncontended — a slot's events are emitted by the goroutine occupying
-// the slot — except on the spare ring shared by the slotless goroutine
-// baseline; it exists so slot handoffs and that sharing stay safe. Rings
+// the slot — except on the spare ring shared by emitters that hold no
+// slot; it exists so slot handoffs and that sharing stay safe. Rings
 // are elements of one slice, rounded up to whole cacheline units so one
 // slot's last events and the next slot's header never share one.
 type ring struct {
@@ -104,8 +104,8 @@ func NewTracer(sink Sink, workers int) *Tracer {
 	return t
 }
 
-// ring maps a worker slot to its ring; slotless workers (-1) share the
-// spare, like counter shards.
+// ring maps a worker slot to its ring; an emitter that holds no slot
+// (-1, or any id out of range) gets the shared spare.
 func (t *Tracer) ring(worker int) *ring {
 	if worker < 0 || worker >= len(t.rings)-1 {
 		return &t.rings[len(t.rings)-1]

@@ -90,7 +90,7 @@ func TestTracerBuffersAndFlushes(t *testing.T) {
 func TestTracerSpareRing(t *testing.T) {
 	sink := &captureSink{}
 	tr := NewTracer(sink, 2)
-	tr.Emit(-1, KindFork, 0, 0) // slotless goroutine
+	tr.Emit(-1, KindFork, 0, 0) // an emitter that holds no slot
 	tr.Emit(99, KindFork, 0, 0) // out-of-range slot
 	tr.Flush()
 	if got := sink.all(); len(got) != 2 {

@@ -41,12 +41,6 @@ func WithStrategy(s Strategy) Option {
 	return func(c *Config) { c.Strategy = s }
 }
 
-// WithStealPolicy selects the thief victim-selection discipline. Default:
-// StealRandom, the paper's uniformly random sweep.
-func WithStealPolicy(p StealPolicy) Option {
-	return func(c *Config) { c.StealPolicy = p }
-}
-
 // WithStackPages sets the simulated stack size in 4 KB pages. Default:
 // 256 (1 MB stacks, as in the paper).
 func WithStackPages(n int) Option {

@@ -61,23 +61,6 @@ func TestWithConfigBase(t *testing.T) {
 	}
 }
 
-func TestWithStealPolicy(t *testing.T) {
-	for _, pol := range fibril.StealPolicies() {
-		rt := fibril.NewWith(fibril.WithWorkers(4), fibril.WithStealPolicy(pol))
-		var got int64
-		st, err := rt.RunErr(func(w *fibril.W) { optFib(w, 15, &got) })
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		if got != 610 {
-			t.Fatalf("%v: fib(15)=%d, want 610", pol, got)
-		}
-		if st.Forks == 0 {
-			t.Fatalf("%v: no forks recorded", pol)
-		}
-	}
-}
-
 func TestRunErr(t *testing.T) {
 	rt := fibril.NewWith(fibril.WithWorkers(2))
 	boom := errors.New("boom")
