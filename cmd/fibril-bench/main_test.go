@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -22,25 +24,6 @@ func runCmd(t *testing.T, dir string, args ...string) string {
 	return string(out)
 }
 
-func TestBenchServeSmokeAndValidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs the bench binary; skipped in short mode")
-	}
-	path := filepath.Join(t.TempDir(), "serve.json")
-	out := runCmd(t, ".", "-experiment", "serve", "-json", path)
-	// All three serving modes and the latency columns must appear.
-	for _, want := range []string{"light", "overload-queue", "overload-shed", "p50", "p999", "capacity"} {
-		if !strings.Contains(strings.ToLower(out), want) {
-			t.Errorf("serve output lacks %q:\n%s", want, out)
-		}
-	}
-	// Round-trip: the emitted JSON must pass the saturation/latency gate.
-	out = runCmd(t, ".", "-validate-serve", path)
-	if !strings.Contains(out, "ok") {
-		t.Errorf("validate-serve did not report ok:\n%s", out)
-	}
-}
-
 func TestBenchCountersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs the bench binary; skipped in short mode")
@@ -48,5 +31,30 @@ func TestBenchCountersSmoke(t *testing.T) {
 	out := runCmd(t, ".", "-experiment", "counters", "-bench", "fib")
 	if !strings.Contains(strings.ToLower(out), "fork") {
 		t.Errorf("counters output lacks fork counts:\n%s", out)
+	}
+}
+
+// -json with an experiment that has no rows to write is a usage error,
+// not a silently ignored flag.
+func TestBenchJSONUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs the bench binary; skipped in short mode")
+	}
+	path := filepath.Join(t.TempDir(), "x.json")
+	for _, exp := range []string{"fig3", "all"} {
+		cmd := exec.Command("go", "run", ".", "-experiment", exp, "-json", path)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		// `go run` reports the child's status as its own exit 1 and
+		// prints "exit status N".
+		if !errors.As(err, &ee) || !strings.Contains(string(out), "exit status 2") {
+			t.Errorf("-experiment %s -json: err=%v, want exit status 2:\n%s", exp, err, out)
+		}
+		if !strings.Contains(string(out), "-json goes with") {
+			t.Errorf("-experiment %s -json: no usage message:\n%s", exp, out)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-experiment %s -json wrote %s (stat err=%v)", exp, path, err)
+		}
 	}
 }

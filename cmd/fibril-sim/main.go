@@ -50,7 +50,7 @@ func main() {
 	if !ok {
 		usage("unknown strategy %q (have: %s)", *strategy, strategyNames())
 	}
-	if strat == core.StrategyCilkM && *helpFirst {
+	if strat == sim.StrategyCilkM && *helpFirst {
 		usage("-strategy cilkm is modelled in the work-first engine only; drop -helpfirst")
 	}
 	arg := s.Sim
@@ -87,8 +87,8 @@ func main() {
 }
 
 func parseStrategy(s string) (core.Strategy, bool) {
-	for _, st := range core.Strategies() {
-		if st.String() == s {
+	for _, st := range sim.Strategies() {
+		if sim.StrategyName(st) == s {
 			return st, true
 		}
 	}
@@ -99,8 +99,8 @@ func parseStrategy(s string) (core.Strategy, bool) {
 // help text and error messages.
 func strategyNames() string {
 	var names []string
-	for _, st := range core.Strategies() {
-		names = append(names, st.String())
+	for _, st := range sim.Strategies() {
+		names = append(names, sim.StrategyName(st))
 	}
 	return strings.Join(names, " | ")
 }

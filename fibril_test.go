@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -58,7 +59,17 @@ func TestCElisionRule(t *testing.T) {
 }
 
 func TestAllExportedStrategiesRun(t *testing.T) {
-	for _, s := range fibril.Strategies() {
+	// Strategies() is the exported constants and nothing else, in
+	// presentation order: a strategy only the simulator models has no
+	// place in the list the real runtime schedules from.
+	want := []fibril.Strategy{
+		fibril.Fibril, fibril.FibrilNoUnmap, fibril.FibrilMMap,
+		fibril.CilkPlus, fibril.TBB, fibril.Leapfrog,
+	}
+	if got := fibril.Strategies(); !slices.Equal(got, want) {
+		t.Fatalf("Strategies() = %v, want %v", got, want)
+	}
+	for _, s := range want {
 		rt := fibril.New(fibril.Config{Workers: 4, Strategy: s})
 		var n atomic.Int64
 		rt.Run(func(w *fibril.W) {

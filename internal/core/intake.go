@@ -179,9 +179,6 @@ func (q *shardedIntake) push(j *Job) {
 
 func (q *shardedIntake) pop(self int) (*Job, bool) {
 	ns := len(q.shards)
-	if self < 0 {
-		self = 0
-	}
 	for i := 0; i < ns; i++ {
 		if j, ok := q.shards[(self+i)%ns].pop(); ok {
 			return j, true

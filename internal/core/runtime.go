@@ -84,13 +84,6 @@ const (
 	// StrategyLeapfrog restricts inline stealing further, to descendants
 	// of the joining frame (Wagner & Calder's leapfrogging).
 	StrategyLeapfrog
-	// StrategyCilkM models Lee et al.'s Cilk-M (§3): thread-local memory
-	// mapping moves the stolen stack prefix into the thief's TLMM region,
-	// so no suspension-time unmap is needed — but every steal pays a cost
-	// linear in the prefix pages. The real runtime schedules it like
-	// FibrilNoUnmap (the mapping cost is only modelled in the simulator);
-	// the simulator charges the per-steal prefix-mapping latency.
-	StrategyCilkM
 )
 
 // String returns the strategy's display name as used in the experiments.
@@ -108,8 +101,6 @@ func (s Strategy) String() string {
 		return "tbb"
 	case StrategyLeapfrog:
 		return "leapfrog"
-	case StrategyCilkM:
-		return "cilkm"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -119,7 +110,7 @@ func (s Strategy) String() string {
 func Strategies() []Strategy {
 	return []Strategy{
 		StrategyFibril, StrategyFibrilNoUnmap, StrategyFibrilMMap,
-		StrategyCilkPlus, StrategyCilkM, StrategyTBB, StrategyLeapfrog,
+		StrategyCilkPlus, StrategyTBB, StrategyLeapfrog,
 	}
 }
 

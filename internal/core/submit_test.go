@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -717,5 +719,96 @@ func TestReleaseHandsHandleOn(t *testing.T) {
 	}
 	if st, want := rt.Stats(), int64(clients*perClient); st.JobsSubmitted != want || st.JobsCompleted != want {
 		t.Errorf("JobsSubmitted=%d JobsCompleted=%d, want %d each", st.JobsSubmitted, st.JobsCompleted, want)
+	}
+}
+
+// TestShedKeepsAdmittedLatencyFlat pins what AdmitShed buys a caller: under
+// overload the jobs it does admit finish about as fast as on an idle
+// runtime, because the excess is refused instead of queued in front of
+// them. Three closed-loop legs on MaxInflight = Workers: one client (the
+// light p50), then many clients under AdmitShed, then the same clients
+// under AdmitQueue — the control showing that load and bound are sized so
+// that queueing breaks the bound (p50 there is about clients/Workers
+// service times). Latency is the caller's, Submit to Err, as exact sorted
+// samples.
+func TestShedKeepsAdmittedLatencyFlat(t *testing.T) {
+	const (
+		workers = 2
+		clients = 32 * workers
+		backoff = 500 * time.Microsecond
+	)
+	jobs := int64(400)
+	if testing.Short() || raceEnabled {
+		jobs = 128 // a root is ~20x slower under the race detector
+	}
+	root := submitFib(16)
+	// load runs n closed-loop clients on a fresh runtime until `jobs`
+	// roots have completed, closes it, checks conservation and the drain
+	// gauges, and returns the admitted jobs' p50.
+	load := func(name string, admit AdmissionPolicy, n int) (time.Duration, Stats) {
+		rt := NewRuntime(Config{Workers: workers, MaxInflight: workers, Admission: admit})
+		rt.Start()
+		var left, shed atomic.Int64
+		left.Store(jobs)
+		lats := make([][]time.Duration, n)
+		var wg sync.WaitGroup
+		for c := range lats {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for left.Load() > 0 {
+					t0 := time.Now()
+					switch err := rt.Submit(root).Err(); {
+					case err == nil:
+						lats[c] = append(lats[c], time.Since(t0))
+						left.Add(-1)
+					case errors.Is(err, ErrShed):
+						shed.Add(1)
+						// A refused caller backs off, and by sleeping:
+						// clients that only yield keep every P busy and
+						// take the CPUs the workers need on a small host.
+						time.Sleep(backoff)
+					default:
+						t.Errorf("%s: client %d: %v", name, c, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := rt.Close(context.Background()); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		all := slices.Concat(lats...)
+		st := rt.Stats()
+		if st.JobsCompleted != int64(len(all)) || st.JobsShed != shed.Load() || st.JobsDrained != 0 ||
+			st.JobsCompleted+st.JobsShed != st.JobsSubmitted {
+			t.Errorf("%s: clients saw completed=%d shed=%d; runtime submitted=%d completed=%d shed=%d drained=%d",
+				name, len(all), shed.Load(), st.JobsSubmitted, st.JobsCompleted, st.JobsShed, st.JobsDrained)
+		}
+		if q, p, i, w := rt.QueuedTasks(), rt.PendingReclaims(), rt.InflightJobs(), rt.QueuedJobs(); q|p|i|w != 0 {
+			t.Errorf("%s: drain left queuedTasks=%d pendingReclaims=%d inflight=%d queuedJobs=%d", name, q, p, i, w)
+		}
+		if len(all) == 0 {
+			t.Fatalf("%s: no job completed", name)
+		}
+		slices.Sort(all)
+		return all[(len(all)-1)/2], st
+	}
+
+	light, _ := load("light", AdmitShed, 1)
+	bound := max(8*light, 2*time.Millisecond)
+	shed, st := load("shed", AdmitShed, clients)
+	queue, _ := load("queue", AdmitQueue, clients)
+	t.Logf("p50: light %v, %d clients shedding %v (%d shed), queueing %v; bound %v",
+		light, clients, shed, st.JobsShed, queue, bound)
+	if st.JobsShed == 0 {
+		t.Errorf("%d clients on MaxInflight=%d shed nothing", clients, workers)
+	}
+	if shed > bound {
+		t.Errorf("admitted p50 %v under shedding, light p50 %v: over the bound %v", shed, light, bound)
+	}
+	if queue <= bound {
+		t.Errorf("control: queueing the same load gives p50 %v, inside the bound %v — the load is too small to show anything", queue, bound)
 	}
 }

@@ -154,7 +154,7 @@ func Fig3(o Options) *table.Table {
 func fig4Strategies() []core.Strategy {
 	return []core.Strategy{
 		core.StrategyFibril, core.StrategyFibrilNoUnmap,
-		core.StrategyCilkPlus, core.StrategyCilkM, core.StrategyTBB,
+		core.StrategyCilkPlus, sim.StrategyCilkM, core.StrategyTBB,
 	}
 }
 
@@ -173,7 +173,7 @@ func Fig4(o Options, s *bench.Spec) *table.Table {
 	for _, p := range o.pGrid() {
 		row := []any{p}
 		for _, strat := range fig4Strategies() {
-			if strat == core.StrategyCilkM && o.HelpFirst {
+			if strat == sim.StrategyCilkM && o.HelpFirst {
 				// The TLMM model exists in the work-first engine only.
 				row = append(row, "n/a")
 				continue

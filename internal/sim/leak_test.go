@@ -14,7 +14,7 @@ import (
 func TestWFStacksFullyRetired(t *testing.T) {
 	for _, strat := range []core.Strategy{
 		core.StrategyFibril, core.StrategyFibrilNoUnmap,
-		core.StrategyCilkPlus, core.StrategyCilkM, core.StrategyLeapfrog,
+		core.StrategyCilkPlus, StrategyCilkM, core.StrategyLeapfrog,
 	} {
 		cfg := wfConfig(strat, 12)
 		cfg = cfg.withDefaults()

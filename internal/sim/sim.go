@@ -98,6 +98,36 @@ func (c CostModel) forkCost(s core.Strategy) int64 {
 	}
 }
 
+// StrategyCilkM models Lee et al.'s Cilk-M (§3 of the paper): thread-local
+// memory mapping moves the stolen stack prefix into the thief's TLMM
+// region, so no suspension-time unmap is needed — but every steal pays
+// Cost.TLMMBase plus Cost.TLMMPerPage per prefix page. It schedules like
+// core.StrategyFibrilNoUnmap and is modelled in the work-first engine only.
+// The real runtime has no such strategy, so the value is declared here,
+// outside the range core hands out.
+const StrategyCilkM core.Strategy = -1
+
+// Strategies lists every strategy Run accepts, in presentation order: the
+// runtime's own, with cilkm beside the Cilk Plus it descends from.
+func Strategies() []core.Strategy {
+	var all []core.Strategy
+	for _, s := range core.Strategies() {
+		all = append(all, s)
+		if s == core.StrategyCilkPlus {
+			all = append(all, StrategyCilkM)
+		}
+	}
+	return all
+}
+
+// StrategyName is s.String() extended to the simulator-only strategy.
+func StrategyName(s core.Strategy) string {
+	if s == StrategyCilkM {
+		return "cilkm"
+	}
+	return s.String()
+}
+
 // Config parameterizes a simulation.
 type Config struct {
 	Workers    int           // P (default 1)
@@ -178,14 +208,14 @@ func (r Result) Speedup(t1 Result) float64 {
 
 func (r Result) String() string {
 	return fmt.Sprintf("%s P=%d Tp=%d steals=%d unmaps=%d faults=%d maxRSS=%dp stacks=%d",
-		r.Strategy, r.Workers, r.Makespan, r.Steals, r.Unmaps,
+		StrategyName(r.Strategy), r.Workers, r.Makespan, r.Steals, r.Unmaps,
 		r.VM.PageFaults, r.VM.MaxRSSPages, r.StacksCreated)
 }
 
 // Run simulates the tree under the config and returns the result.
 func Run(cfg Config, tree invoke.Task) Result {
 	cfg = cfg.withDefaults()
-	if cfg.Strategy == core.StrategyCilkM && !cfg.WorkFirst {
+	if cfg.Strategy == StrategyCilkM && !cfg.WorkFirst {
 		panic("sim: the cilkm strategy is modelled in the work-first engine only")
 	}
 	s := newSim(cfg)

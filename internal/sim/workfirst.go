@@ -223,7 +223,7 @@ func (ws *wfSim) pushWF(ctx *wfContext, t invoke.Task,
 	base, err := ctx.cur.Push(t.Frame)
 	if err != nil {
 		panic(fmt.Sprintf("sim(work-first): %s overflowed a %d-page stack: %v",
-			ws.cfg.Strategy, ctx.cur.Capacity(), err))
+			StrategyName(ws.cfg.Strategy), ctx.cur.Capacity(), err))
 	}
 	r := &wfRecord{
 		task: t, depth: depth, notify: notify, viaFork: viaFork,
@@ -601,7 +601,7 @@ func (ws *wfSim) thieve(w *wfWorker, now int64) {
 	ctx := &wfContext{}
 	ws.assignCur(ctx, ws.takeStack())
 	w.over += ws.cfg.Cost.TaskStart
-	if ws.cfg.Strategy == core.StrategyCilkM {
+	if ws.cfg.Strategy == StrategyCilkM {
 		// Cilk-M maps the stolen frame's stack prefix into the thief's
 		// TLMM region: a per-steal cost linear in the prefix pages — the
 		// trade the paper's §3 contrasts with Fibril's O(1) steal.

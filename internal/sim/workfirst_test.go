@@ -45,7 +45,7 @@ func TestWFDeterminism(t *testing.T) {
 func TestWFAllBenchmarksAllStrategies(t *testing.T) {
 	strategies := []core.Strategy{
 		core.StrategyFibril, core.StrategyFibrilNoUnmap, core.StrategyFibrilMMap,
-		core.StrategyCilkPlus, core.StrategyCilkM, core.StrategyTBB,
+		core.StrategyCilkPlus, StrategyCilkM, core.StrategyTBB,
 		core.StrategyLeapfrog,
 	}
 	for _, s := range bench.All() {
@@ -172,7 +172,7 @@ func TestWFCilkMPaysPerStealPrefixCost(t *testing.T) {
 	// prefix-mapping latency on every steal; with steals present it must
 	// be measurably slower, and it never unmaps.
 	fib := Run(wfConfig(core.StrategyFibrilNoUnmap, 16), fibTree(22))
-	cm := Run(wfConfig(core.StrategyCilkM, 16), fibTree(22))
+	cm := Run(wfConfig(StrategyCilkM, 16), fibTree(22))
 	if cm.Unmaps != 0 || cm.VM.MadviseCalls != 0 {
 		t.Errorf("cilkm unmapped: %d/%d", cm.Unmaps, cm.VM.MadviseCalls)
 	}

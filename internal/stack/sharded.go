@@ -124,7 +124,7 @@ func (p *ShardedPool) Take(shard int) (*Stack, error) {
 		}
 		c.misses.Add(1)
 	}
-	return p.takeSlow(shard)
+	return p.takeSlow()
 }
 
 // TryTake is Take without blocking; ok is false when a bounded pool is
@@ -167,8 +167,7 @@ func (p *ShardedPool) TryTake(shard int) (*Stack, bool, error) {
 // shards' caches, map a fresh stack, or — bounded pool — wait. The caller
 // stays registered in waiters for the whole slow path so every concurrent
 // Put routes its stack to the global list (see ShardedPool doc).
-func (p *ShardedPool) takeSlow(shard int) (*Stack, error) {
-	_ = shard
+func (p *ShardedPool) takeSlow() (*Stack, error) {
 	p.waiters.Add(1)
 	p.mu.Lock()
 	for {

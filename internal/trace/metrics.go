@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -110,13 +111,14 @@ func (s HistogramSnapshot) Mean() float64 {
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1):
-// the upper bound of the bucket holding the q-th observation, or the last
-// bound for the overflow bucket. 0 for an empty histogram.
+// the upper bound of the bucket holding the ⌈q·Count⌉-th smallest
+// observation, or the last bound for the overflow bucket. 0 for an empty
+// histogram.
 func (s HistogramSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0
 	}
-	rank := int64(q * float64(s.Count))
+	rank := int64(math.Ceil(q * float64(s.Count)))
 	if rank < 1 {
 		rank = 1
 	}

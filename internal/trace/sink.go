@@ -54,10 +54,9 @@ const ringCap = 256
 
 // ring is one worker slot's event buffer. The mutex is effectively
 // uncontended — a slot's events are emitted by the goroutine occupying
-// the slot — except on the spare ring shared by emitters that hold no
-// slot; it exists so slot handoffs and that sharing stay safe. Rings
-// are elements of one slice, rounded up to whole cacheline units so one
-// slot's last events and the next slot's header never share one.
+// the slot; it exists so slot handoffs stay safe. Rings are elements of
+// one slice, rounded up to whole cacheline units so one slot's last
+// events and the next slot's header never share one.
 type ring struct {
 	ringBuf
 	_ [cacheline.Size - unsafe.Sizeof(ringBuf{})%cacheline.Size]byte
@@ -79,11 +78,11 @@ type Tracer struct {
 	start time.Time
 	mask  uint64
 	stamp bool
-	rings []ring // one per worker slot, plus a spare for slot -1
+	rings []ring // one per worker slot
 }
 
-// NewTracer builds a tracer feeding sink from workers slots (plus the
-// spare). A nil sink yields a nil tracer, the disabled state.
+// NewTracer builds a tracer feeding sink from workers slots. A nil sink
+// yields a nil tracer, the disabled state.
 func NewTracer(sink Sink, workers int) *Tracer {
 	if sink == nil {
 		return nil
@@ -93,7 +92,7 @@ func NewTracer(sink Sink, workers int) *Tracer {
 		start: time.Now(),
 		mask:  MaskAll,
 		stamp: true,
-		rings: make([]ring, workers+1),
+		rings: make([]ring, workers),
 	}
 	if m, ok := sink.(EventMasker); ok {
 		t.mask = m.EventMask() & MaskAll
@@ -104,26 +103,17 @@ func NewTracer(sink Sink, workers int) *Tracer {
 	return t
 }
 
-// ring maps a worker slot to its ring; an emitter that holds no slot
-// (-1, or any id out of range) gets the shared spare.
-func (t *Tracer) ring(worker int) *ring {
-	if worker < 0 || worker >= len(t.rings)-1 {
-		return &t.rings[len(t.rings)-1]
-	}
-	return &t.rings[worker]
-}
-
 // Wants reports whether the sink consumes events of kind k — event sites
 // use it to skip the clock reads that compute duration payloads. Nil-safe.
 func (t *Tracer) Wants(k Kind) bool {
 	return t != nil && t.mask&(1<<k) != 0
 }
 
-// Emit records one event on the worker's ring, flushing the ring to the
-// sink when it wraps. Nil-safe: a nil tracer ignores the call. The split
-// from emit keeps this guard within the inlining budget, so disabled and
-// masked-out event sites cost a pointer test and a bit test in place, not
-// a function call.
+// Emit records one event on the ring of worker, a slot id in
+// [0, workers), flushing the ring to the sink when it wraps. Nil-safe: a
+// nil tracer ignores the call. The split from emit keeps this guard within
+// the inlining budget, so disabled and masked-out event sites cost a
+// pointer test and a bit test in place, not a function call.
 func (t *Tracer) Emit(worker int, kind Kind, arg int64, dur time.Duration) {
 	if t == nil || t.mask&(1<<kind) == 0 {
 		return
@@ -136,7 +126,7 @@ func (t *Tracer) emit(worker int, kind Kind, arg int64, dur time.Duration) {
 	if t.stamp {
 		at = time.Since(t.start)
 	}
-	r := t.ring(worker)
+	r := &t.rings[worker]
 	r.mu.Lock()
 	r.seq++
 	r.buf[r.n] = Event{At: at, Worker: worker, Kind: kind, Arg: arg, Dur: dur, Seq: r.seq}

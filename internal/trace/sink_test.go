@@ -87,17 +87,6 @@ func TestTracerBuffersAndFlushes(t *testing.T) {
 	}
 }
 
-func TestTracerSpareRing(t *testing.T) {
-	sink := &captureSink{}
-	tr := NewTracer(sink, 2)
-	tr.Emit(-1, KindFork, 0, 0) // an emitter that holds no slot
-	tr.Emit(99, KindFork, 0, 0) // out-of-range slot
-	tr.Flush()
-	if got := sink.all(); len(got) != 2 {
-		t.Fatalf("spare ring delivered %d events, want 2", len(got))
-	}
-}
-
 // maskedSink wants only steals and declines timestamps.
 type maskedSink struct{ captureSink }
 
@@ -189,6 +178,29 @@ func TestHistogram(t *testing.T) {
 	}
 	if q := s.Quantile(1.0); q != 8 {
 		t.Errorf("p100=%d, want last bound 8 for overflow", q)
+	}
+	// The rank is a ceiling: the median of three is the second value, not
+	// the minimum, and p999 of 160 is the largest.
+	tail := make([]int64, 160)
+	for i := range tail {
+		tail[i] = 1
+	}
+	tail[159] = 1000
+	for _, c := range []struct {
+		values []int64
+		q      float64
+		want   int64
+	}{
+		{[]int64{1, 100, 1000}, 0.5, 128},
+		{tail, 0.999, 1024},
+	} {
+		h := newHistogram("", []int64{1, 128, 1024})
+		for _, v := range c.values {
+			h.Observe(v)
+		}
+		if got := h.Snapshot().Quantile(c.q); got != c.want {
+			t.Errorf("%d values: Quantile(%v)=%d, want %d", len(c.values), c.q, got, c.want)
+		}
 	}
 	var zero HistogramSnapshot
 	if zero.Mean() != 0 || zero.Quantile(0.5) != 0 {

@@ -21,48 +21,8 @@ func optFib(w *fibril.W, n int, out *int64) {
 	*out = x + y
 }
 
-func TestNewWithOptions(t *testing.T) {
-	rec := fibril.NewRecorder(0)
-	rt := fibril.NewWith(
-		fibril.WithWorkers(2),
-		fibril.WithStrategy(fibril.Fibril),
-		fibril.WithSeed(42),
-		fibril.WithSink(rec),
-	)
-	var got int64
-	st, err := rt.RunErr(func(w *fibril.W) { optFib(w, 15, &got) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 610 {
-		t.Fatalf("fib(15)=%d, want 610", got)
-	}
-	if st.Workers != 2 {
-		t.Fatalf("Workers=%d, want the WithWorkers(2) value", st.Workers)
-	}
-	if rec.Len() == 0 {
-		t.Fatal("WithSink recorder saw no events")
-	}
-	total := 0
-	for _, n := range rec.Counts() {
-		total += n
-	}
-	if int64(total) < st.Forks {
-		t.Fatalf("recorded %d events but Stats.Forks=%d", total, st.Forks)
-	}
-}
-
-func TestWithConfigBase(t *testing.T) {
-	base := fibril.Config{Workers: 3, Seed: 7}
-	rt := fibril.NewWith(fibril.WithConfig(base), fibril.WithWorkers(1))
-	st := rt.Run(func(w *fibril.W) {})
-	if st.Workers != 1 {
-		t.Fatalf("later option should win over WithConfig base: Workers=%d", st.Workers)
-	}
-}
-
 func TestRunErr(t *testing.T) {
-	rt := fibril.NewWith(fibril.WithWorkers(2))
+	rt := fibril.New(fibril.Config{Workers: 2})
 	boom := errors.New("boom")
 	_, err := rt.RunErr(func(w *fibril.W) {
 		var fr fibril.Frame
@@ -89,7 +49,7 @@ func TestRunErr(t *testing.T) {
 
 func TestSnapshotQuickstart(t *testing.T) {
 	ms := fibril.NewMetricsSink()
-	rt := fibril.NewWith(fibril.WithWorkers(4), fibril.WithSink(ms))
+	rt := fibril.New(fibril.Config{Workers: 4, Sink: ms})
 	var got int64
 	rt.Run(func(w *fibril.W) { optFib(w, 20, &got) })
 	m := rt.Snapshot()

@@ -45,11 +45,11 @@ func benchFib(w *fibril.W, n int, out *int64) {
 func shedRuntime(tb testing.TB) (*fibril.Runtime, func()) {
 	tb.Helper()
 	const workers = 2
-	rt := fibril.NewWith(
-		fibril.WithWorkers(workers),
-		fibril.WithMaxInflight(workers),
-		fibril.WithAdmission(fibril.AdmitShed),
-	)
+	rt := fibril.New(fibril.Config{
+		Workers:     workers,
+		MaxInflight: workers,
+		Admission:   fibril.AdmitShed,
+	})
 	rt.Start()
 	gate := make(chan struct{})
 	blockers := make([]*fibril.Job, workers)
@@ -83,7 +83,7 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 		fn   func(*fibril.W)
 	}{{"noop", noopRoot}, {"fib10", fib10Root}} {
 		b.Run(root.name, func(b *testing.B) {
-			rt := fibril.NewWith(fibril.WithWorkers(4))
+			rt := fibril.New(fibril.Config{Workers: 4})
 			rt.Start()
 			defer rt.Close(context.Background())
 			b.ReportAllocs()
@@ -142,7 +142,7 @@ func TestSubmitAllocGate(t *testing.T) {
 	})
 
 	t.Run("admitted-budget", func(t *testing.T) {
-		rt := fibril.NewWith(fibril.WithWorkers(2))
+		rt := fibril.New(fibril.Config{Workers: 2})
 		rt.Start()
 		defer rt.Close(context.Background())
 		for i := 0; i < 512; i++ {
