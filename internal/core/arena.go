@@ -108,7 +108,7 @@ func (r *remoteFrees) push(s *Scratch) {
 // foreign releasers handed back), and from the heap only when both are
 // empty.
 func (w *W) AcquireScratch() *Scratch {
-	w.stats.arenaAcquires.Add(1)
+	w.arenaAcquires++
 	a := &w.slot.arena
 	if s := a.free; s != nil {
 		a.free = s.next
@@ -159,9 +159,9 @@ func (w *W) drainRemote() *Scratch {
 }
 
 // ReleaseScratch returns s to the current slot's free list — or, when the
-// local hoard is full, hands it back to its home slot's remote-free list so steal-heavy acquire-here/release-there
-// traffic recirculates instead of churning the GC. A block that fits
-// nowhere is dropped (Stats.ArenaDrops).
+// local hoard is full, hands it back to its home slot's remote-free list,
+// so steal-heavy acquire-here/release-there traffic recirculates instead of
+// churning the GC. A block that fits nowhere is dropped (Stats.ArenaDrops).
 //
 // It must only be called once the block is quiescent: the Join on its
 // frame has returned and no task still holds the payload pointer. It must
@@ -172,15 +172,21 @@ func (w *W) drainRemote() *Scratch {
 //
 // The frame's references are dropped so a hoarded block pins nothing; the
 // resume channel is deliberately kept, making repeat suspensions on
-// recycled frames allocation-free.
+// recycled frames allocation-free. After a Join that returned, count is
+// zero and the panic slot empty, so neither costs a locked store here.
 func (w *W) ReleaseScratch(s *Scratch) {
-	w.stats.arenaReleases.Add(1)
+	w.arenaReleases++
 	f := &s.frame
-	f.count.Store(0)
+	if f.count.Load() != 0 {
+		f.count.Store(0)
+	}
+	if f.panicked.Load() != nil {
+		f.panicked.Store(nil)
+	}
+	f.pending = 0
 	f.stack = nil
 	f.parent = nil
 	f.pendingReclaim = nil
-	f.panicked = nil
 	a := &w.slot.arena
 	if a.n < arenaHoardCap {
 		s.home = int32(w.slot.id) // adopted: the block lives here now

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"fibril/internal/deque"
 )
 
 // This file is the steal-heavy zero-allocation gate for the ForkArg fork
@@ -222,6 +224,71 @@ func TestForkScalesWithSecondWorker(t *testing.T) {
 	}
 	if ratio > 0.8 {
 		t.Errorf("Workers=2 median is %.2fx the Workers=1 median, want <= 0.8: a second worker is not paying for itself", ratio)
+	}
+}
+
+// TestForkCostInDequeUnits prices the whole fork/call/join node of gate-fib
+// at Workers=1 — AcquireScratch, Init, ForkArg, CallArg, Join, ReleaseScratch
+// and both simulated-stack frames — in units of the one thing it cannot do
+// without: a Push+Pop pair on a bare deque of tasks, timed in the same
+// process. The pair's two tail stores are the node's only locked
+// instructions (DESIGN.md §10); with a shared read-modify-write per fork,
+// per join and per counter on top of them the node cost 7–8 pairs, without
+// them about 4. The unit makes the bound the same on a fast host and a slow
+// one; a host that is holding a CPU back (see yardstick) is not judged.
+func TestForkCostInDequeUnits(t *testing.T) {
+	switch {
+	case testing.Short():
+		t.Skip("timing gate; skipped with -short")
+	case raceEnabled:
+		t.Skip("timing gate; the race detector's instrumentation dominates the fork path")
+	}
+	const n, rounds, pairs = 23, 5, 1 << 20
+	want := fibSerial(n)
+	rt := NewRuntime(Config{Workers: 1})
+	perFork := func() float64 {
+		var out int64
+		before := rt.Stats().Forks
+		t0 := time.Now()
+		st := rt.Run(func(w *W) { out = gateFib(w, n) })
+		d := time.Since(t0)
+		if out != want {
+			t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
+		}
+		return float64(d) / float64(st.Forks-before)
+	}
+	var d deque.Deque[task]
+	perPair := func() float64 {
+		t0 := time.Now()
+		for i := 0; i < pairs; i++ {
+			d.Push(task{})
+			d.Pop()
+		}
+		return float64(time.Since(t0)) / pairs
+	}
+	perFork() // warm the arena, the stack's pages and the deque's ring
+	perPair()
+	var fork, pair []float64
+	var y1, y2 []time.Duration
+	for i := 0; i < rounds; i++ { // interleaved, so drift hits all four alike
+		y1 = append(y1, yardstick(1))
+		fork = append(fork, perFork())
+		y2 = append(y2, yardstick(2))
+		pair = append(pair, perPair())
+	}
+	slices.Sort(fork)
+	slices.Sort(pair)
+	slices.Sort(y1)
+	slices.Sort(y2)
+	host := float64(y2[rounds/2]) / float64(y1[rounds/2])
+	units := fork[rounds/2] / pair[rounds/2]
+	t.Logf("medians of %d: %.1f ns per fork/call/join node, %.1f ns per bare Push+Pop pair: %.1f pairs; "+
+		"two plain goroutines take %.2fx one", rounds, fork[rounds/2], pair[rounds/2], units, host)
+	if host > 1.2 {
+		t.Skipf("two plain goroutines take %.2fx the time of one: the host is not giving this process two CPUs", host)
+	}
+	if units > 6 {
+		t.Errorf("a fork/call/join node costs %.1f deque Push+Pop pairs, want <= 6: something on the owner's path is synchronizing again", units)
 	}
 }
 

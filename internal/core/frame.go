@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,24 +14,40 @@ import (
 // region, initialize it with W.Init, fork children with W.Fork, and wait
 // with W.Join — the same protocol as fibril_init / fibril_fork /
 // fibril_join. A Frame may be reused for several fork...join phases, but
-// never concurrently.
+// never concurrently, and — as a fibril_t belongs to the function that
+// declares it — only the task that called Init forks and joins on it: a
+// child does not fork on its parent's frame.
 //
 // The zero Frame is not ready; W.Init must run before the first Fork, just
 // as fibril_init must precede the first fibril_fork.
 type Frame struct {
-	// count is the number of pending child tasks, with the owner's
-	// suspension state folded into bit 30 (frameSuspended). The paper's
-	// count fills the same role with work-first bookkeeping (incremented on
-	// first steal); with child stealing the low bits are simply forks minus
-	// completions. Folding the flag into the same word makes the last
-	// child's decrement atomically reveal whether it must resume a parked
-	// owner — and, crucially for arena-recycled frames, makes that
-	// decrement the child's *final* touch of the frame when the owner never
-	// suspended, so the owner may reuse the memory the moment it observes
-	// zero.
+	// count is the number of children that were STOLEN and have not finished
+	// yet, with the owner's suspension state folded into bit 30
+	// (frameSuspended) — the paper's fibril_t.count (Listing 3). It is never
+	// touched on the fork path: a thief increments it under the victim's
+	// deque lock, after its claim on the child succeeded (countStolen), and
+	// decrements it when the child completes (childDone). The owner reads it
+	// only after its own Pop has failed — Pop fails under that same lock, so
+	// every completed steal's increment is visible by then — and children
+	// the owner pops back and runs itself never appear in it at all.
+	// Folding the flag into the same word makes the last stolen child's
+	// decrement atomically reveal whether it must resume a parked owner —
+	// and, crucially for arena-recycled frames, makes that decrement the
+	// child's *final* touch of the frame when the owner never suspended, so
+	// the owner may reuse the memory the moment it observes zero.
 	count atomic.Int32
 
-	mu     sync.Mutex   // guards panicked only
+	// pending is the owner's private tally of children it pushed on its
+	// deque and has neither popped back nor found stolen: Fork increments
+	// it, Join decrements it per own child popped and zeroes it on the first
+	// failed Pop. Plain memory — only the owning goroutine touches it. It is
+	// an upper bound, not an exact count: a nested Join (or one that unwound
+	// past an abandoned inner frame) may already have popped and run some of
+	// this frame's children, and after a resume on another slot the children
+	// left behind were all stolen. Either way the deque was empty when that
+	// happened, so the stale tally costs this frame's Join one failed Pop.
+	pending int32
+
 	resume chan *worker // carries the finisher's slot to the parked owner
 
 	// Saved execution state, the analogue of fibril_t.state{rbp,rsp,rip}
@@ -52,22 +67,23 @@ type Frame struct {
 	initMark int // owning stack's watermark at Init (cactus branch point)
 
 	// pendingReclaim is the live deferred-unmap ticket of the current
-	// suspension, if any (coalesced-unmap mode only). Guarded by mu; the
-	// resume path cancels it before waking the owner.
+	// suspension, if any (coalesced-unmap mode only). No lock guards it: the
+	// owner writes it before the commit CAS on count, which publishes it,
+	// and the last child's decrement of count acquires it; that child
+	// cancels the ticket before waking the owner.
 	pendingReclaim *reclaimTicket
 
-	panicked *TaskPanic // first panic among the frame's children
+	// panicked is the first panic among the frame's children: set by a CAS
+	// from nil on whichever worker ran the child, taken by the owner's Join.
+	panicked atomic.Pointer[TaskPanic]
 }
 
 // frameSuspended is the bit the owner sets in Frame.count when it commits
-// a suspension: well above any real fork count, well below the sign bit.
+// a suspension: well above any real steal count, well below the sign bit.
 const frameSuspended = int32(1) << 30
 
 // Depth returns the invocation-tree depth recorded at Init.
 func (f *Frame) Depth() int { return int(f.depth) }
-
-// Pending returns the number of outstanding children (racy snapshot).
-func (f *Frame) Pending() int { return int(f.count.Load() &^ frameSuspended) }
 
 // isDescendantOf reports whether f is ancestor or one of its descendants —
 // the eligibility test of leapfrogging.
@@ -83,7 +99,13 @@ func (f *Frame) isDescendantOf(ancestor *Frame) bool {
 // Init prepares the frame for forking: records the owning stack, the
 // current invocation depth, and the enclosing frame for ancestry tracking.
 func (w *W) Init(f *Frame) {
-	f.count.Store(0)
+	// count is zero already unless the frame was abandoned mid-region (a
+	// panic unwound past its Join) and is being reused; the load keeps the
+	// common Init free of a locked store.
+	if f.count.Load() != 0 {
+		f.count.Store(0)
+	}
+	f.pending = 0
 	f.stack = w.stack
 	f.watermark = 0
 	f.depth = w.depth
@@ -92,9 +114,21 @@ func (w *W) Init(f *Frame) {
 	f.pendingReclaim = nil
 }
 
-// childDone is called by the worker that just completed a child of f. When
-// it completes the last pending child of a *suspended* frame it resumes the
-// parked owner, transferring the caller's worker slot to it (Listing 3
+// countStolen is the steal-time half of the join protocol (Listing 3): the
+// deque runs it on a child a thief has just claimed, still inside the
+// victim's deque lock, and it counts the child on its frame. Only deque
+// entries reach it, and those always have a frame (roots travel through the
+// intake). It accepts every candidate; the restricted joins put their
+// eligibility test in front of it.
+func countStolen(t task) bool {
+	t.frame.count.Add(1)
+	return true
+}
+
+// childDone is called by the worker that just completed a stolen child of f
+// — one countStolen counted; children the owner pops back never get here.
+// When it completes the last stolen child of a *suspended* frame it resumes
+// the parked owner, transferring the caller's worker slot to it (Listing 3
 // lines 68–75); the caller must then stop using the slot and, if it reports
 // a handoff, retire its stack to the pool.
 //
@@ -215,7 +249,10 @@ func (w *W) suspend(f *Frame) bool {
 	}
 	// Hand the worker slot to a replacement thief so exactly P slots stay
 	// busy (busy leaves). The replacement takes its stack from the pool,
-	// blocking there if a bounded (Cilk Plus) pool is empty.
+	// blocking there if a bounded (Cilk Plus) pool is empty. The slot's
+	// shard goes with it, so what this goroutine counted privately on the
+	// slot is folded in first.
+	w.flushCounts()
 	rt.goroutineWG.Add(1)
 	go rt.thiefLoop(w.slot)
 	// The finisher's slot is generally not the one given up above, and that

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"fibril/internal/cacheline/layouttest"
 )
@@ -24,6 +27,16 @@ var (
 		{"jobsCompleted", "jobSeq"},                                  // completers'
 	}
 	parkGroup = []string{"mu", "cond", "tokens", "closed", "nparked"}
+	// A Frame is not padded — it lives inside a Scratch block or a caller's
+	// own variable — so its fields are listed by writer without distances.
+	frameFields = []string{
+		"count",                                // thieves, under the victim's deque lock and at child completion; the owner's commit CAS
+		"pending",                              // the owner, on every Fork and Join
+		"stack", "depth", "parent", "initMark", // the owner, at Init
+		"resume", "watermark", // the owner, before the commit CAS
+		"pendingReclaim", // the owner, before the commit CAS; the last child of a suspended frame
+		"panicked",       // whoever ran the first child to panic; the owner's Join
+	}
 )
 
 // TestLayout pins who-writes-which-line for the core's per-slot and
@@ -33,11 +46,28 @@ func TestLayout(t *testing.T) {
 	layouttest.Groups(t, Runtime{}, runtimeGroups...)
 	layouttest.Groups(t, parkLot{}, parkGroup)
 	// A W is touched by its own goroutine only: one group, kept off its
-	// neighbours.
+	// neighbours. The last four are the private per-fork counters.
 	layouttest.Groups(t, W{}, []string{"rt", "slot", "stack", "stats", "depth", "frame",
-		"released", "frameBytes", "strategy", "slowFork", "wantsFork", "scratch"})
+		"released", "frameBytes", "strategy", "slowFork", "wantsFork", "scratch",
+		"forks", "calls", "arenaAcquires", "arenaReleases"})
 	layouttest.Element(t, counterShard{})
 	layouttest.Element(t, intakeShard{})
+
+	frame := reflect.TypeOf(Frame{})
+	for i := 0; i < frame.NumField(); i++ {
+		if n := frame.Field(i).Name; !slices.Contains(frameFields, n) {
+			t.Errorf("core.Frame: field %s has no writer listed: decide who writes it", n)
+		}
+	}
+	if n := len(frameFields); n != frame.NumField() {
+		t.Errorf("core.Frame has %d fields, %d listed", frame.NumField(), n)
+	}
+	// One Scratch is one object of Go's 224-byte size class (208 is the
+	// class below): a Frame field more than the 8 bytes to spare moves every
+	// fork/join region's block up a class.
+	if sz := unsafe.Sizeof(Scratch{}); sz <= 208 || sz > 224 {
+		t.Errorf("core.Scratch is %d bytes, outside the 224-byte size class (208, 224]", sz)
+	}
 }
 
 // TestLayoutRealAddresses checks a live Workers=4 runtime: Go aligns a heap

@@ -46,7 +46,8 @@ type Metrics struct {
 // and address-space counters, deque length estimates, the park lot, the
 // reclaim lists, the metrics sink's histogram buckets — is individually
 // synchronized, so the snapshot is a coherent point sample of each,
-// though not a single atomic cut across all of them.
+// though not a single atomic cut across all of them. The per-fork counters
+// in Stats trail the running workers by a bounded amount (see Stats).
 func (rt *Runtime) Snapshot() Metrics {
 	m := Metrics{
 		Stats: rt.Stats(),

@@ -40,22 +40,3 @@ func capture(v any) *TaskPanic {
 	}
 	return &TaskPanic{Value: v, Stack: debug.Stack()}
 }
-
-// recordPanic stores the first panic among a frame's children; later ones
-// are dropped (like errgroup, the first failure wins).
-func (f *Frame) recordPanic(tp *TaskPanic) {
-	f.mu.Lock()
-	if f.panicked == nil {
-		f.panicked = tp
-	}
-	f.mu.Unlock()
-}
-
-// takePanic returns and clears the frame's recorded panic.
-func (f *Frame) takePanic() *TaskPanic {
-	f.mu.Lock()
-	tp := f.panicked
-	f.panicked = nil
-	f.mu.Unlock()
-	return tp
-}

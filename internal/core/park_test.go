@@ -260,14 +260,15 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 func TestFinalSweepReturnsTask(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 2})
 	victim := rt.workers[1]
+	var fr Frame
 	for i := 0; i < 8; i++ {
-		victim.deque.Push(task{fn: func(*W) {}})
+		victim.deque.Push(task{fn: func(*W) {}, frame: &fr})
 	}
 	st := rt.takeStack(0)
 	defer rt.pool.Put(0, st)
 	w := rt.newW(rt.workers[0], st, rt.shard(0))
 	watchdog(t, 10*time.Second, func() {
-		if _, ok := rt.park.park(&w.stats.thiefParks, func() (task, bool) { return rt.steal(w, nil) }); !ok {
+		if _, ok := rt.park.park(&w.stats.thiefParks, func() (task, bool) { return rt.steal(w, countStolen) }); !ok {
 			t.Error("final sweep over a victim with 8 tasks came back empty")
 		}
 	})
@@ -276,6 +277,9 @@ func TestFinalSweepReturnsTask(t *testing.T) {
 	}
 	if got := victim.deque.Len(); got != 7 {
 		t.Errorf("victim holds %d tasks after one steal from 8, want 7", got)
+	}
+	if got := fr.count.Load(); got != 1 {
+		t.Errorf("frame counts %d stolen children after one steal, want 1", got)
 	}
 	if got := rt.park.parked(); got != 0 {
 		t.Errorf("parked() = %d after park returned with a task, want 0", got)

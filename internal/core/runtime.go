@@ -15,17 +15,24 @@
 //   - a runtime "stack" is a (goroutine, simulated page-granular
 //     stack.Stack) pair; the goroutine's lifetime is the stack's lifetime;
 //   - Fork pushes the child task on the worker slot's deque and the parent
-//     keeps running (the child is what thieves steal);
-//   - Join first drains the slot's own deque (executing local tasks inline,
-//     which is the order work-first Cilk would have executed them in), and
-//     if children remain outstanding the parent SUSPENDS: its goroutine
-//     records the frame's stack watermark, unmaps the unused pages above it
-//     (Listing 3 line 63), hands its worker slot to a replacement thief
-//     running on a pool stack (line 93), and parks;
-//   - when the LAST child of a suspended frame completes, the finishing
-//     worker puts its own stack into the pool, "remaps" the suspended
-//     stack, and transfers its worker slot to the parked parent (lines
-//     68–75), which resumes on its original stack.
+//     keeps running (the child is what thieves steal). It notes the child in
+//     the frame's owner-private tally and touches nothing shared: as in
+//     Listing 3, a child is counted on its frame by the thief that takes it,
+//     inside the victim's deque lock, not by the Fork that publishes it;
+//   - Join first drains the slot's own deque, popping while the frame may
+//     still have children there and executing what it pops inline (the order
+//     work-first Cilk would have executed them in; a popped child was never
+//     counted, so finishing it notifies nobody). The first Pop to fail takes
+//     the deque lock and finds the deque empty, so it is ordered after every
+//     steal's count; only then does Join read the frame's count, which is the
+//     children stolen and not yet finished. If it is not zero the parent
+//     SUSPENDS: its goroutine records the frame's stack watermark, unmaps the
+//     unused pages above it (Listing 3 line 63), hands its worker slot to a
+//     replacement thief running on a pool stack (line 93), and parks;
+//   - when the LAST stolen child of a suspended frame completes, the
+//     finishing worker puts its own stack into the pool, "remaps" the
+//     suspended stack, and transfers its worker slot to the parked parent
+//     (lines 68–75), which resumes on its original stack.
 //
 // Exactly P worker slots are occupied by runnable goroutines at all times,
 // so the busy-leaves property — the basis of the paper's space bounds —
@@ -196,8 +203,8 @@ func (c Config) withDefaults() Config {
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
 // package comment); the slot itself carries the deque (Push, Pop and
-// LazyHint are the occupant's; Steal, StealIf and Len any worker's), the
-// steal RNG and its Scratch arena.
+// LazyHint are the occupant's; StealIf and Len any worker's), the steal RNG
+// and its Scratch arena.
 //
 // Slots are allocated one by one, back to back, and the fields are laid
 // out by writer (DESIGN.md §15), three groups a pad apart: what nobody
@@ -461,7 +468,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 	}
 	w := rt.newW(slot, st, rt.shard(slot.id))
 	sweep := func() (task, bool) {
-		if t, ok := rt.steal(w, nil); ok {
+		if t, ok := rt.steal(w, countStolen); ok {
 			return t, true
 		}
 		return rt.nextRoot(slot.id)
@@ -502,6 +509,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 			return
 		}
 	}
+	w.flushCounts()
 	rt.pool.Put(slot.id, w.stack)
 }
 
@@ -510,11 +518,13 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 // random start — the rule the Tp ≤ T1/P + c∞·T∞ bound is proved for. A
 // thief never probes its own deque, skips deques whose Len snapshot is
 // visibly empty, and charges the probe count to the stealAttempts shard once
-// per sweep instead of once per victim. If restrict is non-nil only tasks it
-// accepts are taken (depth-restricted and leapfrog disciplines). It returns
-// false after a full unsuccessful sweep so callers can decide to back off or
+// per sweep instead of once per victim. take runs on the claimed candidate
+// inside the victim's deque lock and must count an accepted child on its
+// frame: a base-level thief passes countStolen itself, the depth-restricted
+// and leapfrog joins their eligibility test in front of it. It returns false
+// after a full unsuccessful sweep so callers can decide to back off or
 // re-check their join condition.
-func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
+func (rt *Runtime) steal(w *W, take func(task) bool) (task, bool) {
 	self := w.slot.id
 	n := len(rt.workers)
 	probes := int64(0)
@@ -532,15 +542,7 @@ func (rt *Runtime) steal(w *W, restrict func(task) bool) (task, bool) {
 			continue
 		}
 		probes++
-		var (
-			t  task
-			ok bool
-		)
-		if restrict == nil {
-			t, ok = victim.deque.Steal()
-		} else {
-			t, ok = victim.deque.StealIf(restrict)
-		}
+		t, ok := victim.deque.StealIf(take)
 		if !ok {
 			continue
 		}

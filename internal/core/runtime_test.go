@@ -82,18 +82,24 @@ func TestSuspensionsBalanceResumes(t *testing.T) {
 // W left on its old slot's shard shares it with that slot's next occupant.
 // With two slots the migration is certain: the suspending root gives its
 // slot to a fresh thief, and the only worker that can finish the stolen
-// child, and so hand its slot over, is the other one.
+// child, and so hand its slot over, is the other one. What the W counted
+// privately before it suspended belongs to the slot it was counted on, and
+// has to be in that slot's shard before the slot's next occupant adds to it.
 func TestResumeRebindsCounterShard(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the root spins while the thief steals
 	}
 	rt := NewRuntime(Config{Workers: 2})
-	const calls = 100
+	const calls, callsBefore = 100, 7
 	var started atomic.Bool
 	var before, after int
 	var bound bool
+	var oldForks, oldCalls, carried int64
 	st := rt.Run(func(w *W) {
 		before = w.slot.id
+		for i := 0; i < callsBefore; i++ {
+			w.Call(func(*W) {})
+		}
 		var fr Frame
 		w.Init(&fr)
 		w.Fork(&fr, func(*W) {
@@ -108,6 +114,8 @@ func TestResumeRebindsCounterShard(t *testing.T) {
 		w.Join(&fr)
 		after = w.slot.id
 		bound = w.stats == rt.shard(w.slot.id)
+		oldForks, oldCalls = rt.shard(before).forks.Load(), rt.shard(before).calls.Load()
+		carried = w.forks + w.calls
 		for i := 0; i < calls; i++ {
 			w.Call(func(*W) {})
 		}
@@ -118,9 +126,13 @@ func TestResumeRebindsCounterShard(t *testing.T) {
 	if !bound {
 		t.Errorf("after resuming on slot %d the W still adds to slot %d's shard", after, before)
 	}
-	if st.Forks != 1 || st.Steals != 1 || st.Suspends != 1 || st.Resumes != 1 || st.Calls != calls {
+	if oldForks != 1 || oldCalls != callsBefore || carried != 0 {
+		t.Errorf("on resuming, slot %d's shard held %d forks and %d calls and the W carried %d counts over, want 1, %d and 0",
+			before, oldForks, oldCalls, carried, callsBefore)
+	}
+	if st.Forks != 1 || st.Steals != 1 || st.Suspends != 1 || st.Resumes != 1 || st.Calls != calls+callsBefore {
 		t.Errorf("forks=%d steals=%d suspends=%d resumes=%d calls=%d, want 1/1/1/1/%d",
-			st.Forks, st.Steals, st.Suspends, st.Resumes, st.Calls, calls)
+			st.Forks, st.Steals, st.Suspends, st.Resumes, st.Calls, calls+callsBefore)
 	}
 	if got := rt.shard(after).calls.Load(); got != calls {
 		t.Errorf("slot %d's shard counted %d of the %d calls made on it", after, got, calls)

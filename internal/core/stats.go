@@ -12,7 +12,10 @@ import (
 // counterShard holds one worker slot's scheduler counters. The runtime
 // keeps one shard per slot, so the fork/steal hot paths increment an
 // uncontended counter instead of ping-ponging a shared cache line across P
-// cores; Stats aggregates the shards. Uncontended means one writer per
+// cores; Stats aggregates the shards. The four counters bumped on every
+// fork/join node (forks, calls, arenaAcquires, arenaReleases) are not even
+// that: a W counts them in plain fields and adds them here in bulk
+// (W.flushCounts). Uncontended means one writer per
 // shard: a W adds to the shard of the slot it occupies and re-binds when a
 // resume hands it a different slot (see suspend). Each shard is rounded up
 // to whole cacheline units (DESIGN.md §15), so neighbouring slots' shards —
@@ -110,6 +113,12 @@ type Stats struct {
 }
 
 // Stats snapshots the runtime's counters, aggregating the per-slot shards.
+// At quiescence — after Run, after Close, whenever no task is running — it is
+// exact. Taken while workers run, Forks, Calls, ArenaAcquires and
+// ArenaReleases are lower bounds: each running worker counts those four on
+// its own W and folds them in at the end of its base-level task and every
+// countFlushForks forks (see W.flushCounts), so each trails its worker by
+// less than that many forks' worth; they never run ahead and never go back.
 func (rt *Runtime) Stats() Stats {
 	s := Stats{
 		Strategy:      rt.cfg.Strategy,

@@ -31,6 +31,12 @@ type W struct {
 	frame    *Frame // frame of the task currently executing (nil at root)
 	released bool   // slot handed to a resumed parent; owner must retire
 
+	// The per-fork counters, kept as plain integers here and folded into
+	// the slot's shard by flushCounts, so a fork/call/join node adds to no
+	// shared word. A live Stats() therefore lags this goroutine by at most
+	// countFlushForks forks; at quiescence it is exact.
+	forks, calls, arenaAcquires, arenaReleases int64
+
 	// Hot Config fields cached at W creation (see Runtime.newW), so the
 	// fork fast path touches only this cache line: the default frame size,
 	// the strategy, whether its fork path needs the slow prologue
@@ -55,6 +61,47 @@ func (w *W) Depth() int { return int(w.depth) }
 // StackID identifies the simulated stack the goroutine runs on.
 func (w *W) StackID() int { return w.stack.ID() }
 
+// countFlushForks bounds how many forks a W counts privately before folding
+// them into its slot's shard, so a Stats() taken while a long unstolen root
+// runs shows progress instead of zero.
+const countFlushForks = 4096
+
+// flushCounts folds the private per-fork counters into the current slot's
+// shard. It runs wherever the shard is about to be read for an exact answer
+// or is about to change hands: at the end of every base-level task, before
+// the completion that lets a joiner or a waiter proceed (childDone,
+// completeJob); before a suspend gives the slot to a replacement thief; when
+// a thief retires; and every countFlushForks forks in between.
+func (w *W) flushCounts() {
+	sh := w.stats
+	if w.forks != 0 {
+		sh.forks.Add(w.forks)
+		w.forks = 0
+	}
+	if w.calls != 0 {
+		sh.calls.Add(w.calls)
+		w.calls = 0
+	}
+	if w.arenaAcquires != 0 {
+		sh.arenaAcquires.Add(w.arenaAcquires)
+		w.arenaAcquires = 0
+	}
+	if w.arenaReleases != 0 {
+		sh.arenaReleases.Add(w.arenaReleases)
+		w.arenaReleases = 0
+	}
+}
+
+// countFork is the bookkeeping shared by every fork: the frame's private
+// child tally and the worker's private fork count — no atomic.
+func (w *W) countFork(f *Frame) {
+	f.pending++
+	w.forks++
+	if w.forks >= countFlushForks {
+		w.flushCounts()
+	}
+}
+
 // Fork logically starts fn as a child task of frame f, running in parallel
 // with the caller (fibril_fork). The child is pushed on the worker's deque
 // where thieves can steal it; unstolen children execute during Join in the
@@ -68,8 +115,7 @@ func (w *W) Fork(f *Frame, fn func(*W)) {
 // ForkSized is Fork with an explicit simulated activation-frame size in
 // bytes for the child.
 func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
-	f.count.Add(1)
-	w.stats.forks.Add(1)
+	w.countFork(f)
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
 	}
@@ -99,8 +145,7 @@ func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 // ForkArgSized is ForkArg with an explicit simulated activation-frame size
 // in bytes for the child.
 func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
-	f.count.Add(1)
-	w.stats.forks.Add(1)
+	w.countFork(f)
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
 	}
@@ -169,7 +214,7 @@ func (w *W) Call(fn func(*W)) {
 // to the caller, as in a plain function call, with the simulated frame
 // popped on the way out.
 func (w *W) CallSized(bytes int, fn func(*W)) {
-	w.stats.calls.Add(1)
+	w.calls++
 	base, err := w.stack.Push(bytes)
 	if err != nil {
 		panic(fmt.Sprintf("core: stack overflow in Call: %v", err))
@@ -190,7 +235,7 @@ func (w *W) CallArg(fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 
 // CallArgSized is CallArg with an explicit frame size in bytes.
 func (w *W) CallArgSized(bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
-	w.stats.calls.Add(1)
+	w.calls++
 	base, err := w.stack.Push(bytes)
 	if err != nil {
 		panic(fmt.Sprintf("core: stack overflow in Call: %v", err))
@@ -218,7 +263,7 @@ func (w *W) Alloca(n int) (release func()) {
 // *TaskPanic — the C-elision point where the panic would have surfaced.
 // See the package comment for the per-strategy blocked-join behaviour.
 func (w *W) Join(f *Frame) {
-	if f.count.Load() != 0 {
+	if f.pending != 0 {
 		switch w.strategy {
 		// For the inline-stealing joins the eligibility closure captures f
 		// and escapes into rt.steal, so it heap-allocates at creation; the
@@ -226,36 +271,30 @@ func (w *W) Join(f *Frame) {
 		// own deque — never materializes it and stays on the 0-alloc path.
 		case StrategyTBB:
 			if !w.joinDrainLocal(f) {
-				w.joinInlineStealing(f, func(t task) bool { return t.depth > f.depth })
+				w.joinInlineStealing(f, func(t task) bool { return t.depth > f.depth && countStolen(t) })
 			}
 		case StrategyLeapfrog:
 			if !w.joinDrainLocal(f) {
-				w.joinInlineStealing(f, func(t task) bool { return t.frame.isDescendantOf(f) })
+				w.joinInlineStealing(f, func(t task) bool { return t.frame.isDescendantOf(f) && countStolen(t) })
 			}
 		default:
 			w.joinSuspending(f)
 		}
 	}
-	if tp := f.takePanic(); tp != nil {
+	if tp := f.panicked.Load(); tp != nil {
+		f.panicked.Store(nil)
 		panic(tp)
 	}
 }
 
 // joinSuspending is the Fibril / Cilk Plus join: drain the local deque,
-// then suspend.
+// then suspend while stolen children are still running.
 func (w *W) joinSuspending(f *Frame) {
-	for {
-		if f.count.Load() == 0 {
-			return
-		}
-		if t, ok := w.slot.deque.Pop(); ok {
-			w.runInline(t)
-			continue
-		}
-		// All remaining children were stolen; park until the last thief
-		// finishes and hands us a slot. suspend reports false when the
-		// children finished in the race window, in which case the count
-		// is already zero.
+	for !w.joinDrainLocal(f) {
+		// Every child still out was stolen; park until the last thief
+		// finishes and hands us a slot. suspend reports false when they
+		// finished in the race window, in which case the count is already
+		// zero.
 		if w.suspend(f) {
 			return
 		}
@@ -265,31 +304,53 @@ func (w *W) joinSuspending(f *Frame) {
 // joinInlineStealing is the TBB / leapfrog join: never park, steal eligible
 // deeper work and run it inline on our own stack. This keeps the worker on
 // one stack (no suspension, no extra stacks) at the cost of the time bound
-// (§3, Sukha's lower bound).
-func (w *W) joinInlineStealing(f *Frame, eligible func(task) bool) {
+// (§3, Sukha's lower bound). take is the strategy's eligibility test with
+// countStolen behind it: an inline steal is a steal, counted on the stolen
+// child's frame under the victim's lock and uncounted when it has run.
+func (w *W) joinInlineStealing(f *Frame, take func(task) bool) {
 	for !w.joinDrainLocal(f) {
-		if t, ok := w.rt.steal(w, eligible); ok {
+		if t, ok := w.rt.steal(w, take); ok {
 			w.stats.restrictedSteals.Add(1)
-			w.runInline(t)
+			w.exec(t)
+			if w.childDone(t.frame) {
+				panic("core: inline task completion triggered a slot handoff")
+			}
 			continue
 		}
 		runtime.Gosched()
 	}
 }
 
-// joinDrainLocal pops and runs local work while children of f remain,
-// reporting true when the join count drained without needing to steal.
+// joinDrainLocal is the owner's half of every join. While f may still have
+// children in our own deque it pops and runs them inline — the order
+// work-first execution would have run them in — touching no shared counter:
+// a child the owner pops back was never counted on the frame. A popped task
+// of another frame (an enclosing region's child, or one left behind by a
+// frame a panic abandoned) is run the same way and leaves f.pending alone.
+//
+// The first Pop that fails settles f.pending to zero. A failing Pop takes
+// the deque lock, so it is ordered after every steal that completed before
+// it, and it leaves the deque empty: every child of f this goroutine pushed
+// here has by then run on this stack or been counted on f.count by its
+// thief. That holds on whichever slot the goroutine occupies — it only ever
+// left a slot by suspending, which is to say after a failed Pop there too.
+//
+// It reports whether f is done: nothing left to pop and no stolen child
+// still running. Completions of stolen children can never resume this
+// goroutine from here (it is not parked), so there is no hand-off to check.
 func (w *W) joinDrainLocal(f *Frame) bool {
-	for {
-		if f.count.Load() == 0 {
-			return true
-		}
+	for f.pending > 0 {
 		t, ok := w.slot.deque.Pop()
 		if !ok {
-			return false
+			f.pending = 0
+			break
 		}
-		w.runInline(t)
+		if t.frame == f {
+			f.pending--
+		}
+		w.exec(t)
 	}
+	return f.count.Load() == 0
 }
 
 // exec pushes the task's simulated frame, runs its body with depth/frame
@@ -311,7 +372,7 @@ func (w *W) exec(t task) {
 		if v := recover(); v != nil {
 			tp := capture(v)
 			if t.frame != nil {
-				t.frame.recordPanic(tp)
+				t.frame.panicked.CompareAndSwap(nil, tp) // the first failure wins
 			} else if t.job != nil {
 				t.job.tp = tp
 			}
@@ -321,17 +382,6 @@ func (w *W) exec(t task) {
 		t.argfn(w, t.arg)
 	} else {
 		t.fn(w)
-	}
-}
-
-// runInline executes a task popped (or inline-stolen) during a Join, on
-// top of the worker's current stack. Its completion can never resume a
-// suspended frame: local tasks' parent frames live on this goroutine's own
-// active call chain, and the inline-stealing strategies never suspend.
-func (w *W) runInline(t task) {
-	w.exec(t)
-	if w.childDone(t.frame) {
-		panic("core: inline task completion triggered a slot handoff")
 	}
 }
 
@@ -346,6 +396,7 @@ func (w *W) runInline(t task) {
 func (w *W) runRoot(t task) {
 	w.rt.trc.Emit(w.slot.id, trace.KindJobStart, int64(t.job.id), 0)
 	w.exec(t)
+	w.flushCounts()
 	w.rt.completeJob(w.slot.id, t.job)
 }
 
@@ -378,6 +429,7 @@ func (w *W) runStolen(t task) {
 		ran = time.Since(t0)
 	}
 	w.rt.trc.Emit(w.slot.id, trace.KindTaskEnd, int64(t.depth), ran)
+	w.flushCounts()
 	if w.childDone(t.frame) {
 		w.released = true
 	}

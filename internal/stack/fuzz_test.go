@@ -99,7 +99,8 @@ func (m *shadowStack) resident() int {
 // MapDummyAbove/RemapAbove sequences and checks the real page-granular
 // stack against the shadow model after every operation: watermark,
 // residency, fault count, dummy-touch count, and high-water mark must all
-// agree, and the address-space totals must be conserved. Run with
+// agree, every page below cleanFrom must be resident, and the address-space
+// totals must be conserved. Run with
 //
 //	go test -fuzz=FuzzStackUnmap -fuzztime=30s ./internal/stack/
 func FuzzStackUnmap(f *testing.F) {
@@ -126,6 +127,14 @@ func FuzzStackUnmap(f *testing.F) {
 			}
 			if s.Faults() != m.faults {
 				t.Fatalf("op %d %s: faults %d, shadow %d", i, op, s.Faults(), m.faults)
+			}
+			// Push skips its page walk below cleanFrom on the strength of
+			// this: the shadow agrees every page there is resident.
+			for p := 0; p < s.cleanFrom; p++ {
+				if !s.region.Resident(p) || m.pages[p] != 1 {
+					t.Fatalf("op %d %s: page %d below cleanFrom %d is not resident (shadow state %d)",
+						i, op, p, s.cleanFrom, m.pages[p])
+				}
 			}
 			if vm.PageAlign(m.high) != s.HighWaterPages() {
 				t.Fatalf("op %d %s: high-water %d pages, shadow %d", i, op, s.HighWaterPages(), vm.PageAlign(m.high))

@@ -33,12 +33,19 @@ type Stack struct {
 	top    int // current watermark: bytes in use
 	high   int // high-water bytes ever used (serial S1 measurement aid)
 
-	// cleanFrom is the hysteresis watermark of the coalesced-unmap engine:
-	// every page at index >= cleanFrom is known non-resident (never touched
-	// since it was last returned to the OS). Push raises it as pages are
-	// faulted in; the unmap paths lower it as pages are returned. A stack
-	// that re-suspends at the same depth it was last unmapped at therefore
-	// reports zero ReclaimablePages and skips the madvise entirely.
+	// cleanFrom is the boundary between the stack's resident and
+	// non-resident pages. Every page at index >= cleanFrom is known
+	// non-resident (never touched since it was last returned to the OS): a
+	// stack that re-suspends at the same depth it was last unmapped at
+	// therefore reports zero ReclaimablePages and skips the madvise
+	// entirely. And every page at index < cleanFrom is resident: Push raises
+	// cleanFrom only over pages it has just touched, pages go away only
+	// through this file's unmap paths (UnmapAbove, MapDummyAbove, UnmapFrom,
+	// ReclaimResidue, Release), and each of those lowers cleanFrom to where
+	// it unmapped from — so a Push that ends at or below cleanFrom has no
+	// page to fault in and skips the per-page walk. SetWatermark keeps both
+	// halves because no caller raises the watermark with it, only lowers it
+	// or puts it back.
 	cleanFrom int
 
 	// Cactus linkage: the stack this one branched from, if any.
@@ -100,11 +107,9 @@ func (s *Stack) Push(bytes int) (base int, err error) {
 			s.id, s.top, bytes, s.CapacityBytes())
 	}
 	base = s.top
-	if bytes > 0 {
-		s.region.TouchRange(base/vm.PageSize, vm.PageAlign(newTop))
-		if p := vm.PageAlign(newTop); p > s.cleanFrom {
-			s.cleanFrom = p
-		}
+	if p := vm.PageAlign(newTop); bytes > 0 && p > s.cleanFrom {
+		s.region.TouchRange(base/vm.PageSize, p)
+		s.cleanFrom = p
 	}
 	s.top = newTop
 	if newTop > s.high {
@@ -250,5 +255,10 @@ func (s *Stack) CactusPath() (stacks []*Stack, bytes []int) {
 	return stacks, bytes
 }
 
-// Release unmaps the stack's region entirely. Only for teardown.
-func (s *Stack) Release() { s.region.MUnmap() }
+// Release unmaps the stack's region entirely. Only for teardown. No page is
+// resident afterwards, so a Push on the released stack walks its pages and
+// panics in the region ("use of unmapped region").
+func (s *Stack) Release() {
+	s.region.MUnmap()
+	s.cleanFrom = 0
+}

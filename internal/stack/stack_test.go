@@ -68,6 +68,44 @@ func TestPushZeroBytes(t *testing.T) {
 	}
 }
 
+// TestPushBelowCleanFromStillFaultsAfterUnmap pins the fast path in Push: a
+// frame that ends below cleanFrom is not walked page by page, so each path
+// that takes pages away has to lower cleanFrom — or the pages would never
+// fault back in — and a released stack has to refuse the Push altogether.
+func TestPushBelowCleanFromStillFaultsAfterUnmap(t *testing.T) {
+	regrow := func(name string, unmap func(s *Stack)) {
+		as, s := newStack(t, 8)
+		base, _ := s.Push(6 * vm.PageSize)
+		s.Pop(base)
+		s.Push(100) // one page live, six resident
+		unmap(s)
+		before := as.Snapshot().PageFaults
+		s.Push(3 * vm.PageSize)
+		if got := as.Snapshot().PageFaults - before; got != 3 {
+			t.Errorf("%s: regrowing 3 pages faulted %d, want 3", name, got)
+		}
+		s.Pop(100)
+		s.Push(3 * vm.PageSize) // resident again: the walk is skipped, nothing faults
+		if got := as.Snapshot().PageFaults - before; got != 3 {
+			t.Errorf("%s: a second push over resident pages faulted (%d in all, want 3)", name, got)
+		}
+	}
+	regrow("UnmapAbove", func(s *Stack) { s.UnmapAbove() })
+	regrow("UnmapFrom", func(s *Stack) { s.UnmapFrom(s.Pages()) })
+	regrow("MapDummyAbove", func(s *Stack) { s.MapDummyAbove(); s.RemapAbove() })
+
+	_, s := newStack(t, 8)
+	base, _ := s.Push(2 * vm.PageSize)
+	s.Pop(base)
+	s.Release()
+	defer func() {
+		if v := recover(); v != "vm: use of unmapped region" {
+			t.Errorf("Push on a released stack: recovered %v, want the region's panic", v)
+		}
+	}()
+	s.Push(16)
+}
+
 func TestOverflow(t *testing.T) {
 	_, s := newStack(t, 2)
 	if _, err := s.Push(2*vm.PageSize + 1); err == nil {
