@@ -231,11 +231,13 @@ func TestForkScalesWithSecondWorker(t *testing.T) {
 // at Workers=1 — AcquireScratch, Init, ForkArg, CallArg, Join, ReleaseScratch
 // and both simulated-stack frames — in units of the one thing it cannot do
 // without: a Push+Pop pair on a bare deque of tasks, timed in the same
-// process. The pair's two tail stores are the node's only locked
-// instructions (DESIGN.md §10); with a shared read-modify-write per fork,
-// per join and per counter on top of them the node cost 7–8 pairs, without
-// them about 4. The unit makes the bound the same on a fast host and a slow
-// one; a host that is holding a CPU back (see yardstick) is not judged.
+// process. The bare pair is an eager Push into an empty deque and the Pop of
+// that public entry, so it pays the deque's two tail stores every time; the
+// node pays neither — its push is lazy and its pop private (DESIGN.md §10) —
+// and costs about 3 pairs. With those two stores inside it it cost about 4,
+// and with a shared read-modify-write per fork, per join and per counter on
+// top of them 7–8. The unit makes the bound the same on a fast host and a
+// slow one; a host that is holding a CPU back (see yardstick) is not judged.
 func TestForkCostInDequeUnits(t *testing.T) {
 	switch {
 	case testing.Short():

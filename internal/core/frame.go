@@ -250,11 +250,11 @@ func (w *W) suspend(f *Frame) bool {
 	// Hand the worker slot to a replacement thief so exactly P slots stay
 	// busy (busy leaves). The replacement takes its stack from the pool,
 	// blocking there if a bounded (Cilk Plus) pool is empty. The slot's
-	// shard goes with it, so what this goroutine counted privately on the
-	// slot is folded in first.
-	w.flushCounts()
-	rt.goroutineWG.Add(1)
-	go rt.thiefLoop(w.slot)
+	// shard and deque go with it, so what this goroutine counted privately
+	// on the slot is folded in first (the deque is empty here: the Pop that
+	// sent us to suspend failed).
+	w.settle()
+	rt.spawnThief(w.slot)
 	// The finisher's slot is generally not the one given up above, and that
 	// slot's new occupant is adding to its shard: follow the slot, so a
 	// shard keeps one writer.

@@ -9,10 +9,12 @@ import "fibril/internal/stack"
 // back in the pool, and the busy-leaves property demands that no work was
 // left behind.
 
-// QueuedTasks returns the total number of tasks sitting in the worker
-// deques. After a completed Run this must be zero: a leftover task is a fork that was never executed, a
-// direct violation of the exactly-once guarantee (and of busy-leaves —
-// the run ended while work existed).
+// QueuedTasks returns the number of published tasks sitting in the worker
+// deques: while workers run it misses what each of them holds privately,
+// at quiescence it is exact (every worker publishes before it goes idle).
+// After a completed Run this must be zero: a leftover task is a fork that
+// was never executed, a direct violation of the exactly-once guarantee (and
+// of busy-leaves — the run ended while work existed).
 func (rt *Runtime) QueuedTasks() int {
 	n := 0
 	for _, w := range rt.workers {

@@ -34,16 +34,27 @@ func stampLeaf(_ *W, p unsafe.Pointer) { *(*uint64)(p)++ }
 // owner checks every child's stamp the moment Join returns); and the block
 // holding frame and payload goes back to the arena right after the Join and
 // comes straight back for the next round, so a thief still touching a frame
-// that Join has let go of corrupts a later round's stamps or count.
+// that Join has let go of corrupts a later round's stamps or count. The
+// k2spin leg puts a short serial section between its two forks, so that the
+// steal of the first, public child lands now before the second fork (which
+// then publishes itself), now between that private push and the Join.
 func TestStealRacesOwnerJoin(t *testing.T) {
 	needCPUs(t, 2)
 	rounds := 100_000
 	if raceEnabled || testing.Short() {
 		rounds = 10_000
 	}
+	type leg struct {
+		k    int
+		spin bool
+	}
 	for _, workers := range []int{2, 4} {
-		for _, k := range []int{1, 2, 3, 16} {
-			t.Run(fmt.Sprintf("P%d/k%d", workers, k), func(t *testing.T) {
+		for _, l := range []leg{{k: 1}, {k: 2}, {k: 3}, {k: 16}, {k: 2, spin: true}} {
+			k, name := l.k, fmt.Sprintf("P%d/k%d", workers, l.k)
+			if l.spin {
+				name += "spin"
+			}
+			t.Run(name, func(t *testing.T) {
 				rt := NewRuntime(Config{Workers: workers})
 				var bad atomic.Int64
 				watchdog(t, 120*time.Second, func() {
@@ -57,6 +68,13 @@ func TestStealRacesOwnerJoin(t *testing.T) {
 							for i := 0; i < k; i++ {
 								pay[i] = stamp
 								w.ForkArg(fr, stampLeaf, unsafe.Pointer(&pay[i]))
+								if l.spin && i == 0 {
+									var x uint64
+									for j := r % 256; j > 0; j-- {
+										next(&x)
+									}
+									spinSink.Add(x)
+								}
 							}
 							w.Join(fr)
 							for i := 0; i < k; i++ {

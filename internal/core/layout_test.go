@@ -26,7 +26,7 @@ var (
 		{"jobsSubmitted", "jobsAdmitted", "jobsShed", "jobsDrained"}, // submitters'
 		{"jobsCompleted", "jobSeq"},                                  // completers'
 	}
-	parkGroup = []string{"mu", "cond", "tokens", "closed", "nparked"}
+	parkGroup = []string{"mu", "cond", "tokens", "closed", "nparked", "nidle"}
 	// A Frame is not padded — it lives inside a Scratch block or a caller's
 	// own variable — so its fields are listed by writer without distances.
 	frameFields = []string{

@@ -9,8 +9,9 @@ import "fibril/internal/trace"
 type Gauges struct {
 	// ResidentPages is the simulated resident set right now, in pages.
 	ResidentPages int64
-	// QueuedTasks is the number of forked tasks sitting in worker deques,
-	// waiting to be stolen or inline-drained.
+	// QueuedTasks is the number of published tasks sitting in worker deques
+	// — what thieves can see. A running worker may hold more privately
+	// until its next Fork or Join; at quiescence the count is exact.
 	QueuedTasks int
 	// ParkedThieves is the number of thief goroutines asleep on the park
 	// lot (idle capacity).

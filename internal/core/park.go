@@ -18,9 +18,10 @@ import (
 // The search phase sits entirely before registration. A searching thief is
 // not registered, holds no token and is owed no wake: it is a runnable
 // goroutine that will sweep again by itself, so a publish that finds
-// nparked == 0 has nothing to do for it. Everything below — register, final
-// sweep, sleep, tokens — therefore reads exactly as it would if thieves
-// parked on their first failed sweep.
+// nparked == 0 has nobody to wake (what a Fork does for a searching thief is
+// leave its children where the next sweep sees them — nidle, below).
+// Everything below — register, final sweep, sleep, tokens — therefore reads
+// exactly as it would if thieves parked on their first failed sweep.
 //
 // Wake-one. wake(n) deposits up to n wake tokens — never more than there
 // are registered thieves without one — and Signals once per token, so
@@ -35,6 +36,25 @@ import (
 // impossible for the final sweep to miss the publish AND the publisher to
 // miss the registration, so either the thief leaves with the task or the
 // publisher enters wake and deposits a token.
+//
+// A Fork's publish has two steps since the deque grew a private bottom: the
+// lazy push, which makes the child visible only if the deque's public part
+// was dry, and — whenever the load of nidle that follows it is not zero —
+// Publish of everything the deque still holds privately, then wake, one
+// token per entry made public. nidle counts the slots whose occupant has no
+// task, from the moment a thief is spawned or finishes one until it has the
+// next: a thief is counted there long before it registers here, so nidle is
+// never below nparked and reading it is reading the registration. While any
+// slot is looking for work, then, every deque is the all-public THE deque it
+// was; entries stay private only while all P slots are busy. So a Fork that
+// could have missed a registration is, as before, one whose push the final
+// sweep cannot miss, with one new case: the push stayed private because the
+// public part held something and nobody was idle, and another worker,
+// finishing its task, steals that something before the final sweep gets
+// there. The thief then sleeps while its victim holds private work — until
+// the victim's next deque operation, which finds the public part dry,
+// republishes and wakes (W.push, joinDrainLocal): at most one serial section
+// of the victim, never a lost wake-up.
 //
 // The final sweep runs WITHOUT mu: it is a full steal sweep, and under mu
 // every Fork that saw nparked != 0 would queue behind the whole of it. That
@@ -56,9 +76,9 @@ import (
 // thief, by the cap) costs a later parker one extra sweep before it
 // sleeps. Work is never stranded behind a dropped wake.
 //
-// Every Fork loads nparked, and the whole lot is written only when a thief
-// parks or is woken, so it is one group, padded (DESIGN.md §15) away from
-// whatever shares its size class.
+// Every Fork loads nidle, and the whole lot is written only when a thief
+// runs out of work, parks or is woken, so it is one group, padded (DESIGN.md
+// §15) away from whatever shares its size class.
 type parkLot struct {
 	_ cacheline.Pad
 
@@ -70,6 +90,12 @@ type parkLot struct {
 	// nparked counts registered thieves: in their final sweep, waiting for
 	// mu, or asleep. wake's lock-free fast check reads it.
 	nparked atomic.Int32
+
+	// nidle counts worker slots whose occupant has no task: a thief spawned
+	// and not yet run, searching, registered or asleep (nidle >= nparked).
+	// Every Fork reads it and keeps its children private only while it is
+	// zero — while all P slots are busy.
+	nidle atomic.Int32
 
 	_ cacheline.Pad
 }
@@ -88,7 +114,8 @@ func (p *parkLot) open() {
 	p.mu.Unlock()
 }
 
-// park puts the calling thief to sleep until the next wake or close.
+// park puts the calling thief, already counted in nidle, to sleep until the
+// next wake or close.
 // finalSweep runs after the caller is registered as parked and before it
 // takes mu (see the type comment); if it finds a task the caller does not
 // sleep and the task is returned. park returns (zero, false) on any

@@ -202,9 +202,9 @@ func (c Config) withDefaults() Config {
 
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
-// package comment); the slot itself carries the deque (Push, Pop and
-// LazyHint are the occupant's; StealIf and Len any worker's), the steal RNG
-// and its Scratch arena.
+// package comment); the slot itself carries the deque (PushLazy,
+// PopRepublish, Publish and LazyHint are the occupant's; StealIf and Len any
+// worker's), the steal RNG and its Scratch arena.
 //
 // Slots are allocated one by one, back to back, and the fields are laid
 // out by writer (DESIGN.md §15), three groups a pad apart: what nobody
@@ -448,6 +448,16 @@ const (
 	searchClockStride = 16
 )
 
+// spawnThief starts a thief on slot. The slot is counted idle from here —
+// not from whenever the new goroutine first runs and finds nothing, which on
+// a host short of CPUs is after the busy workers have been descheduled with
+// their work still private — until the thief has a task (parkLot.nidle).
+func (rt *Runtime) spawnThief(slot *worker) {
+	rt.goroutineWG.Add(1)
+	rt.park.nidle.Add(1)
+	go rt.thiefLoop(slot)
+}
+
 // thiefLoop is the body of a worker-slot goroutine that starts with no
 // work: take a stack from the pool (blocking if the pool is bounded and
 // exhausted — the Cilk Plus stall), then steal until the runtime closes
@@ -459,11 +469,14 @@ const (
 // goroutines. An empty sweep costs the rest of the system nothing but
 // shared reads (Deque.Len per victim, one counter per intake shard), and
 // the Gosched between sweeps runs every client, waiter and timer goroutine
-// sharing this P first.
+// sharing this P first. The slot counts as idle on the park lot whenever the
+// loop is not inside runStolen, which is what makes every Fork publish its
+// children rather than keep them private (W.push).
 func (rt *Runtime) thiefLoop(slot *worker) {
 	defer rt.goroutineWG.Done()
 	st := rt.takeStack(slot.id)
 	if st == nil {
+		rt.park.nidle.Add(-1)
 		return // pool closed: the computation is over
 	}
 	w := rt.newW(slot, st, rt.shard(slot.id))
@@ -500,6 +513,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 		if !ok {
 			continue // woken: a new idle episode starts with a sweep
 		}
+		rt.park.nidle.Add(-1)
 		w.runStolen(t)
 		if w.released {
 			// The slot was transferred to a resumed parent; this
@@ -508,22 +522,25 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 			rt.pool.Put(slot.id, w.stack)
 			return
 		}
+		rt.park.nidle.Add(1)
 	}
-	w.flushCounts()
+	rt.park.nidle.Add(-1)
 	rt.pool.Put(slot.id, w.stack)
 }
 
 // steal attempts one round of stealing over the other worker slots: the
 // paper's random_steal (Listing 3), a round-robin sweep from a uniformly
 // random start — the rule the Tp ≤ T1/P + c∞·T∞ bound is proved for. A
-// thief never probes its own deque, skips deques whose Len snapshot is
-// visibly empty, and charges the probe count to the stealAttempts shard once
-// per sweep instead of once per victim. take runs on the claimed candidate
-// inside the victim's deque lock and must count an accepted child on its
-// frame: a base-level thief passes countStolen itself, the depth-restricted
-// and leapfrog joins their eligibility test in front of it. It returns false
-// after a full unsuccessful sweep so callers can decide to back off or
-// re-check their join condition.
+// thief never probes its own deque, skips deques whose public part is
+// visibly empty (Len; what a victim holds privately it publishes at its next
+// deque operation, which is when a sweep can first see it), and charges the
+// probe count to the stealAttempts shard once per sweep instead of once per
+// victim. take runs on the claimed candidate inside the victim's deque lock
+// and must count an accepted child on its frame: a base-level thief passes
+// countStolen itself, the depth-restricted and leapfrog joins their
+// eligibility test in front of it. It returns false after a full
+// unsuccessful sweep so callers can decide to back off or re-check their
+// join condition.
 func (rt *Runtime) steal(w *W, take func(task) bool) (task, bool) {
 	self := w.slot.id
 	n := len(rt.workers)

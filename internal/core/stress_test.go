@@ -206,6 +206,11 @@ func TestQuiescentAfterRun(t *testing.T) {
 			t.Fatalf("round %d: QueuedTasks=%d PendingReclaims=%d InflightJobs=%d after Run, want 0/0/0 (steals=%d)",
 				round, q, p, j, rt.Stats().Steals)
 		}
+		// Every thief counted itself idle and busy again as often: a count
+		// left over would make every later Fork publish (or none).
+		if n := rt.park.nidle.Load(); n != 0 {
+			t.Fatalf("round %d: %d slots still counted idle after Run", round, n)
+		}
 	}
 	if got, want := leaves.Load(), int64(rounds)*12*12*12; got != want {
 		t.Errorf("leaves = %d, want %d", got, want)

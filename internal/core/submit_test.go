@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fibril/internal/trace"
 )
@@ -540,9 +541,9 @@ func TestJobPoolRecycles(t *testing.T) {
 }
 
 // TestLazyStatsOnWait pins that the completion path does NOT aggregate a
-// Stats snapshot — it is computed on the first Wait and cached. White-box:
-// statsOK is only ever set under statsMu, by a Wait, so reading it after
-// Err is race-free.
+// Stats snapshot — it is allocated and computed on the first Wait and
+// cached, and Release drops it. White-box: stats is only ever set under
+// statsMu, by a Wait, so reading it after Err is race-free.
 func TestLazyStatsOnWait(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
 		rt := NewRuntime(Config{Workers: 2})
@@ -552,18 +553,25 @@ func TestLazyStatsOnWait(t *testing.T) {
 		if err := j.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if j.statsOK {
-			t.Fatal("statsOK set at completion: the completer took a Stats snapshot")
+		if j.stats != nil {
+			t.Fatal("stats set at completion: the completer took a Stats snapshot")
 		}
 		s1 := j.Wait()
-		if !j.statsOK {
-			t.Fatal("statsOK still false after Wait")
+		if j.stats == nil {
+			t.Fatal("stats still nil after Wait")
 		}
 		if s1.JobsCompleted < 1 {
 			t.Fatalf("Wait snapshot JobsCompleted=%d, want >=1", s1.JobsCompleted)
 		}
 		if s2 := j.Wait(); s2 != s1 {
 			t.Fatalf("second Wait returned a different snapshot: %+v vs %+v", s2, s1)
+		}
+		j.Release()
+		if j.stats != nil {
+			t.Fatal("Release kept the Stats snapshot on the pooled handle")
+		}
+		if size := unsafe.Sizeof(Job{}); size > 128 {
+			t.Errorf("Job is %d bytes; the Stats snapshot is meant to live behind a pointer", size)
 		}
 	})
 }

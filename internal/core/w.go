@@ -68,10 +68,8 @@ const countFlushForks = 4096
 
 // flushCounts folds the private per-fork counters into the current slot's
 // shard. It runs wherever the shard is about to be read for an exact answer
-// or is about to change hands: at the end of every base-level task, before
-// the completion that lets a joiner or a waiter proceed (childDone,
-// completeJob); before a suspend gives the slot to a replacement thief; when
-// a thief retires; and every countFlushForks forks in between.
+// or is about to change hands (settle), and every countFlushForks forks in
+// between.
 func (w *W) flushCounts() {
 	sh := w.stats
 	if w.forks != 0 {
@@ -89,6 +87,31 @@ func (w *W) flushCounts() {
 	if w.arenaReleases != 0 {
 		sh.arenaReleases.Add(w.arenaReleases)
 		w.arenaReleases = 0
+	}
+}
+
+// settle leaves nothing of this goroutine's in owner-private memory: it
+// folds the per-fork counters into the slot's shard and publishes whatever
+// the slot's deque still holds privately, waking a thief per entry. It runs
+// when the goroutine stops operating on the slot's deque — at the end of
+// every base-level task, before the completion that lets a joiner or a
+// waiter proceed (childDone, completeJob), and before a suspend gives the
+// slot to a replacement thief — so Stats is exact and QueuedTasks counts
+// every queued task at quiescence, and a child abandoned by a panic stays
+// where thieves can reach it. Every fork a goroutine counts and every entry
+// it pushes happen inside a base-level task, so a thief that retires between
+// tasks has nothing to settle. Normally there is nothing to do, and it costs
+// five compares.
+func (w *W) settle() {
+	w.flushCounts()
+	w.publish()
+}
+
+// publish makes whatever the slot's deque holds privately stealable and
+// wakes a thief per entry; a plain compare when nothing is private.
+func (w *W) publish() {
+	if n := w.slot.deque.Publish(); n > 0 {
+		w.rt.park.wake(n)
 	}
 }
 
@@ -119,16 +142,34 @@ func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
 	}
-	t := task{fn: fn, frame: f, bytes: int32(bytes), depth: w.depth + 1}
+	var t task // filled in place: a literal is built in a temporary and copied
+	t.fn, t.frame, t.bytes, t.depth = fn, f, int32(bytes), w.depth+1
 	if w.slowFork {
-		w.forkSlow(f, t)
-		return
+		w.forkSlow(f, &t)
 	}
-	w.slot.deque.Push(t)
-	// A parked thief must be woken by any Fork so exactly P slots stay
-	// runnable whenever work exists (busy leaves). One atomic load when
-	// nobody is parked.
-	w.rt.park.wake(1)
+	w.push(&t)
+}
+
+// push is the tail of every fork. The child goes on the slot's deque
+// lazily: it is published only if a probing thief would otherwise find
+// nothing, so a fork made while every worker slot is busy stores to no
+// shared word. Then — after the push, the publisher's half of the park lot's
+// Dekker pair — one atomic load of the idle-slot count: while any thief is
+// without a task — not yet run, searching, registered or asleep — every Fork
+// publishes what it holds and deposits a wake token per entry, as it always
+// did, so exactly P slots stay runnable whenever work exists (busy leaves),
+// a Fork made with a thief parked is stealable on return, and an owner
+// descheduled among hungry thieves leaves them its whole deque, not one
+// task. With nobody idle there is nobody to publish for: a worker that runs
+// out of work later sweeps after this push, and finds this deque's public
+// part non-empty unless another has emptied it since — in which case this
+// goroutine's next Fork or Pop republishes and wakes (joinDrainLocal).
+func (w *W) push(t *task) {
+	d := w.slot.deque
+	n := d.PushLazy(t)
+	if p := w.rt.park; p.nidle.Load() != 0 {
+		p.wake(n + d.Publish())
+	}
 }
 
 // ForkArg forks fn with an argument pointer instead of a closure — the
@@ -149,21 +190,19 @@ func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg u
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
 	}
-	t := task{argfn: fn, arg: arg, frame: f, bytes: int32(bytes), depth: w.depth + 1}
+	var t task // filled in place, as in ForkSized
+	t.argfn, t.arg, t.frame, t.bytes, t.depth = fn, arg, f, int32(bytes), w.depth+1
 	if w.slowFork {
-		w.forkSlow(f, t)
-		return
+		w.forkSlow(f, &t)
 	}
-	w.slot.deque.Push(t)
-	w.rt.park.wake(1)
+	w.push(&t)
 }
 
-// forkSlow is the out-of-line tail of the fork path for the strategies
-// whose spawn prologue is deliberately expensive (that expense being what
-// Figure 3 measures): Cilk Plus's full stack frame and TBB's
-// heap-allocated task object. Keeping it out of ForkSized/ForkArgSized
-// keeps the Fibril-family fast path small enough to stay inlinable.
-func (w *W) forkSlow(f *Frame, t task) {
+// forkSlow is the spawn prologue of the strategies for which it is
+// deliberately expensive — that expense being what Figure 3 measures: Cilk
+// Plus's full stack frame and TBB's heap-allocated task object, which it
+// hangs on the task.
+func (w *W) forkSlow(f *Frame, t *task) {
 	switch w.strategy {
 	case StrategyCilkPlus:
 		// Cilk Plus's spawn prologue maintains a full __cilkrts_stack_frame
@@ -184,20 +223,19 @@ func (w *W) forkSlow(f *Frame, t task) {
 		t.heavy = h
 		w.stats.spawnOverhead.Add(1)
 	}
-	w.slot.deque.Push(t)
-	w.rt.park.wake(1)
 }
 
 // ShouldSplit reports whether publishing more parallelism right now could
-// feed an otherwise-idle worker: the slot's deque looks empty (any probing
-// thief leaves hungry) or at least one thief is parked — registered on the
-// lot or asleep — for lack of work. A thief still in its search phase is
-// not counted as parked; it is visible through LazyHint only, which is
-// enough, since an empty deque is what it keeps finding.
-// It is the steal-driven probe behind lazy loop splitting — a loop body
-// checks it between serial chunks and forks only on true, so a saturated
-// system runs tight serial loops while an idle one splits eagerly. The
-// answer is a racy hint, never a correctness condition.
+// feed an otherwise-idle worker: the public part of the slot's deque looks
+// empty (any probing thief leaves hungry, whatever the owner still holds
+// privately — its next Fork publishes that too) or at least one thief is
+// parked — registered on the lot or asleep — for lack of work. A thief still
+// in its search phase is not counted as parked; it is visible through
+// LazyHint only, which is enough, since an empty public part is what it
+// keeps finding. It is the steal-driven probe behind lazy loop splitting — a
+// loop body checks it between serial chunks and forks only on true, so a
+// saturated system runs tight serial loops while an idle one splits eagerly.
+// The answer is a racy hint, never a correctness condition.
 func (w *W) ShouldSplit() bool {
 	return w.slot.deque.LazyHint() || w.rt.park.parked() > 0
 }
@@ -312,6 +350,7 @@ func (w *W) joinInlineStealing(f *Frame, take func(task) bool) {
 		if t, ok := w.rt.steal(w, take); ok {
 			w.stats.restrictedSteals.Add(1)
 			w.exec(t)
+			w.publish() // what t forked and a panic left unjoined, as settle
 			if w.childDone(t.frame) {
 				panic("core: inline task completion triggered a slot handoff")
 			}
@@ -328,22 +367,32 @@ func (w *W) joinInlineStealing(f *Frame, take func(task) bool) {
 // of another frame (an enclosing region's child, or one left behind by a
 // frame a panic abandoned) is run the same way and leaves f.pending alone.
 //
+// A Pop that took a private entry and found the public part dry — a thief
+// has been here since this goroutine last looked — republishes what is left
+// and says how many entries that was; a thief is woken for each, so none
+// stays parked past this worker's next deque operation while it holds work.
+//
 // The first Pop that fails settles f.pending to zero. A failing Pop takes
 // the deque lock, so it is ordered after every steal that completed before
-// it, and it leaves the deque empty: every child of f this goroutine pushed
-// here has by then run on this stack or been counted on f.count by its
-// thief. That holds on whichever slot the goroutine occupies — it only ever
-// left a slot by suspending, which is to say after a failed Pop there too.
+// it, and it leaves the deque empty, private region included: every child of
+// f this goroutine pushed here has by then run on this stack or been counted
+// on f.count by its thief. That holds on whichever slot the goroutine
+// occupies — it only ever left a slot by suspending, which is to say after a
+// failed Pop there too.
 //
 // It reports whether f is done: nothing left to pop and no stolen child
 // still running. Completions of stolen children can never resume this
 // goroutine from here (it is not parked), so there is no hand-off to check.
 func (w *W) joinDrainLocal(f *Frame) bool {
+	var t task
 	for f.pending > 0 {
-		t, ok := w.slot.deque.Pop()
+		republished, ok := w.slot.deque.PopRepublish(&t)
 		if !ok {
 			f.pending = 0
 			break
+		}
+		if republished > 0 {
+			w.rt.park.wake(republished)
 		}
 		if t.frame == f {
 			f.pending--
@@ -396,7 +445,7 @@ func (w *W) exec(t task) {
 func (w *W) runRoot(t task) {
 	w.rt.trc.Emit(w.slot.id, trace.KindJobStart, int64(t.job.id), 0)
 	w.exec(t)
-	w.flushCounts()
+	w.settle()
 	w.rt.completeJob(w.slot.id, t.job)
 }
 
@@ -429,7 +478,7 @@ func (w *W) runStolen(t task) {
 		ran = time.Since(t0)
 	}
 	w.rt.trc.Emit(w.slot.id, trace.KindTaskEnd, int64(t.depth), ran)
-	w.flushCounts()
+	w.settle()
 	if w.childDone(t.frame) {
 		w.released = true
 	}

@@ -33,26 +33,35 @@ func TestSizeClampsDuringTransientPop(t *testing.T) {
 
 // TestPushReservesSlackSlot pins the THE ring's one-slot reserve: a
 // lock-holding thief advances head past the entry it is still inspecting,
-// so Push growing only at a completely full ring could wrap onto that
+// so a push growing only at a completely full ring could wrap onto that
 // in-flight slot (observed as a lost value and a duplicated zero under
-// the race detector). The ring must grow one slot early.
+// the race detector). The ring must grow one slot early — counted against
+// bot, so private entries fill the ring like public ones.
 func TestPushReservesSlackSlot(t *testing.T) {
-	d := &Deque[int]{}
-	for i := 0; i < initialCapacity-1; i++ {
-		d.Push(i)
-	}
-	if len(d.buf) != initialCapacity {
-		t.Fatalf("ring grew at %d entries: len=%d, want %d",
-			initialCapacity-1, len(d.buf), initialCapacity)
-	}
-	// The next push would leave zero slack; it must grow first.
-	d.Push(initialCapacity - 1)
-	if len(d.buf) <= initialCapacity {
-		t.Fatalf("ring did not grow at the slack threshold: len=%d", len(d.buf))
-	}
-	for i := 0; i < initialCapacity; i++ {
-		if v, ok := d.Steal(); !ok || v != i {
-			t.Fatalf("post-grow Steal = (%d,%v), want (%d,true)", v, ok, i)
-		}
+	for name, push := range map[string]func(*Deque[int], int){
+		"eager": func(d *Deque[int], v int) { d.Push(v) },
+		"lazy":  func(d *Deque[int], v int) { d.PushLazy(&v) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := &Deque[int]{}
+			for i := 0; i < initialCapacity-1; i++ {
+				push(d, i)
+			}
+			if len(d.buf) != initialCapacity {
+				t.Fatalf("ring grew at %d entries: len=%d, want %d",
+					initialCapacity-1, len(d.buf), initialCapacity)
+			}
+			// The next push would leave zero slack; it must grow first.
+			push(d, initialCapacity-1)
+			if len(d.buf) <= initialCapacity {
+				t.Fatalf("ring did not grow at the slack threshold: len=%d", len(d.buf))
+			}
+			d.Publish()
+			for i := 0; i < initialCapacity; i++ {
+				if v, ok := d.Steal(); !ok || v != i {
+					t.Fatalf("post-grow Steal = (%d,%v), want (%d,true)", v, ok, i)
+				}
+			}
+		})
 	}
 }

@@ -2,12 +2,17 @@
 // Fibril scheduler (SPAA 2016, §2 and §4.3).
 //
 // Deque is the THE protocol of Cilk-5 (Frigo, Leiserson, Randall, PLDI '98),
-// which the paper adopts unchanged: the owning worker pushes and pops at the
-// bottom without locking on the fast path; thieves steal from the top while
-// holding a per-deque lock (Dijkstra-style mutual exclusion between one
-// owner and the lock-holding thief). Locked is a mutex-based reference
-// implementation with identical semantics, used for differential testing
-// and as a fallback.
+// which the paper adopts unchanged, with a private region below it: thieves
+// steal from the top of the public part [head, tail) while holding a
+// per-deque lock, and the owning worker pops a public entry with THE's
+// store, load and — on conflict — lock (Dijkstra-style mutual exclusion
+// between one owner and the lock-holding thief). Entries the owner pushed
+// while the public part already held something for thieves stay in
+// [tail, bot), plain memory only the owner touches, until a push or pop that
+// finds the public part dry, or Publish, moves tail up over them — the
+// private deques of Acar, Charguéraud and Rainey (PPoPP '13) and Lace's
+// split deque (van Dijk and van de Pol '14), synchronizing per steal rather
+// than per push.
 package deque
 
 import (
@@ -20,22 +25,32 @@ import (
 // initialCapacity is the starting ring size; the deque grows geometrically.
 const initialCapacity = 64
 
-// Deque is a THE-protocol work-stealing deque. The zero value is ready to
-// use. Push and Pop may be called only by the owning worker; Steal may be
-// called by any worker.
+// Deque is a THE-protocol work-stealing deque with an owner-private bottom.
+// The zero value is ready to use. Push, PushLazy, Pop, PopRepublish and
+// Publish may be called only by the owning worker; Steal and StealIf may be
+// called by any worker and see the public part only.
 //
-// The fields are laid out by writer (DESIGN.md §15): the owner stores tail
-// on every Push and Pop, thieves store head and the lock word. A runtime
-// allocates one Deque per worker slot, back to back, and the fields alone
-// are 48 bytes: without the outer pads two slots' deques are neighbours in
-// one size class and each owner's tail stores invalidate the other's whole
-// deque.
+// The rule the owner keeps: whenever it last operated on the deque, a thief
+// probing it found something unless it held at most one entry. A thief can
+// therefore find the public part dry while private entries exist only
+// between a steal and the owner's next operation.
+//
+// The fields are laid out by writer (DESIGN.md §15): the owner stores bot on
+// every lazy push and private pop and tail when it publishes or pops a
+// public entry, thieves store head and the lock word. A runtime allocates
+// one Deque per worker slot, back to back, and the fields alone are 64
+// bytes: without the outer pads two slots' deques are neighbours in one size
+// class and each owner's stores invalidate the other's whole deque.
 type Deque[T any] struct {
 	_ cacheline.Pad
 
-	// Owner-written; thieves only read.
-	tail atomic.Int64 // next index to push (bottom)
+	// Owner-written; thieves only read, and of these only tail and buf.
+	tail atomic.Int64 // end of the public part: thieves take from [head, tail)
+	bot  int64        // next index to push; [tail, bot) is private to the owner
 	buf  []T          // ring buffer, len is a power of two; owner swaps under lock
+	// tailStores counts the owner's stores to tail — the synchronizing
+	// instructions of the owner path. Plain: exact once the owner is quiet.
+	tailStores int64
 
 	_ cacheline.Pad
 
@@ -47,66 +62,135 @@ type Deque[T any] struct {
 	_ cacheline.Pad
 }
 
-// Push adds t at the bottom of the deque. Owner-only; never blocks on
-// thieves except while growing the ring.
+// Push adds t at the bottom of the deque and returns with it stealable.
+// Owner-only; never blocks on thieves except while growing the ring.
 func (d *Deque[T]) Push(t T) {
+	bot := d.bot
+	if d.buf == nil || int(bot-d.head.Load()) >= len(d.buf)-1 { // see PushLazy
+		d.grow(bot)
+	}
+	d.buf[bot&int64(len(d.buf)-1)] = t
+	d.bot = bot + 1
+	d.setTail(bot + 1) // over t and anything pushed lazily before it
+}
+
+// PushLazy adds *t at the bottom without synchronizing: it stays private
+// unless the public part is dry, in which case every private entry, the new
+// one included, is published. It reports how many entries it made stealable.
+// The entry is taken by pointer so that the fork path copies it once, from
+// where it was built into the ring. Owner-only.
+func (d *Deque[T]) PushLazy(t *T) int {
+	bot := d.bot
 	tail := d.tail.Load()
 	head := d.head.Load()
 	// One slot of slack is reserved: a lock-holding thief advances head
 	// past an entry before it finishes reading it (claim first, inspect
 	// second), so the head observed here may be one past an entry still
 	// in use. Growing at len-1 keeps the ring from wrapping onto it.
-	if d.buf == nil || int(tail-head) >= len(d.buf)-1 {
-		d.grow(head, tail)
+	if d.buf == nil || int(bot-head) >= len(d.buf)-1 {
+		d.grow(bot)
 	}
-	d.buf[tail&int64(len(d.buf)-1)] = t
-	d.tail.Store(tail + 1)
+	d.buf[bot&int64(len(d.buf)-1)] = *t
+	d.bot = bot + 1
+	if head < tail {
+		return 0
+	}
+	return d.Publish()
 }
 
-// grow replaces the ring with a larger one. It holds the lock so no thief
-// reads the buffer mid-swap; the owner is the only other reader.
-func (d *Deque[T]) grow(head, tail int64) {
+// Publish makes every private entry stealable and reports how many there
+// were — a plain compare when there are none. The owner calls it before it
+// stops operating on the deque, so nothing is left where no thief can reach
+// it. Owner-only.
+func (d *Deque[T]) Publish() int {
+	bot, tail := d.bot, d.tail.Load()
+	if bot == tail {
+		return 0
+	}
+	d.setTail(bot)
+	return int(bot - tail)
+}
+
+// setTail is the owner's every store to tail: Go has no release store, so on
+// amd64 each is an XCHG.
+func (d *Deque[T]) setTail(tail int64) {
+	d.tail.Store(tail)
+	d.tailStores++
+}
+
+// TailStores reports how many times the owner has stored tail. It reads the
+// owner's plain tally, so it is exact only while the owner is quiet.
+func (d *Deque[T]) TailStores() int64 { return d.tailStores }
+
+// grow replaces the ring with a larger one, carrying over [head, bot). It
+// holds the lock so no thief reads the buffer mid-swap; the owner is the
+// only other reader.
+func (d *Deque[T]) grow(bot int64) {
 	d.lock.Lock()
 	defer d.lock.Unlock()
-	head = d.head.Load() // may have advanced before we got the lock
+	head := d.head.Load() // settled: thieves move it under the lock we hold
 	n := initialCapacity
-	for int64(n) < (tail-head)*2 {
+	for int64(n) < (bot-head)*2 {
 		n *= 2
 	}
 	nbuf := make([]T, n)
-	for i := head; i < tail; i++ {
+	for i := head; i < bot; i++ {
 		nbuf[i&int64(n-1)] = d.buf[i&int64(len(d.buf)-1)]
 	}
 	d.buf = nbuf
 }
 
-// Pop removes and returns the bottom entry. Owner-only. The fast path is
-// lock-free; the lock is taken only when the deque might be down to its
-// last entry and a thief may be racing for it (the THE protocol).
-func (d *Deque[T]) Pop() (T, bool) {
+// Pop removes and returns the bottom entry. Owner-only. See PopRepublish.
+func (d *Deque[T]) Pop() (v T, ok bool) {
+	_, ok = d.PopRepublish(&v)
+	return v, ok
+}
+
+// PopRepublish is Pop into *dst that also reports how many entries it made
+// stealable, so the caller can wake that many thieves; *dst is left alone
+// when the deque is empty. A private entry is taken with a plain decrement
+// and copy; if that leaves private entries behind a dry public part — a
+// thief took what was there — they are published. A public entry is taken
+// by the THE protocol: lock-free unless the deque might be down to its last
+// entry and a thief may be racing for it. A failing Pop has held the lock
+// and leaves the deque wholly empty. Owner-only.
+func (d *Deque[T]) PopRepublish(dst *T) (published int, ok bool) {
 	var zero T
-	tail := d.tail.Load() - 1
-	d.tail.Store(tail)
+	bot := d.bot
+	tail := d.tail.Load()
+	if bot > tail {
+		bot--
+		d.bot = bot
+		*dst = d.buf[bot&int64(len(d.buf)-1)]
+		d.buf[bot&int64(len(d.buf)-1)] = zero // release for GC
+		if bot > tail && d.head.Load() >= tail {
+			published = d.Publish()
+		}
+		return published, true
+	}
+	tail--
+	d.setTail(tail)
 	head := d.head.Load()
 	if head > tail {
 		// Possible conflict with a thief: restore and retry under the lock.
-		d.tail.Store(tail + 1)
+		d.setTail(tail + 1)
 		d.lock.Lock()
 		head = d.head.Load()
 		if head > tail {
 			d.lock.Unlock()
-			return zero, false // deque empty; thief won
+			return 0, false // deque empty; thief won
 		}
-		d.tail.Store(tail)
+		d.setTail(tail)
 		d.lock.Unlock()
 	}
-	v := d.buf[tail&int64(len(d.buf)-1)]
+	d.bot = tail
+	*dst = d.buf[tail&int64(len(d.buf)-1)]
 	d.buf[tail&int64(len(d.buf)-1)] = zero // release for GC
-	return v, true
+	return 0, true
 }
 
-// Steal removes and returns the top entry. Any worker may call it; thieves
-// serialize on the deque lock, as in Cilk.
+// Steal removes and returns the top public entry. Any worker may call it;
+// thieves serialize on the deque lock, as in Cilk.
 func (d *Deque[T]) Steal() (T, bool) {
 	var zero T
 	d.lock.Lock()
@@ -127,8 +211,8 @@ func (d *Deque[T]) Steal() (T, bool) {
 	return v, true
 }
 
-// StealIf steals the top entry only if pred accepts it, leaving the deque
-// untouched otherwise. Restricted stealing disciplines — TBB's
+// StealIf steals the top public entry only if pred accepts it, leaving the
+// deque untouched otherwise. Restricted stealing disciplines — TBB's
 // depth-restricted stealing and leapfrogging (§3) — are expressed this way:
 // the thief inspects the candidate under the deque lock and declines
 // ineligible work.
@@ -159,8 +243,10 @@ func (d *Deque[T]) StealIf(pred func(T) bool) (T, bool) {
 	return v, true
 }
 
-// Len reports the current number of entries. It is a racy snapshot intended
-// for stats and victim selection heuristics only.
+// Len reports the number of public entries — what a probing thief sees; the
+// owner may hold private entries beyond them until its next operation or
+// Publish. It is a racy snapshot intended for stats and victim selection
+// heuristics only.
 func (d *Deque[T]) Len() int {
 	n := int(d.tail.Load() - d.head.Load())
 	if n < 0 {
@@ -169,65 +255,12 @@ func (d *Deque[T]) Len() int {
 	return n
 }
 
-// Empty reports whether the deque appears empty (racy snapshot).
+// Empty reports whether the public part appears empty (racy snapshot).
 func (d *Deque[T]) Empty() bool { return d.Len() == 0 }
 
 // LazyHint reports whether the owner should publish more parallelism: true
-// when the deque looks empty, meaning any thief probing this worker leaves
-// hungry. It is the owner-side probe behind lazy loop splitting — two
+// when the public part looks empty, meaning any thief probing this worker
+// leaves hungry. It is the owner-side probe behind lazy loop splitting — two
 // relaxed loads, no lock — and, like Len, is only a racy snapshot: a thief
 // may empty the deque the instant after it returns false.
 func (d *Deque[T]) LazyHint() bool { return d.tail.Load()-d.head.Load() <= 0 }
-
-// Locked is a straightforward mutex-protected deque with the same owner /
-// thief API, used as the semantic reference for differential tests.
-type Locked[T any] struct {
-	mu    sync.Mutex
-	items []T
-}
-
-// Push adds t at the bottom.
-func (d *Locked[T]) Push(t T) {
-	d.mu.Lock()
-	d.items = append(d.items, t)
-	d.mu.Unlock()
-}
-
-// Pop removes from the bottom (LIFO end).
-func (d *Locked[T]) Pop() (T, bool) {
-	var zero T
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return zero, false
-	}
-	v := d.items[len(d.items)-1]
-	d.items = d.items[:len(d.items)-1]
-	return v, true
-}
-
-// Steal removes from the top (FIFO end).
-func (d *Locked[T]) Steal() (T, bool) {
-	var zero T
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return zero, false
-	}
-	v := d.items[0]
-	d.items = d.items[1:]
-	return v, true
-}
-
-// Len reports the number of entries.
-func (d *Locked[T]) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items)
-}
-
-// Empty reports whether the deque is empty.
-func (d *Locked[T]) Empty() bool { return d.Len() == 0 }
-
-// LazyHint reports whether the deque looks empty (see Deque.LazyHint).
-func (d *Locked[T]) LazyHint() bool { return d.Len() == 0 }

@@ -1,6 +1,7 @@
 package deque
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +11,12 @@ import (
 // dequeAPI lets the same tests run against both implementations.
 type dequeAPI[T any] interface {
 	Push(T)
+	PushLazy(*T) int
+	Publish() int
 	Pop() (T, bool)
+	PopRepublish(*T) (int, bool)
 	Steal() (T, bool)
+	StealIf(func(T) bool) (T, bool)
 	Len() int
 	Empty() bool
 }
@@ -123,71 +128,167 @@ func TestGrowthPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestGrowthAfterWrapAround(t *testing.T) {
+// TestGrowthCarriesPrivateEntries grows the ring several times while all
+// but the first entry are private: grow must copy [head, bot), not just the
+// public part.
+func TestGrowthCarriesPrivateEntries(t *testing.T) {
 	d := &Deque[int]{}
-	// Advance head and tail far past the initial ring size so indices wrap,
-	// then force growth and verify contents.
-	for round := 0; round < 10; round++ {
-		for i := 0; i < initialCapacity-1; i++ {
-			d.Push(round*1000 + i)
-		}
-		for i := 0; i < initialCapacity-1; i++ {
-			if _, ok := d.Steal(); !ok {
-				t.Fatal("steal failed during warm-up")
-			}
-		}
-	}
-	const n = initialCapacity * 3
+	const n = initialCapacity*4 + 13
 	for i := 0; i < n; i++ {
-		d.Push(i)
+		d.PushLazy(&i)
 	}
-	for i := 0; i < n; i++ {
+	if d.Len() != 1 {
+		t.Fatalf("Len = %d after lazy pushes, want 1 (only the first is public)", d.Len())
+	}
+	if len(d.buf) <= initialCapacity*4 {
+		t.Fatalf("ring holds %d entries in %d slots", n, len(d.buf))
+	}
+	// The thief takes the one public entry; the next Pop is private, finds
+	// the public part dry and republishes what it leaves behind.
+	if v, ok := d.Steal(); !ok || v != 0 {
+		t.Fatalf("Steal = %d,%v, want 0", v, ok)
+	}
+	var v int
+	if pub, ok := d.PopRepublish(&v); !ok || v != n-1 || pub != n-2 {
+		t.Fatalf("PopRepublish = %d,%d,%v, want %d,%d,true", v, pub, ok, n-1, n-2)
+	}
+	for i := 1; i < n/2; i++ {
 		if v, ok := d.Steal(); !ok || v != i {
-			t.Fatalf("post-wrap Steal = %d,%v, want %d", v, ok, i)
+			t.Fatalf("Steal = %d,%v, want %d", v, ok, i)
+		}
+	}
+	for i := n - 2; i >= n/2; i-- {
+		if v, ok := d.Pop(); !ok || v != i {
+			t.Fatalf("Pop = %d,%v, want %d", v, ok, i)
+		}
+	}
+	if _, ok := d.Pop(); ok {
+		t.Fatal("Pop succeeded on a drained deque")
+	}
+}
+
+func TestGrowthAfterWrapAround(t *testing.T) {
+	for name, push := range map[string]func(*Deque[int], int){
+		"eager": func(d *Deque[int], v int) { d.Push(v) },
+		"lazy":  func(d *Deque[int], v int) { d.PushLazy(&v) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := &Deque[int]{}
+			// Advance the indices far past the initial ring size so they
+			// wrap, then force growth and verify contents.
+			for round := 0; round < 10; round++ {
+				for i := 0; i < initialCapacity-1; i++ {
+					push(d, round*1000+i)
+				}
+				d.Publish()
+				for i := 0; i < initialCapacity-1; i++ {
+					if _, ok := d.Steal(); !ok {
+						t.Fatal("steal failed during warm-up")
+					}
+				}
+			}
+			const n = initialCapacity * 3
+			for i := 0; i < n; i++ {
+				push(d, i)
+			}
+			d.Publish()
+			for i := 0; i < n; i++ {
+				if v, ok := d.Steal(); !ok || v != i {
+					t.Fatalf("post-wrap Steal = %d,%v, want %d", v, ok, i)
+				}
+			}
+		})
+	}
+}
+
+// stealPreds are the predicates a replayed StealIf op chooses from: accept
+// all, reject all, and two that depend on the candidate.
+var stealPreds = []func(int) bool{
+	func(int) bool { return true },
+	func(int) bool { return false },
+	func(v int) bool { return v%2 == 0 },
+	func(v int) bool { return v%5 != 0 },
+}
+
+// replay decodes ops into a single-threaded sequence of every deque
+// operation — op%6 selects Push, Pop, Steal, StealIf (predicate op/6),
+// PushLazy, Publish — and runs it on the THE deque and on the Locked
+// reference side by side. Every value, ok flag and published count must
+// match, as must the public length after every op: steals see [head, tail)
+// only, Pop is LIFO over both regions, and a lazy push or private Pop that
+// finds the public part dry republishes. At the end both are published and
+// drained from the top.
+func replay(ops []byte) error {
+	d, ref := &Deque[int]{}, &Locked[int]{}
+	next := 0
+	for i, op := range ops {
+		var gv, wv, gn, wn int
+		var gok, wok bool
+		name := ""
+		switch op % 6 {
+		case 0:
+			name = "Push"
+			d.Push(next)
+			ref.Push(next)
+			next++
+		case 1:
+			name = "Pop"
+			gn, gok = d.PopRepublish(&gv)
+			wn, wok = ref.PopRepublish(&wv)
+		case 2:
+			name = "Steal"
+			gv, gok = d.Steal()
+			wv, wok = ref.Steal()
+		case 3:
+			name = "StealIf"
+			pred := stealPreds[int(op/6)%len(stealPreds)]
+			gv, gok = d.StealIf(pred)
+			wv, wok = ref.StealIf(pred)
+		case 4:
+			name = "PushLazy"
+			gn = d.PushLazy(&next)
+			wn = ref.PushLazy(&next)
+			next++
+		case 5:
+			name = "Publish"
+			gn = d.Publish()
+			wn = ref.Publish()
+		}
+		if gok != wok || gv != wv || gn != wn {
+			return fmt.Errorf("op %d: %s = (%d,%d,%v), reference (%d,%d,%v)", i, name, gv, gn, gok, wv, wn, wok)
+		}
+		if d.Len() != ref.Len() {
+			return fmt.Errorf("op %d: %s left Len=%d, reference %d", i, name, d.Len(), ref.Len())
+		}
+	}
+	if gn, wn := d.Publish(), ref.Publish(); gn != wn {
+		return fmt.Errorf("final Publish = %d, reference %d", gn, wn)
+	}
+	for j := 0; ; j++ {
+		gv, gok := d.Steal()
+		wv, wok := ref.Steal()
+		if gok != wok || gv != wv {
+			return fmt.Errorf("drain %d: Steal = (%d,%v), reference (%d,%v)", j, gv, gok, wv, wok)
+		}
+		if !gok {
+			return nil
 		}
 	}
 }
 
-// Property: any interleaved single-threaded sequence of push/pop/steal
-// behaves identically on the THE deque and the locked reference.
+// Property: any interleaved single-threaded sequence of operations behaves
+// identically on the THE deque and the locked reference.
 func TestQuickDifferentialSequential(t *testing.T) {
-	prop := func(ops []uint8) bool {
-		a := &Deque[int]{}
-		b := &Locked[int]{}
-		next := 0
-		for _, op := range ops {
-			switch op % 3 {
-			case 0:
-				a.Push(next)
-				b.Push(next)
-				next++
-			case 1:
-				av, aok := a.Pop()
-				bv, bok := b.Pop()
-				if av != bv || aok != bok {
-					return false
-				}
-			case 2:
-				av, aok := a.Steal()
-				bv, bok := b.Steal()
-				if av != bv || aok != bok {
-					return false
-				}
-			}
-			if a.Len() != b.Len() {
-				return false
-			}
-		}
-		return true
-	}
+	prop := func(ops []byte) bool { return replay(ops) == nil }
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestConcurrentNoLossNoDup runs one owner (push/pop) against several
-// thieves and verifies every pushed value is consumed exactly once — the
-// core safety property the THE protocol must provide.
+// TestConcurrentNoLossNoDup runs one owner — pushing lazily, popping, now
+// and then publishing — against thieves that StealIf with accepting and
+// rejecting predicates, and verifies every pushed value is consumed exactly
+// once: the core safety property, over both regions of the deque.
 func TestConcurrentNoLossNoDup(t *testing.T) {
 	const (
 		thieves = 4
@@ -208,34 +309,30 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 	stop := make(chan struct{})
 	for i := 0; i < thieves; i++ {
 		wg.Add(1)
-		go func() {
+		go func(parity int) {
 			defer wg.Done()
+			// Two thieves accept even values only, two odd ones only: the top
+			// entry is rejected by half of them and taken by the other half.
+			pred := func(v int) bool { return v%2 == parity }
 			for {
-				if v, ok := d.Steal(); ok {
+				if v, ok := d.StealIf(pred); ok {
 					record(v)
 					continue
 				}
 				select {
 				case <-stop:
-					// Drain anything left after the owner finished.
-					for {
-						v, ok := d.Steal()
-						if !ok {
-							return
-						}
-						record(v)
-					}
+					return
 				default:
 				}
 			}
-		}()
+		}(i % 2)
 	}
 
-	// Owner: pushes in bursts, pops some of its own.
+	// Owner: lazy pushes in bursts, pops some of its own, publishes rarely.
 	for v := 0; v < total; {
 		burst := 1 + v%7
 		for i := 0; i < burst && v < total; i++ {
-			d.Push(v)
+			d.PushLazy(&v)
 			v++
 		}
 		if v%3 == 0 {
@@ -243,8 +340,11 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 				record(got)
 			}
 		}
+		if v%11 == 0 {
+			d.Publish()
+		}
 	}
-	// Owner drains its own remainder.
+	// Owner drains its own remainder, private entries included.
 	for {
 		v, ok := d.Pop()
 		if !ok {
@@ -254,15 +354,9 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// One final drain in case a thief lost a race at the very end.
-	for {
-		v, ok := d.Steal()
-		if !ok {
-			break
-		}
-		record(v)
+	if d.Publish() != 0 || d.Len() != 0 {
+		t.Errorf("entries left after the owner's Pop failed: Len=%d", d.Len())
 	}
-
 	if got := consumed.Load(); got != total {
 		t.Errorf("consumed %d values, want %d", got, total)
 	}

@@ -6,41 +6,10 @@ import (
 	"testing"
 )
 
-// dequeModel is the trivially-correct reference: Push appends at the
-// bottom, Pop takes the bottom (youngest), Steal/StealIf take the top
-// (oldest).
-type dequeModel struct{ s []int }
-
-func (m *dequeModel) Push(v int) { m.s = append(m.s, v) }
-
-func (m *dequeModel) Pop() (int, bool) {
-	if len(m.s) == 0 {
-		return 0, false
-	}
-	v := m.s[len(m.s)-1]
-	m.s = m.s[:len(m.s)-1]
-	return v, true
-}
-
-func (m *dequeModel) Steal() (int, bool) {
-	if len(m.s) == 0 {
-		return 0, false
-	}
-	v := m.s[0]
-	m.s = m.s[1:]
-	return v, true
-}
-
-func (m *dequeModel) StealIf(pred func(int) bool) (int, bool) {
-	if len(m.s) == 0 || !pred(m.s[0]) {
-		return 0, false
-	}
-	return m.Steal()
-}
-
-// FuzzDequeOps decodes fuzz bytes into a Push/Pop/Steal/StealIf sequence
-// and checks the deque against the slice model — every result value and ok
-// flag must match exactly, and so must the drained remainder. Run with
+// FuzzDequeOps decodes fuzz bytes into a sequence of every deque operation
+// (see replay) and checks the deque against the Locked reference — every
+// result value, ok flag and published count must match exactly, and so must
+// the drained remainder. Run with
 //
 //	go test -fuzz=FuzzDequeOps -fuzztime=30s ./internal/deque/
 func FuzzDequeOps(f *testing.F) {
@@ -48,67 +17,26 @@ func FuzzDequeOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 3, 1, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 2, 2, 2, 2})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 3, 7, 11, 15})
+	// Lazy pushes behind one public entry, a steal, then the private pop
+	// that republishes; and a publish in the middle of a private run.
+	f.Add([]byte{4, 4, 4, 4, 2, 1, 2, 1, 1, 1})
+	f.Add([]byte{4, 4, 5, 4, 4, 2, 2, 3, 9, 1, 5, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		preds := []func(int) bool{
-			func(int) bool { return true },
-			func(int) bool { return false },
-			func(v int) bool { return v%2 == 0 },
-			func(v int) bool { return v%5 != 0 },
-		}
-		d := &Deque[int]{}
-		model := &dequeModel{}
-		next := 0
-		for i, op := range ops {
-			switch op % 4 {
-			case 0:
-				d.Push(next)
-				model.Push(next)
-				next++
-			case 1:
-				gv, gok := d.Pop()
-				wv, wok := model.Pop()
-				if gok != wok || (gok && gv != wv) {
-					t.Fatalf("op %d: Pop = (%d,%v), model (%d,%v)", i, gv, gok, wv, wok)
-				}
-			case 2:
-				gv, gok := d.Steal()
-				wv, wok := model.Steal()
-				if gok != wok || (gok && gv != wv) {
-					t.Fatalf("op %d: Steal = (%d,%v), model (%d,%v)", i, gv, gok, wv, wok)
-				}
-			case 3:
-				pred := preds[int(op/4)%len(preds)]
-				gv, gok := d.StealIf(pred)
-				wv, wok := model.StealIf(pred)
-				if gok != wok || (gok && gv != wv) {
-					t.Fatalf("op %d: StealIf = (%d,%v), model (%d,%v)", i, gv, gok, wv, wok)
-				}
-			}
-		}
-		if d.Len() != len(model.s) {
-			t.Fatalf("Len=%d, model has %d", d.Len(), len(model.s))
-		}
-		// Drain from the top: must replay the model front-to-back.
-		for j := 0; len(model.s) > 0; j++ {
-			gv, gok := d.Steal()
-			wv, _ := model.Steal()
-			if !gok || gv != wv {
-				t.Fatalf("drain %d: Steal = (%d,%v), want (%d,true)", j, gv, gok, wv)
-			}
-		}
-		if _, ok := d.Steal(); ok {
-			t.Fatal("deque non-empty after drain")
+		if err := replay(ops); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
-// FuzzDequeConcurrent replays the fuzz-chosen owner schedule (even byte:
-// Push, odd: Pop) against two concurrent thieves and checks conservation:
+// FuzzDequeConcurrent replays the fuzz-chosen owner schedule (byte%4: 0 and
+// 2 lazy push, 1 Pop, 3 Publish) against two concurrent thieves, one
+// accepting even values only and one odd ones only, and checks conservation:
 // every pushed value is consumed exactly once, across owner pops, steals,
-// and the final drain.
+// and the owner's final drain.
 func FuzzDequeConcurrent(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 2, 0, 3, 2, 1, 0, 0, 1, 3, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -132,10 +60,11 @@ func FuzzDequeConcurrent(f *testing.F) {
 		stop := make(chan struct{})
 		for thief := 0; thief < 2; thief++ {
 			wg.Add(1)
-			go func() {
+			go func(parity int) {
 				defer wg.Done()
+				pred := func(v int) bool { return v%2 == parity }
 				for {
-					if v, ok := d.Steal(); ok {
+					if v, ok := d.StealIf(pred); ok {
 						record(v)
 						continue
 					}
@@ -145,15 +74,20 @@ func FuzzDequeConcurrent(f *testing.F) {
 					default:
 					}
 				}
-			}()
+			}(thief)
 		}
 		next := 0
 		for _, op := range ops {
-			if op%2 == 0 {
-				d.Push(next)
+			switch op % 4 {
+			case 0, 2:
+				d.PushLazy(&next)
 				next++
-			} else if v, ok := d.Pop(); ok {
-				record(v)
+			case 1:
+				if v, ok := d.Pop(); ok {
+					record(v)
+				}
+			case 3:
+				d.Publish()
 			}
 		}
 		for {

@@ -8,9 +8,9 @@ import (
 	"fibril/internal/cacheline/layouttest"
 )
 
-// The deque's groups, by writer (DESIGN.md §15): the owner's bottom index
-// and ring header first, what thieves write second.
-var theGroups = [][]string{{"tail", "buf"}, {"head", "lock"}}
+// The deque's groups, by writer (DESIGN.md §15): the owner's two indices,
+// ring header and store tally first, what thieves write second.
+var theGroups = [][]string{{"tail", "bot", "buf", "tailStores"}, {"head", "lock"}}
 
 // TestLayout pins who-writes-which-line for the deque: the two groups and
 // the deque's heap neighbours are all at least one cacheline unit apart.
