@@ -1,10 +1,7 @@
 package main
 
 import (
-	"errors"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,30 +28,5 @@ func TestBenchCountersSmoke(t *testing.T) {
 	out := runCmd(t, ".", "-experiment", "counters", "-bench", "fib")
 	if !strings.Contains(strings.ToLower(out), "fork") {
 		t.Errorf("counters output lacks fork counts:\n%s", out)
-	}
-}
-
-// -json with an experiment that has no rows to write is a usage error,
-// not a silently ignored flag.
-func TestBenchJSONUsageError(t *testing.T) {
-	if testing.Short() {
-		t.Skip("execs the bench binary; skipped in short mode")
-	}
-	path := filepath.Join(t.TempDir(), "x.json")
-	for _, exp := range []string{"fig3", "all"} {
-		cmd := exec.Command("go", "run", ".", "-experiment", exp, "-json", path)
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		// `go run` reports the child's status as its own exit 1 and
-		// prints "exit status N".
-		if !errors.As(err, &ee) || !strings.Contains(string(out), "exit status 2") {
-			t.Errorf("-experiment %s -json: err=%v, want exit status 2:\n%s", exp, err, out)
-		}
-		if !strings.Contains(string(out), "-json goes with") {
-			t.Errorf("-experiment %s -json: no usage message:\n%s", exp, out)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("-experiment %s -json wrote %s (stat err=%v)", exp, path, err)
-		}
 	}
 }

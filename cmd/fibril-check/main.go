@@ -11,7 +11,7 @@
 //	fibril-check -n 5000            # longer soak
 //	fibril-check -duration 2m       # time-bounded soak
 //	fibril-check -seed 0x2a         # replay one seed
-//	fibril-check -panics            # inject panics (real runtime only)
+//	fibril-check -panics            # panicking leaves, abandoned children (real runtime only)
 //	fibril-check -batch 8 -ceiling 512  # coalesced unmap + RSS ceiling
 //	go test -race ... is unnecessary; build the soak itself with -race:
 //	go run -race ./cmd/fibril-check -n 500
@@ -36,7 +36,7 @@ func main() {
 		duration = flag.Duration("duration", 0, "soak for this long instead of a fixed seed count")
 		workers  = flag.String("workers", "1,2,4", "comma-separated real-runtime worker counts")
 		strat    = flag.String("strategy", "fibril", "strategy: fibril, nounmap, mmap, cilkplus, tbb, leapfrog")
-		panics   = flag.Bool("panics", false, "inject panics into 25% of leaves (disables the simulator legs)")
+		panics   = flag.Bool("panics", false, "inject panics: 25% of leaves panic and 8% of interior nodes abandon their forked children (disables the simulator legs)")
 		nodes    = flag.Int("nodes", 0, "override Params.MaxNodes (0 = default)")
 		nosim    = flag.Bool("nosim", false, "skip the simulator legs")
 		batch    = flag.Int("batch", 0, "Config.UnmapBatch for the real-runtime legs (0/1 = eager)")

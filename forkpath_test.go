@@ -31,8 +31,8 @@ func mallocsDuring(rt *core.Runtime, warm, body func(w *core.W)) uint64 {
 }
 
 // TestForkPathGate is the CI benchmark-regression gate for the fork fast
-// path, hard assertions only (timing comparisons live in the forkpath
-// experiment, which CI runs as a smoke):
+// path, hard assertions only (what a fork costs in time is the benchmark's
+// core.fork.ns_per_fork_p1 lane):
 //
 //  1. the ForkArg steady state on the default (THE) deque performs zero
 //     heap allocations per fork/join pair;

@@ -63,11 +63,6 @@ type Spec struct {
 	// checksum equal to Serial's for the same Arg. The fine-grained
 	// benchmarks implement this on the zero-allocation ForkArg path.
 	Parallel func(w *core.W, a Arg) uint64
-	// ParallelClosure, non-nil on fib only, is the closure-fork
-	// implementation of the same recursion: Figure 3's fork-overhead
-	// comparison and the baseline the forkpath experiment measures
-	// against. It satisfies the same checksum contract as Parallel.
-	ParallelClosure func(w *core.W, a Arg) uint64
 	// Tree generates the invocation tree for the simulator.
 	Tree func(Arg) invoke.Task
 }

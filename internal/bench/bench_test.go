@@ -81,15 +81,6 @@ func TestSerialParallelChecksumsMatch(t *testing.T) {
 				if got != want {
 					t.Errorf("P=%d: parallel checksum %#x != serial %#x", workers, got, want)
 				}
-				if s.ParallelClosure == nil {
-					continue
-				}
-				// The retained closure baseline must satisfy the same
-				// contract — it is still measured by the forkpath experiment.
-				rt.Run(func(w *core.W) { got = s.ParallelClosure(w, a) })
-				if got != want {
-					t.Errorf("P=%d: closure-baseline checksum %#x != serial %#x", workers, got, want)
-				}
 			}
 		})
 	}

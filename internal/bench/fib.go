@@ -12,9 +12,7 @@ import (
 // (Figure 3 shows the largest runtime-to-runtime gaps on fib).
 // N is the Fibonacci index (paper: 42).
 //
-// Parallel runs on the zero-allocation ForkArg path; ParallelClosure is
-// the original closure-fork version, kept as the forkpath experiment's
-// baseline.
+// Parallel runs on the zero-allocation ForkArg path.
 var Fib = register(&Spec{
 	Name:        "fib",
 	Description: "Recursive Fibonacci",
@@ -25,11 +23,6 @@ var Fib = register(&Spec{
 	Serial:      func(a Arg) uint64 { return uint64(fibSerial(a.N)) },
 	Parallel: func(w *core.W, a Arg) uint64 {
 		return uint64(fibArg(w, a.N))
-	},
-	ParallelClosure: func(w *core.W, a Arg) uint64 {
-		var out int64
-		fibParallel(w, a.N, &out)
-		return uint64(out)
 	},
 	Tree: func(a Arg) invoke.Task { return fibTree(a.N) },
 })
@@ -82,23 +75,7 @@ func fibArg(w *core.W, n int) int64 {
 	return res
 }
 
-// fibParallel is Listing 1's parfib with closure forks — the pre-ForkArg
-// implementation, the baseline of the forkpath experiment.
-func fibParallel(w *core.W, n int, out *int64) {
-	if n < 2 {
-		*out = int64(n)
-		return
-	}
-	var fr core.Frame
-	w.Init(&fr)
-	var x, y int64
-	w.ForkSized(&fr, frameSmall, func(w *core.W) { fibParallel(w, n-1, &x) })
-	w.CallSized(frameSmall, func(w *core.W) { fibParallel(w, n-2, &y) })
-	w.Join(&fr)
-	*out = x + y
-}
-
-// fibTree mirrors fibParallel. Every node carries ~20 units (≈ns) of real
+// fibTree mirrors fibArg. Every node carries ~20 units (≈ns) of real
 // work — the call, branch, and add a serial fib invocation costs — which is
 // what makes fork-path overhead ratios on fib match Figure 3. Keys enable
 // memoized analysis up to the paper's fib(42).

@@ -1,6 +1,6 @@
 // Package cacheline holds the one padding idiom the runtime uses to keep
 // state written by different goroutines off each other's cache lines
-// (DESIGN.md §15).
+// (DESIGN.md §7).
 //
 // The unit is 128 bytes, not 64: x86-64's adjacent-line prefetcher pulls
 // lines in aligned pairs, so a store to one line of a pair also disturbs

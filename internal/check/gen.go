@@ -2,8 +2,8 @@
 // fork-join program generator, a set of invariant oracles derived from the
 // paper's theory (busy leaves, exactly-once execution, counter
 // conservation, space bounds), and differential runners that execute each
-// generated program on the real runtime (internal/core, both deque kinds,
-// varying worker counts) and on both simulator engines (internal/sim),
+// generated program on the real runtime (internal/core, varying worker
+// counts) and on both simulator engines (internal/sim),
 // asserting that every executor computes the same execution multiset with
 // oracle-clean counters.
 //
@@ -45,10 +45,13 @@ type Params struct {
 	// loops.For lowers to. Default 20.
 	LoopPct int
 	// PanicPct is the percentage of leaf nodes that panic after their
-	// work. Panics are injected only into fork subtrees (calls always
-	// precede forks in panic-mode programs) so propagation stays orderly;
-	// the simulator does not model panics, so programs with PanicPct > 0
-	// are for the real runtime only. Default 0.
+	// work; a third as many interior nodes, the root included, become
+	// abandoning nodes: they fork three or more children and panic before
+	// the Join, leaving the children to whoever ran the node. Calls always
+	// precede forks in panic-mode programs, so a panic never leaves a call
+	// past forked children and which nodes run is a property of the
+	// program (Expected). The simulator does not model panics, so programs
+	// with PanicPct > 0 are for the real runtime only. Default 0.
 	PanicPct int
 	// LazyPct is the percentage of fork edges generated as LAZY edges:
 	// the executor decides fork-vs-call at run time with W.ShouldSplit —
@@ -135,7 +138,9 @@ type Node struct {
 	ID    int
 	Frame int
 	Segs  []Seg
-	Panic bool // leaf only: panic after the body's work
+	// Panic makes the body panic: a leaf after its work, an interior node
+	// (genAbandon) past its forks and before their Join.
+	Panic bool
 }
 
 // forks reports whether the node forks (and therefore declares a frame).
@@ -159,7 +164,7 @@ type Program struct {
 	Forks     int // unconditional fork edges
 	Calls     int // call edges
 	LazyEdges int // fork edges whose fork-vs-call decision is taken at run time
-	Panics    int // panic-injected leaves
+	Panics    int // panic-injected nodes: leaves and abandoning interior nodes
 }
 
 func (p *Program) String() string {
@@ -236,6 +241,10 @@ func (p *Program) gen(r *rng, depth int, budget *int) *Node {
 		}
 		return n
 	}
+	if *budget >= minAbandoned && r.pct(p.Params.PanicPct/3) {
+		p.genAbandon(r, n, depth, budget)
+		return n
+	}
 	if r.pct(p.Params.LoopPct) {
 		p.genLoop(r, n, depth, budget)
 	} else {
@@ -274,6 +283,25 @@ func (p *Program) genLoop(r *rng, n *Node, depth int, budget *int) {
 		n.Segs = append(n.Segs, seg)
 	}
 	n.Segs = append(n.Segs, Seg{Work: p.work(r), Join: true})
+}
+
+// minAbandoned is the least number of children an abandoning node forks:
+// with three, one is published by the fork that found the public part dry
+// and two can sit in the owner-private part of the deque.
+const minAbandoned = 3
+
+// genAbandon emits a body that forks its children and panics before joining
+// them. The children are arbitrary subtrees, paid for up front so that all
+// of them exist however greedy the first is.
+func (p *Program) genAbandon(r *rng, n *Node, depth int, budget *int) {
+	k := min(r.rangeIn(minAbandoned, p.Params.MaxFanout), *budget)
+	*budget -= k
+	for i := 0; i < k; i++ {
+		n.Segs = append(n.Segs, Seg{Work: p.work(r) / 4, Fork: p.gen(r, depth+1, budget)})
+		p.Forks++
+	}
+	n.Panic = true
+	p.Panics++
 }
 
 // genMixed emits a general body: a few calls and forks with optional
@@ -356,6 +384,46 @@ func (p *Program) taskOf(n *Node) invoke.Task {
 		t.Segs = append(t.Segs, seg)
 	}
 	return t
+}
+
+// Expected returns how often a run executes each node: once — except, in a
+// panic-injected program, the nodes behind a call or fork site that an
+// unwinding body never reached, which do not run at all. Which those are does
+// not depend on the schedule: a body unwinds at a call that panicked, at a
+// Join one of whose children panicked — every child forked before it has run
+// to its end by then — or at its own injected panic, and a child forked
+// before the unwind runs whether or not anybody is left to join it.
+func (p *Program) Expected() []uint32 {
+	ran := make([]uint32, p.Nodes)
+	p.Root.mark(ran)
+	return ran
+}
+
+// mark records the nodes a run of n executes and reports whether n's body
+// panics.
+func (n *Node) mark(ran []uint32) (panics bool) {
+	ran[n.ID] = 1
+	forked, childPanicked := false, false
+	for _, s := range n.Segs {
+		if s.Call != nil && s.Call.mark(ran) {
+			return true
+		}
+		if s.Fork != nil {
+			forked = true
+			if s.Fork.mark(ran) {
+				childPanicked = true
+			}
+		}
+		if s.Join && forked {
+			if childPanicked {
+				return true
+			}
+			forked = false
+		}
+	}
+	// An injected panic comes before the terminal Join, which re-raises a
+	// child's.
+	return n.Panic || childPanicked
 }
 
 // Metrics analyzes the program's invocation tree: T1, T∞, S1, D, and the

@@ -113,18 +113,38 @@ func TestGenerateShapeDiversity(t *testing.T) {
 
 func TestGeneratePanicMode(t *testing.T) {
 	params := Params{PanicPct: 30}
-	var panicky int
+	var panicky, rootAbandons, deepAbandons int
 	for seed := uint64(0); seed < 100; seed++ {
 		p := Generate(seed, params)
 		if p.Panics > 0 {
 			panicky++
 		}
+		if p.Nodes > p.Params.MaxNodes {
+			t.Fatalf("seed %d: %d nodes > MaxNodes %d", seed, p.Nodes, p.Params.MaxNodes)
+		}
 		walk(p.Root, func(n *Node) {
-			if n.Panic && len(n.Segs) != 1 {
-				t.Fatalf("seed %d: non-leaf panic node n%d", seed, n.ID)
-			}
-			if n.Panic && n.ID == 0 {
-				t.Fatalf("seed %d: root marked panicking", seed)
+			switch {
+			case !n.Panic:
+			case len(n.Segs) == 1 && n.Segs[0].Fork == nil && n.Segs[0].Call == nil:
+				if n.ID == 0 {
+					t.Fatalf("seed %d: a single-node program panics", seed)
+				}
+			default:
+				// Not a leaf, so an abandoning node: forks only, three or
+				// more, and no Join before the panic.
+				if len(n.Segs) < minAbandoned {
+					t.Fatalf("seed %d: abandoning node n%d forks %d children, want >= %d", seed, n.ID, len(n.Segs), minAbandoned)
+				}
+				for _, s := range n.Segs {
+					if s.Fork == nil || s.Call != nil || s.Join || s.Lazy {
+						t.Fatalf("seed %d: abandoning node n%d has a segment that is not a plain fork", seed, n.ID)
+					}
+				}
+				if n.ID == 0 {
+					rootAbandons++
+				} else {
+					deepAbandons++
+				}
 			}
 			// Panic-orderliness invariant: calls precede forks within a
 			// node, so a panic propagating out of a call cannot bypass a
@@ -139,9 +159,29 @@ func TestGeneratePanicMode(t *testing.T) {
 				}
 			}
 		})
+		// A program fails at the root exactly when a panic was injected,
+		// and what a running node abandons is among the nodes still owed
+		// an execution.
+		ran := make([]uint32, p.Nodes)
+		if got := p.Root.mark(ran); got != (p.Panics > 0) {
+			t.Fatalf("seed %d: %d injected panics, root panics = %v", seed, p.Panics, got)
+		}
+		walk(p.Root, func(n *Node) {
+			if !n.Panic || ran[n.ID] == 0 {
+				return
+			}
+			for _, s := range n.Segs {
+				if s.Fork != nil && ran[s.Fork.ID] != 1 {
+					t.Fatalf("seed %d: n%d runs and abandons n%d, which Expected leaves out", seed, n.ID, s.Fork.ID)
+				}
+			}
+		})
 	}
 	if panicky == 0 {
 		t.Fatal("PanicPct=30 produced no panicking programs in 100 seeds")
+	}
+	if rootAbandons == 0 || deepAbandons == 0 {
+		t.Fatalf("%d abandoning roots and %d deeper abandoning nodes in 100 seeds, want both", rootAbandons, deepAbandons)
 	}
 }
 

@@ -121,25 +121,14 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 						i, p.Seed, ip.Seed)
 				case ip.Node < 0 || ip.Node >= p.Nodes:
 					v.failf("program %d (seed %#x): injected panic names unknown node %d", i, p.Seed, ip.Node)
-				case e.Counts[i][ip.Node] != 1:
-					v.failf("program %d (seed %#x): panicking node n%d executed %d times",
-						i, p.Seed, ip.Node, e.Counts[i][ip.Node])
 				}
 			}
-			for id, c := range e.Counts[i] {
-				if c > 1 {
-					v.failf("program %d (seed %#x): node n%d executed %d times under panic, want ≤1",
-						i, p.Seed, id, c)
-				}
-			}
-			continue
-		}
-		if err := e.Errs[i]; err != nil {
+		} else if err := e.Errs[i]; err != nil {
 			v.failf("program %d (seed %#x): clean root's Job.Err=%v — a sibling's failure leaked in", i, p.Seed, err)
 		}
-		for id, c := range e.Counts[i] {
-			if c != 1 {
-				v.failf("program %d (seed %#x): node n%d executed %d times, want exactly once", i, p.Seed, id, c)
+		for id, want := range p.Expected() {
+			if c := e.Counts[i][id]; c != want {
+				v.failf("program %d (seed %#x): node n%d executed %d times, want %d", i, p.Seed, id, c, want)
 			}
 		}
 	}
@@ -160,18 +149,7 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 	if e.CloseErr != nil {
 		v.failf("graceful Close returned %v, want nil", e.CloseErr)
 	}
-	if e.Queued != 0 {
-		v.failf("%d tasks left in deques after Close", e.Queued)
-	}
-	if e.Parked != 0 {
-		v.failf("%d thieves still parked after Close", e.Parked)
-	}
-	if e.Pending != 0 {
-		v.failf("%d reclaim tickets still live after Close", e.Pending)
-	}
-	if e.Inflight != 0 {
-		v.failf("InflightJobs=%d after Close, want 0", e.Inflight)
-	}
+	v.checkQuiescent("Close", e.Queued, e.Parked, e.Pending, e.Inflight)
 	if e.JobQueue != 0 {
 		v.failf("QueuedJobs=%d after Close, want 0", e.JobQueue)
 	}
@@ -338,18 +316,7 @@ func CheckJobStress(k, m int, e StressExec) error {
 	if e.CloseErr != nil {
 		v.failf("graceful Close returned %v, want nil", e.CloseErr)
 	}
-	if e.Queued != 0 {
-		v.failf("%d tasks left in deques after Close", e.Queued)
-	}
-	if e.Parked != 0 {
-		v.failf("%d thieves still parked after Close", e.Parked)
-	}
-	if e.Pending != 0 {
-		v.failf("%d reclaim tickets still live after Close", e.Pending)
-	}
-	if e.Inflight != 0 {
-		v.failf("InflightJobs=%d after Close, want 0", e.Inflight)
-	}
+	v.checkQuiescent("Close", e.Queued, e.Parked, e.Pending, e.Inflight)
 	if e.JobQueue != 0 {
 		v.failf("QueuedJobs=%d after Close, want 0", e.JobQueue)
 	}

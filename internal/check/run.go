@@ -137,15 +137,18 @@ func (p *Program) compile(n *Node, counts []uint32) func(*core.W) {
 				forked = false
 			}
 		}
+		if doPanic {
+			// A leaf has nothing forked. An abandoning node unwinds past
+			// its children, and its Scratch block — their frame — is left
+			// to the GC, as for any panic.
+			panic(InjectedPanic{Seed: seed, Node: id})
+		}
 		if forked {
 			w.Join(frp)
 		}
 		if scratch != nil {
 			// Quiescent: every Join above returned without panicking.
 			w.ReleaseScratch(scratch)
-		}
-		if doPanic {
-			panic(InjectedPanic{Seed: seed, Node: id})
 		}
 	}
 }
@@ -176,6 +179,7 @@ type RealExec struct {
 	Queued    int          // tasks left in deques at quiescence (must be 0)
 	Parked    int          // thieves still parked at quiescence (must be 0)
 	Pending   int          // live reclaim tickets at quiescence (must be 0)
+	Inflight  int          // InflightJobs at quiescence (must be 0)
 	Backlog   int          // Scratch blocks parked on remote-free lists at quiescence
 	MaxHW     int          // largest per-stack high-water mark, in pages
 	Recovered any          // value recovered from Run, if it panicked
@@ -223,6 +227,7 @@ func RunReal(p *Program, workers int, strat core.Strategy, mem MemParams) RealEx
 	e.Queued = rt.QueuedTasks()
 	e.Parked = rt.ParkedThieves()
 	e.Pending = rt.PendingReclaims()
+	e.Inflight = rt.InflightJobs()
 	e.Backlog = rt.RemoteFreeBacklog()
 	e.MaxHW = rt.MaxStackHighWaterPages()
 	return e

@@ -166,7 +166,7 @@ func yardstick(goroutines int) time.Duration {
 }
 
 // TestForkScalesWithSecondWorker is the behavioural fence for the memory
-// layout (DESIGN.md §15): a second worker must make one-shot fork/join
+// layout (DESIGN.md §7): a second worker must make one-shot fork/join
 // faster, not slower. It compares medians of fresh-runtime gate-fib runs at
 // Workers=2 and Workers=1 and asks for a ratio — the same on any host with
 // two CPUs to run on — well short of the ideal 0.5 but far from the
@@ -233,7 +233,7 @@ func TestForkScalesWithSecondWorker(t *testing.T) {
 // without: a Push+Pop pair on a bare deque of tasks, timed in the same
 // process. The bare pair is an eager Push into an empty deque and the Pop of
 // that public entry, so it pays the deque's two tail stores every time; the
-// node pays neither — its push is lazy and its pop private (DESIGN.md §10) —
+// node pays neither — its push is lazy and its pop private (DESIGN.md §6) —
 // and costs about 3 pairs. With those two stores inside it it cost about 4,
 // and with a shared read-modify-write per fork, per join and per counter on
 // top of them 7–8. The unit makes the bound the same on a fast host and a

@@ -253,7 +253,7 @@ func (w *W) suspend(f *Frame) bool {
 	// shard and deque go with it, so what this goroutine counted privately
 	// on the slot is folded in first (the deque is empty here: the Pop that
 	// sent us to suspend failed).
-	w.settle()
+	w.flushCounts()
 	rt.spawnThief(w.slot)
 	// The finisher's slot is generally not the one given up above, and that
 	// slot's new occupant is adding to its shard: follow the slot, so a

@@ -11,7 +11,8 @@ import "fibril/internal/stack"
 
 // QueuedTasks returns the number of published tasks sitting in the worker
 // deques: while workers run it misses what each of them holds privately,
-// at quiescence it is exact (every worker publishes before it goes idle).
+// at quiescence it is exact (a worker leaves its deque empty, private part
+// included, before it goes idle — W.drain).
 // After a completed Run this must be zero: a leftover task is a fork that
 // was never executed, a direct violation of the exactly-once guarantee (and
 // of busy-leaves — the run ended while work existed).

@@ -45,7 +45,7 @@ const jobFreeCap = 256
 // contended popper simply misses — the caller heap-allocates, which is
 // the safety valve, not a correctness event.
 //
-// A shard is rounded up to whole cacheline units (DESIGN.md §15) so that
+// A shard is rounded up to whole cacheline units (DESIGN.md §7) so that
 // two shards — elements of one slice — never share one. Within a shard no
 // split is attempted: a submission takes its Job from, and pushes it to,
 // the same shard, and n is written from both sides.

@@ -31,7 +31,7 @@ import (
 // configured and the admission queue is empty: Submit reserves an inflight
 // slot with one CAS against MaxInflight (one uncontended Add when
 // unlimited) and only falls back to the admission mutex for queue
-// promotion, tenant budgets, and lifecycle transitions. See DESIGN.md §14
+// promotion, tenant budgets, and lifecycle transitions. See DESIGN.md §10
 // for the full pipeline and its Dekker arguments.
 
 // Submission errors, surfaced through Job.Err.

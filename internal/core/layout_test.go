@@ -10,7 +10,7 @@ import (
 	"fibril/internal/cacheline/layouttest"
 )
 
-// The groups of each padded type, by writer (DESIGN.md §15). Every field
+// The groups of each padded type, by writer (DESIGN.md §7). Every field
 // must be listed, so a new one has to be given a writer before these tests
 // pass.
 var (

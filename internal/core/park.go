@@ -78,7 +78,7 @@ import (
 //
 // Every Fork loads nidle, and the whole lot is written only when a thief
 // runs out of work, parks or is woken, so it is one group, padded (DESIGN.md
-// §15) away from whatever shares its size class.
+// §7) away from whatever shares its size class.
 type parkLot struct {
 	_ cacheline.Pad
 

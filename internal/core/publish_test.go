@@ -11,8 +11,8 @@ import (
 // This file fences the publish rule (DESIGN.md §5): a Fork leaves its child
 // in the owner-private part of the slot's deque unless a probing thief would
 // otherwise find nothing; a steal costs the owner one republish at its next
-// deque operation; and a goroutine publishes whatever it still holds
-// privately before it stops operating on a deque.
+// deque operation; and a goroutine runs whatever its task left on a deque
+// before it stops operating on it (W.drain), so nothing stays private.
 
 // spinUntil yields until cond holds. The watchdog around the run is what
 // bounds it.
@@ -166,9 +166,9 @@ func TestStealRefillsPublicPart(t *testing.T) {
 // — the first public, the others private — and panic without joining them,
 // once its parent has suspended. Nobody will ever pop those children: the
 // thief that ran the task goes back to stealing from others, and the resumed
-// parent only waits. They stay reachable because a base-level task publishes
-// what its goroutine still holds privately before it reports completion
-// (settle); without that the parent waits for ever.
+// parent only waits. They run because the goroutine that ran a base-level
+// task publishes and drains what the task left on its deque before it
+// reports completion (W.drain); without that the parent waits for ever.
 func TestAbandonedPrivateChildrenStillRun(t *testing.T) {
 	needCPUs(t, 2)
 	rounds := 300
@@ -231,12 +231,12 @@ func TestAbandonedPrivateChildrenStillRun(t *testing.T) {
 		})
 	}
 	// The inline-stealing joins run a stolen task in the middle of a Join,
-	// not at base level, and publish behind it all the same
+	// not at base level, and drain behind it all the same
 	// (joinInlineStealing). The root's child X goes to the other worker and
 	// waits there; the root's Join, which never suspends, steals X's child Y
 	// from it and runs Y inline; Y forks three children on the root's deque
 	// and panics. After that the root only waits — no Fork, no Pop — so the
-	// two children Y left private run only if that Join published them.
+	// two children Y left private run only if that Join drained them.
 	for _, strategy := range []Strategy{StrategyTBB, StrategyLeapfrog} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			rt := NewRuntime(Config{Workers: 2, Strategy: strategy})

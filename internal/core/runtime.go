@@ -207,7 +207,7 @@ func (c Config) withDefaults() Config {
 // worker's), the steal RNG and its Scratch arena.
 //
 // Slots are allocated one by one, back to back, and the fields are laid
-// out by writer (DESIGN.md §15), three groups a pad apart: what nobody
+// out by writer (DESIGN.md §7), three groups a pad apart: what nobody
 // writes after NewRuntime but the occupant reads on every Fork and every
 // thief reads on every probe; what only the occupant writes (the arena
 // list twice per fork/join region); and the hand-back list other workers
@@ -264,7 +264,7 @@ type tbbTask struct {
 }
 
 // Runtime is one parallel execution context. The fields are laid out by
-// who writes them and how often (DESIGN.md §15): every Fork, steal sweep
+// who writes them and how often (DESIGN.md §7): every Fork, steal sweep
 // and Submit dereferences the first group, so nothing in it is written
 // after NewRuntime except done, which Start and Close flip; the groups
 // below it are written per suspension or admission, per submission and per

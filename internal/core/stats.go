@@ -18,7 +18,7 @@ import (
 // (W.flushCounts). Uncontended means one writer per
 // shard: a W adds to the shard of the slot it occupies and re-binds when a
 // resume hands it a different slot (see suspend). Each shard is rounded up
-// to whole cacheline units (DESIGN.md §15), so neighbouring slots' shards —
+// to whole cacheline units (DESIGN.md §7), so neighbouring slots' shards —
 // elements of one slice — never false-share.
 type counterShard struct {
 	counters

@@ -68,8 +68,11 @@ const countFlushForks = 4096
 
 // flushCounts folds the private per-fork counters into the current slot's
 // shard. It runs wherever the shard is about to be read for an exact answer
-// or is about to change hands (settle), and every countFlushForks forks in
-// between.
+// or is about to change hands — at the end of every base-level task, before
+// the completion that lets a joiner or a waiter proceed, and before a suspend
+// gives the slot to a replacement thief — and every countFlushForks forks in
+// between. Every fork a goroutine counts happens inside a base-level task, so
+// a thief that retires between tasks has nothing to fold.
 func (w *W) flushCounts() {
 	sh := w.stats
 	if w.forks != 0 {
@@ -90,28 +93,38 @@ func (w *W) flushCounts() {
 	}
 }
 
-// settle leaves nothing of this goroutine's in owner-private memory: it
-// folds the per-fork counters into the slot's shard and publishes whatever
-// the slot's deque still holds privately, waking a thief per entry. It runs
-// when the goroutine stops operating on the slot's deque — at the end of
-// every base-level task, before the completion that lets a joiner or a
-// waiter proceed (childDone, completeJob), and before a suspend gives the
-// slot to a replacement thief — so Stats is exact and QueuedTasks counts
-// every queued task at quiescence, and a child abandoned by a panic stays
-// where thieves can reach it. Every fork a goroutine counts and every entry
-// it pushes happen inside a base-level task, so a thief that retires between
-// tasks has nothing to settle. Normally there is nothing to do, and it costs
-// five compares.
-func (w *W) settle() {
-	w.flushCounts()
-	w.publish()
-}
-
-// publish makes whatever the slot's deque holds privately stealable and
-// wakes a thief per entry; a plain compare when nothing is private.
-func (w *W) publish() {
-	if n := w.slot.deque.Publish(); n > 0 {
-		w.rt.park.wake(n)
+// drain runs what the task this goroutine just executed left on the slot's
+// deque: children a panic unwound past the Join of. Nobody waits on their
+// frame and a thief's sweep skips its own deque, so whoever ran the task runs
+// them, before the completion that lets a joiner or a waiter proceed
+// (childDone, completeJob). A goroutine therefore leaves a deque empty when
+// it stops operating on it — after a base-level task, behind a task a
+// restricted join stole and ran inline, and in suspend, which a failed Pop
+// precedes. The entries are published first, so thieves can help; a popped
+// child was never counted on its frame, so finishing it notifies nobody; and
+// a drained child may suspend and resume this goroutine on another slot (left
+// empty by its last occupant), so the slot is read afresh every time.
+//
+// slot and bot are the slot and its deque's Bottom from before the task ran,
+// when the deque was empty. On the same slot with the bottom where it was
+// nothing is left, which is all this costs a task none of whose children was
+// stolen or abandoned: two plain loads of the owner's own line. Otherwise
+// only a Pop says empty — it takes the deque lock before it fails, which also
+// orders it after a restricted join's claim that may yet be put back.
+func (w *W) drain(slot *worker, bot int64) {
+	if w.slot == slot && slot.deque.Bottom() == bot {
+		return
+	}
+	var t task
+	for {
+		d := w.slot.deque
+		w.rt.park.wake(d.Publish())
+		republished, ok := d.PopRepublish(&t)
+		if !ok {
+			return // thieves took the rest, and run what they took
+		}
+		w.rt.park.wake(republished)
+		w.exec(t)
 	}
 }
 
@@ -349,8 +362,9 @@ func (w *W) joinInlineStealing(f *Frame, take func(task) bool) {
 	for !w.joinDrainLocal(f) {
 		if t, ok := w.rt.steal(w, take); ok {
 			w.stats.restrictedSteals.Add(1)
+			slot, bot := w.slot, w.slot.deque.Bottom()
 			w.exec(t)
-			w.publish() // what t forked and a panic left unjoined, as settle
+			w.drain(slot, bot) // what t forked and a panic left unjoined
 			if w.childDone(t.frame) {
 				panic("core: inline task completion triggered a slot handoff")
 			}
@@ -378,7 +392,8 @@ func (w *W) joinInlineStealing(f *Frame, take func(task) bool) {
 // f this goroutine pushed here has by then run on this stack or been counted
 // on f.count by its thief. That holds on whichever slot the goroutine
 // occupies — it only ever left a slot by suspending, which is to say after a
-// failed Pop there too.
+// failed Pop there too, and the slot it resumed on was handed over empty
+// (drain).
 //
 // It reports whether f is done: nothing left to pop and no stolen child
 // still running. Completions of stolen children can never resume this
@@ -444,8 +459,10 @@ func (w *W) exec(t task) {
 // goroutine (on whatever slot it now holds) completes the Job.
 func (w *W) runRoot(t task) {
 	w.rt.trc.Emit(w.slot.id, trace.KindJobStart, int64(t.job.id), 0)
+	slot, bot := w.slot, w.slot.deque.Bottom()
 	w.exec(t)
-	w.settle()
+	w.drain(slot, bot)
+	w.flushCounts()
 	w.rt.completeJob(w.slot.id, t.job)
 }
 
@@ -472,13 +489,15 @@ func (w *W) runStolen(t task) {
 	if w.rt.trc.Wants(trace.KindTaskEnd) {
 		t0 = time.Now()
 	}
+	slot, bot := w.slot, w.slot.deque.Bottom()
 	w.exec(t)
 	var ran time.Duration
 	if !t0.IsZero() {
 		ran = time.Since(t0)
 	}
 	w.rt.trc.Emit(w.slot.id, trace.KindTaskEnd, int64(t.depth), ran)
-	w.settle()
+	w.drain(slot, bot)
+	w.flushCounts()
 	if w.childDone(t.frame) {
 		w.released = true
 	}

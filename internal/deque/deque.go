@@ -35,7 +35,7 @@ const initialCapacity = 64
 // therefore find the public part dry while private entries exist only
 // between a steal and the owner's next operation.
 //
-// The fields are laid out by writer (DESIGN.md §15): the owner stores bot on
+// The fields are laid out by writer (DESIGN.md §7): the owner stores bot on
 // every lazy push and private pop and tail when it publishes or pops a
 // public entry, thieves store head and the lock word. A runtime allocates
 // one Deque per worker slot, back to back, and the fields alone are 64
@@ -99,9 +99,9 @@ func (d *Deque[T]) PushLazy(t *T) int {
 }
 
 // Publish makes every private entry stealable and reports how many there
-// were — a plain compare when there are none. The owner calls it before it
-// stops operating on the deque, so nothing is left where no thief can reach
-// it. Owner-only.
+// were — a plain compare when there are none. The scheduler calls it from a
+// Fork made while a worker slot is idle, and before it drains what a task
+// left behind, so that thieves can help. Owner-only.
 func (d *Deque[T]) Publish() int {
 	bot, tail := d.bot, d.tail.Load()
 	if bot == tail {
@@ -117,6 +117,11 @@ func (d *Deque[T]) setTail(tail int64) {
 	d.tail.Store(tail)
 	d.tailStores++
 }
+
+// Bottom returns the index the next push will use. Every push moves it up,
+// every pop down and no thief touches it, so an owner that reads what it read
+// when the deque was empty knows, without a look at head, that it is again.
+func (d *Deque[T]) Bottom() int64 { return d.bot }
 
 // TailStores reports how many times the owner has stored tail. It reads the
 // owner's plain tally, so it is exact only while the owner is quiet.

@@ -8,7 +8,7 @@ import (
 	"fibril/internal/cacheline/layouttest"
 )
 
-// The deque's groups, by writer (DESIGN.md §15): the owner's two indices,
+// The deque's groups, by writer (DESIGN.md §7): the owner's two indices,
 // ring header and store tally first, what thieves write second.
 var theGroups = [][]string{{"tail", "bot", "buf", "tailStores"}, {"head", "lock"}}
 

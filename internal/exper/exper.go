@@ -40,9 +40,6 @@ type Options struct {
 	Reps int
 	// Benches restricts the benchmark set; empty means all of Table 1.
 	Benches []string
-	// Workers is the real-runtime worker count for Figure 3 (always 1
-	// there) and the counter smoke runs; 0 = GOMAXPROCS.
-	Workers int
 	// HelpFirst switches the simulator experiments to the help-first
 	// child-stealing engine (the Go runtime's substitution). The default
 	// is the paper's own discipline: work-first continuation stealing.
@@ -412,17 +409,14 @@ func Predict(o Options, s *bench.Spec) *table.Table {
 	return t
 }
 
-// CountersSmoke runs every benchmark on the REAL runtime at the host's
-// worker count and reports the live scheduler counters — the cross-check
-// that the real runtime and the simulator tell the same story.
+// CountersSmoke runs every benchmark on the REAL runtime and reports the
+// live scheduler counters — the cross-check that the real runtime and the
+// simulator tell the same story.
 func CountersSmoke(o Options) *table.Table {
 	o = o.withDefaults()
-	workers := o.Workers
-	if workers == 0 {
-		// Force real concurrency even on a 1-CPU host: goroutine
-		// interleaving still produces steals and suspensions.
-		workers = 8
-	}
+	// Eight workers force real concurrency even on a 1-CPU host: goroutine
+	// interleaving still produces steals and suspensions.
+	const workers = 8
 	t := &table.Table{
 		Title: "Real-runtime scheduler counters (Fibril strategy)",
 		Header: []string{"benchmark", "workers", "forks", "steals",

@@ -120,36 +120,3 @@ func TestPredictAgreesWithSimulatorWithinFactor(t *testing.T) {
 		}
 	}
 }
-
-func TestForkPathRowsAndSpeedups(t *testing.T) {
-	// Small subset: fib's two fork paths plus the loop legs, one rep.
-	rows, tb := ForkPath(Options{Reps: 1, Benches: []string{"fib", "for-loop"}})
-	if rowCount(tb) != 4 || len(rows) != 4 {
-		t.Fatalf("rows = %d/%d, want 4 (fib closure+forkarg, loop eager+lazy)", len(rows), rowCount(tb))
-	}
-	byMode := map[string]ForkPathRow{}
-	for _, r := range rows {
-		byMode[r.Benchmark+"/"+r.Mode] = r
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s/%s: ns_op = %v", r.Benchmark, r.Mode, r.NsPerOp)
-		}
-	}
-	// The forkarg path must not allocate once the arena is warm; closures
-	// allocate several times per fork.
-	fa := byMode["fib/forkarg"]
-	if fa.AllocsPerOp > 0.5 {
-		t.Errorf("fib/forkarg allocs_op = %.2f, want ~0", fa.AllocsPerOp)
-	}
-	if cl := byMode["fib/closure"]; cl.AllocsPerOp < 1 {
-		t.Errorf("fib/closure allocs_op = %.2f, want >= 1 (did the baseline change?)", cl.AllocsPerOp)
-	}
-	if fa.SpeedupVsClosure <= 0 {
-		t.Errorf("fib/forkarg speedup_vs_closure unset")
-	}
-	// Lazy splitting must fork dramatically less than the eager baseline
-	// when nobody is stealing.
-	eager, lazy := byMode["for-loop/eager"], byMode["for-loop/lazy"]
-	if eager.Forks == 0 || lazy.Forks*16 > eager.Forks {
-		t.Errorf("lazy forks %d vs eager %d: want lazy << eager", lazy.Forks, eager.Forks)
-	}
-}

@@ -67,6 +67,9 @@ type worker struct {
 	// repeat steal from it is charged the warm rather than the cold cache
 	// surcharge. misses counts consecutive failed full sweeps; after
 	// simVictimPatience of them the victim's lines count as cold again.
+	// This is cost accounting only: internal/core has kept no per-worker
+	// anchor since its locality steal policies were removed, and the sweep
+	// below never consults this one to pick a victim.
 	lastVictim int
 	misses     int
 }
@@ -338,8 +341,9 @@ func (s *sim) stealCost(w, victim *worker) int64 {
 }
 
 // stealSweep probes every worker once, round-robin from a random start
-// (the paper's random_steal, mirroring internal/core). It returns the
-// accumulated probe cost, and the stolen task if any probe succeeded.
+// (the paper's random_steal, the victim rule internal/core uses too). It
+// returns the accumulated probe cost, and the stolen task if any probe
+// succeeded.
 func (s *sim) stealSweep(w *worker, eligible func(pendingTask) bool) (int64, pendingTask, bool) {
 	n := len(s.workers)
 	var cost int64

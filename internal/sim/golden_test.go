@@ -10,7 +10,7 @@ import (
 // TestGoldenP72 pins simulated numbers bit for bit, so that a change to
 // either engine that was meant to leave behaviour alone can be seen to have
 // done so. The help-first rows are the last committed `random` rows of the
-// retired steal-policy experiment (DESIGN.md §12); the work-first row is
+// retired steal-policy experiment (DESIGN.md, appendix); the work-first row is
 // fib's line of Table 2 in results/full-tables.txt. A deliberate change to
 // the cost model or to an engine's scheduling updates these numbers and
 // says so.

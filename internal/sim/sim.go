@@ -5,12 +5,14 @@
 // The evaluation machine of the paper is a 72-hardware-thread Haswell; the
 // reproduction host cannot measure real speedup curves at that scale, so
 // the simulator regenerates Figure 4 and Tables 2–4 mechanistically: the
-// same scheduler state machine as internal/core (deques, randomized
-// stealing, suspension with unmap, bounded pools, depth-restricted and
-// leapfrog joins) driven by a cost model of the per-operation overheads,
-// with stack pages accounted through the same internal/stack + internal/vm
-// machinery as the real runtime. Simulated time is in abstract units of
-// roughly a nanosecond.
+// paper's scheduler state machine (deques, randomized stealing, suspension
+// with unmap, bounded pools, depth-restricted and leapfrog joins) driven by
+// a cost model of the per-operation overheads, with stack pages accounted
+// through the same internal/stack + internal/vm machinery as the real
+// runtime. It models the paper's scheduler, not what internal/core has grown
+// since (private deque bottom, publish rule, search-then-park idle phase),
+// and charges steals off an anchor the runtime dropped (worker.lastVictim).
+// Simulated time is in abstract units of roughly a nanosecond.
 //
 // The simulator is single-threaded and fully deterministic for a given
 // (tree, config) pair.

@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -9,12 +8,13 @@ import (
 )
 
 // Pooler is the stack-pool contract (Listing 3's take_stack_from_pool /
-// put_stack_into_pool). Two implementations exist: the ShardedPool
-// (per-worker lock-free caches), which is the one the runtime schedules
-// against, and the single-lock Pool below — the paper's Listing 3 verbatim,
-// the reference this package's differential tests hold the sharded pool to,
-// and the one that can promise the strict counter equalities only a
-// serialized pool can. The interface is what lets one test body drive both.
+// put_stack_into_pool) as this package's tests see it. Two implementations
+// exist: the ShardedPool (per-worker lock-free caches), which is the one the
+// runtime schedules against, and the single-lock Pool below — the paper's
+// Listing 3 verbatim, a test-only reference the differential tests hold the
+// sharded pool to, and the one that can promise the strict counter
+// equalities only a serialized pool can. The interface is what lets one test
+// body drive both.
 //
 // The shard argument of Take/TryTake/Put is the caller's worker-slot id,
 // 0 ≤ shard < the pool's shard count — a locality hint, not a partition:
@@ -53,20 +53,6 @@ type Pooler interface {
 	Drain()
 }
 
-// MapError reports that the pool could not map a fresh stack. The pool's
-// counters are already repaired when a Take returns it: no slot is leaked
-// under a bounded limit and MaxInUse does not count the failed checkout.
-type MapError struct {
-	Pages int // requested stack size
-	Err   error
-}
-
-func (e *MapError) Error() string {
-	return fmt.Sprintf("stack: pool cannot map a new %d-page stack: %v", e.Pages, e.Err)
-}
-
-func (e *MapError) Unwrap() error { return e.Err }
-
 // Pool is the single-lock stack pool (Listing 3's take_stack_from_pool /
 // put_stack_into_pool). In Fibril mode the pool is unbounded: a thief that
 // needs a stack always gets one, preserving the time bound. With a positive
@@ -94,10 +80,10 @@ type Pool struct {
 	stalls atomic.Int64 // times a thief had to wait for a stack
 }
 
-var _ Pooler = (*Pool)(nil)
-
-// CilkPlusDefaultLimit is Cilk Plus's default cap on worker stacks.
-const CilkPlusDefaultLimit = 2400
+var (
+	_ Pooler = (*Pool)(nil)
+	_ Pooler = (*ShardedPool)(nil)
+)
 
 // NewPool creates a pool of stacks of the given page size. limit == 0 means
 // unbounded (Fibril); limit > 0 bounds the total number of stacks ever

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -36,7 +37,7 @@ type shardSlots struct {
 //
 //   - created is mutated only under the global lock, pre-incremented
 //     before the map call (so a bounded limit cannot over-create) and
-//     repaired on failure, exactly like Pool;
+//     repaired on failure, exactly like the reference Pool (pool_test.go);
 //   - inUse is incremented only AFTER a stack is acquired and decremented
 //     BEFORE one is released, so inUse never exceeds the stacks actually
 //     held and maxInUse ≤ created always holds;
@@ -76,7 +77,22 @@ type ShardedPool struct {
 	ids      int
 }
 
-var _ Pooler = (*ShardedPool)(nil)
+// CilkPlusDefaultLimit is Cilk Plus's default cap on worker stacks.
+const CilkPlusDefaultLimit = 2400
+
+// MapError reports that the pool could not map a fresh stack. The pool's
+// counters are already repaired when a Take returns it: no slot is leaked
+// under a bounded limit and MaxInUse does not count the failed checkout.
+type MapError struct {
+	Pages int // requested stack size
+	Err   error
+}
+
+func (e *MapError) Error() string {
+	return fmt.Sprintf("stack: pool cannot map a new %d-page stack: %v", e.Pages, e.Err)
+}
+
+func (e *MapError) Unwrap() error { return e.Err }
 
 // NewShardedPool creates a sharded pool with one cache per worker slot
 // (ids 0..shards-1). limit == 0 means unbounded.
@@ -128,7 +144,8 @@ func (p *ShardedPool) Take(shard int) (*Stack, error) {
 }
 
 // TryTake is Take without blocking; ok is false when a bounded pool is
-// exhausted. Like Pool.TryTake it does not check closed.
+// exhausted. It does not check closed: it may hand out a free stack after
+// Close.
 func (p *ShardedPool) TryTake(shard int) (*Stack, bool, error) {
 	c := &p.caches[shard]
 	for i := range c.slots {

@@ -35,9 +35,6 @@ func (as *AddressSpace) Snapshot() Stats {
 	}
 }
 
-// MaxRSSBytes converts the high-water RSS to bytes.
-func (s Stats) MaxRSSBytes() int64 { return s.MaxRSSPages * PageSize }
-
 // Sub returns the counter deltas from an earlier snapshot, the analogue of
 // the paper's ΔRSS measurement (Table 4) generalized to every counter.
 // High-water fields keep the later snapshot's value.
