@@ -102,6 +102,46 @@ func TestForkPathGate(t *testing.T) {
 	})
 }
 
+// TestBaselineSpawnCost pins the cost model Figure 3 compares: the Cilk Plus
+// and TBB baselines run the spawn prologue once per fork, TBB's sends one
+// task object per fork to the heap, and Fibril's fork does neither. The
+// prologue's state sits behind W.spawn, off the task record and off every
+// other strategy's W, so nothing else would notice it going missing.
+func TestBaselineSpawnCost(t *testing.T) {
+	for _, tc := range []struct {
+		strategy       Strategy
+		prologue, heap bool
+	}{
+		{StrategyFibril, false, false},
+		{StrategyCilkPlus, true, false},
+		{StrategyTBB, true, true},
+	} {
+		t.Run(tc.strategy.String(), func(t *testing.T) {
+			rt := NewRuntime(Config{Workers: 1, Strategy: tc.strategy})
+			var perFork float64
+			st := rt.Run(func(w *W) {
+				var fr Frame
+				var leaf gateCtx
+				perFork = testing.AllocsPerRun(1000, func() {
+					w.Init(&fr)
+					w.ForkArg(&fr, gateTask, unsafe.Pointer(&leaf))
+					w.Join(&fr)
+				})
+			})
+			want := int64(0)
+			if tc.prologue {
+				want = st.Forks
+			}
+			if st.Forks == 0 || st.SpawnOverhead != want {
+				t.Errorf("SpawnOverhead = %d over %d forks, want %d", st.SpawnOverhead, st.Forks, want)
+			}
+			if tc.heap && perFork < 1 || !tc.heap && perFork != 0 {
+				t.Errorf("%v heap allocations per fork/join node; want >= 1 under tbb, 0 otherwise", perFork)
+			}
+		})
+	}
+}
+
 // TestLeapfrogArenaRecycling is the regression fence for the blanket
 // arena exclusion StrategyLeapfrog used to carry: Scratch blocks must
 // recycle under the leapfrog join discipline exactly as they do under

@@ -23,7 +23,11 @@ import (
 // every gap and the next round's first fork paid ~80 µs to wake it, so the
 // owner ran most leaves itself (3.4–4.0 steals per round of an ideal 8). A
 // thief that searches through the gap is there when the round opens: it
-// almost never sleeps and takes close to its half (7.0–7.8).
+// almost never sleeps and takes most of its half — a median of 6.4 over 57
+// blocks of 2000 rounds (quartiles 5.9–6.7, none under 5.4), and 5.7 under
+// the race detector (5.5–5.9, one block in 69 under 5). The mark is 5: clear
+// of the ladder's 4.0, and under everything this runtime does on a host that
+// is giving it two CPUs.
 //
 // What it measures is what the host lets two threads do. When something
 // else holds a CPU the kernel runs thief and owner on the other one, where
@@ -66,7 +70,7 @@ func TestWarmThiefTakesRoundWithoutPark(t *testing.T) {
 		perRound := float64(st.Steals) / rounds
 		t.Logf("%d rounds of %d: %.1f steals/round, %d thief parks; two plain goroutines take %.2fx one",
 			rounds, fan, perRound, st.ThiefParks, host)
-		if st.ThiefParks <= rounds/20 && perRound >= 6 {
+		if st.ThiefParks <= rounds/20 && perRound >= 5 {
 			return
 		}
 		hostOK = hostOK && host <= 1.2
@@ -74,7 +78,7 @@ func TestWarmThiefTakesRoundWithoutPark(t *testing.T) {
 	if !hostOK {
 		t.Skip("the host is not giving this process two CPUs (see the yardstick ratios above)")
 	}
-	t.Errorf("no block of %d rounds had ThiefParks <= 5%% of rounds and >= 6 steals per round of %d leaves (ideal 8): "+
+	t.Errorf("no block of %d rounds had ThiefParks <= 5%% of rounds and >= 5 steals per round of %d leaves (ideal 8): "+
 		"the thief goes to sleep inside microsecond gaps or is late to the round", rounds, fan)
 }
 

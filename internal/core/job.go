@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"fibril/internal/trace"
 )
@@ -555,7 +556,7 @@ func (rt *Runtime) nextRoot(self int) (task, bool) {
 	if !ok {
 		return task{}, false
 	}
-	return task{fn: j.root, bytes: int32(rt.cfg.FrameBytes), job: j}, true
+	return task{fn: runJobRoot, arg: unsafe.Pointer(j), bytes: int32(rt.cfg.FrameBytes)}, true
 }
 
 // completeJob finishes j after its root returned (or panicked): stamp the

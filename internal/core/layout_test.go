@@ -46,9 +46,10 @@ func TestLayout(t *testing.T) {
 	layouttest.Groups(t, Runtime{}, runtimeGroups...)
 	layouttest.Groups(t, parkLot{}, parkGroup)
 	// A W is touched by its own goroutine only: one group, kept off its
-	// neighbours. The last four are the private per-fork counters.
+	// neighbours. The last four are the private per-fork counters; spawn is
+	// nil except under the two baselines with a spawn prologue.
 	layouttest.Groups(t, W{}, []string{"rt", "slot", "stack", "stats", "depth", "frame",
-		"released", "frameBytes", "strategy", "slowFork", "wantsFork", "scratch",
+		"released", "frameBytes", "strategy", "wantsFork", "spawn",
 		"forks", "calls", "arenaAcquires", "arenaReleases"})
 	layouttest.Element(t, counterShard{})
 	layouttest.Element(t, intakeShard{})
@@ -67,6 +68,17 @@ func TestLayout(t *testing.T) {
 	// fork/join region's block up a class.
 	if sz := unsafe.Sizeof(Scratch{}); sz <= 208 || sz > 224 {
 		t.Errorf("core.Scratch is %d bytes, outside the 224-byte size class (208, 224]", sz)
+	}
+}
+
+// TestTaskRecordSize pins the one record every deque entry, root hand-off and
+// exec call is: two words of code and argument, the frame, and the packed
+// sizes. Every fork copies it into the ring and every pop or steal copies it
+// out, so a word more is paid per fork; a second function representation or a
+// field only one strategy reads belongs somewhere else (DESIGN.md §6).
+func TestTaskRecordSize(t *testing.T) {
+	if sz := unsafe.Sizeof(task{}); sz != 32 {
+		t.Errorf("core.task is %d bytes, want 32", sz)
 	}
 }
 

@@ -262,7 +262,7 @@ func TestFinalSweepReturnsTask(t *testing.T) {
 	victim := rt.workers[1]
 	var fr Frame
 	for i := 0; i < 8; i++ {
-		victim.deque.Push(task{fn: func(*W) {}, frame: &fr})
+		victim.deque.Push(task{fn: runClosure, arg: closureArg(func(*W) {}), frame: &fr})
 	}
 	st := rt.takeStack(0)
 	defer rt.pool.Put(0, st)

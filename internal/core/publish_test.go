@@ -294,3 +294,85 @@ func TestAbandonedPrivateChildrenStillRun(t *testing.T) {
 		})
 	}
 }
+
+// gcPayload is what a forked closure is the only reference to. It is past
+// the tiny allocator's 16 bytes and holds no pointer, so it is an object of
+// its own with a finalizer of its own.
+type gcPayload [8]uint64
+
+// forkHolder forks a closure that alone refers to a fresh gcPayload, and
+// returns with no copy of either pointer left in a live frame: from here to
+// the closure's run, the deque entry's arg word is all that holds them.
+//
+//go:noinline
+func forkHolder(w *W, f *Frame, seed uint64, finalized *atomic.Int32, sum *uint64) {
+	p := new(gcPayload)
+	for i := range p {
+		p[i] = seed + uint64(i)
+	}
+	runtime.SetFinalizer(p, func(*gcPayload) { finalized.Add(1) })
+	w.Fork(f, func(*W) {
+		for _, v := range p {
+			*sum += v
+		}
+	})
+}
+
+// collect runs two collector cycles and returns once the finalizers the first
+// queued have run: each cycle queues a canary nothing refers to and waits for
+// its finalizer, and the second canary covers a finalizer that the first
+// batch ran the first canary ahead of.
+func collect(t *testing.T) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		runtime.SetFinalizer(new(gcPayload), func(*gcPayload) { close(done) })
+		runtime.GC()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("an unreachable canary was not finalized within 10 s of runtime.GC")
+		}
+	}
+}
+
+// TestQueuedClosureSurvivesGC pins what keeps a forked closure alive: the
+// deque entry itself. A closure travels as the arg word of its task (the fn
+// word is the runClosure trampoline), and the ring is plain memory the
+// collector scans, so arg must be an unsafe.Pointer. As a uintptr it would
+// still run — on memory the collector has handed to someone else. Two
+// closures are forked at Workers=1: the first finds the public part dry and
+// is published, the second stays private. The collector runs, the private
+// one is published and it runs again; then both run and read their objects.
+func TestQueuedClosureSurvivesGC(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 1})
+	var finalized atomic.Int32
+	var sums [2]uint64
+	rt.Run(func(w *W) {
+		d := w.slot.deque
+		var fr Frame
+		w.Init(&fr)
+		forkHolder(w, &fr, 100, &finalized, &sums[0])
+		forkHolder(w, &fr, 200, &finalized, &sums[1])
+		if got := d.Len(); got != 1 {
+			t.Fatalf("%d of 2 forks are public at Workers=1, want 1: the test no longer covers a private entry", got)
+		}
+		collect(t)
+		if got := finalized.Load(); got != 0 {
+			t.Errorf("%d of 2 queued closures' objects were collected while one sat public and one private in the deque", got)
+		}
+		if got := d.Publish(); got != 1 {
+			t.Fatalf("Publish moved %d entries, want the 1 private one", got)
+		}
+		collect(t)
+		if got := finalized.Load(); got != 0 {
+			t.Errorf("%d of 2 queued closures' objects were collected by the time both sat in thief-visible slots", got)
+		}
+		w.Join(&fr)
+	})
+	for i, seed := range []uint64{100, 200} {
+		if want := 8*seed + 28; sums[i] != want {
+			t.Errorf("closure %d read a sum of %d from its object, want %d", i, sums[i], want)
+		}
+	}
+}

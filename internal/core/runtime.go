@@ -191,9 +191,12 @@ func (c Config) withDefaults() Config {
 	if c.FrameBytes <= 0 {
 		c.FrameBytes = 192
 	}
-	if c.UnmapBatch < 0 {
-		c.UnmapBatch = 0
-	}
+	// A negative bound means what 0 means, off — and the admission fast
+	// paths test for exactly 0.
+	c.UnmapBatch = max(c.UnmapBatch, 0)
+	c.MaxResidentPages = max(c.MaxResidentPages, 0)
+	c.MaxInflight = max(c.MaxInflight, 0)
+	c.TenantQuotaPages = max(c.TenantQuotaPages, 0)
 	if c.Seed == 0 {
 		c.Seed = 0x9E3779B97F4A7C15
 	}
@@ -238,19 +241,42 @@ type worker struct {
 	_ cacheline.Pad
 }
 
-// task is a forked child waiting in a deque. A child is either a closure
-// (fn) or a code-pointer/argument pair (argfn, arg) — the latter is the
-// zero-allocation fork representation: both words are plain pointers that
-// travel through the deque by value, so nothing escapes per fork.
+// task is what a deque, the intake hand-off and exec see: a code pointer and
+// its argument, both plain pointers that travel by value, so nothing escapes
+// per fork. Every entry has this one shape. A ForkArg child is the caller's
+// (fn, arg) as given; a closure child is runClosure with the closure in arg;
+// a submitted root is runJobRoot with its *Job in arg and no frame. arg is an
+// unsafe.Pointer, never a uintptr: the deque's ring is what keeps a forked
+// closure alive until it runs.
 type task struct {
-	fn    func(*W)
-	argfn func(*W, unsafe.Pointer)
+	fn    func(*W, unsafe.Pointer)
 	arg   unsafe.Pointer
 	frame *Frame // parent frame to notify on completion; nil for a root
-	job   *Job   // the submitted Job this task is the root of (roots only)
 	bytes int32  // simulated activation-frame size
 	depth int32  // invocation-tree depth of the child
-	heavy *tbbTask
+}
+
+// closureArg is fn as the arg word of a runClosure task: a func value is a
+// pointer to its closure object, and that pointer is what travels.
+func closureArg(fn func(*W)) unsafe.Pointer {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&fn))
+}
+
+// runClosure is the fn of every closure task: p is closureArg's result.
+func runClosure(w *W, p unsafe.Pointer) {
+	(*(*func(*W))(unsafe.Pointer(&p)))(w)
+}
+
+// runJobRoot is the fn of every root task: p is the *Job.
+func runJobRoot(w *W, p unsafe.Pointer) {
+	(*Job)(p).root(w)
+}
+
+// spawnState is what the Cilk Plus and TBB baselines' spawn prologue writes
+// (W.spawnPrologue). Only their Ws have one.
+type spawnState struct {
+	frame [8]uint64 // Cilk Plus: the __cilkrts_stack_frame the prologue fills
+	task  *tbbTask  // TBB: the task object of the latest spawn
 }
 
 // tbbTask models TBB's heap-allocated task object with its reference count;
@@ -363,21 +389,24 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 
 // newW builds a worker context with the hot Config fields cached on it, so
 // the fork fast path reads no runtime state beyond the W itself: the
-// default frame size, the strategy (plus whether its fork path needs the
-// slow prologue), and whether any sink consumes fork events. The tracer's
-// want-mask and the configuration are both fixed for the runtime's
+// default frame size, the strategy, the spawn-prologue state of the two
+// baselines that have one, and whether any sink consumes fork events. The
+// tracer's want-mask and the configuration are both fixed for the runtime's
 // lifetime, so caching at W creation is sound.
 func (rt *Runtime) newW(slot *worker, st *stack.Stack, sh *counterShard) *W {
-	return &W{
+	w := &W{
 		rt:         rt,
 		slot:       slot,
 		stack:      st,
 		stats:      sh,
 		frameBytes: rt.cfg.FrameBytes,
 		strategy:   rt.cfg.Strategy,
-		slowFork:   rt.cfg.Strategy == StrategyCilkPlus || rt.cfg.Strategy == StrategyTBB,
 		wantsFork:  rt.trc.Wants(trace.KindFork),
 	}
+	if w.strategy == StrategyCilkPlus || w.strategy == StrategyTBB {
+		w.spawn = &spawnState{}
+	}
+	return w
 }
 
 // AddressSpace exposes the simulated address space for inspection.

@@ -39,15 +39,13 @@ type W struct {
 
 	// Hot Config fields cached at W creation (see Runtime.newW), so the
 	// fork fast path touches only this cache line: the default frame size,
-	// the strategy, whether its fork path needs the slow prologue
-	// (Cilk Plus / TBB baselines), and whether any sink consumes KindFork
-	// (so the untraced path skips the Emit call entirely).
+	// the strategy, whether any sink consumes KindFork (so the untraced path
+	// skips the Emit call entirely), and what the spawn prologue of the Cilk
+	// Plus and TBB baselines writes — nil under every other strategy.
 	frameBytes int
 	strategy   Strategy
-	slowFork   bool
 	wantsFork  bool
-
-	scratch [8]uint64 // Cilk Plus spawn-prologue simulation target
+	spawn      *spawnState
 
 	_ cacheline.Pad
 }
@@ -151,16 +149,7 @@ func (w *W) Fork(f *Frame, fn func(*W)) {
 // ForkSized is Fork with an explicit simulated activation-frame size in
 // bytes for the child.
 func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
-	w.countFork(f)
-	if w.wantsFork {
-		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
-	}
-	var t task // filled in place: a literal is built in a temporary and copied
-	t.fn, t.frame, t.bytes, t.depth = fn, f, int32(bytes), w.depth+1
-	if w.slowFork {
-		w.forkSlow(f, &t)
-	}
-	w.push(&t)
+	w.ForkArgSized(f, bytes, runClosure, closureArg(fn))
 }
 
 // push is the tail of every fork. The child goes on the slot's deque
@@ -197,45 +186,48 @@ func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 }
 
 // ForkArgSized is ForkArg with an explicit simulated activation-frame size
-// in bytes for the child.
+// in bytes for the child. It is the one fork body: every other Fork lands
+// here.
 func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 	w.countFork(f)
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
 	}
-	var t task // filled in place, as in ForkSized
-	t.argfn, t.arg, t.frame, t.bytes, t.depth = fn, arg, f, int32(bytes), w.depth+1
-	if w.slowFork {
-		w.forkSlow(f, &t)
+	if w.spawn != nil {
+		w.spawnPrologue(f, bytes)
 	}
+	var t task // filled in place: a literal is built in a temporary and copied
+	t.fn, t.arg, t.frame, t.bytes, t.depth = fn, arg, f, int32(bytes), w.depth+1
 	w.push(&t)
 }
 
-// forkSlow is the spawn prologue of the strategies for which it is
+// spawnPrologue is the spawn prologue of the strategies for which it is
 // deliberately expensive — that expense being what Figure 3 measures: Cilk
-// Plus's full stack frame and TBB's heap-allocated task object, which it
-// hangs on the task.
-func (w *W) forkSlow(f *Frame, t *task) {
+// Plus's full stack frame and TBB's heap-allocated task object. It is kept
+// out of line so that the fork body holds none of its locked instructions.
+//
+//go:noinline
+func (w *W) spawnPrologue(f *Frame, bytes int) {
 	switch w.strategy {
 	case StrategyCilkPlus:
 		// Cilk Plus's spawn prologue maintains a full __cilkrts_stack_frame
 		// (flags, parent links, pedigree) beyond what Fibril's three saved
 		// registers need. Model it as extra stores the compiler cannot
 		// remove plus one extra synchronizing operation.
-		for i := range w.scratch {
-			w.scratch[i] = uint64(t.bytes) + uint64(i)
+		for i := range w.spawn.frame {
+			w.spawn.frame[i] = uint64(bytes) + uint64(i)
 		}
-		w.stats.spawnOverhead.Add(1)
 	case StrategyTBB:
 		// TBB allocates a task object per spawn and manipulates its
 		// reference count through the scheduler — the heaviest fork path
-		// in the comparison (Figure 3).
-		h := &tbbTask{parent: f, depth: t.depth}
+		// in the comparison (Figure 3). Storing it is what sends it to the
+		// heap.
+		h := &tbbTask{parent: f, depth: w.depth + 1}
 		h.refcount.Store(1)
 		h.refcount.Add(1)
-		t.heavy = h
-		w.stats.spawnOverhead.Add(1)
+		w.spawn.task = h
 	}
+	w.stats.spawnOverhead.Add(1)
 }
 
 // ShouldSplit reports whether publishing more parallelism right now could
@@ -265,17 +257,7 @@ func (w *W) Call(fn func(*W)) {
 // to the caller, as in a plain function call, with the simulated frame
 // popped on the way out.
 func (w *W) CallSized(bytes int, fn func(*W)) {
-	w.calls++
-	base, err := w.stack.Push(bytes)
-	if err != nil {
-		panic(fmt.Sprintf("core: stack overflow in Call: %v", err))
-	}
-	w.depth++
-	defer func() {
-		w.depth--
-		w.stack.Pop(base)
-	}()
-	fn(w)
+	w.CallArgSized(bytes, runClosure, closureArg(fn))
 }
 
 // CallArg is Call for a (code pointer, argument pointer) pair — the serial
@@ -284,7 +266,8 @@ func (w *W) CallArg(fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 	w.CallArgSized(w.frameBytes, fn, arg)
 }
 
-// CallArgSized is CallArg with an explicit frame size in bytes.
+// CallArgSized is CallArg with an explicit frame size in bytes. It is the
+// one call body.
 func (w *W) CallArgSized(bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 	w.calls++
 	base, err := w.stack.Push(bytes)
@@ -437,16 +420,12 @@ func (w *W) exec(t task) {
 			tp := capture(v)
 			if t.frame != nil {
 				t.frame.panicked.CompareAndSwap(nil, tp) // the first failure wins
-			} else if t.job != nil {
-				t.job.tp = tp
+			} else {
+				(*Job)(t.arg).tp = tp
 			}
 		}
 	}()
-	if t.argfn != nil {
-		t.argfn(w, t.arg)
-	} else {
-		t.fn(w)
-	}
+	t.fn(w, t.arg)
 }
 
 // runRoot executes an admitted root task — a submitted Job. A root has no
@@ -458,12 +437,13 @@ func (w *W) exec(t task) {
 // migrates exactly as for any other task — and when exec returns, this
 // goroutine (on whatever slot it now holds) completes the Job.
 func (w *W) runRoot(t task) {
-	w.rt.trc.Emit(w.slot.id, trace.KindJobStart, int64(t.job.id), 0)
+	j := (*Job)(t.arg)
+	w.rt.trc.Emit(w.slot.id, trace.KindJobStart, int64(j.id), 0)
 	slot, bot := w.slot, w.slot.deque.Bottom()
 	w.exec(t)
 	w.drain(slot, bot)
 	w.flushCounts()
-	w.rt.completeJob(w.slot.id, t.job)
+	w.rt.completeJob(w.slot.id, j)
 }
 
 // runStolen executes a task taken by a base-level thief: a submitted root
@@ -472,7 +452,7 @@ func (w *W) runRoot(t task) {
 // branching from the parent's), execute, and notify the parent. A handoff
 // here marks the slot released so the thief loop retires.
 func (w *W) runStolen(t task) {
-	if t.job != nil {
+	if t.frame == nil {
 		w.runRoot(t)
 		return
 	}

@@ -260,9 +260,6 @@ func (d *Deque[T]) Len() int {
 	return n
 }
 
-// Empty reports whether the public part appears empty (racy snapshot).
-func (d *Deque[T]) Empty() bool { return d.Len() == 0 }
-
 // LazyHint reports whether the owner should publish more parallelism: true
 // when the public part looks empty, meaning any thief probing this worker
 // leaves hungry. It is the owner-side probe behind lazy loop splitting — two

@@ -18,7 +18,6 @@ type dequeAPI[T any] interface {
 	Steal() (T, bool)
 	StealIf(func(T) bool) (T, bool)
 	Len() int
-	Empty() bool
 }
 
 var (
@@ -43,7 +42,7 @@ func TestEmptyPopSteal(t *testing.T) {
 			if _, ok := d.Steal(); ok {
 				t.Error("Steal on empty succeeded")
 			}
-			if !d.Empty() || d.Len() != 0 {
+			if d.Len() != 0 {
 				t.Error("empty deque misreports size")
 			}
 		})

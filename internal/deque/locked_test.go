@@ -99,6 +99,3 @@ func (d *Locked[T]) Len() int {
 	defer d.mu.Unlock()
 	return d.pub
 }
-
-// Empty reports whether the public part is empty.
-func (d *Locked[T]) Empty() bool { return d.Len() == 0 }

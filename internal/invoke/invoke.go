@@ -171,23 +171,3 @@ func maxInt(a, b int) int {
 func Leaf(work int64, frame int) Task {
 	return Task{Frame: frame, Segs: []Seg{{Work: work}}}
 }
-
-// Walk traverses the tree depth-first in serial-execution order, calling
-// visit with each task and its call depth. Forked children are visited at
-// their fork point (C elision). Memoized subtrees are still fully walked;
-// use only on trees of tractable size.
-func Walk(t Task, visit func(t Task, depth int)) {
-	walk(t, 1, visit)
-}
-
-func walk(t Task, depth int, visit func(Task, int)) {
-	visit(t, depth)
-	for _, s := range t.Segs {
-		if s.Call != nil {
-			walk(s.Call(), depth+1, visit)
-		}
-		if s.Fork != nil {
-			walk(s.Fork(), depth+1, visit)
-		}
-	}
-}

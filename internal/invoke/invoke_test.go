@@ -163,19 +163,6 @@ func TestMemoizationScalesToPaperInput(t *testing.T) {
 	}
 }
 
-func TestWalkOrder(t *testing.T) {
-	var names []string
-	task := Task{Name: "root", Segs: []Seg{
-		{Work: 1, Fork: func() Task { return Task{Name: "a", Segs: []Seg{{Work: 1}}} }},
-		{Work: 1, Call: func() Task { return Task{Name: "b", Segs: []Seg{{Work: 1}}} }},
-		{Join: true},
-	}}
-	Walk(task, func(t Task, depth int) { names = append(names, t.Name) })
-	if len(names) != 3 || names[0] != "root" || names[1] != "a" || names[2] != "b" {
-		t.Errorf("walk order = %v", names)
-	}
-}
-
 // Property: for any random series-parallel tree, Span ≤ Work, Work equals
 // the sum of all segment work, and FibrilDepth ≤ CallDepth.
 func TestQuickSpanWorkInvariants(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // equalities only a serialized pool can. The interface is what lets one test
 // body drive both.
 //
-// The shard argument of Take/TryTake/Put is the caller's worker-slot id,
+// The shard argument of Take/Put is the caller's worker-slot id,
 // 0 ≤ shard < the pool's shard count — a locality hint, not a partition:
 // stacks may migrate freely between shards.
 type Pooler interface {
@@ -25,10 +25,6 @@ type Pooler interface {
 	// once the pool has been closed, so blocked thieves can unwind at
 	// shutdown, and (nil, *MapError) if a fresh stack could not be mapped.
 	Take(shard int) (*Stack, error)
-	// TryTake is Take without blocking; ok is false when a bounded pool
-	// is exhausted. A closed pool is not checked (matching the historical
-	// Pool behaviour): TryTake may hand out a free stack after Close.
-	TryTake(shard int) (s *Stack, ok bool, err error)
 	// Put returns a quiescent stack (frames all popped) to the pool.
 	Put(shard int, s *Stack)
 	// Close wakes every blocked Take with a nil result; Reopen re-enables
@@ -125,28 +121,6 @@ func (p *Pool) Take(shard int) (*Stack, error) {
 		p.stalls.Add(1)
 		p.cond.Wait()
 	}
-}
-
-// TryTake is Take without blocking; ok is false when a bounded pool is
-// exhausted.
-func (p *Pool) TryTake(shard int) (*Stack, bool, error) {
-	_ = shard
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.takeLocked()
-		return s, true, nil
-	}
-	if p.limit == 0 || p.created < p.limit {
-		s, err := p.createLocked()
-		if err != nil {
-			return nil, false, err
-		}
-		return s, true, nil
-	}
-	return nil, false, nil
 }
 
 // createLocked maps a fresh stack with the pool lock held, dropping it

@@ -143,43 +143,6 @@ func (p *ShardedPool) Take(shard int) (*Stack, error) {
 	return p.takeSlow()
 }
 
-// TryTake is Take without blocking; ok is false when a bounded pool is
-// exhausted. It does not check closed: it may hand out a free stack after
-// Close.
-func (p *ShardedPool) TryTake(shard int) (*Stack, bool, error) {
-	c := &p.caches[shard]
-	for i := range c.slots {
-		if s := c.slots[i].Swap(nil); s != nil {
-			c.hits.Add(1)
-			p.checkout()
-			return s, true, nil
-		}
-	}
-	c.misses.Add(1)
-	p.mu.Lock()
-	if s := p.popOverflowLocked(); s != nil {
-		p.mu.Unlock()
-		p.checkout()
-		return s, true, nil
-	}
-	if s := p.sweepLocked(); s != nil {
-		p.mu.Unlock()
-		p.checkout()
-		return s, true, nil
-	}
-	if p.limit == 0 || p.created < p.limit {
-		s, err := p.createLocked() // unlocks around the map call
-		p.mu.Unlock()
-		if err != nil {
-			return nil, false, err
-		}
-		p.checkout()
-		return s, true, nil
-	}
-	p.mu.Unlock()
-	return nil, false, nil
-}
-
 // takeSlow is the global path: pop the overflow list, sweep the other
 // shards' caches, map a fresh stack, or — bounded pool — wait. The caller
 // stays registered in waiters for the whole slow path so every concurrent

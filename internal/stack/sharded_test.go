@@ -77,7 +77,7 @@ func driveSequential(t *testing.T, name string, p Pooler, limit int, seed uint64
 	for i := 0; i < ops; i++ {
 		r := splitmix64(&state)
 		shard := int(r >> 8 % 4) // the sharded variant has four
-		switch r % 5 {
+		switch r % 4 {
 		case 0, 1: // Take, skipped when it would block
 			if m.closed {
 				s, err := p.Take(shard)
@@ -100,25 +100,7 @@ func driveSequential(t *testing.T, name string, p Pooler, limit int, seed uint64
 				m.created++
 			}
 			m.checkout()
-		case 2: // TryTake (does not check closed, matching the contract)
-			s, ok, err := p.TryTake(shard)
-			if err != nil {
-				t.Fatalf("%s seed=%#x op %d: TryTake err = %v", name, seed, i, err)
-			}
-			wantOK := m.free > 0 || m.limit == 0 || m.created < m.limit
-			if ok != wantOK {
-				t.Fatalf("%s seed=%#x op %d: TryTake ok = %v, want %v", name, seed, i, ok, wantOK)
-			}
-			if ok {
-				held = append(held, s)
-				if m.free > 0 {
-					m.free--
-				} else {
-					m.created++
-				}
-				m.checkout()
-			}
-		case 3: // Put
+		case 2: // Put
 			if len(held) == 0 {
 				continue
 			}
@@ -128,7 +110,7 @@ func driveSequential(t *testing.T, name string, p Pooler, limit int, seed uint64
 			p.Put(shard, s)
 			m.inUse--
 			m.free++
-		case 4: // Close / Reopen
+		case 3: // Close / Reopen
 			if m.closed {
 				p.Reopen()
 				m.closed = false
@@ -176,7 +158,7 @@ func TestShardedVsGlobalCounters(t *testing.T) {
 	}
 }
 
-// FuzzPool exercises Take/TryTake/Put/Close/Reopen interleavings against
+// FuzzPool exercises Take/Put/Close/Reopen interleavings against
 // the model pool, on both implementations (satellite: pool fuzz target).
 func FuzzPool(f *testing.F) {
 	f.Add(uint64(1), uint16(50), uint8(0))
@@ -425,9 +407,6 @@ func TestShardedBoundedBlocksThenUnblocks(t *testing.T) {
 	p := NewShardedPool(vm.NewAddressSpace(), 4, 2, 2)
 	a := mustTake(t, p, 0)
 	b := mustTake(t, p, 1)
-	if _, ok, _ := p.TryTake(0); ok {
-		t.Fatal("TryTake succeeded past the limit")
-	}
 	done := make(chan *Stack)
 	go func() { s, _ := p.Take(0); done <- s }()
 	deadline := time.Now().Add(5 * time.Second)

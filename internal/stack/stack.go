@@ -211,19 +211,11 @@ func (s *Stack) HasDummyPages() bool {
 	return s.region.DummyPages() > 0
 }
 
-// Branch records that child branched off this stack at its current
-// watermark — a new node in the cactus stack, created when a thief resumes
-// a stolen frame on a fresh stack. Branch may only be used when the caller
-// owns this stack; a thief branching off a stack another worker is still
-// executing on must use BranchAt with a previously captured depth.
-func (s *Stack) Branch(child *Stack) {
-	child.parent = s
-	child.parentDepth = s.top
-}
-
-// BranchAt is Branch with an explicit branch depth in bytes, for callers
-// that captured the depth earlier (e.g. at frame initialization) and must
-// not read the live watermark of a stack they do not own.
+// BranchAt records that child branched off this stack depth bytes up — a new
+// node in the cactus stack, created when a thief resumes a stolen frame on a
+// fresh stack. The thief does not own this stack and must not read its live
+// watermark, so the depth is one the owner captured earlier (at frame
+// initialization).
 func (s *Stack) BranchAt(child *Stack, depth int) {
 	child.parent = s
 	child.parentDepth = depth
@@ -235,9 +227,6 @@ func (s *Stack) ClearBranch() {
 	s.parent = nil
 	s.parentDepth = 0
 }
-
-// Parent returns the stack this one branched from, or nil at a root.
-func (s *Stack) Parent() *Stack { return s.parent }
 
 // CactusPath returns the stacks from this one back to the root of its
 // cactus-stack branch, with the byte depth contributed by each: the current

@@ -46,14 +46,6 @@ func Of(xs []float64) Summary {
 	return s
 }
 
-// RelStd returns the relative standard deviation (σ/μ), 0 for a zero mean.
-func (s Summary) RelStd() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Std / s.Mean
-}
-
 // String renders the summary compactly: "mean±std [min,max] (n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4g±%.2g [%.4g,%.4g] (n=%d)", s.Mean, s.Std, s.Min, s.Max, s.N)

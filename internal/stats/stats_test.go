@@ -34,12 +34,6 @@ func TestSingleton(t *testing.T) {
 	}
 }
 
-func TestRelStdZeroMean(t *testing.T) {
-	if got := (Summary{Mean: 0, Std: 1}).RelStd(); got != 0 {
-		t.Errorf("RelStd with zero mean = %g", got)
-	}
-}
-
 // Property: Min ≤ Mean ≤ Max and Std ≥ 0 for any finite sample.
 func TestQuickBounds(t *testing.T) {
 	prop := func(raw []int16) bool {

@@ -34,23 +34,3 @@ func (as *AddressSpace) Snapshot() Stats {
 		DummyTouches:  as.dummyTouches.Load(),
 	}
 }
-
-// Sub returns the counter deltas from an earlier snapshot, the analogue of
-// the paper's ΔRSS measurement (Table 4) generalized to every counter.
-// High-water fields keep the later snapshot's value.
-func (s Stats) Sub(earlier Stats) Stats {
-	return Stats{
-		RSSPages:      s.RSSPages - earlier.RSSPages,
-		MaxRSSPages:   s.MaxRSSPages,
-		VirtualPages:  s.VirtualPages - earlier.VirtualPages,
-		MaxVirtual:    s.MaxVirtual,
-		PageFaults:    s.PageFaults - earlier.PageFaults,
-		MMapCalls:     s.MMapCalls - earlier.MMapCalls,
-		MUnmapCalls:   s.MUnmapCalls - earlier.MUnmapCalls,
-		MadviseCalls:  s.MadviseCalls - earlier.MadviseCalls,
-		MadvisedPages: s.MadvisedPages - earlier.MadvisedPages,
-		RemapCalls:    s.RemapCalls - earlier.RemapCalls,
-		LockContended: s.LockContended - earlier.LockContended,
-		DummyTouches:  s.DummyTouches - earlier.DummyTouches,
-	}
-}

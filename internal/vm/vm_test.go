@@ -209,21 +209,6 @@ func TestMaxVirtualHighWater(t *testing.T) {
 	}
 }
 
-func TestStatsSub(t *testing.T) {
-	as := NewAddressSpace()
-	r, _ := as.MMap(4)
-	r.TouchRange(0, 2)
-	before := as.Snapshot()
-	r.TouchRange(2, 4)
-	delta := as.Snapshot().Sub(before)
-	if delta.PageFaults != 2 {
-		t.Errorf("delta faults = %d, want 2", delta.PageFaults)
-	}
-	if delta.RSSPages != 2 {
-		t.Errorf("delta RSS = %d, want 2", delta.RSSPages)
-	}
-}
-
 // TestConcurrentMadviseNoLock verifies that concurrent Madvise calls on
 // different regions never record address-space lock contention — the
 // design property (§4.3) that motivates madvise-based unmap.
