@@ -274,10 +274,12 @@ func TestForkScalesWithSecondWorker(t *testing.T) {
 // process. The bare pair is an eager Push into an empty deque and the Pop of
 // that public entry, so it pays the deque's two tail stores every time; the
 // node pays neither — its push is lazy and its pop private (DESIGN.md §6) —
-// and costs about 3 pairs. With those two stores inside it it cost about 4,
-// and with a shared read-modify-write per fork, per join and per counter on
-// top of them 7–8. The unit makes the bound the same on a fast host and a
-// slow one; a host that is holding a CPU back (see yardstick) is not judged.
+// and costs 1.6–1.7 pairs (46–48 ns against 28) now that one frame, Join's,
+// stands between a parent's body and its inline child's. With six frames a
+// level it cost 2.7, with the two tail stores inside it about 4, and with a
+// shared read-modify-write per fork, per join and per counter on top of them
+// 7–8. The unit makes the bound the same on a fast host and a slow one; a
+// host that is holding a CPU back (see yardstick) is not judged.
 func TestForkCostInDequeUnits(t *testing.T) {
 	switch {
 	case testing.Short():
@@ -329,8 +331,8 @@ func TestForkCostInDequeUnits(t *testing.T) {
 	if host > 1.2 {
 		t.Skipf("two plain goroutines take %.2fx the time of one: the host is not giving this process two CPUs", host)
 	}
-	if units > 6 {
-		t.Errorf("a fork/call/join node costs %.1f deque Push+Pop pairs, want <= 6: something on the owner's path is synchronizing again", units)
+	if units > 3 {
+		t.Errorf("a fork/call/join node costs %.1f deque Push+Pop pairs, want <= 3: the owner's path is synchronizing again, or has grown its frames back", units)
 	}
 }
 

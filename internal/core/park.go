@@ -53,7 +53,7 @@ import (
 // finishing its task, steals that something before the final sweep gets
 // there. The thief then sleeps while its victim holds private work — until
 // the victim's next deque operation, which finds the public part dry,
-// republishes and wakes (W.push, joinDrainLocal): at most one serial section
+// republishes and wakes (ForkArgSized, Join): at most one serial section
 // of the victim, never a lost wake-up.
 //
 // The final sweep runs WITHOUT mu: it is a full steal sweep, and under mu

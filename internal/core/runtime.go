@@ -205,7 +205,7 @@ func (c Config) withDefaults() Config {
 
 // worker is one worker slot: Listing 3's worker_t, a (deque, stack) pair.
 // The stack half lives on the goroutine currently occupying the slot (see
-// package comment); the slot itself carries the deque (PushLazy,
+// package comment); the slot itself carries the deque (Slot, PushSlot,
 // PopRepublish, Publish and LazyHint are the occupant's; StealIf and Len any
 // worker's), the steal RNG and its Scratch arena.
 //
@@ -500,7 +500,7 @@ func (rt *Runtime) spawnThief(slot *worker) {
 // the Gosched between sweeps runs every client, waiter and timer goroutine
 // sharing this P first. The slot counts as idle on the park lot whenever the
 // loop is not inside runStolen, which is what makes every Fork publish its
-// children rather than keep them private (W.push).
+// children rather than keep them private (ForkArgSized).
 func (rt *Runtime) thiefLoop(slot *worker) {
 	defer rt.goroutineWG.Done()
 	st := rt.takeStack(slot.id)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 	"unsafe"
@@ -122,7 +123,7 @@ func (w *W) drain(slot *worker, bot int64) {
 			return // thieves took the rest, and run what they took
 		}
 		w.rt.park.wake(republished)
-		w.exec(t)
+		w.exec(&t)
 	}
 }
 
@@ -152,28 +153,6 @@ func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
 	w.ForkArgSized(f, bytes, runClosure, closureArg(fn))
 }
 
-// push is the tail of every fork. The child goes on the slot's deque
-// lazily: it is published only if a probing thief would otherwise find
-// nothing, so a fork made while every worker slot is busy stores to no
-// shared word. Then — after the push, the publisher's half of the park lot's
-// Dekker pair — one atomic load of the idle-slot count: while any thief is
-// without a task — not yet run, searching, registered or asleep — every Fork
-// publishes what it holds and deposits a wake token per entry, as it always
-// did, so exactly P slots stay runnable whenever work exists (busy leaves),
-// a Fork made with a thief parked is stealable on return, and an owner
-// descheduled among hungry thieves leaves them its whole deque, not one
-// task. With nobody idle there is nobody to publish for: a worker that runs
-// out of work later sweeps after this push, and finds this deque's public
-// part non-empty unless another has emptied it since — in which case this
-// goroutine's next Fork or Pop republishes and wakes (joinDrainLocal).
-func (w *W) push(t *task) {
-	d := w.slot.deque
-	n := d.PushLazy(t)
-	if p := w.rt.park; p.nidle.Load() != 0 {
-		p.wake(n + d.Publish())
-	}
-}
-
 // ForkArg forks fn with an argument pointer instead of a closure — the
 // zero-allocation fork: the (code pointer, argument pointer) pair travels
 // through the deque by value, so the steady-state fast path performs no
@@ -188,7 +167,24 @@ func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 // ForkArgSized is ForkArg with an explicit simulated activation-frame size
 // in bytes for the child. It is the one fork body: every other Fork lands
 // here.
+//
+// The child is built in its ring slot and goes on the slot's deque lazily: it
+// is published only if a probing thief would otherwise find nothing, so a
+// fork made while every worker slot is busy stores to no shared word. Then —
+// after the push, the publisher's half of the park lot's Dekker pair — one
+// atomic load of the idle-slot count: while any thief is without a task —
+// not yet run, searching, registered or asleep — every Fork publishes what it
+// holds and deposits a wake token per entry, so exactly P slots stay runnable
+// whenever work exists (busy leaves), a Fork made with a thief parked is
+// stealable on return, and an owner descheduled among hungry thieves leaves
+// them its whole deque, not one task. With nobody idle there is nobody to
+// publish for: a worker that runs out of work later sweeps after this push,
+// and finds this deque's public part non-empty unless another has emptied it
+// since — then this goroutine's next Fork or Pop republishes and wakes (Join).
 func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
+	if uint(bytes) > math.MaxInt32 {
+		panic(fmt.Sprintf("core: forked frame size %d is negative or does not fit the task record's int32", bytes))
+	}
 	w.countFork(f)
 	if w.wantsFork {
 		w.rt.trc.Emit(w.slot.id, trace.KindFork, int64(w.depth), 0)
@@ -196,9 +192,13 @@ func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg u
 	if w.spawn != nil {
 		w.spawnPrologue(f, bytes)
 	}
-	var t task // filled in place: a literal is built in a temporary and copied
+	d := w.slot.deque
+	t := d.Slot()
 	t.fn, t.arg, t.frame, t.bytes, t.depth = fn, arg, f, int32(bytes), w.depth+1
-	w.push(&t)
+	n := d.PushSlot()
+	if p := w.rt.park; p.nidle.Load() != 0 {
+		p.wake(n + d.Publish())
+	}
 }
 
 // spawnPrologue is the spawn prologue of the strategies for which it is
@@ -270,10 +270,8 @@ func (w *W) CallArg(fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 // one call body.
 func (w *W) CallArgSized(bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 	w.calls++
-	base, err := w.stack.Push(bytes)
-	if err != nil {
-		panic(fmt.Sprintf("core: stack overflow in Call: %v", err))
-	}
+	base := w.stack.Bytes()
+	w.stack.Enter(bytes)
 	w.depth++
 	defer func() {
 		w.depth--
@@ -285,10 +283,8 @@ func (w *W) CallArgSized(bytes int, fn func(*W, unsafe.Pointer), arg unsafe.Poin
 // Alloca grows the current simulated frame by n bytes (touching any new
 // pages) and returns a release function, modelling variable-size frames.
 func (w *W) Alloca(n int) (release func()) {
-	base, err := w.stack.Push(n)
-	if err != nil {
-		panic(fmt.Sprintf("core: stack overflow in Alloca: %v", err))
-	}
+	base := w.stack.Bytes()
+	w.stack.Enter(n)
 	return func() { w.stack.Pop(base) }
 }
 
@@ -296,73 +292,14 @@ func (w *W) Alloca(n int) (release func()) {
 // If any child panicked, Join re-raises the first such panic as a
 // *TaskPanic — the C-elision point where the panic would have surfaced.
 // See the package comment for the per-strategy blocked-join behaviour.
-func (w *W) Join(f *Frame) {
-	if f.pending != 0 {
-		switch w.strategy {
-		// For the inline-stealing joins the eligibility closure captures f
-		// and escapes into rt.steal, so it heap-allocates at creation; the
-		// local drain runs first so the common join — children still in our
-		// own deque — never materializes it and stays on the 0-alloc path.
-		case StrategyTBB:
-			if !w.joinDrainLocal(f) {
-				w.joinInlineStealing(f, func(t task) bool { return t.depth > f.depth && countStolen(t) })
-			}
-		case StrategyLeapfrog:
-			if !w.joinDrainLocal(f) {
-				w.joinInlineStealing(f, func(t task) bool { return t.frame.isDescendantOf(f) && countStolen(t) })
-			}
-		default:
-			w.joinSuspending(f)
-		}
-	}
-	if tp := f.panicked.Load(); tp != nil {
-		f.panicked.Store(nil)
-		panic(tp)
-	}
-}
-
-// joinSuspending is the Fibril / Cilk Plus join: drain the local deque,
-// then suspend while stolen children are still running.
-func (w *W) joinSuspending(f *Frame) {
-	for !w.joinDrainLocal(f) {
-		// Every child still out was stolen; park until the last thief
-		// finishes and hands us a slot. suspend reports false when they
-		// finished in the race window, in which case the count is already
-		// zero.
-		if w.suspend(f) {
-			return
-		}
-	}
-}
-
-// joinInlineStealing is the TBB / leapfrog join: never park, steal eligible
-// deeper work and run it inline on our own stack. This keeps the worker on
-// one stack (no suspension, no extra stacks) at the cost of the time bound
-// (§3, Sukha's lower bound). take is the strategy's eligibility test with
-// countStolen behind it: an inline steal is a steal, counted on the stolen
-// child's frame under the victim's lock and uncounted when it has run.
-func (w *W) joinInlineStealing(f *Frame, take func(task) bool) {
-	for !w.joinDrainLocal(f) {
-		if t, ok := w.rt.steal(w, take); ok {
-			w.stats.restrictedSteals.Add(1)
-			slot, bot := w.slot, w.slot.deque.Bottom()
-			w.exec(t)
-			w.drain(slot, bot) // what t forked and a panic left unjoined
-			if w.childDone(t.frame) {
-				panic("core: inline task completion triggered a slot handoff")
-			}
-			continue
-		}
-		runtime.Gosched()
-	}
-}
-
-// joinDrainLocal is the owner's half of every join. While f may still have
-// children in our own deque it pops and runs them inline — the order
-// work-first execution would have run them in — touching no shared counter:
-// a child the owner pops back was never counted on the frame. A popped task
-// of another frame (an enclosing region's child, or one left behind by a
-// frame a panic abandoned) is run the same way and leaves f.pending alone.
+//
+// The owner's half of every join is the loop in here, the only frame between
+// a parent's body and the body of a child it runs inline. While f may still
+// have children in our own deque it pops and runs them — the order work-first
+// execution would have run them in — touching no shared counter: a child the
+// owner pops back was never counted on the frame. A popped task of another
+// frame (an enclosing region's child, or one left behind by a frame a panic
+// abandoned) is run the same way and leaves f.pending alone.
 //
 // A Pop that took a private entry and found the public part dry — a thief
 // has been here since this goroutine last looked — republishes what is left
@@ -376,41 +313,124 @@ func (w *W) joinInlineStealing(f *Frame, take func(task) bool) {
 // on f.count by its thief. That holds on whichever slot the goroutine
 // occupies — it only ever left a slot by suspending, which is to say after a
 // failed Pop there too, and the slot it resumed on was handed over empty
-// (drain).
+// (drain). Then f is done unless a stolen child is still running, which is
+// joinBlocked's business.
 //
-// It reports whether f is done: nothing left to pop and no stolen child
-// still running. Completions of stolen children can never resume this
-// goroutine from here (it is not parked), so there is no hand-off to check.
-func (w *W) joinDrainLocal(f *Frame) bool {
-	var t task
-	for f.pending > 0 {
-		republished, ok := w.slot.deque.PopRepublish(&t)
-		if !ok {
-			f.pending = 0
-			break
+// One deferred recover covers the region, not each child: it is installed
+// only when there is something to drain, and does anything only if a child's
+// body was running when it fired (childPanicked).
+func (w *W) Join(f *Frame) {
+	if f.pending != 0 {
+		depth, frame, top := w.depth, w.frame, w.stack.Bytes()
+		var t task
+		running := false
+		defer func() {
+			if running {
+				w.childPanicked(f, t.frame, recover(), depth, frame, top)
+			}
+		}()
+		for {
+			for f.pending > 0 {
+				republished, ok := w.slot.deque.PopRepublish(&t)
+				if !ok {
+					f.pending = 0
+					break
+				}
+				if republished > 0 {
+					w.rt.park.wake(republished)
+				}
+				if t.frame == f {
+					f.pending--
+				}
+				// exec's prologue and epilogue, in line. An overflow in
+				// Enter is this task's panic, not the child's.
+				w.stack.Enter(int(t.bytes))
+				w.depth, w.frame = t.depth, t.frame
+				running = true
+				t.fn(w, t.arg)
+				running = false
+				w.depth, w.frame = depth, frame
+				w.stack.Pop(top)
+			}
+			if f.count.Load() == 0 || w.joinBlocked(f) {
+				break
+			}
 		}
-		if republished > 0 {
-			w.rt.park.wake(republished)
-		}
-		if t.frame == f {
-			f.pending--
-		}
-		w.exec(t)
 	}
-	return f.count.Load() == 0
+	if tp := f.panicked.Load(); tp != nil {
+		f.panicked.Store(nil)
+		panic(tp)
+	}
+}
+
+// childPanicked is the panic path of Join's drain: the body of a child of
+// frame child, popped by Join(f), unwound into Join's deferred function,
+// which recovered v. The bookkeeping goes back to what it was when Join was
+// entered, the panic is recorded on the child's own frame — the first failure
+// wins; a nil v is a Goexit passing through — and Join is entered again, so
+// every remaining sibling runs before f's first failure is re-raised there.
+func (w *W) childPanicked(f, child *Frame, v any, depth int32, frame *Frame, top int) {
+	w.depth, w.frame = depth, frame
+	w.stack.Pop(top)
+	if v == nil {
+		return
+	}
+	child.panicked.CompareAndSwap(nil, capture(v))
+	w.Join(f)
+}
+
+// joinBlocked is one step of a Join whose own deque is empty while stolen
+// children of f still run; Join drains again after every step. It reports
+// whether f is known to be done.
+//
+// The Fibril / Cilk Plus join suspends: it parks until the last thief
+// finishes and hands it a slot, and is done when it wakes. suspend reports
+// false when the thieves finished in the race window: the count is zero.
+//
+// The TBB / leapfrog join never parks: it steals eligible deeper work and
+// runs it inline on its own stack. This keeps the worker on one stack (no
+// suspension, no extra stacks) at the cost of the time bound (§3, Sukha's
+// lower bound). take is the strategy's eligibility test with countStolen
+// behind it: an inline steal is a steal, counted on the stolen child's frame
+// under the victim's lock and uncounted when it has run. The closure over f
+// is built here, where the common join never comes.
+//
+//go:noinline
+func (w *W) joinBlocked(f *Frame) (done bool) {
+	var take func(task) bool
+	switch w.strategy {
+	case StrategyTBB:
+		take = func(t task) bool { return t.depth > f.depth && countStolen(t) }
+	case StrategyLeapfrog:
+		take = func(t task) bool { return t.frame.isDescendantOf(f) && countStolen(t) }
+	default:
+		return w.suspend(f)
+	}
+	t, ok := w.rt.steal(w, take)
+	if !ok {
+		runtime.Gosched()
+		return false
+	}
+	w.stats.restrictedSteals.Add(1)
+	slot, bot := w.slot, w.slot.deque.Bottom()
+	w.exec(&t)
+	w.drain(slot, bot) // what t forked and a panic left unjoined
+	if w.childDone(t.frame) {
+		panic("core: inline task completion triggered a slot handoff")
+	}
+	return false
 }
 
 // exec pushes the task's simulated frame, runs its body with depth/frame
-// context switched, and pops the frame. A panic escaping the task body is
-// captured on the parent frame (re-raised at its Join); for a root task
-// (no parent frame) it is captured on the task's Job, surfacing through
-// Job.Err without disturbing sibling jobs. Bookkeeping is restored either
-// way, so the worker survives.
-func (w *W) exec(t task) {
-	base, err := w.stack.Push(int(t.bytes))
-	if err != nil {
-		panic(fmt.Sprintf("core: stack overflow executing task: %v", err))
-	}
+// context switched, and pops the frame — for a task that is not its parent's
+// Join's to run: a root, a stolen child, one a panic left behind (drain). A
+// panic escaping the task body is captured on the parent frame (re-raised at
+// its Join); for a root task (no parent frame) it is captured on the task's
+// Job, surfacing through Job.Err without disturbing sibling jobs. Bookkeeping
+// is restored either way, so the worker survives.
+func (w *W) exec(t *task) {
+	base := w.stack.Bytes()
+	w.stack.Enter(int(t.bytes))
 	prevDepth, prevFrame := w.depth, w.frame
 	w.depth, w.frame = t.depth, t.frame
 	defer func() {
@@ -440,7 +460,7 @@ func (w *W) runRoot(t task) {
 	j := (*Job)(t.arg)
 	w.rt.trc.Emit(w.slot.id, trace.KindJobStart, int64(j.id), 0)
 	slot, bot := w.slot, w.slot.deque.Bottom()
-	w.exec(t)
+	w.exec(&t)
 	w.drain(slot, bot)
 	w.flushCounts()
 	w.rt.completeJob(w.slot.id, j)
@@ -470,7 +490,7 @@ func (w *W) runStolen(t task) {
 		t0 = time.Now()
 	}
 	slot, bot := w.slot, w.slot.deque.Bottom()
-	w.exec(t)
+	w.exec(&t)
 	var ran time.Duration
 	if !t0.IsZero() {
 		ran = time.Since(t0)

@@ -26,7 +26,7 @@ import (
 const initialCapacity = 64
 
 // Deque is a THE-protocol work-stealing deque with an owner-private bottom.
-// The zero value is ready to use. Push, PushLazy, Pop, PopRepublish and
+// The zero value is ready to use. Push, Slot, PushSlot, Pop, PopRepublish and
 // Publish may be called only by the owning worker; Steal and StealIf may be
 // called by any worker and see the public part only.
 //
@@ -65,34 +65,35 @@ type Deque[T any] struct {
 // Push adds t at the bottom of the deque and returns with it stealable.
 // Owner-only; never blocks on thieves except while growing the ring.
 func (d *Deque[T]) Push(t T) {
-	bot := d.bot
-	if d.buf == nil || int(bot-d.head.Load()) >= len(d.buf)-1 { // see PushLazy
-		d.grow(bot)
-	}
-	d.buf[bot&int64(len(d.buf)-1)] = t
-	d.bot = bot + 1
-	d.setTail(bot + 1) // over t and anything pushed lazily before it
+	*d.Slot() = t
+	d.bot++
+	d.setTail(d.bot) // over t and anything pushed lazily before it
 }
 
-// PushLazy adds *t at the bottom without synchronizing: it stays private
-// unless the public part is dry, in which case every private entry, the new
-// one included, is published. It reports how many entries it made stealable.
-// The entry is taken by pointer so that the fork path copies it once, from
-// where it was built into the ring. Owner-only.
-func (d *Deque[T]) PushLazy(t *T) int {
+// Slot returns the ring slot the next PushSlot will push, growing the ring
+// first if it is full, for the caller to build the entry in: a record built
+// elsewhere and copied in is copied with wide loads that wait for the
+// narrower stores that built it to leave the store buffer. What the slot
+// holds is stale. Owner-only.
+func (d *Deque[T]) Slot() *T {
 	bot := d.bot
-	tail := d.tail.Load()
-	head := d.head.Load()
 	// One slot of slack is reserved: a lock-holding thief advances head
 	// past an entry before it finishes reading it (claim first, inspect
 	// second), so the head observed here may be one past an entry still
 	// in use. Growing at len-1 keeps the ring from wrapping onto it.
-	if d.buf == nil || int(bot-head) >= len(d.buf)-1 {
+	if d.buf == nil || int(bot-d.head.Load()) >= len(d.buf)-1 {
 		d.grow(bot)
 	}
-	d.buf[bot&int64(len(d.buf)-1)] = *t
-	d.bot = bot + 1
-	if head < tail {
+	return &d.buf[bot&int64(len(d.buf)-1)]
+}
+
+// PushSlot pushes what the caller built in Slot without synchronizing: the
+// entry stays private unless the public part is dry, in which case every
+// private entry, the new one included, is published. It reports how many
+// entries it made stealable. Owner-only.
+func (d *Deque[T]) PushSlot() int {
+	d.bot++
+	if d.head.Load() < d.tail.Load() {
 		return 0
 	}
 	return d.Publish()

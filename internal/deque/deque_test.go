@@ -25,6 +25,13 @@ var (
 	_ dequeAPI[int] = (*Locked[int])(nil)
 )
 
+// PushLazy is the fork path's lazy push — build the entry in Slot, then
+// PushSlot — for tests, which push values they already hold.
+func (d *Deque[T]) PushLazy(t *T) int {
+	*d.Slot() = *t
+	return d.PushSlot()
+}
+
 func implementations() map[string]func() dequeAPI[int] {
 	return map[string]func() dequeAPI[int]{
 		"THE":    func() dequeAPI[int] { return &Deque[int]{} },

@@ -48,6 +48,11 @@ type Stack struct {
 	// or puts it back.
 	cleanFrom int
 
+	// fast is min(cleanFrom·PageSize, high), kept by setClean wherever either
+	// moves: a frame that ends at or below it has no overflow to report, no
+	// page to touch and no high-water mark to raise (Enter).
+	fast int
+
 	// Cactus linkage: the stack this one branched from, if any.
 	parent      *Stack
 	parentDepth int // byte watermark of parent at the branch point
@@ -94,6 +99,33 @@ func (s *Stack) ResidentPages() int { return s.region.ResidentPages() }
 // simulator to charge per-fault latency to the owning worker.
 func (s *Stack) Faults() int64 { return s.region.Faults() }
 
+// setClean is every store to cleanFrom, and follows every store to high, so
+// that fast stays what its comment says.
+func (s *Stack) setClean(page int) {
+	s.cleanFrom = page
+	s.fast = min(page*vm.PageSize, s.high)
+}
+
+// Enter is Push for a caller to whom an overflow is fatal and who has read
+// the frame's base already (Bytes) — the scheduler's function prologue. It
+// inlines; only a frame that ends above fast leaves the caller's code. The
+// test is on the room left, signed, which a released stack (fast zero, any
+// watermark) never has.
+func (s *Stack) Enter(bytes int) {
+	if bytes < 0 || bytes > s.fast-s.top {
+		s.enterSlow(bytes)
+		return
+	}
+	s.top += bytes
+}
+
+//go:noinline
+func (s *Stack) enterSlow(bytes int) {
+	if _, err := s.Push(bytes); err != nil {
+		panic(fmt.Sprintf("stack overflow: %v", err))
+	}
+}
+
 // Push allocates a frame of the given byte size, touching (faulting in)
 // any new pages it spans, and returns the frame's base offset. It fails if
 // the stack would overflow, the analogue of running off a real 1 MB stack.
@@ -107,14 +139,14 @@ func (s *Stack) Push(bytes int) (base int, err error) {
 			s.id, s.top, bytes, s.CapacityBytes())
 	}
 	base = s.top
-	if p := vm.PageAlign(newTop); bytes > 0 && p > s.cleanFrom {
-		s.region.TouchRange(base/vm.PageSize, p)
-		s.cleanFrom = p
+	p := s.cleanFrom
+	if q := vm.PageAlign(newTop); bytes > 0 && q > p {
+		s.region.TouchRange(base/vm.PageSize, q)
+		p = q
 	}
 	s.top = newTop
-	if newTop > s.high {
-		s.high = newTop
-	}
+	s.high = max(s.high, newTop)
+	s.setClean(p)
 	return base, nil
 }
 
@@ -122,9 +154,14 @@ func (s *Stack) Push(bytes int) (base int, err error) {
 // function epilogue restores the stack pointer.
 func (s *Stack) Pop(base int) {
 	if base < 0 || base > s.top {
-		panic(fmt.Sprintf("stack %d: Pop to %d with top %d", s.id, base, s.top))
+		s.badPop(base)
 	}
 	s.top = base
+}
+
+//go:noinline
+func (s *Stack) badPop(base int) {
+	panic(fmt.Sprintf("stack %d: Pop to %d with top %d", s.id, base, s.top))
 }
 
 // SetWatermark forces the watermark, used when resuming a suspended frame
@@ -134,9 +171,8 @@ func (s *Stack) SetWatermark(bytes int) {
 		panic(fmt.Sprintf("stack %d: SetWatermark(%d)", s.id, bytes))
 	}
 	s.top = bytes
-	if bytes > s.high {
-		s.high = bytes
-	}
+	s.high = max(s.high, bytes)
+	s.setClean(s.cleanFrom)
 }
 
 // UnmapAbove returns the unused pages above the live watermark to the OS
@@ -146,7 +182,7 @@ func (s *Stack) SetWatermark(bytes int) {
 // It returns the number of physical pages freed.
 func (s *Stack) UnmapAbove() int {
 	freed := s.region.Madvise(s.Pages(), s.Capacity())
-	s.cleanFrom = s.Pages()
+	s.setClean(s.Pages())
 	return freed
 }
 
@@ -154,7 +190,7 @@ func (s *Stack) UnmapAbove() int {
 // the unused pages to a dummy file, taking the address-space lock.
 func (s *Stack) MapDummyAbove() int {
 	freed := s.region.MapDummy(s.Pages(), s.Capacity())
-	s.cleanFrom = s.Pages()
+	s.setClean(s.Pages())
 	return freed
 }
 
@@ -180,7 +216,7 @@ func (s *Stack) UnmapFrom(from int) (freed int, called bool) {
 		return 0, false
 	}
 	freed = s.region.Madvise(from, s.cleanFrom)
-	s.cleanFrom = from
+	s.setClean(from)
 	return freed, true
 }
 
@@ -194,7 +230,7 @@ func (s *Stack) ReclaimResidue() (freed int, called bool) {
 		return 0, false
 	}
 	freed = s.region.Madvise(0, s.cleanFrom)
-	s.cleanFrom = 0
+	s.setClean(0)
 	return freed, true
 }
 
@@ -249,5 +285,5 @@ func (s *Stack) CactusPath() (stacks []*Stack, bytes []int) {
 // panics in the region ("use of unmapped region").
 func (s *Stack) Release() {
 	s.region.MUnmap()
-	s.cleanFrom = 0
+	s.setClean(0)
 }

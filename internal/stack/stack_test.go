@@ -94,16 +94,27 @@ func TestPushBelowCleanFromStillFaultsAfterUnmap(t *testing.T) {
 	regrow("UnmapFrom", func(s *Stack) { s.UnmapFrom(s.Pages()) })
 	regrow("MapDummyAbove", func(s *Stack) { s.MapDummyAbove(); s.RemapAbove() })
 
-	_, s := newStack(t, 8)
-	base, _ := s.Push(2 * vm.PageSize)
-	s.Pop(base)
-	s.Release()
-	defer func() {
-		if v := recover(); v != "vm: use of unmapped region" {
-			t.Errorf("Push on a released stack: recovered %v, want the region's panic", v)
-		}
-	}()
-	s.Push(16)
+	// Released with a frame still on it: a frame that would fit under the
+	// pages it had resident has to reach the region, through Push and through
+	// Enter's two compares alike.
+	for name, push := range map[string]func(*Stack){
+		"Push":  func(s *Stack) { s.Push(16) },
+		"Enter": func(s *Stack) { s.Enter(16) },
+	} {
+		_, s := newStack(t, 8)
+		base, _ := s.Push(2 * vm.PageSize)
+		s.Pop(base)
+		s.Push(100)
+		s.Release()
+		func() {
+			defer func() {
+				if v := recover(); v != "vm: use of unmapped region" {
+					t.Errorf("%s on a released stack: recovered %v, want the region's panic", name, v)
+				}
+			}()
+			push(s)
+		}()
+	}
 }
 
 func TestOverflow(t *testing.T) {
