@@ -1,9 +1,10 @@
 // Command fibril-check soak-tests the scheduler with the conformance
 // harness (internal/check): it generates seeded random fork-join programs,
 // runs each across the full executor matrix — real runtime × worker
-// counts, plus both simulator engines — and checks every invariant oracle. On a violation it shrinks the generator
-// parameters to a minimal failing configuration and prints the replay
-// command, then exits 1.
+// counts, plus both simulator engines — and checks every invariant oracle.
+// On a violation it halves the program's node budget while the violation
+// persists and prints a replay command that carries the whole
+// configuration of the failing run, then exits 1.
 //
 // Usage:
 //
@@ -12,7 +13,7 @@
 //	fibril-check -duration 2m       # time-bounded soak
 //	fibril-check -seed 0x2a         # replay one seed
 //	fibril-check -panics            # panicking leaves, abandoned children (real runtime only)
-//	fibril-check -batch 8 -ceiling 512  # coalesced unmap + RSS ceiling
+//	fibril-check -ceiling 64        # soft RSS ceiling on the real-runtime legs
 //	go test -race ... is unnecessary; build the soak itself with -race:
 //	go run -race ./cmd/fibril-check -n 500
 package main
@@ -20,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,137 +30,66 @@ import (
 	"fibril/internal/core"
 )
 
-func main() {
-	var (
-		seedFlag = flag.Uint64("seed", 0, "replay exactly this seed and exit (0 with -n: soak from seed 0)")
-		oneSeed  = flag.Bool("one", false, "treat -seed as a single replay even when it is 0")
-		n        = flag.Int("n", 200, "number of seeds to soak (ignored with -one or -duration)")
-		duration = flag.Duration("duration", 0, "soak for this long instead of a fixed seed count")
-		workers  = flag.String("workers", "1,2,4", "comma-separated real-runtime worker counts")
-		strat    = flag.String("strategy", "fibril", "strategy: fibril, nounmap, mmap, cilkplus, tbb, leapfrog")
-		panics   = flag.Bool("panics", false, "inject panics: 25% of leaves panic and 8% of interior nodes abandon their forked children (disables the simulator legs)")
-		nodes    = flag.Int("nodes", 0, "override Params.MaxNodes (0 = default)")
-		nosim    = flag.Bool("nosim", false, "skip the simulator legs")
-		batch    = flag.Int("batch", 0, "Config.UnmapBatch for the real-runtime legs (0/1 = eager)")
-		ceiling  = flag.Int64("ceiling", 0, "Config.MaxResidentPages for the real-runtime legs (0 = off)")
-		quiet    = flag.Bool("q", false, "suppress the progress line")
-	)
-	flag.Parse()
+// config is the parsed command line. The first six fields choose the
+// generated program and the executor matrix — what a replay must carry;
+// the rest choose which seeds are run.
+type config struct {
+	workers  string
+	strategy string
+	panics   bool
+	nosim    bool
+	ceiling  int64
+	nodes    int
 
-	opts, err := parseOptions(*workers, *strat, *nosim || *panics, *batch, *ceiling)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fibril-check:", err)
-		os.Exit(2)
-	}
-	params := check.Params{MaxNodes: *nodes}
-	if *panics {
-		params.PanicPct = 25
-	}
-
-	if *oneSeed || *seedFlag != 0 {
-		if err := runSeed(*seedFlag, params, opts); err != nil {
-			report(*seedFlag, params, opts, err)
-			os.Exit(1)
-		}
-		fmt.Printf("seed %#x: conformant (%v)\n", *seedFlag, check.Generate(*seedFlag, params))
-		return
-	}
-
-	start := time.Now()
-	checked := 0
-	for seed := uint64(0); ; seed++ {
-		if *duration > 0 {
-			if time.Since(start) > *duration {
-				break
-			}
-		} else if checked >= *n {
-			break
-		}
-		if err := runSeed(seed, params, opts); err != nil {
-			report(seed, params, opts, err)
-			os.Exit(1)
-		}
-		checked++
-		if !*quiet && checked%50 == 0 {
-			fmt.Printf("... %d seeds conformant (%.1fs)\n", checked, time.Since(start).Seconds())
-		}
-	}
-	secs := time.Since(start).Seconds()
-	fmt.Printf("fibril-check: %d seeds conformant in %.1fs — %d legs per seed, %.0f seeds/s (matrix: workers=%s strategy=%s)\n",
-		checked, secs, opts.Legs(), float64(checked)/secs, *workers, *strat)
+	seed     uint64
+	one      bool
+	n        int
+	duration time.Duration
+	quiet    bool
 }
 
-func runSeed(seed uint64, params check.Params, opts check.Options) error {
-	return check.Differential(check.Generate(seed, params), opts)
+func parseFlags(args []string, errOut io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("fibril-check", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.Uint64Var(&c.seed, "seed", 0, "replay exactly this seed and exit (0 with -n: soak from seed 0)")
+	fs.BoolVar(&c.one, "one", false, "treat -seed as a single replay even when it is 0")
+	fs.IntVar(&c.n, "n", 200, "number of seeds to soak (ignored with -one or -duration)")
+	fs.DurationVar(&c.duration, "duration", 0, "soak for this long instead of a fixed seed count")
+	fs.StringVar(&c.workers, "workers", "1,2,4", "comma-separated real-runtime worker counts")
+	fs.StringVar(&c.strategy, "strategy", "fibril", "strategy: fibril, nounmap, mmap, cilkplus, tbb, leapfrog")
+	fs.BoolVar(&c.panics, "panics", false, "inject panics: 25% of leaves panic and 8% of interior nodes abandon their forked children (disables the simulator legs)")
+	fs.IntVar(&c.nodes, "nodes", 0, "override Params.MaxNodes (0 = default)")
+	fs.BoolVar(&c.nosim, "nosim", false, "skip the simulator legs")
+	fs.Int64Var(&c.ceiling, "ceiling", 0, "Config.MaxResidentPages for the real-runtime legs (0 = off)")
+	fs.BoolVar(&c.quiet, "q", false, "suppress the progress line")
+	err := fs.Parse(args)
+	return c, err
 }
 
-// report prints the violation, then shrinks: it searches for smaller
-// generator parameters under which the same seed still fails, so the
-// replayed counterexample is as small as the bug allows.
-func report(seed uint64, params check.Params, opts check.Options, err error) {
-	fmt.Fprintf(os.Stderr, "fibril-check: VIOLATION at seed %#x\n%v\n\n%v\n",
-		seed, check.Generate(seed, params), err)
-	small, serr := shrink(seed, params, opts)
-	if serr != nil {
-		p := check.Generate(seed, small)
-		fmt.Fprintf(os.Stderr, "\nshrunk to %v\n  params: %v\n  first violation:\n%v\n",
-			p, small.String(), firstLine(serr))
-		fmt.Fprintf(os.Stderr, "\nreplay: go run ./cmd/fibril-check -one -seed %#x -nodes %d\n",
-			seed, p.Params.MaxNodes)
-		return
+// params are the generator parameters the command line selects.
+func (c config) params() check.Params {
+	p := check.Params{MaxNodes: c.nodes}
+	if c.panics {
+		p.PanicPct = 25
 	}
-	fmt.Fprintf(os.Stderr, "\nreplay: go run ./cmd/fibril-check -one -seed %#x\n", seed)
+	return p
 }
 
-// shrink lowers the structural parameters while the violation persists.
-// The generator is deterministic in (seed, params), so each candidate is
-// a cheap re-run; the last failing configuration wins.
-func shrink(seed uint64, params check.Params, opts check.Options) (check.Params, error) {
-	err := runSeed(seed, params, opts)
-	if err == nil {
-		return params, nil
+// options is the executor matrix the command line selects.
+func (c config) options() (check.Options, error) {
+	opts := check.Options{
+		Mem:   []check.MemParams{{MaxResidentPages: c.ceiling}},
+		NoSim: c.nosim || c.panics,
 	}
-	best, bestErr := params.WithDefaults(), err
-	for improved := true; improved; {
-		improved = false
-		for _, cand := range []check.Params{
-			{MaxNodes: best.MaxNodes / 2, MaxDepth: best.MaxDepth, MaxFanout: best.MaxFanout, MaxCalls: best.MaxCalls, MaxWork: best.MaxWork, FrameMin: best.FrameMin, FrameMax: best.FrameMax, LoopPct: best.LoopPct, PanicPct: best.PanicPct},
-			{MaxNodes: best.MaxNodes, MaxDepth: best.MaxDepth - 1, MaxFanout: best.MaxFanout, MaxCalls: best.MaxCalls, MaxWork: best.MaxWork, FrameMin: best.FrameMin, FrameMax: best.FrameMax, LoopPct: best.LoopPct, PanicPct: best.PanicPct},
-			{MaxNodes: best.MaxNodes, MaxDepth: best.MaxDepth, MaxFanout: best.MaxFanout - 1, MaxCalls: best.MaxCalls, MaxWork: best.MaxWork, FrameMin: best.FrameMin, FrameMax: best.FrameMax, LoopPct: best.LoopPct, PanicPct: best.PanicPct},
-			{MaxNodes: best.MaxNodes, MaxDepth: best.MaxDepth, MaxFanout: best.MaxFanout, MaxCalls: best.MaxCalls, MaxWork: best.MaxWork, FrameMin: best.FrameMin, FrameMax: best.FrameMax, LoopPct: 0, PanicPct: best.PanicPct},
-		} {
-			if cand.MaxNodes < 1 || cand.MaxDepth < 1 || cand.MaxFanout < 1 {
-				continue
-			}
-			if cerr := runSeed(seed, cand, opts); cerr != nil {
-				best, bestErr = cand.WithDefaults(), cerr
-				improved = true
-				break
-			}
-		}
-	}
-	return best, bestErr
-}
-
-func firstLine(err error) string {
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-func parseOptions(workers, strat string, nosim bool, batch int, ceiling int64) (check.Options, error) {
-	var opts check.Options
-	opts.Mem = []check.MemParams{{UnmapBatch: batch, MaxResidentPages: ceiling}}
-	for _, w := range strings.Split(workers, ",") {
+	for _, w := range strings.Split(c.workers, ",") {
 		var n int
 		if _, err := fmt.Sscanf(strings.TrimSpace(w), "%d", &n); err != nil || n < 1 {
 			return opts, fmt.Errorf("bad -workers entry %q", w)
 		}
 		opts.Workers = append(opts.Workers, n)
 	}
-	switch strings.TrimSpace(strat) {
+	switch strings.TrimSpace(c.strategy) {
 	case "fibril":
 		opts.Strategies = []core.Strategy{core.StrategyFibril}
 	case "nounmap":
@@ -172,8 +103,118 @@ func parseOptions(workers, strat string, nosim bool, batch int, ceiling int64) (
 	case "leapfrog":
 		opts.Strategies = []core.Strategy{core.StrategyLeapfrog}
 	default:
-		return opts, fmt.Errorf("bad -strategy %q", strat)
+		return opts, fmt.Errorf("bad -strategy %q", c.strategy)
 	}
-	opts.NoSim = nosim
 	return opts, nil
+}
+
+// replayLine is the command that re-runs seed with nodes as the node budget
+// under c's program and matrix flags: parsing it yields the params and
+// options of the run it was printed for. The generator is deterministic in
+// (seed, params), so that is the same program on the same executors.
+func (c config) replayLine(seed uint64, nodes int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "go run ./cmd/fibril-check -one -seed %#x -nodes %d -workers %s -strategy %s",
+		seed, nodes, strings.ReplaceAll(c.workers, " ", ""), strings.TrimSpace(c.strategy))
+	if c.panics {
+		b.WriteString(" -panics")
+	}
+	if c.nosim {
+		b.WriteString(" -nosim")
+	}
+	if c.ceiling != 0 {
+		fmt.Fprintf(&b, " -ceiling %d", c.ceiling)
+	}
+	return b.String()
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	opts, err := c.options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fibril-check:", err)
+		os.Exit(2)
+	}
+	params := c.params()
+
+	if c.one || c.seed != 0 {
+		if err := runSeed(c.seed, params, opts); err != nil {
+			report(c, c.seed, params, opts, err)
+			os.Exit(1)
+		}
+		fmt.Printf("seed %#x: conformant (%v)\n", c.seed, check.Generate(c.seed, params))
+		return
+	}
+
+	start := time.Now()
+	checked := 0
+	for seed := uint64(0); ; seed++ {
+		if c.duration > 0 {
+			if time.Since(start) > c.duration {
+				break
+			}
+		} else if checked >= c.n {
+			break
+		}
+		if err := runSeed(seed, params, opts); err != nil {
+			report(c, seed, params, opts, err)
+			os.Exit(1)
+		}
+		checked++
+		if !c.quiet && checked%50 == 0 {
+			fmt.Printf("... %d seeds conformant (%.1fs)\n", checked, time.Since(start).Seconds())
+		}
+	}
+	secs := time.Since(start).Seconds()
+	fmt.Printf("fibril-check: %d seeds conformant in %.1fs — %d legs per seed, %.0f seeds/s (matrix: workers=%s strategy=%s)\n",
+		checked, secs, opts.Legs(), float64(checked)/secs, c.workers, c.strategy)
+}
+
+func runSeed(seed uint64, params check.Params, opts check.Options) error {
+	return check.Differential(check.Generate(seed, params), opts)
+}
+
+// report prints the violation, shrinks it, and prints the command that
+// replays the shrunk program on the executors that failed.
+func report(c config, seed uint64, params check.Params, opts check.Options, err error) {
+	fmt.Fprintf(os.Stderr, "fibril-check: VIOLATION at seed %#x\n%v\n\n%v\n",
+		seed, check.Generate(seed, params), err)
+	small, serr := shrink(seed, params, opts)
+	if serr != nil {
+		fmt.Fprintf(os.Stderr, "\nshrunk to %v\n  params: %v\n  first violation:\n%v\n",
+			check.Generate(seed, small), small, firstLine(serr))
+	}
+	fmt.Fprintf(os.Stderr, "\nreplay: %s\n", c.replayLine(seed, small.MaxNodes))
+}
+
+// shrink halves the node budget — the one generator parameter the replay
+// line can carry — while the violation persists, and returns the smallest
+// failing parameters with their error. A violation that does not reproduce
+// on the first re-run comes back as the parameters given and a nil error.
+func shrink(seed uint64, params check.Params, opts check.Options) (check.Params, error) {
+	best := params.WithDefaults()
+	bestErr := runSeed(seed, best, opts)
+	for cand := best; bestErr != nil && cand.MaxNodes > 1; {
+		cand.MaxNodes /= 2
+		cerr := runSeed(seed, cand, opts)
+		if cerr == nil {
+			break
+		}
+		best, bestErr = cand, cerr
+	}
+	return best, bestErr
+}
+
+func firstLine(err error) string {
+	s := err.Error()
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }

@@ -21,10 +21,9 @@ var (
 	testSupport = []string{"internal/check", "internal/cacheline/layouttest"}
 	// Inspection and construction helpers tests are built on, their own
 	// package's or core's: ShardedPool.Drain, invoke.Leaf, Region.Base,
-	// Region.Resident, sim.Result.Speedup, Deque.TailStores (the count
-	// TestUnstolenForkStaysPrivate pins) and Stack.CactusPath (the one reader
-	// of the cactus links BranchAt writes).
-	testFixtures = []string{"Drain", "Leaf", "Base", "Resident", "Speedup", "TailStores", "CactusPath"}
+	// Region.Resident, sim.Result.Speedup and Deque.TailStores (the count
+	// TestUnstolenForkStaysPrivate pins).
+	testFixtures = []string{"Drain", "Leaf", "Base", "Resident", "Speedup", "TailStores"}
 )
 
 // TestInternalExportsAreUsed keeps internal/ to what the program uses: every

@@ -151,21 +151,14 @@ func TestDifferentialAdversarialParams(t *testing.T) {
 	}
 }
 
-// TestDifferentialMemoryEngine runs the seed range through the two
-// non-default memory-pressure-engine configurations (every other test
-// here runs the default, eager unmap with no ceiling): coalesced unmap,
-// and coalescing plus a soft RSS ceiling low enough that the pressure
-// valve fires on real programs.
-// Every oracle — including the Unmaps/ReclaimCancels/ReclaimSkips
-// conservation law and the ceiling accounting — is checked on each leg.
+// TestDifferentialMemoryEngine runs the seed range under a soft RSS
+// ceiling low enough that the pressure valve fires on real programs (every
+// other test here runs with no ceiling). Every oracle — Unmaps == Suspends
+// and the ceiling accounting included — is checked on each leg.
 func TestDifferentialMemoryEngine(t *testing.T) {
 	n := 16
 	if testing.Short() {
 		n = 4
-	}
-	mems := []MemParams{
-		{UnmapBatch: 4},
-		{UnmapBatch: 4, MaxResidentPages: 64},
 	}
 	for seed := 0; seed < n; seed++ {
 		seed := uint64(seed)
@@ -174,7 +167,7 @@ func TestDifferentialMemoryEngine(t *testing.T) {
 			p := Generate(seed, Params{})
 			opts := Options{
 				Workers: []int{1, 4},
-				Mem:     mems,
+				Mem:     []MemParams{{MaxResidentPages: 64}},
 				NoSim:   true, // sim legs ignore Mem; covered elsewhere
 			}
 			if err := Differential(p, opts); err != nil {

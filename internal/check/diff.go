@@ -14,10 +14,9 @@ type Options struct {
 	// Strategies are the scheduling strategies, applied to the real runtime
 	// and the simulators. Default {Fibril}.
 	Strategies []core.Strategy
-	// Mem are the memory-pressure-engine configurations each real-runtime
-	// leg is run with. Default {{}} — the default engine (eager unmap, no
-	// ceiling). The simulators do not model the engine, so the sim legs
-	// ignore this.
+	// Mem are the RSS ceilings each real-runtime leg is run with. Default
+	// {{}} — no ceiling. The simulators do not model the ceiling, so the
+	// sim legs ignore this.
 	Mem []MemParams
 	// SimWorkers are the simulator worker counts, run with both the
 	// help-first and the work-first engine. Default {1, 3}; nil-able via

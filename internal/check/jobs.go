@@ -28,7 +28,6 @@ type JobsExec struct {
 	Stats    core.Stats
 	Queued   int   // tasks left in deques after Close (must be 0)
 	Parked   int   // thieves still parked after Close (must be 0)
-	Pending  int   // live reclaim tickets after Close (must be 0)
 	Backlog  int   // Scratch blocks parked on remote-free lists
 	Inflight int   // InflightJobs after Close (must be 0)
 	JobQueue int   // QueuedJobs after Close (must be 0)
@@ -85,7 +84,6 @@ func RunRealJobs(ps []*Program, workers int, strat core.Strategy) JobsExec {
 	e.Trace = SummarizeTrace(rec)
 	e.Queued = rt.QueuedTasks()
 	e.Parked = rt.ParkedThieves()
-	e.Pending = rt.PendingReclaims()
 	e.Backlog = rt.RemoteFreeBacklog()
 	e.Inflight = rt.InflightJobs()
 	e.JobQueue = rt.QueuedJobs()
@@ -149,7 +147,7 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 	if e.CloseErr != nil {
 		v.failf("graceful Close returned %v, want nil", e.CloseErr)
 	}
-	v.checkQuiescent("Close", e.Queued, e.Parked, e.Pending, e.Inflight)
+	v.checkQuiescent("Close", e.Queued, e.Parked, e.Inflight)
 	if e.JobQueue != 0 {
 		v.failf("QueuedJobs=%d after Close, want 0", e.JobQueue)
 	}
@@ -228,7 +226,6 @@ type StressExec struct {
 	Stats    core.Stats
 	Queued   int
 	Parked   int
-	Pending  int
 	Inflight int
 	JobQueue int
 	CloseErr error
@@ -275,7 +272,6 @@ func RunJobStress(k, m, workers int) StressExec {
 	e.Trace = SummarizeTrace(rec)
 	e.Queued = rt.QueuedTasks()
 	e.Parked = rt.ParkedThieves()
-	e.Pending = rt.PendingReclaims()
 	e.Inflight = rt.InflightJobs()
 	e.JobQueue = rt.QueuedJobs()
 	return e
@@ -316,7 +312,7 @@ func CheckJobStress(k, m int, e StressExec) error {
 	if e.CloseErr != nil {
 		v.failf("graceful Close returned %v, want nil", e.CloseErr)
 	}
-	v.checkQuiescent("Close", e.Queued, e.Parked, e.Pending, e.Inflight)
+	v.checkQuiescent("Close", e.Queued, e.Parked, e.Inflight)
 	if e.JobQueue != 0 {
 		v.failf("QueuedJobs=%d after Close, want 0", e.JobQueue)
 	}

@@ -72,17 +72,14 @@ func (v *violations) checkCounts(p *Program, counts []uint32) {
 }
 
 // checkQuiescent asserts busy-leaves quiescence: the run (or the serving
-// runtime's Close) may not return while work, a parked thief, a deferred
-// unmap or an admitted job remains.
-func (v *violations) checkQuiescent(when string, queued, parked, pending, inflight int) {
+// runtime's Close) may not return while work, a parked thief or an admitted
+// job remains.
+func (v *violations) checkQuiescent(when string, queued, parked, inflight int) {
 	if queued != 0 {
 		v.failf("%d tasks left in deques after %s", queued, when)
 	}
 	if parked != 0 {
 		v.failf("%d thieves still parked after %s", parked, when)
-	}
-	if pending != 0 {
-		v.failf("%d reclaim tickets still live after %s", pending, when)
 	}
 	if inflight != 0 {
 		v.failf("InflightJobs=%d after %s, want 0", inflight, when)
@@ -111,7 +108,7 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 		return v.err() // counters are meaningless after an unwound run
 	}
 	v.checkCounts(p, e.Counts)
-	v.checkQuiescent("Run", e.Queued, e.Parked, e.Pending, e.Inflight)
+	v.checkQuiescent("Run", e.Queued, e.Parked, e.Inflight)
 
 	// Serving-lifecycle conservation: a one-shot Run is exactly one Submit
 	// on the Start/Submit/Close machinery, so the job counters must read
@@ -175,24 +172,11 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 		}
 	}
 
-	// Stack-management discipline per strategy. StrategyFibril with
-	// UnmapBatch > 1 runs the coalesced engine: every suspend resolves
-	// exactly once as a flushed unmap, a resume-cancelled ticket, or a
-	// hysteresis skip, so the eager equality Unmaps == Suspends relaxes to
-	// that conservation law (and tightens back — the three coalesced
-	// counters must be exactly zero in every other mode).
-	coalesced := st.Strategy == core.StrategyFibril && e.Mem.UnmapBatch > 1
-	switch {
-	case coalesced:
-		if got := st.Unmaps + st.ReclaimCancels + st.ReclaimSkips; got != st.Suspends {
-			v.failf("Unmaps=%d + ReclaimCancels=%d + ReclaimSkips=%d = %d != Suspends=%d",
-				st.Unmaps, st.ReclaimCancels, st.ReclaimSkips, got, st.Suspends)
-		}
-		if st.UnmapBatches > st.Unmaps {
-			v.failf("UnmapBatches=%d > Unmaps=%d (a counted batch flushed nothing)",
-				st.UnmapBatches, st.Unmaps)
-		}
-	case st.Strategy == core.StrategyFibril, st.Strategy == core.StrategyFibrilMMap:
+	// Stack-management discipline per strategy: the paper's rule (Listing 3
+	// line 63) is that every suspend unmaps, there and then — with or
+	// without a ceiling.
+	switch st.Strategy {
+	case core.StrategyFibril, core.StrategyFibrilMMap:
 		if st.Unmaps != st.Suspends {
 			v.failf("Unmaps=%d != Suspends=%d", st.Unmaps, st.Suspends)
 		}
@@ -200,10 +184,6 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 		if st.Unmaps != 0 {
 			v.failf("strategy %v performed %d unmaps, want 0", st.Strategy, st.Unmaps)
 		}
-	}
-	if !coalesced && (st.UnmapBatches != 0 || st.ReclaimCancels != 0 || st.ReclaimSkips != 0) {
-		v.failf("eager mode has coalesced counters batches=%d cancels=%d skips=%d, want all 0",
-			st.UnmapBatches, st.ReclaimCancels, st.ReclaimSkips)
 	}
 	// RSS-ceiling discipline: with no ceiling the pressure valve may never
 	// fire; with one, every madvise call and page is attributed either to
@@ -364,7 +344,7 @@ func CheckRealPanic(p *Program, e RealExec) error {
 		v.failf("injected panic names unknown node %d", ip.Node)
 	}
 	v.checkCounts(p, e.Counts)
-	v.checkQuiescent("panicked Run", e.Queued, e.Parked, e.Pending, e.Inflight)
+	v.checkQuiescent("panicked Run", e.Queued, e.Parked, e.Inflight)
 	st := e.Stats
 	// A panicking root still completes its Job — the panic is captured and
 	// re-raised by Run, not leaked mid-flight — so the K=1 job conservation

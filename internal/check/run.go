@@ -153,21 +153,19 @@ func (p *Program) compile(n *Node, counts []uint32) func(*core.W) {
 	}
 }
 
-// MemParams selects the memory-pressure-engine knobs of a real-runtime
-// leg. The zero value is the default engine configuration (eager unmap, no
-// ceiling); the oracles read the params to pick between the eager
-// equalities and the coalesced conservation laws.
+// MemParams is the memory knob of a real-runtime leg: the soft RSS ceiling.
+// The zero value is the default (no ceiling); the oracles read it to decide
+// whether the ceiling's counters may move.
 type MemParams struct {
-	UnmapBatch       int
 	MaxResidentPages int64
 }
 
-// String renders the non-default knobs, empty for the zero value.
+// String renders the ceiling, empty for the zero value.
 func (mp MemParams) String() string {
 	if mp == (MemParams{}) {
 		return ""
 	}
-	return fmt.Sprintf("batch=%d,ceiling=%d", mp.UnmapBatch, mp.MaxResidentPages)
+	return fmt.Sprintf("ceiling=%d", mp.MaxResidentPages)
 }
 
 // RealExec is the observable outcome of one real-runtime execution.
@@ -178,7 +176,6 @@ type RealExec struct {
 	Stats     core.Stats
 	Queued    int          // tasks left in deques at quiescence (must be 0)
 	Parked    int          // thieves still parked at quiescence (must be 0)
-	Pending   int          // live reclaim tickets at quiescence (must be 0)
 	Inflight  int          // InflightJobs at quiescence (must be 0)
 	Backlog   int          // Scratch blocks parked on remote-free lists at quiescence
 	MaxHW     int          // largest per-stack high-water mark, in pages
@@ -213,7 +210,6 @@ func RunReal(p *Program, workers int, strat core.Strategy, mem MemParams) RealEx
 		FrameBytes:       p.Root.Frame, // the root task charges its own frame
 		StackPages:       harnessStackPages,
 		Seed:             p.Seed ^ 0xC0FFEE,
-		UnmapBatch:       mem.UnmapBatch,
 		MaxResidentPages: mem.MaxResidentPages,
 		Sink:             rec,
 	})
@@ -226,7 +222,6 @@ func RunReal(p *Program, workers int, strat core.Strategy, mem MemParams) RealEx
 	e.Trace = SummarizeTrace(rec)
 	e.Queued = rt.QueuedTasks()
 	e.Parked = rt.ParkedThieves()
-	e.Pending = rt.PendingReclaims()
 	e.Inflight = rt.InflightJobs()
 	e.Backlog = rt.RemoteFreeBacklog()
 	e.MaxHW = rt.MaxStackHighWaterPages()

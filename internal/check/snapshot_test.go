@@ -17,10 +17,10 @@ import (
 func TestSnapshotConcurrentWithRun(t *testing.T) {
 	ms := trace.NewMetricsSink()
 	rt := core.NewRuntime(core.Config{
-		Workers:    4,
-		StackPages: harnessStackPages,
-		UnmapBatch: 4, // exercise the reclaim-ticket gauge too
-		Sink:       ms,
+		Workers:          4,
+		StackPages:       harnessStackPages,
+		MaxResidentPages: 64, // the ceiling's valve reads RSS beside the observers
+		Sink:             ms,
 	})
 
 	stop := make(chan struct{})
@@ -47,8 +47,7 @@ func TestSnapshotConcurrentWithRun(t *testing.T) {
 				}
 				lastForks = m.Stats.Forks
 				if m.Gauges.QueuedTasks < 0 || m.Gauges.ParkedThieves < 0 ||
-					m.Gauges.ResidentPages < 0 || m.Gauges.PendingReclaims < 0 ||
-					m.Gauges.StacksInUse < 0 {
+					m.Gauges.ResidentPages < 0 || m.Gauges.StacksInUse < 0 {
 					t.Errorf("Snapshot: negative gauge %+v", m.Gauges)
 					return
 				}
@@ -78,7 +77,7 @@ func TestSnapshotConcurrentWithRun(t *testing.T) {
 	// sink's histogram populations match the counter plane.
 	m := rt.Snapshot()
 	st := m.Stats
-	if g := m.Gauges; g.QueuedTasks != 0 || g.ParkedThieves != 0 || g.PendingReclaims != 0 || g.StacksInUse != 0 {
+	if g := m.Gauges; g.QueuedTasks != 0 || g.ParkedThieves != 0 || g.StacksInUse != 0 {
 		t.Errorf("gauges not drained at quiescence: %+v", g)
 	}
 	if got, want := m.Trace.StealLatency.Count, st.Steals; got != want {
@@ -90,7 +89,7 @@ func TestSnapshotConcurrentWithRun(t *testing.T) {
 	if got, want := m.Trace.TaskRun.Count, st.Steals-st.RestrictedSteals; got != want {
 		t.Errorf("TaskRun.Count=%d, want Steals-RestrictedSteals=%d", got, want)
 	}
-	if got, want := m.Trace.UnmapBatch.Count, st.UnmapBatches; got != want {
-		t.Errorf("UnmapBatch.Count=%d, want UnmapBatches=%d", got, want)
+	if got, want := m.Trace.Events["reclaim"], st.CeilingHits; got != want {
+		t.Errorf("reclaim events=%d, want CeilingHits=%d", got, want)
 	}
 }

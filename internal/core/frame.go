@@ -63,15 +63,7 @@ type Frame struct {
 	// only a candidate it has already claimed under the deque lock, so the
 	// candidate is an unexecuted task and every frame on its ancestry is
 	// still waiting on it — live, not arena-recycled.
-	parent   *Frame
-	initMark int // owning stack's watermark at Init (cactus branch point)
-
-	// pendingReclaim is the live deferred-unmap ticket of the current
-	// suspension, if any (coalesced-unmap mode only). No lock guards it: the
-	// owner writes it before the commit CAS on count, which publishes it,
-	// and the last child's decrement of count acquires it; that child
-	// cancels the ticket before waking the owner.
-	pendingReclaim *reclaimTicket
+	parent *Frame
 
 	// panicked is the first panic among the frame's children: set by a CAS
 	// from nil on whichever worker ran the child, taken by the owner's Join.
@@ -110,8 +102,6 @@ func (w *W) Init(f *Frame) {
 	f.watermark = 0
 	f.depth = w.depth
 	f.parent = w.frame
-	f.initMark = w.stack.Bytes()
-	f.pendingReclaim = nil
 }
 
 // countStolen is the steal-time half of the join protocol (Listing 3): the
@@ -145,17 +135,7 @@ func (w *W) childDone(f *Frame) (handoff bool) {
 	// Last child of a suspended frame: take over the resume state, clear
 	// the flag, and wake the owner.
 	ch := f.resume
-	t := f.pendingReclaim
-	f.pendingReclaim = nil
 	f.count.Store(0)
-
-	// Cancel the suspension's deferred unmap, if a batch flush has not
-	// resolved it yet — strictly before the resume signal below, so no
-	// flush can madvise the stack once the owner is running again. A won
-	// cancel is a saved madvise plus the saved refaults.
-	if t != nil && t.cancel() {
-		w.stats.reclaimCancels.Add(1)
-	}
 
 	w.stats.resumes.Add(1)
 	w.rt.trc.Emit(w.slot.id, trace.KindResume, int64(f.stack.ID()), 0)
@@ -178,26 +158,12 @@ func (w *W) suspend(f *Frame) bool {
 	}
 	f.watermark = w.stack.Bytes()
 	rt := w.rt
-	// Coalesced-unmap mode: decide the suspension's unmap fate before the
-	// commit, so a racing childDone — which can run the instant the CAS
-	// lands — always sees the ticket and cancels it before resuming us.
-	var ticket *reclaimTicket
-	gated := false
-	if rt.cfg.Strategy == StrategyFibril && rt.reclaim.batched() {
-		if w.stack.ReclaimablePages() > 0 {
-			ticket = &reclaimTicket{s: w.stack, from: w.stack.Pages()}
-			f.pendingReclaim = ticket
-		} else {
-			gated = true
-		}
-	}
 	// Commit: set the suspend bit while children remain. Failing with a
 	// zero count means they all finished during the preparation above —
 	// nobody saw the bit, so nobody read the staged state; back out.
 	for {
 		c := f.count.Load()
 		if c == 0 {
-			f.pendingReclaim = nil
 			return false
 		}
 		if f.count.CompareAndSwap(c, c|frameSuspended) {
@@ -208,37 +174,23 @@ func (w *W) suspend(f *Frame) bool {
 	w.stats.suspends.Add(1)
 	rt.trc.Emit(w.slot.id, trace.KindSuspend, int64(w.stack.ID()), 0)
 
-	switch {
-	case ticket != nil:
-		// Defer the unmap: post the ticket for a batched flush. The
-		// ticket may already be cancelled (the children finished during
-		// the lines above); enqueue regardless — flush skips dead tickets.
-		rt.reclaim.enqueue(w.slot.id, w.stats, ticket)
-	case gated:
-		// Hysteresis gate: the stack never grew past its last unmap
-		// point, so every page above the watermark is already gone and
-		// the madvise is saved outright — the re-suspend-at-same-depth
-		// thrash the eager path pays for.
-		w.stats.reclaimSkips.Add(1)
-	default:
-		// Return the unused portion of the suspended stack to the OS
-		// (Listing 3 line 63). It is safe after publishing the
-		// suspension: nobody touches this stack until the resume channel
-		// fires, and the pages below the watermark stay mapped.
-		switch rt.cfg.Strategy {
-		case StrategyFibril:
-			freed := w.stack.UnmapAbove()
-			w.stats.unmaps.Add(1)
-			w.stats.unmappedPages.Add(int64(freed))
-			rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
-		case StrategyFibrilMMap:
-			freed := w.stack.MapDummyAbove()
-			w.stats.unmaps.Add(1)
-			w.stats.unmappedPages.Add(int64(freed))
-			rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
-		}
+	// Return the unused portion of the suspended stack to the OS (Listing 3
+	// line 63). It is safe after publishing the suspension: nobody touches
+	// this stack until the resume channel fires, and the pages below the
+	// watermark stay mapped.
+	switch rt.cfg.Strategy {
+	case StrategyFibril:
+		freed := w.stack.UnmapAbove()
+		w.stats.unmaps.Add(1)
+		w.stats.unmappedPages.Add(int64(freed))
+		rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
+	case StrategyFibrilMMap:
+		freed := w.stack.MapDummyAbove()
+		w.stats.unmaps.Add(1)
+		w.stats.unmappedPages.Add(int64(freed))
+		rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
 	}
-	rt.reclaim.pressure(w.slot.id, w.stats)
+	rt.pressure(w.slot.id, w.stats)
 
 	// Join-wait time: how long this goroutine stays parked before the
 	// last child's completion hands it a slot back. Timed only when a

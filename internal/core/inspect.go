@@ -45,12 +45,6 @@ func (rt *Runtime) RemoteFreeBacklog() int {
 // thief to unwind.
 func (rt *Runtime) ParkedThieves() int { return rt.park.parked() }
 
-// PendingReclaims returns the number of live deferred-unmap tickets still
-// sitting on the reclaim lists. After a completed Run this must be zero:
-// every suspension's ticket was either cancelled by its resume or flushed
-// by a batch (the end-of-run drain resolves any stragglers).
-func (rt *Runtime) PendingReclaims() int { return rt.reclaim.pendingCount() }
-
 // MaxStackHighWaterPages returns the largest page high-water mark over the
 // stacks currently in the runtime's pool. At quiescence every stack the
 // runtime ever used is in the pool (suspended and active goroutines have

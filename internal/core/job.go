@@ -627,9 +627,8 @@ func (rt *Runtime) finishRejected(j *Job, err error) {
 // not-yet-admitted queue is abandoned (each such Job completes with
 // ErrDrained, counted in Stats.JobsDrained) and Close still waits for the
 // admitted jobs, which always finish. Teardown then parks nothing: thieves
-// unwind, stacks return to the pool, reclaim tickets flush, the trace
-// flushes, and the runtime may be started (or Run) again. A nil ctx means
-// wait indefinitely. Close returns ctx's error if the drain was forced,
+// unwind, stacks return to the pool, the trace flushes, and the runtime
+// may be started (or Run) again. A nil ctx means wait indefinitely. Close returns ctx's error if the drain was forced,
 // nil otherwise; calling Close on an idle or already closed runtime is a
 // no-op. Close must not be called concurrently with itself.
 func (rt *Runtime) Close(ctx context.Context) error {
@@ -675,13 +674,12 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	// Quiesced: no admitted work remains anywhere. Tear down exactly as
 	// the old per-Run epilogue did — wake every parked thief so it
 	// observes done, release any thief blocked in a bounded pool's Take,
-	// wait for every worker goroutine to unwind, flush reclaim tickets the
-	// resumes did not cancel, then reopen the pool for the next Start.
+	// wait for every worker goroutine to unwind, then reopen the pool for
+	// the next Start.
 	rt.done.Store(true)
 	rt.park.close()
 	rt.pool.Close()
 	rt.goroutineWG.Wait()
-	rt.reclaim.drainAll(0, rt.shard(0))
 	rt.trc.Flush()
 	rt.pool.Reopen()
 

@@ -20,7 +20,7 @@ var (
 		{"remote"},       // any worker's
 	}
 	runtimeGroups = [][]string{
-		{"cfg", "as", "pool", "reclaim", "workers", "park", "done", "trc", "metrics",
+		{"cfg", "as", "pool", "workers", "park", "done", "trc", "metrics",
 			"subq", "stampJobs", "stats"}, // read-mostly
 		{"goroutineWG", "admit"},                                     // per suspension / admission / lifecycle
 		{"jobsSubmitted", "jobsAdmitted", "jobsShed", "jobsDrained"}, // submitters'
@@ -30,12 +30,11 @@ var (
 	// A Frame is not padded — it lives inside a Scratch block or a caller's
 	// own variable — so its fields are listed by writer without distances.
 	frameFields = []string{
-		"count",                                // thieves, under the victim's deque lock and at child completion; the owner's commit CAS
-		"pending",                              // the owner, on every Fork and Join
-		"stack", "depth", "parent", "initMark", // the owner, at Init
+		"count",                    // thieves, under the victim's deque lock and at child completion; the owner's commit CAS
+		"pending",                  // the owner, on every Fork and Join
+		"stack", "depth", "parent", // the owner, at Init
 		"resume", "watermark", // the owner, before the commit CAS
-		"pendingReclaim", // the owner, before the commit CAS; the last child of a suspended frame
-		"panicked",       // whoever ran the first child to panic; the owner's Join
+		"panicked", // whoever ran the first child to panic; the owner's Join
 	}
 )
 
@@ -63,11 +62,14 @@ func TestLayout(t *testing.T) {
 	if n := len(frameFields); n != frame.NumField() {
 		t.Errorf("core.Frame has %d fields, %d listed", frame.NumField(), n)
 	}
-	// One Scratch is one object of Go's 224-byte size class (208 is the
-	// class below): a Frame field more than the 8 bytes to spare moves every
-	// fork/join region's block up a class.
-	if sz := unsafe.Sizeof(Scratch{}); sz <= 208 || sz > 224 {
-		t.Errorf("core.Scratch is %d bytes, outside the 224-byte size class (208, 224]", sz)
+	// A Frame is seven words, and one Scratch is one object of Go's 208-byte
+	// size class (192 is the class below): a Frame field more than the 8
+	// bytes to spare moves every fork/join region's block up a class.
+	if sz := unsafe.Sizeof(Frame{}); sz != 56 {
+		t.Errorf("core.Frame is %d bytes, want 56", sz)
+	}
+	if sz := unsafe.Sizeof(Scratch{}); sz <= 192 || sz > 208 {
+		t.Errorf("core.Scratch is %d bytes, outside the 208-byte size class (192, 208]", sz)
 	}
 }
 

@@ -16,9 +16,6 @@ type Gauges struct {
 	// ParkedThieves is the number of thief goroutines asleep on the park
 	// lot (idle capacity).
 	ParkedThieves int
-	// PendingReclaims is the number of live deferred-unmap tickets
-	// (coalesced-unmap mode's promised-but-unissued madvises).
-	PendingReclaims int
 	// StacksInUse is the number of simulated stacks currently checked out
 	// of the pool.
 	StacksInUse int
@@ -45,21 +42,20 @@ type Metrics struct {
 // accessors in inspect.go it is safe to call at any time, including
 // concurrently with Run: every source it reads — counter shards, pool
 // and address-space counters, deque length estimates, the park lot, the
-// reclaim lists, the metrics sink's histogram buckets — is individually
-// synchronized, so the snapshot is a coherent point sample of each,
-// though not a single atomic cut across all of them. The per-fork counters
-// in Stats trail the running workers by a bounded amount (see Stats).
+// metrics sink's histogram buckets — is individually synchronized, so the
+// snapshot is a coherent point sample of each, though not a single atomic
+// cut across all of them. The per-fork counters in Stats trail the running
+// workers by a bounded amount (see Stats).
 func (rt *Runtime) Snapshot() Metrics {
 	m := Metrics{
 		Stats: rt.Stats(),
 		Gauges: Gauges{
-			ResidentPages:   rt.as.RSSPages(),
-			QueuedTasks:     rt.QueuedTasks(),
-			ParkedThieves:   rt.ParkedThieves(),
-			PendingReclaims: rt.PendingReclaims(),
-			StacksInUse:     rt.pool.InUse(),
-			InflightJobs:    rt.InflightJobs(),
-			QueuedJobs:      rt.QueuedJobs(),
+			ResidentPages: rt.as.RSSPages(),
+			QueuedTasks:   rt.QueuedTasks(),
+			ParkedThieves: rt.ParkedThieves(),
+			StacksInUse:   rt.pool.InUse(),
+			InflightJobs:  rt.InflightJobs(),
+			QueuedJobs:    rt.QueuedJobs(),
 		},
 	}
 	if rt.metrics != nil {

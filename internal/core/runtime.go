@@ -140,16 +140,10 @@ type Config struct {
 	// Seed seeds the per-worker steal RNGs. 0 means a fixed default, so
 	// runs are reproducible by default.
 	Seed uint64
-	// UnmapBatch > 1 turns on coalesced unmap for StrategyFibril: a
-	// suspend posts a reclaim ticket instead of madvising eagerly, and
-	// tickets are flushed UnmapBatch at a time — unless the frame resumes
-	// first, which cancels the ticket and saves both the madvise and the
-	// refaults. 0 or 1 keeps the paper's eager per-suspend unmap exactly.
-	UnmapBatch int
 	// MaxResidentPages > 0 is a soft ceiling on simulated RSS: a worker
 	// about to map fresh stack pages (or suspending) while over the
-	// ceiling first drains the deferred-unmap queue, then reclaims the
-	// resident residue of free pooled stacks. 0 disables the ceiling.
+	// ceiling first reclaims the resident residue of free pooled stacks.
+	// 0 disables the ceiling.
 	MaxResidentPages int64
 	// MaxInflight > 0 bounds the number of admitted-but-incomplete Jobs a
 	// serving runtime carries at once; Submit calls beyond it queue or
@@ -193,7 +187,6 @@ func (c Config) withDefaults() Config {
 	}
 	// A negative bound means what 0 means, off — and the admission fast
 	// paths test for exactly 0.
-	c.UnmapBatch = max(c.UnmapBatch, 0)
 	c.MaxResidentPages = max(c.MaxResidentPages, 0)
 	c.MaxInflight = max(c.MaxInflight, 0)
 	c.TenantQuotaPages = max(c.TenantQuotaPages, 0)
@@ -301,7 +294,6 @@ type Runtime struct {
 	cfg     Config
 	as      *vm.AddressSpace
 	pool    *stack.ShardedPool
-	reclaim *reclaimer
 	workers []*worker
 	park    *parkLot
 	done    atomic.Bool // set by Close, cleared by Start; thieves poll it
@@ -366,7 +358,6 @@ func NewRuntime(cfg Config) *Runtime {
 	if ms, ok := cfg.Sink.(*trace.MetricsSink); ok {
 		rt.metrics = ms
 	}
-	rt.reclaim = newReclaimer(rt)
 	rt.admit.max = cfg.MaxInflight
 	rt.admit.policy = cfg.Admission
 	rt.admit.quota = cfg.TenantQuotaPages
@@ -609,13 +600,32 @@ func (rt *Runtime) steal(w *W, take func(task) bool) (task, bool) {
 	return task{}, false
 }
 
+// pressure applies the soft RSS ceiling: while simulated RSS is over
+// Config.MaxResidentPages it reclaims the resident residue of free pooled
+// stacks, stopping as soon as RSS drops under the ceiling. Called before a
+// worker maps fresh stack pages and on the suspend path, so sustained
+// pressure degrades throughput gracefully instead of growing RSS.
+func (rt *Runtime) pressure(slot int, sh *counterShard) {
+	ceiling := rt.cfg.MaxResidentPages
+	if ceiling <= 0 || rt.as.RSSPages() <= ceiling {
+		return
+	}
+	sh.ceilingHits.Add(1)
+	calls, pages := rt.pool.ReclaimFree(func() bool {
+		return rt.as.RSSPages() <= ceiling
+	})
+	sh.poolReclaims.Add(calls)
+	sh.reclaimedPages.Add(pages)
+	rt.trc.Emit(slot, trace.KindReclaim, pages, 0)
+}
+
 // takeStack takes a stack from the pool for the given worker slot,
 // applying the RSS-ceiling pressure valve first so that — when over the
-// ceiling — already-promised pages are reclaimed before fresh ones are
+// ceiling — free stacks' residue is reclaimed before fresh pages are
 // mapped. Returns nil when the pool has been closed; a map failure in the
 // simulated address space is a programming error and panics.
 func (rt *Runtime) takeStack(slot int) *stack.Stack {
-	rt.reclaim.pressure(slot, rt.shard(slot))
+	rt.pressure(slot, rt.shard(slot))
 	s, err := rt.pool.Take(slot)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))

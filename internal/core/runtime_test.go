@@ -344,10 +344,10 @@ func TestWorkerCountDefaults(t *testing.T) {
 // negative, TenantQuotaPages enforces nothing and still sends every Submit and
 // every completion through the admission mutex.
 func TestNegativeBoundsMeanOff(t *testing.T) {
-	c := NewRuntime(Config{Workers: 1, UnmapBatch: -1, MaxResidentPages: -1, MaxInflight: -1, TenantQuotaPages: -1}).Config()
-	if c.UnmapBatch != 0 || c.MaxResidentPages != 0 || c.MaxInflight != 0 || c.TenantQuotaPages != 0 {
-		t.Errorf("Config() = UnmapBatch %d, MaxResidentPages %d, MaxInflight %d, TenantQuotaPages %d; want 0 for each",
-			c.UnmapBatch, c.MaxResidentPages, c.MaxInflight, c.TenantQuotaPages)
+	c := NewRuntime(Config{Workers: 1, MaxResidentPages: -1, MaxInflight: -1, TenantQuotaPages: -1}).Config()
+	if c.MaxResidentPages != 0 || c.MaxInflight != 0 || c.TenantQuotaPages != 0 {
+		t.Errorf("Config() = MaxResidentPages %d, MaxInflight %d, TenantQuotaPages %d; want 0 for each",
+			c.MaxResidentPages, c.MaxInflight, c.TenantQuotaPages)
 	}
 }
 

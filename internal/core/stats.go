@@ -37,9 +37,6 @@ type counters struct {
 	unmaps           atomic.Int64
 	unmappedPages    atomic.Int64
 	spawnOverhead    atomic.Int64
-	unmapBatches     atomic.Int64
-	reclaimCancels   atomic.Int64
-	reclaimSkips     atomic.Int64
 	ceilingHits      atomic.Int64
 	reclaimedPages   atomic.Int64
 	poolReclaims     atomic.Int64
@@ -71,13 +68,9 @@ type Stats struct {
 	UnmappedPages    int64 // physical pages returned by those unmaps
 	SpawnOverhead    int64 // modelled spawn-prologue events (Cilk Plus, TBB)
 
-	// Memory-pressure engine counters (coalesced unmap + RSS ceiling).
-	// Every suspend resolves exactly one way, so in coalesced mode
-	// Suspends == Unmaps + ReclaimCancels + ReclaimSkips; with eager
-	// unmap the three new counters stay zero and Unmaps == Suspends.
-	UnmapBatches   int64 // batch flushes that issued at least one madvise
-	ReclaimCancels int64 // deferred unmaps cancelled by the frame resuming
-	ReclaimSkips   int64 // suspends skipped by the hysteresis gate
+	// RSS-ceiling counters. Under Fibril and FibrilMMap every suspend
+	// unmaps, so Unmaps == Suspends; the ceiling's reclaims are counted
+	// apart from them, here.
 	CeilingHits    int64 // RSS-ceiling crossings observed by workers
 	ReclaimedPages int64 // pages reclaimed from free pooled stacks
 	PoolReclaims   int64 // madvise calls issued by those pool reclaims
@@ -146,9 +139,6 @@ func (rt *Runtime) Stats() Stats {
 		s.Unmaps += sh.unmaps.Load()
 		s.UnmappedPages += sh.unmappedPages.Load()
 		s.SpawnOverhead += sh.spawnOverhead.Load()
-		s.UnmapBatches += sh.unmapBatches.Load()
-		s.ReclaimCancels += sh.reclaimCancels.Load()
-		s.ReclaimSkips += sh.reclaimSkips.Load()
 		s.CeilingHits += sh.ceilingHits.Load()
 		s.ReclaimedPages += sh.reclaimedPages.Load()
 		s.PoolReclaims += sh.poolReclaims.Load()

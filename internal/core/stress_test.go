@@ -177,9 +177,9 @@ func TestStressDeepAndWide(t *testing.T) {
 
 // TestQuiescentAfterRun is the busy-leaves quiescence oracle the serve
 // drain gate relies on, on the default configuration: after Run returns
-// from a 12-ary depth-3 tree on four workers, no deque entry, no reclaim
-// ticket and no inflight job may be left behind — round after round, each
-// on a fresh runtime.
+// from a 12-ary depth-3 tree on four workers, no deque entry and no
+// inflight job may be left behind — round after round, each on a fresh
+// runtime.
 func TestQuiescentAfterRun(t *testing.T) {
 	rounds := 3000
 	if testing.Short() || raceEnabled {
@@ -202,9 +202,9 @@ func TestQuiescentAfterRun(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		rt := NewRuntime(Config{Workers: 4, StackPages: 4096})
 		rt.Run(func(w *W) { tree(w, 3) })
-		if q, p, j := rt.QueuedTasks(), rt.PendingReclaims(), rt.InflightJobs(); q != 0 || p != 0 || j != 0 {
-			t.Fatalf("round %d: QueuedTasks=%d PendingReclaims=%d InflightJobs=%d after Run, want 0/0/0 (steals=%d)",
-				round, q, p, j, rt.Stats().Steals)
+		if q, j := rt.QueuedTasks(), rt.InflightJobs(); q != 0 || j != 0 {
+			t.Fatalf("round %d: QueuedTasks=%d InflightJobs=%d after Run, want 0/0 (steals=%d)",
+				round, q, j, rt.Stats().Steals)
 		}
 		// Every thief counted itself idle and busy again as often: a count
 		// left over would make every later Fork publish (or none).

@@ -116,9 +116,6 @@ func TestConcurrentSubmit(t *testing.T) {
 			if q := rt.QueuedTasks(); q != 0 {
 				t.Errorf("QueuedTasks=%d after Close, want 0", q)
 			}
-			if p := rt.PendingReclaims(); p != 0 {
-				t.Errorf("PendingReclaims=%d after Close, want 0", p)
-			}
 			if inf := rt.InflightJobs(); inf != 0 {
 				t.Errorf("InflightJobs=%d after Close, want 0", inf)
 			}
@@ -794,8 +791,8 @@ func TestShedKeepsAdmittedLatencyFlat(t *testing.T) {
 			t.Errorf("%s: clients saw completed=%d shed=%d; runtime submitted=%d completed=%d shed=%d drained=%d",
 				name, len(all), shed.Load(), st.JobsSubmitted, st.JobsCompleted, st.JobsShed, st.JobsDrained)
 		}
-		if q, p, i, w := rt.QueuedTasks(), rt.PendingReclaims(), rt.InflightJobs(), rt.QueuedJobs(); q|p|i|w != 0 {
-			t.Errorf("%s: drain left queuedTasks=%d pendingReclaims=%d inflight=%d queuedJobs=%d", name, q, p, i, w)
+		if q, i, w := rt.QueuedTasks(), rt.InflightJobs(), rt.QueuedJobs(); q|i|w != 0 {
+			t.Errorf("%s: drain left queuedTasks=%d inflight=%d queuedJobs=%d", name, q, i, w)
 		}
 		if len(all) == 0 {
 			t.Fatalf("%s: no job completed", name)

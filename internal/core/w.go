@@ -467,20 +467,14 @@ func (w *W) runRoot(t task) {
 }
 
 // runStolen executes a task taken by a base-level thief: a submitted root
-// (dispatched through runRoot), or a stolen child — link the thief's
-// stack into the cactus (the stolen child's frames grow on a stack
-// branching from the parent's), execute, and notify the parent. A handoff
-// here marks the slot released so the thief loop retires.
+// (dispatched through runRoot), or a stolen child — execute it on the
+// thief's stack (a cactus branch: t.frame, the frame it was forked on, lives
+// on the victim's stack) and notify the parent. A handoff here marks the
+// slot released so the thief loop retires.
 func (w *W) runStolen(t task) {
 	if t.frame == nil {
 		w.runRoot(t)
 		return
-	}
-	if ps := t.frame.stack; ps != nil && ps != w.stack {
-		// The branch depth is the parent stack's watermark when the frame
-		// was initialized — captured then because the victim may still be
-		// pushing and popping on its stack right now.
-		ps.BranchAt(w.stack, t.frame.initMark)
 	}
 	w.rt.trc.Emit(w.slot.id, trace.KindTaskStart, int64(t.depth), 0)
 	// Stolen-task run time: measured only when a sink consumes task-end

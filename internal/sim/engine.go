@@ -491,7 +491,6 @@ func (s *sim) takeStack() *stack.Stack {
 
 func (s *sim) releaseStack(now int64, st *stack.Stack) {
 	st.SetWatermark(0)
-	st.ClearBranch()
 	s.freeStacks = append(s.freeStacks, st)
 	s.inUse--
 	if len(s.waiters) > 0 {

@@ -573,12 +573,9 @@ func (ws *wfSim) adopt(into *wfContext, c *wfCont) {
 	if wfDebugAdopt != nil {
 		wfDebugAdopt(into, rec, prefix)
 	}
-	into.recs = append(into.recs, prefix...)
 	// The resumed parent allocates on the adopter's stack from here on;
 	// its frame stays on its home stack — a cactus branch.
-	if rec.frame.home != nil && into.cur != nil && rec.frame.home != into.cur {
-		rec.frame.home.BranchAt(into.cur, rec.frame.homeMark)
-	}
+	into.recs = append(into.recs, prefix...)
 }
 
 // thieve: idle worker — acquire a stack, steal a continuation, adopt it

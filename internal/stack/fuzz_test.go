@@ -235,7 +235,7 @@ func TestFastBoundFollowsEveryOperation(t *testing.T) {
 	tw.do("RemapAbove", func(s *Stack) { s.RemapAbove() })
 	enter(2 * vm.PageSize)
 	pop(100)
-	tw.do("UnmapFrom", func(s *Stack) { s.UnmapFrom(s.Pages()) })
+	tw.do("UnmapAbove", func(s *Stack) { s.UnmapAbove() })
 	enter(vm.PageSize)
 	for _, bad := range []int{-1, pages * vm.PageSize} { // Enter panics exactly where Push fails
 		if _, ok := tw.push(bad, true); ok {
@@ -266,7 +266,7 @@ func TestFastBoundFollowsEveryOperation(t *testing.T) {
 }
 
 // FuzzStackUnmap decodes fuzz bytes into Push/Enter/Pop/SetWatermark/
-// UnmapAbove/MapDummyAbove/RemapAbove/UnmapFrom/ReclaimResidue/Release
+// UnmapAbove/MapDummyAbove/RemapAbove/ReclaimResidue/Release
 // sequences and checks the real page-granular stack after every operation
 // against the shadow model — watermark, residency, fault count, dummy-touch
 // count and high-water mark must all agree, every page below cleanFrom must be
@@ -371,9 +371,6 @@ func FuzzStackUnmap(f *testing.F) {
 				k := int(ops[i]) % len(bases)
 				tw.do("SetWatermark", func(s *Stack) { s.SetWatermark(bases[k]) })
 				m.top, m.frames, bases = bases[k], m.frames[:k], bases[:k]
-			case 7: // the deferred unmap, from the page watermark
-				tw.do("UnmapFrom", func(s *Stack) { s.UnmapFrom(s.Pages()) })
-				m.unmapAbove()
 			case 8: // what the pool does to a free stack under memory pressure
 				if s.Bytes() != 0 {
 					continue

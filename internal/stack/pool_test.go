@@ -163,11 +163,10 @@ func (p *Pool) takeLocked() {
 }
 
 // Put returns a stack to the pool. The stack must be quiescent (its frames
-// all popped); its watermark is reset and its cactus linkage cleared.
+// all popped); its watermark is reset.
 func (p *Pool) Put(shard int, s *Stack) {
 	_ = shard
 	s.SetWatermark(0)
-	s.ClearBranch()
 	p.mu.Lock()
 	p.free = append(p.free, s)
 	p.inUse--

@@ -236,7 +236,6 @@ func (p *ShardedPool) createLocked() (*Stack, error) {
 // globally so the waiter cannot sleep through it.
 func (p *ShardedPool) Put(shard int, s *Stack) {
 	s.SetWatermark(0)
-	s.ClearBranch()
 	p.inUse.Add(-1) // before release: inUse never exceeds stacks held
 	if p.waiters.Load() == 0 {
 		c := &p.caches[shard]

@@ -8,11 +8,11 @@
 // can be returned to the OS with UnmapAbove (madvise) or MapDummyAbove
 // (serialized mmap), then reused when the stack is resumed.
 //
-// A cactus stack is a tree of these linear stacks: each Stack optionally
-// records the parent stack (and byte depth within it) it branched from when
-// a stolen frame was resumed on a fresh stack. CactusPath walks the branch
-// back to the root, which is how the paper's per-path space bounds
-// (Theorems 4.1 and 4.2) are measured.
+// A cactus stack is a tree of these linear stacks. The tree is not recorded
+// here: a stolen child runs on the thief's stack while the frame it was
+// forked on stays on the victim's, and each core.Frame names its stack and
+// its enclosing frame — a branch is that chain crossing from one Stack to
+// another.
 package stack
 
 import (
@@ -35,12 +35,11 @@ type Stack struct {
 
 	// cleanFrom is the boundary between the stack's resident and
 	// non-resident pages. Every page at index >= cleanFrom is known
-	// non-resident (never touched since it was last returned to the OS): a
-	// stack that re-suspends at the same depth it was last unmapped at
-	// therefore reports zero ReclaimablePages and skips the madvise
-	// entirely. And every page at index < cleanFrom is resident: Push raises
+	// non-resident (never touched since it was last returned to the OS), so
+	// a pooled stack with cleanFrom == 0 has no residue to reclaim. And
+	// every page at index < cleanFrom is resident: Push raises
 	// cleanFrom only over pages it has just touched, pages go away only
-	// through this file's unmap paths (UnmapAbove, MapDummyAbove, UnmapFrom,
+	// through this file's unmap paths (UnmapAbove, MapDummyAbove,
 	// ReclaimResidue, Release), and each of those lowers cleanFrom to where
 	// it unmapped from — so a Push that ends at or below cleanFrom has no
 	// page to fault in and skips the per-page walk. SetWatermark keeps both
@@ -52,10 +51,6 @@ type Stack struct {
 	// moves: a frame that ends at or below it has no overflow to report, no
 	// page to touch and no high-water mark to raise (Enter).
 	fast int
-
-	// Cactus linkage: the stack this one branched from, if any.
-	parent      *Stack
-	parentDepth int // byte watermark of parent at the branch point
 
 	id int // small unique id for diagnostics and stats
 }
@@ -194,32 +189,6 @@ func (s *Stack) MapDummyAbove() int {
 	return freed
 }
 
-// ReclaimablePages returns how many pages above the live watermark may
-// still be resident — the span a deferred unmap of this suspended stack
-// would cover. Zero means a flush would be a guaranteed no-op (the
-// hysteresis test: the stack never grew past its last unmap point).
-func (s *Stack) ReclaimablePages() int {
-	if r := s.cleanFrom - s.Pages(); r > 0 {
-		return r
-	}
-	return 0
-}
-
-// UnmapFrom is the deferred form of UnmapAbove used by the coalesced-unmap
-// engine: it returns the pages in [from, cleanFrom) to the OS, where from
-// is the page watermark captured when the stack suspended. The caller must
-// guarantee the stack has not been touched since that capture (the
-// reclaim-ticket protocol does). It reports the pages freed and whether a
-// madvise call was actually issued.
-func (s *Stack) UnmapFrom(from int) (freed int, called bool) {
-	if from < 0 || from >= s.cleanFrom {
-		return 0, false
-	}
-	freed = s.region.Madvise(from, s.cleanFrom)
-	s.setClean(from)
-	return freed, true
-}
-
 // ReclaimResidue returns every possibly-resident page of a quiescent
 // (pooled, watermark-zero) stack to the OS — the RSS-ceiling fallback that
 // reclaims from free stacks before new ones are mapped. It reports the
@@ -245,39 +214,6 @@ func (s *Stack) RemapAbove() {
 // reused: touching a dummy page reads the dummy file, not stack memory.
 func (s *Stack) HasDummyPages() bool {
 	return s.region.DummyPages() > 0
-}
-
-// BranchAt records that child branched off this stack depth bytes up — a new
-// node in the cactus stack, created when a thief resumes a stolen frame on a
-// fresh stack. The thief does not own this stack and must not read its live
-// watermark, so the depth is one the owner captured earlier (at frame
-// initialization).
-func (s *Stack) BranchAt(child *Stack, depth int) {
-	child.parent = s
-	child.parentDepth = depth
-}
-
-// ClearBranch detaches the stack from its parent, used when the stack is
-// recycled through the pool.
-func (s *Stack) ClearBranch() {
-	s.parent = nil
-	s.parentDepth = 0
-}
-
-// CactusPath returns the stacks from this one back to the root of its
-// cactus-stack branch, with the byte depth contributed by each: the current
-// stack contributes its watermark, each ancestor contributes its watermark
-// at the branch point. The path length bounds the paper's D, and the byte
-// sum bounds the per-path space of Theorem 4.1.
-func (s *Stack) CactusPath() (stacks []*Stack, bytes []int) {
-	cur, depth := s, s.top
-	for cur != nil {
-		stacks = append(stacks, cur)
-		bytes = append(bytes, depth)
-		depth = cur.parentDepth
-		cur = cur.parent
-	}
-	return stacks, bytes
 }
 
 // Release unmaps the stack's region entirely. Only for teardown. No page is

@@ -91,7 +91,6 @@ func TestPushBelowCleanFromStillFaultsAfterUnmap(t *testing.T) {
 		}
 	}
 	regrow("UnmapAbove", func(s *Stack) { s.UnmapAbove() })
-	regrow("UnmapFrom", func(s *Stack) { s.UnmapFrom(s.Pages()) })
 	regrow("MapDummyAbove", func(s *Stack) { s.MapDummyAbove(); s.RemapAbove() })
 
 	// Released with a frame still on it: a frame that would fit under the
@@ -184,31 +183,6 @@ func TestMapDummyAboveAndRemap(t *testing.T) {
 	}
 }
 
-func TestCactusPath(t *testing.T) {
-	as := vm.NewAddressSpace()
-	root, _ := New(as, 8, 1)
-	mid, _ := New(as, 8, 2)
-	leaf, _ := New(as, 8, 3)
-	root.Push(1000)
-	root.BranchAt(mid, root.Bytes())
-	mid.Push(2000)
-	mid.BranchAt(leaf, mid.Bytes())
-	leaf.Push(3000)
-
-	stacks, bytes := leaf.CactusPath()
-	if len(stacks) != 3 {
-		t.Fatalf("path length = %d, want 3", len(stacks))
-	}
-	wantIDs := []int{3, 2, 1}
-	wantBytes := []int{3000, 2000, 1000}
-	for i := range stacks {
-		if stacks[i].ID() != wantIDs[i] || bytes[i] != wantBytes[i] {
-			t.Errorf("path[%d] = stack %d / %d bytes, want %d / %d",
-				i, stacks[i].ID(), bytes[i], wantIDs[i], wantBytes[i])
-		}
-	}
-}
-
 // mustTake unwraps a Take that the test expects to succeed.
 func mustTake(t *testing.T, p Pooler, shard int) *Stack {
 	t.Helper()
@@ -281,54 +255,6 @@ func TestBoundedPoolBlocksThenUnblocks(t *testing.T) {
 	p.Drain()
 	if rss := as.Snapshot().VirtualPages; rss != 0 {
 		t.Errorf("VirtualPages = %d after drain, want 0", rss)
-	}
-}
-
-func TestReclaimablePagesHysteresis(t *testing.T) {
-	_, s := newStack(t, 16)
-	base, _ := s.Push(10 * vm.PageSize)
-	s.Pop(base + 4*vm.PageSize) // 4 pages live, cleanFrom == 10
-	if got := s.ReclaimablePages(); got != 6 {
-		t.Fatalf("ReclaimablePages = %d, want 6", got)
-	}
-	if freed := s.UnmapAbove(); freed != 6 {
-		t.Fatalf("UnmapAbove freed %d, want 6", freed)
-	}
-	// Re-suspend at the same depth: nothing above the watermark can be
-	// resident, so the hysteresis gate reports a guaranteed no-op.
-	if got := s.ReclaimablePages(); got != 0 {
-		t.Errorf("ReclaimablePages = %d after unmap, want 0", got)
-	}
-	// Growing past the unmap point re-arms the gate.
-	s.Push(2 * vm.PageSize)
-	s.Pop(4 * vm.PageSize)
-	if got := s.ReclaimablePages(); got != 2 {
-		t.Errorf("ReclaimablePages = %d after regrow, want 2", got)
-	}
-}
-
-func TestUnmapFromDeferred(t *testing.T) {
-	as, s := newStack(t, 16)
-	base, _ := s.Push(12 * vm.PageSize)
-	s.Pop(base + 3*vm.PageSize) // suspend point: 3 pages live
-	from := s.Pages()
-	before := as.Snapshot().MadviseCalls
-	freed, called := s.UnmapFrom(from)
-	if !called || freed != 9 {
-		t.Fatalf("UnmapFrom = %d,%v, want 9,true", freed, called)
-	}
-	if got := as.Snapshot().MadviseCalls - before; got != 1 {
-		t.Fatalf("madvise calls = %d, want 1", got)
-	}
-	if got := s.ResidentPages(); got != 3 {
-		t.Errorf("resident = %d, want 3", got)
-	}
-	// A second flush of the same range is refused without a syscall.
-	if _, called := s.UnmapFrom(from); called {
-		t.Error("UnmapFrom re-issued madvise on a clean range")
-	}
-	if _, called := s.UnmapFrom(-1); called {
-		t.Error("UnmapFrom accepted a negative watermark")
 	}
 }
 

@@ -55,16 +55,6 @@ func latencyBounds() []int64 {
 	return bounds
 }
 
-// sizeBounds covers small integer sizes (batch sizes, page counts) in
-// powers of two from 1 to 1024.
-func sizeBounds() []int64 {
-	bounds := make([]int64, 0, 11)
-	for v := int64(1); v <= 1024; v <<= 1 {
-		bounds = append(bounds, v)
-	}
-	return bounds
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	i := 0
@@ -156,7 +146,6 @@ type MetricsSink struct {
 	stealLatency *Histogram // KindSteal.Dur: winning steal-sweep time
 	joinWait     *Histogram // KindJoinWait.Dur: time a joiner stayed parked
 	taskRun      *Histogram // KindTaskEnd.Dur: stolen-task run time
-	unmapBatch   *Histogram // KindUnmapBatch.Arg: unmaps per batch flush
 	jobLatency   *Histogram // KindJobDone.Dur: Job submit-to-completion time
 	events       [numKinds]atomic.Int64
 }
@@ -167,14 +156,13 @@ func NewMetricsSink() *MetricsSink {
 		stealLatency: newHistogram("ns", durationBounds()),
 		joinWait:     newHistogram("ns", durationBounds()),
 		taskRun:      newHistogram("ns", durationBounds()),
-		unmapBatch:   newHistogram("", sizeBounds()),
 		jobLatency:   newHistogram("ns", latencyBounds()),
 	}
 }
 
 // EventMask narrows the stream to the kinds the histograms consume.
 func (m *MetricsSink) EventMask() uint64 {
-	return MaskOf(KindSteal, KindJoinWait, KindTaskEnd, KindUnmap, KindUnmapBatch, KindReclaim, KindJobDone)
+	return MaskOf(KindSteal, KindJoinWait, KindTaskEnd, KindUnmap, KindReclaim, KindJobDone)
 }
 
 // TimestampFree declines per-event clock reads; the histograms only use
@@ -192,8 +180,6 @@ func (m *MetricsSink) Consume(batch []Event) {
 			m.joinWait.Observe(int64(e.Dur))
 		case KindTaskEnd:
 			m.taskRun.Observe(int64(e.Dur))
-		case KindUnmapBatch:
-			m.unmapBatch.Observe(e.Arg)
 		case KindJobDone:
 			m.jobLatency.Observe(int64(e.Dur))
 		}
@@ -205,7 +191,6 @@ type MetricsSnapshot struct {
 	StealLatency HistogramSnapshot // winning steal-sweep time (ns)
 	JoinWait     HistogramSnapshot // time joiners stayed parked (ns)
 	TaskRun      HistogramSnapshot // stolen-task run time (ns)
-	UnmapBatch   HistogramSnapshot // unmaps issued per coalesced batch flush
 	JobLatency   HistogramSnapshot // Job submit-to-completion latency (ns)
 	Events       map[string]int64  // observed event counts by kind name
 }
@@ -217,7 +202,6 @@ func (m *MetricsSink) Snapshot() MetricsSnapshot {
 		StealLatency: m.stealLatency.Snapshot(),
 		JoinWait:     m.joinWait.Snapshot(),
 		TaskRun:      m.taskRun.Snapshot(),
-		UnmapBatch:   m.unmapBatch.Snapshot(),
 		JobLatency:   m.jobLatency.Snapshot(),
 		Events:       map[string]int64{},
 	}
@@ -235,7 +219,6 @@ func (s MetricsSnapshot) String() string {
 	fmt.Fprintf(&b, "steal-latency: %v\n", s.StealLatency)
 	fmt.Fprintf(&b, "join-wait:     %v\n", s.JoinWait)
 	fmt.Fprintf(&b, "task-run:      %v\n", s.TaskRun)
-	fmt.Fprintf(&b, "unmap-batch:   %v\n", s.UnmapBatch)
 	fmt.Fprintf(&b, "job-latency:   %v", s.JobLatency)
 	return b.String()
 }

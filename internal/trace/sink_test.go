@@ -215,7 +215,6 @@ func TestMetricsSinkAggregates(t *testing.T) {
 		{Kind: KindSteal, Dur: 100},
 		{Kind: KindJoinWait, Dur: 1000},
 		{Kind: KindTaskEnd, Dur: 2000},
-		{Kind: KindUnmapBatch, Arg: 4},
 		{Kind: KindUnmap, Arg: 32},
 	})
 	s := m.Snapshot()
@@ -224,9 +223,6 @@ func TestMetricsSinkAggregates(t *testing.T) {
 	}
 	if s.JoinWait.Count != 1 || s.TaskRun.Count != 1 {
 		t.Errorf("joinwait=%d taskrun=%d, want 1/1", s.JoinWait.Count, s.TaskRun.Count)
-	}
-	if s.UnmapBatch.Count != 1 || s.UnmapBatch.Sum != 4 {
-		t.Errorf("unmap batch %+v", s.UnmapBatch)
 	}
 	if s.Events["steal"] != 2 || s.Events["unmap"] != 1 {
 		t.Errorf("event counts %v", s.Events)

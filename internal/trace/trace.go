@@ -51,8 +51,6 @@ const (
 	// long it was parked). Emitted by the resumed owner, where KindResume
 	// is emitted by the finishing worker that woke it.
 	KindJoinWait
-	// KindUnmapBatch: a coalesced-unmap batch flushed (arg: unmaps issued).
-	KindUnmapBatch
 	// KindJobStart: a worker began executing a submitted root Job
 	// (arg: job id). Submitted roots deliberately do not emit
 	// KindTaskStart/KindTaskEnd — those remain reserved for stolen tasks,
@@ -65,7 +63,7 @@ const (
 	KindJobDone
 
 	// numKinds bounds the Kind space for mask and counter arrays.
-	numKinds = 12
+	numKinds = 11
 )
 
 // NumKinds returns the number of defined event kinds.
@@ -92,8 +90,6 @@ func (k Kind) String() string {
 		return "reclaim"
 	case KindJoinWait:
 		return "joinwait"
-	case KindUnmapBatch:
-		return "unmapbatch"
 	case KindJobStart:
 		return "jobstart"
 	case KindJobDone:
@@ -249,14 +245,14 @@ func (r *Recorder) Timeline(w io.Writer, bucket time.Duration) error {
 	glyph := map[Kind]byte{
 		KindFork: 'f', KindSteal: 'S', KindSuspend: 'z',
 		KindResume: 'R', KindUnmap: 'u', KindTaskStart: '>', KindTaskEnd: '<',
-		KindReclaim: 'r', KindJoinWait: 'j', KindUnmapBatch: 'b',
+		KindReclaim: 'r', KindJoinWait: 'j',
 		KindJobStart: 'J', KindJobDone: 'E',
 	}
 	// Rank kinds so rarer, more interesting events win a contested cell.
 	rank := map[Kind]int{
 		KindFork: 0, KindTaskEnd: 1, KindTaskStart: 2, KindJoinWait: 3,
-		KindUnmap: 4, KindUnmapBatch: 5, KindSteal: 6, KindResume: 7,
-		KindSuspend: 8, KindReclaim: 9, KindJobStart: 10, KindJobDone: 11,
+		KindUnmap: 4, KindSteal: 5, KindResume: 6,
+		KindSuspend: 7, KindReclaim: 8, KindJobStart: 9, KindJobDone: 10,
 	}
 	lanes := make([][]byte, maxWorker+1)
 	laneRank := make([][]int, maxWorker+1)
@@ -281,7 +277,7 @@ func (r *Recorder) Timeline(w io.Writer, bucket time.Duration) error {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "timeline: %v total, %v/column; f=fork S=steal z=suspend R=resume u=unmap r=reclaim j=joinwait b=batch J=jobstart E=jobdone >=start <=end\n",
+	fmt.Fprintf(&b, "timeline: %v total, %v/column; f=fork S=steal z=suspend R=resume u=unmap r=reclaim j=joinwait J=jobstart E=jobdone >=start <=end\n",
 		span.Round(time.Microsecond), bucket)
 	for i, lane := range lanes {
 		fmt.Fprintf(&b, "w%-3d %s\n", i, lane)

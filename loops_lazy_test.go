@@ -15,8 +15,8 @@ func TestForEmptyRange(t *testing.T) {
 	rt := fibril.New(fibril.Config{Workers: 2})
 	ran := 0
 	rt.Run(func(w *fibril.W) {
-		fibril.For(w, 5, 5, 4, func(w *fibril.W, i int) { ran++ })  // hi == lo
-		fibril.For(w, 9, 2, 4, func(w *fibril.W, i int) { ran++ })  // hi < lo
+		fibril.For(w, 5, 5, 4, func(w *fibril.W, i int) { ran++ })   // hi == lo
+		fibril.For(w, 9, 2, 4, func(w *fibril.W, i int) { ran++ })   // hi < lo
 		fibril.For(w, -3, -8, 0, func(w *fibril.W, i int) { ran++ }) // negative, inverted, auto-grain
 	})
 	if ran != 0 {
