@@ -96,11 +96,7 @@ func BenchmarkFig4(b *testing.B) {
 				b.Run(benchName(name, strat, p), func(b *testing.B) {
 					var last sim.Result
 					for i := 0; i < b.N; i++ {
-						cfg := sim.Config{Workers: p, Strategy: strat}
-						if strat == core.StrategyTBB {
-							cfg.StackPages = 2048
-						}
-						last = sim.Run(cfg, s.Tree(a))
+						last = sim.Run(sim.Config{Workers: p, Strategy: strat}, s.Tree(a))
 					}
 					b.ReportMetric(float64(work)/float64(last.Makespan), "sim-speedup")
 				})
@@ -177,8 +173,8 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkAblationMMap(b *testing.B) {
 	s := bench.Get("fib")
 	a := benchArg(s)
-	for _, strat := range []core.Strategy{core.StrategyFibril, core.StrategyFibrilMMap} {
-		b.Run(strat.String(), func(b *testing.B) {
+	for _, strat := range []core.Strategy{core.StrategyFibril, sim.StrategyFibrilMMap} {
+		b.Run(sim.StrategyName(strat), func(b *testing.B) {
 			var last sim.Result
 			for i := 0; i < b.N; i++ {
 				last = sim.Run(sim.Config{Workers: 32, Strategy: strat}, s.Tree(a))
@@ -194,9 +190,9 @@ func BenchmarkAblationDepthRestricted(b *testing.B) {
 	s := bench.Adversarial
 	a := benchArg(s)
 	for _, strat := range []core.Strategy{
-		core.StrategyFibril, core.StrategyTBB, core.StrategyLeapfrog,
+		core.StrategyFibril, core.StrategyTBB, sim.StrategyLeapfrog,
 	} {
-		b.Run(strat.String(), func(b *testing.B) {
+		b.Run(sim.StrategyName(strat), func(b *testing.B) {
 			var last sim.Result
 			for i := 0; i < b.N; i++ {
 				cfg := sim.Config{Workers: 16, Strategy: strat, StackPages: 2048}
@@ -236,7 +232,6 @@ func BenchmarkForkJoin(b *testing.B) {
 func BenchmarkForkJoinOverhead(b *testing.B) {
 	for _, strat := range []core.Strategy{
 		core.StrategyFibril, core.StrategyCilkPlus, core.StrategyTBB,
-		core.StrategyLeapfrog,
 	} {
 		b.Run(strat.String(), func(b *testing.B) {
 			rt := core.NewRuntime(core.Config{Workers: 1, Strategy: strat})

@@ -57,7 +57,7 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	fs.IntVar(&c.n, "n", 200, "number of seeds to soak (ignored with -one or -duration)")
 	fs.DurationVar(&c.duration, "duration", 0, "soak for this long instead of a fixed seed count")
 	fs.StringVar(&c.workers, "workers", "1,2,4", "comma-separated real-runtime worker counts")
-	fs.StringVar(&c.strategy, "strategy", "fibril", "strategy: fibril, nounmap, mmap, cilkplus, tbb, leapfrog")
+	fs.StringVar(&c.strategy, "strategy", "fibril", "strategy: "+strategyNames())
 	fs.BoolVar(&c.panics, "panics", false, "inject panics: 25% of leaves panic and 8% of interior nodes abandon their forked children (disables the simulator legs)")
 	fs.IntVar(&c.nodes, "nodes", 0, "override Params.MaxNodes (0 = default)")
 	fs.BoolVar(&c.nosim, "nosim", false, "skip the simulator legs")
@@ -89,23 +89,23 @@ func (c config) options() (check.Options, error) {
 		}
 		opts.Workers = append(opts.Workers, n)
 	}
-	switch strings.TrimSpace(c.strategy) {
-	case "fibril":
-		opts.Strategies = []core.Strategy{core.StrategyFibril}
-	case "nounmap":
-		opts.Strategies = []core.Strategy{core.StrategyFibrilNoUnmap}
-	case "mmap":
-		opts.Strategies = []core.Strategy{core.StrategyFibrilMMap}
-	case "cilkplus":
-		opts.Strategies = []core.Strategy{core.StrategyCilkPlus}
-	case "tbb":
-		opts.Strategies = []core.Strategy{core.StrategyTBB}
-	case "leapfrog":
-		opts.Strategies = []core.Strategy{core.StrategyLeapfrog}
-	default:
-		return opts, fmt.Errorf("bad -strategy %q", c.strategy)
+	for _, s := range core.Strategies() {
+		if s.String() == strings.TrimSpace(c.strategy) {
+			opts.Strategies = []core.Strategy{s}
+			return opts, nil
+		}
 	}
-	return opts, nil
+	return opts, fmt.Errorf("bad -strategy %q (have: %s)", c.strategy, strategyNames())
+}
+
+// strategyNames lists the strategies the real runtime has, by the names
+// -strategy takes.
+func strategyNames() string {
+	var names []string
+	for _, s := range core.Strategies() {
+		names = append(names, s.String())
+	}
+	return strings.Join(names, ", ")
 }
 
 // replayLine is the command that re-runs seed with nodes as the node budget

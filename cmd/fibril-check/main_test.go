@@ -15,7 +15,7 @@ func TestReplayLineReproducesFailingRun(t *testing.T) {
 		{},
 		{"-n", "50", "-q"},
 		{"-strategy", "tbb", "-workers", "2,8", "-panics", "-ceiling", "64"},
-		{"-strategy", " mmap ", "-workers", "1, 3", "-nosim", "-nodes", "40", "-duration", "1s"},
+		{"-strategy", " fibril-nounmap ", "-workers", "1, 3", "-nosim", "-nodes", "40", "-duration", "1s"},
 	} {
 		failing, err := parseFlags(args, io.Discard)
 		if err != nil {
@@ -46,5 +46,20 @@ func TestReplayLineReproducesFailingRun(t *testing.T) {
 		if got, err := replay.options(); err != nil || !reflect.DeepEqual(got, wantOpts) {
 			t.Errorf("%v: %q runs %+v (err %v), the failing run ran %+v", args, line, got, err, wantOpts)
 		}
+	}
+}
+
+// -strategy takes the names the runtime's strategies print, and nothing
+// else: a simulator-only strategy is refused with the valid names listed.
+func TestStrategyFlagTakesRuntimeNames(t *testing.T) {
+	for _, name := range []string{"fibril", "fibril-nounmap", "cilkplus", "tbb"} {
+		c, _ := parseFlags([]string{"-strategy", name}, io.Discard)
+		if opts, err := c.options(); err != nil || opts.Strategies[0].String() != name {
+			t.Errorf("-strategy %s: %v, %v", name, opts.Strategies, err)
+		}
+	}
+	c, _ := parseFlags([]string{"-strategy", "leapfrog"}, io.Discard)
+	if _, err := c.options(); err == nil || !strings.Contains(err.Error(), "fibril, fibril-nounmap, cilkplus, tbb") {
+		t.Errorf("-strategy leapfrog: error %v, want one listing the valid names", err)
 	}
 }

@@ -71,9 +71,6 @@ func main() {
 		Workers: *workers, Strategy: strat, WorkFirst: !*helpFirst,
 		StackPages: *stackPages, StackLimit: *stackLimit, Seed: *seed,
 	}
-	if cfg.StackPages == 0 && (strat == core.StrategyTBB || strat == core.StrategyLeapfrog) {
-		cfg.StackPages = 2048 // inline stealers grow one stack per worker
-	}
 	r := sim.Run(cfg, s.Tree(arg))
 	fmt.Printf("result     %v\n", r)
 	fmt.Printf("speedup    %.2f (vs pure work T1)\n", float64(met.Work)/float64(r.Makespan))

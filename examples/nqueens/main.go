@@ -45,7 +45,7 @@ func solve(w *fibril.W, n int, cols, d1, d2 uint32, out *int64) {
 func main() {
 	n := flag.Int("n", 10, "board size")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-	strategy := flag.String("strategy", "fibril", "fibril | cilkplus | tbb | leapfrog")
+	strategy := flag.String("strategy", "fibril", "fibril | fibril-nounmap | cilkplus | tbb")
 	flag.Parse()
 
 	var strat fibril.Strategy

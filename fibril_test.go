@@ -62,10 +62,7 @@ func TestAllExportedStrategiesRun(t *testing.T) {
 	// Strategies() is the exported constants and nothing else, in
 	// presentation order: a strategy only the simulator models has no
 	// place in the list the real runtime schedules from.
-	want := []fibril.Strategy{
-		fibril.Fibril, fibril.FibrilNoUnmap, fibril.FibrilMMap,
-		fibril.CilkPlus, fibril.TBB, fibril.Leapfrog,
-	}
+	want := []fibril.Strategy{fibril.Fibril, fibril.FibrilNoUnmap, fibril.CilkPlus, fibril.TBB}
 	if got := fibril.Strategies(); !slices.Equal(got, want) {
 		t.Fatalf("Strategies() = %v, want %v", got, want)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fibril/internal/core"
+	"fibril/internal/sim"
 )
 
 // TestDifferentialConformance is the acceptance suite of the harness:
@@ -32,20 +33,21 @@ func TestDifferentialConformance(t *testing.T) {
 // non-default strategies: the paper's ablations (NoUnmap, MMap) and the
 // baselines whose join discipline differs structurally (CilkPlus suspends
 // like Fibril but with a bounded pool; TBB and Leapfrog never suspend).
+// MMap and Leapfrog are the simulator's alone, so they run its legs only.
 func TestDifferentialStrategyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("strategy matrix is long; covered by the default suite in short mode")
 	}
 	strategies := []core.Strategy{
 		core.StrategyFibrilNoUnmap,
-		core.StrategyFibrilMMap,
+		sim.StrategyFibrilMMap,
 		core.StrategyCilkPlus,
 		core.StrategyTBB,
-		core.StrategyLeapfrog,
+		sim.StrategyLeapfrog,
 	}
 	for _, strat := range strategies {
 		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
+		t.Run(sim.StrategyName(strat), func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(100); seed < 110; seed++ {
 				p := Generate(seed, Params{})
@@ -54,14 +56,34 @@ func TestDifferentialStrategyMatrix(t *testing.T) {
 					Strategies: []core.Strategy{strat},
 					SimWorkers: []int{3},
 				}
-				// TBB and Leapfrog joins run the inline-steal discipline
-				// only in the real runtime's help-first substitution; the
-				// work-first engine models them too, so both engines stay on.
+				// The TBB and Leapfrog joins run the inline-steal
+				// discipline in both simulator engines, so both stay on.
 				if err := Differential(p, opts); err != nil {
 					t.Error(err)
 				}
 			}
 		})
+	}
+}
+
+// TestLegsCountRealLegsPerRuntimeStrategy: a simulator-only strategy adds
+// the simulator legs and no real-runtime legs.
+func TestLegsCountRealLegsPerRuntimeStrategy(t *testing.T) {
+	o := Options{
+		Workers:    []int{1, 2, 4},
+		Strategies: []core.Strategy{core.StrategyFibril, sim.StrategyLeapfrog},
+		SimWorkers: []int{1, 3},
+	}
+	if got, want := o.Legs(), (3+2*2)+(2*2); got != want {
+		t.Errorf("Legs() = %d, want %d", got, want)
+	}
+	o.NoSim = true
+	if got, want := o.Legs(), 3; got != want {
+		t.Errorf("Legs() with NoSim = %d, want %d", got, want)
+	}
+	o.Strategies = []core.Strategy{sim.StrategyFibrilMMap}
+	if got := o.Legs(); got != 0 {
+		t.Errorf("Legs() for a simulator-only strategy with NoSim = %d, want 0", got)
 	}
 }
 

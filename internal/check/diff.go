@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"slices"
 
 	"fibril/internal/core"
 )
@@ -11,8 +12,9 @@ import (
 type Options struct {
 	// Workers are the real-runtime worker counts. Default {1, 2, 4}.
 	Workers []int
-	// Strategies are the scheduling strategies, applied to the real runtime
-	// and the simulators. Default {Fibril}.
+	// Strategies are the scheduling strategies, applied to the simulators
+	// and, for those in core.Strategies(), to the real runtime. Default
+	// {Fibril}.
 	Strategies []core.Strategy
 	// Mem are the RSS ceilings each real-runtime leg is run with. Default
 	// {{}} — no ceiling. The simulators do not model the ceiling, so the
@@ -45,20 +47,31 @@ func (o Options) withDefaults() Options {
 }
 
 // Legs returns how many executions Differential puts one program through:
-// the real-runtime matrix plus, unless NoSim, both simulator engines per
-// simulator worker count (a program with injected panics skips those).
+// per strategy, the real-runtime matrix if the runtime has the strategy,
+// plus, unless NoSim, both simulator engines per simulator worker count (a
+// program with injected panics skips those).
 func (o Options) Legs() int {
 	o = o.withDefaults()
-	legs := len(o.Workers) * len(o.Mem)
-	if !o.NoSim {
-		legs += 2 * len(o.SimWorkers)
+	legs := 0
+	for _, strat := range o.Strategies {
+		if onRuntime(strat) {
+			legs += len(o.Workers) * len(o.Mem)
+		}
+		if !o.NoSim {
+			legs += 2 * len(o.SimWorkers)
+		}
 	}
-	return len(o.Strategies) * legs
+	return legs
 }
+
+// onRuntime reports whether the real runtime has strat; the others are the
+// simulator's alone.
+func onRuntime(strat core.Strategy) bool { return slices.Contains(core.Strategies(), strat) }
 
 // Differential executes the program across the full executor matrix —
 // real runtime × strategies × worker counts, plus both simulator
-// engines — and checks every oracle against every execution.
+// engines — and checks every oracle against every execution. A
+// simulator-only strategy gets the simulator legs alone.
 // Exactly-once execution on each leg implies all legs computed the same
 // multiset of leaf executions, which is the differential guarantee. The
 // returned error joins every violation, each tagged with the executor
@@ -69,7 +82,11 @@ func Differential(p *Program, opts Options) error {
 	var errs []error
 
 	for _, strat := range opts.Strategies {
-		for _, workers := range opts.Workers {
+		realWorkers := opts.Workers
+		if !onRuntime(strat) {
+			realWorkers = nil
+		}
+		for _, workers := range realWorkers {
 			for _, mem := range opts.Mem {
 				e := RunReal(p, workers, strat, mem)
 				if p.Panics > 0 {

@@ -6,6 +6,7 @@ import (
 
 	"fibril/internal/core"
 	"fibril/internal/invoke"
+	"fibril/internal/sim"
 	"fibril/internal/vm"
 )
 
@@ -175,15 +176,12 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 	// Stack-management discipline per strategy: the paper's rule (Listing 3
 	// line 63) is that every suspend unmaps, there and then — with or
 	// without a ceiling.
-	switch st.Strategy {
-	case core.StrategyFibril, core.StrategyFibrilMMap:
+	if st.Strategy == core.StrategyFibril {
 		if st.Unmaps != st.Suspends {
 			v.failf("Unmaps=%d != Suspends=%d", st.Unmaps, st.Suspends)
 		}
-	default:
-		if st.Unmaps != 0 {
-			v.failf("strategy %v performed %d unmaps, want 0", st.Strategy, st.Unmaps)
-		}
+	} else if st.Unmaps != 0 {
+		v.failf("strategy %v performed %d unmaps, want 0", st.Strategy, st.Unmaps)
 	}
 	// RSS-ceiling discipline: with no ceiling the pressure valve may never
 	// fire; with one, every madvise call and page is attributed either to
@@ -206,20 +204,6 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 		if st.VM.RemapCalls != 0 {
 			v.failf("madvise strategy performed %d remaps", st.VM.RemapCalls)
 		}
-	case core.StrategyFibrilMMap:
-		// Suspend unmaps go through mmap here; any madvise traffic is the
-		// ceiling reclaiming residue off pooled stacks.
-		if st.VM.MadviseCalls != st.PoolReclaims {
-			v.failf("mmap strategy: VM.MadviseCalls=%d != PoolReclaims=%d",
-				st.VM.MadviseCalls, st.PoolReclaims)
-		}
-		if st.VM.MadvisedPages != st.ReclaimedPages {
-			v.failf("mmap strategy: VM.MadvisedPages=%d != ReclaimedPages=%d",
-				st.VM.MadvisedPages, st.ReclaimedPages)
-		}
-		if st.VM.RemapCalls != st.Resumes {
-			v.failf("VM.RemapCalls=%d != Resumes=%d", st.VM.RemapCalls, st.Resumes)
-		}
 	default:
 		if st.VM.MadviseCalls != st.PoolReclaims || st.VM.RemapCalls != 0 {
 			v.failf("strategy %v touched unmap machinery (madvise=%d poolReclaims=%d remap=%d)",
@@ -229,11 +213,6 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 			v.failf("strategy %v: VM.MadvisedPages=%d != ReclaimedPages=%d",
 				st.Strategy, st.VM.MadvisedPages, st.ReclaimedPages)
 		}
-	}
-	// A resume must never find its pages swapped for the dummy file: a
-	// nonzero DummyTouches means the FibrilMMap remap discipline raced.
-	if st.VM.DummyTouches != 0 {
-		v.failf("VM.DummyTouches=%d, want 0 (touched a dummy-mapped page)", st.VM.DummyTouches)
 	}
 
 	// Arena conservation (the zero-allocation fork path). On a non-panic
@@ -403,13 +382,13 @@ func CheckSim(p *Program, m invoke.Metrics, e SimExec) error {
 		if r.Unmaps > r.Suspends+r.Steals {
 			v.failf("Unmaps=%d > Suspends+Steals=%d", r.Unmaps, r.Suspends+r.Steals)
 		}
-	case r.Strategy == core.StrategyFibril || r.Strategy == core.StrategyFibrilMMap:
+	case r.Strategy == core.StrategyFibril || r.Strategy == sim.StrategyFibrilMMap:
 		if r.Unmaps != r.Suspends {
 			v.failf("Unmaps=%d != Suspends=%d", r.Unmaps, r.Suspends)
 		}
 	default:
 		if r.Unmaps != 0 {
-			v.failf("strategy %v performed %d unmaps, want 0", r.Strategy, r.Unmaps)
+			v.failf("strategy %s performed %d unmaps, want 0", sim.StrategyName(r.Strategy), r.Unmaps)
 		}
 	}
 	if r.Strategy != core.StrategyCilkPlus && r.PoolStalls != 0 {

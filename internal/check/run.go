@@ -246,7 +246,7 @@ func RunSim(p *Program, workers int, workFirst bool, strat core.Strategy) (e Sim
 		engine = "workfirst"
 	}
 	e = SimExec{
-		Label:     fmt.Sprintf("sim/%s/%v/P=%d", engine, strat, workers),
+		Label:     fmt.Sprintf("sim/%s/%s/P=%d", engine, sim.StrategyName(strat), workers),
 		Counts:    make([]uint32, p.Nodes),
 		WorkFirst: workFirst,
 	}

@@ -56,7 +56,7 @@ func (v *violations) reconcileTrace(ts TraceSummary, st core.Stats) {
 	eq(trace.KindUnmap, count(trace.KindUnmap), st.Unmaps, "Unmaps")
 	eq(trace.KindReclaim, count(trace.KindReclaim), st.CeilingHits, "CeilingHits")
 	// Start/end pairs exist exactly for base-thief steals; inline steals
-	// (TBB/leapfrog joins) run on the joiner's own stack without them.
+	// (TBB joins) run on the joiner's own stack without them.
 	base := st.Steals - st.RestrictedSteals
 	eq(trace.KindTaskStart, count(trace.KindTaskStart), base, "Steals-RestrictedSteals")
 	eq(trace.KindTaskEnd, count(trace.KindTaskEnd), base, "Steals-RestrictedSteals")

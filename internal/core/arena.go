@@ -185,7 +185,6 @@ func (w *W) ReleaseScratch(s *Scratch) {
 	}
 	f.pending = 0
 	f.stack = nil
-	f.parent = nil
 	a := &w.slot.arena
 	if a.n < arenaHoardCap {
 		s.home = int32(w.slot.id) // adopted: the block lives here now

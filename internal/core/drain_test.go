@@ -21,7 +21,7 @@ func TestRootPanicRunsAbandonedChildren(t *testing.T) {
 	}
 	// A root has no Join above it at all: without the drain its Job
 	// completes over three queued tasks and Close drops them.
-	for _, strategy := range []Strategy{StrategyFibril, StrategyTBB, StrategyLeapfrog} {
+	for _, strategy := range []Strategy{StrategyFibril, StrategyTBB} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("root/%v/P%d", strategy, workers), func(t *testing.T) {
 				rt := NewRuntime(Config{Workers: workers, Strategy: strategy})

@@ -142,43 +142,6 @@ func TestBaselineSpawnCost(t *testing.T) {
 	}
 }
 
-// TestLeapfrogArenaRecycling is the regression fence for the blanket
-// arena exclusion StrategyLeapfrog used to carry: Scratch blocks must
-// recycle under the leapfrog join discipline exactly as they do under
-// Fibril — acquires balance releases, and a warmed runtime's second run
-// stays below one allocation per fork.
-func TestLeapfrogArenaRecycling(t *testing.T) {
-	const n = 22
-	want := fibSerial(n)
-	t.Run("the", func(t *testing.T) {
-		rt := NewRuntime(Config{Workers: 4, Strategy: StrategyLeapfrog})
-		var out int64
-		rt.Run(func(w *W) { out = gateFib(w, n) }) // warm
-		st0 := rt.Stats()
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		rt.Run(func(w *W) { out = gateFib(w, n) })
-		runtime.ReadMemStats(&m1)
-		st := rt.Stats()
-		if out != want {
-			t.Fatalf("gateFib(%d) = %d, want %d", n, out, want)
-		}
-		ops := st.Forks - st0.Forks
-		got := int64(m1.Mallocs - m0.Mallocs)
-		t.Logf("%d allocs over %d forks", got, ops)
-		if got >= ops {
-			t.Errorf("%d allocs over %d forks: leapfrog is not recycling Scratch blocks", got, ops)
-		}
-		if st.ArenaAcquires == 0 {
-			t.Fatal("no arena acquires recorded")
-		}
-		if st.ArenaAcquires != st.ArenaReleases {
-			t.Errorf("ArenaAcquires=%d != ArenaReleases=%d", st.ArenaAcquires, st.ArenaReleases)
-		}
-	})
-}
-
 // spinSink keeps the yardstick loop from being optimized away.
 var spinSink atomic.Uint64
 

@@ -57,13 +57,6 @@ type Frame struct {
 	watermark int
 
 	depth int32 // invocation depth of the owning task
-	// parent is the frame of the task that declared this one (ancestry),
-	// written at Init, before the frame's first Fork. Leapfrog StealIf
-	// predicates walk it from other workers; the deque hands a predicate
-	// only a candidate it has already claimed under the deque lock, so the
-	// candidate is an unexecuted task and every frame on its ancestry is
-	// still waiting on it — live, not arena-recycled.
-	parent *Frame
 
 	// panicked is the first panic among the frame's children: set by a CAS
 	// from nil on whichever worker ran the child, taken by the owner's Join.
@@ -77,19 +70,8 @@ const frameSuspended = int32(1) << 30
 // Depth returns the invocation-tree depth recorded at Init.
 func (f *Frame) Depth() int { return int(f.depth) }
 
-// isDescendantOf reports whether f is ancestor or one of its descendants —
-// the eligibility test of leapfrogging.
-func (f *Frame) isDescendantOf(ancestor *Frame) bool {
-	for cur := f; cur != nil; cur = cur.parent {
-		if cur == ancestor {
-			return true
-		}
-	}
-	return false
-}
-
-// Init prepares the frame for forking: records the owning stack, the
-// current invocation depth, and the enclosing frame for ancestry tracking.
+// Init prepares the frame for forking: records the owning stack and the
+// current invocation depth.
 func (w *W) Init(f *Frame) {
 	// count is zero already unless the frame was abandoned mid-region (a
 	// panic unwound past its Join) and is being reused; the load keeps the
@@ -101,7 +83,6 @@ func (w *W) Init(f *Frame) {
 	f.stack = w.stack
 	f.watermark = 0
 	f.depth = w.depth
-	f.parent = w.frame
 }
 
 // countStolen is the steal-time half of the join protocol (Listing 3): the
@@ -177,15 +158,9 @@ func (w *W) suspend(f *Frame) bool {
 	// Return the unused portion of the suspended stack to the OS (Listing 3
 	// line 63). It is safe after publishing the suspension: nobody touches
 	// this stack until the resume channel fires, and the pages below the
-	// watermark stay mapped.
-	switch rt.cfg.Strategy {
-	case StrategyFibril:
+	// watermark stay mapped. They fault back in lazily after the resume.
+	if rt.cfg.Strategy == StrategyFibril {
 		freed := w.stack.UnmapAbove()
-		w.stats.unmaps.Add(1)
-		w.stats.unmappedPages.Add(int64(freed))
-		rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
-	case StrategyFibrilMMap:
-		freed := w.stack.MapDummyAbove()
 		w.stats.unmaps.Add(1)
 		w.stats.unmappedPages.Add(int64(freed))
 		rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
@@ -214,12 +189,6 @@ func (w *W) suspend(f *Frame) bool {
 	w.stats = rt.shard(w.slot.id)
 	if !parkedAt.IsZero() {
 		rt.trc.Emit(w.slot.id, trace.KindJoinWait, int64(w.stack.ID()), time.Since(parkedAt))
-	}
-	// Remap before execution returns to the stack. The woken owner does it
-	// (not the finisher) because only the owner may touch the stack; with
-	// madvise-based unmap remap is a no-op and pages fault back lazily.
-	if rt.cfg.Strategy == StrategyFibrilMMap {
-		w.stack.RemapAbove()
 	}
 	return true
 }

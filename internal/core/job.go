@@ -22,7 +22,7 @@ import (
 // root intake (see intake.go) rather than a worker deque: idle thieves
 // take roots only after a full steal sweep fails, so in-flight
 // computations keep their workers until there is genuinely idle capacity,
-// and restricted (TBB/leapfrog) inline steals can never pick up an
+// and restricted (TBB) inline steals can never pick up an
 // unrelated root. Admission control in front of the intake bounds the
 // number of live roots (Config.MaxInflight) and the per-tenant stack-page
 // budget (Config.TenantQuotaPages), shedding or queueing per

@@ -30,9 +30,9 @@ var (
 	// A Frame is not padded — it lives inside a Scratch block or a caller's
 	// own variable — so its fields are listed by writer without distances.
 	frameFields = []string{
-		"count",                    // thieves, under the victim's deque lock and at child completion; the owner's commit CAS
-		"pending",                  // the owner, on every Fork and Join
-		"stack", "depth", "parent", // the owner, at Init
+		"count",          // thieves, under the victim's deque lock and at child completion; the owner's commit CAS
+		"pending",        // the owner, on every Fork and Join
+		"stack", "depth", // the owner, at Init
 		"resume", "watermark", // the owner, before the commit CAS
 		"panicked", // whoever ran the first child to panic; the owner's Join
 	}
@@ -62,14 +62,14 @@ func TestLayout(t *testing.T) {
 	if n := len(frameFields); n != frame.NumField() {
 		t.Errorf("core.Frame has %d fields, %d listed", frame.NumField(), n)
 	}
-	// A Frame is seven words, and one Scratch is one object of Go's 208-byte
-	// size class (192 is the class below): a Frame field more than the 8
-	// bytes to spare moves every fork/join region's block up a class.
-	if sz := unsafe.Sizeof(Frame{}); sz != 56 {
-		t.Errorf("core.Frame is %d bytes, want 56", sz)
+	// A Frame is six words, and one Scratch fills one object of Go's 192-byte
+	// size class exactly (176 is the class below): a Frame field more moves
+	// every fork/join region's block up a class.
+	if sz := unsafe.Sizeof(Frame{}); sz != 48 {
+		t.Errorf("core.Frame is %d bytes, want 48", sz)
 	}
-	if sz := unsafe.Sizeof(Scratch{}); sz <= 192 || sz > 208 {
-		t.Errorf("core.Scratch is %d bytes, outside the 208-byte size class (192, 208]", sz)
+	if sz := unsafe.Sizeof(Scratch{}); sz <= 176 || sz > 192 {
+		t.Errorf("core.Scratch is %d bytes, outside the 192-byte size class (176, 192]", sz)
 	}
 }
 

@@ -230,69 +230,67 @@ func TestAbandonedPrivateChildrenStillRun(t *testing.T) {
 			}
 		})
 	}
-	// The inline-stealing joins run a stolen task in the middle of a Join,
-	// not at base level, and drain behind it all the same
-	// (joinInlineStealing). The root's child X goes to the other worker and
-	// waits there; the root's Join, which never suspends, steals X's child Y
-	// from it and runs Y inline; Y forks three children on the root's deque
-	// and panics. After that the root only waits — no Fork, no Pop — so the
-	// two children Y left private run only if that Join drained them.
-	for _, strategy := range []Strategy{StrategyTBB, StrategyLeapfrog} {
-		t.Run(strategy.String(), func(t *testing.T) {
-			rt := NewRuntime(Config{Workers: 2, Strategy: strategy})
-			for r := 0; r < rounds; r++ {
-				var ran [3]atomic.Int32
-				var total atomic.Int32
-				var xStarted, yStarted atomic.Bool
-				var surfaced any
-				var st Stats
-				watchdog(t, 30*time.Second, func() {
-					st = rt.Run(func(w *W) {
-						outer, fx, inner := new(Frame), new(Frame), new(Frame)
-						w.Init(outer)
-						w.Fork(outer, func(xw *W) {
-							xw.Init(fx)
-							xw.Fork(fx, func(yw *W) {
-								yStarted.Store(true)
-								yw.Init(inner)
-								for i := range ran {
-									yw.Fork(inner, func(*W) { ran[i].Add(1); total.Add(1) })
-								}
-								panic("abandon")
-							})
-							xStarted.Store(true)
-							spinUntil(yStarted.Load) // not joining yet leaves Y to the root
-							xw.Join(fx)
+	// The TBB join runs a stolen task in the middle of a Join, not at base
+	// level, and drains behind it all the same (joinBlocked). The root's child
+	// X goes to the other worker and waits there; the root's Join, which never
+	// suspends, steals X's child Y from it and runs Y inline; Y forks three
+	// children on the root's deque and panics. After that the root only waits
+	// — no Fork, no Pop — so the two children Y left private run only if that
+	// Join drained them.
+	t.Run(StrategyTBB.String(), func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 2, Strategy: StrategyTBB})
+		for r := 0; r < rounds; r++ {
+			var ran [3]atomic.Int32
+			var total atomic.Int32
+			var xStarted, yStarted atomic.Bool
+			var surfaced any
+			var st Stats
+			watchdog(t, 30*time.Second, func() {
+				st = rt.Run(func(w *W) {
+					outer, fx, inner := new(Frame), new(Frame), new(Frame)
+					w.Init(outer)
+					w.Fork(outer, func(xw *W) {
+						xw.Init(fx)
+						xw.Fork(fx, func(yw *W) {
+							yStarted.Store(true)
+							yw.Init(inner)
+							for i := range ran {
+								yw.Fork(inner, func(*W) { ran[i].Add(1); total.Add(1) })
+							}
+							panic("abandon")
 						})
-						spinUntil(xStarted.Load) // and X to the thief
-						func() {
-							defer func() { surfaced = recover() }()
-							w.Join(outer)
-						}()
-						spinUntil(func() bool { return total.Load() == int32(len(ran)) })
+						xStarted.Store(true)
+						spinUntil(yStarted.Load) // not joining yet leaves Y to the root
+						xw.Join(fx)
 					})
+					spinUntil(xStarted.Load) // and X to the thief
+					func() {
+						defer func() { surfaced = recover() }()
+						w.Join(outer)
+					}()
+					spinUntil(func() bool { return total.Load() == int32(len(ran)) })
 				})
-				if tp, ok := surfaced.(*TaskPanic); !ok || tp.Value != "abandon" {
-					t.Fatalf("round %d: Join(outer) recovered %v, want the task's panic", r, surfaced)
-				}
-				for i := range ran {
-					if got := ran[i].Load(); got != 1 {
-						t.Fatalf("round %d: abandoned child %d ran %d times, want 1", r, i, got)
-					}
-				}
-				if q := rt.QueuedTasks(); q != 0 {
-					t.Fatalf("round %d: %d tasks left in the deques", r, q)
-				}
-				if want := int64(r + 1); st.RestrictedSteals < want {
-					t.Fatalf("round %d: %d inline steals so far, want >= %d: Y did not run inside the root's Join",
-						r, st.RestrictedSteals, want)
-				}
-				if n := rt.park.nidle.Load(); n != 0 {
-					t.Fatalf("round %d: %d slots still counted idle after Run", r, n)
+			})
+			if tp, ok := surfaced.(*TaskPanic); !ok || tp.Value != "abandon" {
+				t.Fatalf("round %d: Join(outer) recovered %v, want the task's panic", r, surfaced)
+			}
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Fatalf("round %d: abandoned child %d ran %d times, want 1", r, i, got)
 				}
 			}
-		})
-	}
+			if q := rt.QueuedTasks(); q != 0 {
+				t.Fatalf("round %d: %d tasks left in the deques", r, q)
+			}
+			if want := int64(r + 1); st.RestrictedSteals < want {
+				t.Fatalf("round %d: %d inline steals so far, want >= %d: Y did not run inside the root's Join",
+					r, st.RestrictedSteals, want)
+			}
+			if n := rt.park.nidle.Load(); n != 0 {
+				t.Fatalf("round %d: %d slots still counted idle after Run", r, n)
+			}
+		}
+	})
 }
 
 // gcPayload is what a forked closure is the only reference to. It is past

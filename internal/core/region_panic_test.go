@@ -26,7 +26,7 @@ func catchAny(f func()) (v any) {
 // every child is drained inline by its parent's Join, and at Workers=4, where
 // thieves take some through exec.
 func forRegionConfigs(t *testing.T, workers []int, body func(t *testing.T, rt *Runtime)) {
-	for _, s := range []Strategy{StrategyFibril, StrategyTBB, StrategyLeapfrog} {
+	for _, s := range []Strategy{StrategyFibril, StrategyTBB} {
 		for _, p := range workers {
 			t.Run(fmt.Sprintf("%v/P%d", s, p), func(t *testing.T) {
 				body(t, NewRuntime(Config{Workers: p, Strategy: s}))

@@ -40,12 +40,13 @@
 //
 // # Strategies
 //
-// The Strategy selects the policy the paper compares (§3, §5): Fibril with
-// madvise-based unmap, Fibril without unmap, Cilk Plus (bounded stack pool,
-// no unmap), TBB (depth-restricted stealing executed inline on the
-// joiner's own stack, which is why TBB needs no suspension and no extra
-// stacks but forfeits the time bound) and leapfrogging
-// (descendant-restricted inline stealing).
+// The Strategy selects the policy the paper measures on real hardware
+// (Figure 3, §5): Fibril with madvise-based unmap, Fibril without unmap,
+// Cilk Plus (bounded stack pool, no unmap) and TBB (depth-restricted
+// stealing executed inline on the joiner's own stack, which is why TBB needs
+// no suspension and no extra stacks but forfeits the time bound). The
+// serialized-mmap unmap, leapfrogging and Cilk-M are reproduced by the
+// simulator only (internal/sim).
 package core
 
 import (
@@ -53,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +77,6 @@ const (
 	// StrategyFibrilNoUnmap is the paper's ablation: identical scheduling,
 	// but suspended stacks keep their pages (unmap is a no-op).
 	StrategyFibrilNoUnmap
-	// StrategyFibrilMMap is the unmap-via-serialized-mmap ablation from
-	// §4.3: unused pages are remapped to a dummy file under the
-	// address-space lock and must be remapped anonymous before reuse.
-	StrategyFibrilMMap
 	// StrategyCilkPlus models Intel Cilk Plus: suspension like Fibril, no
 	// unmap, a *bounded* stack pool (thieves refrain from stealing when it
 	// is empty), and a heavier spawn path.
@@ -88,9 +86,6 @@ const (
 	// executes them inline on its own stack. Heap-allocated task objects
 	// make the spawn path the heaviest of all.
 	StrategyTBB
-	// StrategyLeapfrog restricts inline stealing further, to descendants
-	// of the joining frame (Wagner & Calder's leapfrogging).
-	StrategyLeapfrog
 )
 
 // String returns the strategy's display name as used in the experiments.
@@ -100,14 +95,10 @@ func (s Strategy) String() string {
 		return "fibril"
 	case StrategyFibrilNoUnmap:
 		return "fibril-nounmap"
-	case StrategyFibrilMMap:
-		return "fibril-mmap"
 	case StrategyCilkPlus:
 		return "cilkplus"
 	case StrategyTBB:
 		return "tbb"
-	case StrategyLeapfrog:
-		return "leapfrog"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -115,10 +106,7 @@ func (s Strategy) String() string {
 
 // Strategies lists every implemented strategy, in presentation order.
 func Strategies() []Strategy {
-	return []Strategy{
-		StrategyFibril, StrategyFibrilNoUnmap, StrategyFibrilMMap,
-		StrategyCilkPlus, StrategyTBB, StrategyLeapfrog,
-	}
+	return []Strategy{StrategyFibril, StrategyFibrilNoUnmap, StrategyCilkPlus, StrategyTBB}
 }
 
 // Config parameterizes a Runtime.
@@ -343,8 +331,12 @@ type Runtime struct {
 }
 
 // NewRuntime creates a runtime with the given configuration. The runtime
-// owns a fresh simulated address space and stack pool.
+// owns a fresh simulated address space and stack pool. It panics on a
+// Strategy that is not one of Strategies().
 func NewRuntime(cfg Config) *Runtime {
+	if !slices.Contains(Strategies(), cfg.Strategy) {
+		panic(fmt.Sprintf("core: unknown strategy %v", cfg.Strategy))
+	}
 	cfg = cfg.withDefaults()
 	as := vm.NewAddressSpace()
 	rt := &Runtime{
@@ -557,10 +549,9 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 // probe count to the stealAttempts shard once per sweep instead of once per
 // victim. take runs on the claimed candidate inside the victim's deque lock
 // and must count an accepted child on its frame: a base-level thief passes
-// countStolen itself, the depth-restricted and leapfrog joins their
-// eligibility test in front of it. It returns false after a full
-// unsuccessful sweep so callers can decide to back off or re-check their
-// join condition.
+// countStolen itself, the depth-restricted join its eligibility test in
+// front of it. It returns false after a full unsuccessful sweep so callers
+// can decide to back off or re-check their join condition.
 func (rt *Runtime) steal(w *W, take func(task) bool) (task, bool) {
 	self := w.slot.id
 	n := len(rt.workers)

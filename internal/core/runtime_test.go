@@ -68,7 +68,7 @@ func TestSingleWorkerNeverSteals(t *testing.T) {
 }
 
 func TestSuspensionsBalanceResumes(t *testing.T) {
-	for _, s := range []Strategy{StrategyFibril, StrategyFibrilNoUnmap, StrategyFibrilMMap, StrategyCilkPlus} {
+	for _, s := range []Strategy{StrategyFibril, StrategyFibrilNoUnmap, StrategyCilkPlus} {
 		_, stats := runParfib(t, Config{Workers: 8, Strategy: s}, 20)
 		if stats.Suspends != stats.Resumes {
 			t.Errorf("%s: suspends=%d resumes=%d, want equal", s, stats.Suspends, stats.Resumes)
@@ -151,7 +151,7 @@ func TestFibrilUnmapsOnlyOnSuspension(t *testing.T) {
 }
 
 func TestNoUnmapStrategiesDoNotUnmap(t *testing.T) {
-	for _, s := range []Strategy{StrategyFibrilNoUnmap, StrategyCilkPlus, StrategyTBB, StrategyLeapfrog} {
+	for _, s := range []Strategy{StrategyFibrilNoUnmap, StrategyCilkPlus, StrategyTBB} {
 		_, stats := runParfib(t, Config{Workers: 8, Strategy: s}, 20)
 		if stats.Unmaps != 0 {
 			t.Errorf("%s: unmaps = %d, want 0", s, stats.Unmaps)
@@ -163,30 +163,14 @@ func TestNoUnmapStrategiesDoNotUnmap(t *testing.T) {
 }
 
 func TestInlineStealingUsesOneStackPerWorker(t *testing.T) {
-	// TBB and leapfrogging never suspend, so they need at most P stacks.
-	for _, s := range []Strategy{StrategyTBB, StrategyLeapfrog} {
-		const workers = 8
-		_, stats := runParfib(t, Config{Workers: workers, Strategy: s, StackPages: 4096}, 20)
-		if stats.StacksCreated > workers {
-			t.Errorf("%s: created %d stacks for %d workers", s, stats.StacksCreated, workers)
-		}
-		if stats.Suspends != 0 {
-			t.Errorf("%s: suspends = %d, want 0", s, stats.Suspends)
-		}
+	// TBB never suspends, so it needs at most P stacks.
+	const workers = 8
+	_, stats := runParfib(t, Config{Workers: workers, Strategy: StrategyTBB, StackPages: 4096}, 20)
+	if stats.StacksCreated > workers {
+		t.Errorf("created %d stacks for %d workers", stats.StacksCreated, workers)
 	}
-}
-
-func TestMMapModeTakesAddressSpaceLock(t *testing.T) {
-	_, mm := runParfib(t, Config{Workers: 8, Strategy: StrategyFibrilMMap}, 20)
-	if mm.Suspends > 0 && mm.VM.RemapCalls == 0 {
-		t.Error("mmap mode suspended but never remapped")
-	}
-	if mm.VM.DummyTouches != 0 {
-		t.Errorf("dummy touches = %d — a stack was used without remap", mm.VM.DummyTouches)
-	}
-	_, mv := runParfib(t, Config{Workers: 8, Strategy: StrategyFibril}, 20)
-	if mv.VM.RemapCalls != 0 {
-		t.Errorf("madvise mode recorded %d remaps, want 0 (remap is a no-op)", mv.VM.RemapCalls)
+	if stats.Suspends != 0 {
+		t.Errorf("suspends = %d, want 0", stats.Suspends)
 	}
 }
 
@@ -362,5 +346,18 @@ func TestStrategyStrings(t *testing.T) {
 	}
 	if got := Strategy(99).String(); got != "Strategy(99)" {
 		t.Errorf("unknown strategy string = %q", got)
+	}
+}
+
+// TestNewRuntimeRejectsUnknownStrategy: a value outside Strategies() — the
+// simulator-only strategies below zero, or one past the last — is refused at
+// construction instead of silently running as some other strategy.
+func TestNewRuntimeRejectsUnknownStrategy(t *testing.T) {
+	for _, s := range []Strategy{-3, -2, -1, Strategy(len(Strategies()))} {
+		v := catchAny(func() { NewRuntime(Config{Strategy: s}) })
+		want := "core: unknown strategy " + s.String()
+		if msg, _ := v.(string); msg != want {
+			t.Errorf("NewRuntime(Strategy %d) panicked with %v, want %q", int(s), v, want)
+		}
 	}
 }

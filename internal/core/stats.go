@@ -61,14 +61,14 @@ type Stats struct {
 	Steals           int64 // successful steals (Table 2 "steals")
 	StealAttempts    int64 // steal probes of a visibly non-empty deque
 	ThiefParks       int64 // times a thief searched out its budget and went to sleep
-	RestrictedSteals int64 // inline steals by TBB/leapfrog joins
+	RestrictedSteals int64 // inline steals by TBB joins
 	Suspends         int64 // frame suspensions
 	Resumes          int64 // frame resumptions
 	Unmaps           int64 // unmap operations (Table 2 "unmaps")
 	UnmappedPages    int64 // physical pages returned by those unmaps
 	SpawnOverhead    int64 // modelled spawn-prologue events (Cilk Plus, TBB)
 
-	// RSS-ceiling counters. Under Fibril and FibrilMMap every suspend
+	// RSS-ceiling counters. Under Fibril every suspend
 	// unmaps, so Unmaps == Suspends; the ceiling's reclaims are counted
 	// apart from them, here.
 	CeilingHits    int64 // RSS-ceiling crossings observed by workers

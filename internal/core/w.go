@@ -387,26 +387,20 @@ func (w *W) childPanicked(f, child *Frame, v any, depth int32, frame *Frame, top
 // finishes and hands it a slot, and is done when it wakes. suspend reports
 // false when the thieves finished in the race window: the count is zero.
 //
-// The TBB / leapfrog join never parks: it steals eligible deeper work and
-// runs it inline on its own stack. This keeps the worker on one stack (no
+// The TBB join never parks: it steals work strictly deeper than f and runs
+// it inline on its own stack. This keeps the worker on one stack (no
 // suspension, no extra stacks) at the cost of the time bound (§3, Sukha's
-// lower bound). take is the strategy's eligibility test with countStolen
-// behind it: an inline steal is a steal, counted on the stolen child's frame
-// under the victim's lock and uncounted when it has run. The closure over f
-// is built here, where the common join never comes.
+// lower bound). The depth test has countStolen behind it: an inline steal is
+// a steal, counted on the stolen child's frame under the victim's lock and
+// uncounted when it has run. The closure over f is built here, where the
+// common join never comes.
 //
 //go:noinline
 func (w *W) joinBlocked(f *Frame) (done bool) {
-	var take func(task) bool
-	switch w.strategy {
-	case StrategyTBB:
-		take = func(t task) bool { return t.depth > f.depth && countStolen(t) }
-	case StrategyLeapfrog:
-		take = func(t task) bool { return t.frame.isDescendantOf(f) && countStolen(t) }
-	default:
+	if w.strategy != StrategyTBB {
 		return w.suspend(f)
 	}
-	t, ok := w.rt.steal(w, take)
+	t, ok := w.rt.steal(w, func(t task) bool { return t.depth > f.depth && countStolen(t) })
 	if !ok {
 		runtime.Gosched()
 		return false

@@ -218,10 +218,9 @@ func (d *Deque[T]) Steal() (T, bool) {
 }
 
 // StealIf steals the top public entry only if pred accepts it, leaving the
-// deque untouched otherwise. Restricted stealing disciplines — TBB's
-// depth-restricted stealing and leapfrogging (§3) — are expressed this way:
-// the thief inspects the candidate under the deque lock and declines
-// ineligible work.
+// deque untouched otherwise. Restricted stealing — TBB's depth-restricted
+// join (§3) — is expressed this way: the thief inspects the candidate under
+// the deque lock and declines ineligible work.
 func (d *Deque[T]) StealIf(pred func(T) bool) (T, bool) {
 	var zero T
 	d.lock.Lock()

@@ -11,7 +11,9 @@
 //     host's core count;
 //   - three ablations cover the paper's §4.3 design arguments: mmap vs
 //     madvise unmap, the depth-restricted-stealing lower bound, and the
-//     bounded stack pool of Cilk Plus.
+//     bounded stack pool of Cilk Plus. They are simulated too: the
+//     serialized-mmap unmap and leapfrogging are strategies of the
+//     simulator only (sim.StrategyFibrilMMap, sim.StrategyLeapfrog).
 //
 // Each experiment returns printable tables; cmd/fibril-bench is a thin
 // front-end, and the repository-root benchmarks invoke the same code.
@@ -183,15 +185,10 @@ func Fig4(o Options, s *bench.Spec) *table.Table {
 	return t
 }
 
-// simConfig builds the per-strategy simulator config: the inline-stealing
-// strategies grow one stack per worker, so they get OS-thread-sized (8 MB)
-// stacks, as real TBB workers have.
+// simConfig builds the simulator config for strat at P = p in the engine o
+// selects; sim.Config's defaults size the stacks per strategy.
 func (o Options) simConfig(strat core.Strategy, p int) sim.Config {
-	cfg := sim.Config{Workers: p, Strategy: strat, WorkFirst: !o.HelpFirst}
-	if strat == core.StrategyTBB || strat == core.StrategyLeapfrog {
-		cfg.StackPages = 2048
-	}
-	return cfg
+	return sim.Config{Workers: p, Strategy: strat, WorkFirst: !o.HelpFirst}
 }
 
 // Table2 reproduces Table 2: steals and unmaps (Fibril) and page faults
@@ -287,7 +284,7 @@ func AblationMMap(o Options) *table.Table {
 	}
 	for _, p := range o.pGrid() {
 		madv := sim.Run(o.simConfig(core.StrategyFibril, p), s.Tree(a))
-		mm := sim.Run(o.simConfig(core.StrategyFibrilMMap, p), s.Tree(a))
+		mm := sim.Run(o.simConfig(sim.StrategyFibrilMMap, p), s.Tree(a))
 		t.Add(p, madv.Makespan, mm.Makespan,
 			fmt.Sprintf("%.3f", float64(mm.Makespan)/float64(madv.Makespan)),
 			mm.Unmaps)
@@ -310,7 +307,7 @@ func AblationDepthRestricted(o Options) *table.Table {
 	for _, p := range o.pGrid() {
 		row := []any{p}
 		for _, strat := range []core.Strategy{
-			core.StrategyFibril, core.StrategyTBB, core.StrategyLeapfrog,
+			core.StrategyFibril, core.StrategyTBB, sim.StrategyLeapfrog,
 		} {
 			r := sim.Run(o.simConfig(strat, p), s.Tree(a))
 			row = append(row, fmt.Sprintf("%.2f", float64(m.Work)/float64(r.Makespan)))

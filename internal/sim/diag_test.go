@@ -15,7 +15,7 @@ func TestAdversarialDiagnostic(t *testing.T) {
 			bench.Adversarial.Tree(arg))
 		for _, p := range []int{8, 16, 32} {
 			for _, strat := range []core.Strategy{
-				core.StrategyFibril, core.StrategyTBB, core.StrategyLeapfrog,
+				core.StrategyFibril, core.StrategyTBB, StrategyLeapfrog,
 			} {
 				r := Run(Config{Workers: p, Strategy: strat, StackPages: 4096},
 					bench.Adversarial.Tree(arg))

@@ -229,7 +229,7 @@ func (s *sim) pushRecord(w *worker, f *fiber, t invoke.Task, notify, parent *fra
 	base, err := f.stack.Push(t.Frame)
 	if err != nil {
 		panic(fmt.Sprintf("sim: %s strategy overflowed a %d-page stack at depth %d: %v",
-			s.cfg.Strategy, f.stack.Capacity(), len(f.recs), err))
+			StrategyName(s.cfg.Strategy), f.stack.Capacity(), len(f.recs), err))
 	}
 	f.recs = append(f.recs, record{
 		task:   t,
@@ -283,7 +283,7 @@ func (s *sim) blockJoin(w *worker, now int64, f *fiber, fr *frameSim) bool {
 		return s.inlineSteal(w, now, f, func(pt pendingTask) bool {
 			return pt.depth > fr.depth
 		})
-	case core.StrategyLeapfrog:
+	case StrategyLeapfrog:
 		return s.inlineSteal(w, now, f, func(pt pendingTask) bool {
 			return pt.notify.isDescendantOf(fr)
 		})
@@ -387,7 +387,7 @@ func (s *sim) suspendFiber(w *worker, now int64, f *fiber, fr *frameSim) {
 		s.res.Unmaps++
 		s.res.UnmappedPages += int64(freed)
 		cost += s.cfg.Cost.MadviseBase + int64(freed)*s.cfg.Cost.UnmapPerPage
-	case core.StrategyFibrilMMap:
+	case StrategyFibrilMMap:
 		freed := f.stack.MapDummyAbove()
 		s.res.Unmaps++
 		s.res.UnmappedPages += int64(freed)
@@ -429,7 +429,7 @@ func (s *sim) fiberDone(w *worker, now int64, f *fiber, notify *frameSim) {
 		w.fiber = rf
 		s.res.Resumes++
 		cost := s.cfg.Cost.Resume
-		if s.cfg.Strategy == core.StrategyFibrilMMap {
+		if s.cfg.Strategy == StrategyFibrilMMap {
 			rf.stack.RemapAbove()
 			cost += s.serializedMMap(now+cost, int64(rf.stack.Capacity()-rf.stack.Pages()))
 		}

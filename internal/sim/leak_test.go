@@ -14,14 +14,14 @@ import (
 func TestWFStacksFullyRetired(t *testing.T) {
 	for _, strat := range []core.Strategy{
 		core.StrategyFibril, core.StrategyFibrilNoUnmap,
-		core.StrategyCilkPlus, StrategyCilkM, core.StrategyLeapfrog,
+		core.StrategyCilkPlus, StrategyCilkM, StrategyLeapfrog,
 	} {
 		cfg := wfConfig(strat, 12)
 		cfg = cfg.withDefaults()
 		s := newSim(cfg)
 		s.runWorkFirst(fibTree(20))
 		if s.inUse != 0 {
-			t.Errorf("%v: %d stacks still checked out after completion", strat, s.inUse)
+			t.Errorf("%s: %d stacks still checked out after completion", StrategyName(strat), s.inUse)
 		}
 		if len(s.freeStacks) != s.created {
 			t.Errorf("%v: created %d stacks but only %d returned to the pool",
@@ -29,7 +29,7 @@ func TestWFStacksFullyRetired(t *testing.T) {
 		}
 		for _, st := range s.freeStacks {
 			if st.Bytes() != 0 {
-				t.Errorf("%v: pooled stack %d holds %d live bytes", strat, st.ID(), st.Bytes())
+				t.Errorf("%s: pooled stack %d holds %d live bytes", StrategyName(strat), st.ID(), st.Bytes())
 			}
 		}
 	}

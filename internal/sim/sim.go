@@ -9,9 +9,13 @@
 // with unmap, bounded pools, depth-restricted and leapfrog joins) driven by
 // a cost model of the per-operation overheads, with stack pages accounted
 // through the same internal/stack + internal/vm machinery as the real
-// runtime. It models the paper's scheduler, not what internal/core has grown
-// since (private deque bottom, publish rule, search-then-park idle phase),
-// and charges steals off an anchor the runtime dropped (worker.lastVictim).
+// runtime. Besides the runtime's four strategies it runs three of its own
+// (StrategyFibrilMMap, StrategyCilkM, StrategyLeapfrog): the paper's
+// ablations and the related work it argues against, which this repository
+// reproduces on the simulator only. It models the paper's scheduler, not
+// what internal/core has grown since (private deque bottom, publish rule,
+// search-then-park idle phase), and charges steals off an anchor the runtime
+// dropped (worker.lastVictim).
 // Simulated time is in abstract units of roughly a nanosecond.
 //
 // The simulator is single-threaded and fully deterministic for a given
@@ -100,42 +104,58 @@ func (c CostModel) forkCost(s core.Strategy) int64 {
 	}
 }
 
-// StrategyCilkM models Lee et al.'s Cilk-M (§3 of the paper): thread-local
-// memory mapping moves the stolen stack prefix into the thief's TLMM
-// region, so no suspension-time unmap is needed — but every steal pays
-// Cost.TLMMBase plus Cost.TLMMPerPage per prefix page. It schedules like
-// core.StrategyFibrilNoUnmap and is modelled in the work-first engine only.
-// The real runtime has no such strategy, so the value is declared here,
-// outside the range core hands out.
-const StrategyCilkM core.Strategy = -1
+// The simulator-only strategies. The real runtime has none of them, so their
+// values are declared here, outside the range core hands out (NewRuntime
+// refuses them).
+const (
+	// StrategyCilkM models Lee et al.'s Cilk-M (§3 of the paper): thread-local
+	// memory mapping moves the stolen stack prefix into the thief's TLMM
+	// region, so no suspension-time unmap is needed — but every steal pays
+	// Cost.TLMMBase plus Cost.TLMMPerPage per prefix page. It schedules like
+	// core.StrategyFibrilNoUnmap and is modelled in the work-first engine
+	// only.
+	StrategyCilkM core.Strategy = -1 - iota
+	// StrategyFibrilMMap is the unmap-via-serialized-mmap ablation from §4.3:
+	// unused pages are remapped to a dummy file under the address-space lock
+	// (Cost.MMapBase) and must be remapped anonymous before reuse.
+	StrategyFibrilMMap
+	// StrategyLeapfrog restricts inline stealing further than TBB, to
+	// descendants of the joining frame (Wagner & Calder's leapfrogging).
+	StrategyLeapfrog
+)
 
-// Strategies lists every strategy Run accepts, in presentation order: the
-// runtime's own, with cilkm beside the Cilk Plus it descends from.
+// Strategies lists every strategy Run accepts, in presentation order: each
+// simulator-only strategy beside the runtime strategy it varies.
 func Strategies() []core.Strategy {
-	var all []core.Strategy
-	for _, s := range core.Strategies() {
-		all = append(all, s)
-		if s == core.StrategyCilkPlus {
-			all = append(all, StrategyCilkM)
-		}
+	return []core.Strategy{
+		core.StrategyFibril, core.StrategyFibrilNoUnmap, StrategyFibrilMMap,
+		core.StrategyCilkPlus, StrategyCilkM, core.StrategyTBB, StrategyLeapfrog,
 	}
-	return all
 }
 
-// StrategyName is s.String() extended to the simulator-only strategy.
+// StrategyName is s.String() extended to the simulator-only strategies.
 func StrategyName(s core.Strategy) string {
-	if s == StrategyCilkM {
+	switch s {
+	case StrategyCilkM:
 		return "cilkm"
+	case StrategyFibrilMMap:
+		return "fibril-mmap"
+	case StrategyLeapfrog:
+		return "leapfrog"
 	}
 	return s.String()
 }
 
 // Config parameterizes a simulation.
 type Config struct {
-	Workers    int           // P (default 1)
-	Strategy   core.Strategy // scheduling policy
-	StackPages int           // stack size (default stack.DefaultStackPages)
-	StackLimit int           // bounded pool; 0 = strategy default
+	Workers  int           // P (default 1)
+	Strategy core.Strategy // scheduling policy
+	// StackPages is the stack size. The default is stack.DefaultStackPages,
+	// except under the inline-stealing strategies (TBB, leapfrog): they grow
+	// one stack per worker, so they get OS-thread-sized (8 MB) stacks, as
+	// real TBB workers have.
+	StackPages int
+	StackLimit int // bounded pool; 0 = strategy default
 	Cost       CostModel
 	Seed       uint64
 	// WorkFirst selects the continuation-stealing engine — the paper's
@@ -158,6 +178,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StackPages <= 0 {
 		c.StackPages = stack.DefaultStackPages
+		if c.Strategy == core.StrategyTBB || c.Strategy == StrategyLeapfrog {
+			c.StackPages = 2048
+		}
 	}
 	if c.StackLimit <= 0 && c.Strategy == core.StrategyCilkPlus {
 		c.StackLimit = stack.CilkPlusDefaultLimit

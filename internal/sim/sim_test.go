@@ -99,11 +99,11 @@ func TestBlumofeLeisersonTimeBound(t *testing.T) {
 func TestSuspendResumeBalance(t *testing.T) {
 	for _, strat := range []core.Strategy{
 		core.StrategyFibril, core.StrategyFibrilNoUnmap,
-		core.StrategyFibrilMMap, core.StrategyCilkPlus,
+		StrategyFibrilMMap, core.StrategyCilkPlus,
 	} {
 		r := Run(Config{Workers: 8, Strategy: strat}, fibTree(20))
 		if r.Suspends != r.Resumes {
-			t.Errorf("%v: suspends %d != resumes %d", strat, r.Suspends, r.Resumes)
+			t.Errorf("%s: suspends %d != resumes %d", StrategyName(strat), r.Suspends, r.Resumes)
 		}
 	}
 }
@@ -186,13 +186,13 @@ func TestDepthRestrictedPathology(t *testing.T) {
 }
 
 func TestInlineStealersUseOneStackPerWorker(t *testing.T) {
-	for _, strat := range []core.Strategy{core.StrategyTBB, core.StrategyLeapfrog} {
+	for _, strat := range []core.Strategy{core.StrategyTBB, StrategyLeapfrog} {
 		r := Run(Config{Workers: 8, Strategy: strat, StackPages: 4096}, fibTree(20))
 		if r.StacksCreated > 8 {
-			t.Errorf("%v created %d stacks for 8 workers", strat, r.StacksCreated)
+			t.Errorf("%s created %d stacks for 8 workers", StrategyName(strat), r.StacksCreated)
 		}
 		if r.Suspends != 0 {
-			t.Errorf("%v suspended %d times", strat, r.Suspends)
+			t.Errorf("%s suspended %d times", StrategyName(strat), r.Suspends)
 		}
 	}
 }
@@ -202,10 +202,28 @@ func TestMMapSerializationCostsMore(t *testing.T) {
 	// slower than lock-free madvise — the design argument of §4.3.
 	tree := func() invoke.Task { return fibTree(22) }
 	madv := Run(Config{Workers: 32, Strategy: core.StrategyFibril}, tree())
-	mm := Run(Config{Workers: 32, Strategy: core.StrategyFibrilMMap}, tree())
+	mm := Run(Config{Workers: 32, Strategy: StrategyFibrilMMap}, tree())
 	if mm.Makespan <= madv.Makespan {
 		t.Errorf("mmap-based unmap (%d) not slower than madvise (%d)",
 			mm.Makespan, madv.Makespan)
+	}
+	checkRemapDiscipline(t, madv, mm)
+}
+
+// checkRemapDiscipline: a dummy-mapped stack is remapped before it is used
+// again — mmap mode remaps once it has suspended, and never touches a dummy
+// page — while madvise-based Fibril never remaps at all (its pages fault
+// back lazily).
+func checkRemapDiscipline(t *testing.T, madv, mm Result) {
+	t.Helper()
+	if mm.Suspends > 0 && mm.VM.RemapCalls == 0 {
+		t.Error("mmap mode suspended but never remapped")
+	}
+	if mm.VM.DummyTouches != 0 {
+		t.Errorf("dummy touches = %d — a stack was used without remap", mm.VM.DummyTouches)
+	}
+	if madv.VM.RemapCalls != 0 {
+		t.Errorf("madvise mode recorded %d remaps, want 0", madv.VM.RemapCalls)
 	}
 }
 
@@ -267,8 +285,8 @@ func TestPageFaultsIncreaseWithUnmap(t *testing.T) {
 
 func TestAllStrategiesCompleteAllBenchmarks(t *testing.T) {
 	strategies := []core.Strategy{
-		core.StrategyFibril, core.StrategyFibrilNoUnmap, core.StrategyFibrilMMap,
-		core.StrategyCilkPlus, core.StrategyTBB, core.StrategyLeapfrog,
+		core.StrategyFibril, core.StrategyFibrilNoUnmap, StrategyFibrilMMap,
+		core.StrategyCilkPlus, core.StrategyTBB, StrategyLeapfrog,
 	}
 	for _, s := range bench.All() {
 		want := invoke.Analyze(s.Tree(s.Default)).Forks
@@ -279,12 +297,12 @@ func TestAllStrategiesCompleteAllBenchmarks(t *testing.T) {
 				// the fork count varies by strategy, but never below the
 				// serial certificate and never absurdly above it.
 				if r.Forks == 0 || r.Forks > 50*want {
-					t.Errorf("knapsack/%v: %d forks vs serial %d", strat, r.Forks, want)
+					t.Errorf("knapsack/%s: %d forks vs serial %d", StrategyName(strat), r.Forks, want)
 				}
 				continue
 			}
 			if r.Forks != want {
-				t.Errorf("%s/%v: executed %d forks, tree has %d", s.Name, strat, r.Forks, want)
+				t.Errorf("%s/%s: executed %d forks, tree has %d", s.Name, StrategyName(strat), r.Forks, want)
 			}
 		}
 	}

@@ -382,7 +382,7 @@ func (ws *wfSim) strandEndAsWorker(w *wfWorker, now int64, ctx *wfContext, f *wf
 		cost := ws.cfg.Cost.Resume
 		switching := ctx.cur != f.home
 		ws.dropCur(now, ctx)
-		if switching && ws.cfg.Strategy == core.StrategyFibrilMMap {
+		if switching && ws.cfg.Strategy == StrategyFibrilMMap {
 			f.home.RemapAbove()
 			cost += ws.serializedMMap(now+cost, int64(f.home.Capacity()-f.home.Pages()))
 		}
@@ -413,7 +413,7 @@ func (ws *wfSim) unmapAbandoned(now int64, stk *stack.Stack) int64 {
 		ws.res.Unmaps++
 		ws.res.UnmappedPages += int64(freed)
 		return ws.cfg.Cost.MadviseBase + int64(freed)*ws.cfg.Cost.UnmapPerPage
-	case core.StrategyFibrilMMap:
+	case StrategyFibrilMMap:
 		freed := stk.MapDummyAbove()
 		ws.res.Unmaps++
 		ws.res.UnmappedPages += int64(freed)
@@ -436,7 +436,7 @@ func (ws *wfSim) retireStack(now int64, stk *stack.Stack) {
 	// never ran. Remap before pooling — reusing a dummy-mapped stack would
 	// read the dummy file instead of stack memory. (Watermark is zero here,
 	// so RemapAbove covers the whole stack.)
-	if ws.cfg.Strategy == core.StrategyFibrilMMap && stk.HasDummyPages() {
+	if ws.cfg.Strategy == StrategyFibrilMMap && stk.HasDummyPages() {
 		stk.RemapAbove()
 		ws.serializedMMap(now, int64(stk.Capacity()))
 	}
@@ -461,7 +461,7 @@ func (ws *wfSim) blockJoin(w *wfWorker, now int64, ctx *wfContext, r *wfRecord) 
 		// progress: Sukha's lost utilization, measured directly.
 		ws.schedule(now+ws.cfg.Cost.StealProbe*int64(len(ws.wfWorkers)), w.id)
 		return false
-	case core.StrategyLeapfrog:
+	case StrategyLeapfrog:
 		return ws.inlineSteal(w, now, ctx, func(c *wfCont) bool {
 			return c.frame.isDescendantOf(f)
 		})

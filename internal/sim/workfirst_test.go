@@ -10,11 +10,7 @@ import (
 )
 
 func wfConfig(strat core.Strategy, p int) Config {
-	cfg := Config{Workers: p, Strategy: strat, WorkFirst: true}
-	if strat == core.StrategyTBB || strat == core.StrategyLeapfrog {
-		cfg.StackPages = 2048
-	}
-	return cfg
+	return Config{Workers: p, Strategy: strat, WorkFirst: true}
 }
 
 func TestWFSingleWorkerExecutesAllWork(t *testing.T) {
@@ -44,9 +40,9 @@ func TestWFDeterminism(t *testing.T) {
 
 func TestWFAllBenchmarksAllStrategies(t *testing.T) {
 	strategies := []core.Strategy{
-		core.StrategyFibril, core.StrategyFibrilNoUnmap, core.StrategyFibrilMMap,
+		core.StrategyFibril, core.StrategyFibrilNoUnmap, StrategyFibrilMMap,
 		core.StrategyCilkPlus, StrategyCilkM, core.StrategyTBB,
-		core.StrategyLeapfrog,
+		StrategyLeapfrog,
 	}
 	for _, s := range bench.All() {
 		want := invoke.Analyze(s.Tree(s.Default)).Forks
@@ -56,12 +52,12 @@ func TestWFAllBenchmarksAllStrategies(t *testing.T) {
 			r := Run(cfg, s.Tree(s.Default))
 			if s.Name == "knapsack" {
 				if r.Forks == 0 {
-					t.Errorf("knapsack/%v: no forks", strat)
+					t.Errorf("knapsack/%s: no forks", StrategyName(strat))
 				}
 				continue
 			}
 			if r.Forks != want {
-				t.Errorf("%s/%v: %d forks, tree has %d", s.Name, strat, r.Forks, want)
+				t.Errorf("%s/%s: %d forks, tree has %d", s.Name, StrategyName(strat), r.Forks, want)
 			}
 		}
 	}
@@ -150,10 +146,11 @@ func TestWFVictimSideUnmapAccounting(t *testing.T) {
 
 func TestWFMMapSlowerThanMadvise(t *testing.T) {
 	madv := Run(wfConfig(core.StrategyFibril, 32), fibTree(22))
-	mm := Run(wfConfig(core.StrategyFibrilMMap, 32), fibTree(22))
+	mm := Run(wfConfig(StrategyFibrilMMap, 32), fibTree(22))
 	if mm.Unmaps > 0 && mm.Makespan <= madv.Makespan {
 		t.Errorf("mmap unmap (%d) not slower than madvise (%d)", mm.Makespan, madv.Makespan)
 	}
+	checkRemapDiscipline(t, madv, mm)
 }
 
 func TestWFCilkPlusTightPoolStalls(t *testing.T) {
