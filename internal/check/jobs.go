@@ -28,7 +28,6 @@ type JobsExec struct {
 	Stats    core.Stats
 	Queued   int   // tasks left in deques after Close (must be 0)
 	Parked   int   // thieves still parked after Close (must be 0)
-	Backlog  int   // Scratch blocks parked on remote-free lists
 	Inflight int   // InflightJobs after Close (must be 0)
 	JobQueue int   // QueuedJobs after Close (must be 0)
 	CloseErr error // Close's return (must be nil: nothing forced the drain)
@@ -84,7 +83,6 @@ func RunRealJobs(ps []*Program, workers int, strat core.Strategy) JobsExec {
 	e.Trace = SummarizeTrace(rec)
 	e.Queued = rt.QueuedTasks()
 	e.Parked = rt.ParkedThieves()
-	e.Backlog = rt.RemoteFreeBacklog()
 	e.Inflight = rt.InflightJobs()
 	e.JobQueue = rt.QueuedJobs()
 	return e
@@ -189,15 +187,12 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 	}
 
 	// Arena conservation: the balance law relaxes to an inequality when a
-	// panic unwind skipped release sites; the backlog law always holds.
+	// panic unwind skipped release sites.
 	if st.ArenaReleases > st.ArenaAcquires {
 		v.failf("ArenaReleases=%d > ArenaAcquires=%d", st.ArenaReleases, st.ArenaAcquires)
 	}
 	if panics == 0 && st.ArenaAcquires != st.ArenaReleases {
 		v.failf("ArenaAcquires=%d != ArenaReleases=%d on a panic-free run", st.ArenaAcquires, st.ArenaReleases)
-	}
-	if got := st.RemoteFrees - st.RemoteDrains; got != int64(e.Backlog) {
-		v.failf("RemoteFrees-RemoteDrains=%d != RemoteFreeBacklog=%d (a hand-back was lost)", got, e.Backlog)
 	}
 
 	// Trace reconciliation. Unlike the one-shot panic leg, the jobs leg

@@ -217,28 +217,12 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 
 	// Arena conservation (the zero-allocation fork path). On a non-panic
 	// run every harness release site executes, so acquires and releases
-	// balance exactly; every remote hand-back is adopted by a drain or
-	// still parked on a remote-free list at quiescence — never lost; and
-	// both remote traffic and drops are subsets of the release flow.
+	// balance exactly, and drops are a subset of the release flow.
 	if st.ArenaAcquires != st.ArenaReleases {
 		v.failf("ArenaAcquires=%d != ArenaReleases=%d", st.ArenaAcquires, st.ArenaReleases)
 	}
-	if st.RemoteFrees+st.ArenaDrops > st.ArenaReleases {
-		v.failf("RemoteFrees=%d + ArenaDrops=%d > ArenaReleases=%d",
-			st.RemoteFrees, st.ArenaDrops, st.ArenaReleases)
-	}
-	if st.RemoteDrains > st.RemoteFrees {
-		v.failf("RemoteDrains=%d > RemoteFrees=%d (adopted more than was handed back)",
-			st.RemoteDrains, st.RemoteFrees)
-	}
-	if got := st.RemoteFrees - st.RemoteDrains; got != int64(e.Backlog) {
-		v.failf("RemoteFrees-RemoteDrains=%d != RemoteFreeBacklog=%d (a hand-back was lost)",
-			got, e.Backlog)
-	}
-	if st.Workers == 1 && st.RemoteFrees != 0 {
-		// One slot releases only onto itself; remote traffic needs a
-		// foreign releaser.
-		v.failf("P=1 run handed %d blocks to a remote-free list", st.RemoteFrees)
+	if st.ArenaDrops > st.ArenaReleases {
+		v.failf("ArenaDrops=%d > ArenaReleases=%d", st.ArenaDrops, st.ArenaReleases)
 	}
 
 	// Pool conservation: a stack is created only when nothing free is
@@ -343,13 +327,9 @@ func CheckRealPanic(p *Program, e RealExec) error {
 	}
 	// A panic unwind skips release sites (the arena contract forbids
 	// releasing a block an in-flight child may still reference), so the
-	// balance law relaxes to an inequality; the backlog law still holds —
-	// blocks that did reach a remote-free list are never lost.
+	// balance law relaxes to an inequality.
 	if st.ArenaReleases > st.ArenaAcquires {
 		v.failf("ArenaReleases=%d > ArenaAcquires=%d under panic", st.ArenaReleases, st.ArenaAcquires)
-	}
-	if got := st.RemoteFrees - st.RemoteDrains; got != int64(e.Backlog) {
-		v.failf("RemoteFrees-RemoteDrains=%d != RemoteFreeBacklog=%d under panic", got, e.Backlog)
 	}
 	return v.err()
 }

@@ -177,7 +177,6 @@ type RealExec struct {
 	Queued    int          // tasks left in deques at quiescence (must be 0)
 	Parked    int          // thieves still parked at quiescence (must be 0)
 	Inflight  int          // InflightJobs at quiescence (must be 0)
-	Backlog   int          // Scratch blocks parked on remote-free lists at quiescence
 	MaxHW     int          // largest per-stack high-water mark, in pages
 	Recovered any          // value recovered from Run, if it panicked
 	Trace     TraceSummary // recorded event stream, reconciled against Stats
@@ -223,7 +222,6 @@ func RunReal(p *Program, workers int, strat core.Strategy, mem MemParams) RealEx
 	e.Queued = rt.QueuedTasks()
 	e.Parked = rt.ParkedThieves()
 	e.Inflight = rt.InflightJobs()
-	e.Backlog = rt.RemoteFreeBacklog()
 	e.MaxHW = rt.MaxStackHighWaterPages()
 	return e
 }

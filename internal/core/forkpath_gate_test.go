@@ -15,10 +15,10 @@ import (
 // This file is the steal-heavy zero-allocation gate for the ForkArg fork
 // path: at P=4, with thieves constantly raiding the arena-backed fib
 // workload, a warm runtime must stay at (amortized) zero heap allocations
-// per fork for every deque kind. Before the remote-free lists, heavy
-// stealing systematically acquired Scratch blocks on one slot and released
-// them on another, overflowing the releaser's hoard and starving the
-// acquirer into the heap — this gate is the regression fence for that.
+// per fork. Stealing acquires Scratch blocks on one slot and releases them
+// on another; the releaser adopts each block onto its own free list, so
+// every slot's list stays stocked and the acquirer does not fall back to
+// the heap — this gate is the regression fence for that.
 
 // gateCtx is the argument record of one gate-fib child; two of them plus
 // the join frame fit in a single arena block.
@@ -300,51 +300,66 @@ func TestForkCostInDequeUnits(t *testing.T) {
 }
 
 // TestScratchRecyclingUnderStealing asserts the arena's conservation laws
-// under real concurrent stealing: acquires and releases balance, remote
-// hand-backs are all adopted or still parked, and the hoards (local +
-// remote-free) absorb enough of the acquire-here/release-there traffic
-// that drops to the GC stay a small fraction of the release flow.
+// under real concurrent stealing: acquires and releases balance, and
+// adoption onto the releaser's list absorbs enough of the
+// acquire-here/release-there traffic that drops to the GC stay a small
+// fraction of the release flow. Two workloads at P=4: gate-fib, where a
+// block changes slot only when its Join suspends and resumes on another
+// slot; and a LazyFor at
+// grain 1, whose split halves are acquired by the owner and released by
+// whoever runs them, so a thief's list fills fastest there.
 func TestScratchRecyclingUnderStealing(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
-	rt := NewRuntime(Config{Workers: 4})
-	var out int64
-	rt.Run(func(w *W) { out = gateFib(w, 24) })
-	rt.Run(func(w *W) { out = gateFib(w, 24) })
-	st := rt.Stats()
-	if want := fibSerial(24); out != want {
-		t.Fatalf("gateFib(24) = %d, want %d", out, want)
+	check := func(t *testing.T, st Stats) {
+		if st.ArenaAcquires == 0 {
+			t.Fatal("workload performed no arena acquires")
+		}
+		if st.ArenaAcquires != st.ArenaReleases {
+			t.Errorf("ArenaAcquires=%d != ArenaReleases=%d", st.ArenaAcquires, st.ArenaReleases)
+		}
+		if st.ArenaDrops > st.ArenaReleases/4 {
+			t.Errorf("ArenaDrops=%d > releases/4 (%d): the free lists are not absorbing steal traffic",
+				st.ArenaDrops, st.ArenaReleases/4)
+		}
+		t.Logf("acquires=%d releases=%d drops=%d", st.ArenaAcquires, st.ArenaReleases, st.ArenaDrops)
 	}
-	if st.ArenaAcquires == 0 {
-		t.Fatal("gate workload performed no arena acquires")
-	}
-	if st.ArenaAcquires != st.ArenaReleases {
-		t.Errorf("ArenaAcquires=%d != ArenaReleases=%d", st.ArenaAcquires, st.ArenaReleases)
-	}
-	if st.RemoteDrains > st.RemoteFrees {
-		t.Errorf("RemoteDrains=%d > RemoteFrees=%d", st.RemoteDrains, st.RemoteFrees)
-	}
-	if got, backlog := st.RemoteFrees-st.RemoteDrains, int64(rt.RemoteFreeBacklog()); got != backlog {
-		t.Errorf("RemoteFrees-RemoteDrains=%d != RemoteFreeBacklog=%d", got, backlog)
-	}
-	if st.ArenaDrops > st.ArenaReleases/4 {
-		t.Errorf("ArenaDrops=%d > releases/4 (%d): hoards are not absorbing steal traffic",
-			st.ArenaDrops, st.ArenaReleases/4)
-	}
-	t.Logf("acquires=%d releases=%d remoteFrees=%d remoteDrains=%d drops=%d",
-		st.ArenaAcquires, st.ArenaReleases, st.RemoteFrees, st.RemoteDrains, st.ArenaDrops)
+	t.Run("fib", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 4})
+		var out int64
+		rt.Run(func(w *W) { out = gateFib(w, 24) })
+		rt.Run(func(w *W) { out = gateFib(w, 24) })
+		if want := fibSerial(24); out != want {
+			t.Fatalf("gateFib(24) = %d, want %d", out, want)
+		}
+		check(t, rt.Stats())
+	})
+	t.Run("lazyfor", func(t *testing.T) {
+		const n, runs = 1 << 18, 20
+		rt := NewRuntime(Config{Workers: 4})
+		hits := make([]uint32, n)
+		for r := 0; r < runs; r++ {
+			rt.Run(func(w *W) {
+				LazyFor(w, 0, n, 1, func(_ *W, i int) { hits[i]++ })
+			})
+		}
+		for i, h := range hits {
+			if h != runs {
+				t.Fatalf("iteration %d ran %d times over %d runs", i, h, runs)
+			}
+		}
+		check(t, rt.Stats())
+	})
 }
 
-// TestArenaRemoteFreePaths drives every ReleaseScratch disposition
-// deterministically from a single worker (a full local hoard sheds to the
-// block's home remote list, a full remote list drops to the GC, and a
-// local miss drains the remote list wholesale), checking the exact counter
-// values the conservation oracles reason about. A slot's own blocks
-// recirculate through its own remote list when the hoard is full, so no
-// cross-slot scheduling is needed to reach the remote paths.
-func TestArenaRemoteFreePaths(t *testing.T) {
-	const total = arenaHoardCap + remoteHoardCap + 2
+// TestArenaHoardCap drives both ReleaseScratch dispositions
+// deterministically from a single worker: a release adopts the block onto
+// the slot's free list while the list is under arenaHoardCap and drops it
+// to the GC after, and the next round's acquires empty that list before
+// they reach the heap.
+func TestArenaHoardCap(t *testing.T) {
+	const total = arenaHoardCap + 2
 	rt := NewRuntime(Config{Workers: 2})
 	rt.Run(func(w *W) {
 		blocks := make([]*Scratch, total)
@@ -358,21 +373,11 @@ func TestArenaRemoteFreePaths(t *testing.T) {
 		}
 	})
 	st := rt.Stats()
-	// Per round: arenaHoardCap releases adopt locally, remoteHoardCap go
-	// remote, 2 drop. Round 2's acquires drain round 1's remote list.
 	if want := int64(2 * total); st.ArenaAcquires != want || st.ArenaReleases != want {
 		t.Errorf("acquires=%d releases=%d, want both %d", st.ArenaAcquires, st.ArenaReleases, want)
 	}
-	if want := int64(2 * remoteHoardCap); st.RemoteFrees != want {
-		t.Errorf("RemoteFrees=%d, want %d", st.RemoteFrees, want)
-	}
-	if want := int64(remoteHoardCap); st.RemoteDrains != want {
-		t.Errorf("RemoteDrains=%d, want %d", st.RemoteDrains, want)
-	}
+	// Per round: arenaHoardCap releases adopt, 2 drop.
 	if want := int64(4); st.ArenaDrops != want {
 		t.Errorf("ArenaDrops=%d, want %d", st.ArenaDrops, want)
-	}
-	if got, want := rt.RemoteFreeBacklog(), remoteHoardCap; got != want {
-		t.Errorf("RemoteFreeBacklog=%d, want %d", got, want)
 	}
 }

@@ -24,21 +24,6 @@ func (rt *Runtime) QueuedTasks() int {
 	return n
 }
 
-// RemoteFreeBacklog returns the number of Scratch blocks parked on the
-// slots' remote-free lists (exact only at quiescence, when no drain races
-// the walk). At quiescence it must equal Stats.RemoteFrees -
-// Stats.RemoteDrains: a hand-back is either adopted by a later drain or
-// still on a list — never lost.
-func (rt *Runtime) RemoteFreeBacklog() int {
-	n := 0
-	for _, w := range rt.workers {
-		for s := w.remote.head.Load(); s != nil; s = s.next {
-			n++
-		}
-	}
-	return n
-}
-
 // ParkedThieves returns how many thief goroutines are parked on the
 // runtime's park lot (racy snapshot; exact at quiescence). After a
 // completed Run this must be zero — Run closes the lot and waits for every

@@ -628,9 +628,11 @@ func (rt *Runtime) finishRejected(j *Job, err error) {
 // ErrDrained, counted in Stats.JobsDrained) and Close still waits for the
 // admitted jobs, which always finish. Teardown then parks nothing: thieves
 // unwind, stacks return to the pool, the trace flushes, and the runtime
-// may be started (or Run) again. A nil ctx means wait indefinitely. Close returns ctx's error if the drain was forced,
-// nil otherwise; calling Close on an idle or already closed runtime is a
-// no-op. Close must not be called concurrently with itself.
+// may be started (or Run) again.
+//
+// A nil ctx means wait indefinitely. Close returns ctx's error if the drain
+// was forced and nil otherwise. Calling Close on an idle or already closed
+// runtime is a no-op. Close must not be called concurrently with itself.
 func (rt *Runtime) Close(ctx context.Context) error {
 	a := &rt.admit
 	a.mu.Lock()

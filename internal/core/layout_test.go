@@ -17,7 +17,6 @@ var (
 	workerGroups = [][]string{
 		{"id", "deque"},  // fixed at NewRuntime; read by the occupant and by thieves
 		{"rng", "arena"}, // the occupant's
-		{"remote"},       // any worker's
 	}
 	runtimeGroups = [][]string{
 		{"cfg", "as", "pool", "workers", "park", "done", "trc", "metrics",
@@ -62,9 +61,9 @@ func TestLayout(t *testing.T) {
 	if n := len(frameFields); n != frame.NumField() {
 		t.Errorf("core.Frame has %d fields, %d listed", frame.NumField(), n)
 	}
-	// A Frame is six words, and one Scratch fills one object of Go's 192-byte
-	// size class exactly (176 is the class below): a Frame field more moves
-	// every fork/join region's block up a class.
+	// A Frame is six words, and one Scratch (184 bytes) is one object of Go's
+	// 192-byte size class (176 is the class below): two Frame fields more
+	// move every fork/join region's block up a class.
 	if sz := unsafe.Sizeof(Frame{}); sz != 48 {
 		t.Errorf("core.Frame is %d bytes, want 48", sz)
 	}
@@ -87,7 +86,7 @@ func TestTaskRecordSize(t *testing.T) {
 // TestLayoutRealAddresses checks a live Workers=4 runtime: Go aligns a heap
 // object to its size class only, so the offsets TestLayout checks say
 // nothing about where two slots' objects end up relative to each other. No hot range of one slot — its deque (whose two
-// halves package deque's own test tells apart), its worker's three groups,
+// halves package deque's own test tells apart), its worker's two groups,
 // its counter shard, its intake shard — may touch a cacheline unit that
 // another slot's, the park lot's or a Runtime group's touches.
 func TestLayoutRealAddresses(t *testing.T) {

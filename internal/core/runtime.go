@@ -191,13 +191,12 @@ func (c Config) withDefaults() Config {
 // worker's), the steal RNG and its Scratch arena.
 //
 // Slots are allocated one by one, back to back, and the fields are laid
-// out by writer (DESIGN.md §7), three groups a pad apart: what nobody
+// out by writer (DESIGN.md §7), two groups a pad apart: what nobody
 // writes after NewRuntime but the occupant reads on every Fork and every
-// thief reads on every probe; what only the occupant writes (the arena
-// list twice per fork/join region); and the hand-back list other workers
-// push to. The outer pads matter as much: the fields alone are 72 bytes,
-// and one slot's arena stores must not land on the line holding its
-// neighbour's deque word.
+// thief reads on every probe; and what only the occupant writes (the arena
+// list twice per fork/join region). The outer pads matter as much: one
+// slot's arena stores must not land on the line holding its neighbour's
+// deque word.
 type worker struct {
 	_ cacheline.Pad
 
@@ -212,12 +211,6 @@ type worker struct {
 	// arena is the slot's Blelloch–Wei-style free list of fixed-size
 	// Scratch blocks (frame + fork payload), no atomics.
 	arena frameArena
-
-	_ cacheline.Pad
-
-	// Written by any worker: blocks of this slot's arena released
-	// elsewhere come home through here.
-	remote remoteFrees
 
 	_ cacheline.Pad
 }

@@ -42,8 +42,6 @@ type counters struct {
 	poolReclaims     atomic.Int64
 	arenaAcquires    atomic.Int64
 	arenaReleases    atomic.Int64
-	remoteFrees      atomic.Int64
-	remoteDrains     atomic.Int64
 	arenaDrops       atomic.Int64
 }
 
@@ -75,16 +73,12 @@ type Stats struct {
 	ReclaimedPages int64 // pages reclaimed from free pooled stacks
 	PoolReclaims   int64 // madvise calls issued by those pool reclaims
 
-	// Scratch-arena counters (the zero-allocation fork path). At
-	// quiescence RemoteFrees - RemoteDrains equals the blocks parked on
-	// remote-free lists (Runtime.RemoteFreeBacklog), and for a program
-	// whose acquire/release pairs all ran (no panic unwinds skipping
-	// release sites) ArenaAcquires == ArenaReleases.
-	ArenaAcquires int64 // AcquireScratch calls (any source)
-	ArenaReleases int64 // ReleaseScratch calls (any destination)
-	RemoteFrees   int64 // releases handed back via a remote-free list
-	RemoteDrains  int64 // blocks adopted from a remote-free list
-	ArenaDrops    int64 // releases dropped to the GC (both hoards full)
+	// Scratch-arena counters (the zero-allocation fork path). For a
+	// program whose acquire/release pairs all ran (no panic unwinds
+	// skipping release sites) ArenaAcquires == ArenaReleases.
+	ArenaAcquires int64 // AcquireScratch calls (free list or heap)
+	ArenaReleases int64 // ReleaseScratch calls (free list or GC)
+	ArenaDrops    int64 // releases dropped to the GC (the slot's list full)
 
 	// Job-submission counters (the Start/Submit serving lifecycle; Run
 	// counts too — it is one Submit). Every submitted Job resolves exactly
@@ -144,8 +138,6 @@ func (rt *Runtime) Stats() Stats {
 		s.PoolReclaims += sh.poolReclaims.Load()
 		s.ArenaAcquires += sh.arenaAcquires.Load()
 		s.ArenaReleases += sh.arenaReleases.Load()
-		s.RemoteFrees += sh.remoteFrees.Load()
-		s.RemoteDrains += sh.remoteDrains.Load()
 		s.ArenaDrops += sh.arenaDrops.Load()
 	}
 	return s

@@ -22,10 +22,7 @@ type shardCache struct {
 }
 
 type shardSlots struct {
-	slots  [2]atomic.Pointer[Stack]
-	hits   atomic.Int64 // fast-path Takes served locally
-	misses atomic.Int64 // Takes that fell through to the global list
-	spills atomic.Int64 // Puts that found both local slots full
+	slots [2]atomic.Pointer[Stack]
 }
 
 // ShardedPool is the lock-free-fast-path stack pool: Take and Put hit the
@@ -133,12 +130,10 @@ func (p *ShardedPool) Take(shard int) (*Stack, error) {
 		c := &p.caches[shard]
 		for i := range c.slots {
 			if s := c.slots[i].Swap(nil); s != nil {
-				c.hits.Add(1)
 				p.checkout()
 				return s, nil
 			}
 		}
-		c.misses.Add(1)
 	}
 	return p.takeSlow()
 }
@@ -253,7 +248,6 @@ func (p *ShardedPool) Put(shard int, s *Stack) {
 				return
 			}
 		}
-		c.spills.Add(1)
 	}
 	p.putGlobal(s)
 }

@@ -9,10 +9,9 @@
 // (serialized mmap), then reused when the stack is resumed.
 //
 // A cactus stack is a tree of these linear stacks. The tree is not recorded
-// here: a stolen child runs on the thief's stack while the frame it was
-// forked on stays on the victim's, and each core.Frame names its stack and
-// its enclosing frame — a branch is that chain crossing from one Stack to
-// another.
+// anywhere: a branch is a stolen child's frames, pushed on the thief's
+// stack while the frame the child was forked on (its task's frame, the one
+// its completion notifies) stays on the victim's.
 package stack
 
 import (
