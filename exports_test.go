@@ -20,10 +20,10 @@ var (
 	// Packages that exist for tests to import.
 	testSupport = []string{"internal/check", "internal/cacheline/layouttest"}
 	// Inspection and construction helpers tests are built on, their own
-	// package's or core's: ShardedPool.Drain, invoke.Leaf, Region.Base,
-	// Region.Resident, sim.Result.Speedup and Deque.TailStores (the count
+	// package's or core's: invoke.Leaf, Region.Base, Region.Resident,
+	// sim.Result.Speedup and Deque.TailStores (the count
 	// TestUnstolenForkStaysPrivate pins).
-	testFixtures = []string{"Drain", "Leaf", "Base", "Resident", "Speedup", "TailStores"}
+	testFixtures = []string{"Leaf", "Base", "Resident", "Speedup", "TailStores"}
 )
 
 // TestInternalExportsAreUsed keeps internal/ to what the program uses: every

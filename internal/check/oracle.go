@@ -225,14 +225,10 @@ func CheckReal(p *Program, m invoke.Metrics, e RealExec) error {
 		v.failf("ArenaDrops=%d > ArenaReleases=%d", st.ArenaDrops, st.ArenaReleases)
 	}
 
-	// Pool conservation: a stack is created only when nothing free is
-	// found, but a taker can miss a stack a concurrent Put is still
-	// publishing and create a fresh one, so peak checkout is a lower bound
-	// on creations (never an overcount: inUse is bumped strictly after
-	// acquisition). The equality a serialized pool would give is asserted
-	// on stack.Pool in package stack's concurrent stress test.
-	if st.MaxStacksUsed > st.StacksCreated {
-		v.failf("MaxStacksUsed=%d > StacksCreated=%d", st.MaxStacksUsed, st.StacksCreated)
+	// Pool conservation: the pool is serialized and creates a stack only
+	// when none is free, so the creations are the peak checkout.
+	if st.MaxStacksUsed != st.StacksCreated {
+		v.failf("MaxStacksUsed=%d != StacksCreated=%d", st.MaxStacksUsed, st.StacksCreated)
 	}
 	if int64(st.StacksCreated) > int64(st.Workers)+st.Suspends {
 		v.failf("StacksCreated=%d > Workers+Suspends=%d", st.StacksCreated, int64(st.Workers)+st.Suspends)

@@ -274,7 +274,7 @@ type Runtime struct {
 
 	cfg     Config
 	as      *vm.AddressSpace
-	pool    *stack.ShardedPool
+	pool    *stack.Pool
 	workers []*worker
 	park    *parkLot
 	done    atomic.Bool // set by Close, cleared by Start; thieves poll it
@@ -335,7 +335,7 @@ func NewRuntime(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:  cfg,
 		as:   as,
-		pool: stack.NewShardedPool(as, cfg.StackPages, cfg.StackLimit, cfg.Workers),
+		pool: stack.NewPool(as, cfg.StackPages, cfg.StackLimit),
 		park: newParkLot(),
 		trc:  trace.NewTracer(cfg.Sink, cfg.Workers),
 		subq: newShardedIntake(cfg.Workers),

@@ -93,8 +93,8 @@ type Stats struct {
 	JobsCompleted int64 // admitted jobs that ran to completion
 
 	StacksCreated int   // stacks ever mapped (Table 4 "# of stacks")
-	MaxStacksUsed int   // stacks simultaneously checked out
-	PoolStalls    int64 // thieves that waited on a bounded pool (Cilk Plus)
+	MaxStacksUsed int   // most stacks simultaneously checked out; == StacksCreated
+	PoolStalls    int64 // thieves that waited on a bounded pool (Cilk Plus), once each
 
 	VM vm.Stats // page faults, RSS, mmap/madvise counters (Tables 2 and 4)
 }
