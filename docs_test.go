@@ -1,7 +1,9 @@
 package fibril_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -18,6 +20,8 @@ var (
 	experimentRE = regexp.MustCompile("(?:^|[\\s`(])-experiment[ =]([a-z0-9-]+)")
 	armRE        = regexp.MustCompile(`(?m)^\t\t\{"([a-z0-9-]+)", func`)
 	qualifiedRE  = regexp.MustCompile(`\.[A-Za-z_][A-Za-z0-9_]*$`)
+	testNameRE   = regexp.MustCompile(`(?:^|[^.\w])((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)`)
+	testFuncRE   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 )
 
 // appendixHeading opens the one section that may name what is no longer in
@@ -25,15 +29,18 @@ var (
 const appendixHeading = "## Appendix: tried and removed"
 
 // TestDocsNameWhatExists keeps the prose to the tree: every repo-relative
-// path the documents put in code — a span or a fenced block — exists, and
-// every experiment they pass to -experiment is one cmd/fibril-bench accepts.
-// A PR that deletes a file or an experiment has to take its mentions along,
-// or move them to the "tried and removed" appendix.
+// path the documents put in code — a span or a fenced block — exists, every
+// test, benchmark or fuzz target they name there is a func some _test.go
+// file declares, and every experiment they pass to -experiment is one
+// cmd/fibril-bench accepts. A change that deletes a file, renames a test or
+// drops an experiment has to take its mentions along, or move them to the
+// "tried and removed" appendix.
 func TestDocsNameWhatExists(t *testing.T) {
 	src, err := os.ReadFile("cmd/fibril-bench/main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
+	tests := testFuncs(t)
 	experiments := map[string]bool{"all": true}
 	for _, m := range armRE.FindAllStringSubmatch(string(src), -1) {
 		experiments[m[1]] = true
@@ -49,6 +56,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		text := withoutAppendix(string(raw))
 		paths := 0
 		for _, code := range codeIn(text) {
+			for _, m := range testNameRE.FindAllStringSubmatch(code, -1) {
+				if !tests[m[1]] {
+					t.Errorf("%s names %s, which no _test.go file declares", doc, m[1])
+				}
+			}
 			for _, tok := range strings.Fields(code) {
 				p := strings.TrimPrefix(strings.Trim(tok, `()[],;:'"…`), "./")
 				if !slices.ContainsFunc(pathPrefixes, func(pre string) bool { return strings.HasPrefix(p, pre) }) {
@@ -69,6 +81,39 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testFuncs returns the name of every Test, Benchmark and Fuzz func declared
+// in a _test.go file of the tree.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncRE.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) < 100 {
+		t.Fatalf("found only %d test funcs in the tree — has the walk gone blind?", len(names))
+	}
+	return names
 }
 
 // withoutAppendix cuts the "tried and removed" section out of a document.

@@ -206,8 +206,8 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 
 // The many-submitters × tiny-jobs stress lane: K goroutines each submit M
 // single-node roots back to back, so the runtime spends essentially all
-// of its time in the intake path — CAS admission, sharded root queues,
-// Job pooling (every job is Released), wake-one parking — rather than in
+// of its time in the intake path — CAS admission, the root queue, Job
+// pooling (every job is Released), wake-one parking — rather than in
 // the computation. This is the adversarial load for the lock-minimized
 // Submit: the generated-program leg above stresses scheduling
 // *within* jobs, this lane stresses the machinery *between* them.

@@ -80,7 +80,9 @@ func TestConcurrentJobsCleanOnly(t *testing.T) {
 // CheckJobStress (exactly-once, Seq permutation, conservation, trace
 // reconciliation).
 // The race job in CI runs this package, so the lane doubles as the
-// -race certificate for the CAS/sharded/pooled/wake-one path.
+// -race certificate for the CAS/queue/pooled/wake-one path. Its one
+// subtest is named after the per-slot intake that is gone only so that its
+// recorded test name stays stable.
 func TestJobStressManySubmitters(t *testing.T) {
 	const k, m, workers = 16, 25, 4
 	t.Run("sharded", func(t *testing.T) {

@@ -93,10 +93,10 @@ var closedChan = func() chan struct{} {
 // (possibly with a captured panic), shed at admission, or drained by a
 // forced Close. All methods are safe from any goroutine.
 //
-// Jobs are pooled: a caller that is done with a handle may call Release to
-// recycle it. The wait channel is allocated lazily — only when a caller
-// actually blocks in Done/Wait/Err/Seq before the job has completed — so
-// the submit → complete fast path never allocates one.
+// Jobs are pooled (jobPool): a caller that is done with a handle may call
+// Release to recycle it. The wait channel is allocated lazily — only when
+// a caller actually blocks in Done/Wait/Err/Seq before the job has
+// completed — so the submit → complete fast path never allocates one.
 type Job struct {
 	id        uint64
 	tenant    string
@@ -104,10 +104,10 @@ type Job struct {
 	rt        *Runtime
 	submitted time.Time // zero unless a sink consumes KindJobDone
 
-	// qnext is the intrusive link threading the Job through an intake
-	// shard's inbox, its FIFO out list, or its free list (a Job is in at
-	// most one of the three at a time).
-	qnext atomic.Pointer[Job]
+	// qnext is the intrusive link threading the Job through the intake's
+	// inbox or its FIFO out list. The inbox CAS publishes it and the Swap
+	// that adopts the inbox acquires it; the out list is read under cmu.
+	qnext *Job
 
 	// done is the whole completion handshake in one word: nil while the
 	// job is pending and nobody waits, a waiter-published channel while
@@ -216,9 +216,9 @@ func (j *Job) Seq() uint64 {
 	return j.seq
 }
 
-// Release recycles a completed Job into its runtime's intake pool, where
-// the next Submit picks it up without allocating. Release panics if the
-// job has not completed. Handoff rules: the caller must be the handle's
+// Release recycles a completed Job into jobPool, where a later Submit
+// picks it up without allocating. Release panics if the job has not
+// completed. Handoff rules: the caller must be the handle's
 // last user — after Release no Job method may be called and no previously
 // returned Done channel consulted, and Release must not race any other
 // method on the same handle (completion itself does not count: Release
@@ -228,7 +228,6 @@ func (j *Job) Release() {
 	if !j.completed() {
 		panic("core: Release of an incomplete Job")
 	}
-	rt, id := j.rt, j.id
 	j.rt = nil
 	j.id = 0
 	j.tenant = ""
@@ -238,10 +237,13 @@ func (j *Job) Release() {
 	j.err = nil
 	j.seq = 0
 	j.stats = nil
-	j.qnext.Store(nil)
 	j.done.Store(nil)
-	rt.subq.putJob(id, j)
+	jobPool.Put(j)
 }
+
+// jobPool recycles released Jobs for every Runtime. Its hoard bound is the
+// GC's: a pooled Job nobody takes is dropped within two collections.
+var jobPool = sync.Pool{New: func() any { return new(Job) }}
 
 // lifeState is the Runtime's serving lifecycle state. It is stored in
 // admitState.life: written only under admitState.mu, loaded lock-free by
@@ -388,13 +390,9 @@ func (rt *Runtime) ensureStarted() bool {
 // serving pays no time.Now per job — and the wait channel stays
 // unallocated until someone blocks on the handle.
 func (rt *Runtime) newJob(tenant string, root func(*W)) *Job {
-	id := uint64(rt.jobsSubmitted.Add(1))
-	j := rt.subq.getJob(id)
-	if j == nil {
-		j = &Job{}
-	}
+	j := jobPool.Get().(*Job)
 	j.rt = rt
-	j.id = id
+	j.id = uint64(rt.jobsSubmitted.Add(1))
 	j.tenant = tenant
 	j.root = root
 	if rt.stampJobs {
@@ -543,16 +541,14 @@ func (rt *Runtime) dispatch(j *Job) {
 	rt.park.wake(1)
 }
 
-// nextRoot claims the oldest submitted root (oldest in the shard the
-// sweep reaches first) as a task, if any. Called by thieves only after a
-// full steal sweep failed: stolen work (continuing an in-flight
-// computation, draining its suspended stacks) takes priority over opening
-// a new root, which keeps the live-root set — and with it the space
-// bound's P multiplier — as small as the load allows. self spreads
-// concurrent drains across intake shards (each thief starts at its own
-// slot's shard).
-func (rt *Runtime) nextRoot(self int) (task, bool) {
-	j, ok := rt.subq.pop(self)
+// nextRoot claims the oldest admitted root as a task, if any, so roots
+// start in admission order. Called by thieves only after a full steal
+// sweep failed: stolen work (continuing an in-flight computation, draining
+// its suspended stacks) takes priority over opening a new root, which
+// keeps the live-root set — and with it the space bound's P multiplier —
+// as small as the load allows.
+func (rt *Runtime) nextRoot() (task, bool) {
+	j, ok := rt.subq.pop()
 	if !ok {
 		return task{}, false
 	}

@@ -31,7 +31,7 @@ import (
 //
 // The lost-wakeup argument is a Dekker pair. A parking thief registers
 // itself (nparked++) and only then runs one final steal sweep; a publisher
-// makes the work visible (deque push, intake-shard link) and only then
+// makes the work visible (deque push, intake link) and only then
 // reads nparked. Under Go's sequentially-consistent atomics it is
 // impossible for the final sweep to miss the publish AND the publisher to
 // miss the registration, so either the thief leaves with the task or the

@@ -267,8 +267,9 @@ type tbbTask struct {
 // who writes them and how often (DESIGN.md §7): every Fork, steal sweep
 // and Submit dereferences the first group, so nothing in it is written
 // after NewRuntime except done, which Start and Close flip; the groups
-// below it are written per suspension or admission, per submission and per
-// completion, a pad apart from it and from each other.
+// below it are written per submission and root taken, per suspension or
+// admission, by submitters and by completers, a pad apart from it and from
+// each other.
 type Runtime struct {
 	_ cacheline.Pad
 
@@ -286,15 +287,19 @@ type Runtime struct {
 	trc     *trace.Tracer
 	metrics *trace.MetricsSink
 
-	// subq is the intake of admitted roots awaiting a worker (intake.go).
 	// stampJobs caches whether any sink consumes KindJobDone, gating the
 	// per-job clock reads.
-	subq      *shardedIntake
 	stampJobs bool
 
 	// stats holds one counter shard per worker slot; see counterShard for
 	// the de-contention rationale.
 	stats []counterShard
+
+	_ cacheline.Pad
+
+	// Written per submission and per root taken: the intake of admitted
+	// roots awaiting a worker (intake.go).
+	subq intake
 
 	_ cacheline.Pad
 
@@ -338,7 +343,6 @@ func NewRuntime(cfg Config) *Runtime {
 		pool: stack.NewPool(as, cfg.StackPages, cfg.StackLimit),
 		park: newParkLot(),
 		trc:  trace.NewTracer(cfg.Sink, cfg.Workers),
-		subq: newShardedIntake(cfg.Workers),
 	}
 	if ms, ok := cfg.Sink.(*trace.MetricsSink); ok {
 		rt.metrics = ms
@@ -472,7 +476,7 @@ func (rt *Runtime) spawnThief(slot *worker) {
 // search for searchBudget and then park, so idle thieves stop burning CPU
 // while work is scarce — a serving runtime between requests is P parked
 // goroutines. An empty sweep costs the rest of the system nothing but
-// shared reads (Deque.Len per victim, one counter per intake shard), and
+// shared reads (Deque.Len per victim, then the intake's one counter), and
 // the Gosched between sweeps runs every client, waiter and timer goroutine
 // sharing this P first. The slot counts as idle on the park lot whenever the
 // loop is not inside runStolen, which is what makes every Fork publish its
@@ -489,7 +493,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 		if t, ok := rt.steal(w, countStolen); ok {
 			return t, true
 		}
-		return rt.nextRoot(slot.id)
+		return rt.nextRoot()
 	}
 	fails := 0
 	var idleSince time.Time // zero until the search phase first reads the clock

@@ -446,7 +446,10 @@ func TestJobLatencyHistogram(t *testing.T) {
 // TestConcurrentSubmitIntakeDifferential runs the concurrent-submission
 // acceptance shape with every handle Released afterwards: real fork-join
 // roots with a panicking minority, eight submitters, full conservation at
-// Close.
+// Close. With one intake left it compares nothing. It, TestLazyStatsOnWait,
+// TestCloseRacesFastSubmit and TestSubmitAfterAllThievesParked keep one
+// subtest named "sharded", after the per-slot intake that is gone, only so
+// that their recorded test names stay stable.
 func TestConcurrentSubmitIntakeDifferential(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
 		rt := NewRuntime(Config{Workers: 4})
@@ -500,6 +503,60 @@ func TestConcurrentSubmitIntakeDifferential(t *testing.T) {
 			t.Errorf("shed=%d drained=%d, want 0/0", st.JobsShed, st.JobsDrained)
 		}
 	})
+}
+
+// TestRootsStartInSubmissionOrder pins the intake's FIFO: with both slots of
+// a Workers=2 runtime held by blocker roots, 32 more roots queue; when one
+// blocker returns, its slot is the only consumer, so it must start them in
+// the order they were admitted — which for one submitter is ID order.
+func TestRootsStartInSubmissionOrder(t *testing.T) {
+	const queued = 32
+	rt := NewRuntime(Config{Workers: 2})
+	rt.Start()
+	started := make(chan struct{})
+	gates := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var blockers [2]*Job
+	for b, gate := range gates {
+		blockers[b] = rt.Submit(func(*W) { started <- struct{}{}; <-gate })
+	}
+	for range blockers {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the two blockers never occupied both slots")
+		}
+	}
+	var mu sync.Mutex
+	var order, want []int
+	jobs := make([]*Job, queued)
+	for i := range jobs {
+		jobs[i] = rt.Submit(func(*W) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		})
+		want = append(want, i)
+	}
+	close(gates[0])
+	watchdog(t, 10*time.Second, func() {
+		for _, j := range jobs {
+			if err := j.Err(); err != nil {
+				t.Errorf("root %d: %v", j.ID(), err)
+			}
+		}
+	})
+	close(gates[1])
+	for _, j := range blockers {
+		if err := j.Err(); err != nil {
+			t.Fatalf("blocker: %v", err)
+		}
+	}
+	if err := rt.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("queued roots started in the order %v, want submission order", order)
+	}
 }
 
 // TestJobPoolRecycles pins the Release → Submit recycling loop:

@@ -1,6 +1,6 @@
 // Serving-intake benchmarks and the CI allocation gate for the
-// lock-minimized Submit path (CAS admission, sharded root queues, pooled
-// Jobs, wake-one parking): the testing.B counters and the hard allocs/op
+// lock-minimized Submit path (CAS admission, one lock-free root queue,
+// pooled Jobs, wake-one parking): the testing.B counters and the hard allocs/op
 // assertions CI enforces next to TestForkPathGate.
 package fibril_test
 
@@ -129,7 +129,7 @@ func TestSubmitAllocGate(t *testing.T) {
 	t.Run("shed-zero-alloc", func(t *testing.T) {
 		rt, done := shedRuntime(t)
 		defer done()
-		// Warm the per-shard Job pools past the measurement size.
+		// Warm the Job pool, so AllocsPerRun measures a recycled handle.
 		for i := 0; i < 512; i++ {
 			rt.Submit(noopRoot).Release()
 		}
