@@ -19,12 +19,12 @@ import (
 // (an injected panic surfaces only through its own Job.Err), the job
 // conservation laws at K > 1, and quiescence after a graceful Close.
 
-// JobsExec is the observable outcome of one concurrent-submission run.
-type JobsExec struct {
+// serveExec is what both job legs observe of one serving runtime: each
+// job's result and what a graceful Close left behind.
+type serveExec struct {
 	Label    string
-	Counts   [][]uint32 // executions per program, per node ID
-	Errs     []error    // Job.Err per program
-	Seqs     []uint64   // Job.Seq (completion rank) per program
+	Errs     []error  // Job.Err per job
+	Seqs     []uint64 // Job.Seq (completion rank) per job
 	Stats    core.Stats
 	Queued   int   // tasks left in deques after Close (must be 0)
 	Parked   int   // thieves still parked after Close (must be 0)
@@ -32,6 +32,65 @@ type JobsExec struct {
 	JobQueue int   // QueuedJobs after Close (must be 0)
 	CloseErr error // Close's return (must be nil: nothing forced the drain)
 	Trace    TraceSummary
+}
+
+// closeGracefully Closes rt and records everything checkServe needs.
+func (e *serveExec) closeGracefully(rt *core.Runtime, rec *trace.Recorder) {
+	e.CloseErr = rt.Close(context.Background())
+	e.Stats = rt.Stats()
+	e.Trace = SummarizeTrace(rec)
+	e.Queued = rt.QueuedTasks()
+	e.Parked = rt.ParkedThieves()
+	e.Inflight = rt.InflightJobs()
+	e.JobQueue = rt.QueuedJobs()
+}
+
+// checkServe is the serving oracle both job legs share. Every job
+// completed, so the Seqs are a permutation of 1..n (the order itself is
+// scheduling-dependent); a graceful Close left nothing queued, parked or
+// inflight; every submission was admitted and completed, none shed or
+// drained; and the trace reconciles with the counters.
+func (v *violations) checkServe(e *serveExec) {
+	n := len(e.Seqs)
+	seen := make(map[uint64]int, n)
+	for i, s := range e.Seqs {
+		if s < 1 || s > uint64(n) {
+			v.failf("job %d: completion rank %d outside [1,%d]", i, s, n)
+		} else if prev, dup := seen[s]; dup {
+			v.failf("jobs %d and %d share completion rank %d", prev, i, s)
+		}
+		seen[s] = i
+	}
+
+	if e.CloseErr != nil {
+		v.failf("graceful Close returned %v, want nil", e.CloseErr)
+	}
+	v.checkQuiescent("Close", e.Queued, e.Parked, e.Inflight)
+	if e.JobQueue != 0 {
+		v.failf("QueuedJobs=%d after Close, want 0", e.JobQueue)
+	}
+
+	st := e.Stats
+	if st.JobsSubmitted != int64(n) || st.JobsAdmitted != int64(n) || st.JobsCompleted != int64(n) {
+		v.failf("JobsSubmitted=%d JobsAdmitted=%d JobsCompleted=%d, want %d each",
+			st.JobsSubmitted, st.JobsAdmitted, st.JobsCompleted, n)
+	}
+	if st.JobsShed != 0 || st.JobsDrained != 0 {
+		v.failf("graceful run shed %d / drained %d jobs, want 0/0", st.JobsShed, st.JobsDrained)
+	}
+
+	// Unlike the one-shot panic leg, the job legs reconcile
+	// unconditionally: a root's panic is captured inside exec and surfaces
+	// through its own Job, never unwinding the thief loop, so every
+	// event/counter pairing stays intact even with panicking roots in the
+	// mix.
+	v.reconcileTrace(e.Trace, st)
+}
+
+// JobsExec is the observable outcome of one concurrent-submission run.
+type JobsExec struct {
+	serveExec
+	Counts [][]uint32 // executions per program, per node ID
 }
 
 // RunRealJobs starts one runtime, submits every program from its own
@@ -42,10 +101,12 @@ type JobsExec struct {
 // config, not per-job), so the runtime is sized for the largest root.
 func RunRealJobs(ps []*Program, workers int, strat core.Strategy) JobsExec {
 	e := JobsExec{
-		Label:  fmt.Sprintf("jobs/%v/P=%d/K=%d", strat, workers, len(ps)),
+		serveExec: serveExec{
+			Label: fmt.Sprintf("jobs/%v/P=%d/K=%d", strat, workers, len(ps)),
+			Errs:  make([]error, len(ps)),
+			Seqs:  make([]uint64, len(ps)),
+		},
 		Counts: make([][]uint32, len(ps)),
-		Errs:   make([]error, len(ps)),
-		Seqs:   make([]uint64, len(ps)),
 	}
 	frame := 0
 	var seed uint64
@@ -78,13 +139,7 @@ func RunRealJobs(ps []*Program, workers int, strat core.Strategy) JobsExec {
 		}(i)
 	}
 	wg.Wait()
-	e.CloseErr = rt.Close(context.Background())
-	e.Stats = rt.Stats()
-	e.Trace = SummarizeTrace(rec)
-	e.Queued = rt.QueuedTasks()
-	e.Parked = rt.ParkedThieves()
-	e.Inflight = rt.InflightJobs()
-	e.JobQueue = rt.QueuedJobs()
+	e.closeGracefully(rt, rec)
 	return e
 }
 
@@ -129,37 +184,7 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 		}
 	}
 
-	// Completion ranks: every Job completed, so the Seqs must be a
-	// permutation of 1..K (order itself is scheduling-dependent).
-	seen := make(map[uint64]int, len(e.Seqs))
-	for i, s := range e.Seqs {
-		if s < 1 || s > uint64(len(ps)) {
-			v.failf("program %d: completion rank %d outside [1,%d]", i, s, len(ps))
-		} else if prev, dup := seen[s]; dup {
-			v.failf("programs %d and %d share completion rank %d", prev, i, s)
-		}
-		seen[s] = i
-	}
-
-	// Quiescence after a graceful Close.
-	if e.CloseErr != nil {
-		v.failf("graceful Close returned %v, want nil", e.CloseErr)
-	}
-	v.checkQuiescent("Close", e.Queued, e.Parked, e.Inflight)
-	if e.JobQueue != 0 {
-		v.failf("QueuedJobs=%d after Close, want 0", e.JobQueue)
-	}
-
-	// Job conservation at K > 1: every submission was admitted and
-	// completed (a graceful Close sheds and drains nothing).
-	k := int64(len(ps))
-	if st.JobsSubmitted != k || st.JobsAdmitted != k || st.JobsCompleted != k {
-		v.failf("JobsSubmitted=%d JobsAdmitted=%d JobsCompleted=%d, want %d each",
-			st.JobsSubmitted, st.JobsAdmitted, st.JobsCompleted, k)
-	}
-	if st.JobsShed != 0 || st.JobsDrained != 0 {
-		v.failf("graceful run shed %d / drained %d jobs, want 0/0", st.JobsShed, st.JobsDrained)
-	}
+	v.checkServe(&e.serveExec)
 
 	// Flow laws that survive mixed panics. The structural fork/call counts
 	// relax to bounds when a panic unwound a parent mid-body (its later
@@ -194,55 +219,44 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 	if panics == 0 && st.ArenaAcquires != st.ArenaReleases {
 		v.failf("ArenaAcquires=%d != ArenaReleases=%d on a panic-free run", st.ArenaAcquires, st.ArenaReleases)
 	}
-
-	// Trace reconciliation. Unlike the one-shot panic leg, the jobs leg
-	// reconciles unconditionally: a root's panic is captured inside exec
-	// and surfaces through its own Job, never unwinding the thief loop, so
-	// every event/counter pairing stays intact even with panicking roots
-	// in the mix.
-	v.reconcileTrace(e.Trace, st)
 	return v.err()
 }
 
 // The many-submitters × tiny-jobs stress lane: K goroutines each submit M
 // single-node roots back to back, so the runtime spends essentially all
-// of its time in the intake path — CAS admission, the root queue, Job
-// pooling (every job is Released), wake-one parking — rather than in
-// the computation. This is the adversarial load for the lock-minimized
-// Submit: the generated-program leg above stresses scheduling
-// *within* jobs, this lane stresses the machinery *between* them.
+// of its time in the intake path — admission under its mutex (and, with
+// an inflight bound, queueing and promotion by completions), the root
+// queue, Job pooling (every job is Released), wake-one parking — rather
+// than in the computation. The generated-program leg above stresses
+// scheduling *within* jobs, this lane stresses the machinery *between*
+// them.
 
 // StressExec is the observable outcome of one stress run.
 type StressExec struct {
-	Label    string
-	Counts   []uint32 // executions per root (must be exactly 1 each)
-	Errs     []error  // Job.Err per root
-	Seqs     []uint64 // Job.Seq per root
-	Stats    core.Stats
-	Queued   int
-	Parked   int
-	Inflight int
-	JobQueue int
-	CloseErr error
-	Trace    TraceSummary
+	serveExec
+	Counts []uint32 // executions per root (must be exactly 1 each)
 }
 
-// RunJobStress floods one serving runtime with k submitter goroutines ×
-// m single-node roots each, waiting for and Releasing every Job, then
-// Closes gracefully.
-func RunJobStress(k, m, workers int) StressExec {
+// RunJobStress floods one serving runtime, its admission bounded by
+// maxInflight (0 = unlimited, as in Config.MaxInflight), with k submitter
+// goroutines × m single-node roots each, waiting for and Releasing every
+// Job, then Closes gracefully.
+func RunJobStress(k, m, workers, maxInflight int) StressExec {
 	n := k * m
 	e := StressExec{
-		Label:  fmt.Sprintf("jobstress/P=%d/K=%d/M=%d", workers, k, m),
+		serveExec: serveExec{
+			Label: fmt.Sprintf("jobstress/P=%d/K=%d/M=%d/max=%d", workers, k, m, maxInflight),
+			Errs:  make([]error, n),
+			Seqs:  make([]uint64, n),
+		},
 		Counts: make([]uint32, n),
-		Errs:   make([]error, n),
-		Seqs:   make([]uint64, n),
 	}
 	rec := trace.NewRecorder(traceRecorderCap)
 	rt := core.NewRuntime(core.Config{
-		Workers:    workers,
-		StackPages: harnessStackPages,
-		Sink:       rec,
+		Workers:     workers,
+		StackPages:  harnessStackPages,
+		MaxInflight: maxInflight,
+		Sink:        rec,
 	})
 	rt.Start()
 	var wg sync.WaitGroup
@@ -262,27 +276,19 @@ func RunJobStress(k, m, workers int) StressExec {
 		}(s)
 	}
 	wg.Wait()
-	e.CloseErr = rt.Close(context.Background())
-	e.Stats = rt.Stats()
-	e.Trace = SummarizeTrace(rec)
-	e.Queued = rt.QueuedTasks()
-	e.Parked = rt.ParkedThieves()
-	e.Inflight = rt.InflightJobs()
-	e.JobQueue = rt.QueuedJobs()
+	e.closeGracefully(rt, rec)
 	return e
 }
 
 // CheckJobStress runs the oracles for a stress run: exactly-once
-// execution, per-root success, Seq a permutation of 1..k*m, quiescence
-// after Close, the job conservation laws at Submitted == k*m, the
-// no-fork flow laws (single-node roots make no tasks, so Forks and
-// Steals must both read zero), and trace reconciliation — which pins
-// #JobStart == #JobDone == JobsCompleted and the TaskStart ==
+// execution, per-root success, the serving oracle (checkServe) at
+// Submitted == k*m, and the no-fork flow laws — single-node roots make no
+// tasks, so Forks and Steals must both read zero. Trace reconciliation
+// pins #JobStart == #JobDone == JobsCompleted and the TaskStart ==
 // Steals − RestrictedSteals identity on the stressed path.
 func CheckJobStress(k, m int, e StressExec) error {
 	v := &violations{label: e.Label}
 	st := e.Stats
-	n := k * m
 
 	for i, c := range e.Counts {
 		if c != 1 {
@@ -294,31 +300,11 @@ func CheckJobStress(k, m int, e StressExec) error {
 			v.failf("root %d: Job.Err=%v, want nil", i, err)
 		}
 	}
-	seen := make(map[uint64]int, n)
-	for i, s := range e.Seqs {
-		if s < 1 || s > uint64(n) {
-			v.failf("root %d: completion rank %d outside [1,%d]", i, s, n)
-		} else if prev, dup := seen[s]; dup {
-			v.failf("roots %d and %d share completion rank %d", prev, i, s)
-		}
-		seen[s] = i
+	if n := len(e.Seqs); n != k*m {
+		v.failf("%d roots recorded, want %d", n, k*m)
 	}
 
-	if e.CloseErr != nil {
-		v.failf("graceful Close returned %v, want nil", e.CloseErr)
-	}
-	v.checkQuiescent("Close", e.Queued, e.Parked, e.Inflight)
-	if e.JobQueue != 0 {
-		v.failf("QueuedJobs=%d after Close, want 0", e.JobQueue)
-	}
-
-	if st.JobsSubmitted != int64(n) || st.JobsAdmitted != int64(n) || st.JobsCompleted != int64(n) {
-		v.failf("JobsSubmitted=%d JobsAdmitted=%d JobsCompleted=%d, want %d each",
-			st.JobsSubmitted, st.JobsAdmitted, st.JobsCompleted, n)
-	}
-	if st.JobsShed != 0 || st.JobsDrained != 0 {
-		v.failf("graceful run shed %d / drained %d jobs, want 0/0", st.JobsShed, st.JobsDrained)
-	}
+	v.checkServe(&e.serveExec)
 
 	// Single-node roots: the scheduler never sees a forked task, so the
 	// whole steal/suspend economy must be silent.
@@ -329,7 +315,5 @@ func CheckJobStress(k, m int, e StressExec) error {
 		v.failf("Steals=%d Suspends=%d Resumes=%d on single-node roots, want 0 each",
 			st.Steals, st.Suspends, st.Resumes)
 	}
-
-	v.reconcileTrace(e.Trace, st)
 	return v.err()
 }

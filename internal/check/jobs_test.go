@@ -78,17 +78,20 @@ func TestConcurrentJobsCleanOnly(t *testing.T) {
 // TestJobStressManySubmitters is the intake stress lane: 16 submitter
 // goroutines × tiny single-node roots, with every oracle from
 // CheckJobStress (exactly-once, Seq permutation, conservation, trace
-// reconciliation).
+// reconciliation), once unbounded and once at MaxInflight 2, where most
+// submissions queue and completions promote them.
 // The race job in CI runs this package, so the lane doubles as the
-// -race certificate for the CAS/queue/pooled/wake-one path. Its one
+// -race certificate for the admission/queue/pooled/wake-one path. Its one
 // subtest is named after the per-slot intake that is gone only so that its
 // recorded test name stays stable.
 func TestJobStressManySubmitters(t *testing.T) {
 	const k, m, workers = 16, 25, 4
 	t.Run("sharded", func(t *testing.T) {
-		e := RunJobStress(k, m, workers)
-		if err := CheckJobStress(k, m, e); err != nil {
-			t.Fatal(err)
+		for _, maxInflight := range []int{0, 2} {
+			e := RunJobStress(k, m, workers, maxInflight)
+			if err := CheckJobStress(k, m, e); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -28,12 +28,11 @@ import (
 // budget (Config.TenantQuotaPages), shedding or queueing per
 // Config.Admission.
 //
-// The admission decision itself is lock-free whenever no tenant quotas are
-// configured and the admission queue is empty: Submit reserves an inflight
-// slot with one CAS against MaxInflight (one uncontended Add when
-// unlimited) and only falls back to the admission mutex for queue
-// promotion, tenant budgets, and lifecycle transitions. See DESIGN.md §10
-// for the full pipeline and its Dekker arguments.
+// Every admission decision, completion release, job counter and lifecycle
+// transition happens under admitState's one mutex: Submit takes it once,
+// a completing root once, and Close once on each side of its drain. Only
+// the intake push, the thief wake-up and the completion publish run
+// outside it. See DESIGN.md §10 for the full pipeline.
 
 // Submission errors, surfaced through Job.Err.
 var (
@@ -245,10 +244,8 @@ func (j *Job) Release() {
 // GC's: a pooled Job nobody takes is dropped within two collections.
 var jobPool = sync.Pool{New: func() any { return new(Job) }}
 
-// lifeState is the Runtime's serving lifecycle state. It is stored in
-// admitState.life: written only under admitState.mu, loaded lock-free by
-// the submit fast path.
-type lifeState int32
+// lifeState is the Runtime's serving lifecycle state, admitState.life.
+type lifeState int
 
 const (
 	lifeIdle    lifeState = iota // never started; Submit panics
@@ -259,31 +256,44 @@ const (
 
 // admitState is the admission-control half of the serving lifecycle: the
 // lifecycle state, the inflight count, the per-tenant page reservations,
-// and the not-yet-admitted queue. The mutex guards the queue, the tenant
-// map, and every lifecycle transition; the atomic fields mirror the state
-// the lock-free submit fast path needs (life and qlen are written only
-// under mu, inflight is also CASed directly by the fast path — see
-// SubmitTenant for the interleaving arguments).
+// the not-yet-admitted queue and the job counters. Every field is plain:
+// mu guards all of them, and every admission decision, completion release
+// and lifecycle transition is made holding it.
 type admitState struct {
+	// What every Submit and every completion writes, next to the mutex, so
+	// that a job moves as few cache lines between submitter and completer
+	// as the atomics it replaced did (DESIGN.md §7).
 	mu       sync.Mutex
-	life     atomic.Int32 // lifeState; stores under mu only
-	inflight atomic.Int64 // admitted, not yet completed
-	qlen     atomic.Int64 // len(queue) mirror; stores under mu only
+	life     lifeState
+	inflight int64 // admitted, not yet completed
+	jobs     jobCounts
 
-	max       int // Config.MaxInflight (0 = unlimited)
-	policy    AdmissionPolicy
-	quota     int64 // Config.TenantQuotaPages (0 = unlimited)
-	reserve   int64 // pages one inflight job reserves (Config.StackPages)
-	tenants   map[string]int64
-	queue     []*Job // submitted, awaiting admission (AdmitQueue)
-	drained   chan struct{}
-	drainDone bool
+	max     int // Config.MaxInflight (0 = unlimited)
+	policy  AdmissionPolicy
+	quota   int64 // Config.TenantQuotaPages (0 = unlimited)
+	reserve int64 // pages one inflight job reserves (Config.StackPages)
+	tenants map[string]int64
+	queue   []*Job        // submitted, awaiting admission (AdmitQueue)
+	drained chan struct{} // set while a Close waits; closed and cleared once drained
+}
+
+// jobCounts are the Stats job counters. submitted is also the last job ID
+// handed out.
+type jobCounts struct {
+	submitted, admitted, shed, drained, completed int64
+}
+
+// rank is the completion rank (Job.Seq) of the job resolved last: every
+// rank is handed out together with exactly one shed, drained or completed
+// count.
+func (c *jobCounts) rank() uint64 {
+	return uint64(c.shed + c.drained + c.completed)
 }
 
 // fitsLocked reports whether one more job from tenant fits the inflight
 // bound and the tenant's page budget.
 func (a *admitState) fitsLocked(tenant string) bool {
-	if a.max > 0 && a.inflight.Load() >= int64(a.max) {
+	if a.max > 0 && a.inflight >= int64(a.max) {
 		return false
 	}
 	if a.quota > 0 && a.tenants[tenant]+a.reserve > a.quota {
@@ -292,9 +302,10 @@ func (a *admitState) fitsLocked(tenant string) bool {
 	return true
 }
 
-// admitLocked reserves capacity for j.
+// admitLocked reserves capacity for j and counts it admitted.
 func (a *admitState) admitLocked(j *Job) {
-	a.inflight.Add(1)
+	a.inflight++
+	a.jobs.admitted++
 	if a.quota > 0 {
 		if a.tenants == nil {
 			a.tenants = make(map[string]int64)
@@ -305,7 +316,7 @@ func (a *admitState) admitLocked(j *Job) {
 
 // releaseLocked returns j's reservation.
 func (a *admitState) releaseLocked(j *Job) {
-	a.inflight.Add(-1)
+	a.inflight--
 	if a.quota > 0 {
 		if r := a.tenants[j.tenant] - a.reserve; r > 0 {
 			a.tenants[j.tenant] = r
@@ -335,17 +346,29 @@ func (a *admitState) promoteLocked() []*Job {
 		return nil
 	}
 	a.queue = rest
-	a.qlen.Store(int64(len(a.queue)))
 	return admitted
 }
 
-// checkDrainedLocked closes the drain gate once a closing runtime has no
-// inflight or queued jobs left.
+// rejectLocked resolves a job admission never ran — shed, drained, or
+// submitted while closing — counting it and giving it a completion rank.
+// The caller publishes it with j.finish after unlocking.
+func (a *admitState) rejectLocked(j *Job, err error) {
+	if err == ErrDrained {
+		a.jobs.drained++
+	} else {
+		a.jobs.shed++
+	}
+	j.err = err
+	j.seq = a.jobs.rank()
+}
+
+// checkDrainedLocked closes the drain gate a Close waits on once no
+// inflight or queued jobs are left, and clears it. The gate exists only
+// while the runtime is closing.
 func (a *admitState) checkDrainedLocked() {
-	if lifeState(a.life.Load()) == lifeClosing && a.inflight.Load() == 0 &&
-		len(a.queue) == 0 && a.drained != nil && !a.drainDone {
-		a.drainDone = true
+	if a.drained != nil && a.inflight == 0 && len(a.queue) == 0 {
 		close(a.drained)
+		a.drained = nil
 	}
 }
 
@@ -366,7 +389,7 @@ func (rt *Runtime) Start() {
 func (rt *Runtime) ensureStarted() bool {
 	a := &rt.admit
 	a.mu.Lock()
-	switch lifeState(a.life.Load()) {
+	switch a.life {
 	case lifeServing:
 		a.mu.Unlock()
 		return false
@@ -374,7 +397,7 @@ func (rt *Runtime) ensureStarted() bool {
 		a.mu.Unlock()
 		panic("core: Start while the Runtime is closing")
 	}
-	a.life.Store(int32(lifeServing))
+	a.life = lifeServing
 	a.mu.Unlock()
 
 	rt.done.Store(false)
@@ -385,14 +408,14 @@ func (rt *Runtime) ensureStarted() bool {
 	return true
 }
 
-// newJob builds (or recycles) the Job for one submission. The submit-time
-// clock read exists only when a sink consumes KindJobDone — untraced
-// serving pays no time.Now per job — and the wait channel stays
-// unallocated until someone blocks on the handle.
+// newJob builds (or recycles) the Job for one submission; its ID is
+// assigned under the admission mutex. The submit-time clock read exists
+// only when a sink consumes KindJobDone — untraced serving pays no
+// time.Now per job — and the wait channel stays unallocated until someone
+// blocks on the handle.
 func (rt *Runtime) newJob(tenant string, root func(*W)) *Job {
 	j := jobPool.Get().(*Job)
 	j.rt = rt
-	j.id = uint64(rt.jobsSubmitted.Add(1))
 	j.tenant = tenant
 	j.root = root
 	if rt.stampJobs {
@@ -418,117 +441,38 @@ func (rt *Runtime) Submit(root func(*W)) *Job {
 // is closing or closed the Job completes with ErrClosed, counted in
 // Stats.JobsShed, so a submitter racing Close is refused, never panicked.
 //
-// With no tenant quotas and an empty admission queue, the whole admission
-// decision is lock-free: one CAS reserves an inflight slot (one plain Add
-// when MaxInflight is 0), and a full AdmitShed rejection touches no
-// admission state at all. The admission mutex is taken only for queueing,
-// promotion, tenant budgets, and submissions racing a lifecycle transition.
+// The whole decision — lifecycle, inflight bound, tenant budget, queue or
+// shed — and the job's ID and JobsSubmitted count are taken in one hold of
+// the admission mutex; a submission refused for an idle runtime is not
+// counted. Completions release under the same mutex, so capacity cannot
+// free up between the fit check and the enqueue.
 func (rt *Runtime) SubmitTenant(tenant string, root func(*W)) *Job {
 	j := rt.newJob(tenant, root)
-	if rt.admit.quota == 0 && rt.submitFast(j) {
-		return j
-	}
-	return rt.submitSlow(j)
-}
-
-// submitFast is the lock-free admission attempt, reporting whether the
-// submission was fully resolved (admitted or shed). The interleavings:
-//
-//   - Against Close: the slot reservation (Add/CAS) is published before
-//     the lifecycle re-check below; Close stores lifeClosing before
-//     reading inflight (both under SC atomics). If the re-check still
-//     reads lifeServing, Close's read is ordered after the reservation
-//     and waits for this job; if it reads anything else — lifeClosing, or
-//     lifeClosed when Close has already finished — the reservation is
-//     rolled back under the mutex, where checkDrainedLocked releases a
-//     Close that observed the transient slot, and submitSlow refuses the
-//     job with ErrClosed. life never reads lifeIdle again once Start has
-//     run, so the refusal cannot turn into submitSlow's panic.
-//   - Against queued jobs: the qlen check keeps FIFO fairness — the fast
-//     path stands down whenever the admission queue is visibly non-empty,
-//     and the enqueue path publishes qlen before re-running promotion, so
-//     a freed slot is never hidden from a queued job (see submitSlow).
-//   - The lock-free shed (policy AdmitShed, inflight full) mutates no
-//     admission state: it reads inflight once and rejects, exactly as the
-//     mutex path would have, and a race with a concurrent completion at
-//     worst sheds a job that would have fit a microsecond later — the
-//     same nondeterminism the locked path already had.
-func (rt *Runtime) submitFast(j *Job) bool {
-	a := &rt.admit
-	if lifeState(a.life.Load()) != lifeServing || a.qlen.Load() != 0 {
-		return false
-	}
-	if a.max > 0 {
-		for {
-			n := a.inflight.Load()
-			if n >= int64(a.max) {
-				if a.policy == AdmitShed {
-					rt.jobsShed.Add(1)
-					rt.finishRejected(j, ErrShed)
-					return true
-				}
-				return false // AdmitQueue: the mutex path enqueues
-			}
-			if a.inflight.CompareAndSwap(n, n+1) {
-				break
-			}
-		}
-	} else {
-		a.inflight.Add(1)
-	}
-	if lifeState(a.life.Load()) != lifeServing {
-		// Raced a lifecycle transition: undo the reservation and let the
-		// mutex path resolve the submission against the settled state.
-		a.mu.Lock()
-		a.inflight.Add(-1)
-		a.checkDrainedLocked()
-		a.mu.Unlock()
-		return false
-	}
-	rt.dispatch(j)
-	return true
-}
-
-// submitSlow is the mutex admission path: lifecycle checks, tenant
-// budgets, queueing and shedding — everything the fast path cannot decide
-// with a CAS.
-func (rt *Runtime) submitSlow(j *Job) *Job {
 	a := &rt.admit
 	a.mu.Lock()
-	switch lifeState(a.life.Load()) {
-	case lifeIdle:
+	if a.life == lifeIdle {
 		a.mu.Unlock()
 		panic("core: Submit on an idle Runtime (call Start first)")
-	case lifeClosing, lifeClosed:
-		a.mu.Unlock()
-		rt.jobsShed.Add(1)
-		rt.finishRejected(j, ErrClosed)
-		return j
 	}
-	if !a.fitsLocked(j.tenant) {
-		if a.policy == AdmitShed {
-			a.mu.Unlock()
-			rt.jobsShed.Add(1)
-			rt.finishRejected(j, ErrShed)
-			return j
-		}
+	a.jobs.submitted++
+	j.id = uint64(a.jobs.submitted)
+	switch {
+	case a.life != lifeServing:
+		a.rejectLocked(j, ErrClosed)
+	case a.fitsLocked(j.tenant):
+		a.admitLocked(j)
+		a.mu.Unlock()
+		rt.dispatch(j)
+		return j
+	case a.policy == AdmitShed:
+		a.rejectLocked(j, ErrShed)
+	default:
 		a.queue = append(a.queue, j)
-		a.qlen.Store(int64(len(a.queue)))
-		// A lock-free completion may have freed capacity between the fits
-		// check and this enqueue (its release takes no mutex). Re-running
-		// promotion here closes that Dekker pair: the completer either
-		// read qlen != 0 and will promote under the mutex, or its
-		// decrement is ordered before this promotion's inflight read.
-		promoted := a.promoteLocked()
 		a.mu.Unlock()
-		for _, q := range promoted {
-			rt.dispatch(q)
-		}
 		return j
 	}
-	a.admitLocked(j)
 	a.mu.Unlock()
-	rt.dispatch(j)
+	j.finish()
 	return j
 }
 
@@ -536,7 +480,6 @@ func (rt *Runtime) submitSlow(j *Job) *Job {
 // intake and wake a single parked thief — publish-then-wake, the same
 // lost-wakeup-free Dekker pair Fork uses, and one root wakes one thief.
 func (rt *Runtime) dispatch(j *Job) {
-	rt.jobsAdmitted.Add(1)
 	rt.subq.push(j)
 	rt.park.wake(1)
 }
@@ -555,64 +498,32 @@ func (rt *Runtime) nextRoot() (task, bool) {
 	return task{fn: runJobRoot, arg: unsafe.Pointer(j), bytes: int32(rt.cfg.FrameBytes)}, true
 }
 
-// completeJob finishes j after its root returned (or panicked): stamp the
-// completion rank, surface a captured panic as the job error, emit the
-// request-latency event, release the admission reservation (promoting
-// queued jobs that now fit), and only then publish completion. On the
-// lock-free path the release is one atomic decrement; the mutex is taken
-// only when a queued job may be waiting on the freed slot or a Close may
-// be waiting on the drain gate. No Stats snapshot is taken here — it is
-// computed lazily on first Wait.
+// completeJob finishes j after its root returned (or panicked): surface a
+// captured panic as the job error, emit the request-latency event, then in
+// one hold of the admission mutex stamp the completion rank, count the
+// job, release its reservation, promote queued jobs that now fit and ring
+// a waiting Close's drain gate — and only after that publish completion.
+// No Stats snapshot is taken here — it is computed lazily on first Wait.
 func (rt *Runtime) completeJob(slot int, j *Job) {
 	if j.tp != nil {
 		j.err = j.tp
 	}
-	j.seq = uint64(rt.jobSeq.Add(1))
-	rt.jobsCompleted.Add(1)
 	if rt.trc.Wants(trace.KindJobDone) {
 		rt.trc.Emit(slot, trace.KindJobDone, int64(j.id), time.Since(j.submitted))
 	}
 
 	a := &rt.admit
-	if a.quota == 0 {
-		a.inflight.Add(-1)
-		// The decrement above is published before these loads; the
-		// enqueue path stores qlen (and Close stores lifeClosing) before
-		// re-reading inflight. Whichever side loses the race sees the
-		// other, so a freed slot is never hidden from a queued job and a
-		// drain gate never misses its last completion.
-		if a.qlen.Load() != 0 || lifeState(a.life.Load()) == lifeClosing {
-			rt.releaseSlow(nil)
-		}
-	} else {
-		rt.releaseSlow(j)
-	}
-
-	j.finish()
-}
-
-// releaseSlow is the mutex half of completion: return j's reservation
-// (nil when the lock-free path already dropped it), promote queued jobs
-// that now fit, and check the drain gate.
-func (rt *Runtime) releaseSlow(j *Job) {
-	a := &rt.admit
 	a.mu.Lock()
-	if j != nil {
-		a.releaseLocked(j)
-	}
+	a.jobs.completed++
+	j.seq = a.jobs.rank()
+	a.releaseLocked(j)
 	promoted := a.promoteLocked()
 	a.checkDrainedLocked()
 	a.mu.Unlock()
 	for _, q := range promoted {
 		rt.dispatch(q)
 	}
-}
 
-// finishRejected completes a job that admission never ran (shed, drained,
-// or submitted while closing).
-func (rt *Runtime) finishRejected(j *Job, err error) {
-	j.err = err
-	j.seq = uint64(rt.jobSeq.Add(1))
 	j.finish()
 }
 
@@ -632,7 +543,7 @@ func (rt *Runtime) finishRejected(j *Job, err error) {
 func (rt *Runtime) Close(ctx context.Context) error {
 	a := &rt.admit
 	a.mu.Lock()
-	switch lifeState(a.life.Load()) {
+	switch a.life {
 	case lifeIdle, lifeClosed:
 		a.mu.Unlock()
 		return nil
@@ -640,17 +551,11 @@ func (rt *Runtime) Close(ctx context.Context) error {
 		a.mu.Unlock()
 		panic("core: concurrent Close calls on one Runtime")
 	}
-	// Dekker with submitFast: the closing store is published before the
-	// inflight read below. A fast submission that reserved its slot
-	// before this store is visible here — Close waits for it; one that
-	// re-checks the lifecycle after it rolls the reservation back and
-	// rings the drain gate.
-	a.life.Store(int32(lifeClosing))
+	a.life = lifeClosing
 	var drained chan struct{}
-	if a.inflight.Load() > 0 || len(a.queue) > 0 {
+	if a.inflight > 0 || len(a.queue) > 0 {
 		drained = make(chan struct{})
 		a.drained = drained
-		a.drainDone = false
 	}
 	a.mu.Unlock()
 
@@ -684,8 +589,7 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	// Closed, not idle: a submitter that lost the race past this point is
 	// refused with ErrClosed like one that lost it a moment earlier.
 	a.mu.Lock()
-	a.life.Store(int32(lifeClosed))
-	a.drained = nil
+	a.life = lifeClosed
 	a.mu.Unlock()
 	return err
 }
@@ -699,24 +603,32 @@ func (rt *Runtime) abandonQueued() {
 	a.mu.Lock()
 	dropped := a.queue
 	a.queue = nil
-	a.qlen.Store(0)
+	for _, j := range dropped {
+		a.rejectLocked(j, ErrDrained)
+	}
 	a.checkDrainedLocked()
 	a.mu.Unlock()
 	for _, j := range dropped {
-		rt.jobsDrained.Add(1)
-		rt.finishRejected(j, ErrDrained)
+		j.finish()
 	}
 }
 
 // InflightJobs returns the number of admitted, not-yet-completed Jobs
-// (racy snapshot; 0 at quiescence).
+// (exact at the moment of the call; 0 at quiescence).
 func (rt *Runtime) InflightJobs() int {
-	return int(rt.admit.inflight.Load())
+	a := &rt.admit
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return int(a.inflight)
 }
 
 // QueuedJobs returns the number of Jobs waiting for admission plus
-// admitted roots not yet picked up by a worker (racy snapshot; 0 at
-// quiescence).
+// admitted roots not yet picked up by a worker (0 at quiescence). The
+// first term is exact; the intake's count is a racy snapshot.
 func (rt *Runtime) QueuedJobs() int {
-	return int(rt.admit.qlen.Load()) + rt.subq.len()
+	a := &rt.admit
+	a.mu.Lock()
+	n := len(a.queue)
+	a.mu.Unlock()
+	return n + rt.subq.len()
 }

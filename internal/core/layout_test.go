@@ -22,9 +22,7 @@ var (
 		{"cfg", "as", "pool", "workers", "park", "done", "trc", "metrics",
 			"stampJobs", "stats"}, // read-mostly
 		{"subq"},                 // per submission and per root taken
-		{"goroutineWG", "admit"}, // per suspension / admission / lifecycle
-		{"jobsSubmitted", "jobsAdmitted", "jobsShed", "jobsDrained"}, // submitters'
-		{"jobsCompleted", "jobSeq"},                                  // completers'
+		{"goroutineWG", "admit"}, // per suspension / admission / completion / lifecycle
 	}
 	parkGroup = []string{"mu", "cond", "tokens", "closed", "nparked", "nidle"}
 	// A Frame is not padded — it lives inside a Scratch block or a caller's

@@ -145,7 +145,8 @@ type Config struct {
 	// pages, layered under MaxResidentPages: each inflight Job reserves
 	// StackPages (one worker stack's worth) against its tenant's budget at
 	// admission, so one tenant's burst queues or sheds before it can crowd
-	// the shared page ceiling. 0 disables per-tenant quotas.
+	// the shared page ceiling. 0 disables per-tenant quotas. A budget below
+	// StackPages could admit no job at all, so NewRuntime panics on one.
 	TenantQuotaPages int64
 	// Sink, when non-nil, receives the scheduler event stream (forks,
 	// steals, suspensions, resumptions, unmaps, reclaims, job lifecycle)
@@ -173,8 +174,7 @@ func (c Config) withDefaults() Config {
 	if c.FrameBytes <= 0 {
 		c.FrameBytes = 192
 	}
-	// A negative bound means what 0 means, off — and the admission fast
-	// paths test for exactly 0.
+	// A negative bound means what 0 means: off.
 	c.MaxResidentPages = max(c.MaxResidentPages, 0)
 	c.MaxInflight = max(c.MaxInflight, 0)
 	c.TenantQuotaPages = max(c.TenantQuotaPages, 0)
@@ -266,10 +266,9 @@ type tbbTask struct {
 // Runtime is one parallel execution context. The fields are laid out by
 // who writes them and how often (DESIGN.md §7): every Fork, steal sweep
 // and Submit dereferences the first group, so nothing in it is written
-// after NewRuntime except done, which Start and Close flip; the groups
-// below it are written per submission and root taken, per suspension or
-// admission, by submitters and by completers, a pad apart from it and from
-// each other.
+// after NewRuntime except done, which Start and Close flip; the two groups
+// below it are written per submission and root taken, and per suspension,
+// admission and completion, a pad apart from it and from each other.
 type Runtime struct {
 	_ cacheline.Pad
 
@@ -304,38 +303,28 @@ type Runtime struct {
 	_ cacheline.Pad
 
 	// Written by a suspend spawning its replacement thief (goroutineWG),
-	// by lifecycle transitions and — its inflight count — once per
-	// admission and once per completion (admit; see job.go).
+	// and under the admission mutex once per Submit, once per completion
+	// and by lifecycle transitions (admit, which also holds the job
+	// counters; see job.go).
 	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
 	admit       admitState
-
-	_ cacheline.Pad
-
-	// Runtime-wide job counters. They are plain atomics rather than shard
-	// members because submission is per-request, never per-fork, work —
-	// the request path's serialization points are these lines, not locks —
-	// and they are split by who adds to them: submitters, then completers.
-	jobsSubmitted atomic.Int64
-	jobsAdmitted  atomic.Int64
-	jobsShed      atomic.Int64
-	jobsDrained   atomic.Int64
-
-	_ cacheline.Pad
-
-	jobsCompleted atomic.Int64
-	jobSeq        atomic.Int64
 
 	_ cacheline.Pad
 }
 
 // NewRuntime creates a runtime with the given configuration. The runtime
 // owns a fresh simulated address space and stack pool. It panics on a
-// Strategy that is not one of Strategies().
+// Strategy that is not one of Strategies(), and on a TenantQuotaPages
+// smaller than the (defaulted) StackPages every job reserves.
 func NewRuntime(cfg Config) *Runtime {
 	if !slices.Contains(Strategies(), cfg.Strategy) {
 		panic(fmt.Sprintf("core: unknown strategy %v", cfg.Strategy))
 	}
 	cfg = cfg.withDefaults()
+	if cfg.TenantQuotaPages > 0 && cfg.TenantQuotaPages < int64(cfg.StackPages) {
+		panic(fmt.Sprintf("core: TenantQuotaPages %d is below StackPages %d: no job could ever be admitted",
+			cfg.TenantQuotaPages, cfg.StackPages))
+	}
 	as := vm.NewAddressSpace()
 	rt := &Runtime{
 		cfg:  cfg,

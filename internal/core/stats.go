@@ -107,14 +107,17 @@ type Stats struct {
 // countFlushForks forks (see W.flushCounts), so each trails its worker by
 // less than that many forks' worth; they never run ahead and never go back.
 func (rt *Runtime) Stats() Stats {
+	rt.admit.mu.Lock()
+	jobs := rt.admit.jobs
+	rt.admit.mu.Unlock()
 	s := Stats{
 		Strategy:      rt.cfg.Strategy,
 		Workers:       rt.cfg.Workers,
-		JobsSubmitted: rt.jobsSubmitted.Load(),
-		JobsAdmitted:  rt.jobsAdmitted.Load(),
-		JobsShed:      rt.jobsShed.Load(),
-		JobsDrained:   rt.jobsDrained.Load(),
-		JobsCompleted: rt.jobsCompleted.Load(),
+		JobsSubmitted: jobs.submitted,
+		JobsAdmitted:  jobs.admitted,
+		JobsShed:      jobs.shed,
+		JobsDrained:   jobs.drained,
+		JobsCompleted: jobs.completed,
 		StacksCreated: rt.pool.Created(),
 		MaxStacksUsed: rt.pool.MaxInUse(),
 		PoolStalls:    rt.pool.Stalls(),

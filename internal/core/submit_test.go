@@ -304,7 +304,9 @@ func TestQueuePolicyPromotes(t *testing.T) {
 	}
 }
 
-// TestLifecycleMisuse: the state machine rejects out-of-order calls.
+// TestLifecycleMisuse: the state machine rejects out-of-order calls, and a
+// Submit it refuses with a panic is not counted: the job counters still
+// balance after the cycle.
 func TestLifecycleMisuse(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 1})
 	mustPanic := func(name string, f func()) {
@@ -332,6 +334,10 @@ func TestLifecycleMisuse(t *testing.T) {
 	}
 	if err := rt.Close(context.Background()); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+	if st := rt.Stats(); st.JobsSubmitted != st.JobsShed+st.JobsDrained+st.JobsCompleted {
+		t.Errorf("conservation broken: submitted=%d != shed=%d + drained=%d + completed=%d — the idle Submit was counted",
+			st.JobsSubmitted, st.JobsShed, st.JobsDrained, st.JobsCompleted)
 	}
 }
 
@@ -630,11 +636,12 @@ func TestLazyStatsOnWait(t *testing.T) {
 	})
 }
 
-// TestCloseRacesFastSubmit hammers the submitFast ↔ Close Dekker pair:
-// eight goroutines submit tiny roots while Close lands mid-stream. Every
-// job must resolve (nil, ErrClosed, or ErrDrained), and the conservation
-// law Submitted == Shed + Drained + Completed must hold exactly — a
-// submission slipping past the closing life state would break it.
+// TestCloseRacesFastSubmit races Submit against Close on the admission
+// mutex: eight goroutines submit tiny roots while Close lands mid-stream.
+// Every job must resolve (nil, ErrClosed, or ErrDrained), and the
+// conservation law Submitted == Shed + Drained + Completed must hold
+// exactly — a submission admitted after Close set the closing state would
+// break it. The name is kept from the lock-free submit lane it once tested.
 func TestCloseRacesFastSubmit(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
 		rt := NewRuntime(Config{Workers: 4})
@@ -682,6 +689,68 @@ func TestCloseRacesFastSubmit(t *testing.T) {
 			t.Fatalf("InflightJobs=%d after Close", inf)
 		}
 	})
+}
+
+// TestAdmissionRacesClose races every admission decision against a forced
+// drain: eight submitters spread tiny roots over three tenants, an inflight
+// bound and per-tenant budgets queue most of them, and a Close whose
+// context expires after 500 µs lands mid-stream, so jobs are admitted,
+// queued, promoted by completions, drained and refused all at once. Every
+// job must resolve, the counters must balance exactly, and no inflight
+// slot, queued job or tenant reservation may be left behind.
+func TestAdmissionRacesClose(t *testing.T) {
+	const rounds, submitters, per = 20, 8, 50
+	tenants := []string{"a", "b", "c"}
+	for r := 0; r < rounds; r++ {
+		rt := NewRuntime(Config{Workers: 2, MaxInflight: 3, StackPages: 16, TenantQuotaPages: 32})
+		rt.Start()
+		jobs := make([]*Job, submitters*per)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < per; k++ {
+					jobs[s*per+k] = rt.SubmitTenant(tenants[(s+k)%len(tenants)], func(*W) {})
+				}
+			}(s)
+		}
+		close(start)
+		time.Sleep(100 * time.Microsecond)
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
+		if err := rt.Close(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: Close: %v", r, err)
+		}
+		cancel()
+		wg.Wait()
+		for i, j := range jobs {
+			switch err := j.Err(); err {
+			case nil, ErrClosed, ErrDrained:
+			default:
+				t.Fatalf("round %d: job %d: unexpected err %v", r, i, err)
+			}
+		}
+		st := rt.Stats()
+		if total := int64(submitters * per); st.JobsSubmitted != total ||
+			st.JobsShed+st.JobsDrained+st.JobsCompleted != total {
+			t.Fatalf("round %d: submitted=%d shed=%d drained=%d completed=%d, want submitted == shed+drained+completed == %d",
+				r, st.JobsSubmitted, st.JobsShed, st.JobsDrained, st.JobsCompleted, total)
+		}
+		if st.JobsAdmitted != st.JobsCompleted {
+			t.Fatalf("round %d: JobsAdmitted=%d != JobsCompleted=%d after Close", r, st.JobsAdmitted, st.JobsCompleted)
+		}
+		if inf, q := rt.InflightJobs(), rt.QueuedJobs(); inf != 0 || q != 0 {
+			t.Fatalf("round %d: InflightJobs=%d QueuedJobs=%d after Close, want 0/0", r, inf, q)
+		}
+		rt.admit.mu.Lock()
+		left := len(rt.admit.tenants)
+		rt.admit.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("round %d: %d tenant reservations left after Close", r, left)
+		}
+	}
 }
 
 // TestDoneLazyChannel pins the lazy wait-channel protocol: a completed

@@ -1,7 +1,7 @@
-// Serving-intake benchmarks and the CI allocation gate for the
-// lock-minimized Submit path (CAS admission, one lock-free root queue,
-// pooled Jobs, wake-one parking): the testing.B counters and the hard allocs/op
-// assertions CI enforces next to TestForkPathGate.
+// Serving-intake benchmarks and the CI allocation gate for the Submit path
+// (admission under one mutex, one root queue, pooled Jobs, wake-one
+// parking): the testing.B counters and the hard allocs/op assertions CI
+// enforces next to TestForkPathGate.
 package fibril_test
 
 import (
@@ -120,8 +120,9 @@ func BenchmarkSubmitAllocs(b *testing.B) {
 // hard assertions only:
 //
 //  1. on the deterministic shed lane Submit performs
-//     ZERO heap allocations per request — pooled Job, lock-free shed,
-//     no clock read, no eager done channel, no eager stats snapshot;
+//     ZERO heap allocations per request — pooled Job, a shed decided under
+//     the admission mutex, no clock read, no eager done channel, no eager
+//     stats snapshot;
 //  2. the admitted closed-loop path stays within the ≤2 allocs/Submit
 //     budget (the lazily allocated completion channel and its box —
 //     paid only because the caller actually waits).
