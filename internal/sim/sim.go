@@ -14,8 +14,7 @@
 // ablations and the related work it argues against, which this repository
 // reproduces on the simulator only. It models the paper's scheduler, not
 // what internal/core has grown since (private deque bottom, publish rule,
-// search-then-park idle phase), and charges steals off an anchor the runtime
-// dropped (worker.lastVictim).
+// search-then-park idle phase).
 // Simulated time is in abstract units of roughly a nanosecond.
 //
 // The simulator is single-threaded and fully deterministic for a given
@@ -46,16 +45,6 @@ type CostModel struct {
 	TaskStart    int64 // dequeue + frame setup when a task begins (default 8)
 	StealProbe   int64 // one failed steal probe (default 30)
 	Steal        int64 // successful steal handshake (default 120)
-	// Cache-complexity surcharges on a successful steal, after the
-	// parallel cache-complexity analyses of work stealing (Gu et al.,
-	// arXiv 2111.04994): a stolen task starts with a cold cache, so it
-	// re-faults the working set its victim already paid for — unless the
-	// thief keeps returning to the same victim, whose lines it has been
-	// pulling all along. The ring-distance term models topology (adjacent
-	// slots share L2/L3; far slots cross the interconnect).
-	StealCold    int64 // steal from a new victim: cold-cache refill (default 400)
-	StealWarm    int64 // repeat steal from the last victim (default 80)
-	NearHop      int64 // per ring-distance hop between thief and victim (default 6)
 	Suspend      int64 // suspension bookkeeping (default 150)
 	Resume       int64 // resumption bookkeeping (default 150)
 	MadviseBase  int64 // madvise(DONTNEED) syscall (default 800)
@@ -78,9 +67,6 @@ func (c CostModel) withDefaults() CostModel {
 	def(&c.TaskStart, 8)
 	def(&c.StealProbe, 30)
 	def(&c.Steal, 120)
-	def(&c.StealCold, 400)
-	def(&c.StealWarm, 80)
-	def(&c.NearHop, 6)
 	def(&c.Suspend, 150)
 	def(&c.Resume, 150)
 	def(&c.MadviseBase, 800)
@@ -202,8 +188,6 @@ type Result struct {
 	Tasks         int64 // task instances that began execution
 	Forks         int64
 	Steals        int64
-	WarmSteals    int64 // raids whose victim repeated (charged StealWarm, not StealCold)
-	ColdSteals    int64 // raids on a new victim (charged StealCold)
 	StealAttempts int64
 	Suspends      int64
 	Resumes       int64
@@ -252,15 +236,17 @@ func Run(cfg Config, tree invoke.Task) Result {
 
 // drive is the event loop both engines share: every worker becomes
 // actionable at time zero, step handles one event at a time until the root
-// completes, and the pool and address-space counters are folded into the
+// completes (a parked worker's events are stale: it waits on the stack
+// pool), and the pool and address-space counters are folded into the
 // Result. An empty queue before completion is a scheduling bug.
 func (s *sim) drive(step func(wid int, now int64), label string) Result {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.schedule(0, i)
 	}
 	for !s.done && len(s.eq) > 0 {
-		e := heap.Pop(&s.eq).(event)
-		step(e.w, e.t)
+		if e := heap.Pop(&s.eq).(event); !s.slots[e.w].parked {
+			step(e.w, e.t)
+		}
 	}
 	if !s.done {
 		panic(fmt.Sprintf("%s: deadlock with %d workers (%d parked)",

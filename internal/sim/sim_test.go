@@ -80,8 +80,7 @@ func TestBlumofeLeisersonTimeBound(t *testing.T) {
 	for _, name := range []string{"fib", "nqueens", "quicksort", "heat"} {
 		s := bench.Get(name)
 		m := invoke.Analyze(s.Tree(s.Default))
-		perLevel := cost.TaskStart + cost.Fork + cost.Steal + cost.StealCold +
-			36*cost.NearHop + cost.Suspend +
+		perLevel := cost.TaskStart + cost.Fork + cost.Steal + cost.Suspend +
 			cost.MadviseBase + cost.Resume + 4*cost.PageFault
 		work := m.Work + m.Tasks*cost.TaskStart + m.Forks*cost.Fork
 		span := m.Span + int64(m.CallDepth)*perLevel
@@ -232,6 +231,7 @@ func TestCilkPlusBoundedPoolStalls(t *testing.T) {
 	tree := func() invoke.Task { return fibTree(20) }
 	tight := Run(Config{Workers: 8, Strategy: core.StrategyCilkPlus, StackLimit: 9}, tree())
 	roomy := Run(Config{Workers: 8, Strategy: core.StrategyCilkPlus, StackLimit: 2400}, tree())
+	t.Logf("limit 9: Tp %d, %d stalls; limit 2400: Tp %d", tight.Makespan, tight.PoolStalls, roomy.Makespan)
 	if tight.PoolStalls == 0 {
 		t.Error("tight pool recorded no stalls")
 	}

@@ -112,44 +112,17 @@ type wfCont struct {
 	depth int32
 }
 
-// wfWorker is one work-first worker slot.
+// wfWorker is one work-first worker: its slot, the context it runs (nil
+// while it thieves) and its deque of continuations.
 type wfWorker struct {
-	id     int
-	ctx    *wfContext
-	deque  []*wfCont
-	rng    uint64
-	parked bool
-	over   int64
+	*slot
+	ctx *wfContext
+	dq  deque[*wfCont]
 }
 
-func (w *wfWorker) pushCont(c *wfCont) { w.deque = append(w.deque, c) }
-
-func (w *wfWorker) popCont() (*wfCont, bool) {
-	n := len(w.deque)
-	if n == 0 {
-		return nil, false
-	}
-	c := w.deque[n-1]
-	w.deque[n-1] = nil
-	w.deque = w.deque[:n-1]
-	return c, true
-}
-
-func (w *wfWorker) stealCont(eligible func(*wfCont) bool) (*wfCont, bool) {
-	if len(w.deque) == 0 {
-		return nil, false
-	}
-	c := w.deque[0]
-	if c.ctx.pinned {
-		return nil, false // inline-stacked work must unwind in place
-	}
-	if eligible != nil && !eligible(c) {
-		return nil, false
-	}
-	w.deque[0] = nil
-	w.deque = w.deque[1:]
-	return c, true
-}
+// stealable is the work-first thief's eligibility: a pinned context's
+// continuations are not, since its inline-stacked work must unwind in place.
+func stealable(c *wfCont) bool { return !c.ctx.pinned }
 
 // wfDebugAdopt, when non-nil, observes every adoption (tests only).
 var wfDebugAdopt func(into *wfContext, rec *wfRecord, prefix []*wfRecord)
@@ -158,7 +131,7 @@ var wfDebugAdopt func(into *wfContext, rec *wfRecord, prefix []*wfRecord)
 // address space, pool, event queue, and counters.
 type wfSim struct {
 	*sim
-	wfWorkers []*wfWorker
+	workers []wfWorker
 	// curOwner maps each stack to the context currently allocating on it.
 	// A stack may be retired to the pool only when it holds no frames AND
 	// no context owns it as its allocation target — a context can own a
@@ -191,25 +164,21 @@ func (ws *wfSim) dropCur(now int64, ctx *wfContext) {
 }
 
 func (s *sim) runWorkFirst(tree invoke.Task) Result {
-	ws := &wfSim{sim: s, curOwner: map[*stack.Stack]*wfContext{}}
-	ws.wfWorkers = make([]*wfWorker, s.cfg.Workers)
-	for i := range ws.wfWorkers {
-		ws.wfWorkers[i] = &wfWorker{id: i, rng: s.cfg.Seed + uint64(i)*0x9E3779B9}
+	ws := &wfSim{sim: s, workers: make([]wfWorker, len(s.slots)),
+		curOwner: map[*stack.Stack]*wfContext{}}
+	for i := range ws.workers {
+		ws.workers[i].slot = &s.slots[i]
 	}
-	w0 := ws.wfWorkers[0]
 	ctx := &wfContext{}
 	ws.assignCur(ctx, s.takeStack())
-	w0.ctx = ctx
+	ws.workers[0].ctx = ctx
 	root := ws.pushWF(ctx, tree, nil, nil, 0, false)
 	root.boundary = true // the root strand; boundTarget nil = computation end
 	return s.drive(ws.step, "sim(work-first)")
 }
 
 func (ws *wfSim) step(wid int, now int64) {
-	w := ws.wfWorkers[wid]
-	if w.parked {
-		return
-	}
+	w := &ws.workers[wid]
 	if w.ctx == nil {
 		ws.thieve(w, now)
 		return
@@ -220,11 +189,7 @@ func (ws *wfSim) step(wid int, now int64) {
 // pushWF begins a task on the context's current stack.
 func (ws *wfSim) pushWF(ctx *wfContext, t invoke.Task,
 	notify, parent *wfFrame, depth int32, viaFork bool) *wfRecord {
-	base, err := ctx.cur.Push(t.Frame)
-	if err != nil {
-		panic(fmt.Sprintf("sim(work-first): %s overflowed a %d-page stack: %v",
-			StrategyName(ws.cfg.Strategy), ctx.cur.Capacity(), err))
-	}
+	base := ws.begin(ctx.cur, t)
 	r := &wfRecord{
 		task: t, depth: depth, notify: notify, viaFork: viaFork,
 		stk: ctx.cur, base: base,
@@ -232,21 +197,7 @@ func (ws *wfSim) pushWF(ctx *wfContext, t invoke.Task,
 			home: ctx.cur, homeMark: base + t.Frame},
 	}
 	ctx.recs = append(ctx.recs, r)
-	ws.res.Tasks++
-	if ws.cfg.OnTask != nil {
-		ws.cfg.OnTask(t)
-	}
 	return r
-}
-
-func (ws *wfSim) chargeFaults(ctx *wfContext) int64 {
-	if ctx.cur == nil {
-		return 0
-	}
-	cur := ctx.cur.Faults()
-	d := cur - ctx.lastFaults
-	ctx.lastFaults = cur
-	return d * ws.cfg.Cost.PageFault
 }
 
 // advance interprets the worker's context.
@@ -270,7 +221,7 @@ func (ws *wfSim) advance(w *wfWorker, now int64) {
 		switch r.sub {
 		case 0:
 			r.sub = 1
-			dur := seg.Work + w.over + ws.chargeFaults(ctx)
+			dur := seg.Work + w.over + ws.faultCost(ctx.cur, &ctx.lastFaults)
 			w.over = 0
 			if dur > 0 {
 				ws.schedule(now+dur, w.id)
@@ -290,7 +241,7 @@ func (ws *wfSim) advance(w *wfWorker, now int64) {
 				child := seg.Fork()
 				ws.res.Forks++
 				w.over += ws.cfg.Cost.forkCost(ws.cfg.Strategy)
-				w.pushCont(&wfCont{ctx: ctx, rec: r, frame: r.frame, depth: r.depth})
+				w.dq.push(&wfCont{ctx: ctx, rec: r, frame: r.frame, depth: r.depth})
 				ws.pushWF(ctx, child, r.frame, r.frame, r.depth+1, true)
 				continue
 			}
@@ -353,7 +304,7 @@ func (ws *wfSim) complete(w *wfWorker, now int64, ctx *wfContext, r *wfRecord) b
 	}
 	// Fork-child return: the parent's continuation must be ours to pop
 	// (if it had been stolen, the parent would not be below us).
-	c, ok := w.popCont()
+	c, ok := w.dq.pop()
 	if !ok || c.rec != ctx.recs[len(ctx.recs)-1] || c.ctx != ctx {
 		panic("sim(work-first): continuation LIFO invariant violated")
 	}
@@ -382,9 +333,8 @@ func (ws *wfSim) strandEndAsWorker(w *wfWorker, now int64, ctx *wfContext, f *wf
 		cost := ws.cfg.Cost.Resume
 		switching := ctx.cur != f.home
 		ws.dropCur(now, ctx)
-		if switching && ws.cfg.Strategy == StrategyFibrilMMap {
-			f.home.RemapAbove()
-			cost += ws.serializedMMap(now+cost, int64(f.home.Capacity()-f.home.Pages()))
+		if switching {
+			cost += ws.remap(now+cost, f.home)
 		}
 		ws.assignCur(parked, f.home)
 		w.ctx = parked
@@ -396,30 +346,12 @@ func (ws *wfSim) strandEndAsWorker(w *wfWorker, now int64, ctx *wfContext, f *wf
 	// our stack is empty and reusable.
 	cost := int64(0)
 	if ctx.cur == f.home {
-		cost += ws.unmapAbandoned(now, ctx.cur)
+		cost += ws.unmap(now, ctx.cur)
 	}
 	ws.dropCur(now, ctx)
 	w.ctx = nil
 	ws.schedule(now+cost, w.id)
 	return false
-}
-
-// unmapAbandoned returns a suspended stack's unused pages per the
-// strategy and leaves the stack pinned to its live frames.
-func (ws *wfSim) unmapAbandoned(now int64, stk *stack.Stack) int64 {
-	switch ws.cfg.Strategy {
-	case core.StrategyFibril:
-		freed := stk.UnmapAbove()
-		ws.res.Unmaps++
-		ws.res.UnmappedPages += int64(freed)
-		return ws.cfg.Cost.MadviseBase + int64(freed)*ws.cfg.Cost.UnmapPerPage
-	case StrategyFibrilMMap:
-		freed := stk.MapDummyAbove()
-		ws.res.Unmaps++
-		ws.res.UnmappedPages += int64(freed)
-		return ws.serializedMMap(now, int64(freed))
-	}
-	return 0
 }
 
 // retireStack returns a stack to the pool; it must hold no live frames.
@@ -437,8 +369,7 @@ func (ws *wfSim) retireStack(now int64, stk *stack.Stack) {
 	// read the dummy file instead of stack memory. (Watermark is zero here,
 	// so RemapAbove covers the whole stack.)
 	if ws.cfg.Strategy == StrategyFibrilMMap && stk.HasDummyPages() {
-		stk.RemapAbove()
-		ws.serializedMMap(now, int64(stk.Capacity()))
+		ws.remap(now, stk)
 	}
 	ws.releaseStack(now, stk)
 }
@@ -459,11 +390,11 @@ func (ws *wfSim) blockJoin(w *wfWorker, now int64, ctx *wfContext, r *wfRecord) 
 		// wait cycles that the depth-ordering argument no longer
 		// excludes. The joiner therefore waits while base thieves make
 		// progress: Sukha's lost utilization, measured directly.
-		ws.schedule(now+ws.cfg.Cost.StealProbe*int64(len(ws.wfWorkers)), w.id)
+		ws.schedule(now+ws.cfg.Cost.StealProbe*int64(ws.cfg.Workers), w.id)
 		return false
 	case StrategyLeapfrog:
 		return ws.inlineSteal(w, now, ctx, func(c *wfCont) bool {
-			return c.frame.isDescendantOf(f)
+			return stealable(c) && c.frame.isDescendantOf(f)
 		})
 	default:
 		// Suspend. The joining record must be the context's top; records
@@ -475,7 +406,7 @@ func (ws *wfSim) blockJoin(w *wfWorker, now int64, ctx *wfContext, r *wfRecord) 
 		if ctx.cur == f.home {
 			// Second-phase joins of a resumed frame suspend on the
 			// frame's own stack: victim-style unmap and abandon.
-			cost += ws.unmapAbandoned(now+cost, ctx.cur)
+			cost += ws.unmap(now+cost, ctx.cur)
 		} else {
 			// Thief-side join: our stack holds nothing of f.
 			ws.retireStack(now, ctx.cur)
@@ -490,7 +421,7 @@ func (ws *wfSim) blockJoin(w *wfWorker, now int64, ctx *wfContext, r *wfRecord) 
 // inlineSteal is the TBB/leapfrog blocked join: adopt an eligible
 // continuation on top of the CURRENT stack.
 func (ws *wfSim) inlineSteal(w *wfWorker, now int64, ctx *wfContext, eligible func(*wfCont) bool) bool {
-	cost, c, ok := ws.stealSweep(w, eligible)
+	cost, c, ok := ws.steal(w, eligible)
 	if !ok {
 		ws.schedule(now+cost, w.id)
 		return false
@@ -501,30 +432,9 @@ func (ws *wfSim) inlineSteal(w *wfWorker, now int64, ctx *wfContext, eligible fu
 	return true
 }
 
-// stealSweep probes every other worker once in random order for a
-// continuation. A worker never steals from itself: in work-first, its own
-// deque's entries are continuations of records in its own live context,
-// and adopting one would alias the context with itself.
-func (ws *wfSim) stealSweep(w *wfWorker, eligible func(*wfCont) bool) (int64, *wfCont, bool) {
-	n := len(ws.wfWorkers)
-	start := int(xorshift(&w.rng) % uint64(n))
-	var cost int64
-	for i := 0; i < n; i++ {
-		victim := ws.wfWorkers[(start+i)%n]
-		if victim == w {
-			continue
-		}
-		ws.res.StealAttempts++
-		if c, ok := victim.stealCont(eligible); ok {
-			ws.res.Steals++
-			return cost + ws.cfg.Cost.Steal, c, true
-		}
-		cost += ws.cfg.Cost.StealProbe
-	}
-	if cost == 0 {
-		cost = ws.cfg.Cost.StealProbe
-	}
-	return cost, nil, false
+// steal is the skeleton's sweep over the work-first deques.
+func (ws *wfSim) steal(w *wfWorker, eligible func(*wfCont) bool) (int64, *wfCont, bool) {
+	return stealSweep(ws.sim, w.slot, func(v int) *deque[*wfCont] { return &ws.workers[v].dq }, eligible)
 }
 
 // adopt splits the victim context at the stolen record: the adopter takes
@@ -578,19 +488,13 @@ func (ws *wfSim) adopt(into *wfContext, c *wfCont) {
 	into.recs = append(into.recs, prefix...)
 }
 
-// thieve: idle worker — acquire a stack, steal a continuation, adopt it
-// as a fresh context.
+// thieve is an idle worker's turn: past the skeleton's prelude, steal a
+// continuation and adopt it as a fresh context.
 func (ws *wfSim) thieve(w *wfWorker, now int64) {
-	if ws.done {
+	if !ws.idle(w.slot) {
 		return
 	}
-	if !ws.stackAvailable() {
-		w.parked = true
-		ws.waiters = append(ws.waiters, w.id)
-		ws.res.PoolStalls++
-		return
-	}
-	cost, c, ok := ws.stealSweep(w, nil)
+	cost, c, ok := ws.steal(w, stealable)
 	if !ok {
 		ws.schedule(now+cost, w.id)
 		return

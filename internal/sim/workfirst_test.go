@@ -156,8 +156,15 @@ func TestWFMMapSlowerThanMadvise(t *testing.T) {
 func TestWFCilkPlusTightPoolStalls(t *testing.T) {
 	tight := Run(Config{Workers: 8, Strategy: core.StrategyCilkPlus,
 		StackLimit: 9, WorkFirst: true}, fibTree(20))
+	t.Logf("limit 9: Tp %d, %d stalls, %d stacks", tight.Makespan, tight.PoolStalls, tight.StacksCreated)
 	if tight.PoolStalls == 0 {
 		t.Error("tight pool recorded no stalls under work-first")
+	}
+	// A stalled thief is woken when a stack comes back, and may stall
+	// again; a worker that is never woken stalls at most once.
+	if tight.PoolStalls <= int64(tight.Workers) {
+		t.Errorf("%d stalls for %d workers: a parked thief was never woken",
+			tight.PoolStalls, tight.Workers)
 	}
 	if tight.StacksCreated > 9 {
 		t.Errorf("created %d stacks with limit 9", tight.StacksCreated)
