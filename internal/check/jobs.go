@@ -1,9 +1,11 @@
 package check
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -234,7 +236,9 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 // StressExec is the observable outcome of one stress run.
 type StressExec struct {
 	serveExec
-	Counts []uint32 // executions per root (must be exactly 1 each)
+	Workers int      // Config.Workers of the run
+	Counts  []uint32 // executions per root (must be exactly 1 each)
+	IDs     []uint64 // Job.ID (admission order) per root
 }
 
 // RunJobStress floods one serving runtime, its admission bounded by
@@ -249,7 +253,9 @@ func RunJobStress(k, m, workers, maxInflight int) StressExec {
 			Errs:  make([]error, n),
 			Seqs:  make([]uint64, n),
 		},
-		Counts: make([]uint32, n),
+		Workers: workers,
+		Counts:  make([]uint32, n),
+		IDs:     make([]uint64, n),
 	}
 	rec := trace.NewRecorder(traceRecorderCap)
 	rt := core.NewRuntime(core.Config{
@@ -269,6 +275,7 @@ func RunJobStress(k, m, workers, maxInflight int) StressExec {
 				j := rt.Submit(func(*core.W) {
 					atomic.AddUint32(&e.Counts[idx], 1)
 				})
+				e.IDs[idx] = j.ID()
 				e.Errs[idx] = j.Err()
 				e.Seqs[idx] = j.Seq()
 				j.Release()
@@ -283,7 +290,9 @@ func RunJobStress(k, m, workers, maxInflight int) StressExec {
 // CheckJobStress runs the oracles for a stress run: exactly-once
 // execution, per-root success, the serving oracle (checkServe) at
 // Submitted == k*m, and the no-fork flow laws — single-node roots make no
-// tasks, so Forks and Steals must both read zero. Trace reconciliation
+// tasks, so Forks and Steals must both read zero. With one worker the
+// roots also run one after another in the order admission numbered them,
+// so completion rank must rise with ID. Trace reconciliation
 // pins #JobStart == #JobDone == JobsCompleted and the TaskStart ==
 // Steals − RestrictedSteals identity on the stressed path.
 func CheckJobStress(k, m int, e StressExec) error {
@@ -302,6 +311,19 @@ func CheckJobStress(k, m int, e StressExec) error {
 	}
 	if n := len(e.Seqs); n != k*m {
 		v.failf("%d roots recorded, want %d", n, k*m)
+	}
+	if e.Workers == 1 {
+		byID := make([]int, len(e.IDs))
+		for i := range byID {
+			byID[i] = i
+		}
+		slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(e.IDs[a], e.IDs[b]) })
+		for r := 1; r < len(byID); r++ {
+			if a, b := byID[r-1], byID[r]; e.Seqs[a] > e.Seqs[b] {
+				v.failf("one worker: root ID %d completed at rank %d, after root ID %d at rank %d",
+					e.IDs[a], e.Seqs[a], e.IDs[b], e.Seqs[b])
+			}
+		}
 	}
 
 	v.checkServe(&e.serveExec)

@@ -79,7 +79,8 @@ func TestConcurrentJobsCleanOnly(t *testing.T) {
 // goroutines × tiny single-node roots, with every oracle from
 // CheckJobStress (exactly-once, Seq permutation, conservation, trace
 // reconciliation), once unbounded and once at MaxInflight 2, where most
-// submissions queue and completions promote them.
+// submissions queue and completions promote them, and once unbounded on a
+// single worker, where roots must also complete in ID order.
 // The race job in CI runs this package, so the lane doubles as the
 // -race certificate for the admission/queue/pooled/wake-one path. Its one
 // subtest is named after the per-slot intake that is gone only so that its
@@ -87,8 +88,8 @@ func TestConcurrentJobsCleanOnly(t *testing.T) {
 func TestJobStressManySubmitters(t *testing.T) {
 	const k, m, workers = 16, 25, 4
 	t.Run("sharded", func(t *testing.T) {
-		for _, maxInflight := range []int{0, 2} {
-			e := RunJobStress(k, m, workers, maxInflight)
+		for _, c := range []struct{ workers, maxInflight int }{{workers, 0}, {workers, 2}, {1, 0}} {
+			e := RunJobStress(k, m, c.workers, c.maxInflight)
 			if err := CheckJobStress(k, m, e); err != nil {
 				t.Fatal(err)
 			}

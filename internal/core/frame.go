@@ -89,7 +89,7 @@ func (w *W) Init(f *Frame) {
 // deque runs it on a child a thief has just claimed, still inside the
 // victim's deque lock, and it counts the child on its frame. Only deque
 // entries reach it, and those always have a frame (roots travel through the
-// intake). It accepts every candidate; the restricted joins put their
+// ready list). It accepts every candidate; the restricted joins put their
 // eligibility test in front of it.
 func countStolen(t task) bool {
 	t.frame.count.Add(1)

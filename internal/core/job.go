@@ -18,21 +18,21 @@ import (
 // wrappers over this machinery — see runtime.go — so batch and serving
 // execution share a single code path.
 //
-// A submitted root is injected into the scheduler through a dedicated
-// root intake (see intake.go) rather than a worker deque: idle thieves
-// take roots only after a full steal sweep fails, so in-flight
-// computations keep their workers until there is genuinely idle capacity,
-// and restricted (TBB) inline steals can never pick up an
-// unrelated root. Admission control in front of the intake bounds the
-// number of live roots (Config.MaxInflight) and the per-tenant stack-page
-// budget (Config.TenantQuotaPages), shedding or queueing per
+// An admitted root waits for a worker on admitState's ready list rather
+// than a worker deque: idle thieves take roots only after a full steal
+// sweep fails, so in-flight computations keep their workers until there is
+// genuinely idle capacity, and restricted (TBB) inline steals can never
+// pick up an unrelated root. Admission control in front of the ready list
+// bounds the number of live roots (Config.MaxInflight) and the per-tenant
+// stack-page budget (Config.TenantQuotaPages), shedding or queueing per
 // Config.Admission.
 //
-// Every admission decision, completion release, job counter and lifecycle
-// transition happens under admitState's one mutex: Submit takes it once,
-// a completing root once, and Close once on each side of its drain. Only
-// the intake push, the thief wake-up and the completion publish run
-// outside it. See DESIGN.md §10 for the full pipeline.
+// Every admission decision, ready-list link, completion release, job
+// counter and lifecycle transition happens under admitState's one mutex:
+// Submit takes it once, a completing root once, a thief taking a root
+// once, and Close once on each side of its drain. Only the thief wake-up
+// and the completion publish run outside it, so roots start in the order
+// admission numbered them. See DESIGN.md §10 for the full pipeline.
 
 // Submission errors, surfaced through Job.Err.
 var (
@@ -103,9 +103,8 @@ type Job struct {
 	rt        *Runtime
 	submitted time.Time // zero unless a sink consumes KindJobDone
 
-	// qnext is the intrusive link threading the Job through the intake's
-	// inbox or its FIFO out list. The inbox CAS publishes it and the Swap
-	// that adopts the inbox acquires it; the out list is read under cmu.
+	// qnext is the intrusive link threading an admitted Job through
+	// admitState's ready list; admitState.mu guards it.
 	qnext *Job
 
 	// done is the whole completion handshake in one word: nil while the
@@ -183,7 +182,7 @@ func (j *Job) wait() {
 // Wait blocks until the job completes and returns a runtime Stats
 // snapshot. The snapshot is computed lazily on the first Wait after
 // completion (and cached on the Job), so jobs whose stats nobody reads —
-// the common serving case — never pay the sharded-counter aggregation.
+// the common serving case — never pay the per-slot counter aggregation.
 // Unlike the old one-shot Run it never panics; inspect Err for a captured
 // root panic.
 func (j *Job) Wait() Stats {
@@ -256,17 +255,24 @@ const (
 
 // admitState is the admission-control half of the serving lifecycle: the
 // lifecycle state, the inflight count, the per-tenant page reservations,
-// the not-yet-admitted queue and the job counters. Every field is plain:
-// mu guards all of them, and every admission decision, completion release
-// and lifecycle transition is made holding it.
+// the not-yet-admitted queue, the ready list of admitted roots awaiting a
+// worker and the job counters. mu guards all of them, and every admission
+// decision, ready-list link, completion release and lifecycle transition is
+// made holding it. nready alone is also read without it.
 type admitState struct {
-	// What every Submit and every completion writes, next to the mutex, so
-	// that a job moves as few cache lines between submitter and completer
-	// as the atomics it replaced did (DESIGN.md §7).
+	// What every Submit, every root taken and every completion writes, next
+	// to the mutex, so that a job moves one cache line between submitter,
+	// worker and completer (DESIGN.md §7).
 	mu       sync.Mutex
 	life     lifeState
 	inflight int64 // admitted, not yet completed
 	jobs     jobCounts
+
+	// The ready list: admitted roots awaiting a worker, oldest first,
+	// linked through Job.qnext. nready counts them; it is written under mu
+	// and loaded without it by every failed steal sweep (nextRoot).
+	head, tail *Job
+	nready     atomic.Int64
 
 	max     int // Config.MaxInflight (0 = unlimited)
 	policy  AdmissionPolicy
@@ -302,7 +308,9 @@ func (a *admitState) fitsLocked(tenant string) bool {
 	return true
 }
 
-// admitLocked reserves capacity for j and counts it admitted.
+// admitLocked reserves capacity for j, counts it admitted and appends it to
+// the ready list. The caller wakes a thief after unlocking: publish-then-wake,
+// the Dekker pair with parkLot.nparked that Fork uses.
 func (a *admitState) admitLocked(j *Job) {
 	a.inflight++
 	a.jobs.admitted++
@@ -312,6 +320,13 @@ func (a *admitState) admitLocked(j *Job) {
 		}
 		a.tenants[j.tenant] += a.reserve
 	}
+	if a.tail == nil {
+		a.head = j
+	} else {
+		a.tail.qnext = j
+	}
+	a.tail = j
+	a.nready.Add(1)
 }
 
 // releaseLocked returns j's reservation.
@@ -326,27 +341,23 @@ func (a *admitState) releaseLocked(j *Job) {
 	}
 }
 
-// promoteLocked admits every queued job that now fits, preserving FIFO
-// order within the queue but skipping past tenant-blocked entries so one
-// over-quota tenant cannot head-of-line-block the others.
-func (a *admitState) promoteLocked() []*Job {
-	if len(a.queue) == 0 {
-		return nil
-	}
-	var admitted, rest []*Job
+// promoteLocked admits every queued job that now fits and returns how many
+// it admitted, preserving FIFO order within the queue but skipping past
+// tenant-blocked entries so one over-quota tenant cannot
+// head-of-line-block the others. The queue is filtered in place.
+func (a *admitState) promoteLocked() int {
+	rest := a.queue[:0]
 	for _, j := range a.queue {
 		if a.fitsLocked(j.tenant) {
 			a.admitLocked(j)
-			admitted = append(admitted, j)
 		} else {
 			rest = append(rest, j)
 		}
 	}
-	if len(admitted) == 0 {
-		return nil
-	}
+	n := len(a.queue) - len(rest)
+	clear(a.queue[len(rest):])
 	a.queue = rest
-	return admitted
+	return n
 }
 
 // rejectLocked resolves a job admission never ran — shed, drained, or
@@ -462,7 +473,7 @@ func (rt *Runtime) SubmitTenant(tenant string, root func(*W)) *Job {
 	case a.fitsLocked(j.tenant):
 		a.admitLocked(j)
 		a.mu.Unlock()
-		rt.dispatch(j)
+		rt.park.wake(1)
 		return j
 	case a.policy == AdmitShed:
 		a.rejectLocked(j, ErrShed)
@@ -476,33 +487,40 @@ func (rt *Runtime) SubmitTenant(tenant string, root func(*W)) *Job {
 	return j
 }
 
-// dispatch hands an admitted job to the scheduler: push on the root
-// intake and wake a single parked thief — publish-then-wake, the same
-// lost-wakeup-free Dekker pair Fork uses, and one root wakes one thief.
-func (rt *Runtime) dispatch(j *Job) {
-	rt.subq.push(j)
-	rt.park.wake(1)
-}
-
 // nextRoot claims the oldest admitted root as a task, if any, so roots
 // start in admission order. Called by thieves only after a full steal
 // sweep failed: stolen work (continuing an in-flight computation, draining
 // its suspended stacks) takes priority over opening a new root, which
 // keeps the live-root set — and with it the space bound's P multiplier —
-// as small as the load allows.
+// as small as the load allows. The empty case, which ends every failed
+// sweep, is one atomic load and takes no lock.
 func (rt *Runtime) nextRoot() (task, bool) {
-	j, ok := rt.subq.pop()
-	if !ok {
+	a := &rt.admit
+	if a.nready.Load() == 0 {
 		return task{}, false
 	}
+	a.mu.Lock()
+	j := a.head
+	if j == nil {
+		a.mu.Unlock()
+		return task{}, false // another thief took it
+	}
+	a.head = j.qnext
+	if a.head == nil {
+		a.tail = nil
+	}
+	j.qnext = nil
+	a.nready.Add(-1)
+	a.mu.Unlock()
 	return task{fn: runJobRoot, arg: unsafe.Pointer(j), bytes: int32(rt.cfg.FrameBytes)}, true
 }
 
 // completeJob finishes j after its root returned (or panicked): surface a
 // captured panic as the job error, emit the request-latency event, then in
 // one hold of the admission mutex stamp the completion rank, count the
-// job, release its reservation, promote queued jobs that now fit and ring
-// a waiting Close's drain gate — and only after that publish completion.
+// job, release its reservation, promote queued jobs that now fit onto the
+// ready list and ring a waiting Close's drain gate — then wake one thief per
+// promoted job, and only after that publish completion.
 // No Stats snapshot is taken here — it is computed lazily on first Wait.
 func (rt *Runtime) completeJob(slot int, j *Job) {
 	if j.tp != nil {
@@ -520,9 +538,7 @@ func (rt *Runtime) completeJob(slot int, j *Job) {
 	promoted := a.promoteLocked()
 	a.checkDrainedLocked()
 	a.mu.Unlock()
-	for _, q := range promoted {
-		rt.dispatch(q)
-	}
+	rt.park.wake(promoted)
 
 	j.finish()
 }
@@ -623,12 +639,11 @@ func (rt *Runtime) InflightJobs() int {
 }
 
 // QueuedJobs returns the number of Jobs waiting for admission plus
-// admitted roots not yet picked up by a worker (0 at quiescence). The
-// first term is exact; the intake's count is a racy snapshot.
+// admitted roots not yet picked up by a worker (exact at the moment of the
+// call; 0 at quiescence).
 func (rt *Runtime) QueuedJobs() int {
 	a := &rt.admit
 	a.mu.Lock()
-	n := len(a.queue)
-	a.mu.Unlock()
-	return n + rt.subq.len()
+	defer a.mu.Unlock()
+	return len(a.queue) + int(a.nready.Load())
 }

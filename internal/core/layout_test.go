@@ -21,8 +21,7 @@ var (
 	runtimeGroups = [][]string{
 		{"cfg", "as", "pool", "workers", "park", "done", "trc", "metrics",
 			"stampJobs", "stats"}, // read-mostly
-		{"subq"},                 // per submission and per root taken
-		{"goroutineWG", "admit"}, // per suspension / admission / completion / lifecycle
+		{"goroutineWG", "admit"}, // per suspension / admission / root taken / completion / lifecycle
 	}
 	parkGroup = []string{"mu", "cond", "tokens", "closed", "nparked", "nidle"}
 	// A Frame is not padded — it lives inside a Scratch block or a caller's
@@ -87,7 +86,7 @@ func TestTaskRecordSize(t *testing.T) {
 // hot range of one slot — its deque (whose two halves package deque's own
 // test tells apart), its worker's two groups, its counter shard — may touch
 // a cacheline unit that another slot's, the park lot's or a Runtime group's
-// (the intake's among them) touches. Its one subtest is named after the THE
+// (the admission group's, with the ready list, among them) touches. Its one subtest is named after the THE
 // deque only so that its recorded test name stays stable.
 func TestLayoutRealAddresses(t *testing.T) {
 	t.Run("the", func(t *testing.T) {

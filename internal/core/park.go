@@ -9,7 +9,7 @@ import (
 
 // parkLot is the quiet half of the idle protocol: a thief that has searched
 // — swept and yielded — for about as long as a wake-up costs (searchBudget)
-// parks here, and every publication of new work (a Fork, a dispatched root)
+// parks here, and every publication of new work (a Fork, an admitted root)
 // wakes parked thieves. Parking is what keeps an idle thief from burning a
 // core, while preserving busy-leaves: whenever work exists (every unit of
 // queued work was published by a Fork or a Submit, and every publish calls
@@ -31,7 +31,7 @@ import (
 //
 // The lost-wakeup argument is a Dekker pair. A parking thief registers
 // itself (nparked++) and only then runs one final steal sweep; a publisher
-// makes the work visible (deque push, intake link) and only then
+// makes the work visible (deque push, ready-list link) and only then
 // reads nparked. Under Go's sequentially-consistent atomics it is
 // impossible for the final sweep to miss the publish AND the publisher to
 // miss the registration, so either the thief leaves with the task or the
@@ -142,13 +142,13 @@ func (p *parkLot) park(sleeps *atomic.Int64, finalSweep func() (task, bool)) (ta
 }
 
 // wake unparks up to n thieves — one per newly published task. The fast
-// path — nobody parked — is a single atomic load, so Fork and Submit stay
-// cheap while the system is busy. Tokens are capped at the number of
-// registered thieves without one: a Signal beyond that has nobody new to
-// reach, and the uncapped count would make later sleepers burn through
-// stale tokens.
+// paths — nothing published, or nobody parked — take no lock, so Fork,
+// Submit and a completion that promoted nothing stay cheap while the system
+// is busy. Tokens are capped at the number of registered thieves without
+// one: a Signal beyond that has nobody new to reach, and the uncapped count
+// would make later sleepers burn through stale tokens.
 func (p *parkLot) wake(n int) {
-	if p.nparked.Load() == 0 {
+	if n <= 0 || p.nparked.Load() == 0 {
 		return
 	}
 	p.mu.Lock()

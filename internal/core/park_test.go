@@ -253,6 +253,32 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	awaits(late, "late sleeper after close")
 }
 
+// TestWakeZeroTakesNoLock pins wake's first fast path: publishing nothing —
+// a drain that found nothing private, a completion that promoted no queued
+// job — returns before it looks at the lot, even while a thief is
+// registered. The test holds mu, so a wake(0) that took it would block;
+// the channel bounds the wait, so that regression fails instead of hanging.
+func TestWakeZeroTakesNoLock(t *testing.T) {
+	p := newParkLot()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.nparked.Add(1)
+	defer p.nparked.Add(-1)
+	done := make(chan struct{})
+	go func() {
+		p.wake(0)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("wake(0) with a registered thief is waiting for the park lot's mutex")
+	}
+	if p.tokens != 0 {
+		t.Errorf("wake(0) deposited %d tokens, want 0", p.tokens)
+	}
+}
+
 // TestFinalSweepReturnsTask is the park lot's half of the lost-wakeup
 // argument, made deterministic: a thief that has registered and whose
 // final sweep meets a victim holding work leaves with one task instead of

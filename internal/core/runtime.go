@@ -215,7 +215,7 @@ type worker struct {
 	_ cacheline.Pad
 }
 
-// task is what a deque, the intake hand-off and exec see: a code pointer and
+// task is what a deque, the root hand-off and exec see: a code pointer and
 // its argument, both plain pointers that travel by value, so nothing escapes
 // per fork. Every entry has this one shape. A ForkArg child is the caller's
 // (fn, arg) as given; a closure child is runClosure with the closure in arg;
@@ -266,9 +266,9 @@ type tbbTask struct {
 // Runtime is one parallel execution context. The fields are laid out by
 // who writes them and how often (DESIGN.md §7): every Fork, steal sweep
 // and Submit dereferences the first group, so nothing in it is written
-// after NewRuntime except done, which Start and Close flip; the two groups
-// below it are written per submission and root taken, and per suspension,
-// admission and completion, a pad apart from it and from each other.
+// after NewRuntime except done, which Start and Close flip; the group
+// below it is written per suspension, admission, root taken and completion,
+// a pad apart from it.
 type Runtime struct {
 	_ cacheline.Pad
 
@@ -296,16 +296,11 @@ type Runtime struct {
 
 	_ cacheline.Pad
 
-	// Written per submission and per root taken: the intake of admitted
-	// roots awaiting a worker (intake.go).
-	subq intake
-
-	_ cacheline.Pad
-
 	// Written by a suspend spawning its replacement thief (goroutineWG),
-	// and under the admission mutex once per Submit, once per completion
-	// and by lifecycle transitions (admit, which also holds the job
-	// counters; see job.go).
+	// and under the admission mutex once per Submit, once per root taken,
+	// once per completion and by lifecycle transitions (admit, which also
+	// holds the job counters and the ready list of admitted roots; see
+	// job.go).
 	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
 	admit       admitState
 
@@ -415,11 +410,12 @@ func (rt *Runtime) Run(root func(*W)) Stats {
 func (rt *Runtime) RunErr(root func(*W)) (Stats, error) {
 	started := rt.ensureStarted()
 	j := rt.Submit(root)
-	j.Wait()
+	err := j.Err()
+	j.Release()
 	if started {
 		rt.Close(context.Background())
 	}
-	return rt.Stats(), j.Err()
+	return rt.Stats(), err
 }
 
 // Idle protocol, a ski-rental rule: a thief whose sweep fails keeps
@@ -465,7 +461,7 @@ func (rt *Runtime) spawnThief(slot *worker) {
 // search for searchBudget and then park, so idle thieves stop burning CPU
 // while work is scarce — a serving runtime between requests is P parked
 // goroutines. An empty sweep costs the rest of the system nothing but
-// shared reads (Deque.Len per victim, then the intake's one counter), and
+// shared reads (Deque.Len per victim, then the ready list's one counter), and
 // the Gosched between sweeps runs every client, waiter and timer goroutine
 // sharing this P first. The slot counts as idle on the park lot whenever the
 // loop is not inside runStolen, which is what makes every Fork publish its

@@ -565,6 +565,92 @@ func TestRootsStartInSubmissionOrder(t *testing.T) {
 	}
 }
 
+// TestConcurrentRootsStartInIDOrder pins that one hold of the admission
+// mutex both numbers a root and queues it for a worker: with the one slot of
+// a Workers=1 runtime held by a blocker, 8 goroutines submit 100 roots each,
+// and once the blocker returns that slot is the only consumer, so the roots
+// must start in ID order. A submitter that could lose its CPU between
+// taking an ID and queueing the root would be overtaken by later IDs; with
+// twenty rounds that showed at two and four CPUs on every run.
+func TestConcurrentRootsStartInIDOrder(t *testing.T) {
+	const submitters, per, rounds = 8, 100, 20
+	rt := NewRuntime(Config{Workers: 1})
+	rt.Start()
+	defer rt.Close(context.Background())
+	for round := 0; round < rounds; round++ {
+		started, gate := make(chan struct{}), make(chan struct{})
+		blocker := rt.Submit(func(*W) { close(started); <-gate })
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the blocker never occupied the slot")
+		}
+		var mu sync.Mutex
+		var order []int // indices into jobs, in start order
+		jobs := make([]*Job, submitters*per)
+		var wg sync.WaitGroup
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for k := 0; k < per; k++ {
+					i := s*per + k
+					jobs[i] = rt.Submit(func(*W) {
+						mu.Lock()
+						order = append(order, i)
+						mu.Unlock()
+					})
+				}
+			}(s)
+		}
+		wg.Wait()
+		close(gate)
+		watchdog(t, 10*time.Second, func() {
+			for _, j := range append(jobs, blocker) {
+				if err := j.Err(); err != nil {
+					t.Errorf("root %d: %v", j.ID(), err)
+				}
+			}
+		})
+		inversions := 0
+		for k := 1; k < len(order); k++ {
+			if jobs[order[k]].ID() < jobs[order[k-1]].ID() {
+				inversions++
+			}
+		}
+		if inversions > 0 {
+			t.Fatalf("round %d: %d of %d roots started before a root with a smaller ID",
+				round, inversions, len(order))
+		}
+		for _, j := range jobs {
+			j.Release()
+		}
+		blocker.Release()
+	}
+}
+
+// TestRunErrAllocs pins what one RunErr costs in allocations: it reads its
+// Job's error without the Stats snapshot Wait would compute and cache, and
+// releases the Job, which only it holds, for the next call to reuse. On a
+// started runtime that is the root closure and the channel Err blocks on;
+// a one-shot call adds the start and the Close. sync.Pool drops Puts at
+// random under -race, so the counts are only meaningful without it.
+func TestRunErrAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	noop := func(*W) {}
+	rt := NewRuntime(Config{Workers: 1})
+	if a := testing.AllocsPerRun(100, func() { rt.RunErr(noop) }); a > 4 {
+		t.Errorf("one-shot RunErr: %.1f allocs/op, want <= 4", a)
+	}
+	rt.Start()
+	defer rt.Close(context.Background())
+	if a := testing.AllocsPerRun(100, func() { rt.RunErr(noop) }); a > 2 {
+		t.Errorf("RunErr on a started runtime: %.1f allocs/op, want <= 2", a)
+	}
+}
+
 // TestJobPoolRecycles pins the Release → Submit recycling loop:
 // sequentially submitting and releasing must start handing back previously
 // released handles (pointer reuse), and a reused handle must behave like a
