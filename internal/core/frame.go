@@ -101,7 +101,8 @@ func countStolen(t task) bool {
 // When it completes the last stolen child of a *suspended* frame it resumes
 // the parked owner, transferring the caller's worker slot to it (Listing 3
 // lines 68–75); the caller must then stop using the slot and, if it reports
-// a handoff, retire its stack to the pool.
+// a handoff, retire: its stack goes to the pool and its goroutine becomes a
+// spare (thiefLoop).
 //
 // The decrement is the caller's LAST touch of the frame unless it observes
 // the suspend bit alone — the owner relies on that to recycle arena-backed
@@ -126,8 +127,8 @@ func (w *W) childDone(f *Frame) (handoff bool) {
 
 // suspend parks the calling goroutine until f's children complete,
 // unmapping the unused pages of its stack first and handing its worker
-// slot to a fresh thief. It returns false if the children finished before
-// the suspension could be committed.
+// slot to a replacement thief. It returns false if the children finished
+// before the suspension could be committed.
 func (w *W) suspend(f *Frame) bool {
 	// Prepare the resume state BEFORE committing the suspension: the child
 	// that observes the suspend bit reads these fields without a lock, so
@@ -175,11 +176,12 @@ func (w *W) suspend(f *Frame) bool {
 		parkedAt = time.Now()
 	}
 	// Hand the worker slot to a replacement thief so exactly P slots stay
-	// busy (busy leaves). The replacement takes its stack from the pool,
-	// blocking there if a bounded (Cilk Plus) pool is empty. The slot's
-	// shard and deque go with it, so what this goroutine counted privately
-	// on the slot is folded in first (the deque is empty here: the Pop that
-	// sent us to suspend failed).
+	// busy (busy leaves): a parked spare, or a new goroutine if none waits.
+	// The replacement takes its stack from the pool, blocking there if a
+	// bounded (Cilk Plus) pool is empty. The slot's shard and deque go with
+	// it, so what this goroutine counted privately on the slot is folded in
+	// first (the deque is empty here: the Pop that sent us to suspend
+	// failed).
 	w.flushCounts()
 	rt.spawnThief(w.slot)
 	// The finisher's slot is generally not the one given up above, and that

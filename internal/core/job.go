@@ -93,29 +93,34 @@ var closedChan = func() chan struct{} {
 // forced Close. All methods are safe from any goroutine.
 //
 // Jobs are pooled (jobPool): a caller that is done with a handle may call
-// Release to recycle it. The wait channel is allocated lazily — only when
-// a caller actually blocks in Done/Wait/Err/Seq before the job has
-// completed — so the submit → complete fast path never allocates one.
+// Release to recycle it. Wait, Err and Seq block on a semaphore inside the
+// Job (sem), so waiting allocates nothing; only Done, for select users,
+// allocates a channel, and only if the job has not completed yet.
 type Job struct {
 	id        uint64
 	tenant    string
 	root      func(*W)
 	rt        *Runtime
-	submitted time.Time // zero unless a sink consumes KindJobDone
+	submitted int64 // monoNow at Submit; zero unless a sink consumes KindJobDone
 
 	// qnext is the intrusive link threading an admitted Job through
 	// admitState's ready list; admitState.mu guards it.
 	qnext *Job
 
-	// done is the whole completion handshake in one word: nil while the
-	// job is pending and nobody waits, a waiter-published channel while
-	// somebody does, &closedChan once complete. Waiters move it nil →
-	// channel by CAS; the completer Swaps in &closedChan exactly once per
-	// generation, after the result fields below are written, closes the
-	// channel the Swap returned (if any) and never looks at the Job again
-	// — so a waiter may Release, and a Submit reuse, the handle the
-	// moment the Swap lands.
+	// done is the completion state Done and Release read: nil while the
+	// job is pending and no Done caller waits, that caller's channel while
+	// one does, &closedChan once complete. Done moves it nil → channel by
+	// CAS; the completer Swaps in &closedChan exactly once per generation,
+	// after the result fields below are written, and closes the channel the
+	// Swap returned (if any).
 	done atomic.Pointer[chan struct{}]
+
+	// sem is what Wait, Err, Seq and Release block on: one count, added by
+	// newJob and released by finish after the done Swap and the channel
+	// close. That release is the completer's last touch of the Job, so a
+	// Release, which waits on sem too, cannot pool the handle while its
+	// completer still holds it.
+	sem sync.WaitGroup
 
 	// The fields below are written exactly once, before done flips, and
 	// read only after observing completion.
@@ -143,7 +148,8 @@ func (j *Job) Tenant() string { return j.tenant }
 // Done returns a channel closed when the job completes (including shed
 // and drained jobs), for select-based composition. The channel is
 // allocated on first use; for an already-completed job Done returns a
-// shared closed channel without allocating.
+// shared closed channel without allocating. Wait, Err and Seq do not use
+// it: a caller that only blocks should call one of them.
 func (j *Job) Done() <-chan struct{} {
 	for {
 		if p := j.done.Load(); p != nil {
@@ -160,24 +166,22 @@ func (j *Job) Done() <-chan struct{} {
 func (j *Job) completed() bool { return j.done.Load() == &closedChan }
 
 // finish publishes the job's completion (the result fields are already
-// written) and releases any waiter. The Swap is the completer's only
-// access to done: whatever channel a waiter published before it is
+// written) and releases every waiter. The Swap is the completer's only
+// access to done: whatever channel a Done caller published before it is
 // returned here and closed here, and one published after it cannot exist
-// — Done's CAS expects nil — so the close is exactly-once with no second
-// look at a Job that may already belong to its next submission.
+// — Done's CAS expects nil — so the close is exactly-once. The semaphore
+// release comes last: a Release waits for it, so nothing here can touch a
+// Job that already belongs to its next submission.
 func (j *Job) finish() {
 	if p := j.done.Swap(&closedChan); p != nil {
 		close(*p)
 	}
+	j.sem.Done()
 }
 
-// wait blocks until the job completes, allocating the wait channel only
-// if the job is still running.
-func (j *Job) wait() {
-	if !j.completed() {
-		<-j.Done()
-	}
-}
+// wait blocks until the job completes. It allocates nothing: a completed
+// job costs one atomic load, a running one parks on sem.
+func (j *Job) wait() { j.sem.Wait() }
 
 // Wait blocks until the job completes and returns a runtime Stats
 // snapshot. The snapshot is computed lazily on the first Wait after
@@ -220,17 +224,20 @@ func (j *Job) Seq() uint64 {
 // last user — after Release no Job method may be called and no previously
 // returned Done channel consulted, and Release must not race any other
 // method on the same handle (completion itself does not count: Release
-// after Wait/Err is always safe). Release is optional; an unreleased Job
-// is simply garbage-collected.
+// after Done's channel closed, or after Wait/Err, is always safe). It
+// waits for the completer's semaphore release, which may still be under
+// way when Done's channel has closed, before it resets the handle. Release
+// is optional; an unreleased Job is simply garbage-collected.
 func (j *Job) Release() {
 	if !j.completed() {
 		panic("core: Release of an incomplete Job")
 	}
+	j.sem.Wait()
 	j.rt = nil
 	j.id = 0
 	j.tenant = ""
 	j.root = nil
-	j.submitted = time.Time{}
+	j.submitted = 0
 	j.tp = nil
 	j.err = nil
 	j.seq = 0
@@ -413,27 +420,35 @@ func (rt *Runtime) ensureStarted() bool {
 
 	rt.done.Store(false)
 	rt.park.open()
+	rt.spares.open()
 	for _, slot := range rt.workers {
 		rt.spawnThief(slot)
 	}
 	return true
 }
 
-// newJob builds (or recycles) the Job for one submission; its ID is
-// assigned under the admission mutex. The submit-time clock read exists
-// only when a sink consumes KindJobDone — untraced serving pays no
-// time.Now per job — and the wait channel stays unallocated until someone
-// blocks on the handle.
+// newJob builds (or recycles) the Job for one submission and takes the
+// count on its semaphore that finish releases; its ID is assigned under the
+// admission mutex. The submit-time clock read exists only when a sink
+// consumes KindJobDone — untraced serving pays no clock read per job.
 func (rt *Runtime) newJob(tenant string, root func(*W)) *Job {
 	j := jobPool.Get().(*Job)
 	j.rt = rt
 	j.tenant = tenant
 	j.root = root
 	if rt.stampJobs {
-		j.submitted = time.Now()
+		j.submitted = monoNow()
 	}
+	j.sem.Add(1)
 	return j
 }
+
+// clockBase anchors monoNow.
+var clockBase = time.Now()
+
+// monoNow reads the monotonic clock as nanoseconds since clockBase: a Job's
+// submit stamp in one word instead of a time.Time's three.
+func monoNow() int64 { return int64(time.Since(clockBase)) }
 
 // Submit injects root as an independent top-level computation under the
 // default tenant. See SubmitTenant.
@@ -527,7 +542,7 @@ func (rt *Runtime) completeJob(slot int, j *Job) {
 		j.err = j.tp
 	}
 	if rt.trc.Wants(trace.KindJobDone) {
-		rt.trc.Emit(slot, trace.KindJobDone, int64(j.id), time.Since(j.submitted))
+		rt.trc.Emit(slot, trace.KindJobDone, int64(j.id), time.Duration(monoNow()-j.submitted))
 	}
 
 	a := &rt.admit
@@ -592,11 +607,12 @@ func (rt *Runtime) Close(ctx context.Context) error {
 
 	// Quiesced: no admitted work remains anywhere. Tear down exactly as
 	// the old per-Run epilogue did — wake every parked thief so it
-	// observes done, release any thief blocked in a bounded pool's Take,
-	// wait for every worker goroutine to unwind, then reopen the pool for
-	// the next Start.
+	// observes done, release every spare and any thief blocked in a
+	// bounded pool's Take, wait for every worker goroutine to unwind, then
+	// reopen the pool for the next Start.
 	rt.done.Store(true)
 	rt.park.close()
+	rt.spares.close()
 	rt.pool.Close()
 	rt.goroutineWG.Wait()
 	rt.trc.Flush()

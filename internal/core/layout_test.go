@@ -21,7 +21,7 @@ var (
 	runtimeGroups = [][]string{
 		{"cfg", "as", "pool", "workers", "park", "done", "trc", "metrics",
 			"stampJobs", "stats"}, // read-mostly
-		{"goroutineWG", "admit"}, // per suspension / admission / root taken / completion / lifecycle
+		{"goroutineWG", "spares", "admit"}, // per suspension / admission / root taken / completion / lifecycle
 	}
 	parkGroup = []string{"mu", "cond", "tokens", "closed", "nparked", "nidle"}
 	// A Frame is not padded — it lives inside a Scratch block or a caller's

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fibril/internal/stack"
 	"fibril/internal/vm"
 )
 
@@ -35,25 +36,35 @@ func checkMadviseFlow(t *testing.T, stats Stats) {
 	}
 }
 
-// runSuspendRounds runs, under cfg, fork-join regions whose one child is
-// certainly stolen and whose parent certainly suspends on it, whatever
-// GOMAXPROCS is: the parent does not join until the child has started, which
-// only a thief can make happen, and the child outlives that wait, dirtying
-// eight pages of the thief's stack on the way. Every suspend but the first
-// finds a stack some retired thief freed with that residue on it.
+// runSuspendRounds runs, under cfg, eight rounds of suspendRounds.
 func runSuspendRounds(t *testing.T, cfg Config) Stats {
 	t.Helper()
-	const rounds, dirtyPages = 8, 8
-	return NewRuntime(cfg).Run(func(w *W) {
+	return NewRuntime(cfg).Run(func(w *W) { suspendRounds(t, w)(8) })
+}
+
+// suspendRounds returns a function that runs, on w, fork-join regions whose
+// one child is certainly stolen and whose parent suspends on it, whatever
+// GOMAXPROCS is: the parent does not join until the child has started,
+// which only a thief can make happen, and the child outlives that wait by
+// 200 µs, dirtying eight pages of the thief's stack on the way, so only a
+// parent descheduled for all of that finds the child done. Every suspend
+// but the first finds a stack some retired thief freed with that residue on
+// it. The frame and the child are made once, so a round allocates nothing
+// of its own: what it allocates, the runtime does.
+func suspendRounds(t *testing.T, w *W) func(rounds int) {
+	const dirtyPages = 8
+	var fr Frame
+	var started atomic.Bool
+	child := func(cw *W) {
+		started.Store(true)
+		cw.CallSized(dirtyPages*vm.PageSize, func(*W) {})
+		time.Sleep(200 * time.Microsecond)
+	}
+	return func(rounds int) {
 		for r := 0; r < rounds; r++ {
-			var fr Frame
-			var started atomic.Bool
+			started.Store(false)
 			w.Init(&fr)
-			w.Fork(&fr, func(cw *W) {
-				started.Store(true)
-				cw.CallSized(dirtyPages*vm.PageSize, func(*W) {})
-				time.Sleep(200 * time.Microsecond)
-			})
+			w.Fork(&fr, child)
 			for deadline := time.Now().Add(10 * time.Second); !started.Load(); runtime.Gosched() {
 				if time.Now().After(deadline) {
 					t.Errorf("round %d: no thief took the forked child in 10 s", r)
@@ -62,7 +73,62 @@ func runSuspendRounds(t *testing.T, cfg Config) Stats {
 			}
 			w.Join(&fr)
 		}
+	}
+}
+
+// TestSuspendRoundAllocs is the allocation gate for the suspend path: once a
+// spare exists, a suspend/resume round allocates nothing. The suspending
+// parent's replacement thief is a parked spare, not a new goroutine with a
+// new W, and the frame's resume channel was made by its first suspend. At
+// the runtime that started a goroutine per suspend every round allocated at
+// least three objects: the W, the go statement's closure and the new
+// goroutine's timer. The warm-up rounds park the first spare and let every
+// thief goroutine sleep once (a goroutine's first time.Sleep makes its
+// timer). Then twelve stacks taken and put back leave the pool's free list
+// with room for the one or two more a round frees at once (append grows it
+// to 16), so that no Put in the window appends to a full one.
+//
+// The test runs on one P. With more, the Go runtime's own caches allocate
+// for thousands of rounds: the records a blocked channel or Cond operation
+// waits in are taken from one P's list and returned to another's, and a P
+// that only takes refills from the central list, which every GC empties.
+// And on one P the retiring thief always parks as a spare before the parent
+// it resumed runs; with more, the parent can suspend again first and find
+// no spare, which costs one goroutine until a second spare has parked. The
+// race detector allocates on its own account, so the count is only
+// meaningful without it.
+func TestSuspendRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const warm, rounds = 64, 32
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var allocs uint64
+	var suspends int64
+	NewRuntime(Config{Workers: 2}).Run(func(w *W) {
+		run := suspendRounds(t, w)
+		run(warm)
+		var extra [12]*stack.Stack
+		for i := range extra {
+			extra[i] = w.rt.takeStack(0)
+		}
+		for _, st := range extra {
+			w.rt.pool.Put(0, st)
+		}
+		s0 := w.rt.Stats().Suspends
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run(rounds)
+		runtime.ReadMemStats(&m1)
+		allocs = m1.Mallocs - m0.Mallocs
+		suspends = w.rt.Stats().Suspends - s0
 	})
+	if suspends == 0 {
+		t.Fatalf("none of %d rounds suspended", rounds)
+	}
+	if allocs != 0 {
+		t.Errorf("%d suspend/resume rounds (%d suspends) allocated %d objects, want 0", rounds, suspends, allocs)
+	}
 }
 
 func TestRSSCeilingTriggersReclaim(t *testing.T) {

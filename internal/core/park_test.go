@@ -149,7 +149,8 @@ func TestParkedThievesWakeForLateWork(t *testing.T) {
 // enough thieves to run the root AND the task it forks. The root blocks
 // inside the task it would run inline until a second thief runs the
 // other, so a dropped dispatch wake (or a fork wake swallowed by the
-// token cap) hangs the test.
+// token cap) hangs the test. Its one subtest is named "sharded", after the
+// per-slot intake that is gone, only so that its recorded name stays stable.
 func TestSubmitAfterAllThievesParked(t *testing.T) {
 	const workers = 4
 	t.Run("sharded", func(t *testing.T) {

@@ -13,7 +13,9 @@
 // intact:
 //
 //   - a runtime "stack" is a (goroutine, simulated page-granular
-//     stack.Stack) pair; the goroutine's lifetime is the stack's lifetime;
+//     stack.Stack) pair for as long as the goroutine occupies a worker slot
+//     or is suspended; a thief that gives its slot up puts the stack back
+//     and its goroutine waits, as a spare, to be the next replacement thief;
 //   - Fork pushes the child task on the worker slot's deque and the parent
 //     keeps running (the child is what thieves steal). It notes the child in
 //     the frame's owner-private tally and touches nothing shared: as in
@@ -28,7 +30,8 @@
 //     children stolen and not yet finished. If it is not zero the parent
 //     SUSPENDS: its goroutine records the frame's stack watermark, unmaps the
 //     unused pages above it (Listing 3 line 63), hands its worker slot to a
-//     replacement thief running on a pool stack (line 93), and parks;
+//     replacement thief — a spare goroutine if one waits — running on a pool
+//     stack (line 93), and parks;
 //   - when the LAST stolen child of a suspended frame completes, the
 //     finishing worker puts its own stack into the pool, "remaps" the
 //     suspended stack, and transfers its worker slot to the parked parent
@@ -296,12 +299,13 @@ type Runtime struct {
 
 	_ cacheline.Pad
 
-	// Written by a suspend spawning its replacement thief (goroutineWG),
-	// and under the admission mutex once per Submit, once per root taken,
-	// once per completion and by lifecycle transitions (admit, which also
-	// holds the job counters and the ready list of admitted roots; see
-	// job.go).
+	// Written by a suspend spawning its replacement thief and by that
+	// thief's predecessor retiring (goroutineWG, spares), and under the
+	// admission mutex once per Submit, once per root taken, once per
+	// completion and by lifecycle transitions (admit, which also holds the
+	// job counters and the ready list of admitted roots; see job.go).
 	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
+	spares      spareList
 	admit       admitState
 
 	_ cacheline.Pad
@@ -345,6 +349,7 @@ func NewRuntime(cfg Config) *Runtime {
 		}
 	}
 	rt.stats = make([]counterShard, cfg.Workers)
+	rt.spares.idle = make([]chan *worker, 0, cfg.Workers)
 	return rt
 }
 
@@ -425,13 +430,15 @@ func (rt *Runtime) RunErr(root func(*W)) (Stats, error) {
 // searching longer than a wake-up costs burns more than the sleep saves.
 //
 // searchBudget is that cost as the benchmark's traced run measured it on the
-// runtime that parked after ten sweeps (2 vCPUs): a Fork whose owner keeps
-// running needs a second OS thread woken behind the condvar Signal, and
-// core.steal.fork_to_remote_start_ns was 79–90 µs; a Submit whose caller
-// then blocks lends its own processor to the woken thief, and
-// core.dispatch.idle_wake_ns was 7–13 µs. The budget covers the dearer of
-// the two. Fan-out throughput is flat from a quarter to four times this
-// value (EXPERIMENTS.md "Idle protocol").
+// runtime that parked after ten sweeps (2 vCPUs). A Fork's wake was
+// core.steal.fork_to_remote_start_ns, 79–90 µs. The Go scheduler puts the
+// woken thief in the forking P's runnext slot, the owner keeps running on
+// that P, and an idle P takes a runnext goroutine only on its last steal
+// try, after a usleep(3) that Linux's default 50 µs timer slack stretches.
+// A Submit's wake was core.dispatch.idle_wake_ns, 7–13 µs: the submitter
+// then blocks in Err and hands its own P to the woken thief. The budget
+// covers the dearer of the two. Fan-out throughput is flat from a quarter to
+// four times this value (EXPERIMENTS.md "Idle protocol").
 //
 // The clock is read only every searchClockStride-th failed sweep, so an
 // idle gap that ends within the first few yields — the closed-loop serving
@@ -442,38 +449,75 @@ const (
 	searchClockStride = 16
 )
 
-// spawnThief starts a thief on slot. The slot is counted idle from here —
-// not from whenever the new goroutine first runs and finds nothing, which on
-// a host short of CPUs is after the busy workers have been descheduled with
-// their work still private — until the thief has a task (parkLot.nidle).
+// spawnThief puts a thief on slot: a spare — a retired thief's goroutine,
+// waiting with its W and its grown Go stack — when one is parked, and a new
+// goroutine only when none is. The slot is counted idle from here — not
+// from whenever the thief first runs and finds nothing, which on a host
+// short of CPUs is after the busy workers have been descheduled with their
+// work still private — until the thief has a task (parkLot.nidle).
 func (rt *Runtime) spawnThief(slot *worker) {
-	rt.goroutineWG.Add(1)
 	rt.park.nidle.Add(1)
+	if ch := rt.spares.take(); ch != nil {
+		ch <- slot
+		return
+	}
+	rt.goroutineWG.Add(1)
 	go rt.thiefLoop(slot)
 }
 
 // thiefLoop is the body of a worker-slot goroutine that starts with no
 // work: take a stack from the pool (blocking if the pool is bounded and
-// exhausted — the Cilk Plus stall), then steal until the runtime closes
-// or the slot is handed to a resumed parent. A sweep looks for stolen
-// work first and for a submitted root only when the whole steal sweep
-// fails, so new roots open only on genuinely idle capacity. Failed sweeps
-// search for searchBudget and then park, so idle thieves stop burning CPU
-// while work is scarce — a serving runtime between requests is P parked
-// goroutines. An empty sweep costs the rest of the system nothing but
-// shared reads (Deque.Len per victim, then the ready list's one counter), and
-// the Gosched between sweeps runs every client, waiter and timer goroutine
-// sharing this P first. The slot counts as idle on the park lot whenever the
-// loop is not inside runStolen, which is what makes every Fork publish its
-// children rather than keep them private (ForkArgSized).
+// exhausted — the Cilk Plus stall) and occupy the slot until the runtime
+// closes or the slot is handed to a resumed parent. In the second case the
+// stack goes back to the pool — put_stack_into_pool (Listing 3 line 71) —
+// and the goroutine waits on the spare list, keeping its W and its Go
+// stack, until a suspend hands it the next slot to fill. It exits when the
+// list is full or the runtime closes.
 func (rt *Runtime) thiefLoop(slot *worker) {
 	defer rt.goroutineWG.Done()
-	st := rt.takeStack(slot.id)
-	if st == nil {
-		rt.park.nidle.Add(-1)
-		return // pool closed: the computation is over
+	var w *W
+	var handoff chan *worker // this goroutine's spare-list entry, made on its first retirement
+	for {
+		st := rt.takeStack(slot.id)
+		if st == nil {
+			rt.park.nidle.Add(-1)
+			return // pool closed: the computation is over
+		}
+		if w == nil {
+			w = rt.newW(slot, st, rt.shard(slot.id))
+		} else {
+			// A spare: rebind what belonged to its last slot. Its per-fork
+			// counters were folded in after its last task.
+			w.slot, w.stack, w.stats = slot, st, rt.shard(slot.id)
+			w.released, w.depth, w.frame = false, 0, nil
+		}
+		released := rt.occupy(w)
+		rt.pool.Put(slot.id, w.stack)
+		if !released {
+			return
+		}
+		if handoff == nil {
+			handoff = make(chan *worker, 1)
+		}
+		if slot = rt.spares.wait(handoff); slot == nil {
+			return
+		}
 	}
-	w := rt.newW(slot, st, rt.shard(slot.id))
+}
+
+// occupy steals and runs tasks on w's slot until the runtime closes
+// (false) or the slot is handed to a resumed parent (true). A sweep looks
+// for stolen work first and for a submitted root only when the whole steal
+// sweep fails, so new roots open only on genuinely idle capacity. Failed
+// sweeps search for searchBudget and then park, so idle thieves stop
+// burning CPU while work is scarce — a serving runtime between requests is
+// P parked goroutines. An empty sweep costs the rest of the system nothing
+// but shared reads (Deque.Len per victim, then the ready list's one
+// counter), and the Gosched between sweeps runs every client, waiter and
+// timer goroutine sharing this P first. The slot counts as idle on the park
+// lot whenever the loop is not inside runStolen, which is what makes every
+// Fork publish its children rather than keep them private (ForkArgSized).
+func (rt *Runtime) occupy(w *W) (released bool) {
 	sweep := func() (task, bool) {
 		if t, ok := rt.steal(w, countStolen); ok {
 			return t, true
@@ -510,16 +554,73 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 		rt.park.nidle.Add(-1)
 		w.runStolen(t)
 		if w.released {
-			// The slot was transferred to a resumed parent; this
-			// goroutine's stack goes back to the pool and it exits —
-			// put_stack_into_pool (Listing 3 line 71).
-			rt.pool.Put(slot.id, w.stack)
-			return
+			return true
 		}
 		rt.park.nidle.Add(1)
 	}
 	rt.park.nidle.Add(-1)
-	rt.pool.Put(slot.id, w.stack)
+	return false
+}
+
+// spareList holds the goroutines of thieves whose slot went to a resumed
+// parent, each waiting on its own hand-off channel for spawnThief to give it
+// the slot of the next suspended frame. It holds at most Workers of them:
+// a thief retiring to a full list exits. Close releases every spare (a nil
+// slot) and keeps the list closed, so retirees exit, until the next Start.
+type spareList struct {
+	mu     sync.Mutex
+	closed bool
+	idle   []chan *worker // capacity Workers, made by NewRuntime; newest last
+}
+
+// take removes the most recently parked spare, whose Go stack is the
+// likeliest to be warm, and returns its hand-off channel; nil if none waits.
+func (s *spareList) take() chan *worker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.idle)
+	if n == 0 {
+		return nil
+	}
+	ch := s.idle[n-1]
+	s.idle[n-1] = nil
+	s.idle = s.idle[:n-1]
+	return ch
+}
+
+// wait parks the calling retired thief as a spare until it is handed a slot,
+// and returns that slot; nil, at once or when Close releases it, if the
+// thief is to exit instead.
+func (s *spareList) wait(ch chan *worker) *worker {
+	s.mu.Lock()
+	if s.closed || len(s.idle) == cap(s.idle) {
+		s.mu.Unlock()
+		return nil
+	}
+	s.idle = append(s.idle, ch)
+	s.mu.Unlock()
+	return <-ch
+}
+
+// close releases every parked spare and refuses retirees until open. The
+// sends under mu cannot block: a spare lists its one-slot channel only while
+// the channel is empty, and take unlists it before anything is sent.
+func (s *spareList) close() {
+	s.mu.Lock()
+	s.closed = true
+	for i, ch := range s.idle {
+		ch <- nil
+		s.idle[i] = nil
+	}
+	s.idle = s.idle[:0]
+	s.mu.Unlock()
+}
+
+// open readies the list for a new Start after a close.
+func (s *spareList) open() {
+	s.mu.Lock()
+	s.closed = false
+	s.mu.Unlock()
 }
 
 // steal attempts one round of stealing over the other worker slots: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -393,4 +394,146 @@ func TestNewRuntimeRejectsQuotaBelowStack(t *testing.T) {
 			t.Errorf("quota of one stack: RunErr = %v", err)
 		}
 	})
+}
+
+// settleGoroutines waits up to five seconds for runtime.NumGoroutine to come
+// down to base — an exiting goroutine has called its deferred Done before it
+// is gone — and returns the last count. A count below base is a goroutine of
+// an earlier test that ended meanwhile.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestSparesLiveAndDieWithTheRuntime pins the spare thieves' lifecycle:
+// a served job whose every round suspends makes thieves retire as spares
+// and suspends reuse them, so the worker goroutines stay within Workers
+// occupants plus Workers spares; Close releases every spare, so the process
+// comes back to the goroutines it had before Start; and a restart does it
+// all again.
+func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
+	const workers, rounds = 4, 32
+	rt := NewRuntime(Config{Workers: workers})
+	base := runtime.NumGoroutine()
+	for life := 0; life < 3; life++ {
+		rt.Start()
+		var peak atomic.Int64
+		j := rt.Submit(func(w *W) {
+			run := suspendRounds(t, w)
+			for r := 0; r < rounds; r++ {
+				run(1)
+				peak.Store(max(peak.Load(), int64(runtime.NumGoroutine()-base)))
+			}
+		})
+		watchdog(t, 30*time.Second, func() {
+			if err := j.Err(); err != nil {
+				t.Errorf("life %d: %v", life, err)
+			}
+		})
+		j.Release()
+		// The last finisher parks as a spare after it has resumed the root.
+		parked := 0
+		for deadline := time.Now().Add(10 * time.Second); parked == 0 && time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+			rt.spares.mu.Lock()
+			parked = len(rt.spares.idle)
+			rt.spares.mu.Unlock()
+		}
+		if parked == 0 || parked > workers {
+			t.Errorf("life %d: %d spares parked after %d suspends, want 1..%d", life, parked, rounds, workers)
+		}
+		// Sampled while the root runs, so no frame is suspended; the one
+		// more is the watchdog's goroutine waiting in Err.
+		if p := peak.Load(); p > 2*workers+1 {
+			t.Errorf("life %d: %d goroutines at the peak, want at most %d occupants + %d spares + 1 waiter",
+				life, p, workers, workers)
+		}
+		watchdog(t, 10*time.Second, func() {
+			if err := rt.Close(context.Background()); err != nil {
+				t.Errorf("life %d: Close: %v", life, err)
+			}
+		})
+		if n := len(rt.spares.idle); n != 0 {
+			t.Errorf("life %d: %d spares still listed after Close", life, n)
+		}
+		if n := settleGoroutines(base); n > base {
+			t.Fatalf("life %d: %d goroutines after Close, %d before Start", life, n, base)
+		}
+		if st := rt.Stats(); st.Suspends != st.Resumes {
+			t.Errorf("life %d: suspends=%d resumes=%d, want equal", life, st.Suspends, st.Resumes)
+		}
+	}
+}
+
+// TestReusedSpareStallsOnBoundedPool pins that a spare takes its stack
+// through takeStack like a new thief, so the Cilk Plus bounded pool stalls
+// it, and that Close releases a thief stalled there. Three slots share two
+// stacks, so one thief always waits in the pool. The first round's suspend
+// finds no spare and starts a goroutine, which stalls; its finisher retires
+// as the one spare, and its stack wakes a stalled thief. The second round's
+// suspend takes that spare, which stalls in turn: one stall more, the list
+// empty, and no goroutine more. When the job is done one thief is still
+// waiting for a stack, and Close must release it.
+func TestReusedSpareStallsOnBoundedPool(t *testing.T) {
+	type look struct {
+		stalls             int64
+		goroutines, spares int
+	}
+	rt := NewRuntime(Config{Workers: 3, Strategy: StrategyCilkPlus, StackLimit: 2})
+	see := func() look {
+		rt.spares.mu.Lock()
+		defer rt.spares.mu.Unlock()
+		return look{rt.Stats().PoolStalls, runtime.NumGoroutine(), len(rt.spares.idle)}
+	}
+	base := runtime.NumGoroutine()
+	rt.Start()
+	var before, during look
+	j := rt.Submit(func(w *W) {
+		suspendRounds(t, w)(1)
+		// The finisher parks as a spare after it has resumed this parent.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+			if before = see(); before.spares == 1 || time.Now().After(deadline) {
+				break
+			}
+		}
+		// The second round, with a child that stays until the suspend it
+		// causes has handed the slot on and the new occupant has stalled.
+		var fr Frame
+		var started atomic.Bool
+		w.Init(&fr)
+		w.Fork(&fr, func(*W) {
+			started.Store(true)
+			for deadline := time.Now().Add(10 * time.Second); rt.Stats().PoolStalls == before.stalls; time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Error("the second suspend's replacement thief never stalled")
+					break
+				}
+			}
+			during = see()
+		})
+		for !started.Load() {
+			runtime.Gosched()
+		}
+		w.Join(&fr)
+	})
+	watchdog(t, 30*time.Second, func() {
+		if err := j.Err(); err != nil {
+			t.Errorf("job: %v", err)
+		}
+	})
+	t.Logf("before the second suspend %+v, after it %+v", before, during)
+	if before.spares != 1 || during.spares != 0 || during.stalls != before.stalls+1 || during.goroutines != before.goroutines {
+		t.Errorf("the second suspend took spares %d -> %d, stalls %d -> %d, goroutines %d -> %d; want 1 -> 0, one stall more, no goroutine more",
+			before.spares, during.spares, before.stalls, during.stalls, before.goroutines, during.goroutines)
+	}
+	watchdog(t, 10*time.Second, func() {
+		if err := rt.Close(context.Background()); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("%d goroutines after Close, %d before Start", n, base)
+	}
 }

@@ -630,10 +630,11 @@ func TestConcurrentRootsStartInIDOrder(t *testing.T) {
 }
 
 // TestRunErrAllocs pins what one RunErr costs in allocations: it reads its
-// Job's error without the Stats snapshot Wait would compute and cache, and
-// releases the Job, which only it holds, for the next call to reuse. On a
-// started runtime that is the root closure and the channel Err blocks on;
-// a one-shot call adds the start and the Close. sync.Pool drops Puts at
+// Job's error without the Stats snapshot Wait would compute and cache,
+// blocking on the semaphore inside the Job, and releases the Job, which only
+// it holds, for the next call to reuse. On a started runtime that is
+// nothing at all; a one-shot call adds the start, whose thief goroutine
+// makes its go statement's closure and its W. sync.Pool drops Puts at
 // random under -race, so the counts are only meaningful without it.
 func TestRunErrAllocs(t *testing.T) {
 	if raceEnabled {
@@ -641,13 +642,13 @@ func TestRunErrAllocs(t *testing.T) {
 	}
 	noop := func(*W) {}
 	rt := NewRuntime(Config{Workers: 1})
-	if a := testing.AllocsPerRun(100, func() { rt.RunErr(noop) }); a > 4 {
-		t.Errorf("one-shot RunErr: %.1f allocs/op, want <= 4", a)
+	if a := testing.AllocsPerRun(100, func() { rt.RunErr(noop) }); a > 2 {
+		t.Errorf("one-shot RunErr: %.1f allocs/op, want <= 2", a)
 	}
 	rt.Start()
 	defer rt.Close(context.Background())
-	if a := testing.AllocsPerRun(100, func() { rt.RunErr(noop) }); a > 2 {
-		t.Errorf("RunErr on a started runtime: %.1f allocs/op, want <= 2", a)
+	if a := testing.AllocsPerRun(100, func() { rt.RunErr(noop) }); a != 0 {
+		t.Errorf("RunErr on a started runtime: %.1f allocs/op, want 0", a)
 	}
 }
 
@@ -936,6 +937,86 @@ func TestReleaseHandsHandleOn(t *testing.T) {
 	}
 	if st, want := rt.Stats(), int64(clients*perClient); st.JobsSubmitted != want || st.JobsCompleted != want {
 		t.Errorf("JobsSubmitted=%d JobsCompleted=%d, want %d each", st.JobsSubmitted, st.JobsCompleted, want)
+	}
+}
+
+// TestErrReleaseHandsHandleOn is TestReleaseHandsHandleOn with the caller
+// waiting in Err, on the semaphore inside the Job, instead of on Done's
+// channel: Submit, Err, Release, eight clients and eight workers on sixteen
+// Ps. The semaphore's release is the completer's last touch of the handle,
+// so a completer that looked at the Job after it, or a Release that did not
+// wait for it, would let the next Submit's count collide with the old
+// generation's — which sync.WaitGroup reports by panicking.
+func TestErrReleaseHandsHandleOn(t *testing.T) {
+	const clients, workers = 8, 8
+	perClient := 200_000
+	if testing.Short() || raceEnabled {
+		perClient = 20_000
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(clients + workers))
+	rt := NewRuntime(Config{Workers: workers})
+	rt.Start()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				j := rt.Submit(func(*W) {})
+				if err := j.Err(); err != nil {
+					t.Errorf("client %d job %d: %v", c, i, err)
+					return
+				}
+				j.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := rt.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st, want := rt.Stats(), int64(clients*perClient); st.JobsSubmitted != want || st.JobsCompleted != want {
+		t.Errorf("JobsSubmitted=%d JobsCompleted=%d, want %d each", st.JobsSubmitted, st.JobsCompleted, want)
+	}
+}
+
+// TestDoneAndErrWaitTogether waits for one job two ways at once: one
+// goroutine on Done's channel, another in Err. Completion must close the
+// channel and release the semaphore, both callers must see the same
+// outcome, and only then is the handle Released and reused by the next
+// round. Odd rounds panic, so the outcome differs from round to round.
+func TestDoneAndErrWaitTogether(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 2})
+	rt.Start()
+	defer rt.Close(context.Background())
+	for r := 0; r < 200; r++ {
+		gate := make(chan struct{})
+		j := rt.Submit(func(*W) {
+			<-gate
+			if r%2 == 1 {
+				panic(r)
+			}
+		})
+		done := j.Done()
+		errc := make(chan error, 1)
+		go func() { errc <- j.Err() }()
+		time.Sleep(50 * time.Microsecond) // most rounds: both callers blocked
+		close(gate)
+		var err error
+		watchdog(t, 10*time.Second, func() {
+			<-done
+			err = <-errc
+		})
+		var tp *TaskPanic
+		switch {
+		case r%2 == 0 && err != nil:
+			t.Fatalf("round %d: Err() = %v, want nil", r, err)
+		case r%2 == 1 && (!errors.As(err, &tp) || tp.Value != r):
+			t.Fatalf("round %d: Err() = %v, want the root's panic", r, err)
+		case j.Err() != err:
+			t.Fatalf("round %d: Err() = %v after the Done waiter, %v in the other goroutine", r, j.Err(), err)
+		}
+		j.Release()
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 // W is a worker context: the handle through which application code forks,
 // calls, and joins. One W belongs to one goroutine for that goroutine's
 // lifetime; the worker *slot* behind it migrates across suspensions, which
-// is why tasks receive a *W rather than a worker id.
+// is why tasks receive a *W rather than a worker id, and so does its stack
+// when the goroutine retires as a spare and is reused (thiefLoop).
 //
 // Only its own goroutine reads or writes a W, and it writes depth and
-// frame around every task. Ws are allocated one per stack, so without the
-// outer pads two goroutines' Ws sit side by side in one size class.
+// frame around every task. Ws are allocated one per goroutine, so without
+// the outer pads two goroutines' Ws sit side by side in one size class.
 type W struct {
 	_ cacheline.Pad
 

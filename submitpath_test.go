@@ -123,10 +123,15 @@ func BenchmarkSubmitAllocs(b *testing.B) {
 //     ZERO heap allocations per request — pooled Job, a shed decided under
 //     the admission mutex, no clock read, no eager done channel, no eager
 //     stats snapshot;
-//  2. the admitted closed-loop path stays within the ≤2 allocs/Submit
-//     budget (the lazily allocated completion channel and its box —
-//     paid only because the caller actually waits).
+//  2. the admitted closed-loop path — Submit, Err, Release — performs zero
+//     too: a pooled Job, and an Err that blocks on the semaphore inside
+//     it, not on a channel.
+//
+// sync.Pool drops Puts at random under -race, so the gate skips there.
 func TestSubmitAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
 	t.Run("shed-zero-alloc", func(t *testing.T) {
 		rt, done := shedRuntime(t)
 		defer done()
@@ -160,8 +165,8 @@ func TestSubmitAllocGate(t *testing.T) {
 			}
 			j.Release()
 		})
-		if allocs > 2 {
-			t.Errorf("admitted closed-loop Submit allocates %.2f/op, want <= 2", allocs)
+		if allocs != 0 {
+			t.Errorf("admitted closed-loop Submit allocates %.2f/op, want 0", allocs)
 		}
 	})
 }
