@@ -84,10 +84,9 @@ func (w *W) AcquireScratch() *Scratch {
 // callers' release sites are skipped by unwinding naturally, never
 // deferred.
 //
-// The frame's references are dropped so a hoarded block pins nothing; the
-// resume channel is deliberately kept, making repeat suspensions on
-// recycled frames allocation-free. After a Join that returned, count is
-// zero and the panic slot empty, so neither costs a locked store here.
+// The frame's owner is dropped so a hoarded block pins nothing. After a
+// Join that returned, count is zero and the panic slot empty, so neither
+// costs a locked store here.
 func (w *W) ReleaseScratch(s *Scratch) {
 	w.arenaReleases++
 	f := &s.frame
@@ -98,7 +97,7 @@ func (w *W) ReleaseScratch(s *Scratch) {
 		f.panicked.Store(nil)
 	}
 	f.pending = 0
-	f.stack = nil
+	f.owner = nil
 	a := &w.slot.arena
 	if a.n < arenaHoardCap {
 		s.next = a.free

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fibril/internal/stack"
 	"fibril/internal/trace"
 )
 
@@ -48,13 +47,10 @@ type Frame struct {
 	// happened, so the stale tally costs this frame's Join one failed Pop.
 	pending int32
 
-	resume chan *worker // carries the finisher's slot to the parked owner
-
-	// Saved execution state, the analogue of fibril_t.state{rbp,rsp,rip}
-	// plus fibril_t.stack: which simulated stack the frame lives on and
-	// the watermark to resume at.
-	stack     *stack.Stack
-	watermark int
+	// owner is the W that called Init, on whose stack the frame lives (the
+	// analogue of fibril_t.stack): the last stolen child delivers its slot
+	// to the owner's hand-off.
+	owner *W
 
 	depth int32 // invocation depth of the owning task
 
@@ -70,8 +66,8 @@ const frameSuspended = int32(1) << 30
 // Depth returns the invocation-tree depth recorded at Init.
 func (f *Frame) Depth() int { return int(f.depth) }
 
-// Init prepares the frame for forking: records the owning stack and the
-// current invocation depth.
+// Init prepares the frame for forking: records the owner and the current
+// invocation depth.
 func (w *W) Init(f *Frame) {
 	// count is zero already unless the frame was abandoned mid-region (a
 	// panic unwound past its Join) and is being reused; the load keeps the
@@ -80,8 +76,7 @@ func (w *W) Init(f *Frame) {
 		f.count.Store(0)
 	}
 	f.pending = 0
-	f.stack = w.stack
-	f.watermark = 0
+	f.owner = w
 	f.depth = w.depth
 }
 
@@ -98,30 +93,31 @@ func countStolen(t task) bool {
 
 // childDone is called by the worker that just completed a stolen child of f
 // — one countStolen counted; children the owner pops back never get here.
-// When it completes the last stolen child of a *suspended* frame it resumes
-// the parked owner, transferring the caller's worker slot to it (Listing 3
-// lines 68–75); the caller must then stop using the slot and, if it reports
-// a handoff, retire: its stack goes to the pool and its goroutine becomes a
-// spare (thiefLoop).
+// When it completes the last stolen child of a *suspended* frame it retires
+// in Listing 3's order (lines 68–75): its stack goes back to the pool (line
+// 71), its goroutine is listed as a spare, and only then is its worker slot
+// delivered to the parked owner, so its next suspend finds the spare. The
+// caller then stops using the slot and waits on its hand-off (thiefLoop).
 //
 // The decrement is the caller's LAST touch of the frame unless it observes
 // the suspend bit alone — the owner relies on that to recycle arena-backed
 // frames immediately after Join observes a zero count. When the bit is
-// observed the owner is parked on f.resume and nobody else can reach the
-// frame, so the resume fields are read without a lock (the owner's
-// commit CAS published them; this Add on the same word acquired them).
+// observed the owner is parked on its hand-off and nobody else can reach the
+// frame, so owner is read without a lock (Init wrote it before the first
+// Fork; the steal that counted this child acquired it).
 func (w *W) childDone(f *Frame) (handoff bool) {
 	if f.count.Add(-1) != frameSuspended {
 		return false // siblings remain, or the owner never suspended
 	}
-	// Last child of a suspended frame: take over the resume state, clear
-	// the flag, and wake the owner.
-	ch := f.resume
+	// Last child of a suspended frame: clear the flag, retire, wake the owner.
+	owner := f.owner
 	f.count.Store(0)
 
 	w.stats.resumes.Add(1)
-	w.rt.trc.Emit(w.slot.id, trace.KindResume, int64(f.stack.ID()), 0)
-	ch <- w.slot
+	w.rt.trc.Emit(w.slot.id, trace.KindResume, int64(owner.stack.ID()), 0)
+	w.rt.pool.Put(w.slot.id, w.stack)
+	w.rt.spares.list(w)
+	owner.deliver(w.slot)
 	return true
 }
 
@@ -130,22 +126,16 @@ func (w *W) childDone(f *Frame) (handoff bool) {
 // slot to a replacement thief. It returns false if the children finished
 // before the suspension could be committed.
 func (w *W) suspend(f *Frame) bool {
-	// Prepare the resume state BEFORE committing the suspension: the child
-	// that observes the suspend bit reads these fields without a lock, so
-	// they must be published by the commit CAS below. The channel is
-	// allocated once and survives both frame reuse (Init leaves it) and
-	// arena recycling, so repeat suspensions are allocation-free.
-	if f.resume == nil {
-		f.resume = make(chan *worker, 1)
-	}
-	f.watermark = w.stack.Bytes()
 	rt := w.rt
-	// Commit: set the suspend bit while children remain. Failing with a
-	// zero count means they all finished during the preparation above —
-	// nobody saw the bit, so nobody read the staged state; back out.
+	// Count the wait on the hand-off BEFORE committing the suspension: the
+	// child that observes the suspend bit delivers at once. Failing with a
+	// zero count means they all finished first — nobody saw the bit, so
+	// nobody delivers; give the count back.
+	w.sem.Add(1)
 	for {
 		c := f.count.Load()
 		if c == 0 {
+			w.sem.Done()
 			return false
 		}
 		if f.count.CompareAndSwap(c, c|frameSuspended) {
@@ -158,8 +148,8 @@ func (w *W) suspend(f *Frame) bool {
 
 	// Return the unused portion of the suspended stack to the OS (Listing 3
 	// line 63). It is safe after publishing the suspension: nobody touches
-	// this stack until the resume channel fires, and the pages below the
-	// watermark stay mapped. They fault back in lazily after the resume.
+	// this stack until the hand-off delivers, and the pages below its top
+	// stay mapped. They fault back in lazily after the resume.
 	if rt.cfg.Strategy == StrategyFibril {
 		freed := w.stack.UnmapAbove()
 		w.stats.unmaps.Add(1)
@@ -187,7 +177,7 @@ func (w *W) suspend(f *Frame) bool {
 	// The finisher's slot is generally not the one given up above, and that
 	// slot's new occupant is adding to its shard: follow the slot, so a
 	// shard keeps one writer.
-	w.slot = <-f.resume
+	w.slot = w.wait()
 	w.stats = rt.shard(w.slot.id)
 	if !parkedAt.IsZero() {
 		rt.trc.Emit(w.slot.id, trace.KindJoinWait, int64(w.stack.ID()), time.Since(parkedAt))

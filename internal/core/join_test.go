@@ -312,3 +312,40 @@ func TestStatsExactAtQuiescenceLaggedLive(t *testing.T) {
 		t.Errorf("%d samples lagged the worker by more than %d forks (worst %d)", v.behind, countFlushForks, v.worstLag)
 	}
 }
+
+// TestSuspendBackOutGivesWaitBack pins the back-out of a suspend whose
+// stolen children all finished before its commit CAS. suspend counts a wait
+// on its W's hand-off before that CAS, because the child that sees the
+// suspend bit delivers at once; a suspend that finds the count zero must
+// give the wait back. Otherwise the next suspend on the same W would wait
+// for two deliveries and get one, and the round below would never end.
+func TestSuspendBackOutGivesWaitBack(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 2})
+	var st Stats
+	watchdog(t, 30*time.Second, func() {
+		st = rt.Run(func(w *W) {
+			var fr Frame
+			w.Init(&fr)
+			if w.suspend(&fr) {
+				t.Error("suspend committed on a frame with no stolen child")
+			}
+			// A round that certainly suspends: the child, stolen, finishes
+			// only once its parent is parked.
+			var started atomic.Bool
+			w.Init(&fr)
+			w.Fork(&fr, func(*W) {
+				started.Store(true)
+				for fr.count.Load()&frameSuspended == 0 {
+					runtime.Gosched()
+				}
+			})
+			for !started.Load() {
+				runtime.Gosched()
+			}
+			w.Join(&fr)
+		})
+	})
+	if st.Suspends != 1 || st.Resumes != 1 {
+		t.Errorf("suspends=%d resumes=%d, want 1 and 1: the back-out is no suspension", st.Suspends, st.Resumes)
+	}
+}

@@ -29,8 +29,7 @@ var (
 	frameFields = []string{
 		"count",          // thieves, under the victim's deque lock and at child completion; the owner's commit CAS
 		"pending",        // the owner, on every Fork and Join
-		"stack", "depth", // the owner, at Init
-		"resume", "watermark", // the owner, before the commit CAS
+		"owner", "depth", // the owner, at Init
 		"panicked", // whoever ran the first child to panic; the owner's Join
 	}
 )
@@ -41,11 +40,13 @@ func TestLayout(t *testing.T) {
 	layouttest.Groups(t, worker{}, workerGroups...)
 	layouttest.Groups(t, Runtime{}, runtimeGroups...)
 	layouttest.Groups(t, parkLot{}, parkGroup)
-	// A W is touched by its own goroutine only: one group, kept off its
-	// neighbours. The last four are the private per-fork counters; spawn is
-	// nil except under the two baselines with a spawn prologue.
+	// A W is touched by its own goroutine only, but for the hand-off (sem,
+	// next) a deliverer writes while that goroutine waits without a slot:
+	// one group, kept off its neighbours. The last four are the private
+	// per-fork counters; spawn is nil except under the two baselines with a
+	// spawn prologue.
 	layouttest.Groups(t, W{}, []string{"rt", "slot", "stack", "stats", "depth", "frame",
-		"released", "frameBytes", "strategy", "wantsFork", "spawn",
+		"released", "sem", "next", "frameBytes", "strategy", "wantsFork", "spawn",
 		"forks", "calls", "arenaAcquires", "arenaReleases"})
 	layouttest.Element(t, counterShard{})
 
@@ -58,14 +59,14 @@ func TestLayout(t *testing.T) {
 	if n := len(frameFields); n != frame.NumField() {
 		t.Errorf("core.Frame has %d fields, %d listed", frame.NumField(), n)
 	}
-	// A Frame is six words, and one Scratch (184 bytes) is one object of Go's
-	// 192-byte size class (176 is the class below): two Frame fields more
+	// A Frame is four words, and one Scratch (168 bytes) is one object of
+	// Go's 176-byte size class (160 is the class below): two Frame words more
 	// move every fork/join region's block up a class.
-	if sz := unsafe.Sizeof(Frame{}); sz != 48 {
-		t.Errorf("core.Frame is %d bytes, want 48", sz)
+	if sz := unsafe.Sizeof(Frame{}); sz != 32 {
+		t.Errorf("core.Frame is %d bytes, want 32", sz)
 	}
-	if sz := unsafe.Sizeof(Scratch{}); sz <= 176 || sz > 192 {
-		t.Errorf("core.Scratch is %d bytes, outside the 192-byte size class (176, 192]", sz)
+	if sz := unsafe.Sizeof(Scratch{}); sz <= 160 || sz > 176 {
+		t.Errorf("core.Scratch is %d bytes, outside the 176-byte size class (160, 176]", sz)
 	}
 }
 

@@ -52,8 +52,13 @@ func runSuspendRounds(t *testing.T, cfg Config) Stats {
 // it. The frame and the child are made once, so a round allocates nothing
 // of its own: what it allocates, the runtime does.
 func suspendRounds(t *testing.T, w *W) func(rounds int) {
-	const dirtyPages = 8
 	var fr Frame
+	return suspendRoundsOn(t, w, func() *Frame { return &fr })
+}
+
+// suspendRoundsOn is suspendRounds with each round's frame from frame.
+func suspendRoundsOn(t *testing.T, w *W, frame func() *Frame) func(rounds int) {
+	const dirtyPages = 8
 	var started atomic.Bool
 	child := func(cw *W) {
 		started.Store(true)
@@ -62,41 +67,40 @@ func suspendRounds(t *testing.T, w *W) func(rounds int) {
 	}
 	return func(rounds int) {
 		for r := 0; r < rounds; r++ {
+			fr := frame()
 			started.Store(false)
-			w.Init(&fr)
-			w.Fork(&fr, child)
+			w.Init(fr)
+			w.Fork(fr, child)
 			for deadline := time.Now().Add(10 * time.Second); !started.Load(); runtime.Gosched() {
 				if time.Now().After(deadline) {
 					t.Errorf("round %d: no thief took the forked child in 10 s", r)
 					break
 				}
 			}
-			w.Join(&fr)
+			w.Join(fr)
 		}
 	}
 }
 
 // TestSuspendRoundAllocs is the allocation gate for the suspend path: once a
 // spare exists, a suspend/resume round allocates nothing. The suspending
-// parent's replacement thief is a parked spare, not a new goroutine with a
-// new W, and the frame's resume channel was made by its first suspend. At
-// the runtime that started a goroutine per suspend every round allocated at
-// least three objects: the W, the go statement's closure and the new
-// goroutine's timer. The warm-up rounds park the first spare and let every
-// thief goroutine sleep once (a goroutine's first time.Sleep makes its
-// timer). Then twelve stacks taken and put back leave the pool's free list
-// with room for the one or two more a round frees at once (append grows it
-// to 16), so that no Put in the window appends to a full one.
+// parent's replacement thief is a listed spare, not a new goroutine with a
+// new W, and both wait on the hand-off inside their own W, so the frame
+// carries nothing to make on a suspend. At the runtime that started a
+// goroutine per suspend every round allocated at least three objects: the
+// W, the go statement's closure and the new goroutine's timer. The warm-up
+// rounds list the first spare and let every thief goroutine sleep once (a
+// goroutine's first time.Sleep makes its timer). Then twelve stacks taken
+// and put back leave the pool's free list with room for the one or two more
+// a round frees at once (append grows it to 16), so that no Put in the
+// window appends to a full one.
 //
 // The test runs on one P. With more, the Go runtime's own caches allocate
-// for thousands of rounds: the records a blocked channel or Cond operation
-// waits in are taken from one P's list and returned to another's, and a P
-// that only takes refills from the central list, which every GC empties.
-// And on one P the retiring thief always parks as a spare before the parent
-// it resumed runs; with more, the parent can suspend again first and find
-// no spare, which costs one goroutine until a second spare has parked. The
-// race detector allocates on its own account, so the count is only
-// meaningful without it.
+// for thousands of rounds: the records a blocked semaphore or Cond
+// operation waits in are taken from one P's list and returned to
+// another's, and a P that only takes refills from the central list, which
+// every GC empties. The race detector allocates on its own account, so the
+// count is only meaningful without it.
 func TestSuspendRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -128,6 +132,47 @@ func TestSuspendRoundAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("%d suspend/resume rounds (%d suspends) allocated %d objects, want 0", rounds, suspends, allocs)
+	}
+}
+
+// TestSuspendFreshFrameAllocs is TestSuspendRoundAllocs's leg for frames
+// that have never suspended, such as the per-stage frames of a served
+// request: every round is on a new Frame, and the frame is all it allocates.
+// At the runtime whose frames carried a resume channel, made on a frame's
+// first suspend, a suspending round on a fresh frame allocated three
+// objects: the frame, the channel and the channel's buffer.
+func TestSuspendFreshFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const warm, rounds = 64, 32
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var allocs uint64
+	var suspends int64
+	NewRuntime(Config{Workers: 2}).Run(func(w *W) {
+		suspendRounds(t, w)(warm)
+		var extra [12]*stack.Stack
+		for i := range extra {
+			extra[i] = w.rt.takeStack(0)
+		}
+		for _, st := range extra {
+			w.rt.pool.Put(0, st)
+		}
+		run := suspendRoundsOn(t, w, func() *Frame { return new(Frame) })
+		s0 := w.rt.Stats().Suspends
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run(rounds)
+		runtime.ReadMemStats(&m1)
+		allocs = m1.Mallocs - m0.Mallocs
+		suspends = w.rt.Stats().Suspends - s0
+	})
+	if suspends == 0 {
+		t.Fatalf("none of %d rounds suspended", rounds)
+	}
+	if allocs != rounds {
+		t.Errorf("%d suspend/resume rounds on fresh frames (%d suspends) allocated %d objects, want %d: the frames",
+			rounds, suspends, allocs, rounds)
 	}
 }
 

@@ -14,8 +14,8 @@
 //
 //   - a runtime "stack" is a (goroutine, simulated page-granular
 //     stack.Stack) pair for as long as the goroutine occupies a worker slot
-//     or is suspended; a thief that gives its slot up puts the stack back
-//     and its goroutine waits, as a spare, to be the next replacement thief;
+//     or is suspended; a goroutine without a slot waits on its W's one
+//     hand-off for a slot to be delivered;
 //   - Fork pushes the child task on the worker slot's deque and the parent
 //     keeps running (the child is what thieves steal). It notes the child in
 //     the frame's owner-private tally and touches nothing shared: as in
@@ -28,14 +28,13 @@
 //     the deque lock and finds the deque empty, so it is ordered after every
 //     steal's count; only then does Join read the frame's count, which is the
 //     children stolen and not yet finished. If it is not zero the parent
-//     SUSPENDS: its goroutine records the frame's stack watermark, unmaps the
-//     unused pages above it (Listing 3 line 63), hands its worker slot to a
-//     replacement thief — a spare goroutine if one waits — running on a pool
-//     stack (line 93), and parks;
+//     SUSPENDS: its goroutine unmaps the unused pages above its stack's top
+//     (Listing 3 line 63), hands its worker slot to a replacement thief — a
+//     spare if one waits — running on a pool stack (line 93), and waits;
 //   - when the LAST stolen child of a suspended frame completes, the
-//     finishing worker puts its own stack into the pool, "remaps" the
-//     suspended stack, and transfers its worker slot to the parked parent
-//     (lines 68–75), which resumes on its original stack.
+//     finishing goroutine puts its own stack into the pool, lists itself as
+//     a spare, and delivers its worker slot to the parked parent (lines
+//     68–75), which resumes on its original stack.
 //
 // Exactly P worker slots are occupied by runnable goroutines at all times,
 // so the busy-leaves property — the basis of the paper's space bounds —
@@ -349,7 +348,7 @@ func NewRuntime(cfg Config) *Runtime {
 		}
 	}
 	rt.stats = make([]counterShard, cfg.Workers)
-	rt.spares.idle = make([]chan *worker, 0, cfg.Workers)
+	rt.spares.idle = make([]*W, 0, cfg.Workers)
 	return rt
 }
 
@@ -457,8 +456,8 @@ const (
 // work still private — until the thief has a task (parkLot.nidle).
 func (rt *Runtime) spawnThief(slot *worker) {
 	rt.park.nidle.Add(1)
-	if ch := rt.spares.take(); ch != nil {
-		ch <- slot
+	if w := rt.spares.take(); w != nil {
+		w.deliver(slot)
 		return
 	}
 	rt.goroutineWG.Add(1)
@@ -468,15 +467,14 @@ func (rt *Runtime) spawnThief(slot *worker) {
 // thiefLoop is the body of a worker-slot goroutine that starts with no
 // work: take a stack from the pool (blocking if the pool is bounded and
 // exhausted — the Cilk Plus stall) and occupy the slot until the runtime
-// closes or the slot is handed to a resumed parent. In the second case the
-// stack goes back to the pool — put_stack_into_pool (Listing 3 line 71) —
-// and the goroutine waits on the spare list, keeping its W and its Go
-// stack, until a suspend hands it the next slot to fill. It exits when the
-// list is full or the runtime closes.
+// closes or the slot is handed to a resumed parent. In the second case
+// childDone has put the stack back (Listing 3 line 71) and listed the
+// goroutine as a spare, keeping its W and Go stack, to wait on its hand-off
+// for the next suspend's slot; nil — from Close, or at once for a thief the
+// full or closed list refused — means exit.
 func (rt *Runtime) thiefLoop(slot *worker) {
 	defer rt.goroutineWG.Done()
 	var w *W
-	var handoff chan *worker // this goroutine's spare-list entry, made on its first retirement
 	for {
 		st := rt.takeStack(slot.id)
 		if st == nil {
@@ -491,15 +489,11 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 			w.slot, w.stack, w.stats = slot, st, rt.shard(slot.id)
 			w.released, w.depth, w.frame = false, 0, nil
 		}
-		released := rt.occupy(w)
-		rt.pool.Put(slot.id, w.stack)
-		if !released {
+		if !rt.occupy(w) {
+			rt.pool.Put(slot.id, w.stack)
 			return
 		}
-		if handoff == nil {
-			handoff = make(chan *worker, 1)
-		}
-		if slot = rt.spares.wait(handoff); slot == nil {
+		if slot = w.wait(); slot == nil {
 			return
 		}
 	}
@@ -562,54 +556,50 @@ func (rt *Runtime) occupy(w *W) (released bool) {
 	return false
 }
 
-// spareList holds the goroutines of thieves whose slot went to a resumed
-// parent, each waiting on its own hand-off channel for spawnThief to give it
-// the slot of the next suspended frame. It holds at most Workers of them:
-// a thief retiring to a full list exits. Close releases every spare (a nil
-// slot) and keeps the list closed, so retirees exit, until the next Start.
+// spareList holds the Ws of thieves whose slot went to a resumed parent,
+// each waiting on its own hand-off for spawnThief to deliver the slot of the
+// next suspended frame. It holds at most Workers of them: a thief retiring
+// to a full list exits. Close delivers nil to every spare and keeps the list
+// closed, so retirees exit, until the next Start.
 type spareList struct {
 	mu     sync.Mutex
 	closed bool
-	idle   []chan *worker // capacity Workers, made by NewRuntime; newest last
+	idle   []*W // capacity Workers, made by NewRuntime; newest last
 }
 
-// take removes the most recently parked spare, whose Go stack is the
-// likeliest to be warm, and returns its hand-off channel; nil if none waits.
-func (s *spareList) take() chan *worker {
+// take removes the most recently listed spare, whose Go stack is the
+// likeliest to be warm; nil if none waits.
+func (s *spareList) take() *W {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.idle)
 	if n == 0 {
 		return nil
 	}
-	ch := s.idle[n-1]
+	w := s.idle[n-1]
 	s.idle[n-1] = nil
 	s.idle = s.idle[:n-1]
-	return ch
+	return w
 }
 
-// wait parks the calling retired thief as a spare until it is handed a slot,
-// and returns that slot; nil, at once or when Close releases it, if the
-// thief is to exit instead.
-func (s *spareList) wait(ch chan *worker) *worker {
+// list makes the retiring thief w a spare, counting the wait it will make
+// on its hand-off, unless the list is full or closed: then w counts none,
+// and its wait returns nil at once.
+func (s *spareList) list(w *W) {
 	s.mu.Lock()
-	if s.closed || len(s.idle) == cap(s.idle) {
-		s.mu.Unlock()
-		return nil
+	if !s.closed && len(s.idle) < cap(s.idle) {
+		w.sem.Add(1)
+		s.idle = append(s.idle, w)
 	}
-	s.idle = append(s.idle, ch)
 	s.mu.Unlock()
-	return <-ch
 }
 
-// close releases every parked spare and refuses retirees until open. The
-// sends under mu cannot block: a spare lists its one-slot channel only while
-// the channel is empty, and take unlists it before anything is sent.
+// close releases every spare and refuses retirees until open.
 func (s *spareList) close() {
 	s.mu.Lock()
 	s.closed = true
-	for i, ch := range s.idle {
-		ch <- nil
+	for i, w := range s.idle {
+		w.deliver(nil)
 		s.idle[i] = nil
 	}
 	s.idle = s.idle[:0]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -434,7 +435,7 @@ func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
 			}
 		})
 		j.Release()
-		// The last finisher parks as a spare after it has resumed the root.
+		// The last finisher lists itself as a spare before it resumes the root.
 		parked := 0
 		for deadline := time.Now().Add(10 * time.Second); parked == 0 && time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
 			rt.spares.mu.Lock()
@@ -467,6 +468,55 @@ func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
 	}
 }
 
+// TestResumedJoinFindsFinisherListed pins Listing 3's retirement order: the
+// last stolen child's finisher puts its stack back and lists itself as a
+// spare before it delivers its slot to the suspended owner (lines 68–75), so
+// a Join that returned from a suspend finds the finisher listed, or the list
+// full, and the owner's next suspend reuses a spare instead of starting a
+// goroutine. Every round suspends, and its child finishes only once the
+// parent is parked and its replacement thief has taken a stack: a finisher
+// listed before the owner hands its slot over is the spare that hand-over
+// takes.
+func TestResumedJoinFindsFinisherListed(t *testing.T) {
+	const rounds = 32
+	rt := NewRuntime(Config{Workers: 2})
+	var st Stats
+	watchdog(t, 30*time.Second, func() {
+		st = rt.Run(func(w *W) {
+			var fr Frame
+			var started atomic.Bool
+			var finisher atomic.Pointer[W]
+			child := func(cw *W) {
+				inUse := rt.pool.InUse() // the parent's stack and this thief's
+				finisher.Store(cw)
+				started.Store(true)
+				for fr.count.Load()&frameSuspended == 0 || rt.pool.InUse() == inUse {
+					runtime.Gosched()
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				started.Store(false)
+				w.Init(&fr)
+				w.Fork(&fr, child)
+				for !started.Load() {
+					runtime.Gosched()
+				}
+				w.Join(&fr)
+				rt.spares.mu.Lock()
+				listed := slices.Contains(rt.spares.idle, finisher.Load()) || len(rt.spares.idle) == cap(rt.spares.idle)
+				n := len(rt.spares.idle)
+				rt.spares.mu.Unlock()
+				if !listed {
+					t.Errorf("round %d: the Join returned with its finisher not listed (%d spares)", r, n)
+				}
+			}
+		})
+	})
+	if st.Suspends != rounds || st.Resumes != rounds {
+		t.Errorf("suspends=%d resumes=%d, want %d each", st.Suspends, st.Resumes, rounds)
+	}
+}
+
 // TestReusedSpareStallsOnBoundedPool pins that a spare takes its stack
 // through takeStack like a new thief, so the Cilk Plus bounded pool stalls
 // it, and that Close releases a thief stalled there. Three slots share two
@@ -492,7 +542,7 @@ func TestReusedSpareStallsOnBoundedPool(t *testing.T) {
 	var before, during look
 	j := rt.Submit(func(w *W) {
 		suspendRounds(t, w)(1)
-		// The finisher parks as a spare after it has resumed this parent.
+		// The finisher lists itself as a spare before it resumes this parent.
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
 			if before = see(); before.spares == 1 || time.Now().After(deadline) {
 				break

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -18,9 +19,12 @@ import (
 // is why tasks receive a *W rather than a worker id, and so does its stack
 // when the goroutine retires as a spare and is reused (thiefLoop).
 //
-// Only its own goroutine reads or writes a W, and it writes depth and
-// frame around every task. Ws are allocated one per goroutine, so without
-// the outer pads two goroutines' Ws sit side by side in one size class.
+// A goroutine with no slot — suspended in a Join or listed as a spare —
+// waits on its W's hand-off (sem, next) for another to deliver one, which
+// writes those two and may read stack. Otherwise only its own goroutine
+// reads or writes a W, and it writes depth and frame around every task. Ws
+// are allocated one per goroutine, so without the outer pads two
+// goroutines' Ws sit side by side in one size class.
 type W struct {
 	_ cacheline.Pad
 
@@ -32,6 +36,9 @@ type W struct {
 	depth    int32  // current invocation depth
 	frame    *Frame // frame of the task currently executing (nil at root)
 	released bool   // slot handed to a resumed parent; owner must retire
+
+	sem  sync.WaitGroup // the hand-off: one wait, counted before the slot is given up
+	next *worker        // the slot delivered on sem; nil means exit
 
 	// The per-fork counters, kept as plain integers here and folded into
 	// the slot's shard by flushCounts, so a fork/call/join node adds to no
@@ -60,6 +67,20 @@ func (w *W) Depth() int { return int(w.depth) }
 
 // StackID identifies the simulated stack the goroutine runs on.
 func (w *W) StackID() int { return w.stack.ID() }
+
+// deliver gives slot to w's goroutine, waiting for it in wait.
+func (w *W) deliver(slot *worker) {
+	w.next = slot
+	w.sem.Done()
+}
+
+// wait returns the slot delivered on sem; nil at once if no wait was counted.
+func (w *W) wait() *worker {
+	w.sem.Wait()
+	slot := w.next
+	w.next = nil
+	return slot
+}
 
 // countFlushForks bounds how many forks a W counts privately before folding
 // them into its slot's shard, so a Stats() taken while a long unstolen root
