@@ -116,7 +116,7 @@ func (w *W) childDone(f *Frame) (handoff bool) {
 	w.stats.resumes.Add(1)
 	w.rt.trc.Emit(w.slot.id, trace.KindResume, int64(owner.stack.ID()), 0)
 	w.rt.pool.Put(w.slot.id, w.stack)
-	w.rt.spares.list(w)
+	w.rt.spares.add(w)
 	owner.deliver(w.slot)
 	return true
 }

@@ -317,7 +317,7 @@ func (a *admitState) fitsLocked(tenant string) bool {
 
 // admitLocked reserves capacity for j, counts it admitted and appends it to
 // the ready list. The caller wakes a thief after unlocking: publish-then-wake,
-// the Dekker pair with parkLot.nparked that Fork uses.
+// the Dekker pair with the park lot's list of thieves that Fork uses.
 func (a *admitState) admitLocked(j *Job) {
 	a.inflight++
 	a.jobs.admitted++
@@ -419,7 +419,7 @@ func (rt *Runtime) ensureStarted() bool {
 	a.mu.Unlock()
 
 	rt.done.Store(false)
-	rt.park.open()
+	rt.park.thieves.open()
 	rt.spares.open()
 	for _, slot := range rt.workers {
 		rt.spawnThief(slot)
@@ -611,7 +611,7 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	// bounded pool's Take, wait for every worker goroutine to unwind, then
 	// reopen the pool for the next Start.
 	rt.done.Store(true)
-	rt.park.close()
+	rt.park.thieves.close()
 	rt.spares.close()
 	rt.pool.Close()
 	rt.goroutineWG.Wait()

@@ -148,9 +148,10 @@ func TestParkedThievesWakeForLateWork(t *testing.T) {
 // on the dispatch path: with every thief parked, each Submit must wake
 // enough thieves to run the root AND the task it forks. The root blocks
 // inside the task it would run inline until a second thief runs the
-// other, so a dropped dispatch wake (or a fork wake swallowed by the
-// token cap) hangs the test. Its one subtest is named "sharded", after the
-// per-slot intake that is gone, only so that its recorded name stays stable.
+// other, so a dropped dispatch wake (or a fork wake spent on a thief that
+// is already busy) hangs the test. Its one subtest is named "sharded",
+// after the per-slot intake that is gone, only so that its recorded name
+// stays stable.
 func TestSubmitAfterAllThievesParked(t *testing.T) {
 	const workers = 4
 	t.Run("sharded", func(t *testing.T) {
@@ -180,17 +181,26 @@ func TestSubmitAfterAllThievesParked(t *testing.T) {
 	})
 }
 
-// TestWakeTokenCapNoStaleTokens unit-tests the token accounting that
+// testLot returns a park lot with room for n parked thieves, as NewRuntime
+// makes it for Workers = n.
+func testLot(n int) *parkLot {
+	p := new(parkLot)
+	p.thieves.ws = make([]*W, 0, n)
+	return p
+}
+
+// TestWakeTokenCapNoStaleTokens unit-tests the delivery accounting that
 // makes wake-one safe: a wake burst larger than the sleeper population
-// must not bank surplus tokens, or a thief parking later would sail
-// straight through its sleep and busy-loop on an empty system.
+// must not leave surplus deliveries behind, or a thief parking later would
+// sail straight through its sleep and busy-loop on an empty system. Each
+// sleeper parks a bare W, as a thief parks its own.
 func TestWakeTokenCapNoStaleTokens(t *testing.T) {
-	p := newParkLot()
+	p := testLot(4)
 	noSweep := func() (task, bool) { return task{}, false }
 	parkOne := func() chan struct{} {
 		ch := make(chan struct{})
 		go func() {
-			p.park(new(atomic.Int64), noSweep)
+			p.park(new(W), new(atomic.Int64), noSweep)
 			close(ch)
 		}()
 		return ch
@@ -214,21 +224,21 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 		}
 	}
 
-	// Phase 1: one sleeper, wake(8). The cap must clamp the burst to one
-	// token — the sleeper wakes, and no token survives it.
+	// Phase 1: one sleeper, wake(8). The burst reaches the one listed
+	// sleeper — it wakes, and nothing is left for anyone after it.
 	first := parkOne()
 	waitSleepers(1)
 	p.wake(8)
 	awaits(first, "first sleeper after wake(8)")
 	waitSleepers(0)
 
-	// Phase 2: a fresh parker must actually sleep. If phase 1 banked
-	// surplus tokens this parker would return immediately.
+	// Phase 2: a fresh parker must actually sleep. If phase 1 had left a
+	// surplus delivery this parker would return immediately.
 	second := parkOne()
 	waitSleepers(1)
 	select {
 	case <-second:
-		t.Fatal("second parker woke on a stale token from the wake(8) burst")
+		t.Fatal("second parker woke on a stale delivery from the wake(8) burst")
 	case <-time.After(50 * time.Millisecond):
 	}
 	p.wake(1)
@@ -236,7 +246,7 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	waitSleepers(0)
 
 	// Phase 3: a burst sized to the sleepers releases every one of them
-	// and, like the clamped burst, leaves no residue.
+	// and, like the larger burst, leaves no residue.
 	a, b := parkOne(), parkOne()
 	waitSleepers(2)
 	p.wake(2)
@@ -247,24 +257,23 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	waitSleepers(1)
 	select {
 	case <-late:
-		t.Fatal("late parker woke on a stale token from wake(2)")
+		t.Fatal("late parker woke on a stale delivery from wake(2)")
 	case <-time.After(50 * time.Millisecond):
 	}
-	p.close()
+	p.thieves.close()
 	awaits(late, "late sleeper after close")
 }
 
 // TestWakeZeroTakesNoLock pins wake's first fast path: publishing nothing —
 // a drain that found nothing private, a completion that promoted no queued
-// job — returns before it looks at the lot, even while a thief is
-// registered. The test holds mu, so a wake(0) that took it would block;
+// job — returns before it looks at the lot, even while a thief is listed.
+// The test holds the list's mutex, so a wake(0) that took it would block;
 // the channel bounds the wait, so that regression fails instead of hanging.
 func TestWakeZeroTakesNoLock(t *testing.T) {
-	p := newParkLot()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.nparked.Add(1)
-	defer p.nparked.Add(-1)
+	p := testLot(1)
+	p.thieves.add(new(W))
+	p.thieves.mu.Lock()
+	defer p.thieves.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		p.wake(0)
@@ -273,17 +282,88 @@ func TestWakeZeroTakesNoLock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("wake(0) with a registered thief is waiting for the park lot's mutex")
+		t.Fatal("wake(0) with a listed thief is waiting for the park lot's mutex")
 	}
-	if p.tokens != 0 {
-		t.Errorf("wake(0) deposited %d tokens, want 0", p.tokens)
+	if n := len(p.thieves.ws); n != 1 {
+		t.Errorf("wake(0) took %d listed thieves, want 0", 1-n)
+	}
+}
+
+// TestWakeDuringFinalSweep drives the one race of the hand-off park: a wake
+// that lands while a thief's final sweep runs, and the sweep then finds a
+// task. The thief leaves with the task, consumes the delivery the wake made
+// (a later park on the same W sleeps until the next wake), and passes the
+// wake on to a thief still listed, since it is busy with what it found.
+func TestWakeDuringFinalSweep(t *testing.T) {
+	p := testLot(2)
+	wakeThenFind := func() (task, bool) {
+		p.wake(1)
+		return task{depth: 7}, true
+	}
+	noSweep := func() (task, bool) { return task{}, false }
+	awaits := func(ch chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never woke", what)
+		}
+	}
+	parkAsync := func(w *W) chan struct{} {
+		ch := make(chan struct{})
+		go func() {
+			p.park(w, new(atomic.Int64), noSweep)
+			close(ch)
+		}()
+		for deadline := time.Now().Add(5 * time.Second); p.parked() != 1; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("parked() = %d, want 1", p.parked())
+			}
+		}
+		return ch
+	}
+
+	w := new(W)
+	var sleeps atomic.Int64
+	watchdog(t, 5*time.Second, func() {
+		if got, ok := p.park(w, &sleeps, wakeThenFind); !ok || got.depth != 7 {
+			t.Errorf("park = %+v, %v; want the task its final sweep found", got, ok)
+		}
+	})
+	if got := p.parked(); got != 0 {
+		t.Errorf("parked() = %d after park returned with a task, want 0", got)
+	}
+	if got := sleeps.Load(); got != 0 {
+		t.Errorf("sleeps = %d for a final sweep that found a task, want 0", got)
+	}
+	again := parkAsync(w)
+	select {
+	case <-again:
+		t.Fatal("the second park on the same W returned on the delivery of the first")
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.wake(1)
+	awaits(again, "second park after wake(1)")
+
+	// The same race with another thief asleep: the wake lands on the newest
+	// listed thief, the one sweeping, which hands it to the sleeper.
+	sleeper := parkAsync(new(W))
+	watchdog(t, 5*time.Second, func() {
+		if _, ok := p.park(new(W), new(atomic.Int64), wakeThenFind); !ok {
+			t.Error("park with a final sweep that found a task returned none")
+		}
+	})
+	awaits(sleeper, "sleeper after a wake taken by a thief whose sweep found work")
+	if got := p.parked(); got != 0 {
+		t.Errorf("parked() = %d after the sleeper was woken, want 0", got)
 	}
 }
 
 // TestFinalSweepReturnsTask is the park lot's half of the lost-wakeup
 // argument, made deterministic: a thief that has registered and whose
 // final sweep meets a victim holding work leaves with one task instead of
-// sleeping, and is no longer counted as parked.
+// sleeping, is no longer counted as parked, and has given back the wait it
+// counted on its hand-off when it listed itself.
 func TestFinalSweepReturnsTask(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 2})
 	victim := rt.workers[1]
@@ -295,7 +375,7 @@ func TestFinalSweepReturnsTask(t *testing.T) {
 	defer rt.pool.Put(0, st)
 	w := rt.newW(rt.workers[0], st, rt.shard(0))
 	watchdog(t, 10*time.Second, func() {
-		if _, ok := rt.park.park(&w.stats.thiefParks, func() (task, bool) { return rt.steal(w, countStolen) }); !ok {
+		if _, ok := rt.park.park(w, &w.stats.thiefParks, func() (task, bool) { return rt.steal(w, countStolen) }); !ok {
 			t.Error("final sweep over a victim with 8 tasks came back empty")
 		}
 	})
@@ -311,6 +391,11 @@ func TestFinalSweepReturnsTask(t *testing.T) {
 	if got := rt.park.parked(); got != 0 {
 		t.Errorf("parked() = %d after park returned with a task, want 0", got)
 	}
+	watchdog(t, 5*time.Second, func() {
+		if slot := w.wait(); slot != nil {
+			t.Errorf("w.wait() delivered slot %d to a thief that never slept", slot.id)
+		}
+	})
 }
 
 // TestWideFanoutStaggered is the park lot's stress: rounds of staggered

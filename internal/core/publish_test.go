@@ -49,10 +49,10 @@ func TestUnstolenForkStaysPrivate(t *testing.T) {
 
 // TestForkPublishesWhileThiefRegistered pins the fork tail's two regimes on
 // one worker, deterministically: with every slot busy only the fork that
-// finds the public part dry publishes; with a thief idle and registered on
-// the park lot — faked here, so it cannot steal — every Fork returns with
-// all the worker holds stealable and a wake token deposited, exactly as
-// before the deque had a private part.
+// finds the public part dry publishes; with a thief idle and parked on the
+// park lot — a bare W listed here, so it cannot steal — every Fork returns
+// with all the worker holds stealable and a wake delivered to that thief,
+// exactly as before the deque had a private part.
 func TestForkPublishesWhileThiefRegistered(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 1})
 	var ran atomic.Int32
@@ -67,21 +67,19 @@ func TestForkPublishesWhileThiefRegistered(t *testing.T) {
 		if got := d.Len(); got != 1 {
 			t.Errorf("nobody idle: %d of 3 forks are public, want 1", got)
 		}
+		thief := new(W)
 		p.nidle.Add(1)
-		p.nparked.Add(1)
+		p.thieves.add(thief)
 		w.Fork(&fr, leaf)
 		if got := d.Len(); got != 4 {
 			t.Errorf("thief registered: %d of 4 forks are public on return from Fork, want 4", got)
 		}
-		p.mu.Lock()
-		tokens := p.tokens
-		p.tokens = 0
-		p.mu.Unlock()
-		p.nparked.Add(-1)
-		p.nidle.Add(-1)
-		if tokens != 1 {
-			t.Errorf("%d wake tokens after a Fork with one thief registered, want 1", tokens)
+		if p.thieves.remove(thief) {
+			t.Error("the thief was still listed after a Fork with one thief registered: no wake delivered to it")
+		} else {
+			thief.wait()
 		}
+		p.nidle.Add(-1)
 		w.Join(&fr)
 	})
 	if got := ran.Load(); got != 4 {

@@ -304,7 +304,7 @@ type Runtime struct {
 	// completion and by lifecycle transitions (admit, which also holds the
 	// job counters and the ready list of admitted roots; see job.go).
 	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
-	spares      spareList
+	spares      waitList
 	admit       admitState
 
 	_ cacheline.Pad
@@ -328,7 +328,7 @@ func NewRuntime(cfg Config) *Runtime {
 		cfg:  cfg,
 		as:   as,
 		pool: stack.NewPool(as, cfg.StackPages, cfg.StackLimit),
-		park: newParkLot(),
+		park: new(parkLot),
 		trc:  trace.NewTracer(cfg.Sink, cfg.Workers),
 	}
 	if ms, ok := cfg.Sink.(*trace.MetricsSink); ok {
@@ -348,7 +348,8 @@ func NewRuntime(cfg Config) *Runtime {
 		}
 	}
 	rt.stats = make([]counterShard, cfg.Workers)
-	rt.spares.idle = make([]*W, 0, cfg.Workers)
+	rt.park.thieves.ws = make([]*W, 0, cfg.Workers)
+	rt.spares.ws = make([]*W, 0, cfg.Workers)
 	return rt
 }
 
@@ -536,10 +537,10 @@ func (rt *Runtime) occupy(w *W) (released bool) {
 				continue
 			}
 			// Searched for as long as a wake-up costs: park. park re-sweeps
-			// after registering, so a Fork or Submit racing this sleep
-			// either is seen by that sweep or sees the registration and
-			// deposits a wake token (no lost wakeup — see parkLot).
-			t, ok = rt.park.park(&w.stats.thiefParks, sweep)
+			// after listing w, so a Fork or Submit racing this sleep either
+			// is seen by that sweep or sees the listing and delivers to a
+			// listed thief (no lost wakeup — see parkLot).
+			t, ok = rt.park.park(w, &w.stats.thiefParks, sweep)
 		}
 		fails, idleSince = 0, time.Time{}
 		if !ok {
@@ -554,63 +555,6 @@ func (rt *Runtime) occupy(w *W) (released bool) {
 	}
 	rt.park.nidle.Add(-1)
 	return false
-}
-
-// spareList holds the Ws of thieves whose slot went to a resumed parent,
-// each waiting on its own hand-off for spawnThief to deliver the slot of the
-// next suspended frame. It holds at most Workers of them: a thief retiring
-// to a full list exits. Close delivers nil to every spare and keeps the list
-// closed, so retirees exit, until the next Start.
-type spareList struct {
-	mu     sync.Mutex
-	closed bool
-	idle   []*W // capacity Workers, made by NewRuntime; newest last
-}
-
-// take removes the most recently listed spare, whose Go stack is the
-// likeliest to be warm; nil if none waits.
-func (s *spareList) take() *W {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.idle)
-	if n == 0 {
-		return nil
-	}
-	w := s.idle[n-1]
-	s.idle[n-1] = nil
-	s.idle = s.idle[:n-1]
-	return w
-}
-
-// list makes the retiring thief w a spare, counting the wait it will make
-// on its hand-off, unless the list is full or closed: then w counts none,
-// and its wait returns nil at once.
-func (s *spareList) list(w *W) {
-	s.mu.Lock()
-	if !s.closed && len(s.idle) < cap(s.idle) {
-		w.sem.Add(1)
-		s.idle = append(s.idle, w)
-	}
-	s.mu.Unlock()
-}
-
-// close releases every spare and refuses retirees until open.
-func (s *spareList) close() {
-	s.mu.Lock()
-	s.closed = true
-	for i, w := range s.idle {
-		w.deliver(nil)
-		s.idle[i] = nil
-	}
-	s.idle = s.idle[:0]
-	s.mu.Unlock()
-}
-
-// open readies the list for a new Start after a close.
-func (s *spareList) open() {
-	s.mu.Lock()
-	s.closed = false
-	s.mu.Unlock()
 }
 
 // steal attempts one round of stealing over the other worker slots: the

@@ -439,7 +439,7 @@ func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
 		parked := 0
 		for deadline := time.Now().Add(10 * time.Second); parked == 0 && time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
 			rt.spares.mu.Lock()
-			parked = len(rt.spares.idle)
+			parked = len(rt.spares.ws)
 			rt.spares.mu.Unlock()
 		}
 		if parked == 0 || parked > workers {
@@ -456,7 +456,7 @@ func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
 				t.Errorf("life %d: Close: %v", life, err)
 			}
 		})
-		if n := len(rt.spares.idle); n != 0 {
+		if n := len(rt.spares.ws); n != 0 {
 			t.Errorf("life %d: %d spares still listed after Close", life, n)
 		}
 		if n := settleGoroutines(base); n > base {
@@ -503,8 +503,8 @@ func TestResumedJoinFindsFinisherListed(t *testing.T) {
 				}
 				w.Join(&fr)
 				rt.spares.mu.Lock()
-				listed := slices.Contains(rt.spares.idle, finisher.Load()) || len(rt.spares.idle) == cap(rt.spares.idle)
-				n := len(rt.spares.idle)
+				listed := slices.Contains(rt.spares.ws, finisher.Load()) || len(rt.spares.ws) == cap(rt.spares.ws)
+				n := len(rt.spares.ws)
 				rt.spares.mu.Unlock()
 				if !listed {
 					t.Errorf("round %d: the Join returned with its finisher not listed (%d spares)", r, n)
@@ -535,7 +535,7 @@ func TestReusedSpareStallsOnBoundedPool(t *testing.T) {
 	see := func() look {
 		rt.spares.mu.Lock()
 		defer rt.spares.mu.Unlock()
-		return look{rt.Stats().PoolStalls, runtime.NumGoroutine(), len(rt.spares.idle)}
+		return look{rt.Stats().PoolStalls, runtime.NumGoroutine(), len(rt.spares.ws)}
 	}
 	base := runtime.NumGoroutine()
 	rt.Start()

@@ -19,12 +19,13 @@ import (
 // is why tasks receive a *W rather than a worker id, and so does its stack
 // when the goroutine retires as a spare and is reused (thiefLoop).
 //
-// A goroutine with no slot — suspended in a Join or listed as a spare —
-// waits on its W's hand-off (sem, next) for another to deliver one, which
-// writes those two and may read stack. Otherwise only its own goroutine
-// reads or writes a W, and it writes depth and frame around every task. Ws
-// are allocated one per goroutine, so without the outer pads two
-// goroutines' Ws sit side by side in one size class.
+// A goroutine that waits — suspended in a Join or listed as a spare, both
+// without a slot, or parked as a thief, which keeps its slot — waits on its
+// W's hand-off (sem, next) for another to deliver to it, which writes those
+// two and may read stack. Otherwise only its own goroutine reads or writes a
+// W, and it writes depth and frame around every task. Ws are allocated one
+// per goroutine, so without the outer pads two goroutines' Ws sit side by
+// side in one size class.
 type W struct {
 	_ cacheline.Pad
 
@@ -68,7 +69,8 @@ func (w *W) Depth() int { return int(w.depth) }
 // StackID identifies the simulated stack the goroutine runs on.
 func (w *W) StackID() int { return w.stack.ID() }
 
-// deliver gives slot to w's goroutine, waiting for it in wait.
+// deliver gives slot to w's goroutine, waiting for it in wait; a parked
+// thief, which keeps its own slot, is woken with nil.
 func (w *W) deliver(slot *worker) {
 	w.next = slot
 	w.sem.Done()
@@ -195,8 +197,8 @@ func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 // fork made while every worker slot is busy stores to no shared word. Then —
 // after the push, the publisher's half of the park lot's Dekker pair — one
 // atomic load of the idle-slot count: while any thief is without a task —
-// not yet run, searching, registered or asleep — every Fork publishes what it
-// holds and deposits a wake token per entry, so exactly P slots stay runnable
+// not yet run, searching, listed or asleep — every Fork publishes what it
+// holds and wakes a parked thief per entry, so exactly P slots stay runnable
 // whenever work exists (busy leaves), a Fork made with a thief parked is
 // stealable on return, and an owner descheduled among hungry thieves leaves
 // them its whole deque, not one task. With nobody idle there is nobody to
@@ -256,12 +258,13 @@ func (w *W) spawnPrologue(f *Frame, bytes int) {
 // feed an otherwise-idle worker: the public part of the slot's deque looks
 // empty (any probing thief leaves hungry, whatever the owner still holds
 // privately — its next Fork publishes that too) or at least one thief is
-// parked — registered on the lot or asleep — for lack of work. A thief still
-// in its search phase is not counted as parked; it is visible through
-// LazyHint only, which is enough, since an empty public part is what it
-// keeps finding. It is the steal-driven probe behind lazy loop splitting — a
-// loop body checks it between serial chunks and forks only on true, so a
-// saturated system runs tight serial loops while an idle one splits eagerly.
+// parked — listed on the lot, in its final sweep or asleep — for lack of
+// work. A thief still in its search phase is not counted as parked; it is
+// visible through LazyHint only, which is enough, since an empty public part
+// is what it keeps finding. It is the steal-driven probe behind lazy loop
+// splitting — a loop body checks it between serial chunks and forks only on
+// true, so a saturated system runs tight serial loops while an idle one
+// splits eagerly.
 // The answer is a racy hint, never a correctness condition.
 func (w *W) ShouldSplit() bool {
 	return w.slot.deque.LazyHint() || w.rt.park.parked() > 0
