@@ -14,6 +14,7 @@ import (
 // in them can start with.
 var (
 	checkedDocs  = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "results/README.md"}
+	ciWorkflow   = ".github/workflows/ci.yml"
 	pathPrefixes = []string{"internal/", "cmd/", "results/", "benchmark/", "examples/", "testdata/", ".github/"}
 
 	codeSpanRE   = regexp.MustCompile("`([^`\n]+)`")
@@ -32,9 +33,11 @@ const appendixHeading = "## Appendix: tried and removed"
 // path the documents put in code — a span or a fenced block — exists, every
 // test, benchmark or fuzz target they name there is a func some _test.go
 // file declares, and every experiment they pass to -experiment is one
-// cmd/fibril-bench accepts. A change that deletes a file, renames a test or
-// drops an experiment has to take its mentions along, or move them to the
-// "tried and removed" appendix.
+// cmd/fibril-bench accepts. The CI workflow is held to the tests it names
+// anywhere: a -run pattern that names a deleted test matches nothing and
+// passes. A change that deletes a file, renames a test or drops an
+// experiment has to take its mentions along, or move them to the "tried
+// and removed" appendix.
 func TestDocsNameWhatExists(t *testing.T) {
 	src, err := os.ReadFile("cmd/fibril-bench/main.go")
 	if err != nil {
@@ -79,6 +82,19 @@ func TestDocsNameWhatExists(t *testing.T) {
 			if !experiments[m[1]] {
 				t.Errorf("%s quotes -experiment %s, which cmd/fibril-bench does not accept", doc, m[1])
 			}
+		}
+	}
+	ci, err := os.ReadFile(ciWorkflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := testNameRE.FindAllStringSubmatch(string(ci), -1)
+	if len(names) == 0 {
+		t.Errorf("%s: no test name found — has the check gone blind?", ciWorkflow)
+	}
+	for _, m := range names {
+		if !tests[m[1]] {
+			t.Errorf("%s names %s, which no _test.go file declares", ciWorkflow, m[1])
 		}
 	}
 }

@@ -226,10 +226,10 @@ func CheckJobs(ps []*Program, e JobsExec) error {
 
 // The many-submitters × tiny-jobs stress lane: K goroutines each submit M
 // single-node roots back to back, so the runtime spends essentially all
-// of its time in the intake path — admission under its mutex (and, with
-// an inflight bound, queueing and promotion by completions), the root
-// queue, Job pooling (every job is Released), wake-one parking — rather
-// than in the computation. The generated-program leg above stresses
+// of its time between Submit and completion — admission under its mutex
+// (and, with an inflight bound, queueing and promotion by completions), the
+// ready list of admitted roots, Job pooling (every job is Released),
+// wake-one parking — rather than in the computation. The generated-program leg above stresses
 // scheduling *within* jobs, this lane stresses the machinery *between*
 // them.
 

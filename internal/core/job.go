@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +22,9 @@ import (
 // sweep fails, so in-flight computations keep their workers until there is
 // genuinely idle capacity, and restricted (TBB) inline steals can never
 // pick up an unrelated root. Admission control in front of the ready list
-// bounds the number of live roots (Config.MaxInflight) and the per-tenant
-// stack-page budget (Config.TenantQuotaPages), shedding or queueing per
-// Config.Admission.
+// bounds the number of live roots (Config.MaxInflight): a submission over
+// the bound waits in a FIFO admission queue and is admitted as running
+// jobs complete.
 //
 // Every admission decision, ready-list link, completion release, job
 // counter and lifecycle transition happens under admitState's one mutex:
@@ -36,47 +35,12 @@ import (
 
 // Submission errors, surfaced through Job.Err.
 var (
-	// ErrShed marks a Job rejected at admission under AdmitShed (or any
-	// submission that arrived while the Runtime was closing).
-	ErrShed = errors.New("core: job shed by admission control")
 	// ErrDrained marks a queued Job abandoned by a Close whose context
 	// expired before the job could be admitted.
 	ErrDrained = errors.New("core: job drained at close")
 	// ErrClosed marks a submission that arrived during or after Close.
 	ErrClosed = errors.New("core: runtime is closed to new jobs")
 )
-
-// AdmissionPolicy selects what Submit does with a job that does not fit —
-// MaxInflight reached, or the tenant's page budget exhausted.
-type AdmissionPolicy int
-
-const (
-	// AdmitQueue (the default) parks the job in an admission queue; it is
-	// admitted FIFO (per tenant-fit) as running jobs complete. Queued jobs
-	// consume no scheduler resources.
-	AdmitQueue AdmissionPolicy = iota
-	// AdmitShed rejects the job immediately with ErrShed — the overload
-	// posture that keeps latency of admitted work flat at the cost of
-	// availability.
-	AdmitShed
-)
-
-// String returns the policy's display name as used in the experiments.
-func (p AdmissionPolicy) String() string {
-	switch p {
-	case AdmitQueue:
-		return "queue"
-	case AdmitShed:
-		return "shed"
-	default:
-		return fmt.Sprintf("AdmissionPolicy(%d)", int(p))
-	}
-}
-
-// AdmissionPolicies lists every policy, in presentation order.
-func AdmissionPolicies() []AdmissionPolicy {
-	return []AdmissionPolicy{AdmitQueue, AdmitShed}
-}
 
 // closedChan is the shared, permanently closed channel Done hands out for
 // already-completed jobs, so polling a finished Job allocates nothing. Its
@@ -89,8 +53,9 @@ var closedChan = func() chan struct{} {
 
 // Job is one submitted root computation on a serving Runtime. A Job is
 // created by Submit and completes exactly once: executed to completion
-// (possibly with a captured panic), shed at admission, or drained by a
-// forced Close. All methods are safe from any goroutine.
+// (possibly with a captured panic), refused because the Runtime was
+// closing, or drained by a forced Close. All methods are safe from any
+// goroutine.
 //
 // Jobs are pooled (jobPool): a caller that is done with a handle may call
 // Release to recycle it. Wait, Err and Seq block on a semaphore inside the
@@ -98,7 +63,6 @@ var closedChan = func() chan struct{} {
 // allocates a channel, and only if the job has not completed yet.
 type Job struct {
 	id        uint64
-	tenant    string
 	root      func(*W)
 	rt        *Runtime
 	submitted int64 // monoNow at Submit; zero unless a sink consumes KindJobDone
@@ -141,11 +105,7 @@ type Job struct {
 // Submit, so it orders jobs by arrival).
 func (j *Job) ID() uint64 { return j.id }
 
-// Tenant returns the tenant the job was submitted under ("" for the
-// default tenant).
-func (j *Job) Tenant() string { return j.tenant }
-
-// Done returns a channel closed when the job completes (including shed
+// Done returns a channel closed when the job completes (including refused
 // and drained jobs), for select-based composition. The channel is
 // allocated on first use; for an already-completed job Done returns a
 // shared closed channel without allocating. Wait, Err and Seq do not use
@@ -203,7 +163,7 @@ func (j *Job) Wait() Stats {
 
 // Err blocks until the job completes and reports how it ended: nil for a
 // clean run, the *TaskPanic that escaped the root (errors.As-compatible
-// with the panic value it wraps), or ErrShed/ErrDrained/ErrClosed for jobs
+// with the panic value it wraps), or ErrClosed/ErrDrained for jobs
 // admission never ran.
 func (j *Job) Err() error {
 	j.wait()
@@ -235,7 +195,6 @@ func (j *Job) Release() {
 	j.sem.Wait()
 	j.rt = nil
 	j.id = 0
-	j.tenant = ""
 	j.root = nil
 	j.submitted = 0
 	j.tp = nil
@@ -261,9 +220,8 @@ const (
 )
 
 // admitState is the admission-control half of the serving lifecycle: the
-// lifecycle state, the inflight count, the per-tenant page reservations,
-// the not-yet-admitted queue, the ready list of admitted roots awaiting a
-// worker and the job counters. mu guards all of them, and every admission
+// lifecycle state, the inflight count, the not-yet-admitted queue, the
+// ready list of admitted roots awaiting a worker and the job counters. mu guards all of them, and every admission
 // decision, ready-list link, completion release and lifecycle transition is
 // made holding it. nready alone is also read without it.
 type admitState struct {
@@ -281,12 +239,8 @@ type admitState struct {
 	head, tail *Job
 	nready     atomic.Int64
 
-	max     int // Config.MaxInflight (0 = unlimited)
-	policy  AdmissionPolicy
-	quota   int64 // Config.TenantQuotaPages (0 = unlimited)
-	reserve int64 // pages one inflight job reserves (Config.StackPages)
-	tenants map[string]int64
-	queue   []*Job        // submitted, awaiting admission (AdmitQueue)
+	max     int           // Config.MaxInflight (0 = unlimited)
+	queue   []*Job        // submitted, awaiting admission, oldest first
 	drained chan struct{} // set while a Close waits; closed and cleared once drained
 }
 
@@ -297,22 +251,15 @@ type jobCounts struct {
 }
 
 // rank is the completion rank (Job.Seq) of the job resolved last: every
-// rank is handed out together with exactly one shed, drained or completed
-// count.
+// rank is handed out together with exactly one shed (refused while
+// closing), drained or completed count.
 func (c *jobCounts) rank() uint64 {
 	return uint64(c.shed + c.drained + c.completed)
 }
 
-// fitsLocked reports whether one more job from tenant fits the inflight
-// bound and the tenant's page budget.
-func (a *admitState) fitsLocked(tenant string) bool {
-	if a.max > 0 && a.inflight >= int64(a.max) {
-		return false
-	}
-	if a.quota > 0 && a.tenants[tenant]+a.reserve > a.quota {
-		return false
-	}
-	return true
+// fitsLocked reports whether one more job fits the inflight bound.
+func (a *admitState) fitsLocked() bool {
+	return a.max <= 0 || a.inflight < int64(a.max)
 }
 
 // admitLocked reserves capacity for j, counts it admitted and appends it to
@@ -321,12 +268,6 @@ func (a *admitState) fitsLocked(tenant string) bool {
 func (a *admitState) admitLocked(j *Job) {
 	a.inflight++
 	a.jobs.admitted++
-	if a.quota > 0 {
-		if a.tenants == nil {
-			a.tenants = make(map[string]int64)
-		}
-		a.tenants[j.tenant] += a.reserve
-	}
 	if a.tail == nil {
 		a.head = j
 	} else {
@@ -336,39 +277,21 @@ func (a *admitState) admitLocked(j *Job) {
 	a.nready.Add(1)
 }
 
-// releaseLocked returns j's reservation.
-func (a *admitState) releaseLocked(j *Job) {
-	a.inflight--
-	if a.quota > 0 {
-		if r := a.tenants[j.tenant] - a.reserve; r > 0 {
-			a.tenants[j.tenant] = r
-		} else {
-			delete(a.tenants, j.tenant)
-		}
-	}
-}
-
-// promoteLocked admits every queued job that now fits and returns how many
-// it admitted, preserving FIFO order within the queue but skipping past
-// tenant-blocked entries so one over-quota tenant cannot
-// head-of-line-block the others. The queue is filtered in place.
+// promoteLocked admits queued jobs, oldest first, while they fit and
+// returns how many it admitted.
 func (a *admitState) promoteLocked() int {
-	rest := a.queue[:0]
-	for _, j := range a.queue {
-		if a.fitsLocked(j.tenant) {
-			a.admitLocked(j)
-		} else {
-			rest = append(rest, j)
-		}
+	n := 0
+	for len(a.queue) > 0 && a.fitsLocked() {
+		a.admitLocked(a.queue[0])
+		a.queue[0] = nil
+		a.queue = a.queue[1:]
+		n++
 	}
-	n := len(a.queue) - len(rest)
-	clear(a.queue[len(rest):])
-	a.queue = rest
 	return n
 }
 
-// rejectLocked resolves a job admission never ran — shed, drained, or
-// submitted while closing — counting it and giving it a completion rank.
+// rejectLocked resolves a job admission never ran — submitted while
+// closing, or drained — counting it and giving it a completion rank.
 // The caller publishes it with j.finish after unlocking.
 func (a *admitState) rejectLocked(j *Job, err error) {
 	if err == ErrDrained {
@@ -431,10 +354,9 @@ func (rt *Runtime) ensureStarted() bool {
 // count on its semaphore that finish releases; its ID is assigned under the
 // admission mutex. The submit-time clock read exists only when a sink
 // consumes KindJobDone — untraced serving pays no clock read per job.
-func (rt *Runtime) newJob(tenant string, root func(*W)) *Job {
+func (rt *Runtime) newJob(root func(*W)) *Job {
 	j := jobPool.Get().(*Job)
 	j.rt = rt
-	j.tenant = tenant
 	j.root = root
 	if rt.stampJobs {
 		j.submitted = monoNow()
@@ -450,30 +372,23 @@ var clockBase = time.Now()
 // submit stamp in one word instead of a time.Time's three.
 func monoNow() int64 { return int64(time.Since(clockBase)) }
 
-// Submit injects root as an independent top-level computation under the
-// default tenant. See SubmitTenant.
-func (rt *Runtime) Submit(root func(*W)) *Job {
-	return rt.SubmitTenant("", root)
-}
-
-// SubmitTenant injects root as an independent top-level computation
-// accounted to tenant, returning a Job handle immediately — Submit never
-// blocks. The root is picked up by the first worker whose steal sweep
-// comes up empty, so running computations are not preempted. If admission
-// control rejects the job (AdmitShed, or a Close in progress) the returned
-// Job is already complete with Err set; under AdmitQueue it waits in the
-// admission queue. Submit panics on a runtime that was never started — call
+// Submit injects root as an independent top-level computation, returning
+// a Job handle immediately — Submit never blocks. The root is picked up by
+// the first worker whose steal sweep comes up empty, so running
+// computations are not preempted. A job over Config.MaxInflight waits in
+// the admission queue and is admitted in submission order as running jobs
+// complete. Submit panics on a runtime that was never started — call
 // Start first (or use Run, which manages the lifecycle itself); on one that
 // is closing or closed the Job completes with ErrClosed, counted in
 // Stats.JobsShed, so a submitter racing Close is refused, never panicked.
 //
-// The whole decision — lifecycle, inflight bound, tenant budget, queue or
-// shed — and the job's ID and JobsSubmitted count are taken in one hold of
+// The whole decision — lifecycle, inflight bound, admit or queue — and the
+// job's ID and JobsSubmitted count are taken in one hold of
 // the admission mutex; a submission refused for an idle runtime is not
 // counted. Completions release under the same mutex, so capacity cannot
 // free up between the fit check and the enqueue.
-func (rt *Runtime) SubmitTenant(tenant string, root func(*W)) *Job {
-	j := rt.newJob(tenant, root)
+func (rt *Runtime) Submit(root func(*W)) *Job {
+	j := rt.newJob(root)
 	a := &rt.admit
 	a.mu.Lock()
 	if a.life == lifeIdle {
@@ -485,13 +400,11 @@ func (rt *Runtime) SubmitTenant(tenant string, root func(*W)) *Job {
 	switch {
 	case a.life != lifeServing:
 		a.rejectLocked(j, ErrClosed)
-	case a.fitsLocked(j.tenant):
+	case a.fitsLocked():
 		a.admitLocked(j)
 		a.mu.Unlock()
 		rt.park.wake(1)
 		return j
-	case a.policy == AdmitShed:
-		a.rejectLocked(j, ErrShed)
 	default:
 		a.queue = append(a.queue, j)
 		a.mu.Unlock()
@@ -533,7 +446,7 @@ func (rt *Runtime) nextRoot() (task, bool) {
 // completeJob finishes j after its root returned (or panicked): surface a
 // captured panic as the job error, emit the request-latency event, then in
 // one hold of the admission mutex stamp the completion rank, count the
-// job, release its reservation, promote queued jobs that now fit onto the
+// job, release its inflight slot, promote queued jobs that now fit onto the
 // ready list and ring a waiting Close's drain gate — then wake one thief per
 // promoted job, and only after that publish completion.
 // No Stats snapshot is taken here — it is computed lazily on first Wait.
@@ -549,7 +462,7 @@ func (rt *Runtime) completeJob(slot int, j *Job) {
 	a.mu.Lock()
 	a.jobs.completed++
 	j.seq = a.jobs.rank()
-	a.releaseLocked(j)
+	a.inflight--
 	promoted := a.promoteLocked()
 	a.checkDrainedLocked()
 	a.mu.Unlock()

@@ -136,20 +136,9 @@ type Config struct {
 	// 0 disables the ceiling.
 	MaxResidentPages int64
 	// MaxInflight > 0 bounds the number of admitted-but-incomplete Jobs a
-	// serving runtime carries at once; Submit calls beyond it queue or
-	// shed per Admission. 0 means unlimited.
+	// serving runtime carries at once; Submit calls beyond it wait in a
+	// FIFO admission queue. 0 means unlimited.
 	MaxInflight int
-	// Admission selects the overload posture when a Submit does not fit
-	// MaxInflight or a tenant quota: AdmitQueue (default) parks it in an
-	// admission queue, AdmitShed rejects it with ErrShed.
-	Admission AdmissionPolicy
-	// TenantQuotaPages > 0 gives every tenant a budget of simulated stack
-	// pages, layered under MaxResidentPages: each inflight Job reserves
-	// StackPages (one worker stack's worth) against its tenant's budget at
-	// admission, so one tenant's burst queues or sheds before it can crowd
-	// the shared page ceiling. 0 disables per-tenant quotas. A budget below
-	// StackPages could admit no job at all, so NewRuntime panics on one.
-	TenantQuotaPages int64
 	// Sink, when non-nil, receives the scheduler event stream (forks,
 	// steals, suspensions, resumptions, unmaps, reclaims, job lifecycle)
 	// through per-worker ring buffers: a trace.Recorder for post-mortem
@@ -179,7 +168,6 @@ func (c Config) withDefaults() Config {
 	// A negative bound means what 0 means: off.
 	c.MaxResidentPages = max(c.MaxResidentPages, 0)
 	c.MaxInflight = max(c.MaxInflight, 0)
-	c.TenantQuotaPages = max(c.TenantQuotaPages, 0)
 	if c.Seed == 0 {
 		c.Seed = 0x9E3779B97F4A7C15
 	}
@@ -312,17 +300,12 @@ type Runtime struct {
 
 // NewRuntime creates a runtime with the given configuration. The runtime
 // owns a fresh simulated address space and stack pool. It panics on a
-// Strategy that is not one of Strategies(), and on a TenantQuotaPages
-// smaller than the (defaulted) StackPages every job reserves.
+// Strategy that is not one of Strategies().
 func NewRuntime(cfg Config) *Runtime {
 	if !slices.Contains(Strategies(), cfg.Strategy) {
 		panic(fmt.Sprintf("core: unknown strategy %v", cfg.Strategy))
 	}
 	cfg = cfg.withDefaults()
-	if cfg.TenantQuotaPages > 0 && cfg.TenantQuotaPages < int64(cfg.StackPages) {
-		panic(fmt.Sprintf("core: TenantQuotaPages %d is below StackPages %d: no job could ever be admitted",
-			cfg.TenantQuotaPages, cfg.StackPages))
-	}
 	as := vm.NewAddressSpace()
 	rt := &Runtime{
 		cfg:  cfg,
@@ -335,9 +318,6 @@ func NewRuntime(cfg Config) *Runtime {
 		rt.metrics = ms
 	}
 	rt.admit.max = cfg.MaxInflight
-	rt.admit.policy = cfg.Admission
-	rt.admit.quota = cfg.TenantQuotaPages
-	rt.admit.reserve = int64(cfg.StackPages)
 	rt.stampJobs = rt.trc.Wants(trace.KindJobDone)
 	rt.workers = make([]*worker, cfg.Workers)
 	for i := range rt.workers {
@@ -396,7 +376,7 @@ func (rt *Runtime) Run(root func(*W)) Stats {
 		if errors.As(err, &tp) {
 			panic(tp) // the root task panicked: surface it from Run
 		}
-		panic(err) // shed/drained: Run's caller raced admission or Close
+		panic(err) // closed/drained: Run's caller raced admission or Close
 	}
 	return stats
 }

@@ -2,14 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"fibril/internal/stack"
 )
 
 // parfib is Listing 1's parallel Fibonacci on the core API: fork n-1, call
@@ -331,13 +328,13 @@ func TestWorkerCountDefaults(t *testing.T) {
 }
 
 // TestNegativeBoundsMeanOff pins that a negative bound reads back as 0, the
-// value that switches it off: admission tests MaxInflight and TenantQuotaPages
-// for > 0, and NewRuntime's quota check must not take -1 for a tiny budget.
+// value that switches it off: admission tests MaxInflight for > 0, and the
+// ceiling tests MaxResidentPages the same way.
 func TestNegativeBoundsMeanOff(t *testing.T) {
-	c := NewRuntime(Config{Workers: 1, MaxResidentPages: -1, MaxInflight: -1, TenantQuotaPages: -1}).Config()
-	if c.MaxResidentPages != 0 || c.MaxInflight != 0 || c.TenantQuotaPages != 0 {
-		t.Errorf("Config() = MaxResidentPages %d, MaxInflight %d, TenantQuotaPages %d; want 0 for each",
-			c.MaxResidentPages, c.MaxInflight, c.TenantQuotaPages)
+	c := NewRuntime(Config{Workers: 1, MaxResidentPages: -1, MaxInflight: -1}).Config()
+	if c.MaxResidentPages != 0 || c.MaxInflight != 0 {
+		t.Errorf("Config() = MaxResidentPages %d, MaxInflight %d; want 0 for each",
+			c.MaxResidentPages, c.MaxInflight)
 	}
 }
 
@@ -366,35 +363,6 @@ func TestNewRuntimeRejectsUnknownStrategy(t *testing.T) {
 			t.Errorf("NewRuntime(Strategy %d) panicked with %v, want %q", int(s), v, want)
 		}
 	}
-}
-
-// TestNewRuntimeRejectsQuotaBelowStack: every job reserves StackPages against
-// its tenant's budget, so a TenantQuotaPages in (0, StackPages) could admit no
-// tenant job, even on an idle runtime — every job would queue forever (and Run
-// and Close with it) or be shed. NewRuntime refuses it, naming both values; a
-// budget of exactly one stack is accepted and runs.
-func TestNewRuntimeRejectsQuotaBelowStack(t *testing.T) {
-	for _, c := range []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Workers: 1, StackPages: 16, TenantQuotaPages: 8},
-			"core: TenantQuotaPages 8 is below StackPages 16: no job could ever be admitted"},
-		{Config{Workers: 1, TenantQuotaPages: 8}, // the default StackPages
-			fmt.Sprintf("core: TenantQuotaPages 8 is below StackPages %d: no job could ever be admitted",
-				stack.DefaultStackPages)},
-	} {
-		v := catchAny(func() { NewRuntime(c.cfg) })
-		if msg, _ := v.(string); msg != c.want {
-			t.Errorf("NewRuntime(%+v) panicked with %v, want %q", c.cfg, v, c.want)
-		}
-	}
-	rt := NewRuntime(Config{Workers: 1, StackPages: 16, TenantQuotaPages: 16})
-	watchdog(t, 10*time.Second, func() {
-		if _, err := rt.RunErr(func(*W) {}); err != nil {
-			t.Errorf("quota of one stack: RunErr = %v", err)
-		}
-	})
 }
 
 // settleGoroutines waits up to five seconds for runtime.NumGoroutine to come

@@ -88,7 +88,7 @@ type Stats struct {
 	// a forced drain; only never-admitted queue entries can be drained).
 	JobsSubmitted int64 // Submit calls
 	JobsAdmitted  int64 // jobs handed to the scheduler
-	JobsShed      int64 // jobs rejected at admission (AdmitShed or closing)
+	JobsShed      int64 // jobs refused because the runtime was closing or closed (ErrClosed)
 	JobsDrained   int64 // queued jobs abandoned by a forced Close
 	JobsCompleted int64 // admitted jobs that ran to completion
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -209,89 +208,38 @@ func TestCloseContextAbandonsQueue(t *testing.T) {
 	}
 }
 
-// TestQuotaShedDeterminism: with MaxInflight pinned by blocked jobs and
-// AdmitShed, over-capacity submissions shed deterministically.
-func TestQuotaShedDeterminism(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 4, MaxInflight: 2, Admission: AdmitShed})
-	rt.Start()
-	release := make(chan struct{})
-	b1 := rt.Submit(func(*W) { <-release })
-	b2 := rt.Submit(func(*W) { <-release })
-	var shed []*Job
-	for i := 0; i < 3; i++ {
-		shed = append(shed, rt.Submit(submitFib(5)))
-	}
-	for i, j := range shed {
-		if err := j.Err(); !errors.Is(err, ErrShed) {
-			t.Errorf("submit %d: err=%v, want ErrShed", i, err)
-		}
-	}
-	close(release)
-	if b1.Err() != nil || b2.Err() != nil {
-		t.Errorf("blockers failed: %v %v", b1.Err(), b2.Err())
-	}
-	if err := rt.Close(context.Background()); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	st := rt.Stats()
-	if st.JobsSubmitted != 5 || st.JobsAdmitted != 2 || st.JobsShed != 3 || st.JobsCompleted != 2 {
-		t.Errorf("submitted=%d admitted=%d shed=%d completed=%d, want 5/2/3/2",
-			st.JobsSubmitted, st.JobsAdmitted, st.JobsShed, st.JobsCompleted)
-	}
-}
-
-// TestTenantQuota: one tenant's page budget sheds its burst without
-// touching another tenant's admissions.
-func TestTenantQuota(t *testing.T) {
-	// Each inflight job reserves StackPages = 16 pages; quota 32 admits
-	// exactly two jobs per tenant at once.
-	rt := NewRuntime(Config{
-		Workers: 2, StackPages: 16, TenantQuotaPages: 32, Admission: AdmitShed,
-	})
-	rt.Start()
-	release := make(chan struct{})
-	hog := func(*W) { <-release }
-	a1, a2 := rt.SubmitTenant("a", hog), rt.SubmitTenant("a", hog)
-	a3 := rt.SubmitTenant("a", hog) // over tenant a's budget: shed
-	b1 := rt.SubmitTenant("b", hog) // tenant b unaffected
-	if err := a3.Err(); !errors.Is(err, ErrShed) {
-		t.Errorf("tenant a's 3rd job: err=%v, want ErrShed", err)
-	}
-	select {
-	case <-b1.Done():
-		t.Errorf("tenant b's job completed early: err=%v", b1.Err())
-	default:
-	}
-	close(release)
-	for i, j := range []*Job{a1, a2, b1} {
-		if err := j.Err(); err != nil {
-			t.Errorf("job %d: %v", i, err)
-		}
-	}
-	if err := rt.Close(context.Background()); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if st := rt.Stats(); st.JobsShed != 1 || st.JobsCompleted != 3 {
-		t.Errorf("shed=%d completed=%d, want 1/3", st.JobsShed, st.JobsCompleted)
-	}
-}
-
-// TestQueuePolicyPromotes: under AdmitQueue an over-capacity submission
-// waits and is admitted when capacity frees — nothing is lost.
+// TestQueuePolicyPromotes: an over-capacity submission waits and is
+// admitted when capacity frees — nothing is lost — and the admission queue
+// is strict FIFO: eight jobs queued behind MaxInflight = 1 start in ID
+// order.
 func TestQueuePolicyPromotes(t *testing.T) {
+	const queuedJobs = 8
 	rt := NewRuntime(Config{Workers: 2, MaxInflight: 1})
 	rt.Start()
 	release := make(chan struct{})
 	blocker := rt.Submit(func(*W) { <-release })
-	queued := rt.Submit(submitFib(8))
+	var mu sync.Mutex
+	var started []uint64
+	fib := submitFib(8)
+	queued := make([]*Job, queuedJobs)
+	for i := range queued {
+		queued[i] = rt.Submit(func(w *W) {
+			mu.Lock()
+			started = append(started, queued[i].ID())
+			mu.Unlock()
+			fib(w)
+		})
+	}
 	select {
-	case <-queued.Done():
+	case <-queued[0].Done():
 		t.Fatal("queued job ran while the blocker held MaxInflight")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	if err := queued.Err(); err != nil {
-		t.Fatalf("queued job: %v", err)
+	for i, j := range queued {
+		if err := j.Err(); err != nil {
+			t.Fatalf("queued job %d: %v", i, err)
+		}
 	}
 	if err := blocker.Err(); err != nil {
 		t.Fatalf("blocker: %v", err)
@@ -299,8 +247,11 @@ func TestQueuePolicyPromotes(t *testing.T) {
 	if err := rt.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if st := rt.Stats(); st.JobsAdmitted != 2 || st.JobsShed != 0 {
-		t.Errorf("admitted=%d shed=%d, want 2/0", st.JobsAdmitted, st.JobsShed)
+	if len(started) != queuedJobs || !slices.IsSorted(started) {
+		t.Errorf("queued jobs started as IDs %v, want %d rising IDs", started, queuedJobs)
+	}
+	if st := rt.Stats(); st.JobsAdmitted != 1+queuedJobs || st.JobsShed != 0 {
+		t.Errorf("admitted=%d shed=%d, want %d/0", st.JobsAdmitted, st.JobsShed, 1+queuedJobs)
 	}
 }
 
@@ -779,17 +730,16 @@ func TestCloseRacesFastSubmit(t *testing.T) {
 }
 
 // TestAdmissionRacesClose races every admission decision against a forced
-// drain: eight submitters spread tiny roots over three tenants, an inflight
-// bound and per-tenant budgets queue most of them, and a Close whose
-// context expires after 500 µs lands mid-stream, so jobs are admitted,
-// queued, promoted by completions, drained and refused all at once. Every
-// job must resolve, the counters must balance exactly, and no inflight
-// slot, queued job or tenant reservation may be left behind.
+// drain: eight submitters send tiny roots, an inflight bound queues most
+// of them, and a Close whose context expires after 500 µs lands
+// mid-stream, so jobs are admitted, queued, promoted by completions,
+// drained and refused all at once. Every job must resolve, the counters
+// must balance exactly, and no inflight slot or queued job may be left
+// behind.
 func TestAdmissionRacesClose(t *testing.T) {
 	const rounds, submitters, per = 20, 8, 50
-	tenants := []string{"a", "b", "c"}
 	for r := 0; r < rounds; r++ {
-		rt := NewRuntime(Config{Workers: 2, MaxInflight: 3, StackPages: 16, TenantQuotaPages: 32})
+		rt := NewRuntime(Config{Workers: 2, MaxInflight: 3})
 		rt.Start()
 		jobs := make([]*Job, submitters*per)
 		var wg sync.WaitGroup
@@ -800,7 +750,7 @@ func TestAdmissionRacesClose(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for k := 0; k < per; k++ {
-					jobs[s*per+k] = rt.SubmitTenant(tenants[(s+k)%len(tenants)], func(*W) {})
+					jobs[s*per+k] = rt.Submit(func(*W) {})
 				}
 			}(s)
 		}
@@ -830,12 +780,6 @@ func TestAdmissionRacesClose(t *testing.T) {
 		}
 		if inf, q := rt.InflightJobs(), rt.QueuedJobs(); inf != 0 || q != 0 {
 			t.Fatalf("round %d: InflightJobs=%d QueuedJobs=%d after Close, want 0/0", r, inf, q)
-		}
-		rt.admit.mu.Lock()
-		left := len(rt.admit.tenants)
-		rt.admit.mu.Unlock()
-		if left != 0 {
-			t.Fatalf("round %d: %d tenant reservations left after Close", r, left)
 		}
 	}
 }
@@ -1017,96 +961,5 @@ func TestDoneAndErrWaitTogether(t *testing.T) {
 			t.Fatalf("round %d: Err() = %v after the Done waiter, %v in the other goroutine", r, j.Err(), err)
 		}
 		j.Release()
-	}
-}
-
-// TestShedKeepsAdmittedLatencyFlat pins what AdmitShed buys a caller: under
-// overload the jobs it does admit finish about as fast as on an idle
-// runtime, because the excess is refused instead of queued in front of
-// them. Three closed-loop legs on MaxInflight = Workers: one client (the
-// light p50), then many clients under AdmitShed, then the same clients
-// under AdmitQueue — the control showing that load and bound are sized so
-// that queueing breaks the bound (p50 there is about clients/Workers
-// service times). Latency is the caller's, Submit to Err, as exact sorted
-// samples.
-func TestShedKeepsAdmittedLatencyFlat(t *testing.T) {
-	const (
-		workers = 2
-		clients = 32 * workers
-		backoff = 500 * time.Microsecond
-	)
-	jobs := int64(400)
-	if testing.Short() || raceEnabled {
-		jobs = 128 // a root is ~20x slower under the race detector
-	}
-	root := submitFib(16)
-	// load runs n closed-loop clients on a fresh runtime until `jobs`
-	// roots have completed, closes it, checks conservation and the drain
-	// gauges, and returns the admitted jobs' p50.
-	load := func(name string, admit AdmissionPolicy, n int) (time.Duration, Stats) {
-		rt := NewRuntime(Config{Workers: workers, MaxInflight: workers, Admission: admit})
-		rt.Start()
-		var left, shed atomic.Int64
-		left.Store(jobs)
-		lats := make([][]time.Duration, n)
-		var wg sync.WaitGroup
-		for c := range lats {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for left.Load() > 0 {
-					t0 := time.Now()
-					switch err := rt.Submit(root).Err(); {
-					case err == nil:
-						lats[c] = append(lats[c], time.Since(t0))
-						left.Add(-1)
-					case errors.Is(err, ErrShed):
-						shed.Add(1)
-						// A refused caller backs off, and by sleeping:
-						// clients that only yield keep every P busy and
-						// take the CPUs the workers need on a small host.
-						time.Sleep(backoff)
-					default:
-						t.Errorf("%s: client %d: %v", name, c, err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := rt.Close(context.Background()); err != nil {
-			t.Fatalf("%s: Close: %v", name, err)
-		}
-		all := slices.Concat(lats...)
-		st := rt.Stats()
-		if st.JobsCompleted != int64(len(all)) || st.JobsShed != shed.Load() || st.JobsDrained != 0 ||
-			st.JobsCompleted+st.JobsShed != st.JobsSubmitted {
-			t.Errorf("%s: clients saw completed=%d shed=%d; runtime submitted=%d completed=%d shed=%d drained=%d",
-				name, len(all), shed.Load(), st.JobsSubmitted, st.JobsCompleted, st.JobsShed, st.JobsDrained)
-		}
-		if q, i, w := rt.QueuedTasks(), rt.InflightJobs(), rt.QueuedJobs(); q|i|w != 0 {
-			t.Errorf("%s: drain left queuedTasks=%d inflight=%d queuedJobs=%d", name, q, i, w)
-		}
-		if len(all) == 0 {
-			t.Fatalf("%s: no job completed", name)
-		}
-		slices.Sort(all)
-		return all[(len(all)-1)/2], st
-	}
-
-	light, _ := load("light", AdmitShed, 1)
-	bound := max(8*light, 2*time.Millisecond)
-	shed, st := load("shed", AdmitShed, clients)
-	queue, _ := load("queue", AdmitQueue, clients)
-	t.Logf("p50: light %v, %d clients shedding %v (%d shed), queueing %v; bound %v",
-		light, clients, shed, st.JobsShed, queue, bound)
-	if st.JobsShed == 0 {
-		t.Errorf("%d clients on MaxInflight=%d shed nothing", clients, workers)
-	}
-	if shed > bound {
-		t.Errorf("admitted p50 %v under shedding, light p50 %v: over the bound %v", shed, light, bound)
-	}
-	if queue <= bound {
-		t.Errorf("control: queueing the same load gives p50 %v, inside the bound %v — the load is too small to show anything", queue, bound)
 	}
 }

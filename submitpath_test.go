@@ -1,5 +1,5 @@
 // Serving-intake benchmarks and the CI allocation gate for the Submit path
-// (admission under one mutex, one root queue, pooled Jobs, wake-one
+// (admission under one mutex, one ready list, pooled Jobs, wake-one
 // parking): the testing.B counters and the hard allocs/op assertions CI
 // enforces next to TestForkPathGate.
 package fibril_test
@@ -37,41 +37,23 @@ func benchFib(w *fibril.W, n int, out *int64) {
 	*out = a + b
 }
 
-// shedRuntime builds a runtime whose capacity is fully held by blocker
-// jobs, so every further Submit resolves deterministically on the
-// submitter's own goroutine (AdmitShed → ErrShed) — the pure submit-side
-// cost with no scheduling in the measurement. The returned release
-// function unblocks the blockers and closes the runtime.
-func shedRuntime(tb testing.TB) (*fibril.Runtime, func()) {
+// closedRuntime builds a runtime that was started and then closed, so
+// every Submit resolves deterministically on the submitter's own goroutine
+// with ErrClosed — newJob, one hold of the admission mutex, the refusal and
+// finish, counted in Stats.JobsShed: the pure submit-side cost with no
+// worker and no scheduling in the measurement.
+func closedRuntime(tb testing.TB) *fibril.Runtime {
 	tb.Helper()
-	const workers = 2
-	rt := fibril.New(fibril.Config{
-		Workers:     workers,
-		MaxInflight: workers,
-		Admission:   fibril.AdmitShed,
-	})
+	rt := fibril.New(fibril.Config{Workers: 2})
 	rt.Start()
-	gate := make(chan struct{})
-	blockers := make([]*fibril.Job, workers)
-	for i := range blockers {
-		blockers[i] = rt.Submit(func(*fibril.W) { <-gate })
+	if err := rt.Close(context.Background()); err != nil {
+		tb.Fatalf("Close: %v", err)
 	}
-	// Shed one probe to confirm capacity is genuinely saturated before
-	// anything is measured.
-	if err := rt.Submit(noopRoot).Err(); !errors.Is(err, fibril.ErrShed) {
-		tb.Fatalf("probe submit got %v, want ErrShed", err)
+	// Refuse one probe to confirm the lane before anything is measured.
+	if err := rt.Submit(noopRoot).Err(); !errors.Is(err, fibril.ErrClosed) {
+		tb.Fatalf("probe submit got %v, want ErrClosed", err)
 	}
-	return rt, func() {
-		close(gate)
-		for _, j := range blockers {
-			if err := j.Err(); err != nil {
-				tb.Errorf("blocker: %v", err)
-			}
-		}
-		if err := rt.Close(context.Background()); err != nil {
-			tb.Errorf("Close: %v", err)
-		}
-	}
+	return rt
 }
 
 // BenchmarkSubmitThroughput is the closed-loop serving cost per request —
@@ -100,17 +82,17 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 }
 
 // BenchmarkSubmitAllocs isolates the submit-side allocation count on the
-// deterministic shed lane: every Submit resolves on the caller's
-// goroutine, so allocs/op is exactly what the intake path itself pays.
+// deterministic refusal lane of a closed runtime: every Submit resolves on
+// the caller's goroutine, so allocs/op is exactly what the intake path
+// itself pays.
 func BenchmarkSubmitAllocs(b *testing.B) {
-	rt, done := shedRuntime(b)
-	defer done()
+	rt := closedRuntime(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := rt.Submit(noopRoot)
-		if !errors.Is(j.Err(), fibril.ErrShed) {
-			b.Fatal("expected shed")
+		if !errors.Is(j.Err(), fibril.ErrClosed) {
+			b.Fatal("expected ErrClosed")
 		}
 		j.Release()
 	}
@@ -119,10 +101,10 @@ func BenchmarkSubmitAllocs(b *testing.B) {
 // TestSubmitAllocGate is the CI allocation gate for the serving intake,
 // hard assertions only:
 //
-//  1. on the deterministic shed lane Submit performs
-//     ZERO heap allocations per request — pooled Job, a shed decided under
-//     the admission mutex, no clock read, no eager done channel, no eager
-//     stats snapshot;
+//  1. on the deterministic refusal lane of a closed runtime Submit performs
+//     ZERO heap allocations per request — pooled Job, a refusal decided
+//     under the admission mutex, no clock read, no eager done channel, no
+//     eager stats snapshot (the subtest keeps its historical name);
 //  2. the admitted closed-loop path — Submit, Err, Release — performs zero
 //     too: a pooled Job, and an Err that blocks on the semaphore inside
 //     it, not on a channel.
@@ -133,8 +115,7 @@ func TestSubmitAllocGate(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
 	t.Run("shed-zero-alloc", func(t *testing.T) {
-		rt, done := shedRuntime(t)
-		defer done()
+		rt := closedRuntime(t)
 		// Warm the Job pool, so AllocsPerRun measures a recycled handle.
 		for i := 0; i < 512; i++ {
 			rt.Submit(noopRoot).Release()
@@ -143,7 +124,10 @@ func TestSubmitAllocGate(t *testing.T) {
 			rt.Submit(noopRoot).Release()
 		})
 		if allocs != 0 {
-			t.Errorf("shed-lane Submit allocates %.2f/op, want 0", allocs)
+			t.Errorf("closed-runtime Submit allocates %.2f/op, want 0", allocs)
+		}
+		if st := rt.Stats(); st.JobsShed != st.JobsSubmitted {
+			t.Errorf("closed runtime: JobsShed=%d, JobsSubmitted=%d; want every Submit refused", st.JobsShed, st.JobsSubmitted)
 		}
 	})
 
