@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,16 @@ import (
 // delivers, so publishing a single task wakes a single thief instead of
 // stampeding every idle worker, and a delivery is never left lying around
 // for a later parker: one that lists itself after a wake finds nothing owed.
+//
+// A delivery readies the thief into the waker's own P — its runnext slot —
+// where it would wait until the waker blocks or yields; an idle P takes a
+// runnext goroutine only after a usleep that Linux's timer slack stretches to
+// ~50 µs. So a waker that keeps running hands its P over (handOff): it yields
+// once it has woken someone, the thief runs at once, and the waker goes to
+// the global run queue, which an idle P drains without that back-off. A root's
+// completion does the same for the job's waiter (occupy). Wakers that block
+// next — childDone, spawnThief, Close — and Submit, on the user's goroutine,
+// do not yield.
 //
 // The search phase sits entirely before listing. A searching thief is not
 // listed and is owed no wake: it is a runnable goroutine that will sweep
@@ -98,7 +109,7 @@ func (p *parkLot) park(w *W, sleeps *atomic.Int64, finalSweep func() (task, bool
 	if t, ok := finalSweep(); ok {
 		if !p.thieves.remove(w) {
 			w.wait()
-			p.wake(1)
+			p.handOff(1)
 		}
 		return t, true
 	}
@@ -107,15 +118,24 @@ func (p *parkLot) park(w *W, sleeps *atomic.Int64, finalSweep func() (task, bool
 	return task{}, false
 }
 
-// wake unparks up to n thieves — one per newly published task. The fast
-// paths — nothing published, or nobody parked — take no lock, so Fork,
-// Submit and a completion that promoted nothing stay cheap while the system
-// is busy.
-func (p *parkLot) wake(n int) {
+// wake unparks up to n thieves — one per newly published task — and
+// reports whether it delivered to any. The fast paths — nothing published,
+// or nobody parked — take no lock, so Fork, Submit and a completion that
+// promoted nothing stay cheap while the system is busy.
+func (p *parkLot) wake(n int) bool {
 	if n <= 0 || p.parked() == 0 {
-		return
+		return false
 	}
-	p.thieves.deliver(n)
+	return p.thieves.deliver(n)
+}
+
+// handOff is wake for a waker that keeps running: if it woke a thief, it
+// yields its P, so the thief runs now instead of waiting in this P's runnext
+// slot until this goroutine blocks (see the type comment).
+func (p *parkLot) handOff(n int) {
+	if p.wake(n) {
+		runtime.Gosched()
+	}
 }
 
 // parked reports how many thieves are currently parked (racy snapshot).
@@ -181,8 +201,8 @@ func (l *waitList) remove(w *W) bool {
 }
 
 // deliver wakes the n most recently listed waiters, taking each off the
-// list, with no slot.
-func (l *waitList) deliver(n int) {
+// list, with no slot, and reports whether it woke any.
+func (l *waitList) deliver(n int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	k := max(len(l.ws)-n, 0)
@@ -190,8 +210,10 @@ func (l *waitList) deliver(n int) {
 		w.deliver(nil)
 		l.ws[k+i] = nil
 	}
+	woke := k < len(l.ws)
 	l.ws = l.ws[:k]
 	l.n.Store(int32(k))
+	return woke
 }
 
 // close releases every waiter and refuses new ones until open.

@@ -228,9 +228,14 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	// sleeper — it wakes, and nothing is left for anyone after it.
 	first := parkOne()
 	waitSleepers(1)
-	p.wake(8)
+	if !p.wake(8) {
+		t.Error("wake(8) that reached a listed sleeper reported no delivery")
+	}
 	awaits(first, "first sleeper after wake(8)")
 	waitSleepers(0)
+	if p.wake(1) {
+		t.Error("wake(1) with nobody listed reported a delivery")
+	}
 
 	// Phase 2: a fresh parker must actually sleep. If phase 1 had left a
 	// surplus delivery this parker would return immediately.
@@ -264,6 +269,93 @@ func TestWakeTokenCapNoStaleTokens(t *testing.T) {
 	awaits(late, "late sleeper after close")
 }
 
+// handOffRounds runs 400 rounds of round at GOMAXPROCS(1), where which of
+// two runnable goroutines goes first is the scheduler's choice alone, and
+// fails unless at least 95 % of them report true. Not all: at every 61st
+// schedule Go takes the global run queue before the P's own, and so may run
+// the yielder — which handOff and the completion yield put there — ahead of
+// the goroutine the wake readied into runnext (1–2 % of rounds, up to 3 %
+// under the race detector; 400 rounds keep the 95 % mark far in the tail).
+func handOffRounds(t *testing.T, round func() bool) {
+	t.Helper()
+	const rounds = 400
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	won := 0
+	for range rounds {
+		if round() {
+			won++
+		}
+	}
+	t.Logf("the readied goroutine went first in %d of %d rounds", won, rounds)
+	if won*100 < rounds*95 {
+		t.Errorf("the readied goroutine went first in %d of %d rounds, want at least 95 %%", won, rounds)
+	}
+}
+
+// TestCompletionYieldsToWaiter pins the completion half of the hand-off
+// rule: the thief that completes a root yields its P once the slot counts
+// idle again, so the root's waiter — readied into that P's runnext by
+// Job.finish — returns from Err before the thief opens the next root. Each
+// round submits A, an empty root, and B, whose root stamps a sequence
+// number, and then blocks in A.Err and stamps; with one P and one worker,
+// the waiter's stamp comes first only if the thief yielded.
+func TestCompletionYieldsToWaiter(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 1})
+	rt.Start()
+	defer rt.Close(context.Background())
+	var seq atomic.Int64
+	handOffRounds(t, func() bool {
+		var rootAt int64
+		a := rt.Submit(func(*W) {})
+		b := rt.Submit(func(*W) { rootAt = seq.Add(1) })
+		if err := a.Err(); err != nil {
+			t.Fatal(err)
+		}
+		waiterAt := seq.Add(1)
+		if err := b.Err(); err != nil {
+			t.Fatal(err)
+		}
+		a.Release()
+		b.Release()
+		return waiterAt < rootAt
+	})
+}
+
+// TestForkWakeYieldsToThief pins the fork half of the hand-off rule: a Fork
+// that wakes a parked thief yields its P, so the thief — readied into that
+// P's runnext — steals the child before the forking root runs on. Each
+// round waits until both thieves are parked, then submits a root that forks
+// one child and stamps; the child must start on another stack before that
+// stamp. Without the yield the root stamps first and its Join pops the
+// child back.
+func TestForkWakeYieldsToThief(t *testing.T) {
+	rt := NewRuntime(Config{Workers: 2})
+	rt.Start()
+	defer rt.Close(context.Background())
+	var seq atomic.Int64
+	handOffRounds(t, func() bool {
+		waitParked(t, rt, 2, 10*time.Second)
+		var childAt, forkedAt int64
+		var childStack, rootStack int
+		j := rt.Submit(func(w *W) {
+			rootStack = w.StackID()
+			var fr Frame
+			w.Init(&fr)
+			w.Fork(&fr, func(w *W) {
+				childStack = w.StackID()
+				childAt = seq.Add(1)
+			})
+			forkedAt = seq.Add(1)
+			w.Join(&fr)
+		})
+		if err := j.Err(); err != nil {
+			t.Fatal(err)
+		}
+		j.Release()
+		return childStack != rootStack && childAt < forkedAt
+	})
+}
+
 // TestWakeZeroTakesNoLock pins wake's first fast path: publishing nothing —
 // a drain that found nothing private, a completion that promoted no queued
 // job — returns before it looks at the lot, even while a thief is listed.
@@ -275,14 +367,18 @@ func TestWakeZeroTakesNoLock(t *testing.T) {
 	p.thieves.mu.Lock()
 	defer p.thieves.mu.Unlock()
 	done := make(chan struct{})
+	var woke bool
 	go func() {
-		p.wake(0)
+		woke = p.wake(0)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("wake(0) with a listed thief is waiting for the park lot's mutex")
+	}
+	if woke {
+		t.Error("wake(0) reported a delivery")
 	}
 	if n := len(p.thieves.ws); n != 1 {
 		t.Errorf("wake(0) took %d listed thieves, want 0", 1-n)

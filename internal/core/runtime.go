@@ -411,14 +411,17 @@ func (rt *Runtime) RunErr(root func(*W)) (Stats, error) {
 //
 // searchBudget is that cost as the benchmark's traced run measured it on the
 // runtime that parked after ten sweeps (2 vCPUs). A Fork's wake was
-// core.steal.fork_to_remote_start_ns, 79–90 µs. The Go scheduler puts the
-// woken thief in the forking P's runnext slot, the owner keeps running on
+// core.steal.fork_to_remote_start_ns, 79–90 µs: the Go scheduler put the
+// woken thief in the forking P's runnext slot, the owner kept running on
 // that P, and an idle P takes a runnext goroutine only on its last steal
 // try, after a usleep(3) that Linux's default 50 µs timer slack stretches.
 // A Submit's wake was core.dispatch.idle_wake_ns, 7–13 µs: the submitter
 // then blocks in Err and hands its own P to the woken thief. The budget
 // covers the dearer of the two. Fan-out throughput is flat from a quarter to
-// four times this value (EXPERIMENTS.md "Idle protocol").
+// four times this value (EXPERIMENTS.md "Idle protocol"). A Fork now yields
+// its P to the thief it woke (parkLot.handOff), which makes its wake about
+// as cheap as a Submit's; the budget was not re-derived (EXPERIMENTS.md
+// "Hand-off after a wake").
 //
 // The clock is read only every searchClockStride-th failed sweep, so an
 // idle gap that ends within the first few yields — the closed-loop serving
@@ -532,6 +535,12 @@ func (rt *Runtime) occupy(w *W) (released bool) {
 			return true
 		}
 		rt.park.nidle.Add(1)
+		if t.frame == nil {
+			// A root completed: Job.finish readied its waiter into this
+			// P's runnext slot. Yield, now that the slot counts idle, so
+			// the waiter returns before this goroutine sweeps for more.
+			runtime.Gosched()
+		}
 	}
 	rt.park.nidle.Add(-1)
 	return false

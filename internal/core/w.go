@@ -141,12 +141,12 @@ func (w *W) drain(slot *worker, bot int64) {
 	var t task
 	for {
 		d := w.slot.deque
-		w.rt.park.wake(d.Publish())
+		w.rt.park.handOff(d.Publish())
 		republished, ok := d.PopRepublish(&t)
 		if !ok {
 			return // thieves took the rest, and run what they took
 		}
-		w.rt.park.wake(republished)
+		w.rt.park.handOff(republished)
 		w.exec(&t)
 	}
 }
@@ -201,7 +201,9 @@ func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 // holds and wakes a parked thief per entry, so exactly P slots stay runnable
 // whenever work exists (busy leaves), a Fork made with a thief parked is
 // stealable on return, and an owner descheduled among hungry thieves leaves
-// them its whole deque, not one task. With nobody idle there is nobody to
+// them its whole deque, not one task. A Fork that woke a thief yields its P
+// to it (parkLot.handOff), so the thief starts the child now rather than
+// when this goroutine next blocks. With nobody idle there is nobody to
 // publish for: a worker that runs out of work later sweeps after this push,
 // and finds this deque's public part non-empty unless another has emptied it
 // since — then this goroutine's next Fork or Pop republishes and wakes (Join).
@@ -221,7 +223,7 @@ func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg u
 	t.fn, t.arg, t.frame, t.bytes, t.depth = fn, arg, f, int32(bytes), w.depth+1
 	n := d.PushSlot()
 	if p := w.rt.park; p.nidle.Load() != 0 {
-		p.wake(n + d.Publish())
+		p.handOff(n + d.Publish())
 	}
 }
 
@@ -362,7 +364,7 @@ func (w *W) Join(f *Frame) {
 					break
 				}
 				if republished > 0 {
-					w.rt.park.wake(republished)
+					w.rt.park.handOff(republished)
 				}
 				if t.frame == f {
 					f.pending--
