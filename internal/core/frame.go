@@ -95,9 +95,10 @@ func countStolen(t task) bool {
 // — one countStolen counted; children the owner pops back never get here.
 // When it completes the last stolen child of a *suspended* frame it retires
 // in Listing 3's order (lines 68–75): its stack goes back to the pool (line
-// 71), its goroutine is listed as a spare, and only then is its worker slot
-// delivered to the parked owner, so its next suspend finds the spare. The
-// caller then stops using the slot and waits on its hand-off (thiefLoop).
+// 71), its goroutine is listed on the park lot, and only then is its worker
+// slot delivered to the parked owner, so the owner's next suspend finds it
+// listed. The caller then stops using the slot and waits on its hand-off
+// (thiefLoop).
 //
 // The decrement is the caller's LAST touch of the frame unless it observes
 // the suspend bit alone — the owner relies on that to recycle arena-backed
@@ -116,7 +117,7 @@ func (w *W) childDone(f *Frame) (handoff bool) {
 	w.stats.resumes.Add(1)
 	w.rt.trc.Emit(w.slot.id, trace.KindResume, int64(owner.stack.ID()), 0)
 	w.rt.pool.Put(w.slot.id, w.stack)
-	w.rt.spares.add(w)
+	w.rt.park.list(w)
 	owner.deliver(w.slot)
 	return true
 }
@@ -166,7 +167,7 @@ func (w *W) suspend(f *Frame) bool {
 		parkedAt = time.Now()
 	}
 	// Hand the worker slot to a replacement thief so exactly P slots stay
-	// busy (busy leaves): a parked spare, or a new goroutine if none waits.
+	// busy (busy leaves): a listed goroutine, or a new one if none waits.
 	// The replacement takes its stack from the pool, blocking there if a
 	// bounded (Cilk Plus) pool is empty. The slot's shard and deque go with
 	// it, so what this goroutine counted privately on the slot is folded in

@@ -139,7 +139,7 @@ func TestIdleRuntimeGoesQuiet(t *testing.T) {
 			if used := processCPU(t) - cpu0; used >= 20*time.Millisecond {
 				t.Errorf("idle runtime used %v of CPU in 200 ms, want < 20 ms", used)
 			}
-			if got := rt.park.parked(); got != workers {
+			if got := rt.ParkedThieves(); got != workers {
 				t.Errorf("%d/%d thieves parked after the idle window", got, workers)
 			}
 		})

@@ -24,11 +24,12 @@ func (rt *Runtime) QueuedTasks() int {
 	return n
 }
 
-// ParkedThieves returns how many thief goroutines are parked on the
-// runtime's park lot (racy snapshot; exact at quiescence). After a
-// completed Run this must be zero — Run closes the lot and waits for every
-// thief to unwind.
-func (rt *Runtime) ParkedThieves() int { return rt.park.parked() }
+// ParkedThieves returns how many worker slots are free on the runtime's
+// park lot: given back by thieves that searched out their budget and parked,
+// and not given out again (racy snapshot; exact at quiescence). After a
+// completed Run this must be zero — Run closes the lot, which takes every
+// free slot off it.
+func (rt *Runtime) ParkedThieves() int { return int(rt.park.nfree.Load()) }
 
 // MaxStackHighWaterPages returns the largest page high-water mark over the
 // stacks currently in the runtime's pool. At quiescence every stack the

@@ -264,7 +264,7 @@ func (a *admitState) fitsLocked() bool {
 
 // admitLocked reserves capacity for j, counts it admitted and appends it to
 // the ready list. The caller wakes a thief after unlocking: publish-then-wake,
-// the Dekker pair with the park lot's list of thieves that Fork uses.
+// the Dekker pair with the park lot's free slots that Fork uses.
 func (a *admitState) admitLocked(j *Job) {
 	a.inflight++
 	a.jobs.admitted++
@@ -314,8 +314,8 @@ func (a *admitState) checkDrainedLocked() {
 }
 
 // Start transitions the runtime from idle (or closed) to serving: the park
-// lot opens and every worker slot spins up a persistent thief goroutine
-// that parks when idle. Workers stay up — across any number of Submits —
+// lot opens and every worker slot is given to a thief goroutine, which
+// parks when idle. Workers stay up — across any number of Submits —
 // until Close. Start panics if the runtime is already serving or closing;
 // use Run for self-managing one-shot execution.
 func (rt *Runtime) Start() {
@@ -342,8 +342,7 @@ func (rt *Runtime) ensureStarted() bool {
 	a.mu.Unlock()
 
 	rt.done.Store(false)
-	rt.park.thieves.open()
-	rt.spares.open()
+	rt.park.open()
 	for _, slot := range rt.workers {
 		rt.spawnThief(slot)
 	}
@@ -403,7 +402,7 @@ func (rt *Runtime) Submit(root func(*W)) *Job {
 	case a.fitsLocked():
 		a.admitLocked(j)
 		a.mu.Unlock()
-		rt.park.wake(1)
+		rt.wake(1)
 		return j
 	default:
 		a.queue = append(a.queue, j)
@@ -466,7 +465,7 @@ func (rt *Runtime) completeJob(slot int, j *Job) {
 	promoted := a.promoteLocked()
 	a.checkDrainedLocked()
 	a.mu.Unlock()
-	rt.park.wake(promoted)
+	rt.wake(promoted)
 
 	j.finish()
 }
@@ -519,15 +518,14 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	}
 
 	// Quiesced: no admitted work remains anywhere. Tear down exactly as
-	// the old per-Run epilogue did — wake every parked thief so it
-	// observes done, release every spare and any thief blocked in a
-	// bounded pool's Take, wait for every worker goroutine to unwind, then
-	// reopen the pool for the next Start.
+	// the old per-Run epilogue did — release every listed goroutine, so the
+	// lot holds no slot and no goroutine, and any thief blocked in a bounded
+	// pool's Take; wait for every worker goroutine to unwind, then reopen
+	// the pool for the next Start.
 	rt.done.Store(true)
-	rt.park.thieves.close()
-	rt.spares.close()
+	rt.park.close()
 	rt.pool.Close()
-	rt.goroutineWG.Wait()
+	rt.park.live.Wait()
 	rt.trc.Flush()
 	rt.pool.Reopen()
 

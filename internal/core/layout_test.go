@@ -21,9 +21,9 @@ var (
 	runtimeGroups = [][]string{
 		{"cfg", "as", "pool", "workers", "park", "done", "trc", "metrics",
 			"stampJobs", "stats"}, // read-mostly
-		{"goroutineWG", "spares", "admit"}, // per suspension / admission / root taken / completion / lifecycle
+		{"admit"}, // per admission / root taken / completion / lifecycle
 	}
-	parkGroup = []string{"thieves", "nidle"}
+	parkGroup = []string{"mu", "closed", "ws", "free", "nfree", "nidle", "live", "starts"}
 	// A Frame is not padded — it lives inside a Scratch block or a caller's
 	// own variable — so its fields are listed by writer without distances.
 	frameFields = []string{
@@ -41,8 +41,8 @@ func TestLayout(t *testing.T) {
 	layouttest.Groups(t, Runtime{}, runtimeGroups...)
 	layouttest.Groups(t, parkLot{}, parkGroup)
 	// A W is touched by its own goroutine only, but for the hand-off (sem,
-	// next) a deliverer writes while that goroutine waits — without a slot,
-	// or parked as a thief: one group, kept off its neighbours. The last
+	// next) a deliverer writes while that goroutine waits without a slot:
+	// one group, kept off its neighbours. The last
 	// four are the private per-fork counters; spawn is nil except under the
 	// two baselines with a spawn prologue.
 	layouttest.Groups(t, W{}, []string{"rt", "slot", "stack", "stats", "depth", "frame",

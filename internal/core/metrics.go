@@ -13,8 +13,8 @@ type Gauges struct {
 	// — what thieves can see. A running worker may hold more privately
 	// until its next Fork or Join; at quiescence the count is exact.
 	QueuedTasks int
-	// ParkedThieves is the number of thief goroutines listed on the park
-	// lot — in their final sweep or asleep — and not yet woken (idle
+	// ParkedThieves is the number of worker slots free on the park lot —
+	// given back by thieves that parked, and not yet given out (idle
 	// capacity).
 	ParkedThieves int
 	// StacksInUse is the number of simulated stacks currently checked out

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -10,223 +9,248 @@ import (
 	"fibril/internal/cacheline"
 )
 
-// parkLot is the quiet half of the idle protocol: a thief that has searched
-// — swept and yielded — for about as long as a wake-up costs (searchBudget)
-// parks here, and every publication of new work (a Fork, an admitted root)
-// wakes parked thieves. Parking is what keeps an idle thief from burning a
-// core, while preserving busy-leaves: whenever work exists (every unit of
-// queued work was published by a Fork or a Submit, and every publish calls
-// wake), no thief stays parked.
+// parkLot holds the runtime's two idle resources apart, as Go's scheduler
+// keeps idle Ps apart from idle Ms: worker slots nobody occupies (free) and
+// goroutines without a slot (ws), each waiting on its own W's hand-off
+// (W.wait). A thief that has searched — swept and yielded — for about as
+// long as a wake-up costs (searchBudget) puts its stack back in the pool,
+// frees its slot and lists itself, in one hold of the mutex (park); the last
+// stolen child's finisher lists itself as it hands its slot to the resumed
+// parent (childDone). wake gives a free slot per newly published task, and a
+// suspend's spawnThief the parent's slot, to the newest listed goroutine,
+// whose Go stack is the likeliest to be warm, and starts a goroutine only
+// when none is listed: Listing 3's direction, a slot handed to a stack and
+// never a stack to a sleeping worker. Parking keeps an idle thief from
+// burning a core while preserving busy-leaves: every unit of queued work was
+// published by a Fork or a Submit, and every publish calls wake, so no slot
+// stays free while work exists. One task published gives out one slot.
 //
-// A parked thief sleeps where every goroutine of this package without work
-// sleeps: on its own W's hand-off (W.wait), listed on thieves. wake(n)
-// delivers to the n newest listed thieves, taking each off the list as it
-// delivers, so publishing a single task wakes a single thief instead of
-// stampeding every idle worker, and a delivery is never left lying around
-// for a later parker: one that lists itself after a wake finds nothing owed.
+// The lost-wakeup argument is a Dekker pair. A parking thief frees its slot
+// (nfree, an atomic store) and only then peeks — loads every deque's public
+// length and the ready list's counter, claiming nothing; a publisher makes
+// the work visible (deque tail store, ready-list link) and only then loads
+// nfree in wake. Under Go's sequentially-consistent atomics the peek cannot
+// miss the publish while the publisher misses the free slot. A wake gives the
+// slot to the newest listed goroutine, and a delivery is counted on the
+// receiver's semaphore, so one made before it waits makes the wait return at
+// once. A peek that sees work takes the mutex again: still listed with a
+// slot free, the parker unlists itself and takes the slot; taken by a wake,
+// its wait returns what the wake delivered; still listed with no slot free,
+// it sleeps — every slot freed before its peek has gone to a goroutine whose
+// first act is a sweep. A goroutine without a slot never steals in the peek:
+// it could not run what it took. The peek runs without the mutex, which
+// every Fork that saw a free slot would otherwise queue behind.
 //
-// A delivery readies the thief into the waker's own P — its runnext slot —
+// A Fork publishes in two steps since the deque grew a private bottom: the
+// lazy push, visible only if the public part was dry, and — whenever the
+// load of nidle after it is not zero — Publish of everything still private,
+// then a wake per entry made public. nidle counts the slots whose occupant
+// has no task: free, given to a goroutine that has not taken a task yet, or
+// held by a searching thief, from spawnThief or the end of a task until the
+// next task is taken. So nidle >= nfree, and reading it is reading the free
+// list: while any slot looks for work every deque is the all-public THE
+// deque, and entries stay private only while all P slots are busy. The one
+// new case is a push left private behind a public entry that another worker
+// steals before the peek: the slot stays free until the victim's next deque
+// operation finds its public part dry, republishes and wakes (ForkArgSized,
+// Join) — one serial section of the victim, never a lost wake-up.
+//
+// A wake readies its goroutine into the waker's own P — its runnext slot —
 // where it would wait until the waker blocks or yields; an idle P takes a
-// runnext goroutine only after a usleep that Linux's timer slack stretches to
-// ~50 µs. So a waker that keeps running hands its P over (handOff): it yields
-// once it has woken someone, the thief runs at once, and the waker goes to
-// the global run queue, which an idle P drains without that back-off. A root's
-// completion does the same for the job's waiter (occupy). Wakers that block
-// next — childDone, spawnThief, Close — and Submit, on the user's goroutine,
-// do not yield.
+// runnext goroutine only after a usleep that Linux's timer slack stretches
+// to ~50 µs. So a waker that keeps running yields once it has readied
+// someone (handOff) and goes to the global run queue, which an idle P drains
+// without that back-off; a root's completion does the same for the job's
+// waiter (occupy). Wakers that block next — childDone, spawnThief, Close —
+// and Submit, on the user's goroutine, do not yield.
 //
-// The search phase sits entirely before listing. A searching thief is not
-// listed and is owed no wake: it is a runnable goroutine that will sweep
-// again by itself, so a publish that finds the list empty has nobody to
-// wake (what a Fork does for a searching thief is leave its children where
-// the next sweep sees them — nidle, below). Everything below therefore
-// reads exactly as it would if thieves parked on their first failed sweep.
-//
-// The lost-wakeup argument is a Dekker pair. A parking thief lists itself
-// (the list's length, an atomic store) and only then runs one final steal
-// sweep; a publisher makes the work visible (deque push, ready-list link)
-// and only then loads the length. Under Go's sequentially-consistent
-// atomics it is impossible for the final sweep to miss the publish AND the
-// publisher to miss the listing, so either the thief leaves with the task
-// or the publisher delivers to a listed thief. The final sweep runs without
-// the list's mutex — under it every Fork that saw a listed thief would
-// queue behind the whole sweep — and needs no window closed after it: a
-// delivery is counted on the thief's semaphore, so one made between the
-// sweep and the sleep is there when the thief waits, which returns at once.
-// A thief whose final sweep found a task takes itself off the list; if a
-// wake took it first, it consumes that delivery and passes the wake on to
-// the next listed thief, since it is busy with what it found.
-//
-// A Fork's publish has two steps since the deque grew a private bottom: the
-// lazy push, which makes the child visible only if the deque's public part
-// was dry, and — whenever the load of nidle that follows it is not zero —
-// Publish of everything the deque still holds privately, then wake, one
-// per entry made public. nidle counts the slots whose occupant has no task,
-// from the moment a thief is spawned or finishes one until it has the
-// next: a thief is counted there long before it lists itself here, so nidle
-// is never below the list's length and reading it is reading the listing.
-// While any slot is looking for work, then, every deque is the all-public
-// THE deque it was; entries stay private only while all P slots are busy.
-// So a Fork that could have missed a listing is, as before, one whose push
-// the final sweep cannot miss, with one new case: the push stayed private
-// because the public part held something and nobody was idle, and another
-// worker, finishing its task, steals that something before the final sweep
-// gets there. The thief then sleeps while its victim holds private work —
-// until the victim's next deque operation, which finds the public part dry,
-// republishes and wakes (ForkArgSized, Join): at most one serial section of
-// the victim, never a lost wake-up.
-//
-// Every Fork loads nidle, and the whole lot is written only when a thief
-// runs out of work, parks or is woken, so it is one group, padded (DESIGN.md
+// Every Fork loads nidle, and the lot is written only when a thief runs out
+// of work, parks, is woken or retires, so it is one group, padded (DESIGN.md
 // §7) away from whatever shares its size class.
 type parkLot struct {
 	_ cacheline.Pad
 
-	// thieves lists the parked thieves: in their final sweep or asleep.
-	// wake's lock-free fast check reads its length.
-	thieves waitList
+	mu     sync.Mutex
+	closed bool // set by Close, cleared by Start: nobody is listed, no slot freed
+	// ws lists the goroutines without a slot, newest last. NewRuntime makes
+	// it with room for Workers; it grows only past a new peak of goroutines
+	// without a slot, which Workers plus the suspended frames bound.
+	ws []*W
+	// free holds the slots nobody occupies (at most Workers); nfree is its
+	// length, for wake's lock-free test and the parker's half of the pair.
+	free  []*worker
+	nfree atomic.Int32
 
-	// nidle counts worker slots whose occupant has no task: a thief spawned
-	// and not yet run, searching, listed or asleep (nidle >= parked()).
+	// nidle counts worker slots whose occupant has no task (nidle >= nfree).
 	// Every Fork reads it and keeps its children private only while it is
 	// zero — while all P slots are busy.
 	nidle atomic.Int32
 
+	live   sync.WaitGroup // worker goroutines, for Close
+	starts atomic.Int64   // goroutines started, counted at the one go statement (give)
+
 	_ cacheline.Pad
 }
 
-// park lists w, a thief already counted in nidle, and sleeps on its
-// hand-off until the next wake or close. finalSweep runs after the listing
-// (see the type comment); if it finds a task the caller does not sleep and
-// the task is returned. park returns (zero, false) on any wake-up, and at
-// once on a closed lot — the caller re-enters its steal loop. sleeps, the
-// caller's ThiefParks counter, is incremented when the final sweep comes
-// back empty.
-func (p *parkLot) park(w *W, sleeps *atomic.Int64, finalSweep func() (task, bool)) (task, bool) {
-	if !p.thieves.add(w) {
-		return task{}, false
+// park frees w's slot and lists w — a thief already counted in nidle, whose
+// stack is back in the pool — in one hold of the mutex, then peeks (see the
+// type comment). It does not wait: the caller's wait on w's hand-off returns
+// the slot w occupies next, at once if the peek took one back or a wake
+// already delivered, or nil — at once on a closed lot, where the slot leaves
+// with the runtime. sleeps, the caller's ThiefParks counter, is incremented
+// when the peek comes back empty.
+func (p *parkLot) park(w *W, sleeps *atomic.Int64, peek func() bool) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		p.nidle.Add(-1)
+		return
 	}
-	if t, ok := finalSweep(); ok {
-		if !p.thieves.remove(w) {
-			w.wait()
-			p.handOff(1)
+	p.free = append(p.free, w.slot)
+	p.nfree.Store(int32(len(p.free)))
+	p.listLocked(w)
+	p.mu.Unlock()
+	if !peek() {
+		sleeps.Add(1)
+		return
+	}
+	p.mu.Lock()
+	if i := slices.Index(p.ws, w); i >= 0 && len(p.free) > 0 {
+		p.ws = slices.Delete(p.ws, i, i+1)
+		w.deliver(p.popFreeLocked())
+	}
+	p.mu.Unlock()
+}
+
+// list lists w, which has just handed its slot to a resumed parent and put
+// its stack back (childDone), unless the lot is closed: then w counts no
+// wait, and its wait returns nil at once.
+func (p *parkLot) list(w *W) {
+	p.mu.Lock()
+	if !p.closed {
+		p.listLocked(w)
+	}
+	p.mu.Unlock()
+}
+
+// listLocked counts w's wait on its hand-off and lists w.
+func (p *parkLot) listLocked(w *W) {
+	w.sem.Add(1)
+	p.ws = append(p.ws, w)
+}
+
+// popFreeLocked takes a free slot off the list; there is one.
+func (p *parkLot) popFreeLocked() *worker {
+	k := len(p.free) - 1
+	slot := p.free[k]
+	p.free = p.free[:k]
+	p.nfree.Store(int32(k))
+	return slot
+}
+
+// idleLocked takes the newest listed goroutine off the list for a slot the
+// caller gives out. With none listed it returns nil and counts, in live, the
+// goroutine give starts: under the mutex, so a Close that closes the lot
+// after this hold waits for it.
+func (p *parkLot) idleLocked() *W {
+	k := len(p.ws) - 1
+	if k < 0 {
+		p.live.Add(1)
+		return nil
+	}
+	w := p.ws[k]
+	p.ws[k] = nil
+	p.ws = p.ws[:k]
+	return w
+}
+
+// close delivers nil — exit — to every listed goroutine and takes the free
+// slots off the lot and off nidle; until open it lists nobody and frees no
+// slot.
+func (p *parkLot) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for _, w := range p.ws {
+		w.deliver(nil)
+	}
+	clear(p.ws)
+	p.ws = p.ws[:0]
+	p.nidle.Add(-int32(len(p.free)))
+	p.free = p.free[:0]
+	p.nfree.Store(0)
+}
+
+// open readies the lot for a new Start after a close.
+func (p *parkLot) open() {
+	p.mu.Lock()
+	p.closed = false
+	p.mu.Unlock()
+}
+
+// wake gives up to n free slots — one per newly published task — each to the
+// newest listed goroutine, or to a new one when none is listed, and reports
+// whether it gave any. Nothing published or no slot free takes no lock, so
+// Fork, Submit and a completion stay cheap while every slot is busy. A slot
+// and its goroutine are taken in one hold of the mutex per slot.
+func (rt *Runtime) wake(n int) bool {
+	p := rt.park
+	gave := false
+	for ; n > 0 && p.nfree.Load() != 0; n-- {
+		p.mu.Lock()
+		if len(p.free) == 0 {
+			p.mu.Unlock()
+			break
 		}
-		return t, true
+		slot, w := p.popFreeLocked(), p.idleLocked()
+		p.mu.Unlock()
+		rt.give(slot, w)
+		gave = true
 	}
-	sleeps.Add(1)
-	w.wait()
-	return task{}, false
+	return gave
 }
 
-// wake unparks up to n thieves — one per newly published task — and
-// reports whether it delivered to any. The fast paths — nothing published,
-// or nobody parked — take no lock, so Fork, Submit and a completion that
-// promoted nothing stay cheap while the system is busy.
-func (p *parkLot) wake(n int) bool {
-	if n <= 0 || p.parked() == 0 {
-		return false
-	}
-	return p.thieves.deliver(n)
-}
-
-// handOff is wake for a waker that keeps running: if it woke a thief, it
-// yields its P, so the thief runs now instead of waiting in this P's runnext
-// slot until this goroutine blocks (see the type comment).
-func (p *parkLot) handOff(n int) {
-	if p.wake(n) {
+// handOff is wake for a waker that keeps running: if it readied a goroutine,
+// it yields its P, so that goroutine runs now instead of waiting in this P's
+// runnext slot until this goroutine blocks (see the parkLot comment).
+func (rt *Runtime) handOff(n int) {
+	if rt.wake(n) {
 		runtime.Gosched()
 	}
 }
 
-// parked reports how many thieves are currently parked (racy snapshot).
-func (p *parkLot) parked() int { return int(p.thieves.n.Load()) }
-
-// waitList holds Ws whose goroutines wait on their own hand-off (W.wait) for
-// someone to deliver to them: the parked thieves of the park lot, and the
-// spares — retired thieves waiting for spawnThief to deliver the slot of
-// the next suspended frame. It holds at most Workers of them; close
-// delivers nil to every waiter and refuses new ones until open.
-type waitList struct {
-	mu     sync.Mutex
-	closed bool
-	ws     []*W         // capacity Workers, made by NewRuntime; newest last
-	n      atomic.Int32 // len(ws), for readers that take no lock
+// spawnThief gives slot — a suspending parent's, or one of Start's — as wake
+// gives a free one: to the newest listed goroutine, or a new one if none is.
+// The slot counts idle from here — not from whenever the thief first runs,
+// which on a host short of CPUs is after the busy workers have been
+// descheduled with their work still private — until it has a task (nidle).
+func (rt *Runtime) spawnThief(slot *worker) {
+	p := rt.park
+	p.nidle.Add(1)
+	p.mu.Lock()
+	w := p.idleLocked()
+	p.mu.Unlock()
+	rt.give(slot, w)
 }
 
-// add counts w's wait on its hand-off and lists w, unless the list is
-// closed or full: then w counts none, its wait would return at once, and
-// add reports false.
-func (l *waitList) add(w *W) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || len(l.ws) == cap(l.ws) {
-		return false
+// give delivers slot to w, a goroutine idleLocked took off the list, or, when
+// w is nil, starts the goroutine idleLocked counted.
+func (rt *Runtime) give(slot *worker, w *W) {
+	if w != nil {
+		w.deliver(slot)
+		return
 	}
-	w.sem.Add(1)
-	l.ws = append(l.ws, w)
-	l.n.Store(int32(len(l.ws)))
-	return true
+	rt.park.starts.Add(1)
+	go rt.thiefLoop(slot)
 }
 
-// take removes the most recently listed waiter, whose Go stack is the
-// likeliest to be warm; nil if none waits. The caller delivers to it.
-func (l *waitList) take() *W {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	k := len(l.ws)
-	if k == 0 {
-		return nil
+// hasWork is the parker's peek: whether a sweep could find something now —
+// a deque with a public entry or an admitted root. It claims nothing.
+func (rt *Runtime) hasWork() bool {
+	for _, slot := range rt.workers {
+		if slot.deque.Len() > 0 {
+			return true
+		}
 	}
-	w := l.ws[k-1]
-	l.ws[k-1] = nil
-	l.ws = l.ws[:k-1]
-	l.n.Store(int32(k - 1))
-	return w
-}
-
-// remove takes w off the list and gives its counted wait back. It reports
-// false if w is not listed: someone already took w, and w must consume the
-// delivery in its wait.
-func (l *waitList) remove(w *W) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := slices.Index(l.ws, w)
-	if i < 0 {
-		return false
-	}
-	l.ws = slices.Delete(l.ws, i, i+1)
-	l.n.Store(int32(len(l.ws)))
-	w.sem.Done()
-	return true
-}
-
-// deliver wakes the n most recently listed waiters, taking each off the
-// list, with no slot, and reports whether it woke any.
-func (l *waitList) deliver(n int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	k := max(len(l.ws)-n, 0)
-	for i, w := range l.ws[k:] {
-		w.deliver(nil)
-		l.ws[k+i] = nil
-	}
-	woke := k < len(l.ws)
-	l.ws = l.ws[:k]
-	l.n.Store(int32(k))
-	return woke
-}
-
-// close releases every waiter and refuses new ones until open.
-func (l *waitList) close() {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
-	l.deliver(math.MaxInt)
-}
-
-// open readies the list for a new Start after a close.
-func (l *waitList) open() {
-	l.mu.Lock()
-	l.closed = false
-	l.mu.Unlock()
+	return rt.admit.nready.Load() > 0
 }

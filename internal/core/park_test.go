@@ -28,13 +28,14 @@ func watchdog(t *testing.T, limit time.Duration, body func()) {
 	}
 }
 
-// waitParked blocks until n thieves are parked or the deadline passes.
+// waitParked blocks until n thieves are parked — n slots free — or the
+// deadline passes.
 func waitParked(t *testing.T, rt *Runtime, n int, deadline time.Duration) {
 	t.Helper()
 	start := time.Now()
-	for rt.park.parked() < n {
+	for rt.ParkedThieves() < n {
 		if time.Since(start) > deadline {
-			t.Fatalf("only %d/%d thieves parked after %v", rt.park.parked(), n, deadline)
+			t.Fatalf("only %d/%d thieves parked after %v", rt.ParkedThieves(), n, deadline)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -81,7 +82,7 @@ func TestParkWakeStressBursts(t *testing.T) {
 					if round%4 == 0 {
 						// Idle long enough for thieves to park.
 						deadline := time.Now().Add(time.Second)
-						for rt.park.parked() == 0 && time.Now().Before(deadline) {
+						for rt.ParkedThieves() == 0 && time.Now().Before(deadline) {
 							time.Sleep(50 * time.Microsecond)
 						}
 					}
@@ -111,7 +112,7 @@ func TestSerialWorkloadThievesGoQuiet(t *testing.T) {
 		// Serial bottom: plain Calls and real elapsed time, no forks.
 		for i := 0; i < 20; i++ {
 			w.Call(func(*W) { time.Sleep(2 * time.Millisecond) })
-			if rt.park.parked() == len(rt.workers)-1 {
+			if rt.ParkedThieves() == len(rt.workers)-1 {
 				parkedSeen = true
 			}
 		}
@@ -181,92 +182,93 @@ func TestSubmitAfterAllThievesParked(t *testing.T) {
 	})
 }
 
-// testLot returns a park lot with room for n parked thieves, as NewRuntime
-// makes it for Workers = n.
-func testLot(n int) *parkLot {
-	p := new(parkLot)
-	p.thieves.ws = make([]*W, 0, n)
-	return p
+// waitAsync waits on w's hand-off on a goroutine of its own and sends what
+// the wait returns: the slot delivered to w, or nil for exit.
+func waitAsync(w *W) chan *worker {
+	ch := make(chan *worker, 1)
+	go func() { ch <- w.wait() }()
+	return ch
 }
 
+// delivered fails the test unless ch, from waitAsync, yields within 5 s, and
+// returns what it yields.
+func delivered(t *testing.T, ch chan *worker, who string) *worker {
+	t.Helper()
+	select {
+	case slot := <-ch:
+		return slot
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s was never delivered to", who)
+		return nil
+	}
+}
+
+// asleep fails the test if ch, from waitAsync, yields within 50 ms.
+func asleep(t *testing.T, ch chan *worker, who string) {
+	t.Helper()
+	select {
+	case slot := <-ch:
+		t.Fatalf("%s returned from its wait with slot %v instead of sleeping", who, slot)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// noWork is the peek of a lot with nothing published.
+func noWork() bool { return false }
+
 // TestWakeTokenCapNoStaleTokens unit-tests the delivery accounting that
-// makes wake-one safe: a wake burst larger than the sleeper population
-// must not leave surplus deliveries behind, or a thief parking later would
-// sail straight through its sleep and busy-loop on an empty system. Each
-// sleeper parks a bare W, as a thief parks its own.
+// makes wake-one safe: a wake burst larger than the free slots gives out what
+// is free and leaves nothing behind, or a thief parking later would sail
+// straight through its wait and busy-loop on an empty system. Each sleeper is
+// a bare W parked on a slot of an unstarted runtime, as a thief parks once
+// its stack is back in the pool, and every slot goes to a listed W: no
+// goroutine is started.
 func TestWakeTokenCapNoStaleTokens(t *testing.T) {
-	p := testLot(4)
-	noSweep := func() (task, bool) { return task{}, false }
-	parkOne := func() chan struct{} {
-		ch := make(chan struct{})
-		go func() {
-			p.park(new(W), new(atomic.Int64), noSweep)
-			close(ch)
-		}()
-		return ch
+	rt := NewRuntime(Config{Workers: 2})
+	p := rt.park
+	park := func(w *W, slot *worker) chan *worker {
+		w.slot = slot
+		p.park(w, new(atomic.Int64), noWork)
+		return waitAsync(w)
 	}
-	waitSleepers := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for p.parked() != n {
-			if time.Now().After(deadline) {
-				t.Fatalf("parked() = %d, want %d", p.parked(), n)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
+	a, b := new(W), new(W)
+
+	// Phase 1: one parked, wake(8). The burst gives out the one free slot,
+	// to the one listed W, and nothing is left for anyone after it.
+	first := park(a, rt.workers[0])
+	if !rt.wake(8) {
+		t.Error("wake(8) with a slot free reported no delivery")
 	}
-	awaits := func(ch chan struct{}, what string) {
-		t.Helper()
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s never woke", what)
-		}
+	if got := delivered(t, first, "a after wake(8)"); got != rt.workers[0] {
+		t.Errorf("a was delivered %v, want its own slot back", got)
+	}
+	if rt.wake(1) {
+		t.Error("wake(1) with no slot free reported a delivery")
 	}
 
-	// Phase 1: one sleeper, wake(8). The burst reaches the one listed
-	// sleeper — it wakes, and nothing is left for anyone after it.
-	first := parkOne()
-	waitSleepers(1)
-	if !p.wake(8) {
-		t.Error("wake(8) that reached a listed sleeper reported no delivery")
-	}
-	awaits(first, "first sleeper after wake(8)")
-	waitSleepers(0)
-	if p.wake(1) {
-		t.Error("wake(1) with nobody listed reported a delivery")
-	}
+	// Phase 2: a parks again and must actually sleep. If phase 1 had left a
+	// surplus delivery, its wait would return at once.
+	second := park(a, rt.workers[0])
+	asleep(t, second, "a, parked after the wake(8) burst")
+	rt.wake(1)
+	delivered(t, second, "a after wake(1)")
 
-	// Phase 2: a fresh parker must actually sleep. If phase 1 had left a
-	// surplus delivery this parker would return immediately.
-	second := parkOne()
-	waitSleepers(1)
-	select {
-	case <-second:
-		t.Fatal("second parker woke on a stale delivery from the wake(8) burst")
-	case <-time.After(50 * time.Millisecond):
+	// Phase 3: a burst sized to the free slots gives each to a listed W and,
+	// like the larger burst, leaves no residue.
+	ga, gb := park(a, rt.workers[0]), park(b, rt.workers[1])
+	rt.wake(2)
+	if sa, sb := delivered(t, ga, "a after wake(2)"), delivered(t, gb, "b after wake(2)"); sa == sb {
+		t.Errorf("wake(2) delivered slot %v to both", sa)
 	}
-	p.wake(1)
-	awaits(second, "second sleeper after wake(1)")
-	waitSleepers(0)
-
-	// Phase 3: a burst sized to the sleepers releases every one of them
-	// and, like the larger burst, leaves no residue.
-	a, b := parkOne(), parkOne()
-	waitSleepers(2)
-	p.wake(2)
-	awaits(a, "sleeper a after wake(2)")
-	awaits(b, "sleeper b after wake(2)")
-	waitSleepers(0)
-	late := parkOne()
-	waitSleepers(1)
-	select {
-	case <-late:
-		t.Fatal("late parker woke on a stale delivery from wake(2)")
-	case <-time.After(50 * time.Millisecond):
+	late := park(a, rt.workers[0])
+	asleep(t, late, "a late parker, after wake(2)")
+	p.close()
+	if got := delivered(t, late, "the late parker after close"); got != nil {
+		t.Errorf("close delivered slot %v, want nil (exit)", got)
 	}
-	p.thieves.close()
-	awaits(late, "late sleeper after close")
+	if n := p.starts.Load(); n != 0 {
+		t.Errorf("%d goroutines started with a W listed for every slot, want 0", n)
+	}
 }
 
 // handOffRounds runs 400 rounds of round at GOMAXPROCS(1), where which of
@@ -358,108 +360,113 @@ func TestForkWakeYieldsToThief(t *testing.T) {
 
 // TestWakeZeroTakesNoLock pins wake's first fast path: publishing nothing —
 // a drain that found nothing private, a completion that promoted no queued
-// job — returns before it looks at the lot, even while a thief is listed.
-// The test holds the list's mutex, so a wake(0) that took it would block;
-// the channel bounds the wait, so that regression fails instead of hanging.
+// job — returns before it looks at the lot, even while a slot is free. The
+// test holds the lot's mutex, so a wake(0) that took it would block; the
+// channel bounds the wait, so that regression fails instead of hanging.
 func TestWakeZeroTakesNoLock(t *testing.T) {
-	p := testLot(1)
-	p.thieves.add(new(W))
-	p.thieves.mu.Lock()
-	defer p.thieves.mu.Unlock()
+	rt := NewRuntime(Config{Workers: 1})
+	p := rt.park
+	p.park(&W{slot: rt.workers[0]}, new(atomic.Int64), noWork)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	done := make(chan struct{})
 	var woke bool
 	go func() {
-		woke = p.wake(0)
+		woke = rt.wake(0)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("wake(0) with a listed thief is waiting for the park lot's mutex")
+		t.Fatal("wake(0) with a slot free is waiting for the park lot's mutex")
 	}
 	if woke {
 		t.Error("wake(0) reported a delivery")
 	}
-	if n := len(p.thieves.ws); n != 1 {
-		t.Errorf("wake(0) took %d listed thieves, want 0", 1-n)
+	if len(p.free) != 1 || len(p.ws) != 1 {
+		t.Errorf("wake(0) left %d free slots and %d listed, want 1 and 1", len(p.free), len(p.ws))
 	}
 }
 
-// TestWakeDuringFinalSweep drives the one race of the hand-off park: a wake
-// that lands while a thief's final sweep runs, and the sweep then finds a
-// task. The thief leaves with the task, consumes the delivery the wake made
-// (a later park on the same W sleeps until the next wake), and passes the
-// wake on to a thief still listed, since it is busy with what it found.
+// TestWakeDuringFinalSweep drives the races of the park, through its peek:
+// the parker has freed its slot and listed itself, and a publisher's wake
+// lands before the peek has looked.
+//
+//   - (a) The wake gives the parker its own slot back: the parker's wait
+//     returns it at once, whether the peek then saw nothing or saw work —
+//     in which case it takes no second slot.
+//   - (c) A goroutine listed after the parker — a finisher that has handed
+//     its slot to a resumed parent — gets the only free slot, and the peek
+//     then sees the task: the parker sleeps, since a slot it could take back
+//     is gone, and the other goroutine's first sweep takes the task, which
+//     the peek left where it was.
+//
+// A parker that peeked before freeing its slot fails both: the wake finds no
+// slot free. A peek that claimed the task fails (c).
 func TestWakeDuringFinalSweep(t *testing.T) {
-	p := testLot(2)
-	wakeThenFind := func() (task, bool) {
-		p.wake(1)
-		return task{depth: 7}, true
-	}
-	noSweep := func() (task, bool) { return task{}, false }
-	awaits := func(ch chan struct{}, what string) {
-		t.Helper()
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s never woke", what)
+	t.Run("a", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 2})
+		p := rt.park
+		w := &W{slot: rt.workers[0]}
+		var sleeps atomic.Int64
+		p.park(w, &sleeps, func() bool { rt.wake(1); return false })
+		if got := delivered(t, waitAsync(w), "the parker a wake reached during its peek"); got != rt.workers[0] {
+			t.Errorf("the parker was delivered %v, want its own slot", got)
 		}
-	}
-	parkAsync := func(w *W) chan struct{} {
-		ch := make(chan struct{})
-		go func() {
-			p.park(w, new(atomic.Int64), noSweep)
-			close(ch)
-		}()
-		for deadline := time.Now().Add(5 * time.Second); p.parked() != 1; time.Sleep(50 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("parked() = %d, want 1", p.parked())
-			}
+		// The same with a sleeper listed first, and a peek that sees work.
+		sleeper := &W{slot: rt.workers[1]}
+		p.park(sleeper, &sleeps, noWork)
+		slept := waitAsync(sleeper)
+		w.slot = rt.workers[0]
+		p.park(w, &sleeps, func() bool { rt.wake(1); return true })
+		if got := delivered(t, waitAsync(w), "the parker a wake reached before its peek saw work"); got != rt.workers[0] {
+			t.Errorf("the parker was delivered %v, want its own slot", got)
 		}
-		return ch
-	}
-
-	w := new(W)
-	var sleeps atomic.Int64
-	watchdog(t, 5*time.Second, func() {
-		if got, ok := p.park(w, &sleeps, wakeThenFind); !ok || got.depth != 7 {
-			t.Errorf("park = %+v, %v; want the task its final sweep found", got, ok)
+		if len(p.free) != 1 || len(p.ws) != 1 {
+			t.Errorf("after the parker left: %d free slots and %d listed, want the sleeper's 1 and 1", len(p.free), len(p.ws))
+		}
+		asleep(t, slept, "the sleeper")
+		p.close()
+		delivered(t, slept, "the sleeper after close")
+	})
+	t.Run("c", func(t *testing.T) {
+		rt := NewRuntime(Config{Workers: 2})
+		p, victim := rt.park, rt.workers[1]
+		var fr Frame
+		victim.deque.Push(task{fn: runClosure, arg: closureArg(func(*W) {}), frame: &fr})
+		w := rt.newW(rt.workers[0], nil, rt.shard(0))
+		other := rt.newW(rt.workers[0], nil, rt.shard(0))
+		var sleeps atomic.Int64
+		p.park(w, &sleeps, func() bool {
+			p.list(other)
+			rt.wake(1)
+			return rt.hasWork()
+		})
+		slept := waitAsync(w)
+		slot := delivered(t, waitAsync(other), "the goroutine listed after the parker")
+		asleep(t, slept, "the parker whose peek saw work with no slot free")
+		if slot != rt.workers[0] || sleeps.Load() != 0 {
+			t.Fatalf("the other goroutine got slot %v, parks counted %d; want the parker's slot and 0", slot, sleeps.Load())
+		}
+		if n := victim.deque.Len(); n != 1 {
+			t.Fatalf("the victim holds %d tasks after the peek, want 1: a peek claims nothing", n)
+		}
+		other.slot, other.stats = slot, rt.shard(slot.id)
+		if _, ok := rt.steal(other, countStolen); !ok {
+			t.Error("the first sweep of the goroutine given the slot found nothing")
+		}
+		p.close()
+		if got := delivered(t, slept, "the parker after close"); got != nil {
+			t.Errorf("close delivered slot %v to the parker, want nil (exit)", got)
 		}
 	})
-	if got := p.parked(); got != 0 {
-		t.Errorf("parked() = %d after park returned with a task, want 0", got)
-	}
-	if got := sleeps.Load(); got != 0 {
-		t.Errorf("sleeps = %d for a final sweep that found a task, want 0", got)
-	}
-	again := parkAsync(w)
-	select {
-	case <-again:
-		t.Fatal("the second park on the same W returned on the delivery of the first")
-	case <-time.After(50 * time.Millisecond):
-	}
-	p.wake(1)
-	awaits(again, "second park after wake(1)")
-
-	// The same race with another thief asleep: the wake lands on the newest
-	// listed thief, the one sweeping, which hands it to the sleeper.
-	sleeper := parkAsync(new(W))
-	watchdog(t, 5*time.Second, func() {
-		if _, ok := p.park(new(W), new(atomic.Int64), wakeThenFind); !ok {
-			t.Error("park with a final sweep that found a task returned none")
-		}
-	})
-	awaits(sleeper, "sleeper after a wake taken by a thief whose sweep found work")
-	if got := p.parked(); got != 0 {
-		t.Errorf("parked() = %d after the sleeper was woken, want 0", got)
-	}
 }
 
-// TestFinalSweepReturnsTask is the park lot's half of the lost-wakeup
-// argument, made deterministic: a thief that has registered and whose
-// final sweep meets a victim holding work leaves with one task instead of
-// sleeping, is no longer counted as parked, and has given back the wait it
-// counted on its hand-off when it listed itself.
+// TestFinalSweepReturnsTask is case (b) of the park's races, made
+// deterministic: a parker whose peek meets a victim holding work takes its
+// slot back and leaves, unslept — its wait returns the slot at once, the
+// lot's free list is back to its length before the park, and nothing was
+// claimed: the task is there for the sweep the parker runs next.
 func TestFinalSweepReturnsTask(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 2})
 	victim := rt.workers[1]
@@ -467,31 +474,20 @@ func TestFinalSweepReturnsTask(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		victim.deque.Push(task{fn: runClosure, arg: closureArg(func(*W) {}), frame: &fr})
 	}
-	st := rt.takeStack(0)
-	defer rt.pool.Put(0, st)
-	w := rt.newW(rt.workers[0], st, rt.shard(0))
-	watchdog(t, 10*time.Second, func() {
-		if _, ok := rt.park.park(w, &w.stats.thiefParks, func() (task, bool) { return rt.steal(w, countStolen) }); !ok {
-			t.Error("final sweep over a victim with 8 tasks came back empty")
-		}
-	})
+	w := rt.newW(rt.workers[0], nil, rt.shard(0))
+	rt.park.park(w, &w.stats.thiefParks, rt.hasWork)
+	if got := delivered(t, waitAsync(w), "a parker whose peek saw work"); got != rt.workers[0] {
+		t.Errorf("the parker was delivered %v, want its own slot back", got)
+	}
 	if got := w.stats.thiefParks.Load(); got != 0 {
-		t.Errorf("thiefParks = %d: the thief slept although its final sweep found a task", got)
+		t.Errorf("thiefParks = %d: the thief slept although its peek saw work", got)
 	}
-	if got := victim.deque.Len(); got != 7 {
-		t.Errorf("victim holds %d tasks after one steal from 8, want 7", got)
+	if got := victim.deque.Len(); got != 8 || fr.count.Load() != 0 {
+		t.Errorf("victim holds %d tasks, frame counts %d stolen: the peek claimed work", got, fr.count.Load())
 	}
-	if got := fr.count.Load(); got != 1 {
-		t.Errorf("frame counts %d stolen children after one steal, want 1", got)
+	if f, l := len(rt.park.free), len(rt.park.ws); f != 0 || l != 0 {
+		t.Errorf("%d slots free and %d listed after the parker left, want 0 and 0", f, l)
 	}
-	if got := rt.park.parked(); got != 0 {
-		t.Errorf("parked() = %d after park returned with a task, want 0", got)
-	}
-	watchdog(t, 5*time.Second, func() {
-		if slot := w.wait(); slot != nil {
-			t.Errorf("w.wait() delivered slot %d to a thief that never slept", slot.id)
-		}
-	})
 }
 
 // TestWideFanoutStaggered is the park lot's stress: rounds of staggered

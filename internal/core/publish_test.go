@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fibril/internal/deque"
 )
 
 // This file fences the publish rule (DESIGN.md §5): a Fork leaves its child
@@ -49,10 +51,11 @@ func TestUnstolenForkStaysPrivate(t *testing.T) {
 
 // TestForkPublishesWhileThiefRegistered pins the fork tail's two regimes on
 // one worker, deterministically: with every slot busy only the fork that
-// finds the public part dry publishes; with a thief idle and parked on the
-// park lot — a bare W listed here, so it cannot steal — every Fork returns
-// with all the worker holds stealable and a wake delivered to that thief,
-// exactly as before the deque had a private part.
+// finds the public part dry publishes; with a thief parked — a bare W that
+// freed a slot of its own outside the runtime's, so it cannot steal, and
+// counted idle as spawnThief counts a slot — every Fork returns with all the
+// worker holds stealable and the free slot delivered to that thief, exactly
+// as before the deque had a private part.
 func TestForkPublishesWhileThiefRegistered(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 1})
 	var ran atomic.Int32
@@ -67,17 +70,19 @@ func TestForkPublishesWhileThiefRegistered(t *testing.T) {
 		if got := d.Len(); got != 1 {
 			t.Errorf("nobody idle: %d of 3 forks are public, want 1", got)
 		}
-		thief := new(W)
+		thief := &W{slot: &worker{id: 0, deque: new(deque.Deque[task])}}
+		own := thief.slot
 		p.nidle.Add(1)
-		p.thieves.add(thief)
+		p.park(thief, new(atomic.Int64), noWork)
 		w.Fork(&fr, leaf)
 		if got := d.Len(); got != 4 {
-			t.Errorf("thief registered: %d of 4 forks are public on return from Fork, want 4", got)
+			t.Errorf("thief parked: %d of 4 forks are public on return from Fork, want 4", got)
 		}
-		if p.thieves.remove(thief) {
-			t.Error("the thief was still listed after a Fork with one thief registered: no wake delivered to it")
-		} else {
-			thief.wait()
+		if n := p.nfree.Load(); n != 0 {
+			t.Errorf("%d slots still free after a Fork with one free: no wake gave it out", n)
+		}
+		if got := delivered(t, waitAsync(thief), "the parked thief"); got != own {
+			t.Errorf("the parked thief was delivered %v, want the slot it freed", got)
 		}
 		p.nidle.Add(-1)
 		w.Join(&fr)

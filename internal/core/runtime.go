@@ -30,15 +30,17 @@
 //     children stolen and not yet finished. If it is not zero the parent
 //     SUSPENDS: its goroutine unmaps the unused pages above its stack's top
 //     (Listing 3 line 63), hands its worker slot to a replacement thief — a
-//     spare if one waits — running on a pool stack (line 93), and waits;
+//     goroutine without a slot if one waits — running on a pool stack (line
+//     93), and waits;
 //   - when the LAST stolen child of a suspended frame completes, the
-//     finishing goroutine puts its own stack into the pool, lists itself as
-//     a spare, and delivers its worker slot to the parked parent (lines
+//     finishing goroutine puts its own stack into the pool, lists itself on
+//     the park lot, and delivers its worker slot to the parked parent (lines
 //     68–75), which resumes on its original stack.
 //
-// Exactly P worker slots are occupied by runnable goroutines at all times,
-// so the busy-leaves property — the basis of the paper's space bounds —
-// holds by construction.
+// Each of the P worker slots is occupied by a runnable goroutine or free on
+// the park lot, and a slot stays free only while no work is visible, so the
+// busy-leaves property — the basis of the paper's space bounds — holds by
+// construction.
 //
 // # Strategies
 //
@@ -57,7 +59,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -257,8 +258,8 @@ type tbbTask struct {
 // who writes them and how often (DESIGN.md §7): every Fork, steal sweep
 // and Submit dereferences the first group, so nothing in it is written
 // after NewRuntime except done, which Start and Close flip; the group
-// below it is written per suspension, admission, root taken and completion,
-// a pad apart from it.
+// below it is written per admission, root taken and completion, a pad apart
+// from it.
 type Runtime struct {
 	_ cacheline.Pad
 
@@ -286,14 +287,11 @@ type Runtime struct {
 
 	_ cacheline.Pad
 
-	// Written by a suspend spawning its replacement thief and by that
-	// thief's predecessor retiring (goroutineWG, spares), and under the
-	// admission mutex once per Submit, once per root taken, once per
-	// completion and by lifecycle transitions (admit, which also holds the
-	// job counters and the ready list of admitted roots; see job.go).
-	goroutineWG sync.WaitGroup // live worker goroutines (for Wait)
-	spares      waitList
-	admit       admitState
+	// Written under the admission mutex once per Submit, once per root
+	// taken, once per completion and by lifecycle transitions (it also
+	// holds the job counters and the ready list of admitted roots; see
+	// job.go).
+	admit admitState
 
 	_ cacheline.Pad
 }
@@ -328,8 +326,8 @@ func NewRuntime(cfg Config) *Runtime {
 		}
 	}
 	rt.stats = make([]counterShard, cfg.Workers)
-	rt.park.thieves.ws = make([]*W, 0, cfg.Workers)
-	rt.spares.ws = make([]*W, 0, cfg.Workers)
+	rt.park.ws = make([]*W, 0, cfg.Workers)
+	rt.park.free = make([]*worker, 0, cfg.Workers)
 	return rt
 }
 
@@ -419,7 +417,7 @@ func (rt *Runtime) RunErr(root func(*W)) (Stats, error) {
 // then blocks in Err and hands its own P to the woken thief. The budget
 // covers the dearer of the two. Fan-out throughput is flat from a quarter to
 // four times this value (EXPERIMENTS.md "Idle protocol"). A Fork now yields
-// its P to the thief it woke (parkLot.handOff), which makes its wake about
+// its P to the thief it woke (Runtime.handOff), which makes its wake about
 // as cheap as a Submit's; the budget was not re-derived (EXPERIMENTS.md
 // "Hand-off after a wake").
 //
@@ -432,34 +430,16 @@ const (
 	searchClockStride = 16
 )
 
-// spawnThief puts a thief on slot: a spare — a retired thief's goroutine,
-// waiting with its W and its grown Go stack — when one is parked, and a new
-// goroutine only when none is. The slot is counted idle from here — not
-// from whenever the thief first runs and finds nothing, which on a host
-// short of CPUs is after the busy workers have been descheduled with their
-// work still private — until the thief has a task (parkLot.nidle).
-func (rt *Runtime) spawnThief(slot *worker) {
-	rt.park.nidle.Add(1)
-	if w := rt.spares.take(); w != nil {
-		w.deliver(slot)
-		return
-	}
-	rt.goroutineWG.Add(1)
-	go rt.thiefLoop(slot)
-}
-
-// thiefLoop is the body of a worker-slot goroutine that starts with no
-// work: take a stack from the pool (blocking if the pool is bounded and
-// exhausted — the Cilk Plus stall) and occupy the slot until the runtime
-// closes or the slot is handed to a resumed parent. In the second case
-// childDone has put the stack back (Listing 3 line 71) and listed the
-// goroutine as a spare, keeping its W and Go stack, to wait on its hand-off
-// for the next suspend's slot; nil — from Close, or at once for a thief the
-// full or closed list refused — means exit.
+// thiefLoop is the body of every worker goroutine: for the slot it starts
+// with, then each one delivered to its hand-off (nil means exit), take a
+// stack from the pool — blocking if a bounded pool is exhausted, the Cilk
+// Plus stall — and occupy the slot until it leaves it. Then it is listed on
+// the park lot, keeping its W and its grown Go stack, or — the runtime
+// closing — listed nowhere, and its wait returns nil at once.
 func (rt *Runtime) thiefLoop(slot *worker) {
-	defer rt.goroutineWG.Done()
+	defer rt.park.live.Done()
 	var w *W
-	for {
+	for ; slot != nil; slot = w.wait() {
 		st := rt.takeStack(slot.id)
 		if st == nil {
 			rt.park.nidle.Add(-1)
@@ -468,44 +448,35 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 		if w == nil {
 			w = rt.newW(slot, st, rt.shard(slot.id))
 		} else {
-			// A spare: rebind what belonged to its last slot. Its per-fork
-			// counters were folded in after its last task.
+			// Rebind what belonged to its last slot. Its per-fork counters
+			// were folded in after its last task.
 			w.slot, w.stack, w.stats = slot, st, rt.shard(slot.id)
 			w.released, w.depth, w.frame = false, 0, nil
 		}
-		if !rt.occupy(w) {
-			rt.pool.Put(slot.id, w.stack)
-			return
-		}
-		if slot = w.wait(); slot == nil {
-			return
-		}
+		rt.occupy(w)
 	}
 }
 
-// occupy steals and runs tasks on w's slot until the runtime closes
-// (false) or the slot is handed to a resumed parent (true). A sweep looks
-// for stolen work first and for a submitted root only when the whole steal
-// sweep fails, so new roots open only on genuinely idle capacity. Failed
-// sweeps search for searchBudget and then park, so idle thieves stop
-// burning CPU while work is scarce — a serving runtime between requests is
-// P parked goroutines. An empty sweep costs the rest of the system nothing
-// but shared reads (Deque.Len per victim, then the ready list's one
-// counter), and the Gosched between sweeps runs every client, waiter and
-// timer goroutine sharing this P first. The slot counts as idle on the park
-// lot whenever the loop is not inside runStolen, which is what makes every
-// Fork publish its children rather than keep them private (ForkArgSized).
-func (rt *Runtime) occupy(w *W) (released bool) {
-	sweep := func() (task, bool) {
-		if t, ok := rt.steal(w, countStolen); ok {
-			return t, true
-		}
-		return rt.nextRoot()
-	}
+// occupy steals and runs tasks on w's slot until w leaves it — the runtime
+// closes, the slot is handed to a resumed parent (childDone lists w), or w
+// parks (it lists itself) — with the stack back in the pool in every case. A
+// sweep looks for stolen work first and for a submitted root only when the
+// whole steal sweep fails, so new roots open only on genuinely idle
+// capacity. Failed sweeps search for searchBudget and then park: a serving
+// runtime between requests is P free slots and P listed goroutines. An empty
+// sweep costs the rest of the system nothing but shared reads (Deque.Len per
+// victim, then the ready list's one counter), and the Gosched between sweeps
+// runs every goroutine sharing this P first. The slot counts as idle
+// (parkLot.nidle) whenever the loop is not inside runStolen, which is what
+// makes every Fork publish its children rather than keep them private.
+func (rt *Runtime) occupy(w *W) {
 	fails := 0
 	var idleSince time.Time // zero until the search phase first reads the clock
 	for !rt.done.Load() {
-		t, ok := sweep()
+		t, ok := rt.steal(w, countStolen)
+		if !ok {
+			t, ok = rt.nextRoot()
+		}
 		if !ok {
 			fails++
 			if fails%searchClockStride != 0 {
@@ -519,20 +490,17 @@ func (rt *Runtime) occupy(w *W) (released bool) {
 				runtime.Gosched()
 				continue
 			}
-			// Searched for as long as a wake-up costs: park. park re-sweeps
-			// after listing w, so a Fork or Submit racing this sleep either
-			// is seen by that sweep or sees the listing and delivers to a
-			// listed thief (no lost wakeup — see parkLot).
-			t, ok = rt.park.park(w, &w.stats.thiefParks, sweep)
+			// Searched for as long as a wake-up costs: give the stack and
+			// the slot back, list w and peek (no lost wakeup: parkLot).
+			rt.pool.Put(w.slot.id, w.stack)
+			rt.park.park(w, &w.stats.thiefParks, rt.hasWork)
+			return
 		}
 		fails, idleSince = 0, time.Time{}
-		if !ok {
-			continue // woken: a new idle episode starts with a sweep
-		}
 		rt.park.nidle.Add(-1)
 		w.runStolen(t)
 		if w.released {
-			return true
+			return
 		}
 		rt.park.nidle.Add(1)
 		if t.frame == nil {
@@ -543,7 +511,7 @@ func (rt *Runtime) occupy(w *W) (released bool) {
 		}
 	}
 	rt.park.nidle.Add(-1)
-	return false
+	rt.pool.Put(w.slot.id, w.stack)
 }
 
 // steal attempts one round of stealing over the other worker slots: the

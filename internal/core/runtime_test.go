@@ -377,22 +377,64 @@ func settleGoroutines(base int) int {
 	return n
 }
 
-// TestSparesLiveAndDieWithTheRuntime pins the spare thieves' lifecycle:
-// a served job whose every round suspends makes thieves retire as spares
-// and suspends reuse them, so the worker goroutines stay within Workers
-// occupants plus Workers spares; Close releases every spare, so the process
-// comes back to the goroutines it had before Start; and a restart does it
-// all again.
+// listed reads how many goroutines are listed on rt's park lot, without a
+// slot.
+func listed(rt *Runtime) int {
+	rt.park.mu.Lock()
+	defer rt.park.mu.Unlock()
+	return len(rt.park.ws)
+}
+
+// nestedSuspend runs, on w, a chain of depth fork-join regions, each inside
+// the one child of the last, whose every parent suspends: a parent joins
+// only once its child has started, which only a thief can make happen, and
+// the leaf outlives that wait by 200 µs. At the leaf, depth frames are
+// suspended at once, so the runtime holds Workers plus depth goroutines. It
+// needs Workers >= 2.
+func nestedSuspend(t *testing.T, w *W, depth int) {
+	if depth == 0 {
+		time.Sleep(200 * time.Microsecond)
+		return
+	}
+	var fr Frame
+	var started atomic.Bool
+	w.Init(&fr)
+	w.Fork(&fr, func(cw *W) {
+		started.Store(true)
+		nestedSuspend(t, cw, depth-1)
+	})
+	for deadline := time.Now().Add(10 * time.Second); !started.Load(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Errorf("depth %d: no thief took the forked child in 10 s", depth)
+			break
+		}
+	}
+	w.Join(&fr)
+}
+
+// TestSparesLiveAndDieWithTheRuntime pins the lifecycle of the goroutines
+// without a slot: a served job whose every round suspends makes thieves
+// leave their slots and suspends reuse them, so the worker goroutines stay
+// within Workers plus the frames suspended at once; Close releases every
+// listed goroutine, so the process comes back to the goroutines it had
+// before Start; and a restart does it all again. The last life runs nested
+// chains of suspends instead, whose finishers retire in a burst and are all
+// kept listed, and Close must end them all the same.
 func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
-	const workers, rounds = 4, 32
+	const workers, rounds, lives, depth = 4, 32, 4, 8
 	rt := NewRuntime(Config{Workers: workers})
 	base := runtime.NumGoroutine()
-	for life := 0; life < 3; life++ {
+	for life := 0; life < lives; life++ {
+		nested := life == lives-1
 		rt.Start()
 		var peak atomic.Int64
 		j := rt.Submit(func(w *W) {
 			run := suspendRounds(t, w)
 			for r := 0; r < rounds; r++ {
+				if nested {
+					nestedSuspend(t, w, depth)
+					continue
+				}
 				run(1)
 				peak.Store(max(peak.Load(), int64(runtime.NumGoroutine()-base)))
 			}
@@ -403,29 +445,28 @@ func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
 			}
 		})
 		j.Release()
-		// The last finisher lists itself as a spare before it resumes the root.
-		parked := 0
-		for deadline := time.Now().Add(10 * time.Second); parked == 0 && time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
-			rt.spares.mu.Lock()
-			parked = len(rt.spares.ws)
-			rt.spares.mu.Unlock()
+		// The last finisher lists itself before it resumes the root.
+		n := 0
+		for deadline := time.Now().Add(10 * time.Second); n == 0 && time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+			n = listed(rt)
 		}
-		if parked == 0 || parked > workers {
-			t.Errorf("life %d: %d spares parked after %d suspends, want 1..%d", life, parked, rounds, workers)
+		if n == 0 {
+			t.Errorf("life %d: no goroutine listed after %d suspends", life, rounds)
 		}
-		// Sampled while the root runs, so no frame is suspended; the one
-		// more is the watchdog's goroutine waiting in Err.
-		if p := peak.Load(); p > 2*workers+1 {
-			t.Errorf("life %d: %d goroutines at the peak, want at most %d occupants + %d spares + 1 waiter",
-				life, p, workers, workers)
+		// Sampled while the root runs, so no frame is suspended; the two
+		// more are the one frame suspended at once in a round and the
+		// watchdog's goroutine waiting in Err.
+		if p := peak.Load(); p > workers+2 {
+			t.Errorf("life %d: %d goroutines at the peak, want at most %d occupants + 1 per suspended frame + 1 waiter",
+				life, p, workers)
 		}
 		watchdog(t, 10*time.Second, func() {
 			if err := rt.Close(context.Background()); err != nil {
 				t.Errorf("life %d: Close: %v", life, err)
 			}
 		})
-		if n := len(rt.spares.ws); n != 0 {
-			t.Errorf("life %d: %d spares still listed after Close", life, n)
+		if n := listed(rt); n != 0 {
+			t.Errorf("life %d: %d goroutines still listed after Close", life, n)
 		}
 		if n := settleGoroutines(base); n > base {
 			t.Fatalf("life %d: %d goroutines after Close, %d before Start", life, n, base)
@@ -436,15 +477,51 @@ func TestSparesLiveAndDieWithTheRuntime(t *testing.T) {
 	}
 }
 
+// TestNestedSuspendsStartNoGoroutines pins that the list of goroutines
+// without a slot never refuses one. A chain of nested suspends needs Workers
+// plus its depth goroutines at its leaf, and its finishers retire in a burst
+// as the chain unwinds. A list capped at Workers let the burst's excess
+// exit, and the next chain's suspends started them again: a goroutine birth
+// and death per suspend past the cap. Once one warm-up root has reached the
+// chain's peak, the goroutines it started are all listed when the next root
+// needs them, so 50 more roots start none.
+func TestNestedSuspendsStartNoGoroutines(t *testing.T) {
+	const workers, depth, roots = 2, 8, 50
+	rt := NewRuntime(Config{Workers: workers})
+	rt.Start()
+	defer rt.Close(context.Background())
+	run := func() {
+		j := rt.Submit(func(w *W) { nestedSuspend(t, w, depth) })
+		watchdog(t, 30*time.Second, func() {
+			if err := j.Err(); err != nil {
+				t.Error(err)
+			}
+		})
+		j.Release()
+	}
+	run()
+	starts, suspends := rt.park.starts.Load(), rt.Stats().Suspends
+	for range roots {
+		run()
+	}
+	suspends = rt.Stats().Suspends - suspends
+	if suspends == 0 {
+		t.Fatalf("none of %d roots suspended", roots)
+	}
+	if n := rt.park.starts.Load() - starts; n != 0 {
+		t.Errorf("%d roots of %d nested suspends (%d suspends) started %d goroutines after the warm-up, want 0",
+			roots, depth, suspends, n)
+	}
+}
+
 // TestResumedJoinFindsFinisherListed pins Listing 3's retirement order: the
-// last stolen child's finisher puts its stack back and lists itself as a
-// spare before it delivers its slot to the suspended owner (lines 68–75), so
-// a Join that returned from a suspend finds the finisher listed, or the list
-// full, and the owner's next suspend reuses a spare instead of starting a
-// goroutine. Every round suspends, and its child finishes only once the
-// parent is parked and its replacement thief has taken a stack: a finisher
-// listed before the owner hands its slot over is the spare that hand-over
-// takes.
+// last stolen child's finisher puts its stack back and lists itself on the
+// park lot before it delivers its slot to the suspended owner (lines 68–75),
+// so a Join that returned from a suspend finds the finisher listed, and the
+// owner's next suspend reuses it instead of starting a goroutine. Every
+// round suspends, and its child finishes only once the parent is parked and
+// its replacement thief has taken a stack: a finisher listed before the
+// owner hands its slot over is the goroutine that hand-over takes.
 func TestResumedJoinFindsFinisherListed(t *testing.T) {
 	const rounds = 32
 	rt := NewRuntime(Config{Workers: 2})
@@ -470,12 +547,12 @@ func TestResumedJoinFindsFinisherListed(t *testing.T) {
 					runtime.Gosched()
 				}
 				w.Join(&fr)
-				rt.spares.mu.Lock()
-				listed := slices.Contains(rt.spares.ws, finisher.Load()) || len(rt.spares.ws) == cap(rt.spares.ws)
-				n := len(rt.spares.ws)
-				rt.spares.mu.Unlock()
-				if !listed {
-					t.Errorf("round %d: the Join returned with its finisher not listed (%d spares)", r, n)
+				rt.park.mu.Lock()
+				isListed := slices.Contains(rt.park.ws, finisher.Load())
+				n := len(rt.park.ws)
+				rt.park.mu.Unlock()
+				if !isListed {
+					t.Errorf("round %d: the Join returned with its finisher not listed (%d listed)", r, n)
 				}
 			}
 		})
@@ -485,34 +562,33 @@ func TestResumedJoinFindsFinisherListed(t *testing.T) {
 	}
 }
 
-// TestReusedSpareStallsOnBoundedPool pins that a spare takes its stack
-// through takeStack like a new thief, so the Cilk Plus bounded pool stalls
-// it, and that Close releases a thief stalled there. Three slots share two
-// stacks, so one thief always waits in the pool. The first round's suspend
-// finds no spare and starts a goroutine, which stalls; its finisher retires
-// as the one spare, and its stack wakes a stalled thief. The second round's
-// suspend takes that spare, which stalls in turn: one stall more, the list
-// empty, and no goroutine more. When the job is done one thief is still
-// waiting for a stack, and Close must release it.
+// TestReusedSpareStallsOnBoundedPool pins that a listed goroutine takes its
+// stack through takeStack like a new thief, so the Cilk Plus bounded pool
+// stalls it. Three slots share two stacks, and the job starts once all three
+// thieves have parked: a parked thief holds no stack. Once the job's first
+// suspend round is over and the other two slots are free again, the root's
+// is the only stack in use and the two other goroutines are listed. The second round's fork gives one of them a slot
+// and the second stack to steal the child with; the suspend that follows
+// gives the other the root's slot, and it stalls: one stall more, nobody
+// listed, and no goroutine more. Close then ends them all.
 func TestReusedSpareStallsOnBoundedPool(t *testing.T) {
 	type look struct {
-		stalls             int64
-		goroutines, spares int
+		stalls                    int64
+		goroutines, listed, nfree int
 	}
 	rt := NewRuntime(Config{Workers: 3, Strategy: StrategyCilkPlus, StackLimit: 2})
 	see := func() look {
-		rt.spares.mu.Lock()
-		defer rt.spares.mu.Unlock()
-		return look{rt.Stats().PoolStalls, runtime.NumGoroutine(), len(rt.spares.ws)}
+		return look{rt.Stats().PoolStalls, runtime.NumGoroutine(), listed(rt), rt.ParkedThieves()}
 	}
 	base := runtime.NumGoroutine()
 	rt.Start()
+	waitParked(t, rt, 3, 10*time.Second) // three goroutines, all listed
 	var before, during look
 	j := rt.Submit(func(w *W) {
 		suspendRounds(t, w)(1)
-		// The finisher lists itself as a spare before it resumes this parent.
+		// Wait for the other two slots to be free: their goroutines parked.
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-			if before = see(); before.spares == 1 || time.Now().After(deadline) {
+			if before = see(); before.nfree == 2 || time.Now().After(deadline) {
 				break
 			}
 		}
@@ -541,10 +617,10 @@ func TestReusedSpareStallsOnBoundedPool(t *testing.T) {
 			t.Errorf("job: %v", err)
 		}
 	})
-	t.Logf("before the second suspend %+v, after it %+v", before, during)
-	if before.spares != 1 || during.spares != 0 || during.stalls != before.stalls+1 || during.goroutines != before.goroutines {
-		t.Errorf("the second suspend took spares %d -> %d, stalls %d -> %d, goroutines %d -> %d; want 1 -> 0, one stall more, no goroutine more",
-			before.spares, during.spares, before.stalls, during.stalls, before.goroutines, during.goroutines)
+	t.Logf("before the second round %+v, during its suspend %+v", before, during)
+	if before.listed != 2 || during.listed != 0 || during.stalls != before.stalls+1 || during.goroutines != before.goroutines {
+		t.Errorf("the second round took listed %d -> %d, stalls %d -> %d, goroutines %d -> %d; want 2 -> 0, one stall more, no goroutine more",
+			before.listed, during.listed, before.stalls, during.stalls, before.goroutines, during.goroutines)
 	}
 	watchdog(t, 10*time.Second, func() {
 		if err := rt.Close(context.Background()); err != nil {

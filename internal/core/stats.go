@@ -58,7 +58,7 @@ type Stats struct {
 	Calls            int64 // synchronous Call executions
 	Steals           int64 // successful steals (Table 2 "steals")
 	StealAttempts    int64 // steal probes of a visibly non-empty deque
-	ThiefParks       int64 // times a thief searched out its budget, parked, and its final sweep came back empty
+	ThiefParks       int64 // times a thief searched out its budget, parked, and its peek came back empty
 	RestrictedSteals int64 // inline steals by TBB joins
 	Suspends         int64 // frame suspensions
 	Resumes          int64 // frame resumptions

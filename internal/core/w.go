@@ -17,10 +17,10 @@ import (
 // calls, and joins. One W belongs to one goroutine for that goroutine's
 // lifetime; the worker *slot* behind it migrates across suspensions, which
 // is why tasks receive a *W rather than a worker id, and so does its stack
-// when the goroutine retires as a spare and is reused (thiefLoop).
+// when the goroutine leaves a slot and is given another (thiefLoop).
 //
-// A goroutine that waits — suspended in a Join or listed as a spare, both
-// without a slot, or parked as a thief, which keeps its slot — waits on its
+// A goroutine without a slot — suspended in a Join, or listed on the park
+// lot after it parked or handed its slot to a resumed parent — waits on its
 // W's hand-off (sem, next) for another to deliver to it, which writes those
 // two and may read stack. Otherwise only its own goroutine reads or writes a
 // W, and it writes depth and frame around every task. Ws are allocated one
@@ -69,8 +69,8 @@ func (w *W) Depth() int { return int(w.depth) }
 // StackID identifies the simulated stack the goroutine runs on.
 func (w *W) StackID() int { return w.stack.ID() }
 
-// deliver gives slot to w's goroutine, waiting for it in wait; a parked
-// thief, which keeps its own slot, is woken with nil.
+// deliver gives slot to w's goroutine, waiting for it in wait; nil means
+// exit.
 func (w *W) deliver(slot *worker) {
 	w.next = slot
 	w.sem.Done()
@@ -141,12 +141,12 @@ func (w *W) drain(slot *worker, bot int64) {
 	var t task
 	for {
 		d := w.slot.deque
-		w.rt.park.handOff(d.Publish())
+		w.rt.handOff(d.Publish())
 		republished, ok := d.PopRepublish(&t)
 		if !ok {
 			return // thieves took the rest, and run what they took
 		}
-		w.rt.park.handOff(republished)
+		w.rt.handOff(republished)
 		w.exec(&t)
 	}
 }
@@ -196,13 +196,14 @@ func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
 // is published only if a probing thief would otherwise find nothing, so a
 // fork made while every worker slot is busy stores to no shared word. Then —
 // after the push, the publisher's half of the park lot's Dekker pair — one
-// atomic load of the idle-slot count: while any thief is without a task —
-// not yet run, searching, listed or asleep — every Fork publishes what it
-// holds and wakes a parked thief per entry, so exactly P slots stay runnable
-// whenever work exists (busy leaves), a Fork made with a thief parked is
-// stealable on return, and an owner descheduled among hungry thieves leaves
-// them its whole deque, not one task. A Fork that woke a thief yields its P
-// to it (parkLot.handOff), so the thief starts the child now rather than
+// atomic load of the idle-slot count: while any slot's occupant is without a
+// task — the slot free, given to a goroutine not yet run, or searching —
+// every Fork publishes what it holds and gives out a free slot per entry, so
+// exactly P slots stay runnable whenever work exists (busy leaves), a Fork
+// made with a slot free is stealable on return, and an owner descheduled
+// among hungry thieves leaves them its whole deque, not one task. A Fork
+// that woke a goroutine yields its P to it (Runtime.handOff), so it starts
+// the child now rather than
 // when this goroutine next blocks. With nobody idle there is nobody to
 // publish for: a worker that runs out of work later sweeps after this push,
 // and finds this deque's public part non-empty unless another has emptied it
@@ -222,8 +223,8 @@ func (w *W) ForkArgSized(f *Frame, bytes int, fn func(*W, unsafe.Pointer), arg u
 	t := d.Slot()
 	t.fn, t.arg, t.frame, t.bytes, t.depth = fn, arg, f, int32(bytes), w.depth+1
 	n := d.PushSlot()
-	if p := w.rt.park; p.nidle.Load() != 0 {
-		p.handOff(n + d.Publish())
+	if w.rt.park.nidle.Load() != 0 {
+		w.rt.handOff(n + d.Publish())
 	}
 }
 
@@ -259,17 +260,17 @@ func (w *W) spawnPrologue(f *Frame, bytes int) {
 // ShouldSplit reports whether publishing more parallelism right now could
 // feed an otherwise-idle worker: the public part of the slot's deque looks
 // empty (any probing thief leaves hungry, whatever the owner still holds
-// privately — its next Fork publishes that too) or at least one thief is
-// parked — listed on the lot, in its final sweep or asleep — for lack of
-// work. A thief still in its search phase is not counted as parked; it is
-// visible through LazyHint only, which is enough, since an empty public part
-// is what it keeps finding. It is the steal-driven probe behind lazy loop
+// privately — its next Fork publishes that too) or at least one slot is
+// free on the park lot, given back by a thief that parked for lack of work.
+// A thief still in its search phase holds its slot; it is visible through
+// LazyHint only, which is enough, since an empty public part is what it
+// keeps finding. It is the steal-driven probe behind lazy loop
 // splitting — a loop body checks it between serial chunks and forks only on
 // true, so a saturated system runs tight serial loops while an idle one
 // splits eagerly.
 // The answer is a racy hint, never a correctness condition.
 func (w *W) ShouldSplit() bool {
-	return w.slot.deque.LazyHint() || w.rt.park.parked() > 0
+	return w.slot.deque.LazyHint() || w.rt.park.nfree.Load() > 0
 }
 
 // Call runs fn synchronously as a plain function call with a simulated
@@ -330,8 +331,9 @@ func (w *W) Alloca(n int) (release func()) {
 //
 // A Pop that took a private entry and found the public part dry — a thief
 // has been here since this goroutine last looked — republishes what is left
-// and says how many entries that was; a thief is woken for each, so none
-// stays parked past this worker's next deque operation while it holds work.
+// and says how many entries that was; a free slot is given out for each, so
+// none stays free past this worker's next deque operation while it holds
+// work.
 //
 // The first Pop that fails settles f.pending to zero. A failing Pop takes
 // the deque lock, so it is ordered after every steal that completed before
@@ -364,7 +366,7 @@ func (w *W) Join(f *Frame) {
 					break
 				}
 				if republished > 0 {
-					w.rt.park.handOff(republished)
+					w.rt.handOff(republished)
 				}
 				if t.frame == f {
 					f.pending--
