@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -379,5 +380,52 @@ func TestArenaHoardCap(t *testing.T) {
 	// Per round: arenaHoardCap releases adopt, 2 drop.
 	if want := int64(4); st.ArenaDrops != want {
 		t.Errorf("ArenaDrops=%d, want %d", st.ArenaDrops, want)
+	}
+}
+
+// scratchPool is the sync.Pool BenchmarkScratchRecycling prices the arena
+// against.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// BenchmarkScratchRecycling prices Scratch recycling through the per-slot
+// arena against a sync.Pool on one worker, nested as fib nests one block per
+// level of its recursion: an op is depth acquires, then depth releases,
+// innermost first. The pool leg clears what ReleaseScratch clears on a
+// joined frame. The arena is kept while the pool costs more than 2 ns over
+// it at depth 1 (EXPERIMENTS.md "Arena hand-back").
+func BenchmarkScratchRecycling(b *testing.B) {
+	for _, depth := range []int{1, 2} {
+		b.Run(fmt.Sprintf("arena/depth=%d", depth), func(b *testing.B) {
+			NewRuntime(Config{Workers: 1}).Run(func(w *W) {
+				var held [2]*Scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for d := 0; d < depth; d++ {
+						held[d] = w.AcquireScratch()
+					}
+					for d := depth - 1; d >= 0; d-- {
+						w.ReleaseScratch(held[d])
+					}
+				}
+			})
+		})
+		b.Run(fmt.Sprintf("pool/depth=%d", depth), func(b *testing.B) {
+			NewRuntime(Config{Workers: 1}).Run(func(*W) {
+				var held [2]*Scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for d := 0; d < depth; d++ {
+						held[d] = scratchPool.Get().(*Scratch)
+					}
+					for d := depth - 1; d >= 0; d-- {
+						f := &held[d].frame
+						f.pending, f.owner = 0, nil
+						scratchPool.Put(held[d])
+					}
+				}
+			})
+		})
 	}
 }

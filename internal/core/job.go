@@ -17,14 +17,14 @@ import (
 // wrappers over this machinery — see runtime.go — so batch and serving
 // execution share a single code path.
 //
-// An admitted root waits for a worker on admitState's ready list rather
+// A submitted root waits for a worker on admitState's ready list rather
 // than a worker deque: idle thieves take roots only after a full steal
 // sweep fails, so in-flight computations keep their workers until there is
 // genuinely idle capacity, and restricted (TBB) inline steals can never
-// pick up an unrelated root. Admission control in front of the ready list
-// bounds the number of live roots (Config.MaxInflight): a submission over
-// the bound waits in a FIFO admission queue and is admitted as running
-// jobs complete.
+// pick up an unrelated root. Admission control bounds the number of live
+// roots (Config.MaxInflight): the list's admitted jobs come first, and a
+// submission over the bound waits behind them, FIFO, until running jobs
+// complete and admit it.
 //
 // Every admission decision, ready-list link, completion release, job
 // counter and lifecycle transition happens under admitState's one mutex:
@@ -67,8 +67,8 @@ type Job struct {
 	rt        *Runtime
 	submitted int64 // monoNow at Submit; zero unless a sink consumes KindJobDone
 
-	// qnext is the intrusive link threading an admitted Job through
-	// admitState's ready list; admitState.mu guards it.
+	// qnext is the intrusive link threading a Job no worker has taken yet
+	// through admitState's ready list; admitState.mu guards it.
 	qnext *Job
 
 	// done is the completion state Done and Release read: nil while the
@@ -87,8 +87,8 @@ type Job struct {
 	sem sync.WaitGroup
 
 	// The fields below are written exactly once, before done flips, and
-	// read only after observing completion.
-	tp  *TaskPanic
+	// read only after observing completion. err is the *TaskPanic exec
+	// captured, ErrClosed or ErrDrained, or nil.
 	err error
 	seq uint64
 
@@ -197,7 +197,6 @@ func (j *Job) Release() {
 	j.id = 0
 	j.root = nil
 	j.submitted = 0
-	j.tp = nil
 	j.err = nil
 	j.seq = 0
 	j.stats = nil
@@ -220,10 +219,11 @@ const (
 )
 
 // admitState is the admission-control half of the serving lifecycle: the
-// lifecycle state, the inflight count, the not-yet-admitted queue, the
-// ready list of admitted roots awaiting a worker and the job counters. mu guards all of them, and every admission
-// decision, ready-list link, completion release and lifecycle transition is
-// made holding it. nready alone is also read without it.
+// lifecycle state, the inflight count, the ready list of submitted jobs no
+// worker has taken yet and the job counters. mu guards all of them, and
+// every admission decision, ready-list link, completion release and
+// lifecycle transition is made holding it. nready alone is also read
+// without it.
 type admitState struct {
 	// What every Submit, every root taken and every completion writes, next
 	// to the mutex, so that a job moves one cache line between submitter,
@@ -233,14 +233,16 @@ type admitState struct {
 	inflight int64 // admitted, not yet completed
 	jobs     jobCounts
 
-	// The ready list: admitted roots awaiting a worker, oldest first,
-	// linked through Job.qnext. nready counts them; it is written under mu
-	// and loaded without it by every failed steal sweep (nextRoot).
+	// The ready list: every submitted job no worker has taken yet, oldest
+	// first, linked through Job.qnext. Its first nready jobs are admitted
+	// and wait for a worker; the nqueued behind them wait for admission.
+	// nready is written under mu and loaded without it by every failed
+	// steal sweep (nextRoot) and the parker's peek.
 	head, tail *Job
 	nready     atomic.Int64
+	nqueued    int
 
 	max     int           // Config.MaxInflight (0 = unlimited)
-	queue   []*Job        // submitted, awaiting admission, oldest first
 	drained chan struct{} // set while a Close waits; closed and cleared once drained
 }
 
@@ -257,34 +259,20 @@ func (c *jobCounts) rank() uint64 {
 	return uint64(c.shed + c.drained + c.completed)
 }
 
-// fitsLocked reports whether one more job fits the inflight bound.
-func (a *admitState) fitsLocked() bool {
-	return a.max <= 0 || a.inflight < int64(a.max)
-}
-
-// admitLocked reserves capacity for j, counts it admitted and appends it to
-// the ready list. The caller wakes a thief after unlocking: publish-then-wake,
-// the Dekker pair with the park lot's free slots that Fork uses.
-func (a *admitState) admitLocked(j *Job) {
-	a.inflight++
-	a.jobs.admitted++
-	if a.tail == nil {
-		a.head = j
-	} else {
-		a.tail.qnext = j
-	}
-	a.tail = j
-	a.nready.Add(1)
-}
-
-// promoteLocked admits queued jobs, oldest first, while they fit and
-// returns how many it admitted.
+// promoteLocked is the one admission rule: while a job waits and one more
+// fits the inflight bound, admit the oldest, which moves no job, only the
+// end of the admitted prefix. It returns how many it admitted; the caller
+// wakes a thief per job after unlocking (publish-then-wake, the Dekker pair
+// with the park lot's free slots that Fork uses). Every Submit and every
+// completion runs it, so nqueued > 0 implies the bound is full: a new job is
+// admitted exactly when nothing waits ahead of it and it fits.
 func (a *admitState) promoteLocked() int {
 	n := 0
-	for len(a.queue) > 0 && a.fitsLocked() {
-		a.admitLocked(a.queue[0])
-		a.queue[0] = nil
-		a.queue = a.queue[1:]
+	for a.nqueued > 0 && (a.max <= 0 || a.inflight < int64(a.max)) {
+		a.nqueued--
+		a.inflight++
+		a.jobs.admitted++
+		a.nready.Add(1)
 		n++
 	}
 	return n
@@ -307,7 +295,7 @@ func (a *admitState) rejectLocked(j *Job, err error) {
 // inflight or queued jobs are left, and clears it. The gate exists only
 // while the runtime is closing.
 func (a *admitState) checkDrainedLocked() {
-	if a.drained != nil && a.inflight == 0 && len(a.queue) == 0 {
+	if a.drained != nil && a.inflight == 0 && a.nqueued == 0 {
 		close(a.drained)
 		a.drained = nil
 	}
@@ -341,7 +329,6 @@ func (rt *Runtime) ensureStarted() bool {
 	a.life = lifeServing
 	a.mu.Unlock()
 
-	rt.done.Store(false)
 	rt.park.open()
 	for _, slot := range rt.workers {
 		rt.spawnThief(slot)
@@ -374,18 +361,20 @@ func monoNow() int64 { return int64(time.Since(clockBase)) }
 // Submit injects root as an independent top-level computation, returning
 // a Job handle immediately — Submit never blocks. The root is picked up by
 // the first worker whose steal sweep comes up empty, so running
-// computations are not preempted. A job over Config.MaxInflight waits in
-// the admission queue and is admitted in submission order as running jobs
-// complete. Submit panics on a runtime that was never started — call
-// Start first (or use Run, which manages the lifecycle itself); on one that
-// is closing or closed the Job completes with ErrClosed, counted in
-// Stats.JobsShed, so a submitter racing Close is refused, never panicked.
+// computations are not preempted. A job over Config.MaxInflight waits on
+// the ready list behind the admitted ones and is admitted in submission
+// order as running jobs complete. Submit panics on a runtime that was never
+// started — call Start first (or use Run, which manages the lifecycle
+// itself); on one that is closing or closed the Job completes with
+// ErrClosed, counted in Stats.JobsShed, so a submitter racing Close is
+// refused, never panicked.
 //
-// The whole decision — lifecycle, inflight bound, admit or queue — and the
-// job's ID and JobsSubmitted count are taken in one hold of
-// the admission mutex; a submission refused for an idle runtime is not
-// counted. Completions release under the same mutex, so capacity cannot
-// free up between the fit check and the enqueue.
+// The whole decision — lifecycle, link, admission — and the job's ID and
+// JobsSubmitted count are taken in one hold of the admission mutex; a
+// submission refused for an idle runtime is not counted. The job joins the
+// list's tail and is admitted by promoteLocked, the rule a completion runs
+// under the same mutex, so capacity cannot free up between the fit check
+// and the link.
 func (rt *Runtime) Submit(root func(*W)) *Job {
 	j := rt.newJob(root)
 	a := &rt.admit
@@ -396,30 +385,31 @@ func (rt *Runtime) Submit(root func(*W)) *Job {
 	}
 	a.jobs.submitted++
 	j.id = uint64(a.jobs.submitted)
-	switch {
-	case a.life != lifeServing:
+	if a.life != lifeServing {
 		a.rejectLocked(j, ErrClosed)
-	case a.fitsLocked():
-		a.admitLocked(j)
 		a.mu.Unlock()
-		rt.wake(1)
-		return j
-	default:
-		a.queue = append(a.queue, j)
-		a.mu.Unlock()
+		j.finish()
 		return j
 	}
+	if a.tail == nil {
+		a.head = j
+	} else {
+		a.tail.qnext = j
+	}
+	a.tail = j
+	a.nqueued++
+	n := a.promoteLocked()
 	a.mu.Unlock()
-	j.finish()
+	rt.wake(n)
 	return j
 }
 
-// nextRoot claims the oldest admitted root as a task, if any, so roots
-// start in admission order. Called by thieves only after a full steal
-// sweep failed: stolen work (continuing an in-flight computation, draining
-// its suspended stacks) takes priority over opening a new root, which
-// keeps the live-root set — and with it the space bound's P multiplier —
-// as small as the load allows. The empty case, which ends every failed
+// nextRoot claims the oldest admitted root — the list's head — as a task,
+// if any, so roots start in admission order. Called by thieves only after a
+// full steal sweep failed: stolen work (continuing an in-flight
+// computation, draining its suspended stacks) takes priority over opening a
+// new root, which keeps the live-root set — and with it the space bound's P
+// multiplier — as small as the load allows. The empty case, which ends every failed
 // sweep, is one atomic load and takes no lock.
 func (rt *Runtime) nextRoot() (task, bool) {
 	a := &rt.admit
@@ -427,11 +417,11 @@ func (rt *Runtime) nextRoot() (task, bool) {
 		return task{}, false
 	}
 	a.mu.Lock()
-	j := a.head
-	if j == nil {
+	if a.nready.Load() == 0 {
 		a.mu.Unlock()
 		return task{}, false // another thief took it
 	}
+	j := a.head
 	a.head = j.qnext
 	if a.head == nil {
 		a.tail = nil
@@ -442,17 +432,14 @@ func (rt *Runtime) nextRoot() (task, bool) {
 	return task{fn: runJobRoot, arg: unsafe.Pointer(j), bytes: int32(rt.cfg.FrameBytes)}, true
 }
 
-// completeJob finishes j after its root returned (or panicked): surface a
-// captured panic as the job error, emit the request-latency event, then in
-// one hold of the admission mutex stamp the completion rank, count the
-// job, release its inflight slot, promote queued jobs that now fit onto the
-// ready list and ring a waiting Close's drain gate — then wake one thief per
-// promoted job, and only after that publish completion.
+// completeJob finishes j after its root returned (or panicked; exec left
+// the captured panic in j.err): emit the request-latency event, then in one
+// hold of the admission mutex stamp the completion rank, count the job,
+// release its inflight slot, admit waiting jobs that now fit
+// (promoteLocked) and ring a waiting Close's drain gate — then wake one
+// thief per admitted job, and only after that publish completion.
 // No Stats snapshot is taken here — it is computed lazily on first Wait.
 func (rt *Runtime) completeJob(slot int, j *Job) {
-	if j.tp != nil {
-		j.err = j.tp
-	}
 	if rt.trc.Wants(trace.KindJobDone) {
 		rt.trc.Emit(slot, trace.KindJobDone, int64(j.id), time.Duration(monoNow()-j.submitted))
 	}
@@ -471,12 +458,12 @@ func (rt *Runtime) completeJob(slot int, j *Job) {
 }
 
 // Close drains the runtime and stops its workers: no new submissions are
-// accepted, every admitted job (running or queued for a worker) runs to
-// completion, and — while ctx lasts — jobs still waiting in the admission
-// queue are admitted as capacity frees up. If ctx expires first, the
-// not-yet-admitted queue is abandoned (each such Job completes with
-// ErrDrained, counted in Stats.JobsDrained) and Close still waits for the
-// admitted jobs, which always finish. Teardown then parks nothing: thieves
+// accepted, every admitted job (running or waiting for a worker) runs to
+// completion, and — while ctx lasts — jobs still waiting for admission are
+// admitted as capacity frees up. If ctx expires first, the jobs never
+// admitted are abandoned (each such Job completes with ErrDrained, counted
+// in Stats.JobsDrained) and Close still waits for the admitted jobs, which
+// always finish. Teardown then parks nothing: thieves
 // unwind, stacks return to the pool, the trace flushes, and the runtime
 // may be started (or Run) again.
 //
@@ -496,7 +483,7 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	}
 	a.life = lifeClosing
 	var drained chan struct{}
-	if a.inflight > 0 || len(a.queue) > 0 {
+	if a.inflight > 0 || a.nqueued > 0 {
 		drained = make(chan struct{})
 		a.drained = drained
 	}
@@ -522,7 +509,6 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	// lot holds no slot and no goroutine, and any thief blocked in a bounded
 	// pool's Take; wait for every worker goroutine to unwind, then reopen
 	// the pool for the next Start.
-	rt.done.Store(true)
 	rt.park.close()
 	rt.pool.Close()
 	rt.park.live.Wait()
@@ -537,21 +523,34 @@ func (rt *Runtime) Close(ctx context.Context) error {
 	return err
 }
 
-// abandonQueued fails every job still waiting in the admission queue with
-// ErrDrained — the forced half of Close. Admitted jobs are untouched;
-// they always run to completion, so JobsAdmitted == JobsCompleted holds
-// at quiescence even after a forced drain.
+// abandonQueued fails every job still waiting for admission with
+// ErrDrained — the forced half of Close — by cutting the ready list behind
+// its admitted prefix. Admitted jobs are untouched; they always run to
+// completion, so JobsAdmitted == JobsCompleted holds at quiescence even
+// after a forced drain. A job waits only while the bound is full, so the
+// walk to the cut is at most MaxInflight long.
 func (rt *Runtime) abandonQueued() {
 	a := &rt.admit
 	a.mu.Lock()
-	dropped := a.queue
-	a.queue = nil
-	for _, j := range dropped {
-		a.rejectLocked(j, ErrDrained)
+	var cut *Job
+	if a.nqueued > 0 {
+		link, last := &a.head, (*Job)(nil) // last: the youngest admitted job
+		for i := a.nready.Load(); i > 0; i-- {
+			last = *link
+			link = &last.qnext
+		}
+		cut, *link, a.tail = *link, nil, last
+		a.nqueued = 0
+		for j := cut; j != nil; j = j.qnext {
+			a.rejectLocked(j, ErrDrained)
+		}
 	}
 	a.checkDrainedLocked()
 	a.mu.Unlock()
-	for _, j := range dropped {
+	// A finished job may be released and resubmitted at once: unlink first.
+	for cut != nil {
+		j := cut
+		cut, j.qnext = j.qnext, nil
 		j.finish()
 	}
 }
@@ -572,5 +571,5 @@ func (rt *Runtime) QueuedJobs() int {
 	a := &rt.admit
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.queue) + int(a.nready.Load())
+	return a.nqueued + int(a.nready.Load())
 }

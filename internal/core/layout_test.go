@@ -19,7 +19,7 @@ var (
 		{"rng", "arena"}, // the occupant's
 	}
 	runtimeGroups = [][]string{
-		{"cfg", "as", "pool", "workers", "park", "done", "trc", "metrics",
+		{"cfg", "as", "pool", "workers", "park", "trc", "metrics",
 			"stampJobs", "stats"}, // read-mostly
 		{"admit"}, // per admission / root taken / completion / lifecycle
 	}
@@ -46,7 +46,7 @@ func TestLayout(t *testing.T) {
 	// four are the private per-fork counters; spawn is nil except under the
 	// two baselines with a spawn prologue.
 	layouttest.Groups(t, W{}, []string{"rt", "slot", "stack", "stats", "depth", "frame",
-		"released", "sem", "next", "frameBytes", "strategy", "wantsFork", "spawn",
+		"sem", "next", "frameBytes", "strategy", "wantsFork", "spawn",
 		"forks", "calls", "arenaAcquires", "arenaReleases"})
 	layouttest.Element(t, counterShard{})
 

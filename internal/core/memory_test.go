@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,14 +44,15 @@ func runSuspendRounds(t *testing.T, cfg Config) Stats {
 }
 
 // suspendRounds returns a function that runs, on w, fork-join regions whose
-// one child is certainly stolen and whose parent suspends on it, whatever
-// GOMAXPROCS is: the parent does not join until the child has started,
-// which only a thief can make happen, and the child outlives that wait by
-// 200 µs, dirtying eight pages of the thief's stack on the way, so only a
-// parent descheduled for all of that finds the child done. Every suspend
-// but the first finds a stack some retired thief freed with that residue on
-// it. The frame and the child are made once, so a round allocates nothing
-// of its own: what it allocates, the runtime does.
+// one child is certainly stolen and whose parent certainly suspends on it,
+// whatever GOMAXPROCS is: the parent does not join until the child has
+// started, which only a thief can make happen, and the child, once it has
+// dirtied eight pages of the thief's stack, yields until the parent's frame
+// carries frameSuspended. So it must run under a strategy that suspends —
+// under TBB, whose join never does, the child would wait forever. Every
+// suspend but the first finds a stack some retired thief freed with that
+// residue on it. The frame and the child are made once, so a round allocates
+// nothing of its own: what it allocates, the runtime does.
 func suspendRounds(t *testing.T, w *W) func(rounds int) {
 	var fr Frame
 	return suspendRoundsOn(t, w, func() *Frame { return &fr })
@@ -60,14 +62,17 @@ func suspendRounds(t *testing.T, w *W) func(rounds int) {
 func suspendRoundsOn(t *testing.T, w *W, frame func() *Frame) func(rounds int) {
 	const dirtyPages = 8
 	var started atomic.Bool
+	var fr *Frame // the round's; the Fork publishes it to the child's thief
 	child := func(cw *W) {
 		started.Store(true)
 		cw.CallSized(dirtyPages*vm.PageSize, func(*W) {})
-		time.Sleep(200 * time.Microsecond)
+		for fr.count.Load()&frameSuspended == 0 {
+			runtime.Gosched()
+		}
 	}
 	return func(rounds int) {
 		for r := 0; r < rounds; r++ {
-			fr := frame()
+			fr = frame()
 			started.Store(false)
 			w.Init(fr)
 			w.Fork(fr, child)
@@ -82,36 +87,30 @@ func suspendRoundsOn(t *testing.T, w *W, frame func() *Frame) func(rounds int) {
 	}
 }
 
-// TestSuspendRoundAllocs is the allocation gate for the suspend path: once a
-// spare exists, a suspend/resume round allocates nothing. The suspending
-// parent's replacement thief is a listed spare, not a new goroutine with a
-// new W, and both wait on the hand-off inside their own W, so the frame
-// carries nothing to make on a suspend. At the runtime that started a
-// goroutine per suspend every round allocated at least three objects: the
-// W, the go statement's closure and the new goroutine's timer. The warm-up
-// rounds list the first spare and let every thief goroutine sleep once (a
-// goroutine's first time.Sleep makes its timer). Then twelve stacks taken
-// and put back leave the pool's free list with room for the one or two more
-// a round frees at once (append grows it to 16), so that no Put in the
-// window appends to a full one.
-//
-// The test runs on one P. With more, the Go runtime's own caches allocate
-// for thousands of rounds: the records a blocked semaphore or Cond
-// operation waits in are taken from one P's list and returned to
-// another's, and a P that only takes refills from the central list, which
-// every GC empties. The race detector allocates on its own account, so the
-// count is only meaningful without it.
-func TestSuspendRoundAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
-	}
+// suspendWindowAllocs counts the heap objects allocated by suspendRounds'
+// rounds on frames from frame, once warm-up rounds have listed the first
+// spare, and how many of them suspended. Then twelve stacks taken and put
+// back leave the pool's free list with room for the one or two more a round
+// frees at once (append grows it to 16), so that no Put in the window
+// appends to a full one. It all runs on one P, after a collection and with
+// the collector off: with more Ps, the Go runtime's own caches allocate for
+// thousands of rounds — the records a blocked semaphore or Cond operation
+// waits in are taken from one P's list and returned to another's, and a P
+// that only takes refills from the central list — and a collection inside
+// the window empties that list, or wakes the background scavenger, whose
+// timer allocates. The collection comes before the warm-up, not between it
+// and the window: there, the first run in a fresh process allocated one
+// such record (acquireSudog, under W.wait) about one time in three. The
+// race detector allocates on its own account, so the count is only
+// meaningful without it.
+func suspendWindowAllocs(t *testing.T, frame func() *Frame) (allocs uint64, suspends int64) {
+	t.Helper()
 	const warm, rounds = 64, 32
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var allocs uint64
-	var suspends int64
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	NewRuntime(Config{Workers: 2}).Run(func(w *W) {
-		run := suspendRounds(t, w)
-		run(warm)
+		suspendRounds(t, w)(warm)
 		var extra [12]*stack.Stack
 		for i := range extra {
 			extra[i] = w.rt.takeStack(0)
@@ -119,6 +118,7 @@ func TestSuspendRoundAllocs(t *testing.T) {
 		for _, st := range extra {
 			w.rt.pool.Put(0, st)
 		}
+		run := suspendRoundsOn(t, w, frame)
 		s0 := w.rt.Stats().Suspends
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -127,11 +127,27 @@ func TestSuspendRoundAllocs(t *testing.T) {
 		allocs = m1.Mallocs - m0.Mallocs
 		suspends = w.rt.Stats().Suspends - s0
 	})
-	if suspends == 0 {
-		t.Fatalf("none of %d rounds suspended", rounds)
+	if suspends != rounds {
+		t.Fatalf("%d of %d rounds suspended, want every one", suspends, rounds)
 	}
+	return allocs, suspends
+}
+
+// TestSuspendRoundAllocs is the allocation gate for the suspend path: once a
+// spare exists, a suspend/resume round allocates nothing. The suspending
+// parent's replacement thief is a listed spare, not a new goroutine with a
+// new W, and both wait on the hand-off inside their own W, so the frame
+// carries nothing to make on a suspend. At the runtime that started a
+// goroutine per suspend every round allocated at least three objects: the
+// W, the go statement's closure and the new goroutine's timer.
+func TestSuspendRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	var fr Frame
+	allocs, suspends := suspendWindowAllocs(t, func() *Frame { return &fr })
 	if allocs != 0 {
-		t.Errorf("%d suspend/resume rounds (%d suspends) allocated %d objects, want 0", rounds, suspends, allocs)
+		t.Errorf("%d suspend/resume rounds allocated %d objects, want 0", suspends, allocs)
 	}
 }
 
@@ -145,34 +161,10 @@ func TestSuspendFreshFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const warm, rounds = 64, 32
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var allocs uint64
-	var suspends int64
-	NewRuntime(Config{Workers: 2}).Run(func(w *W) {
-		suspendRounds(t, w)(warm)
-		var extra [12]*stack.Stack
-		for i := range extra {
-			extra[i] = w.rt.takeStack(0)
-		}
-		for _, st := range extra {
-			w.rt.pool.Put(0, st)
-		}
-		run := suspendRoundsOn(t, w, func() *Frame { return new(Frame) })
-		s0 := w.rt.Stats().Suspends
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		run(rounds)
-		runtime.ReadMemStats(&m1)
-		allocs = m1.Mallocs - m0.Mallocs
-		suspends = w.rt.Stats().Suspends - s0
-	})
-	if suspends == 0 {
-		t.Fatalf("none of %d rounds suspended", rounds)
-	}
-	if allocs != rounds {
-		t.Errorf("%d suspend/resume rounds on fresh frames (%d suspends) allocated %d objects, want %d: the frames",
-			rounds, suspends, allocs, rounds)
+	allocs, suspends := suspendWindowAllocs(t, func() *Frame { return new(Frame) })
+	if allocs != uint64(suspends) {
+		t.Errorf("%d suspend/resume rounds on fresh frames allocated %d objects, want %d: the frames",
+			suspends, allocs, suspends)
 	}
 }
 

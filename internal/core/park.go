@@ -71,7 +71,7 @@ type parkLot struct {
 	_ cacheline.Pad
 
 	mu     sync.Mutex
-	closed bool // set by Close, cleared by Start: nobody is listed, no slot freed
+	closed atomic.Bool // stored under mu by close and open; occupants poll it between tasks
 	// ws lists the goroutines without a slot, newest last. NewRuntime makes
 	// it with room for Workers; it grows only past a new peak of goroutines
 	// without a slot, which Workers plus the suspended frames bound.
@@ -101,7 +101,7 @@ type parkLot struct {
 // when the peek comes back empty.
 func (p *parkLot) park(w *W, sleeps *atomic.Int64, peek func() bool) {
 	p.mu.Lock()
-	if p.closed {
+	if p.closed.Load() {
 		p.mu.Unlock()
 		p.nidle.Add(-1)
 		return
@@ -127,7 +127,7 @@ func (p *parkLot) park(w *W, sleeps *atomic.Int64, peek func() bool) {
 // wait, and its wait returns nil at once.
 func (p *parkLot) list(w *W) {
 	p.mu.Lock()
-	if !p.closed {
+	if !p.closed.Load() {
 		p.listLocked(w)
 	}
 	p.mu.Unlock()
@@ -165,12 +165,12 @@ func (p *parkLot) idleLocked() *W {
 }
 
 // close delivers nil — exit — to every listed goroutine and takes the free
-// slots off the lot and off nidle; until open it lists nobody and frees no
-// slot.
+// slots off the lot and off nidle; until open it lists nobody, frees no slot
+// and makes every occupant leave its slot (occupy).
 func (p *parkLot) close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.closed = true
+	p.closed.Store(true)
 	for _, w := range p.ws {
 		w.deliver(nil)
 	}
@@ -184,7 +184,7 @@ func (p *parkLot) close() {
 // open readies the lot for a new Start after a close.
 func (p *parkLot) open() {
 	p.mu.Lock()
-	p.closed = false
+	p.closed.Store(false)
 	p.mu.Unlock()
 }
 

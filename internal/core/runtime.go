@@ -121,10 +121,6 @@ type Config struct {
 	// StackPages is the size of each simulated stack. Default
 	// stack.DefaultStackPages (1 MB of 4 KB pages, as in the paper).
 	StackPages int
-	// StackLimit bounds the stack pool (Cilk Plus). 0 means the strategy
-	// default: unbounded for everything except StrategyCilkPlus, which
-	// uses stack.CilkPlusDefaultLimit (2400).
-	StackLimit int
 	// FrameBytes is the simulated activation-frame size charged for a task
 	// whose fork/call site does not specify one. Default 192 bytes.
 	FrameBytes int
@@ -155,13 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StackPages <= 0 {
 		c.StackPages = stack.DefaultStackPages
-	}
-	if c.StackLimit <= 0 {
-		if c.Strategy == StrategyCilkPlus {
-			c.StackLimit = stack.CilkPlusDefaultLimit
-		} else {
-			c.StackLimit = 0
-		}
 	}
 	if c.FrameBytes <= 0 {
 		c.FrameBytes = 192
@@ -257,9 +246,8 @@ type tbbTask struct {
 // Runtime is one parallel execution context. The fields are laid out by
 // who writes them and how often (DESIGN.md §7): every Fork, steal sweep
 // and Submit dereferences the first group, so nothing in it is written
-// after NewRuntime except done, which Start and Close flip; the group
-// below it is written per admission, root taken and completion, a pad apart
-// from it.
+// after NewRuntime; the group below it is written per admission, root taken
+// and completion, a pad apart from it.
 type Runtime struct {
 	_ cacheline.Pad
 
@@ -268,7 +256,6 @@ type Runtime struct {
 	pool    *stack.Pool
 	workers []*worker
 	park    *parkLot
-	done    atomic.Bool // set by Close, cleared by Start; thieves poll it
 
 	// trc fans scheduler events into the configured sink through
 	// per-worker rings; nil when observability is disabled. metrics is
@@ -297,18 +284,24 @@ type Runtime struct {
 }
 
 // NewRuntime creates a runtime with the given configuration. The runtime
-// owns a fresh simulated address space and stack pool. It panics on a
-// Strategy that is not one of Strategies().
+// owns a fresh simulated address space and stack pool, which is bounded at
+// stack.CilkPlusDefaultLimit stacks under StrategyCilkPlus and unbounded
+// under every other strategy. It panics on a Strategy that is not one of
+// Strategies().
 func NewRuntime(cfg Config) *Runtime {
 	if !slices.Contains(Strategies(), cfg.Strategy) {
 		panic(fmt.Sprintf("core: unknown strategy %v", cfg.Strategy))
 	}
 	cfg = cfg.withDefaults()
+	limit := 0
+	if cfg.Strategy == StrategyCilkPlus {
+		limit = stack.CilkPlusDefaultLimit
+	}
 	as := vm.NewAddressSpace()
 	rt := &Runtime{
 		cfg:  cfg,
 		as:   as,
-		pool: stack.NewPool(as, cfg.StackPages, cfg.StackLimit),
+		pool: stack.NewPool(as, cfg.StackPages, limit),
 		park: new(parkLot),
 		trc:  trace.NewTracer(cfg.Sink, cfg.Workers),
 	}
@@ -451,7 +444,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 			// Rebind what belonged to its last slot. Its per-fork counters
 			// were folded in after its last task.
 			w.slot, w.stack, w.stats = slot, st, rt.shard(slot.id)
-			w.released, w.depth, w.frame = false, 0, nil
+			w.depth, w.frame = 0, nil
 		}
 		rt.occupy(w)
 	}
@@ -472,7 +465,7 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 func (rt *Runtime) occupy(w *W) {
 	fails := 0
 	var idleSince time.Time // zero until the search phase first reads the clock
-	for !rt.done.Load() {
+	for !rt.park.closed.Load() {
 		t, ok := rt.steal(w, countStolen)
 		if !ok {
 			t, ok = rt.nextRoot()
@@ -498,8 +491,7 @@ func (rt *Runtime) occupy(w *W) {
 		}
 		fails, idleSince = 0, time.Time{}
 		rt.park.nidle.Add(-1)
-		w.runStolen(t)
-		if w.released {
+		if w.runStolen(t) {
 			return
 		}
 		rt.park.nidle.Add(1)

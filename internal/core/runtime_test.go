@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fibril/internal/stack"
 )
 
 // parfib is Listing 1's parallel Fibonacci on the core API: fork n-1, call
@@ -564,8 +566,9 @@ func TestResumedJoinFindsFinisherListed(t *testing.T) {
 
 // TestReusedSpareStallsOnBoundedPool pins that a listed goroutine takes its
 // stack through takeStack like a new thief, so the Cilk Plus bounded pool
-// stalls it. Three slots share two stacks, and the job starts once all three
-// thieves have parked: a parked thief holds no stack. Once the job's first
+// stalls it. Three slots share two stacks — a pool bounded at 2, installed
+// before Start — and the job starts once all three thieves have parked: a
+// parked thief holds no stack. Once the job's first
 // suspend round is over and the other two slots are free again, the root's
 // is the only stack in use and the two other goroutines are listed. The second round's fork gives one of them a slot
 // and the second stack to steal the child with; the suspend that follows
@@ -576,7 +579,8 @@ func TestReusedSpareStallsOnBoundedPool(t *testing.T) {
 		stalls                    int64
 		goroutines, listed, nfree int
 	}
-	rt := NewRuntime(Config{Workers: 3, Strategy: StrategyCilkPlus, StackLimit: 2})
+	rt := NewRuntime(Config{Workers: 3, Strategy: StrategyCilkPlus})
+	rt.pool = stack.NewPool(rt.as, rt.cfg.StackPages, 2)
 	see := func() look {
 		return look{rt.Stats().PoolStalls, runtime.NumGoroutine(), listed(rt), rt.ParkedThieves()}
 	}

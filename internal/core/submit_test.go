@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -161,29 +162,43 @@ func TestCloseDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestCloseContextAbandonsQueue: a forced drain fails exactly the
-// not-yet-admitted queue with ErrDrained and still completes admitted
-// jobs.
+// TestCloseContextAbandonsQueue: a forced drain fails exactly the jobs
+// never admitted with ErrDrained and still completes admitted jobs, also
+// those that no worker has started yet: with one worker held by a running
+// blocker, two admitted jobs and four waiting for admission share the ready
+// list, and the drain must cut it behind the admitted two.
 func TestCloseContextAbandonsQueue(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, MaxInflight: 1})
+	const admitted, waiting = 2, 4
+	rt := NewRuntime(Config{Workers: 1, MaxInflight: 1 + admitted})
 	rt.Start()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	blocker := rt.Submit(func(*W) { close(started); <-release })
-	<-started // the blocker is running, not sitting in the root FIFO
-	var queued []*Job
-	for i := 0; i < 3; i++ {
+	var blockerDone atomic.Bool
+	blocker := rt.Submit(func(*W) { close(started); <-release; blockerDone.Store(true) })
+	<-started // the blocker is running, not sitting on the ready list
+	var ranEarly atomic.Int32
+	var ready, queued []*Job
+	for i := 0; i < admitted; i++ {
+		ready = append(ready, rt.Submit(func(w *W) {
+			if !blockerDone.Load() {
+				ranEarly.Add(1)
+			}
+			submitFib(5)(w)
+		}))
+	}
+	for i := 0; i < waiting; i++ {
 		queued = append(queued, rt.Submit(submitFib(5)))
 	}
-	if got := rt.QueuedJobs(); got != 3 {
-		t.Fatalf("QueuedJobs=%d before Close, want 3", got)
+	if got := rt.QueuedJobs(); got != admitted+waiting {
+		t.Fatalf("QueuedJobs=%d before Close, want %d", got, admitted+waiting)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	closed := make(chan error, 1)
 	go func() { closed <- rt.Close(ctx) }()
-	// The forced drain abandons the queue once ctx expires; the blocker is
-	// admitted, so Close keeps waiting for it.
+	// The forced drain abandons the jobs never admitted once ctx expires;
+	// the blocker and the two behind it are admitted, so Close keeps
+	// waiting for them.
 	for _, j := range queued {
 		if err := j.Err(); !errors.Is(err, ErrDrained) {
 			t.Errorf("queued job: err=%v, want ErrDrained", err)
@@ -201,10 +216,18 @@ func TestCloseContextAbandonsQueue(t *testing.T) {
 	if err := blocker.Err(); err != nil {
 		t.Errorf("admitted blocker err=%v, want nil (admitted jobs always run)", err)
 	}
+	for i, j := range ready {
+		if err := j.Err(); err != nil {
+			t.Errorf("admitted job %d err=%v, want nil (admitted jobs always run)", i, err)
+		}
+	}
+	if n := ranEarly.Load(); n != 0 {
+		t.Errorf("%d admitted jobs ran before the blocker finished on the one worker", n)
+	}
 	st := rt.Stats()
-	if st.JobsDrained != 3 || st.JobsAdmitted != 1 || st.JobsCompleted != 1 {
-		t.Errorf("drained=%d admitted=%d completed=%d, want 3/1/1",
-			st.JobsDrained, st.JobsAdmitted, st.JobsCompleted)
+	if st.JobsDrained != waiting || st.JobsAdmitted != 1+admitted || st.JobsCompleted != 1+admitted {
+		t.Errorf("drained=%d admitted=%d completed=%d, want %d/%d/%d",
+			st.JobsDrained, st.JobsAdmitted, st.JobsCompleted, waiting, 1+admitted, 1+admitted)
 	}
 }
 

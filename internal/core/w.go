@@ -34,9 +34,8 @@ type W struct {
 	stack *stack.Stack  // this goroutine's simulated stack
 	stats *counterShard // the current slot's counter shard; re-bound with slot
 
-	depth    int32  // current invocation depth
-	frame    *Frame // frame of the task currently executing (nil at root)
-	released bool   // slot handed to a resumed parent; owner must retire
+	depth int32  // current invocation depth
+	frame *Frame // frame of the task currently executing (nil at root)
 
 	sem  sync.WaitGroup // the hand-off: one wait, counted before the slot is given up
 	next *worker        // the slot delivered on sem; nil means exit
@@ -449,7 +448,7 @@ func (w *W) joinBlocked(f *Frame) (done bool) {
 // Join's to run: a root, a stolen child, one a panic left behind (drain). A
 // panic escaping the task body is captured on the parent frame (re-raised at
 // its Join); for a root task (no parent frame) it is captured on the task's
-// Job, surfacing through Job.Err without disturbing sibling jobs. Bookkeeping
+// Job's err, surfacing through Job.Err without disturbing sibling jobs. Bookkeeping
 // is restored either way, so the worker survives.
 func (w *W) exec(t *task) {
 	base := w.stack.Bytes()
@@ -464,7 +463,7 @@ func (w *W) exec(t *task) {
 			if t.frame != nil {
 				t.frame.panicked.CompareAndSwap(nil, tp) // the first failure wins
 			} else {
-				(*Job)(t.arg).tp = tp
+				(*Job)(t.arg).err = tp
 			}
 		}
 	}()
@@ -492,12 +491,13 @@ func (w *W) runRoot(t task) {
 // runStolen executes a task taken by a base-level thief: a submitted root
 // (dispatched through runRoot), or a stolen child — execute it on the
 // thief's stack (a cactus branch: t.frame, the frame it was forked on, lives
-// on the victim's stack) and notify the parent. A handoff here marks the
-// slot released so the thief loop retires.
-func (w *W) runStolen(t task) {
+// on the victim's stack) and notify the parent. It reports whether that
+// notification handed the slot to a resumed parent, so the thief loop
+// retires.
+func (w *W) runStolen(t task) (released bool) {
 	if t.frame == nil {
 		w.runRoot(t)
-		return
+		return false
 	}
 	w.rt.trc.Emit(w.slot.id, trace.KindTaskStart, int64(t.depth), 0)
 	// Stolen-task run time: measured only when a sink consumes task-end
@@ -515,7 +515,5 @@ func (w *W) runStolen(t task) {
 	w.rt.trc.Emit(w.slot.id, trace.KindTaskEnd, int64(t.depth), ran)
 	w.drain(slot, bot)
 	w.flushCounts()
-	if w.childDone(t.frame) {
-		w.released = true
-	}
+	return w.childDone(t.frame)
 }

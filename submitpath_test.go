@@ -7,6 +7,8 @@ package fibril_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 
 	"fibril"
@@ -107,7 +109,11 @@ func BenchmarkSubmitAllocs(b *testing.B) {
 //     eager stats snapshot (the subtest keeps its historical name);
 //  2. the admitted closed-loop path — Submit, Err, Release — performs zero
 //     too: a pooled Job, and an Err that blocks on the semaphore inside
-//     it, not on a channel.
+//     it, not on a channel;
+//  3. so does the queued path: four clients in that loop against one
+//     worker and MaxInflight = 1, so most jobs wait for admission on the
+//     ready list, allocate under 0.01 objects per job. A job waiting for
+//     admission is linked through the Job itself, not held in a container.
 //
 // sync.Pool drops Puts at random under -race, so the gate skips there.
 func TestSubmitAllocGate(t *testing.T) {
@@ -151,6 +157,41 @@ func TestSubmitAllocGate(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("admitted closed-loop Submit allocates %.2f/op, want 0", allocs)
+		}
+	})
+
+	t.Run("queued-budget", func(t *testing.T) {
+		const clients, warm, perClient = 4, 1_000, 12_500
+		rt := fibril.New(fibril.Config{Workers: 1, MaxInflight: 1})
+		rt.Start()
+		defer rt.Close(context.Background())
+		loop := func(jobs int) {
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < jobs; i++ {
+						j := rt.Submit(noopRoot)
+						if err := j.Err(); err != nil {
+							t.Error(err)
+							return
+						}
+						j.Release()
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		loop(warm)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		loop(perClient)
+		runtime.ReadMemStats(&m1)
+		perJob := float64(m1.Mallocs-m0.Mallocs) / (clients * perClient)
+		t.Logf("%d jobs from %d clients behind MaxInflight=1: %.4f allocs/job", clients*perClient, clients, perJob)
+		if perJob >= 0.01 {
+			t.Errorf("queued closed-loop Submit allocates %.4f/job, want < 0.01", perJob)
 		}
 	})
 }
