@@ -13,7 +13,7 @@ import (
 // The documents a reader learns the system from, and the directories a path
 // in them can start with.
 var (
-	checkedDocs  = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "results/README.md"}
+	checkedDocs  = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "results/README.md", ".claude/skills/verify/SKILL.md"}
 	ciWorkflow   = ".github/workflows/ci.yml"
 	pathPrefixes = []string{"internal/", "cmd/", "results/", "benchmark/", "examples/", "testdata/", ".github/"}
 
@@ -166,10 +166,11 @@ func codeIn(text string) []string {
 	return code
 }
 
-// exists reports whether p is a file or directory of the tree, or a package
-// directory followed by one of its identifiers
-// (internal/invoke.AnalyzeBurdened).
+// exists reports whether p is a file or directory of the tree, a Go package
+// pattern over a directory of it (internal/...), or a package directory
+// followed by one of its identifiers (internal/invoke.AnalyzeBurdened).
 func exists(p string) bool {
+	p = strings.TrimSuffix(p, "/...")
 	if _, err := os.Stat(p); err == nil {
 		return true
 	}

@@ -98,9 +98,8 @@ type JobsExec struct {
 // RunRealJobs starts one runtime, submits every program from its own
 // goroutine — concurrently, mixing panicking and clean roots on the same
 // scheduler — waits for every Job, Closes gracefully, and snapshots
-// everything CheckJobs needs. The stack size and root frame budget are
-// shared across programs (the admission reservation is per-runtime
-// config, not per-job), so the runtime is sized for the largest root.
+// everything CheckJobs needs. Each program's root charges its own frame
+// (Program.Body).
 func RunRealJobs(ps []*Program, workers int, strat core.Strategy) JobsExec {
 	e := JobsExec{
 		serveExec: serveExec{
@@ -110,19 +109,14 @@ func RunRealJobs(ps []*Program, workers int, strat core.Strategy) JobsExec {
 		},
 		Counts: make([][]uint32, len(ps)),
 	}
-	frame := 0
 	var seed uint64
 	for _, p := range ps {
-		if p.Root.Frame > frame {
-			frame = p.Root.Frame
-		}
 		seed ^= p.Seed
 	}
 	rec := trace.NewRecorder(traceRecorderCap)
 	rt := core.NewRuntime(core.Config{
 		Workers:    workers,
 		Strategy:   strat,
-		FrameBytes: frame,
 		StackPages: harnessStackPages,
 		Seed:       seed ^ 0xC0FFEE,
 		Sink:       rec,

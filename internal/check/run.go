@@ -48,8 +48,15 @@ func (ip InjectedPanic) Error() string {
 // Body compiles the program to a real-runtime task body. Executions are
 // recorded in counts (one slot per node ID, atomically — thieves run
 // nodes concurrently), which the exactly-once oracle inspects afterwards.
+// A root task charges no frame, so the body charges the root's own with
+// Alloca, which counts no call; a panic's unwind pops it with the root.
 func (p *Program) Body(counts []uint32) func(*core.W) {
-	return p.compile(p.Root, counts)
+	body, frame := p.compile(p.Root, counts), p.Root.Frame
+	return func(w *core.W) {
+		release := w.Alloca(frame)
+		body(w)
+		release()
+	}
 }
 
 // bodyTramp adapts a compiled closure to the ForkArg calling convention:
@@ -206,7 +213,6 @@ func RunReal(p *Program, workers int, strat core.Strategy, mem MemParams) RealEx
 	rt := core.NewRuntime(core.Config{
 		Workers:          workers,
 		Strategy:         strat,
-		FrameBytes:       p.Root.Frame, // the root task charges its own frame
 		StackPages:       harnessStackPages,
 		Seed:             p.Seed ^ 0xC0FFEE,
 		MaxResidentPages: mem.MaxResidentPages,

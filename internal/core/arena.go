@@ -84,26 +84,19 @@ func (w *W) AcquireScratch() *Scratch {
 // callers' release sites are skipped by unwinding naturally, never
 // deferred.
 //
-// The frame's owner is dropped so a hoarded block pins nothing. After a
-// Join that returned, count is zero and the panic slot empty, so neither
-// costs a locked store here.
+// The frame's owner is dropped so a hoarded block pins no W. Nothing else
+// is reset: a Join that returned has seen count zero and left the panic
+// slot empty, and the next Init resets count and pending. That keeps the
+// release within the inliner's budget.
 func (w *W) ReleaseScratch(s *Scratch) {
 	w.arenaReleases++
-	f := &s.frame
-	if f.count.Load() != 0 {
-		f.count.Store(0)
-	}
-	if f.panicked.Load() != nil {
-		f.panicked.Store(nil)
-	}
-	f.pending = 0
-	f.owner = nil
-	a := &w.slot.arena
-	if a.n < arenaHoardCap {
-		s.next = a.free
-		a.free = s
-		a.n++
+	s.frame.owner = nil
+	slot := w.slot
+	if slot.arena.n < arenaHoardCap {
+		s.next = slot.arena.free
+		slot.arena.free = s
+		slot.arena.n++
 		return
 	}
-	w.stats.arenaDrops.Add(1) // the GC takes it
+	slot.arenaDrops.Add(1) // the GC takes it
 }

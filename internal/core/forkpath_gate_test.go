@@ -420,8 +420,7 @@ func BenchmarkScratchRecycling(b *testing.B) {
 						held[d] = scratchPool.Get().(*Scratch)
 					}
 					for d := depth - 1; d >= 0; d-- {
-						f := &held[d].frame
-						f.pending, f.owner = 0, nil
+						held[d].frame.owner = nil
 						scratchPool.Put(held[d])
 					}
 				}

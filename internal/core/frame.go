@@ -114,7 +114,7 @@ func (w *W) childDone(f *Frame) (handoff bool) {
 	owner := f.owner
 	f.count.Store(0)
 
-	w.stats.resumes.Add(1)
+	w.slot.resumes.Add(1)
 	w.rt.trc.Emit(w.slot.id, trace.KindResume, int64(owner.stack.ID()), 0)
 	w.rt.pool.Put(w.slot.id, w.stack)
 	w.rt.park.list(w)
@@ -144,7 +144,7 @@ func (w *W) suspend(f *Frame) bool {
 		}
 	}
 
-	w.stats.suspends.Add(1)
+	w.slot.suspends.Add(1)
 	rt.trc.Emit(w.slot.id, trace.KindSuspend, int64(w.stack.ID()), 0)
 
 	// Return the unused portion of the suspended stack to the OS (Listing 3
@@ -153,11 +153,11 @@ func (w *W) suspend(f *Frame) bool {
 	// stay mapped. They fault back in lazily after the resume.
 	if rt.cfg.Strategy == StrategyFibril {
 		freed := w.stack.UnmapAbove()
-		w.stats.unmaps.Add(1)
-		w.stats.unmappedPages.Add(int64(freed))
+		w.slot.unmaps.Add(1)
+		w.slot.unmappedPages.Add(int64(freed))
 		rt.trc.Emit(w.slot.id, trace.KindUnmap, int64(freed), 0)
 	}
-	rt.pressure(w.slot.id, w.stats)
+	rt.pressure(w.slot)
 
 	// Join-wait time: how long this goroutine stays parked before the
 	// last child's completion hands it a slot back. Timed only when a
@@ -169,17 +169,14 @@ func (w *W) suspend(f *Frame) bool {
 	// Hand the worker slot to a replacement thief so exactly P slots stay
 	// busy (busy leaves): a listed goroutine, or a new one if none waits.
 	// The replacement takes its stack from the pool, blocking there if a
-	// bounded (Cilk Plus) pool is empty. The slot's shard and deque go with
-	// it, so what this goroutine counted privately on the slot is folded in
-	// first (the deque is empty here: the Pop that sent us to suspend
-	// failed).
+	// bounded (Cilk Plus) pool is empty. The slot's counters and deque go
+	// with it, so what this goroutine counted privately on the slot is
+	// folded in first (the deque is empty here: the Pop that sent us to
+	// suspend failed). The slot delivered back — generally not this one —
+	// is the one counted on from then on.
 	w.flushCounts()
 	rt.spawnThief(w.slot)
-	// The finisher's slot is generally not the one given up above, and that
-	// slot's new occupant is adding to its shard: follow the slot, so a
-	// shard keeps one writer.
 	w.slot = w.wait()
-	w.stats = rt.shard(w.slot.id)
 	if !parkedAt.IsZero() {
 		rt.trc.Emit(w.slot.id, trace.KindJoinWait, int64(w.stack.ID()), time.Since(parkedAt))
 	}

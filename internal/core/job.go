@@ -147,8 +147,7 @@ func (j *Job) wait() { j.sem.Wait() }
 // snapshot. The snapshot is computed lazily on the first Wait after
 // completion (and cached on the Job), so jobs whose stats nobody reads —
 // the common serving case — never pay the per-slot counter aggregation.
-// Unlike the old one-shot Run it never panics; inspect Err for a captured
-// root panic.
+// It never panics; inspect Err for a captured root panic.
 func (j *Job) Wait() Stats {
 	j.wait()
 	j.statsMu.Lock()
@@ -344,7 +343,7 @@ func (rt *Runtime) newJob(root func(*W)) *Job {
 	j := jobPool.Get().(*Job)
 	j.rt = rt
 	j.root = root
-	if rt.stampJobs {
+	if rt.trc.Wants(trace.KindJobDone) {
 		j.submitted = monoNow()
 	}
 	j.sem.Add(1)
@@ -429,7 +428,7 @@ func (rt *Runtime) nextRoot() (task, bool) {
 	j.qnext = nil
 	a.nready.Add(-1)
 	a.mu.Unlock()
-	return task{fn: runJobRoot, arg: unsafe.Pointer(j), bytes: int32(rt.cfg.FrameBytes)}, true
+	return task{fn: runJobRoot, arg: unsafe.Pointer(j)}, true
 }
 
 // completeJob finishes j after its root returned (or panicked; exec left
@@ -504,11 +503,10 @@ func (rt *Runtime) Close(ctx context.Context) error {
 		}
 	}
 
-	// Quiesced: no admitted work remains anywhere. Tear down exactly as
-	// the old per-Run epilogue did — release every listed goroutine, so the
-	// lot holds no slot and no goroutine, and any thief blocked in a bounded
-	// pool's Take; wait for every worker goroutine to unwind, then reopen
-	// the pool for the next Start.
+	// Quiesced: no admitted work remains anywhere. Tear down: release
+	// every listed goroutine, so the lot holds no slot and no goroutine,
+	// and any thief blocked in a bounded pool's Take; wait for every worker
+	// goroutine to unwind, then reopen the pool for the next Start.
 	rt.park.close()
 	rt.pool.Close()
 	rt.park.live.Wait()

@@ -12,7 +12,7 @@ import (
 // This file fences the join protocol (DESIGN.md §5): a child is counted on
 // its frame by the thief that takes it, never by the Fork that publishes it,
 // and the per-fork statistics are kept on the W and folded into the slot's
-// shard at the points where somebody may read them.
+// counters at the points where somebody may read them.
 
 // needCPUs raises GOMAXPROCS for the test when the run offers fewer (the
 // -cpu 1 leg): a steal can only race the owner's Join if both run.
@@ -303,7 +303,7 @@ func TestStatsExactAtQuiescenceLaggedLive(t *testing.T) {
 		t.Errorf("live run: Forks = %d at quiescence, %d forks made", st.Forks, forked.Load())
 	}
 	if v.nonZero == 0 {
-		t.Errorf("no Stats() taken while the root ran saw a fork (%d samples): the private counts never reach the shard before the end", samples.Load())
+		t.Errorf("no Stats() taken while the root ran saw a fork (%d samples): the private counts never reach the slot before the end", samples.Load())
 	}
 	if v.ahead != 0 || v.backwards != 0 {
 		t.Errorf("%d samples ran ahead of the forks made, %d stepped back", v.ahead, v.backwards)

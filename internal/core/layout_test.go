@@ -15,12 +15,11 @@ import (
 // pass.
 var (
 	workerGroups = [][]string{
-		{"id", "deque"},  // fixed at NewRuntime; read by the occupant and by thieves
-		{"rng", "arena"}, // the occupant's
+		{"id", "deque"},              // fixed at NewRuntime; read by the occupant and by thieves
+		{"rng", "arena", "counters"}, // the occupant's
 	}
 	runtimeGroups = [][]string{
-		{"cfg", "as", "pool", "workers", "park", "trc", "metrics",
-			"stampJobs", "stats"}, // read-mostly
+		{"cfg", "as", "pool", "workers", "park", "trc"}, // read-mostly
 		{"admit"}, // per admission / root taken / completion / lifecycle
 	}
 	parkGroup = []string{"mu", "closed", "ws", "free", "nfree", "nidle", "live", "starts"}
@@ -45,10 +44,9 @@ func TestLayout(t *testing.T) {
 	// one group, kept off its neighbours. The last
 	// four are the private per-fork counters; spawn is nil except under the
 	// two baselines with a spawn prologue.
-	layouttest.Groups(t, W{}, []string{"rt", "slot", "stack", "stats", "depth", "frame",
-		"sem", "next", "frameBytes", "strategy", "wantsFork", "spawn",
+	layouttest.Groups(t, W{}, []string{"rt", "slot", "stack", "depth", "frame",
+		"sem", "next", "strategy", "wantsFork", "spawn",
 		"forks", "calls", "arenaAcquires", "arenaReleases"})
-	layouttest.Element(t, counterShard{})
 
 	frame := reflect.TypeOf(Frame{})
 	for i := 0; i < frame.NumField(); i++ {
@@ -85,10 +83,11 @@ func TestTaskRecordSize(t *testing.T) {
 // object to its size class only, so the offsets TestLayout checks say
 // nothing about where two slots' objects end up relative to each other. No
 // hot range of one slot — its deque (whose two halves package deque's own
-// test tells apart), its worker's two groups, its counter shard — may touch
-// a cacheline unit that another slot's, the park lot's or a Runtime group's
-// (the admission group's, with the ready list, among them) touches. Its one subtest is named after the THE
-// deque only so that its recorded test name stays stable.
+// test tells apart), its worker's two groups, the second holding its
+// counters — may touch a cacheline unit that another slot's, the park lot's
+// or a Runtime group's (the admission group's, with the ready list, among
+// them) touches. Its one subtest is named after the THE deque only so that
+// its recorded test name stays stable.
 func TestLayoutRealAddresses(t *testing.T) {
 	t.Run("the", func(t *testing.T) {
 		rt := NewRuntime(Config{Workers: 4})
@@ -103,7 +102,6 @@ func TestLayoutRealAddresses(t *testing.T) {
 			for g, fields := range workerGroups {
 				xs = append(xs, layouttest.Of(fmt.Sprintf("%s worker group %d", slot, g), w, fields...))
 			}
-			xs = append(xs, layouttest.Of(slot+" counters", &rt.stats[i]))
 		}
 		layouttest.Disjoint(t, xs)
 		rt.Run(func(w *W) {}) // the runtime under inspection works (and stays live)

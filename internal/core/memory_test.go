@@ -113,7 +113,7 @@ func suspendWindowAllocs(t *testing.T, frame func() *Frame) (allocs uint64, susp
 		suspendRounds(t, w)(warm)
 		var extra [12]*stack.Stack
 		for i := range extra {
-			extra[i] = w.rt.takeStack(0)
+			extra[i] = w.rt.takeStack(w.slot)
 		}
 		for _, st := range extra {
 			w.rt.pool.Put(0, st)

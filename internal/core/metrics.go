@@ -41,7 +41,7 @@ type Metrics struct {
 
 // Snapshot captures the runtime's live metrics. Unlike the quiescence
 // accessors in inspect.go it is safe to call at any time, including
-// concurrently with Run: every source it reads — counter shards, pool
+// concurrently with Run: every source it reads — slot counters, pool
 // and address-space counters, deque length estimates, the park lot, the
 // metrics sink's histogram buckets — is individually synchronized, so the
 // snapshot is a coherent point sample of each, though not a single atomic
@@ -59,8 +59,8 @@ func (rt *Runtime) Snapshot() Metrics {
 			QueuedJobs:    rt.QueuedJobs(),
 		},
 	}
-	if rt.metrics != nil {
-		snap := rt.metrics.Snapshot()
+	if ms, ok := rt.cfg.Sink.(*trace.MetricsSink); ok {
+		snap := ms.Snapshot()
 		m.Trace = &snap
 	}
 	return m

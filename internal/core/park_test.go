@@ -434,8 +434,8 @@ func TestWakeDuringFinalSweep(t *testing.T) {
 		p, victim := rt.park, rt.workers[1]
 		var fr Frame
 		victim.deque.Push(task{fn: runClosure, arg: closureArg(func(*W) {}), frame: &fr})
-		w := rt.newW(rt.workers[0], nil, rt.shard(0))
-		other := rt.newW(rt.workers[0], nil, rt.shard(0))
+		w := rt.newW(rt.workers[0], nil)
+		other := rt.newW(rt.workers[0], nil)
 		var sleeps atomic.Int64
 		p.park(w, &sleeps, func() bool {
 			p.list(other)
@@ -451,7 +451,7 @@ func TestWakeDuringFinalSweep(t *testing.T) {
 		if n := victim.deque.Len(); n != 1 {
 			t.Fatalf("the victim holds %d tasks after the peek, want 1: a peek claims nothing", n)
 		}
-		other.slot, other.stats = slot, rt.shard(slot.id)
+		other.slot = slot
 		if _, ok := rt.steal(other, countStolen); !ok {
 			t.Error("the first sweep of the goroutine given the slot found nothing")
 		}
@@ -474,12 +474,12 @@ func TestFinalSweepReturnsTask(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		victim.deque.Push(task{fn: runClosure, arg: closureArg(func(*W) {}), frame: &fr})
 	}
-	w := rt.newW(rt.workers[0], nil, rt.shard(0))
-	rt.park.park(w, &w.stats.thiefParks, rt.hasWork)
+	w := rt.newW(rt.workers[0], nil)
+	rt.park.park(w, &w.slot.thiefParks, rt.hasWork)
 	if got := delivered(t, waitAsync(w), "a parker whose peek saw work"); got != rt.workers[0] {
 		t.Errorf("the parker was delivered %v, want its own slot back", got)
 	}
-	if got := w.stats.thiefParks.Load(); got != 0 {
+	if got := w.slot.thiefParks.Load(); got != 0 {
 		t.Errorf("thiefParks = %d: the thief slept although its peek saw work", got)
 	}
 	if got := victim.deque.Len(); got != 8 || fr.count.Load() != 0 {

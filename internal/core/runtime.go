@@ -121,9 +121,6 @@ type Config struct {
 	// StackPages is the size of each simulated stack. Default
 	// stack.DefaultStackPages (1 MB of 4 KB pages, as in the paper).
 	StackPages int
-	// FrameBytes is the simulated activation-frame size charged for a task
-	// whose fork/call site does not specify one. Default 192 bytes.
-	FrameBytes int
 	// Seed seeds the per-worker steal RNGs. 0 means a fixed default, so
 	// runs are reproducible by default.
 	Seed uint64
@@ -152,9 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.StackPages <= 0 {
 		c.StackPages = stack.DefaultStackPages
 	}
-	if c.FrameBytes <= 0 {
-		c.FrameBytes = 192
-	}
 	// A negative bound means what 0 means: off.
 	c.MaxResidentPages = max(c.MaxResidentPages, 0)
 	c.MaxInflight = max(c.MaxInflight, 0)
@@ -168,15 +162,16 @@ func (c Config) withDefaults() Config {
 // The stack half lives on the goroutine currently occupying the slot (see
 // package comment); the slot itself carries the deque (Slot, PushSlot,
 // PopRepublish, Publish and LazyHint are the occupant's; StealIf and Len any
-// worker's), the steal RNG and its Scratch arena.
+// worker's), the steal RNG, its Scratch arena and its scheduler counters.
 //
 // Slots are allocated one by one, back to back, and the fields are laid
 // out by writer (DESIGN.md §7), two groups a pad apart: what nobody
 // writes after NewRuntime but the occupant reads on every Fork and every
 // thief reads on every probe; and what only the occupant writes (the arena
-// list twice per fork/join region). The outer pads matter as much: one
-// slot's arena stores must not land on the line holding its neighbour's
-// deque word.
+// list twice per fork/join region, the counters). Stats reads the counters
+// from anywhere, which is why they are atomic. The outer pads matter as
+// much: one slot's arena stores must not land on the line holding its
+// neighbour's deque word.
 type worker struct {
 	_ cacheline.Pad
 
@@ -191,6 +186,7 @@ type worker struct {
 	// arena is the slot's Blelloch–Wei-style free list of fixed-size
 	// Scratch blocks (frame + fork payload), no atomics.
 	arena frameArena
+	counters
 
 	_ cacheline.Pad
 }
@@ -258,19 +254,8 @@ type Runtime struct {
 	park    *parkLot
 
 	// trc fans scheduler events into the configured sink through
-	// per-worker rings; nil when observability is disabled. metrics is
-	// the attached sink downcast to *trace.MetricsSink (nil otherwise),
-	// so Snapshot can fold its histograms in.
-	trc     *trace.Tracer
-	metrics *trace.MetricsSink
-
-	// stampJobs caches whether any sink consumes KindJobDone, gating the
-	// per-job clock reads.
-	stampJobs bool
-
-	// stats holds one counter shard per worker slot; see counterShard for
-	// the de-contention rationale.
-	stats []counterShard
+	// per-worker rings; nil when observability is disabled.
+	trc *trace.Tracer
 
 	_ cacheline.Pad
 
@@ -305,11 +290,7 @@ func NewRuntime(cfg Config) *Runtime {
 		park: new(parkLot),
 		trc:  trace.NewTracer(cfg.Sink, cfg.Workers),
 	}
-	if ms, ok := cfg.Sink.(*trace.MetricsSink); ok {
-		rt.metrics = ms
-	}
 	rt.admit.max = cfg.MaxInflight
-	rt.stampJobs = rt.trc.Wants(trace.KindJobDone)
 	rt.workers = make([]*worker, cfg.Workers)
 	for i := range rt.workers {
 		rt.workers[i] = &worker{
@@ -318,7 +299,6 @@ func NewRuntime(cfg Config) *Runtime {
 			rng:   newRNG(cfg.Seed + uint64(i)*0x1234567),
 		}
 	}
-	rt.stats = make([]counterShard, cfg.Workers)
 	rt.park.ws = make([]*W, 0, cfg.Workers)
 	rt.park.free = make([]*worker, 0, cfg.Workers)
 	return rt
@@ -328,20 +308,18 @@ func NewRuntime(cfg Config) *Runtime {
 func (rt *Runtime) Config() Config { return rt.cfg }
 
 // newW builds a worker context with the hot Config fields cached on it, so
-// the fork fast path reads no runtime state beyond the W itself: the
-// default frame size, the strategy, the spawn-prologue state of the two
-// baselines that have one, and whether any sink consumes fork events. The
-// tracer's want-mask and the configuration are both fixed for the runtime's
-// lifetime, so caching at W creation is sound.
-func (rt *Runtime) newW(slot *worker, st *stack.Stack, sh *counterShard) *W {
+// the fork fast path reads no runtime state beyond the W and its slot: the
+// strategy, the spawn-prologue state of the two baselines that have one,
+// and whether any sink consumes fork events. The tracer's want-mask and the
+// configuration are both fixed for the runtime's lifetime, so caching at W
+// creation is sound.
+func (rt *Runtime) newW(slot *worker, st *stack.Stack) *W {
 	w := &W{
-		rt:         rt,
-		slot:       slot,
-		stack:      st,
-		stats:      sh,
-		frameBytes: rt.cfg.FrameBytes,
-		strategy:   rt.cfg.Strategy,
-		wantsFork:  rt.trc.Wants(trace.KindFork),
+		rt:        rt,
+		slot:      slot,
+		stack:     st,
+		strategy:  rt.cfg.Strategy,
+		wantsFork: rt.trc.Wants(trace.KindFork),
 	}
 	if w.strategy == StrategyCilkPlus || w.strategy == StrategyTBB {
 		w.spawn = &spawnState{}
@@ -359,7 +337,7 @@ func (rt *Runtime) AddressSpace() *vm.AddressSpace { return rt.as }
 // accumulate across calls on the same Runtime. Called on a runtime the
 // caller already Started, Run leaves the workers up (it only Closes what
 // it Started). A panic that escaped the root is re-raised as a *TaskPanic
-// after the orderly shutdown, exactly as before the Submit redesign.
+// after the orderly shutdown.
 func (rt *Runtime) Run(root func(*W)) Stats {
 	stats, err := rt.RunErr(root)
 	if err != nil {
@@ -433,17 +411,17 @@ func (rt *Runtime) thiefLoop(slot *worker) {
 	defer rt.park.live.Done()
 	var w *W
 	for ; slot != nil; slot = w.wait() {
-		st := rt.takeStack(slot.id)
+		st := rt.takeStack(slot)
 		if st == nil {
 			rt.park.nidle.Add(-1)
 			return // pool closed: the computation is over
 		}
 		if w == nil {
-			w = rt.newW(slot, st, rt.shard(slot.id))
+			w = rt.newW(slot, st)
 		} else {
-			// Rebind what belonged to its last slot. Its per-fork counters
-			// were folded in after its last task.
-			w.slot, w.stack, w.stats = slot, st, rt.shard(slot.id)
+			// Its per-fork counters were folded into its last slot after
+			// its last task.
+			w.slot, w.stack = slot, st
 			w.depth, w.frame = 0, nil
 		}
 		rt.occupy(w)
@@ -486,7 +464,7 @@ func (rt *Runtime) occupy(w *W) {
 			// Searched for as long as a wake-up costs: give the stack and
 			// the slot back, list w and peek (no lost wakeup: parkLot).
 			rt.pool.Put(w.slot.id, w.stack)
-			rt.park.park(w, &w.stats.thiefParks, rt.hasWork)
+			rt.park.park(w, &w.slot.thiefParks, rt.hasWork)
 			return
 		}
 		fails, idleSince = 0, time.Time{}
@@ -512,7 +490,7 @@ func (rt *Runtime) occupy(w *W) {
 // thief never probes its own deque, skips deques whose public part is
 // visibly empty (Len; what a victim holds privately it publishes at its next
 // deque operation, which is when a sweep can first see it), and charges the
-// probe count to the stealAttempts shard once per sweep instead of once per
+// probe count to its slot's stealAttempts once per sweep instead of once per
 // victim. take runs on the claimed candidate inside the victim's deque lock
 // and must count an accepted child on its frame: a base-level thief passes
 // countStolen itself, the depth-restricted join its eligibility test in
@@ -540,8 +518,8 @@ func (rt *Runtime) steal(w *W, take func(task) bool) (task, bool) {
 		if !ok {
 			continue
 		}
-		w.stats.stealAttempts.Add(probes)
-		w.stats.steals.Add(1)
+		w.slot.stealAttempts.Add(probes)
+		w.slot.steals.Add(1)
 		var lat time.Duration
 		if !sweepStart.IsZero() {
 			lat = time.Since(sweepStart)
@@ -552,7 +530,7 @@ func (rt *Runtime) steal(w *W, take func(task) bool) (task, bool) {
 	// Full sweep failed. A sweep that probed nothing (every victim visibly
 	// empty, the common case while searching) writes no shared counter.
 	if probes != 0 {
-		w.stats.stealAttempts.Add(probes)
+		w.slot.stealAttempts.Add(probes)
 	}
 	return task{}, false
 }
@@ -562,18 +540,18 @@ func (rt *Runtime) steal(w *W, take func(task) bool) (task, bool) {
 // stacks, stopping as soon as RSS drops under the ceiling. Called before a
 // worker maps fresh stack pages and on the suspend path, so sustained
 // pressure degrades throughput gracefully instead of growing RSS.
-func (rt *Runtime) pressure(slot int, sh *counterShard) {
+func (rt *Runtime) pressure(slot *worker) {
 	ceiling := rt.cfg.MaxResidentPages
 	if ceiling <= 0 || rt.as.RSSPages() <= ceiling {
 		return
 	}
-	sh.ceilingHits.Add(1)
+	slot.ceilingHits.Add(1)
 	calls, pages := rt.pool.ReclaimFree(func() bool {
 		return rt.as.RSSPages() <= ceiling
 	})
-	sh.poolReclaims.Add(calls)
-	sh.reclaimedPages.Add(pages)
-	rt.trc.Emit(slot, trace.KindReclaim, pages, 0)
+	slot.poolReclaims.Add(calls)
+	slot.reclaimedPages.Add(pages)
+	rt.trc.Emit(slot.id, trace.KindReclaim, pages, 0)
 }
 
 // takeStack takes a stack from the pool for the given worker slot,
@@ -581,9 +559,9 @@ func (rt *Runtime) pressure(slot int, sh *counterShard) {
 // ceiling — free stacks' residue is reclaimed before fresh pages are
 // mapped. Returns nil when the pool has been closed; a map failure in the
 // simulated address space is a programming error and panics.
-func (rt *Runtime) takeStack(slot int) *stack.Stack {
-	rt.pressure(slot, rt.shard(slot))
-	s, err := rt.pool.Take(slot)
+func (rt *Runtime) takeStack(slot *worker) *stack.Stack {
+	rt.pressure(slot)
+	s, err := rt.pool.Take(slot.id)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}

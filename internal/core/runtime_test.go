@@ -82,14 +82,16 @@ func TestSuspensionsBalanceResumes(t *testing.T) {
 }
 
 // TestResumeRebindsCounterShard forces a join to suspend on one slot and
-// resume on the other, and checks that the W's counter shard followed the
-// slot: a shard has one writer — the goroutine occupying its slot — and a
-// W left on its old slot's shard shares it with that slot's next occupant.
-// With two slots the migration is certain: the suspending root gives its
-// slot to a fresh thief, and the only worker that can finish the stolen
-// child, and so hand its slot over, is the other one. What the W counted
-// privately before it suspended belongs to the slot it was counted on, and
-// has to be in that slot's shard before the slot's next occupant adds to it.
+// resume on the other, and checks that the W's counts land on the slot it
+// occupies: a slot's counters have one writer — the goroutine occupying the
+// slot — and a W still adding to its old slot would share them with that
+// slot's next occupant. With two slots the migration is certain: the
+// suspending root gives its slot to a fresh thief, and the only worker that
+// can finish the stolen child, and so hand its slot over, is the other one.
+// What the W counted privately before it suspended belongs to the slot it
+// was counted on, and has to be in that slot's counters before the slot's
+// next occupant adds to them. The name is kept so that its recorded test
+// name stays stable.
 func TestResumeRebindsCounterShard(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the root spins while the thief steals
@@ -98,7 +100,6 @@ func TestResumeRebindsCounterShard(t *testing.T) {
 	const calls, callsBefore = 100, 7
 	var started atomic.Bool
 	var before, after int
-	var bound bool
 	var oldForks, oldCalls, carried int64
 	st := rt.Run(func(w *W) {
 		before = w.slot.id
@@ -118,8 +119,7 @@ func TestResumeRebindsCounterShard(t *testing.T) {
 		}
 		w.Join(&fr)
 		after = w.slot.id
-		bound = w.stats == rt.shard(w.slot.id)
-		oldForks, oldCalls = rt.shard(before).forks.Load(), rt.shard(before).calls.Load()
+		oldForks, oldCalls = rt.workers[before].forks.Load(), rt.workers[before].calls.Load()
 		carried = w.forks + w.calls
 		for i := 0; i < calls; i++ {
 			w.Call(func(*W) {})
@@ -128,19 +128,16 @@ func TestResumeRebindsCounterShard(t *testing.T) {
 	if after == before {
 		t.Fatalf("resumed on slot %d, the slot it suspended on: no migration to test", after)
 	}
-	if !bound {
-		t.Errorf("after resuming on slot %d the W still adds to slot %d's shard", after, before)
-	}
 	if oldForks != 1 || oldCalls != callsBefore || carried != 0 {
-		t.Errorf("on resuming, slot %d's shard held %d forks and %d calls and the W carried %d counts over, want 1, %d and 0",
+		t.Errorf("on resuming, slot %d's counters held %d forks and %d calls and the W carried %d counts over, want 1, %d and 0",
 			before, oldForks, oldCalls, carried, callsBefore)
 	}
 	if st.Forks != 1 || st.Steals != 1 || st.Suspends != 1 || st.Resumes != 1 || st.Calls != calls+callsBefore {
 		t.Errorf("forks=%d steals=%d suspends=%d resumes=%d calls=%d, want 1/1/1/1/%d",
 			st.Forks, st.Steals, st.Suspends, st.Resumes, st.Calls, calls+callsBefore)
 	}
-	if got := rt.shard(after).calls.Load(); got != calls {
-		t.Errorf("slot %d's shard counted %d of the %d calls made on it", after, got, calls)
+	if got := rt.workers[after].calls.Load(); got != calls {
+		t.Errorf("slot %d's counters counted %d of the %d calls made on it", after, got, calls)
 	}
 }
 
@@ -297,7 +294,7 @@ func TestDeepSpawnChainDoesNotOverflowThiefStacks(t *testing.T) {
 	// A right-leaning spawn chain: each task forks one child and joins.
 	// Under Fibril every suspension moves to a pool stack, so no stack
 	// should ever hold more than a few frames.
-	rt := NewRuntime(Config{Workers: 4, Strategy: StrategyFibril, FrameBytes: 1024})
+	rt := NewRuntime(Config{Workers: 4, Strategy: StrategyFibril})
 	var depthReached atomic.Int64
 	var spawn func(w *W, d int)
 	spawn = func(w *W, d int) {
@@ -306,7 +303,7 @@ func TestDeepSpawnChainDoesNotOverflowThiefStacks(t *testing.T) {
 		}
 		var fr Frame
 		w.Init(&fr)
-		w.Fork(&fr, func(cw *W) { spawn(cw, d-1) })
+		w.ForkSized(&fr, 1024, func(cw *W) { spawn(cw, d-1) })
 		w.Join(&fr)
 		depthReached.Add(1)
 	}
@@ -320,9 +317,6 @@ func TestWorkerCountDefaults(t *testing.T) {
 	rt := NewRuntime(Config{})
 	if rt.Config().Workers <= 0 {
 		t.Error("defaulted worker count not positive")
-	}
-	if rt.Config().FrameBytes != 192 {
-		t.Errorf("default frame bytes = %d, want 192", rt.Config().FrameBytes)
 	}
 	if rt.Config().Strategy != StrategyFibril {
 		t.Errorf("default strategy = %v, want fibril", rt.Config().Strategy)

@@ -3,28 +3,18 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"unsafe"
 
-	"fibril/internal/cacheline"
 	"fibril/internal/vm"
 )
 
-// counterShard holds one worker slot's scheduler counters. The runtime
-// keeps one shard per slot, so the fork/steal hot paths increment an
-// uncontended counter instead of ping-ponging a shared cache line across P
-// cores; Stats aggregates the shards. The four counters bumped on every
-// fork/join node (forks, calls, arenaAcquires, arenaReleases) are not even
-// that: a W counts them in plain fields and adds them here in bulk
-// (W.flushCounts). Uncontended means one writer per
-// shard: a W adds to the shard of the slot it occupies and re-binds when a
-// resume hands it a different slot (see suspend). Each shard is rounded up
-// to whole cacheline units (DESIGN.md §7), so neighbouring slots' shards —
-// elements of one slice — never false-share.
-type counterShard struct {
-	counters
-	_ [cacheline.Size - unsafe.Sizeof(counters{})%cacheline.Size]byte
-}
-
+// counters are one worker slot's scheduler counters, embedded in the slot
+// (worker) in the group only its occupant writes, so the fork/steal hot
+// paths increment an uncontended counter instead of ping-ponging a shared
+// cache line across P cores; Stats sums the slots. The four counters bumped
+// on every fork/join node (forks, calls, arenaAcquires, arenaReleases) are
+// not even that: a W counts them in plain fields and adds them here in bulk
+// (W.flushCounts). A W adds to the slot it occupies, w.slot, which a resume
+// replaces, so there is nothing to re-bind when a W changes slots.
 type counters struct {
 	forks            atomic.Int64
 	calls            atomic.Int64
@@ -44,9 +34,6 @@ type counters struct {
 	arenaReleases    atomic.Int64
 	arenaDrops       atomic.Int64
 }
-
-// shard returns the counter shard for worker slot id.
-func (rt *Runtime) shard(id int) *counterShard { return &rt.stats[id] }
 
 // Stats is a snapshot of a Runtime's scheduler and memory counters — the
 // raw material of the paper's Tables 2–4.
@@ -99,7 +86,7 @@ type Stats struct {
 	VM vm.Stats // page faults, RSS, mmap/madvise counters (Tables 2 and 4)
 }
 
-// Stats snapshots the runtime's counters, aggregating the per-slot shards.
+// Stats snapshots the runtime's counters, summing the slots' counters.
 // At quiescence — after Run, after Close, whenever no task is running — it is
 // exact. Taken while workers run, Forks, Calls, ArenaAcquires and
 // ArenaReleases are lower bounds: each running worker counts those four on
@@ -123,25 +110,24 @@ func (rt *Runtime) Stats() Stats {
 		PoolStalls:    rt.pool.Stalls(),
 		VM:            rt.as.Snapshot(),
 	}
-	for i := range rt.stats {
-		sh := &rt.stats[i]
-		s.Forks += sh.forks.Load()
-		s.Calls += sh.calls.Load()
-		s.Steals += sh.steals.Load()
-		s.StealAttempts += sh.stealAttempts.Load()
-		s.ThiefParks += sh.thiefParks.Load()
-		s.RestrictedSteals += sh.restrictedSteals.Load()
-		s.Suspends += sh.suspends.Load()
-		s.Resumes += sh.resumes.Load()
-		s.Unmaps += sh.unmaps.Load()
-		s.UnmappedPages += sh.unmappedPages.Load()
-		s.SpawnOverhead += sh.spawnOverhead.Load()
-		s.CeilingHits += sh.ceilingHits.Load()
-		s.ReclaimedPages += sh.reclaimedPages.Load()
-		s.PoolReclaims += sh.poolReclaims.Load()
-		s.ArenaAcquires += sh.arenaAcquires.Load()
-		s.ArenaReleases += sh.arenaReleases.Load()
-		s.ArenaDrops += sh.arenaDrops.Load()
+	for _, slot := range rt.workers {
+		s.Forks += slot.forks.Load()
+		s.Calls += slot.calls.Load()
+		s.Steals += slot.steals.Load()
+		s.StealAttempts += slot.stealAttempts.Load()
+		s.ThiefParks += slot.thiefParks.Load()
+		s.RestrictedSteals += slot.restrictedSteals.Load()
+		s.Suspends += slot.suspends.Load()
+		s.Resumes += slot.resumes.Load()
+		s.Unmaps += slot.unmaps.Load()
+		s.UnmappedPages += slot.unmappedPages.Load()
+		s.SpawnOverhead += slot.spawnOverhead.Load()
+		s.CeilingHits += slot.ceilingHits.Load()
+		s.ReclaimedPages += slot.reclaimedPages.Load()
+		s.PoolReclaims += slot.poolReclaims.Load()
+		s.ArenaAcquires += slot.arenaAcquires.Load()
+		s.ArenaReleases += slot.arenaReleases.Load()
+		s.ArenaDrops += slot.arenaDrops.Load()
 	}
 	return s
 }

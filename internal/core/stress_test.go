@@ -149,7 +149,7 @@ func TestStressRepeatedRunsReuseRuntime(t *testing.T) {
 // TestStressDeepAndWide combines a deep spawn chain with wide fan-out at
 // the bottom — suspension-heavy and steal-heavy at once.
 func TestStressDeepAndWide(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 8, FrameBytes: 512})
+	rt := NewRuntime(Config{Workers: 8})
 	var leaves atomic.Int64
 	var dive func(w *W, d int)
 	dive = func(w *W, d int) {
@@ -157,12 +157,12 @@ func TestStressDeepAndWide(t *testing.T) {
 		w.Init(&fr)
 		if d == 0 {
 			for i := 0; i < 32; i++ {
-				w.Fork(&fr, func(*W) { leaves.Add(1) })
+				w.ForkSized(&fr, 512, func(*W) { leaves.Add(1) })
 			}
 			w.Join(&fr)
 			return
 		}
-		w.Fork(&fr, func(w *W) { dive(w, d-1) })
+		w.ForkSized(&fr, 512, func(w *W) { dive(w, d-1) })
 		w.Join(&fr)
 	}
 	rt.Run(func(w *W) { dive(w, 200) })

@@ -30,9 +30,8 @@ type W struct {
 	_ cacheline.Pad
 
 	rt    *Runtime
-	slot  *worker       // current worker slot
-	stack *stack.Stack  // this goroutine's simulated stack
-	stats *counterShard // the current slot's counter shard; re-bound with slot
+	slot  *worker      // current worker slot; its counters are what this W adds to
+	stack *stack.Stack // this goroutine's simulated stack
 
 	depth int32  // current invocation depth
 	frame *Frame // frame of the task currently executing (nil at root)
@@ -41,20 +40,19 @@ type W struct {
 	next *worker        // the slot delivered on sem; nil means exit
 
 	// The per-fork counters, kept as plain integers here and folded into
-	// the slot's shard by flushCounts, so a fork/call/join node adds to no
+	// the slot's counters by flushCounts, so a fork/call/join node adds to no
 	// shared word. A live Stats() therefore lags this goroutine by at most
 	// countFlushForks forks; at quiescence it is exact.
 	forks, calls, arenaAcquires, arenaReleases int64
 
 	// Hot Config fields cached at W creation (see Runtime.newW), so the
-	// fork fast path touches only this cache line: the default frame size,
-	// the strategy, whether any sink consumes KindFork (so the untraced path
-	// skips the Emit call entirely), and what the spawn prologue of the Cilk
-	// Plus and TBB baselines writes — nil under every other strategy.
-	frameBytes int
-	strategy   Strategy
-	wantsFork  bool
-	spawn      *spawnState
+	// fork fast path touches only this cache line: the strategy, whether
+	// any sink consumes KindFork (so the untraced path skips the Emit call
+	// entirely), and what the spawn prologue of the Cilk Plus and TBB
+	// baselines writes — nil under every other strategy.
+	strategy  Strategy
+	wantsFork bool
+	spawn     *spawnState
 
 	_ cacheline.Pad
 }
@@ -84,33 +82,34 @@ func (w *W) wait() *worker {
 }
 
 // countFlushForks bounds how many forks a W counts privately before folding
-// them into its slot's shard, so a Stats() taken while a long unstolen root
-// runs shows progress instead of zero.
+// them into its slot's counters, so a Stats() taken while a long unstolen
+// root runs shows progress instead of zero.
 const countFlushForks = 4096
 
 // flushCounts folds the private per-fork counters into the current slot's
-// shard. It runs wherever the shard is about to be read for an exact answer
-// or is about to change hands — at the end of every base-level task, before
-// the completion that lets a joiner or a waiter proceed, and before a suspend
-// gives the slot to a replacement thief — and every countFlushForks forks in
-// between. Every fork a goroutine counts happens inside a base-level task, so
-// a thief that retires between tasks has nothing to fold.
+// counters. It runs wherever they are about to be read for an exact answer
+// or the slot is about to change hands — at the end of every base-level
+// task, before the completion that lets a joiner or a waiter proceed, and
+// before a suspend gives the slot to a replacement thief — and every
+// countFlushForks forks in between. Every fork a goroutine counts happens
+// inside a base-level task, so a thief that retires between tasks has
+// nothing to fold.
 func (w *W) flushCounts() {
-	sh := w.stats
+	slot := w.slot
 	if w.forks != 0 {
-		sh.forks.Add(w.forks)
+		slot.forks.Add(w.forks)
 		w.forks = 0
 	}
 	if w.calls != 0 {
-		sh.calls.Add(w.calls)
+		slot.calls.Add(w.calls)
 		w.calls = 0
 	}
 	if w.arenaAcquires != 0 {
-		sh.arenaAcquires.Add(w.arenaAcquires)
+		slot.arenaAcquires.Add(w.arenaAcquires)
 		w.arenaAcquires = 0
 	}
 	if w.arenaReleases != 0 {
-		sh.arenaReleases.Add(w.arenaReleases)
+		slot.arenaReleases.Add(w.arenaReleases)
 		w.arenaReleases = 0
 	}
 }
@@ -160,14 +159,19 @@ func (w *W) countFork(f *Frame) {
 	}
 }
 
+// defaultFrameBytes is the simulated activation-frame size that Fork,
+// ForkArg, Call and CallArg charge; their Sized variants take it from the
+// caller.
+const defaultFrameBytes = 192
+
 // Fork logically starts fn as a child task of frame f, running in parallel
 // with the caller (fibril_fork). The child is pushed on the worker's deque
 // where thieves can steal it; unstolen children execute during Join in the
 // order work-first execution would have run them. The child's simulated
-// activation frame uses the configured default size; use ForkSized to
-// model a specific frame size.
+// activation frame is defaultFrameBytes; use ForkSized to model a specific
+// frame size.
 func (w *W) Fork(f *Frame, fn func(*W)) {
-	w.ForkSized(f, w.frameBytes, fn)
+	w.ForkSized(f, defaultFrameBytes, fn)
 }
 
 // ForkSized is Fork with an explicit simulated activation-frame size in
@@ -184,7 +188,7 @@ func (w *W) ForkSized(f *Frame, bytes int, fn func(*W)) {
 // and argument blocks recycled through AcquireScratch/ReleaseScratch
 // satisfy this by construction. The type-safe wrapper is fibril.ForkOf.
 func (w *W) ForkArg(f *Frame, fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
-	w.ForkArgSized(f, w.frameBytes, fn, arg)
+	w.ForkArgSized(f, defaultFrameBytes, fn, arg)
 }
 
 // ForkArgSized is ForkArg with an explicit simulated activation-frame size
@@ -253,7 +257,7 @@ func (w *W) spawnPrologue(f *Frame, bytes int) {
 		h.refcount.Add(1)
 		w.spawn.task = h
 	}
-	w.stats.spawnOverhead.Add(1)
+	w.slot.spawnOverhead.Add(1)
 }
 
 // ShouldSplit reports whether publishing more parallelism right now could
@@ -273,11 +277,11 @@ func (w *W) ShouldSplit() bool {
 }
 
 // Call runs fn synchronously as a plain function call with a simulated
-// activation frame of the configured default size — the serial-parallel
+// activation frame of defaultFrameBytes — the serial-parallel
 // reciprocity path: any code, including "serial" callbacks, may call into
 // or out of parallel code freely (§1, §4.1).
 func (w *W) Call(fn func(*W)) {
-	w.CallSized(w.frameBytes, fn)
+	w.CallSized(defaultFrameBytes, fn)
 }
 
 // CallSized is Call with an explicit frame size in bytes. Panics propagate
@@ -290,7 +294,7 @@ func (w *W) CallSized(bytes int, fn func(*W)) {
 // CallArg is Call for a (code pointer, argument pointer) pair — the serial
 // spine of ForkArg-based code, allocation-free like its fork counterpart.
 func (w *W) CallArg(fn func(*W, unsafe.Pointer), arg unsafe.Pointer) {
-	w.CallArgSized(w.frameBytes, fn, arg)
+	w.CallArgSized(defaultFrameBytes, fn, arg)
 }
 
 // CallArgSized is CallArg with an explicit frame size in bytes. It is the
@@ -433,7 +437,7 @@ func (w *W) joinBlocked(f *Frame) (done bool) {
 		runtime.Gosched()
 		return false
 	}
-	w.stats.restrictedSteals.Add(1)
+	w.slot.restrictedSteals.Add(1)
 	slot, bot := w.slot, w.slot.deque.Bottom()
 	w.exec(&t)
 	w.drain(slot, bot) // what t forked and a panic left unjoined
@@ -471,7 +475,8 @@ func (w *W) exec(t *task) {
 }
 
 // runRoot executes an admitted root task — a submitted Job. A root has no
-// parent frame and no cactus link: its frames grow from the base of the
+// parent frame, no cactus link and no simulated frame of its own (its task
+// charges 0 bytes): what it forks and calls grows from the base of the
 // executing worker's own stack. Roots emit job-lifecycle events rather
 // than KindTaskStart/KindTaskEnd, which stay reserved for stolen tasks so
 // the trace-reconciliation law (task events == base steals) survives
